@@ -78,6 +78,7 @@ from repro.frameworks import (
 from repro.obs import disable_tracing, enable_tracing, write_trace
 from repro.serve.scenarios import MIXES
 from repro.sptensor import dataset_presets, random_dense_matrix, random_sparse_tensor, read_tns
+from repro.sptensor.csf import default_structure_memo
 
 _BASELINES = {
     "spttn": SpTTNCyclopsBaseline,
@@ -576,11 +577,15 @@ def cmd_cache(args) -> int:
         "plan": default_plan_cache(),
         "schedule": default_schedule_cache(),
         "executor": default_executor_cache(),
+        "csf": default_structure_memo(),
     }
     if args.clear:
         clear_caches()
         clear_plan_timings()
-        print("cleared all cached plans, schedules, executors and plan timings")
+        print(
+            "cleared all cached plans, schedules, executors, CSF structure "
+            "and plan timings"
+        )
     if args.reset_stats:
         for cache in caches.values():
             cache.reset_stats()

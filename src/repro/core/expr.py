@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.csf import CSFTensor
+from repro.sptensor.csf import CSFTensor, csf_for_mode_order
 from repro.sptensor.dense import DenseTensor
 from repro.util.validation import require
 
@@ -377,44 +377,34 @@ def parse_kernel(
     # CSF order: the order in which the sparse operand's indices appear in
     # the spec matches the storage order of the tensor passed in (for a CSF
     # tensor, its mode_order has already been applied to its levels).
-    csf_order = sparse_op.indices
+    assert sparse_tensor is not None
+    mode_order = tuple(range(sparse_op.order))
     if isinstance(sparse_tensor, CSFTensor):
-        csf_order = tuple(sparse_op.indices[m] for m in sparse_tensor.mode_order)
-
-    stats = _collect_sparse_stats(sparse_tensor, csf_order, sparse_op.indices)
-    return SpTTNKernel(
+        mode_order = sparse_tensor.mode_order
+    kernel = SpTTNKernel(
         operands,
         output,
         index_dims,
-        csf_mode_order=csf_order,
-        sparse_stats=stats,
+        csf_mode_order=tuple(sparse_op.indices[m] for m in mode_order),
     )
+    # statistics come after the structural validation above: a malformed
+    # spec is rejected before any tensor data is looked at
+    kernel.sparse_stats = _collect_sparse_stats(sparse_tensor, mode_order)
+    return kernel
 
 
 def _collect_sparse_stats(
-    tensor: Optional[SparseInput],
-    csf_order: Tuple[str, ...],
-    spec_indices: Tuple[str, ...],
+    tensor: SparseInput, mode_order: Tuple[int, ...]
 ) -> Dict[str, object]:
-    """Record nnz statistics (per CSF-prefix) from the concrete sparse tensor."""
-    if tensor is None:
-        return {}
-    stats: Dict[str, object] = {}
-    if isinstance(tensor, CSFTensor):
-        stats["nnz"] = tensor.nnz
-        stats["prefix_nnz"] = {
-            depth: tensor.nnz_at_level(depth - 1) for depth in range(1, tensor.order + 1)
-        }
-        return stats
-    if isinstance(tensor, COOTensor):
-        stats["nnz"] = tensor.nnz
-        # prefix counts follow the CSF order, which here is a permutation of
-        # the spec order; map index names back to tensor modes.
-        mode_of = {idx: pos for pos, idx in enumerate(spec_indices)}
-        prefix = {}
-        for depth in range(1, tensor.order + 1):
-            modes = [mode_of[idx] for idx in csf_order[:depth]]
-            prefix[depth] = tensor.nnz_modes(modes)
-        stats["prefix_nnz"] = prefix
-        return stats
-    return stats
+    """The cost model's ``nnz_{I_1...I_k}``: level sizes of the CSF tree.
+
+    Reads them from the (memoized) CSF the executor is about to iterate, so
+    a kernel build sorts nothing once the pattern has been converted.
+    """
+    csf = csf_for_mode_order(tensor, mode_order)
+    return {
+        "nnz": csf.nnz,
+        "prefix_nnz": {
+            depth: csf.nnz_at_level(depth - 1) for depth in range(1, csf.order + 1)
+        },
+    }

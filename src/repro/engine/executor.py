@@ -218,8 +218,9 @@ class LoopNestExecutor:
         :class:`~repro.sptensor.coo.COOTensor` sharing the input pattern.
 
         Sparse operands are treated as immutable: their CSF conversion is
-        memoized per tensor object, so mutating a tensor's ``values`` array
-        in place between calls is not observed — build a new tensor with
+        memoized (per tensor object, and its structure per sparsity
+        pattern), so writing into a tensor's ``values`` or ``indices`` in
+        place between calls is not observed — build a new tensor with
         :meth:`~repro.sptensor.coo.COOTensor.with_values` instead.
         """
         start = time.perf_counter()

@@ -28,11 +28,12 @@ it, neither imports the other through it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Hashable, Tuple
 
 import numpy as np
+
+from repro.util.digest import blake2s_digest
 
 PlanKey = Tuple[Hashable, ...]
 
@@ -72,6 +73,6 @@ def canonical_key(key: object) -> str:
 
 def key_digest(key: object, digest_size: int = 8) -> str:
     """Short stable hex digest of :func:`canonical_key` (blake2s)."""
-    return hashlib.blake2s(
+    return blake2s_digest(
         canonical_key(key).encode("utf-8"), digest_size=digest_size
-    ).hexdigest()
+    ).hex()

@@ -53,7 +53,7 @@ from repro.obs.trace import span as _span
 from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import Schedule, SpTTNScheduler
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.csf import CSFTensor
+from repro.sptensor.csf import CSFTensor, default_structure_memo
 from repro.sptensor.dense import DenseTensor
 
 PlanKey = Tuple[Hashable, ...]
@@ -436,22 +436,26 @@ def default_executor_cache() -> PlanCache:
 
 
 def clear_caches() -> None:
-    """Drop all cached plans, schedules and executors (stats are kept)."""
+    """Drop cached plans, schedules, executors and CSF structure (stats are kept)."""
     _DEFAULT_PLAN_CACHE.clear()
     _DEFAULT_SCHEDULE_CACHE.clear()
     _DEFAULT_EXECUTOR_CACHE.clear()
+    default_structure_memo().clear()
 
 
 def caches_snapshot() -> Dict[str, Dict[str, int]]:
-    """One coherent stats snapshot of all three process-wide caches.
+    """One coherent stats snapshot of the process-wide caches.
 
     The canonical introspection document shared by ``repro cache``, the
     serving layer's ``cache_stats`` and the daemon's ``stats`` endpoint:
-    a dict keyed ``plan``/``schedule``/``executor``/``jit``, each value
-    the corresponding cache's entries/hits/misses/evictions/rejections/
-    bytes counters (:meth:`PlanCache.stats`; the ``jit`` entry comes from
-    :func:`~repro.engine.lowering.codegen.jit_stats` and covers compiled
-    callables, their buffer pools and the per-tensor prep cache).
+    a dict keyed ``plan``/``schedule``/``executor``/``jit``/``csf``, each
+    value the corresponding cache's entries/hits/misses/evictions/
+    rejections/bytes counters (:meth:`PlanCache.stats`; the ``jit`` entry
+    comes from :func:`~repro.engine.lowering.codegen.jit_stats` and covers
+    compiled callables, their buffer pools and the per-tensor prep cache;
+    the ``csf`` entry is the pattern-keyed CSF structure memo of
+    :func:`~repro.sptensor.csf.csf_for_mode_order`, whose ``misses`` are
+    the COO sorts this process paid).
 
     Examples
     --------
@@ -466,6 +470,7 @@ def caches_snapshot() -> Dict[str, Dict[str, int]]:
         "schedule": _DEFAULT_SCHEDULE_CACHE.stats(),
         "executor": _DEFAULT_EXECUTOR_CACHE.stats(),
         "jit": jit_stats(),
+        "csf": default_structure_memo().stats(),
     }
 
 

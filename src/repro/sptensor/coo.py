@@ -3,17 +3,21 @@
 The COO tensor is the interchange format of the library: tensors are built
 or loaded as COO, deduplicated and sorted, and then converted to
 :class:`~repro.sptensor.csf.CSFTensor` for execution.  A small set of
-data-independent reductions needed by the cost models (``nnz`` of CSF-level
-prefixes, mode marginals) is provided here because they are naturally
-expressed over coordinates.
+data-independent reductions (``nnz`` of index prefixes and subsets, mode
+marginals) is provided here because they are naturally expressed over
+coordinates.  Kernel construction does not call them: the cost model's
+``nnz_{I_1...I_k}`` are read from the CSF level sizes
+(:func:`~repro.sptensor.csf.csf_for_mode_order`), and the sorting
+reductions here are the independent oracle the tests compare those against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.digest import blake2s_digest
 from repro.util.validation import as_index_array, check_shape, require
 
 
@@ -40,7 +44,7 @@ class COOTensor:
     when an observed value happens to be zero.
     """
 
-    __slots__ = ("shape", "indices", "values", "__weakref__")
+    __slots__ = ("shape", "indices", "values", "_pattern", "__weakref__")
 
     def __init__(
         self,
@@ -70,6 +74,7 @@ class COOTensor:
             vals = vals[perm]
         self.indices = idx
         self.values = vals
+        self._pattern: Optional[bytes] = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -125,6 +130,7 @@ class COOTensor:
         out.shape = self.shape
         out.indices = self.indices.copy()
         out.values = self.values.copy()
+        out._pattern = self._pattern
         return out
 
     def with_values(self, values: np.ndarray) -> "COOTensor":
@@ -138,7 +144,25 @@ class COOTensor:
         out.shape = self.shape
         out.indices = self.indices.copy()
         out.values = values.copy()
+        out._pattern = self._pattern
         return out
+
+    def pattern_digest(self) -> bytes:
+        """16-byte blake2s digest of the sparsity pattern (shape + coordinates).
+
+        Two tensors with equal digests have the same shape and the same
+        ``indices`` array, whatever their values; the CSF structure memo of
+        :func:`~repro.sptensor.csf.csf_for_mode_order` is keyed by it.
+        Computed on first use (one pass over the index buffer, no copy) and
+        inherited by :meth:`with_values` / :meth:`copy`; the tensor is
+        immutable by contract, so ``indices`` must not be written in place
+        afterwards.
+        """
+        if self._pattern is None:
+            idx = np.ascontiguousarray(self.indices)
+            header = f"{self.shape}{idx.dtype.str}".encode("ascii")
+            self._pattern = blake2s_digest(header, idx)
+        return self._pattern
 
     # ------------------------------------------------------------------ #
     # Conversions and views
@@ -265,6 +289,10 @@ def _dedupe(
     if indices.shape[0] <= 1:
         return indices, values
     flat = np.ravel_multi_index(indices.T, shape)
+    if bool(np.all(flat[1:] > flat[:-1])):
+        # strictly increasing linearised coordinates are unique: canonical
+        # input (wire-decoded, shared-memory and CSF round trips) skips the sort
+        return indices, values
     uniq, inverse = np.unique(flat, return_inverse=True)
     if uniq.shape[0] == indices.shape[0]:
         return indices, values

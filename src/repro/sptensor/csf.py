@@ -22,13 +22,25 @@ Representation
     level ``k+1``.  There is no ``fptr`` for the last level.
 ``values``
     1-D ``float64`` array aligned with ``fids[order-1]``.
+``leaf_perm``
+    For a tensor built by :meth:`CSFTensor.from_coo`: the row of the source
+    COO tensor each leaf came from (``values == coo.values[leaf_perm]``), or
+    ``None`` when the leaves are the COO rows in order — the case for
+    canonical COO in natural mode order, where ``values`` is the COO
+    tensor's own array, not a copy.
+
+The level arrays depend only on the sparsity pattern and the mode order,
+so :func:`csf_for_mode_order` builds them once per pattern and binds each
+new set of values to the shared structure.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +63,9 @@ class CSFTensor:
     supported for tests and for distributed-local subtensors.
     """
 
-    __slots__ = ("shape", "mode_order", "fids", "fptr", "values", "__weakref__")
+    __slots__ = (
+        "shape", "mode_order", "fids", "fptr", "values", "leaf_perm", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -60,6 +74,7 @@ class CSFTensor:
         fids: List[np.ndarray],
         fptr: List[np.ndarray],
         values: np.ndarray,
+        leaf_perm: Optional[np.ndarray] = None,
     ) -> None:
         self.shape = tuple(int(s) for s in shape)
         self.mode_order = tuple(int(m) for m in mode_order)
@@ -73,6 +88,7 @@ class CSFTensor:
         self.fids = [np.asarray(f, dtype=np.int64) for f in fids]
         self.fptr = [np.asarray(p, dtype=np.int64) for p in fptr]
         self.values = np.asarray(values, dtype=np.float64)
+        self.leaf_perm = leaf_perm
         require(
             self.values.shape[0] == self.fids[-1].shape[0],
             "values must align with the leaf level",
@@ -120,11 +136,13 @@ class CSFTensor:
             return cls(coo.shape, mode_order, fids, fptr, np.zeros(0))
 
         idx = coo.indices[:, list(mode_order)]
-        vals = coo.values
         # Sort lexicographically by the permuted index columns.
-        perm = np.lexsort(idx.T[::-1])
-        idx = idx[perm]
-        vals = vals[perm]
+        perm: Optional[np.ndarray] = np.lexsort(idx.T[::-1])
+        if np.array_equal(perm, np.arange(perm.shape[0])):
+            perm, vals = None, coo.values
+        else:
+            idx = idx[perm]
+            vals = coo.values[perm]
 
         fids: List[np.ndarray] = []
         fptr: List[np.ndarray] = []
@@ -150,7 +168,7 @@ class CSFTensor:
                 np.cumsum(counts, out=ptr[1:])
                 fptr.append(ptr)
             prev_group = group
-        return cls(coo.shape, mode_order, fids, fptr, vals.copy())
+        return cls(coo.shape, mode_order, fids, fptr, vals, leaf_perm=perm)
 
     @classmethod
     def from_dense(
@@ -324,25 +342,128 @@ class CSFTensor:
 # --------------------------------------------------------------------------- #
 # Memoized conversion
 # --------------------------------------------------------------------------- #
-#: Per-source-tensor memo of CSF conversions, keyed weakly by the source
-#: object so entries disappear with their tensors.  Values map a CSF mode
-#: order to the converted tensor.
+#: Budget of the process-wide structure memo.  A pattern of ``n`` nonzeros
+#: costs at most ``8 * n * (2 * order)`` bytes per mode order (level arrays
+#: plus a non-identity leaf permutation); larger structures are served but
+#: not retained, and then live exactly as long as their source tensor does.
+STRUCTURE_MEMO_BYTES = 32 << 20
+
+
+class _Structure(NamedTuple):
+    """What a CSF conversion computes from the pattern alone."""
+
+    shape: Tuple[int, ...]
+    fids: List[np.ndarray]
+    fptr: List[np.ndarray]
+    leaf_perm: Optional[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = self.fids + self.fptr
+        if self.leaf_perm is not None:
+            arrays = arrays + [self.leaf_perm]
+        return sum(int(a.nbytes) for a in arrays)
+
+
+_StructureKey = Tuple[bytes, Tuple[int, ...]]
+
+
+class StructureMemo:
+    """Byte-accounted LRU of CSF structure keyed by (pattern digest, mode order).
+
+    Locked: the daemon's event-loop thread converts at admission while its
+    flush thread converts at execution.  Builds run outside the lock, so two
+    threads racing on one cold pattern both build and the later insert
+    replaces the (equal) earlier one.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.hits = self.misses = self.evictions = self.rejections = 0
+        self.bytes = 0
+        self._entries: "OrderedDict[_StructureKey, _Structure]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: _StructureKey) -> Optional[_Structure]:
+        with self._lock:
+            structure = self._entries.get(key)
+            if structure is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return structure
+
+    def put(self, key: _StructureKey, structure: _Structure) -> None:
+        size = structure.nbytes
+        with self._lock:
+            if size > self.max_bytes:
+                self.rejections += 1
+                return
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self.bytes -= replaced.nbytes
+            self._entries[key] = structure
+            self.bytes += size
+            while self.bytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self.bytes -= evicted.nbytes
+                self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bytes = 0
+
+    def reset_stats(self) -> None:
+        with self._lock:
+            self.hits = self.misses = self.evictions = self.rejections = 0
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "rejections": self.rejections,
+                "bytes": self.bytes,
+            }
+
+
+_STRUCTURE_MEMO = StructureMemo(STRUCTURE_MEMO_BYTES)
+
+#: Per-source-object fast path in front of the structure memo, keyed weakly
+#: so entries disappear with their tensors.  Values map a CSF mode order to
+#: ``(source values array, converted tensor)``.
 _CONVERSION_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def csf_for_mode_order(
     tensor: "COOTensor | CSFTensor", mode_order: Sequence[int]
 ) -> "CSFTensor":
-    """CSF view of a sparse tensor for one mode order, memoized per source.
+    """CSF view of a sparse tensor for one mode order, memoized by pattern.
 
-    Repeatedly executing a kernel on the same COO (or differently-ordered
-    CSF) tensor pays the analysis/sort cost of :meth:`CSFTensor.from_coo`
-    only once per (tensor object, mode order) — the SPLATT-style CSF
-    amortization across ALS iterations.  The source tensor is treated as
-    immutable: rebinding ``tensor.values`` to a new array invalidates the
-    memo (detected by identity), but mutating the values array *in place*
-    after a conversion leaves the memoized CSF stale — create a new tensor
-    instead (e.g. :meth:`COOTensor.with_values`), as all library code does.
+    The one conversion path of the library: kernel construction reads the
+    cost model's ``nnz_{I_1...I_k}`` from the returned tensor's level sizes
+    and the executor then iterates the same object.
+
+    Two memos sit in front of :meth:`CSFTensor.from_coo`.  Per source
+    object, the converted tensor itself: repeated calls return the *same*
+    ``CSFTensor`` while ``tensor.values`` is the same array.  Process-wide,
+    the CSF *structure* (level arrays and leaf permutation) keyed by
+    ``(COOTensor.pattern_digest(), mode_order)``: any tensor with a pattern
+    seen before — decoded from the wire again, or derived with
+    :meth:`COOTensor.with_values` — only gathers its values into a new
+    ``CSFTensor`` sharing the stored level arrays, so the sort is paid once
+    per (pattern, mode order) per process, the SPLATT-style amortization
+    across ALS sweeps extended across tensor objects.
+
+    Source tensors are immutable.  Rebinding ``tensor.values`` to a new
+    array is detected (by identity) and re-gathers; writing into ``values``
+    or ``indices`` *in place* after the first conversion is unsupported and
+    leaves the memoized CSF (and pattern digest) stale — build a new tensor
+    instead, as all library code does.
     """
     mode_order = tuple(int(m) for m in mode_order)
     if isinstance(tensor, CSFTensor) and tensor.mode_order == mode_order:
@@ -353,8 +474,34 @@ def csf_for_mode_order(
         if entry is not None and entry[0] is tensor.values:
             return entry[1]
     coo = tensor.to_coo() if isinstance(tensor, CSFTensor) else tensor
-    csf = CSFTensor.from_coo(coo, mode_order)
-    if per_source is None:
-        per_source = _CONVERSION_MEMO.setdefault(tensor, {})
-    per_source[mode_order] = (tensor.values, csf)
+    csf = _convert(coo, mode_order)
+    _CONVERSION_MEMO.setdefault(tensor, {})[mode_order] = (tensor.values, csf)
     return csf
+
+
+def _convert(coo: COOTensor, mode_order: Tuple[int, ...]) -> CSFTensor:
+    """Bind *coo*'s values to memoized structure, building it on a miss."""
+    key = (coo.pattern_digest(), mode_order)
+    known = _STRUCTURE_MEMO.get(key)
+    # a digest match alone never binds: the stored structure must also
+    # agree with the tensor's shape and nnz, else it is rebuilt and replaced
+    if (
+        known is not None
+        and known.shape == coo.shape
+        and known.fids[-1].shape[0] == coo.nnz
+    ):
+        perm = known.leaf_perm
+        values = coo.values if perm is None else coo.values[perm]
+        return CSFTensor(
+            known.shape, mode_order, known.fids, known.fptr, values, leaf_perm=perm
+        )
+    csf = CSFTensor.from_coo(coo, mode_order)
+    _STRUCTURE_MEMO.put(
+        key, _Structure(csf.shape, csf.fids, csf.fptr, csf.leaf_perm)
+    )
+    return csf
+
+
+def default_structure_memo() -> StructureMemo:
+    """The process-wide structure memo behind :func:`csf_for_mode_order`."""
+    return _STRUCTURE_MEMO

@@ -29,12 +29,13 @@ import pytest
 from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import ENGINES, LoopNestExecutor
+from repro.engine.plan_cache import operand_signature, plan_key, schedule_key
 from repro.engine.reference import assert_same_result, reference_output
 from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tttc_spec
 from repro.kernels.tttp import tttp_spec
-from repro.sptensor import COOTensor, random_sparse_tensor
+from repro.sptensor import COOTensor, CSFTensor, random_sparse_tensor
 from repro.util.counters import OpCounter
 
 #: The order-3 sparse tensor every matrix cell contracts.
@@ -123,6 +124,28 @@ def test_conformance_matrix(name, dtype, mode_order):
         )
         # ...and the operation counters must be bit-equal across tiers.
         assert counters[engine].as_dict() == counters["interpret"].as_dict()
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_keys_do_not_depend_on_the_sparse_format(name):
+    """One statistics path, one key: a kernel built from a COO tensor and
+    from the equivalent ``CSFTensor`` share their schedule and plan keys
+    (and therefore one search, one compiled plan and one store entry)."""
+    _, mapping = _build_case(_KERNELS[name], "float64", (0, 1, 2))
+    coo, *dense = mapping.values()
+    keys = []
+    for sparse in (coo, CSFTensor.from_coo(coo)):
+        kernel = parse_kernel(_KERNELS[name], [sparse, *dense])
+        tensors = dict(zip(mapping, [sparse, *dense]))
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        keys.append(
+            (
+                schedule_key(kernel, 2, 1.5, 5000, True),
+                plan_key(kernel, nest, operands=operand_signature(kernel, tensors)),
+            )
+        )
+    assert keys[0] == keys[1]
+    assert keys[0][0][1] == coo.nnz  # the statistics are recorded, not absent
 
 
 def test_matrix_covers_every_tier():

@@ -60,6 +60,87 @@ class TestConstruction:
             COOTensor.from_dense(np.float64(3.0))
 
 
+class TestDedupe:
+    """``_dedupe`` skips the ``np.unique`` sort on strictly increasing input."""
+
+    SHAPE = (4, 5, 6)
+    ROWS = [(0, 1, 2), (0, 4, 0), (1, 0, 5), (3, 2, 2), (3, 4, 5)]
+    VALUES = [1.5, -2.0, 0.25, 4.0, 8.0]
+
+    @staticmethod
+    def _sorting_dedupe(indices, values, shape):
+        """The constructor's dedupe as it was before the fast path."""
+        flat = np.ravel_multi_index(indices.T, shape)
+        uniq, inverse = np.unique(flat, return_inverse=True)
+        if uniq.shape[0] == indices.shape[0]:
+            return indices, values
+        summed = np.zeros(uniq.shape[0])
+        np.add.at(summed, inverse, values)
+        return np.stack(np.unravel_index(uniq, shape), axis=1).astype(np.int64), summed
+
+    def _check(self, rows, values, monkeypatch, expect_sort):
+        from repro.sptensor import coo as coo_module
+
+        indices = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        want_idx, want_vals = self._sorting_dedupe(indices, values, self.SHAPE)
+        calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            coo_module.np, "unique",
+            lambda *a, **k: calls.append(1) or real_unique(*a, **k),
+        )
+        tensor = COOTensor(self.SHAPE, indices, values, sort=False)
+        monkeypatch.undo()
+        assert bool(calls) == expect_sort
+        assert tensor.indices.tobytes() == want_idx.tobytes()
+        assert tensor.values.tobytes() == want_vals.tobytes()
+        return tensor
+
+    def test_canonical_input_untouched_without_sorting(self, monkeypatch):
+        tensor = self._check(self.ROWS, self.VALUES, monkeypatch, expect_sort=False)
+        assert tensor.nnz == len(self.ROWS)
+
+    def test_unsorted_unique_input_keeps_its_order(self, monkeypatch):
+        order = [3, 0, 4, 1, 2]
+        rows = [self.ROWS[i] for i in order]
+        values = [self.VALUES[i] for i in order]
+        tensor = self._check(rows, values, monkeypatch, expect_sort=True)
+        assert [tuple(r) for r in tensor.indices] == rows
+
+    def test_duplicates_are_summed_on_the_sorting_path(self, monkeypatch):
+        rows = self.ROWS + [self.ROWS[1], self.ROWS[1]]
+        values = self.VALUES + [10.0, 20.0]
+        tensor = self._check(rows, values, monkeypatch, expect_sort=True)
+        assert tensor.nnz == len(self.ROWS)
+        assert tensor.to_dense()[self.ROWS[1]] == pytest.approx(28.0)
+
+    def test_adjacent_duplicate_is_not_mistaken_for_sorted(self, monkeypatch):
+        rows = [self.ROWS[0], self.ROWS[1], self.ROWS[1], self.ROWS[2]]
+        tensor = self._check(rows, [1.0, 2.0, 3.0, 4.0], monkeypatch, expect_sort=True)
+        assert tensor.nnz == 3
+
+
+class TestPatternDigest:
+    def test_equal_patterns_share_a_digest_whatever_the_values(self, small_coo):
+        twin = COOTensor(small_coo.shape, small_coo.indices, np.ones(small_coo.nnz))
+        assert twin.pattern_digest() == small_coo.pattern_digest()
+        assert len(small_coo.pattern_digest()) == 16
+
+    def test_digest_separates_coordinates_and_shapes(self, small_coo):
+        moved = small_coo.indices.copy()
+        moved[0, 2] += 1
+        other = COOTensor(small_coo.shape, moved, small_coo.values)
+        assert other.pattern_digest() != small_coo.pattern_digest()
+        larger = COOTensor((9, 9, 9), small_coo.indices, small_coo.values)
+        assert larger.pattern_digest() != small_coo.pattern_digest()
+
+    def test_with_values_and_copy_inherit_a_computed_digest(self, small_coo):
+        digest = small_coo.pattern_digest()
+        assert small_coo.with_values(np.zeros(small_coo.nnz))._pattern is digest
+        assert small_coo.copy()._pattern is digest
+
+
 class TestConversionsAndViews:
     def test_to_dense_shape(self, small_coo):
         assert small_coo.to_dense().shape == small_coo.shape

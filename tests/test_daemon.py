@@ -220,9 +220,10 @@ class TestDaemonEndToEnd:
         assert stats["daemon"]["admitted"] == 2
         assert stats["daemon"]["replied"] == 2
         assert stats["service"]["served"] == 2
-        assert set(stats["caches"]) == {"plan", "schedule", "executor", "jit"}
+        assert set(stats["caches"]) == {"plan", "schedule", "executor", "jit", "csf"}
         for counters in stats["caches"].values():
             assert {"hits", "misses", "entries"} <= set(counters)
+        assert {"evictions", "bytes"} <= set(stats["caches"]["csf"])
         assert "pools" in stats["pool"] and "default_workers" in stats["pool"]
 
 

@@ -94,9 +94,14 @@ class TestParseKernel:
         assert kernel.csf_mode_order == ("j", "i", "k")
 
     def test_repeated_index_within_operand_rejected(self):
+        from repro.sptensor.csf import default_structure_memo
+
         cube = random_sparse_tensor((10, 10, 10), nnz=20, seed=0)
+        conversions = default_structure_memo().stats()["misses"]
         with pytest.raises(ValueError, match="repeats"):
             parse_kernel("iik,ia,ka->ia", [cube, np.ones((10, 3)), np.ones((10, 3))])
+        # rejected on structure alone, before the tensor is converted for statistics
+        assert default_structure_memo().stats()["misses"] == conversions
 
 
 class TestSparseStats:

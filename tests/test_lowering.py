@@ -178,7 +178,7 @@ class TestCacheCLI:
 
         assert main(["cache"]) == 0
         captured = capsys.readouterr().out
-        assert "plan" in captured and "schedule" in captured
+        assert "plan" in captured and "schedule" in captured and "csf" in captured
 
     def test_cache_clear_drops_entries(self, mttkrp_setup, capsys):
         from repro.__main__ import main

@@ -358,7 +358,7 @@ class TestDaemonObservability:
                 client.run(requests)
                 stats = client.stats()
         # the pre-existing schema is untouched; the new keys are top-level
-        assert set(stats["caches"]) == {"plan", "schedule", "executor", "jit"}
+        assert set(stats["caches"]) == {"plan", "schedule", "executor", "jit", "csf"}
         assert stats["metrics"]["counters"]["serve.served"] == 4
         assert "sources" not in stats["metrics"]  # already top-level keys
         assert len(stats["plan_timings"]) >= 1

@@ -17,7 +17,12 @@ from repro.engine.plan_cache import (
     plan_key,
 )
 from repro.sptensor import COOTensor, CSFTensor, random_dense_matrix, random_sparse_tensor
-from repro.sptensor.csf import csf_for_mode_order
+from repro.sptensor.csf import (
+    StructureMemo,
+    _Structure,
+    csf_for_mode_order,
+    default_structure_memo,
+)
 from repro.core.expr import parse_kernel
 
 
@@ -201,6 +206,34 @@ class TestScheduleCache:
         assert cached.path.terms == direct.path.terms
 
 
+@pytest.fixture
+def csf_builds(monkeypatch):
+    """Mode orders of every real CSF build, recorded at ``CSFTensor.from_coo``."""
+    builds = []
+    real = CSFTensor.from_coo.__func__
+
+    def counting(cls, coo, mode_order=None):
+        builds.append(None if mode_order is None else tuple(mode_order))
+        return real(cls, coo, mode_order)
+
+    monkeypatch.setattr(CSFTensor, "from_coo", classmethod(counting))
+    return builds
+
+
+@pytest.fixture
+def no_coo_sorting(monkeypatch):
+    """Arms a trap: any ``np.unique`` / ``np.lexsort`` call fails the test."""
+
+    def arm():
+        def trap(*args, **kwargs):
+            raise AssertionError("a COO sort ran on a warm pattern")
+
+        monkeypatch.setattr(np, "unique", trap)
+        monkeypatch.setattr(np, "lexsort", trap)
+
+    return arm
+
+
 class TestCSFMemo:
     def test_coo_conversion_is_memoized(self):
         coo = random_sparse_tensor((8, 7, 6), nnz=30, seed=5)
@@ -218,6 +251,165 @@ class TestCSFMemo:
         remode = csf_for_mode_order(csf, (0, 1, 2))
         assert remode.mode_order == (0, 1, 2)
         assert csf_for_mode_order(csf, (0, 1, 2)) is remode
+
+    def test_wire_decoded_tensors_share_one_build_per_mode_order(self, csf_builds):
+        from repro.serve import protocol
+
+        source = random_sparse_tensor((9, 8, 7), nnz=60, seed=11)
+        line = protocol.dumps(protocol.encode_tensor(source))
+        for mode_order in ((0, 1, 2), (2, 0, 1)):
+            decoded = [protocol.decode_tensor(protocol.loads(line)) for _ in range(4)]
+            views = [csf_for_mode_order(t, mode_order) for t in decoded]
+            assert len({id(v) for v in views}) == 4  # one object per tensor...
+            for view in views:  # ...sharing the level arrays of the first
+                assert all(a is b for a, b in zip(view.fids, views[0].fids))
+                np.testing.assert_array_equal(
+                    view.to_coo().to_dense(), source.to_dense()
+                )
+        assert csf_builds == [(0, 1, 2), (2, 0, 1)]
+
+    def test_kernel_build_on_a_warm_pattern_sorts_nothing(
+        self, csf_builds, no_coo_sorting
+    ):
+        from repro.serve import protocol
+        from repro.serve.request import mttkrp_request
+
+        source = random_sparse_tensor((9, 8, 7), nnz=60, seed=11)
+        factors = [np.ones((d, 3)) for d in source.shape[1:]]
+        mttkrp_request(source, factors).build()
+        assert csf_builds == [(0, 1, 2)]
+        line = protocol.dumps(protocol.encode_tensor(source))
+        no_coo_sorting()
+        decoded = protocol.decode_tensor(protocol.loads(line))
+        kernel, _ = mttkrp_request(decoded, factors).build()
+        assert csf_builds == [(0, 1, 2)]
+        assert kernel.prefix_nnz(3) == source.nnz
+
+    def test_with_values_rebinds_without_building(self, csf_builds):
+        coo = random_sparse_tensor((8, 7, 6), nnz=40, seed=3)
+        mode_order = (2, 0, 1)
+        first = csf_for_mode_order(coo, mode_order)
+        assert first.leaf_perm is not None  # leaves are not in COO row order
+        fresh = coo.with_values(np.arange(coo.nnz, dtype=np.float64) + 1.0)
+        view = csf_for_mode_order(fresh, mode_order)
+        assert csf_builds == [mode_order]
+        np.testing.assert_array_equal(view.to_coo().to_dense(), fresh.to_dense())
+        np.testing.assert_array_equal(view.values, fresh.values[first.leaf_perm])
+
+    def test_identity_permutation_shares_the_values_array(self):
+        coo = random_sparse_tensor((8, 7, 6), nnz=40, seed=3)
+        cold = csf_for_mode_order(coo, (0, 1, 2))
+        assert cold.leaf_perm is None and cold.values is coo.values
+        fresh = coo.with_values(np.ones(coo.nnz))
+        assert csf_for_mode_order(fresh, (0, 1, 2)).values is fresh.values
+
+    def test_completion_builds_once_per_pattern_and_mode_order(self, csf_builds):
+        from repro.apps import cp_completion
+
+        observed = random_sparse_tensor((10, 9, 8), nnz=80, seed=2)
+        result = cp_completion(observed, rank=3, iterations=5, tolerance=0.0)
+        assert result.iterations == 5
+        # pattern-of-ones, observed and five residual tensors: one pattern
+        assert csf_builds == [(0, 1, 2)]
+
+    def test_distinct_patterns_get_distinct_entries(self, csf_builds):
+        coo = random_sparse_tensor((8, 7, 6), nnz=30, seed=5)
+        moved = coo.indices.copy()
+        moved[-1] = (7, 6, 5) if tuple(moved[-1]) != (7, 6, 5) else (7, 6, 4)
+        neighbour = COOTensor(coo.shape, moved, coo.values)
+        reshaped = COOTensor((9, 7, 6), coo.indices, coo.values)
+        before = default_structure_memo().stats()["entries"]
+        for tensor in (coo, neighbour, reshaped):
+            view = csf_for_mode_order(tensor, (0, 1, 2))
+            assert view.shape == tensor.shape
+            np.testing.assert_array_equal(view.to_coo().indices, tensor.indices)
+        assert len(csf_builds) == 3
+        assert default_structure_memo().stats()["entries"] == before + 3
+
+    def test_mismatched_entry_under_a_matching_digest_is_rebuilt(self, csf_builds):
+        coo = random_sparse_tensor((8, 7, 6), nnz=30, seed=5)
+        other = csf_for_mode_order(
+            random_sparse_tensor((8, 7, 6), nnz=12, seed=6), (0, 1, 2)
+        )
+        default_structure_memo().put(
+            (coo.pattern_digest(), (0, 1, 2)),
+            _Structure(other.shape, other.fids, other.fptr, other.leaf_perm),
+        )
+        view = csf_for_mode_order(coo, (0, 1, 2))
+        assert len(csf_builds) == 2 and view.nnz == coo.nnz
+        np.testing.assert_array_equal(view.to_coo().to_dense(), coo.to_dense())
+
+    def test_lru_evicts_by_bytes_and_rejects_oversized(self):
+        def structure(n):
+            return _Structure((n,), [np.zeros(n, dtype=np.int64)], [], None)
+
+        memo = StructureMemo(max_bytes=8 * 100)
+        for name in (b"a", b"b"):
+            memo.put((name, (0,)), structure(40))
+        assert memo.get((b"a", (0,))) is not None  # a is now most recent
+        memo.put((b"c", (0,)), structure(40))  # 960 bytes > 800: evicts b
+        assert memo.get((b"b", (0,))) is None
+        assert memo.get((b"a", (0,))) is not None
+        memo.put((b"huge", (0,)), structure(101))
+        assert memo.get((b"huge", (0,))) is None
+        stats = memo.stats()
+        assert (stats["entries"], stats["bytes"]) == (2, 640)
+        assert (stats["evictions"], stats["rejections"]) == (1, 1)
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+        memo.clear()
+        assert memo.stats()["bytes"] == 0 and memo.stats()["hits"] == 2
+
+    def test_threads_racing_on_a_cold_pattern_both_get_correct_views(self):
+        import sys
+        import threading
+
+        source = random_sparse_tensor((12, 11, 10), nnz=400, seed=8)
+        mode_order = (1, 2, 0)
+        barrier = threading.Barrier(4)
+        views, errors = [None] * 4, []
+
+        def convert(slot):
+            try:
+                tensor = COOTensor(
+                    source.shape, source.indices, source.values, sort=False
+                )
+                barrier.wait(timeout=30)
+                views[slot] = csf_for_mode_order(tensor, mode_order)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=convert, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for view in views:
+            np.testing.assert_array_equal(view.to_coo().to_dense(), source.to_dense())
+        stats = default_structure_memo().stats()
+        assert stats["bytes"] == _Structure(
+            views[0].shape, views[0].fids, views[0].fptr, views[0].leaf_perm
+        ).nbytes
+
+    def test_clear_caches_drops_the_structure_memo(self, csf_builds):
+        from repro.engine.plan_cache import caches_snapshot, clear_caches
+
+        coo = random_sparse_tensor((8, 7, 6), nnz=30, seed=5)
+        csf_for_mode_order(coo, (0, 1, 2))
+        row = caches_snapshot()["csf"]
+        assert row["entries"] == 1 and row["bytes"] > 0
+        assert set(row) == {
+            "entries", "hits", "misses", "evictions", "rejections", "bytes"
+        }
+        clear_caches()
+        assert caches_snapshot()["csf"]["entries"] == 0
+        csf_for_mode_order(coo.with_values(coo.values), (0, 1, 2))
+        assert len(csf_builds) == 2
 
 
 class TestMemoryBudget:

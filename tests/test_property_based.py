@@ -11,6 +11,8 @@ These complement the example-based tests with randomized coverage of:
 * tree-separable cost evaluation consistency (Eq. 5 ground truth).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.reference import assert_same_result, reference_output
 from repro.sptensor import COOTensor, CSFTensor
+from repro.sptensor.csf import csf_for_mode_order
 from repro.util.counters import OpCounter
 
 #: Snapshot of the active profile from conftest.py (``ci`` by default,
@@ -41,10 +44,10 @@ SETTINGS = settings()
 # Strategies
 # --------------------------------------------------------------------------- #
 @st.composite
-def coo_tensors(draw, min_order=2, max_order=4, max_dim=8, max_nnz=30):
+def coo_tensors(draw, min_order=2, max_order=4, max_dim=8, min_nnz=1, max_nnz=30):
     order = draw(st.integers(min_order, max_order))
     shape = tuple(draw(st.integers(2, max_dim)) for _ in range(order))
-    nnz = draw(st.integers(1, max_nnz))
+    nnz = draw(st.integers(min_nnz, max_nnz))
     rows = draw(
         st.lists(
             st.tuples(*[st.integers(0, s - 1) for s in shape]),
@@ -59,6 +62,7 @@ def coo_tensors(draw, min_order=2, max_order=4, max_dim=8, max_nnz=30):
             max_size=nnz,
         )
     )
+    rows = np.asarray(rows, dtype=np.int64).reshape(nnz, order)
     return COOTensor(shape, rows, values)
 
 
@@ -155,6 +159,21 @@ class TestSparseFormatsProperties:
         csf = CSFTensor.from_coo(coo)
         for level in range(coo.order):
             assert csf.nnz_at_level(level) == coo.nnz_prefix(level + 1)
+
+    @SETTINGS
+    @given(coo_tensors(min_order=1, min_nnz=0))
+    def test_csf_level_sizes_are_the_cost_models_prefix_counts(self, coo):
+        """One statistics path: ``nnz_{I_1..I_k}`` read from the (memoized)
+        CSF equals the COO sorting oracle, for every mode order — including
+        empty and single-entry tensors and hits on a warm pattern."""
+        for mode_order in itertools.permutations(range(coo.order)):
+            for tensor in (coo, coo.with_values(coo.values)):  # miss, then hit
+                csf = csf_for_mode_order(tensor, mode_order)
+                for k in range(coo.order):
+                    assert csf.nnz_at_level(k) == coo.nnz_modes(mode_order[: k + 1])
+                np.testing.assert_array_equal(
+                    csf.to_coo().to_dense(), coo.to_dense()
+                )
 
     @SETTINGS
     @given(coo_tensors())
