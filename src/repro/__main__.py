@@ -60,7 +60,7 @@ from repro.core.autotune import Autotuner
 from repro.core.cost_model import ExecutionCost
 from repro.core.expr import parse_kernel
 from repro.core.scheduler import SpTTNScheduler
-from repro.core.search import ExecutionRunner, resolve_workers, sweep_loop_orders
+from repro.core.search import ExecutionRunner, sweep_loop_orders
 from repro.engine.executor import ENGINES
 from repro.engine.plan_cache import (
     clear_caches,
@@ -76,6 +76,7 @@ from repro.frameworks import (
     TacoLikeBaseline,
 )
 from repro.obs import disable_tracing, enable_tracing, write_trace
+from repro.runtime import resolve_workers
 from repro.serve.scenarios import MIXES
 from repro.sptensor import dataset_presets, random_dense_matrix, random_sparse_tensor, read_tns
 from repro.sptensor.csf import default_structure_memo

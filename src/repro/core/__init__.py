@@ -70,8 +70,6 @@ from repro.core.search import (
     SweepResult,
     best_loop_nest,
     measure_loop_nests,
-    parallel_map,
-    resolve_workers,
     sweep_loop_nests,
     sweep_loop_orders,
 )
@@ -118,8 +116,6 @@ __all__ = [
     "SweepResult",
     "best_loop_nest",
     "measure_loop_nests",
-    "parallel_map",
-    "resolve_workers",
     "sweep_loop_nests",
     "sweep_loop_orders",
 ]

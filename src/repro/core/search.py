@@ -7,8 +7,8 @@ embarrassingly parallel, so this module fans them out across
 
 * candidates are enumerated in a canonical order and tagged with their
   enumeration index;
-* evaluation preserves that order (``Pool.map``), so the result is
-  independent of worker count and scheduling;
+* evaluation preserves that order (:func:`~repro.runtime.parallel_map`), so
+  the result is independent of worker count and scheduling;
 * the argmin uses the tie-break ``(value, index)`` — among equal-cost
   candidates the earliest enumerated one wins, guaranteeing that a parallel
   sweep returns exactly the same winner as the serial sweep.
@@ -20,8 +20,7 @@ produces identical results.
 
 The pool itself lives in :mod:`repro.runtime` — a persistent process-wide
 worker pool shared with the distributed runtime, defaulting its worker
-count to the ``REPRO_WORKERS`` environment variable.  ``parallel_map`` and
-``resolve_workers`` are re-exported here for compatibility.
+count to the ``REPRO_WORKERS`` environment variable.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.core.enumeration import enumerate_loop_orders
 from repro.core.expr import SpTTNKernel
 from repro.core.loop_nest import LoopNest
 from repro.obs.trace import span as _obs_span
-from repro.runtime import parallel_map, resolve_workers  # noqa: F401 - re-export
+from repro.runtime import parallel_map, resolve_workers
 from repro.util.validation import require
 
 
@@ -150,9 +149,9 @@ class ExecutionRunner:
 
 
 #: Warmup tokens seen by *this* process.  A TimedRunner carries its token
-#: through pickling, and Pool.map re-pickles the callable into every task
-#: chunk — tracking tokens process-globally (rather than as instance state)
-#: keeps the warmup at one execution per runner per process, not per chunk.
+#: through pickling, and every pool worker unpickles a copy of its own —
+#: tracking tokens process-globally (rather than as instance state) keeps
+#: the warmup at one execution per runner per process, not per copy.
 _WARMED_TOKENS: Set[str] = set()
 
 _TOKEN_COUNTER = itertools.count()

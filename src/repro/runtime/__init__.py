@@ -3,10 +3,10 @@
 One layer owns all intra-node parallelism so every consumer inherits the
 same guarantees:
 
-* :mod:`repro.runtime.pool` — a persistent, order-preserving
-  ``multiprocessing`` pool with the deterministic semantics the loop-nest
-  sweeps established (results identical to the serial map, ``REPRO_WORKERS``
-  as the shared default, graceful serial fallback);
+* :mod:`repro.runtime.pool` — a persistent, order-preserving pool of worker
+  processes with the deterministic semantics the loop-nest sweeps
+  established (results identical to the serial map, ``REPRO_WORKERS`` as
+  the shared default, supervised recovery, graceful serial fallback);
 * :mod:`repro.runtime.shm` — zero-copy broadcast of dense operands through
   ``multiprocessing.shared_memory`` so per-task pickling only covers each
   rank's private data;

@@ -1,33 +1,22 @@
 """Persistent deterministic worker pool shared by every parallel consumer.
 
-PR 1 gave the loop-nest sweeps their own ``multiprocessing`` fan-out in
-:mod:`repro.core.search`; the distributed runtime needed the same machinery
-to run virtual ranks in parallel.  This module is that machinery, extracted
-into a layer both consumers share:
-
-* **order preservation** — :meth:`WorkerPool.map` returns exactly
-  ``[fn(x) for x in items]`` regardless of worker count or scheduling, so
-  deterministic callers (the sweeps' ``(value, index)`` argmin, the
-  distributed rank reduction) see identical results serial or parallel;
-* **persistence** — the process-wide pool from :func:`shared_pool` outlives
-  individual ``map`` calls, so repeated sweeps and repeated distributed
-  executions reuse warm worker processes (and their plan caches) instead of
-  paying a fork per call;
-* **graceful degradation** — unpicklable callables, single-item maps,
-  daemonic callers (a task running *inside* a pool worker) and pool
-  failures all fall back to the identical serial path: parallelism is an
-  optimization, never a behaviour change.
-
-The default worker count is taken from the ``REPRO_WORKERS`` environment
-variable (``0``/unset → serial, ``-1`` → one per CPU), shared by the
-sweeps, the autotuner, the distributed runtime and the CLI.
+The loop-nest sweeps (:mod:`repro.core.search`), the virtual ranks
+(:mod:`repro.distributed.runtime`) and the service's batch groups all map on
+these pools.  A pool owns its processes outright: N ``Process``es, one duplex
+``Pipe`` each, and per map one parent-side ``multiprocessing.connection.wait``
+loop over the busy workers' pipes and process sentinels.  A map returns exactly
+``[fn(x) for x in items]`` whatever the worker count or scheduling; the pools
+of :func:`shared_pool` stay warm (workers and their plan caches) across maps;
+dead workers and overdue chunks are replaced and re-issued; and whatever cannot
+run in parallel takes the identical serial path — parallelism is an
+optimization, never a behaviour change.
 """
 
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
-import multiprocessing.pool as mp_pool
 import os
 import pickle
 import signal
@@ -35,155 +24,58 @@ import sys
 import threading
 import time
 import warnings
-from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, TypeVar
+from collections import OrderedDict, deque
+from contextlib import nullcontext, suppress
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs.metrics import register_source
 from repro.obs.trace import add_spans, capture_spans, span, tracing_enabled
 from repro.util.faults import fault_active, fault_point, faults_snapshot
 
-T = TypeVar("T")
-R = TypeVar("R")
+T, R = TypeVar("T"), TypeVar("R")
 
-
-class _TracedTask:
-    """Picklable wrapper shipping worker-side spans back with each result.
-
-    When tracing is enabled, :meth:`WorkerPool.map` wraps the task callable
-    with this: the worker records the task under a ``pool.task`` span,
-    captures every span finished during the call (``force=True`` keeps the
-    capture working even in workers forked before tracing was enabled in
-    the parent) and returns ``(result, spans)``; the parent unwraps the
-    results and merges the spans — with their worker pid/tid identity —
-    into its own buffer.  The serial fallback paths take the identical
-    shape, so tracing never changes map semantics.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, item):
-        with capture_spans(force=True) as spans:
-            with span("task", "pool"):
-                result = self.fn(item)
-        return result, spans
-
-
-class _FaultTask:
-    """Picklable wrapper firing the ``pool.task`` fault point around a task.
-
-    Wrapped around the mapped callable only when a fault plan targets
-    ``pool.task``, so the hot path never pays the indirection.  The fault
-    fires *inside the worker process* (kill mode SIGKILLs the worker, the
-    exact failure the supervised map exists to survive); on the serial
-    fallback path the same wrapper runs in the parent, where kill mode is
-    a no-op by design.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, item):
-        fault_point("pool.task")
-        return self.fn(item)
-
-
-#: Environment variable providing the process-wide default worker count.
+#: Default worker count of every consumer (``0``/unset → serial, ``-1`` → one per CPU).
 WORKERS_ENV = "REPRO_WORKERS"
-#: Per-map task timeout in seconds (unset/empty → no timeout).
+#: Deadline in seconds for one dispatched chunk (unset/empty/``0`` → none).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-#: How many times a failed parallel map is retried on a respawned pool
-#: before falling back serial (default 1).
+#: Supervision rounds one map answers by re-issuing chunks before going serial (default 1).
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
-#: Set to ``0`` to disable map supervision (plain blocking ``Pool.map``);
-#: exists so the supervision-overhead benchmark has an A/B switch.
-SUPERVISE_ENV = "REPRO_POOL_SUPERVISE"
 
-#: How often the supervised map wakes to check worker liveness.  The wait
-#: is event-based (returns the instant results land), so this only bounds
-#: crash/timeout detection latency, not per-map overhead.
-_POLL_INTERVAL_S = 0.05
+
+def _env_number(name: str, parse: Callable, kind: str, consequence: str = ""):
+    """One numeric ``REPRO_*`` variable; ``None`` if unset, or unparseable with a warning."""
+    raw = os.environ.get(name)
+    if raw and raw.strip():
+        try:
+            return parse(raw)
+        except ValueError:  # a manifest typo must not silently mean "serial"
+            message = f"ignoring invalid {name}={raw!r} (not {kind}){consequence}"
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return None
 
 
 def default_workers() -> Optional[int]:
-    """Worker count requested via ``REPRO_WORKERS`` (``None`` if unset/invalid).
-
-    An unparseable value warns — silently running serial because of a typo
-    in a deployment manifest is the kind of misconfiguration that only
-    shows up as a latency mystery weeks later.
-    """
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {WORKERS_ENV}={raw!r} (not an integer); "
-            "running serial as if it were unset",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+    """Worker count requested via ``REPRO_WORKERS`` (``None`` if unset/invalid)."""
+    return _env_number(WORKERS_ENV, int, "an integer", "; running serial as if it were unset")
 
 
 def default_task_timeout() -> Optional[float]:
-    """Task timeout (seconds) from ``REPRO_TASK_TIMEOUT`` (``None`` = none)."""
-    raw = os.environ.get(TASK_TIMEOUT_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {TASK_TIMEOUT_ENV}={raw!r} (not a number)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return value if value > 0 else None
+    """Chunk deadline in seconds from ``REPRO_TASK_TIMEOUT`` (``None`` = none)."""
+    value = _env_number(TASK_TIMEOUT_ENV, float, "a number")
+    return value if value is not None and value > 0 else None
 
 
 def default_task_retries() -> int:
-    """Retry budget for failed parallel maps from ``REPRO_TASK_RETRIES``."""
-    raw = os.environ.get(TASK_RETRIES_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {TASK_RETRIES_ENV}={raw!r} (not an integer); "
-            "using the default of 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+    """Retry budget of one map from ``REPRO_TASK_RETRIES`` (default 1)."""
+    value = _env_number(TASK_RETRIES_ENV, int, "an integer", "; using the default of 1")
+    return 1 if value is None else max(0, value)
 
 
-def default_supervise() -> bool:
-    """Whether supervised maps are enabled (``REPRO_POOL_SUPERVISE``)."""
-    raw = os.environ.get(SUPERVISE_ENV)
-    if raw is None or not raw.strip():
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-# Process-wide supervision event totals (in addition to the per-pool
-# counters): the serving layer samples deltas around a batch execution to
-# attribute worker crashes to the plan signature that caused them, and the
-# daemon's health endpoint reports the last-crash timestamp.
-_EVENTS = {
-    "crashes": 0,
-    "timeouts": 0,
-    "respawns": 0,
-    "retries": 0,
-    "last_crash_unix": None,
-}
+# Process-wide totals beside the per-pool counters: the service samples deltas
+# around a batch to pin worker crashes on its plan signature; `health` reads them.
+_EVENTS = {"crashes": 0, "timeouts": 0, "respawns": 0, "retries": 0, "last_crash_unix": None}
 
 
 def supervision_events() -> dict:
@@ -191,19 +83,11 @@ def supervision_events() -> dict:
     return dict(_EVENTS)
 
 
-def _record_event(kind: str) -> None:
-    _EVENTS[kind] += 1
-    if kind in ("crashes", "timeouts"):
-        _EVENTS["last_crash_unix"] = time.time()
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Normalize a worker-count request.
 
-    ``None`` defers to the ``REPRO_WORKERS`` environment variable (itself
-    defaulting to serial), ``0`` forces serial regardless of the
-    environment, ``-1`` means one worker per CPU, and any positive count is
-    taken as-is.
+    ``None`` defers to ``REPRO_WORKERS`` (itself defaulting to serial), ``0``
+    forces serial, ``-1`` means one worker per CPU, a positive count is kept.
     """
     if workers is None:
         workers = default_workers()
@@ -217,351 +101,280 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def _worker_init() -> None:
     """Reset signal plumbing inherited from the forking parent.
 
-    A worker forked from a process running an asyncio event loop (the
-    serving daemon) inherits the loop's no-op SIGTERM/SIGINT handlers
-    *and* its signal wakeup pipe.  Left in place, ``Pool.terminate()``'s
-    SIGTERM would (a) never kill the worker — the no-op handler swallows
-    it, hanging the subsequent ``join()`` — and (b) write the signal
-    number into the wakeup pipe *shared with the parent*, which the
-    parent's event loop then reads as its own SIGTERM and begins a
-    spurious daemon shutdown.  Detaching the wakeup fd and restoring the
-    default SIGTERM disposition severs both paths; SIGINT is ignored so
-    a terminal Ctrl+C is handled once, by the parent's drain.
+    A worker forked from the serving daemon inherits its asyncio loop's no-op
+    SIGTERM/SIGINT handlers *and* signal wakeup pipe.  Left in place, a SIGTERM
+    (the interpreter's exit sweep over daemonic children, a group signal) would
+    never end the worker, and would land in the pipe *shared with the parent*,
+    whose loop reads it as its own SIGTERM and shuts down.  SIGINT is ignored:
+    Ctrl+C is handled once, by the parent's drain.
     """
     try:
         signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
 
 
+def _run_chunk(fn: Callable, items: Sequence, traced: bool) -> Tuple[list, list]:
+    """``[fn(x) for x in items]`` and, if *traced*, the spans it finished.
+
+    The one task loop, of the workers and of the parent's serial path: the
+    ``pool.task`` fault point (its kill mode is a no-op in the parent) and span
+    fire once per task wherever it runs.  ``force=True`` because the worker
+    may have been forked before the parent enabled tracing.
+    """
+    if not traced and not fault_active("pool.task"):
+        return [fn(item) for item in items], []  # sweeps map sub-µs tasks: pay for neither
+    values = []
+    with capture_spans(force=True) if traced else nullcontext([]) as spans:
+        for item in items:
+            fault_point("pool.task")
+            with span("task", "pool"):
+                values.append(fn(item))
+    return values, spans
+
+
+def _worker_main(conn) -> None:
+    """Answer ``(fn bytes, start, items, traced)`` with ``(start, values, spans, error)``."""
+    _worker_init()
+    cached = fn = None  # fn is unpickled once while a map's (a sweep's) bytes repeat
+    try:
+        while (task := conn.recv()) is not None:  # None: drain()
+            fn_bytes, start, items, traced = task
+            try:
+                if fn_bytes != cached:
+                    cached, fn = fn_bytes, pickle.loads(fn_bytes)
+                reply = pickle.dumps((start, *_run_chunk(fn, items, traced), None))
+            except Exception as exc:  # raised by a task, or by pickling the values
+                try:
+                    reply = pickle.dumps((start, None, (), exc))
+                except Exception:
+                    reply = pickle.dumps((start, None, (), RuntimeError(repr(exc))))
+            conn.send_bytes(reply)
+    except (EOFError, OSError):  # the parent is gone
+        pass
+
+
 def _pool_context():
-    # On Linux, prefer fork: workers share the parent's shared-memory
-    # resource tracker (single-homed bookkeeping for the operand broadcasts
-    # of repro.runtime.shm), inherit warm module state, and start fast.
-    # Everywhere else the platform default stands — macOS deliberately
-    # defaults to spawn because forking after Accelerate/Objective-C
-    # threads have started is unsafe.
-    if sys.platform.startswith("linux"):
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - fork unavailable
-            pass
-    return multiprocessing.get_context()
+    # On Linux, fork: workers share the parent's resource tracker (one bookkeeper
+    # for the broadcasts of repro.runtime.shm), inherit warm module state and start
+    # fast.  Elsewhere the platform default: forking after Accelerate threads is unsafe.
+    return multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+
+
+class _Worker:
+    """One worker process and the parent's end of its pipe; ``map`` adds chunk, deadline."""
+
+    def __init__(self, ctx) -> None:
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child_end,), daemon=True)
+        self.proc.start()
+        child_end.close()  # so that the worker's death reads as EOF on conn
+
+    def stop(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
 
 
 class WorkerPool:
     """A persistent, order-preserving pool of worker processes.
 
-    The underlying ``multiprocessing.Pool`` is created lazily on the first
-    parallel :meth:`map` and reused until :meth:`close`, so consumers that
-    map repeatedly (autotune sweeps, distributed executions, benchmarks)
-    pay the process-start cost once.
+    Workers start lazily on the first parallel :meth:`map` and are reused until
+    :meth:`close` or :meth:`drain`.  ``task_timeout`` (seconds, per dispatched chunk)
+    and ``task_retries`` (rounds per map) default to their ``REPRO_TASK_*`` variables.
     """
+
+    #: stats(): maps, tasks, maps run (wholly or for what was left) in the parent;
+    #: one count per supervision *round*, however many workers it took; the knobs.
+    _STATS = ("maps", "tasks", "serial_maps", "crashes", "timeouts", "respawns", "retries",
+              "task_timeout", "task_retries")
 
     def __init__(
         self,
         workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
         task_retries: Optional[int] = None,
-        supervise: Optional[bool] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self._pool = None
-        #: Supervision knobs (``None`` defers to the REPRO_* environment):
-        #: per-map task timeout in seconds, how many times a crashed or
-        #: timed-out map is retried on a respawned pool before the serial
-        #: fallback, and whether supervision runs at all.
-        self.task_timeout = (
-            default_task_timeout() if task_timeout is None else task_timeout
-        )
-        self.task_retries = (
-            default_task_retries() if task_retries is None else max(0, task_retries)
-        )
-        self.supervise = default_supervise() if supervise is None else supervise
-        #: Lifetime counters: total map() calls, tasks mapped, and how many
-        #: of those calls ran (or re-ran) on the serial fallback path.
-        self.maps = 0
-        self.tasks = 0
-        self.serial_maps = 0
-        #: Supervision counters: worker deaths observed mid-map, maps that
-        #: hit the task timeout, pool respawns, and map retries.
-        self.crashes = 0
-        self.timeouts = 0
-        self.respawns = 0
-        self.retries = 0
+        self.task_timeout = default_task_timeout() if task_timeout is None else task_timeout
+        self.task_retries = default_task_retries() if task_retries is None else max(0, task_retries)
+        self.maps = self.tasks = self.serial_maps = 0
+        self.crashes = self.timeouts = self.respawns = self.retries = 0
+        self._workers: List[_Worker] = []
+        # map, close and drain exclude one another: a drain waits for the running map
+        self._lock = threading.Lock()
 
     @property
     def is_running(self) -> bool:
         """Whether worker processes are currently alive."""
-        return self._pool is not None
+        return bool(self._workers)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = _pool_context().Pool(
-                processes=self.workers, initializer=_worker_init
-            )
-        return self._pool
+    def worker_pids(self) -> List[int]:
+        """Process ids of the current workers (empty while not running)."""
+        return [w.proc.pid for w in self._workers]
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        chunksize: Optional[int] = None,
-    ) -> List[R]:
+    def stats(self) -> dict:
+        """Lifetime counters plus current worker state (stats endpoints)."""
+        state = {"workers": self.workers, "running": self.is_running}
+        return {**state, **{name: getattr(self, name) for name in self._STATS}}
+
+    def _book(self, kind: str) -> None:
+        setattr(self, kind, getattr(self, kind) + 1)
+        _EVENTS[kind] += 1
+        if kind in ("crashes", "timeouts"):
+            _EVENTS["last_crash_unix"] = time.time()
+
+    def _spawn(self) -> List[_Worker]:
+        """Start workers until the pool is at strength; returns the new ones."""
+        missing = self.workers - len(self._workers)
+        ctx = _pool_context()
+        if missing > 0 and ctx.get_start_method() == "fork":
+            # Forked before the first shm.publish, a worker would start its own
+            # tracker and report every segment it attaches as leaked.
+            resource_tracker.ensure_running()
+        fresh = [_Worker(ctx) for _ in range(missing)]
+        self._workers += fresh
+        return fresh
+
+    def _stop(self, graceful: bool) -> None:
+        workers, self._workers = self._workers, []
+        if graceful:
+            for w in workers:
+                with suppress(OSError):  # already dead
+                    w.conn.send(None)
+            for w in workers:
+                w.proc.join(5.0)  # idle, so gone at once; a wedged one is killed
+        for w in workers:
+            w.stop()
+
+    def close(self) -> None:
+        """Kill the workers once no map is running (a later map restarts them)."""
+        with self._lock:
+            self._stop(graceful=False)
+
+    def drain(self) -> None:
+        """Wait for the running map, then let the workers exit on their own (daemon shutdown).
+
+        Workers that the signal behind the drain already felled are simply reaped.
+        """
+        with self._lock:
+            self._stop(graceful=True)
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Order-preserving map over *items*, identical to the serial map.
 
-        The serial path is taken when the pool is sized for one worker,
-        there are fewer than two items, *fn* cannot be pickled, or the
-        caller is itself a daemonic pool worker (nested pools are not
-        allowed by ``multiprocessing``); a pool failure mid-map also falls
-        back to serial re-evaluation, so the call never returns partial
-        results.
+        Serial when the pool has one worker, there are fewer than two items, *fn*
+        cannot be pickled or the caller is itself a pool worker.  Else *fn* is
+        pickled once and contiguous chunks of ``ceil(n / 4·workers)`` items go out
+        one at a time to each idle worker; results are placed by index.  A worker
+        that dies, or overruns ``task_timeout`` on its chunk and is killed, ends
+        the round: nothing more is dispatched, the other busy workers finish (or
+        fail) what they hold, then *one* ``crashes`` or ``timeouts`` event is
+        booked, the failed workers are replaced and their chunks re-issued.  A map
+        survives ``task_retries`` such rounds; the next stops the pool and runs
+        only the unfinished items here, under a ``RuntimeWarning`` (a timing must
+        not mistake it for a parallel run).  A task that raises, or whose result
+        will not pickle, fails the map with the lowest-indexed such exception once
+        the chunks in flight have settled, and leaves the workers usable.
         """
         items = list(items)
         self.maps += 1
         self.tasks += len(items)
-        if tracing_enabled():
-            with span("map", "pool", tasks=len(items), workers=self.workers):
-                pairs = self._map(_TracedTask(fn), items, chunksize)
-            for _, worker_spans in pairs:
-                add_spans(worker_spans)
-            return [result for result, _ in pairs]
-        return self._map(fn, items, chunksize)
-
-    def _map(
-        self,
-        fn: Callable[[T], R],
-        items: List[T],
-        chunksize: Optional[int] = None,
-    ) -> List[R]:
-        if (
-            self.workers <= 1
-            or len(items) < 2
-            or multiprocessing.current_process().daemon
-        ):
+        traced = tracing_enabled()
+        results: List[R] = [None] * len(items)  # type: ignore[list-item]
+        left: Sequence[int] = range(len(items))
+        with span("map", "pool", tasks=len(items), workers=self.workers):
+            fn_bytes = None
+            if self.workers > 1 and len(items) > 1 and not multiprocessing.current_process().daemon:
+                with suppress(Exception):  # lambdas, closures: the serial path below
+                    fn_bytes = pickle.dumps(fn)
+            if fn_bytes is not None:
+                with self._lock:
+                    left, why = self._map_chunks(fn_bytes, items, results, traced)
+                if not left:
+                    return results
+                message = f"worker pool failed mid-map ({why}); re-ran {len(left)} task(s) serially"
+                warnings.warn(message, RuntimeWarning, stacklevel=2)
             self.serial_maps += 1
-            return [fn(x) for x in items]
+            values, spans = _run_chunk(fn, [items[i] for i in left], traced)
+            add_spans(spans)
+            for i, value in zip(left, values):
+                results[i] = value
+        return results
+
+    def _map_chunks(self, fn_bytes, items, results, traced) -> Tuple[List[int], str]:
+        """Fill *results* from the workers; returns the indices left undone, and why."""
+        size = -(-len(items) // (4 * self.workers))
+        pending = deque((s, min(s + size, len(items))) for s in range(0, len(items), size))
+        limit = math.inf if self.task_timeout is None else self.task_timeout
+        reasons = {"crashes": "worker died mid-map", "timeouts": f"task timeout after {limit:g}s"}
+        budget = self.task_retries
+        busy, failed = [], []  # workers holding a chunk; those that died holding one
+        errors = {}  # chunk start -> the exception its task raised
+        kind = ""  # the round's first failure: a key of reasons
         try:
-            pickle.dumps(fn)
-        except Exception:
-            self.serial_maps += 1
-            return [fn(x) for x in items]
-        if chunksize is None:
-            chunksize = max(
-                1, (len(items) + 4 * self.workers - 1) // (4 * self.workers)
-            )
-        if fault_active("pool.task"):
-            fn = _FaultTask(fn)
-        if not self.supervise:
-            try:
-                return self._ensure_pool().map(fn, items, chunksize=chunksize)
-            except (OSError, pickle.PicklingError, EOFError) as exc:
-                return self._serial_fallback(fn, items, repr(exc))
-        return self._map_supervised(fn, items, chunksize)
-
-    def _map_supervised(
-        self,
-        fn: Callable[[T], R],
-        items: List[T],
-        chunksize: int,
-    ) -> List[R]:
-        """Parallel map that survives worker death and stuck tasks.
-
-        A plain ``Pool.map`` hangs forever when a worker is SIGKILLed
-        mid-task: the pool's maintenance thread respawns the worker, but
-        the chunk the dead worker held never produces a result.  This
-        path dispatches with ``map_async`` and polls: the instant a
-        worker pid disappears (or exits) or the task timeout elapses, the
-        wreckage is terminated, the pool respawned, and the whole map
-        retried — at most :attr:`task_retries` times, then the serial
-        fallback guarantees an answer.  Retries re-run *every* item, so
-        order-preserving determinism is unaffected by partial progress.
-        """
-        failure = "unknown"
-        for attempt in range(self.task_retries + 1):
-            if attempt:
-                self.retries += 1
-                _record_event("retries")
-                self.respawns += 1
-                _record_event("respawns")
-            try:
-                pool = self._ensure_pool()
-                procs = getattr(pool, "_pool", None) or []
-                pids = {proc.pid for proc in procs}
-                result = pool.map_async(fn, items, chunksize=chunksize)
-                failure = self._await_supervised(result, pool, pids)
-                if failure is None:
-                    return result.get(0)
-            except (OSError, pickle.PicklingError, EOFError) as exc:
-                failure = f"pool failure: {exc!r}"
-            # Crash, timeout or transport failure: kill the wreckage so a
-            # later attempt (or the next map) starts from a clean fork.
-            self.close()
-        return self._serial_fallback(fn, items, failure)
-
-    def _await_supervised(self, result, pool, pids) -> Optional[str]:
-        """Wait on an async map; ``None`` on success, else a failure reason."""
-        deadline = (
-            time.monotonic() + self.task_timeout
-            if self.task_timeout is not None
-            else None
-        )
-        while True:
-            result.wait(_POLL_INTERVAL_S)
-            if result.ready():
-                return None
-            procs = getattr(pool, "_pool", None) or []
-            if any(proc.exitcode is not None for proc in procs) or {
-                proc.pid for proc in procs
-            } != pids:
-                self.crashes += 1
-                _record_event("crashes")
-                return "worker died mid-map"
-            if deadline is not None and time.monotonic() >= deadline:
-                self.timeouts += 1
-                _record_event("timeouts")
-                return f"task timeout after {self.task_timeout:g}s"
-
-    def _serial_fallback(self, fn, items, reason: str) -> List[R]:
-        # Results stay correct, but timing-sensitive callers
-        # (measured_scaling, benchmarks) must not mistake this serial
-        # re-run for a parallel measurement — warn loudly.
-        warnings.warn(
-            f"worker pool failed mid-map ({reason}); re-ran "
-            f"{len(items)} task(s) serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self.close()
-        self.serial_maps += 1
-        return [fn(x) for x in items]
-
-    def _reap_for_teardown(self) -> None:
-        """Kill and reap every worker, then free any lock one died holding.
-
-        A worker that dies to an outside signal (a process-group SIGTERM
-        aimed at the daemon, the OOM killer) while idle-blocked in the
-        task queue's ``get()`` takes the queue's reader lock to its grave;
-        ``Pool._terminate_pool`` — run by ``terminate()`` and again by the
-        pool's GC finalizer — then deadlocks acquiring that lock in
-        ``_help_stuff_finish`` (CPython bpo-22393: a POSIX semaphore is
-        never released when its holder dies).  The only race-free recipe
-        is to make every worker *certainly* dead first — an exitcode
-        snapshot can miss workers whose fatal signal is delivered a
-        millisecond later — and only then post back whatever they
-        orphaned.  Live workers release the locks themselves via the task
-        handler's sentinels, so after this runs the stdlib teardown cannot
-        block.
-
-        The worker-maintenance thread is stopped *first*: it respawns dead
-        workers behind our back, and a worker forked an instant ago can
-        still carry the forking parent's signal state (the pool
-        initializer has not run yet), so it must be ended with the
-        uncatchable SIGKILL below rather than the single SIGTERM the
-        stdlib sweep would send it.
-        """
-        handler = getattr(self._pool, "_worker_handler", None)
-        if handler is not None:
-            handler._state = mp_pool.TERMINATE
-            notifier = getattr(self._pool, "_change_notifier", None)
-            if notifier is not None:
-                try:
-                    notifier.put(None)
-                except Exception:  # pragma: no cover - closed queue
-                    pass
-            handler.join(5.0)
-        procs = list(getattr(self._pool, "_pool", None) or [])
-        for p in procs:
-            try:
-                p.kill()
-            except (OSError, ValueError):  # pragma: no cover - racing exit
-                pass
-        for p in procs:
-            try:
-                p.join(5.0)
-            except (OSError, ValueError):  # pragma: no cover - racing exit
-                pass
-        for lock in (
-            getattr(getattr(self._pool, "_inqueue", None), "_rlock", None),
-            getattr(getattr(self._pool, "_outqueue", None), "_wlock", None),
-        ):
-            if lock is None:  # pragma: no cover - exotic queue shapes
-                continue
-            if lock.acquire(block=False):
-                lock.release()  # was free: leave it free
-            else:
-                try:
-                    lock.release()  # orphaned by a dead holder: post it back
-                except ValueError:  # pragma: no cover - raced to free
-                    pass
-
-    def close(self) -> None:
-        """Terminate the worker processes (a later map restarts them).
-
-        The workers are killed and reaped up front: ``terminate()`` ends
-        them mid-task anyway, and starting from certainly-dead workers is
-        what makes the stdlib teardown deadlock-proof when an external
-        signal already felled some of them (see :meth:`_reap_for_teardown`).
-        """
-        if self._pool is not None:
-            self._reap_for_teardown()
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def drain(self) -> None:
-        """Wait for outstanding tasks, then stop the workers.
-
-        The graceful sibling of :meth:`close`: the underlying pool is
-        closed (no new tasks) and *joined*, so tasks already dispatched run
-        to completion instead of being killed mid-map.  Used by the serving
-        daemon's shutdown path; a later :meth:`map` restarts the workers.
-
-        Workers may be dying to the very signal that triggered the drain
-        (a process-group SIGTERM hits the daemon and its workers at once),
-        so the graceful join runs under a watchdog: if it wedges on a lock
-        a dead worker orphaned, the remaining workers are forcibly reaped
-        and the join retried.  After a successful join every worker has
-        exited, so the pool's GC finalizer — which could otherwise hang on
-        the same orphaned lock (CPython bpo-22393) — is cancelled; it has
-        nothing left to do.
-        """
-        if self._pool is None:
-            return
-        pool = self._pool
-        pool.close()
-        joiner = threading.Thread(target=pool.join, daemon=True)
-        joiner.start()
-        joiner.join(10.0)
-        if joiner.is_alive():  # pragma: no cover - timing-dependent rescue
-            self._reap_for_teardown()
-            joiner.join(5.0)
-        finalizer = getattr(pool, "_terminate", None)
-        if not joiner.is_alive() and finalizer is not None:
-            finalizer.cancel()
-        self._pool = None
-
-    def stats(self) -> dict:
-        """Lifetime counters plus current worker state (stats endpoints)."""
-        return {
-            "workers": self.workers,
-            "running": self.is_running,
-            "maps": self.maps,
-            "tasks": self.tasks,
-            "serial_maps": self.serial_maps,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "respawns": self.respawns,
-            "retries": self.retries,
-            "supervised": self.supervise,
-            "task_timeout": self.task_timeout,
-            "task_retries": self.task_retries,
-        }
+            self._spawn()
+            idle = list(self._workers)
+            while pending or busy or failed:
+                while pending and idle and not failed and not errors:
+                    w = idle.pop()
+                    w.chunk = start, stop = pending.popleft()
+                    with suppress(OSError):  # died while idle: the wait sees its sentinel
+                        w.conn.send((fn_bytes, start, items[start:stop], traced))
+                    w.deadline = time.monotonic() + limit
+                    busy.append(w)
+                if not busy:  # the round has settled: workers failed or tasks raised
+                    for w in failed:
+                        pending.appendleft(w.chunk)
+                        w.stop()
+                        self._workers.remove(w)
+                    if failed:
+                        self._book(kind)
+                    if errors:
+                        break
+                    if budget == 0:
+                        self._stop(graceful=False)
+                        return [i for s, e in sorted(pending) for i in range(s, e)], reasons[kind]
+                    budget -= 1
+                    self._book("retries")
+                    self._book("respawns")
+                    idle += self._spawn()
+                    failed, kind = [], ""
+                    continue
+                nearest = min(w.deadline for w in busy) - time.monotonic()
+                waited = [w.conn for w in busy] + [w.proc.sentinel for w in busy]
+                ready = wait(waited, None if nearest == math.inf else max(0.0, nearest))
+                now = time.monotonic()
+                for w in list(busy):
+                    died = w.conn in ready or w.proc.sentinel in ready
+                    if not died and now < w.deadline:
+                        continue  # still working, still in time
+                    busy.remove(w)
+                    reply = None
+                    if w.conn in ready:
+                        with suppress(EOFError, OSError):  # died before or mid-reply
+                            reply = w.conn.recv()
+                    if reply is None:  # dead, or overdue and killed when the round settles
+                        failed.append(w)
+                        kind = kind or ("crashes" if died else "timeouts")
+                        continue
+                    idle.append(w)
+                    start, values, spans, error = reply
+                    if error is None:
+                        results[start : start + len(values)] = values
+                        add_spans(spans)
+                    else:
+                        errors[start] = error
+        except BaseException:
+            # Anything unforeseen (Ctrl+C in the wait, an item or a reply that
+            # will not pickle) leaves chunks in flight: start the next map clean.
+            self._stop(graceful=False)
+            raise
+        if errors:
+            raise errors[min(errors)]
+        return [], ""
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -569,18 +382,9 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "running" if self.is_running else "idle"
-        return f"WorkerPool(workers={self.workers}, {state})"
 
-
-# --------------------------------------------------------------------------- #
-# Process-wide shared pools
-# --------------------------------------------------------------------------- #
-#: Persistent pools keyed by worker count.  Consumers that alternate sizes
-#: (a sweep at ``--workers 2`` interleaved with a distributed execute at
-#: ``--workers 4``) each keep their warm pool instead of thrashing one pool
-#: through terminate/refork cycles; rarely-used sizes are evicted LRU.
+#: Persistent pools by worker count: consumers that alternate sizes (a sweep at
+#: ``--workers 2``, a distributed execute at 4) each keep theirs warm; LRU-evicted.
 _SHARED_POOLS: "OrderedDict[int, WorkerPool]" = OrderedDict()
 _MAX_SHARED_POOLS = 4
 
@@ -588,17 +392,9 @@ _MAX_SHARED_POOLS = 4
 def shared_pool(workers: Optional[int] = None) -> WorkerPool:
     """The process-wide persistent pool for the resolved worker count.
 
-    All library consumers (:func:`parallel_map`, the distributed runtime)
-    funnel through these pools so worker processes — and the plan and
-    schedule caches they accumulate — are shared across subsystems.
-
-    Examples
-    --------
-    >>> pool = shared_pool(4)                       # forked once
-    >>> pool.map(str, range(8)) == [str(x) for x in range(8)]
-    True
-    >>> shared_pool(4) is pool                      # warm reuse
-    True
+    Every library consumer maps through these, so worker processes — and the
+    plan and schedule caches they accumulate — are shared across subsystems:
+    ``shared_pool(4) is shared_pool(4)``, forked by its first map, reused warm.
     """
     n = resolve_workers(workers)
     pool = _SHARED_POOLS.get(n)
@@ -606,73 +402,49 @@ def shared_pool(workers: Optional[int] = None) -> WorkerPool:
         pool = WorkerPool(n)
         _SHARED_POOLS[n] = pool
         if len(_SHARED_POOLS) > _MAX_SHARED_POOLS:
-            _, evicted = _SHARED_POOLS.popitem(last=False)
-            # drain, not close: another thread may be mid-map on the
-            # evicted pool, and terminate would kill its tasks under it.
-            evicted.drain()
+            # drain, as another thread may be mid-map on the evicted pool
+            _SHARED_POOLS.popitem(last=False)[1].drain()
     _SHARED_POOLS.move_to_end(n)
     return pool
 
 
 def shutdown_pool() -> None:
-    """Terminate every process-wide pool (a later use recreates them)."""
+    """Stop every process-wide pool (a later use recreates them)."""
     while _SHARED_POOLS:
-        _, pool = _SHARED_POOLS.popitem()
-        pool.close()
+        _SHARED_POOLS.popitem()[1].close()
 
 
 def drain_pools() -> None:
-    """Gracefully drain every process-wide pool (wait, then stop).
-
-    The serving daemon's shutdown hook: outstanding pool tasks finish,
-    worker processes exit cleanly, and — unlike :func:`shutdown_pool` —
-    nothing is killed mid-task.  Later consumers transparently refork.
-    """
+    """Drain every process-wide pool: the daemon's shutdown hook."""
     while _SHARED_POOLS:
-        _, pool = _SHARED_POOLS.popitem()
-        pool.drain()
+        _SHARED_POOLS.popitem()[1].drain()
 
 
 def pool_stats() -> dict:
-    """Counters of every live shared pool, keyed by worker count.
-
-    The pool slice of the daemon's ``stats`` endpoint; serial consumers
-    (``REPRO_WORKERS`` unset) simply report no pools.
-    """
-    return {
-        "pools": {n: pool.stats() for n, pool in _SHARED_POOLS.items()},
-        "default_workers": resolve_workers(None),
-        "supervision": supervision_events(),
-    }
+    """Counters of every live shared pool by worker count (the daemon's ``stats``)."""
+    pools = {n: pool.stats() for n, pool in _SHARED_POOLS.items()}
+    return {"pools": pools, "default_workers": resolve_workers(None), "supervision": dict(_EVENTS)}
 
 
 atexit.register(shutdown_pool)
 
-# The metrics registry embeds the pool counters in its snapshots;
-# registering here (the producer) keeps repro.obs runtime-import free.
-# The fault-injection plan rides along for the same reason: registering
-# it from repro.util.faults would cycle util <-> obs imports.
+# Registering the metrics sources here (the producer) keeps repro.obs free of
+# runtime imports; the fault plan rides along, as util.faults -> obs would cycle.
 register_source("pool", pool_stats)
 register_source("faults", faults_snapshot)
 
 
 def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
+    fn: Callable[[T], R], items: Iterable[T], workers: Optional[int] = None
 ) -> List[R]:
     """Order-preserving map over *items*, optionally across processes.
 
-    Results are identical to ``[fn(x) for x in items]`` regardless of the
-    worker count.  Parallel maps run on the persistent :func:`shared_pool`
-    sized at most to the item count (so a ``-1``/one-per-CPU request over a
-    handful of tasks never forks idle workers); every serial/fallback
-    condition of :meth:`WorkerPool.map` applies.
+    Identical to ``[fn(x) for x in items]`` at any worker count; runs on the
+    :func:`shared_pool` sized at most to the item count, so a one-per-CPU
+    request over a handful of tasks forks no idle workers.
     """
     items = list(items)
     n_workers = min(resolve_workers(workers), len(items))
     if n_workers <= 1:
         return [fn(x) for x in items]
-    return shared_pool(n_workers).map(fn, items, chunksize=chunksize)
-
+    return shared_pool(n_workers).map(fn, items)

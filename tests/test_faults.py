@@ -12,7 +12,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,11 +28,7 @@ from repro.runtime import (
     shutdown_pool,
     supervision_events,
 )
-from repro.runtime.pool import (
-    default_supervise,
-    default_task_retries,
-    default_task_timeout,
-)
+from repro.runtime.pool import default_task_retries, default_task_timeout
 from repro.util.faults import (
     FaultInjected,
     configure_faults,
@@ -75,9 +73,62 @@ class CrashOnce:
         if not os.path.exists(self.sentinel):
             with open(self.sentinel, "w") as fh:
                 fh.write(str(os.getpid()))
-            if multiprocessing.parent_process() is not None:
-                os.kill(os.getpid(), signal.SIGKILL)
+            _die_if_worker()
         return x * x
+
+
+def _die_if_worker() -> None:
+    """SIGKILL this process, unless it is the test process itself."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class LogThenCrashOnce:
+    """Append the argument to a log; the worker given item *victim* dies once."""
+
+    def __init__(self, log: str, sentinel: str, victim: int) -> None:
+        self.log, self.sentinel, self.victim = log, sentinel, victim
+
+    def __call__(self, x):
+        with open(self.log, "a") as fh:
+            fh.write(f"{x}\n")
+        if x == self.victim and not os.path.exists(self.sentinel):
+            open(self.sentinel, "w").close()
+            _die_if_worker()
+        return x * x
+
+
+class CrashTogetherOnce:
+    """The first two workers to run a task wait for each other, then both die."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+
+    def __call__(self, x):
+        if len(os.listdir(self.directory)) < 2:
+            open(os.path.join(self.directory, str(os.getpid())), "w").close()
+            deadline = time.monotonic() + 10.0
+            while len(os.listdir(self.directory)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            _die_if_worker()
+        return x * x
+
+
+class RaiseOn:
+    """Square, except that the items in *bad* raise."""
+
+    def __init__(self, *bad: int) -> None:
+        self.bad = bad
+
+    def __call__(self, x):
+        if x in self.bad:
+            raise ValueError(f"bad item {x}")
+        return x * x
+
+
+def return_a_lock(_):
+    """A result no pickler accepts."""
+    return threading.Lock()
 
 
 def report_sigterm_disposition(_):
@@ -238,6 +289,73 @@ class TestSupervisedPool:
         assert stats["retries"] == 1
         assert stats["serial_maps"] == 0  # the retry itself succeeded
 
+    def test_a_crash_re_runs_only_the_chunk_it_lost(self, tmp_path):
+        log = tmp_path / "log"
+        task = LogThenCrashOnce(str(log), str(tmp_path / "sentinel"), victim=5)
+        with WorkerPool(2, task_retries=1) as pool:
+            assert pool.map(task, range(16)) == [x * x for x in range(16)]  # chunks of 2
+            stats = pool.stats()
+        assert (stats["crashes"], stats["retries"], stats["serial_maps"]) == (1, 1, 0)
+        runs = Counter(int(line) for line in log.read_text().split())
+        # the chunk (4, 5) died with its worker and ran again; nothing else did
+        assert runs == Counter({x: 2 if x in (4, 5) else 1 for x in range(16)})
+
+    def test_two_workers_dying_in_one_round_are_one_event(self, tmp_path):
+        with WorkerPool(2, task_retries=1) as pool:
+            pool.map(Square(), range(2))
+            first = pool.worker_pids()
+            task = CrashTogetherOnce(str(tmp_path))
+            assert pool.map(task, range(8)) == [x * x for x in range(8)]
+            stats = pool.stats()
+            assert not set(first) & set(pool.worker_pids())  # both were replaced
+        assert sorted(os.listdir(tmp_path)) == sorted(map(str, first))  # both did die
+        # one round, one event: a per-death budget would have gone serial here
+        assert stats["crashes"] == 1
+        assert stats["retries"] == 1
+        assert stats["respawns"] == 1
+        assert stats["serial_maps"] == 0
+
+    def test_task_exception_reaches_the_caller_and_spares_the_workers(self):
+        with WorkerPool(2) as pool:
+            assert pool.map(Square(), range(4)) == [0, 1, 4, 9]
+            workers = pool.worker_pids()
+            # both first chunks raise, in whatever order: the lowest index wins
+            with pytest.raises(ValueError, match="bad item 1"):
+                pool.map(RaiseOn(1, 3), range(12))
+            assert pool.map(Square(), range(4)) == [0, 1, 4, 9]
+            assert pool.worker_pids() == workers
+            assert pool.stats()["crashes"] == 0
+
+    def test_unpicklable_result_is_an_error_not_a_crash(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(TypeError, match="pickle"):
+                pool.map(return_a_lock, range(4))
+            workers = pool.worker_pids()
+            assert pool.map(Square(), range(4)) == [0, 1, 4, 9]
+            assert pool.worker_pids() == workers
+            assert pool.stats()["crashes"] == 0
+
+    def test_drain_from_another_thread_waits_for_the_running_map(self):
+        pool = WorkerPool(2)
+        results = []
+        mapper = threading.Thread(
+            target=lambda: results.append(pool.map(SlowSquare(0.2), range(4)))
+        )
+        mapper.start()
+        give_up = time.monotonic() + 10.0
+        while not pool.is_running and time.monotonic() < give_up:
+            time.sleep(0.005)
+        assert pool.is_running  # the map has forked its workers and holds the pool
+        t0 = time.perf_counter()
+        pool.drain()
+        waited = time.perf_counter() - t0
+        mapper.join(10.0)
+        assert not mapper.is_alive()
+        assert results == [[0, 1, 4, 9]]  # nothing was killed under the map
+        assert waited >= 0.25  # two 0.2 s tasks per worker were still to run
+        assert not pool.is_running
+        assert (pool.stats()["crashes"], pool.stats()["serial_maps"]) == (0, 0)
+
     def test_task_timeout_triggers_serial_fallback(self):
         with WorkerPool(2, task_timeout=0.15, task_retries=0) as pool:
             with pytest.warns(RuntimeWarning, match="task timeout"):
@@ -250,10 +368,10 @@ class TestSupervisedPool:
 
         A worker forked from an asyncio parent (the serving daemon)
         inherits the loop's no-op SIGTERM handler and wakeup fd; without
-        the pool initializer resetting them, ``Pool.terminate()`` during
-        a supervised respawn would hang on join *and* write into the
-        shared pipe — which the parent's loop reads as its own SIGTERM,
-        shutting the daemon down mid-session.
+        the worker resetting them, a SIGTERM (the interpreter's exit sweep
+        over daemonic children, a process-group signal) would not end it
+        *and* would write into the shared pipe — which the parent's loop
+        reads as its own SIGTERM, shutting the daemon down mid-session.
         """
         read_fd, write_fd = os.pipe()
         os.set_blocking(write_fd, False)
@@ -263,7 +381,9 @@ class TestSupervisedPool:
             with WorkerPool(2) as pool:
                 # workers see the default disposition, not the no-op
                 assert all(pool.map(report_sigterm_disposition, range(4)))
-                pool.close()  # terminate() SIGTERMs the workers
+                for pid in pool.worker_pids():
+                    os.kill(pid, signal.SIGTERM)
+                pool.close()
             # ...and nothing leaked into the parent's wakeup pipe
             os.set_blocking(read_fd, False)
             with pytest.raises(BlockingIOError):
@@ -279,19 +399,19 @@ class TestSupervisedPool:
         """Idle workers killed from outside must not deadlock teardown.
 
         A process-group SIGTERM (systemd stopping the daemon's cgroup) or
-        the OOM killer ends idle workers while they block in the task
-        queue's ``get()`` — holding its reader lock, which dies with them.
-        ``Pool._terminate_pool`` then hangs acquiring that lock (CPython
-        bpo-22393), wedging ``close()``, ``drain()`` and the pool's GC
-        finalizer.  ``_reap_for_teardown`` must post the orphaned lock
-        back so every teardown path completes.
+        the OOM killer ends idle workers while they block reading their
+        pipe.  The pool shares no lock with its workers (a lock dies with
+        its holder: CPython bpo-22393), so ``close()``, ``drain()`` and
+        garbage collection must all complete on the corpses.
         """
         import gc
-        import threading
 
         pool = WorkerPool(2)
         assert pool.map(Square(), range(8)) == [x * x for x in range(8)]
-        procs = list(pool._pool._pool)
+        procs = [
+            p for p in multiprocessing.active_children() if p.pid in pool.worker_pids()
+        ]
+        assert len(procs) == 2
         for p in procs:
             os.kill(p.pid, signal.SIGKILL)
         for p in procs:
@@ -305,22 +425,14 @@ class TestSupervisedPool:
         worker = threading.Thread(target=tear_down, daemon=True)
         worker.start()
         worker.join(20.0)
-        assert not worker.is_alive(), (
-            f"{teardown}() deadlocked on a dead worker's queue lock"
-        )
-        assert pool._pool is None
-
-    def test_unsupervised_pool_still_maps(self):
-        with WorkerPool(2, supervise=False) as pool:
-            assert pool.map(Square(), range(6)) == [x * x for x in range(6)]
-            assert pool.stats()["supervised"] is False
+        assert not worker.is_alive(), f"{teardown}() hung on dead workers"
+        assert not pool.is_running
 
     def test_stats_surface_the_supervision_knobs(self):
         with WorkerPool(2, task_timeout=2.5, task_retries=3) as pool:
             stats = pool.stats()
         assert stats["task_timeout"] == 2.5
         assert stats["task_retries"] == 3
-        assert stats["supervised"] is True
 
 
 class TestEnvKnobs:
@@ -345,15 +457,6 @@ class TestEnvKnobs:
         with pytest.warns(RuntimeWarning, match="REPRO_TASK_RETRIES"):
             monkeypatch.setenv("REPRO_TASK_RETRIES", "many")
             assert default_task_retries() == 1
-
-    def test_supervise_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_SUPERVISE", raising=False)
-        assert default_supervise() is True
-        for off in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_POOL_SUPERVISE", off)
-            assert default_supervise() is False
-        monkeypatch.setenv("REPRO_POOL_SUPERVISE", "1")
-        assert default_supervise() is True
 
 
 class TestSharedPoolEviction:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -97,9 +100,10 @@ class TestWorkerPool:
     def test_pool_persists_across_maps(self):
         with WorkerPool(2) as pool:
             pool.map(Square(), range(4))
-            first = pool._pool
+            first = pool.worker_pids()
+            assert len(first) == 2
             pool.map(Square(), range(4))
-            assert pool._pool is first
+            assert pool.worker_pids() == first
 
     def test_serial_fallbacks(self):
         with WorkerPool(2) as pool:
@@ -134,10 +138,10 @@ class TestSharedPool:
         assert parallel_map(Square(), range(10), workers=2) == [
             x * x for x in range(10)
         ]
-        underlying = shared_pool(2)._pool
-        assert underlying is not None
+        workers = shared_pool(2).worker_pids()
+        assert len(workers) == 2
         parallel_map(Square(), range(10), workers=2)
-        assert shared_pool(2)._pool is underlying  # no fork per call
+        assert shared_pool(2).worker_pids() == workers  # no fork per call
 
     def test_shutdown_pool(self):
         parallel_map(Square(), range(6), workers=2)
@@ -183,6 +187,39 @@ class TestSharedMemoryBroadcast:
         assert os.getpid() not in pids
         assert all(value == 123.0 for _, value, _ in results)
         assert all(writeable is False for _, _, writeable in results)
+
+
+class TestResourceTracker:
+    def test_workers_forked_before_the_first_publish_share_the_tracker(self):
+        """A pool forked *before* anything was published must not leak-warn.
+
+        Such workers used to start resource trackers of their own, each of
+        which reported every segment its worker attached as leaked at exit
+        (and unlinked it a second time).
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from repro.runtime import attach, publish, shared_pool, shutdown_pool
+
+            def read(handle):
+                return float(attach(handle)[7])
+
+            pool = shared_pool(2)
+            assert pool.map(abs, [-1, -2]) == [1, 2]  # forks, nothing published yet
+            with publish({"A": np.arange(1000.0)}) as bc:
+                assert pool.map(read, [bc.handles["A"]] * 4) == [7.0] * 4
+            shutdown_pool()
+            assert "multiprocessing.pool" not in sys.modules  # the pool is our own
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
 
 
 class TestTreeReduce:

@@ -17,11 +17,10 @@ from repro.core.search import (
     CostModelEvaluator,
     ExecutionRunner,
     measure_loop_nests,
-    parallel_map,
-    resolve_workers,
     sweep_loop_nests,
     sweep_loop_orders,
 )
+from repro.runtime import parallel_map, resolve_workers
 from repro.engine.executor import LoopNestExecutor
 from repro.__main__ import main as cli_main
 
