@@ -540,12 +540,16 @@ def _print_cache_stats(stats_by_cache) -> None:
         f"{'cache':>10s} {'entries':>8s} {'hits':>8s} {'misses':>8s} "
         f"{'evictions':>10s} {'rejections':>11s} {'bytes':>12s}"
     )
+    columns = ("entries", "hits", "misses", "evictions", "rejections", "bytes")
     for name, stats in stats_by_cache.items():
         print(
             f"{name:>10s} {stats['entries']:8d} {stats['hits']:8d} "
             f"{stats['misses']:8d} {stats['evictions']:10d} "
             f"{stats['rejections']:11d} {stats['bytes']:12,d}"
         )
+        extra = [f"{k}={v}" for k, v in stats.items() if k not in columns]
+        if extra:  # the jit row: compiles, runs, rebinds, numba
+            print(f"{'':>10s} {'  '.join(extra)}")
 
 
 def cmd_cache(args) -> int:
@@ -680,7 +684,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine for the spttn system (default: REPRO_ENGINE "
-        "environment variable, else 'lowered')",
+        "environment variable, else 'jit')",
     )
     p_run.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -741,7 +745,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_dist.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine for the per-rank executors (default: "
-        "REPRO_ENGINE environment variable, else 'lowered')",
+        "REPRO_ENGINE environment variable, else 'jit')",
     )
     p_dist.add_argument(
         "--mode", choices=("execute", "simulate", "both"), default="execute",
@@ -773,7 +777,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine for served requests (default: REPRO_ENGINE "
-        "environment variable, else 'lowered')",
+        "environment variable, else 'jit')",
     )
     p_serve.add_argument(
         "--mix", choices=MIXES, default="mixed",

@@ -13,8 +13,9 @@
   plans, the process-wide plan cache, and schedule caching, so repeated
   executions of one structure pay for planning and search once.
 * :mod:`repro.engine.lowering` — the vectorized lowering subsystem: compile
-  any lowerable plan into a flat program of segment-reduction ops and run
-  it with no per-fiber Python dispatch (the default ``"lowered"`` engine).
+  any lowerable plan into a flat program of segment-reduction ops, then
+  into one fused NumPy/CSR-SpMM callable (the default ``"jit"`` engine) or
+  run it op by op with no per-fiber Python dispatch (``"lowered"``).
 * :mod:`repro.engine.reference` — dense ``numpy.einsum`` reference used to
   validate every executor and baseline.
 """

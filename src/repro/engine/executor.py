@@ -24,13 +24,14 @@ execution hot loop performs no per-iteration analysis.
 
 *Execution* happens in one of three engines, selected by the ``engine``
 parameter (default from the ``REPRO_ENGINE`` environment variable, falling
-back to ``"lowered"``):
+back to ``"jit"``):
 
-* ``"jit"`` — the lowered program is additionally compiled (once, cached
-  on the plan) by :mod:`repro.engine.lowering.codegen` into a single fused
-  NumPy callable with pooled intermediate buffers and bind-time prepared
-  index maps; programs the generator declines run on the lowered VM
-  (jit → lowered → interpret fallback chain).
+* ``"jit"`` (the default) — the lowered program is additionally compiled
+  (once, cached on the plan) by :mod:`repro.engine.lowering.codegen` into a
+  single fused NumPy callable with pooled intermediate buffers and index
+  maps / CSR operators prepared once per CSF structure; programs the
+  generator declines run on the lowered VM (jit → lowered → interpret
+  fallback chain).
 * ``"lowered"`` — the plan is compiled once (cached on the plan) by
   :mod:`repro.engine.lowering` into a flat program of vectorized array ops
   (gathers into CSF lane layout, batched einsums, segment reductions along
@@ -99,8 +100,8 @@ ENGINES = ("jit", "lowered", "interpret")
 
 
 def default_engine() -> str:
-    """The process default engine: ``REPRO_ENGINE`` or ``"lowered"``."""
-    return os.environ.get("REPRO_ENGINE", "lowered").strip().lower()
+    """The process default engine: ``REPRO_ENGINE`` or ``"jit"``."""
+    return os.environ.get("REPRO_ENGINE", "jit").strip().lower()
 
 
 def _plan_state(plan: CompiledPlan) -> tuple:
@@ -150,7 +151,7 @@ class LoopNestExecutor:
         back to interpretation otherwise); ``"interpret"`` always
         interprets.  ``None`` (default)
         resolves through :func:`default_engine` (the ``REPRO_ENGINE``
-        environment variable, else ``"lowered"``).  After each
+        environment variable, else ``"jit"``).  After each
         ``execute()`` call, :attr:`last_engine` records which engine
         actually ran.
     """

@@ -16,26 +16,34 @@ Three mechanisms carry the speedup:
   identical structural shape signatures and disjoint live ranges share a
   slot.  Slots persist on the compiled object across executions, so warm
   calls write into existing buffers (NumPy ``out=``) and allocate nothing.
-* **Peephole fusion.**  Two patterns that dominate the fig7/TTMc
-  workloads are rewritten: a per-lane outer-product ``Contract`` feeding a
+* **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
   per output fiber instead of materializing the full lane-expanded outer
-  product), and a ``ScatterLanes`` + ``SegmentReduce`` + ``Contract``
-  chain that immediately contracts the scattered axis with a lane-free
-  operand becomes gather-multiply-reduce (the scatter buffer is never
-  built).  Both rewrites change only the association order of the same
-  scalar sums.  Additionally, when scipy is importable, an elementwise
-  values × gathered-dense contract feeding a ``SegmentReduce`` or a
-  ``ScatterLanes`` collapses into a single CSR SpMM (``csf.values`` as the
-  matrix data, gather ids as columns, segment bounds / flattened scatter
-  positions as indptr) — the dominant MTTKRP kernel shape.
+  product), one feeding a ``LaneSum`` becomes a single GEMM over the lane
+  axis, and a ``ScatterLanes`` + ``SegmentReduce`` + ``Contract`` chain
+  that immediately contracts the scattered axis with a lane-free operand
+  becomes gather-multiply-reduce (the scatter buffer is never built).
+  When scipy is importable, sums over lanes run as CSR products prepared
+  at bind time (:class:`_Spmm`): an elementwise values × gathered-dense
+  contract feeding a ``SegmentReduce``, a ``ScatterLanes`` (optionally
+  composed with the ``SegmentReduce`` of the remaining lane axis) or a
+  ``ScatterAdd`` collapses into a single SpMM with ``csf.values`` as the
+  matrix data — the dominant MTTKRP/TTMc kernel shapes — and any other
+  scatter-add whose gathered axes lead the output multiplies by a unit
+  selector, so ``np.add.at`` is only the guarded fallback.  Every rewrite
+  changes only the association order of the same scalar sums; the
+  un-fused ops stay in the generated source as the ``else`` branch.
 * **Bind-time preparation.**  Everything that depends only on the CSF
-  tensor — lane ancestor id maps, composed reduction boundaries, scatter
-  index vectors, and the program's aggregate symbolic op counts — is
-  evaluated once per (callable, tensor) binding and cached under a weak
-  reference to the tensor, so warm calls do no index arithmetic and apply
-  counter accounting in O(1).  The aggregate counts are plain integer sums
-  of the same :class:`~repro.engine.lowering.ir.Charge` terms the VM adds
+  *structure* — lane ancestor id maps, composed reduction boundaries,
+  scatter index vectors, CSR ``indices``/``indptr``, and the program's
+  aggregate symbolic op counts — is evaluated once per (callable,
+  structure) binding and cached under the identity of the level arrays,
+  which every tensor of one sparsity pattern shares
+  (:func:`~repro.sptensor.csf.csf_for_mode_order`); a new tensor of a
+  bound structure only re-points the CSR data at its values.  Warm calls
+  do no index arithmetic and apply counter accounting in O(1).  The
+  aggregate counts are plain integer sums of the same
+  :class:`~repro.engine.lowering.ir.Charge` terms the VM adds
   incrementally, so counters stay bit-equal.
 
 Segment reductions optionally route through a Numba-compiled lane sweep
@@ -47,9 +55,10 @@ cannot compile — and any unexpected failure while compiling — returns
 
 from __future__ import annotations
 
+import operator
 import weakref
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +80,7 @@ _STATS = {
     "bind_hits": 0,
     "bind_misses": 0,
     "bind_evictions": 0,
+    "rebinds": 0,
 }
 
 #: Live compiled callables (for the stats snapshot's entry/byte counts).
@@ -182,109 +192,61 @@ def _scatter_add_general(out, src, gather_ids, axes):
     np.add.at(out, _broadcast_index(gather_ids, axes, out.shape), src)
 
 
-def _csr_rows(values, cols, indptr, n_rows=None):
-    """A CSR matrix with ``values`` as its data, or ``None``.
+class _Spmm:
+    """A bind-time CSR operator: lanes grouped by flattened row id.
 
-    ``None`` (scipy absent, non-float64 values, or inconsistent index
-    arrays) routes the caller to its gather/einsum fallback path.  The
-    caller must pin ``values`` alongside the matrix: scipy may copy the
-    data array, so run-time identity checks go against the pinned
-    reference, not ``matrix.data``.
+    ``matrix @ src`` sums every row's lanes, ``head`` being the shape those
+    rows unflatten to.  The sort that groups lanes is stable, so a row
+    accumulates in lane order — the order of ``reduceat`` and ``np.add.at``
+    — and agreement stays within the tier's ~1 ulp reassociation contract
+    (bit-exact where rows hold at most one lane).  ``data`` is unit (a
+    selector) or ``csf.values``; ``indices``/``indptr``/``order`` depend
+    only on the CSF structure, so a new tensor of a bound structure only
+    re-points ``data`` (:meth:`rebind`), with no scipy constructor call.
+    Without scipy ``matrix`` is ``None`` and the generated code takes its
+    gather/einsum branch.
     """
-    if _scipy_sparse is None or values.dtype != np.float64:
-        return None
-    indptr = np.asarray(indptr)
-    if n_rows is None:
-        n_rows = len(indptr) - 1
-    width = int(cols.max()) + 1 if cols.size else 0
-    try:
-        return _scipy_sparse.csr_matrix(
-            (values, cols, indptr), shape=(n_rows, width)
-        )
-    except Exception:  # pragma: no cover - malformed index arrays
-        return None
 
+    __slots__ = ("matrix", "order", "head")
 
-def _spmm_seg_prep(ctx, bind_level, level, from_level, to_level):
-    """Bind-time prep for a fused gather×values segment reduction.
-
-    The CSR matrix has one row per ``to_level`` segment whose entries are
-    the segment's lane values at their dense gather columns, so the whole
-    gather + lane-scale + reduce chain is one SpMM.
-    """
-    bounds = ctx.bounds(from_level, to_level)
-    ids = ctx.ids(bind_level, level)
-    matrix = _csr_rows(ctx.csf.values, ids, bounds)
-    return matrix, ctx.csf.values, ids, (bounds, None)
-
-
-def _spmm_seg(B, key, spec, values, dense, prep):
-    """``reduceat(einsum('a,a...->a...', V, take(dense, ids)))`` as SpMM.
-
-    The CSR rows accumulate each segment's lanes in the same left-to-right
-    order as ``reduceat``, so agreement is within the jit tier's ~1 ulp
-    reassociation contract.  Falls back to the pooled gather/einsum/reduce
-    chain when the matrix is unavailable or dtypes do not match.
-    """
-    matrix, bound_values, ids, red = prep
-    if (
-        matrix is not None
-        and dense.dtype == np.float64
-        and values is bound_values
-    ):
-        n = matrix.shape[1]
-        flat = matrix @ dense[:n].reshape(n, -1)
-        return flat.reshape((matrix.shape[0],) + dense.shape[1:])
-    g = _bufpool.take_into(B, (key, "g"), dense, ids, 0)
-    tmp = _bufpool.einsum_into(B, (key, "t"), spec, values, g)
-    return _reduce(B, (key, "r"), tmp, red)
-
-
-def _spmm_scatter_prep(ctx, bind_level, level, dim):
-    """Bind-time prep for a fused gather×values lane scatter.
-
-    CSF lanes are sorted by (parent, fid), so the flattened scatter row ids
-    ``parent * dim + fid`` are strictly increasing with at most one lane
-    per row: the CSR product is *bit-exact* against the scatter buffer
-    (single-term rows, exact 0.0 for empty rows).  ``searchsorted`` turns
-    the row ids directly into the matrix's indptr.
-    """
-    ids = ctx.ids(bind_level, level)
-    fids = ctx.csf.fids[level]
-    if level == 0:
-        scat = (fids,)
-        head = (int(dim),)
-        rows = fids
-    else:
-        parents = ctx.parents(level)
-        scat = (parents, fids, ctx.lanes(level - 1))
-        head = (ctx.lanes(level - 1), int(dim))
-        rows = parents.astype(np.int64) * int(dim) + fids
-    matrix = None
-    if rows.size == 0 or np.all(np.diff(rows) > 0):
+    def __init__(self, rows, head, cols, n_cols=None, values=None) -> None:
+        self.head = head
+        self.order = self.matrix = None
+        if _scipy_sparse is None:
+            return
+        if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
+            self.order = np.argsort(rows, kind="stable")
+            rows, cols = rows[self.order], cols[self.order]
         n_rows = int(np.prod(head, dtype=np.int64))
+        if n_cols is None:
+            n_cols = int(cols.max()) + 1 if cols.size else 0
         indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        matrix = _csr_rows(ctx.csf.values, ids, indptr, n_rows)
-    return matrix, ctx.csf.values, ids, scat, head
+        self.matrix = _scipy_sparse.csr_matrix(
+            (np.ones(rows.size), cols, indptr), shape=(n_rows, n_cols)
+        )
+        if values is not None:
+            # assigned, not passed: the constructor would wrap the array in
+            # a new object, and the data must stay ``csf.values`` itself
+            self.rebind(values)
+
+    def rebind(self, values) -> None:
+        if self.matrix is not None:
+            self.matrix.data = values if self.order is None else values[self.order]
 
 
-def _spmm_scatter(B, key, spec, values, dense, prep):
-    """``scatter_lanes(einsum('a,a...->a...', V, take(dense, ids)))`` as SpMM."""
-    matrix, bound_values, ids, scat, head = prep
-    if (
-        matrix is not None
-        and dense.dtype == np.float64
-        and values is bound_values
-    ):
-        n = matrix.shape[1]
-        flat = matrix @ dense[:n].reshape(n, -1)
-        return flat.reshape(head + dense.shape[1:])
-    g = _bufpool.take_into(B, (key, "g"), dense, ids, 0)
-    tmp = _bufpool.einsum_into(B, (key, "t"), spec, values, g)
-    if len(scat) == 1:
-        return _scatter_lanes0(B, (key, "s"), tmp, scat[0], head[0])
-    parents, fids, n_par = scat
-    return _scatter_lanes(B, (key, "s"), tmp, parents, fids, n_par, head[-1])
+def _spmm(op, src):
+    """``op.matrix @ src`` along the lane axis, unflattened to ``op.head``."""
+    n = op.matrix.shape[1]
+    flat = op.matrix @ src[:n].reshape(n, -1)
+    return flat.reshape(op.head + src.shape[1:])
+
+
+def _lane_dot(lhs, rhs, perm):
+    """``sum0(einsum('a..,a..->a....', lhs, rhs))`` as one GEMM: the
+    lane-expanded outer product is never materialized."""
+    n = lhs.shape[0]
+    out = np.dot(lhs.reshape(n, -1).T, rhs.reshape(n, -1))
+    return out.reshape(lhs.shape[1:] + rhs.shape[1:]).transpose(perm)
 
 
 def _seg_outer(B, key, spec, lhs, rhs, red):
@@ -335,8 +297,9 @@ _NAMESPACE = {
     "_multigather": _multigather,
     "_scatter_add_general": _scatter_add_general,
     "_seg_outer": _seg_outer,
-    "_spmm_seg": _spmm_seg,
-    "_spmm_scatter": _spmm_scatter,
+    "_spmm": _spmm,
+    "_lane_dot": _lane_dot,
+    "_f64": np.dtype(np.float64),
     "_apply_calls": _apply_calls,
 }
 
@@ -345,11 +308,18 @@ _NAMESPACE = {
 # Bind-time preparation
 # --------------------------------------------------------------------------- #
 class _Ctx:
-    """Per-tensor evaluation context for prep builders (memoized id maps)."""
+    """Per-structure evaluation context for prep builders (memoized id maps).
+
+    Builders read only ``fids``/``fptr`` and the level sizes; the one use of
+    ``csf.values`` goes through :meth:`spmm`, which records the operator in
+    ``valued`` so :meth:`CompiledJit.bind` can re-point it at the values of
+    another tensor of the same structure.
+    """
 
     def __init__(self, csf) -> None:
         self.csf = csf
         self._ids: Dict[tuple, np.ndarray] = {}
+        self.valued: List[_Spmm] = []
 
     def lanes(self, level: int) -> int:
         return 1 if level < 0 else self.csf.nnz_at_level(level)
@@ -381,9 +351,46 @@ class _Ctx:
 
     def parents(self, level: int) -> np.ndarray:
         """Parent lane index of each level-``level`` lane (``level >= 1``)."""
-        return np.repeat(
-            np.arange(self.lanes(level - 1)), np.diff(self.csf.fptr[level - 1])
-        )
+        return self.expand_map(level - 1, level)
+
+    def scatter_rows(self, levels: Tuple[int, ...], at_level: int):
+        """``(rows, head)`` of a scatter-add whose gathered axes lead the
+        output: each lane's flattened position over those axes."""
+        head = tuple(self.csf.level_shape[lv] for lv in levels)
+        ids = [self.ids(lv, at_level) for lv in levels]
+        rows = ids[0] if len(ids) == 1 else np.ravel_multi_index(ids, head)
+        return rows, head
+
+    def lane_rows(self, level: int, dim: int, to_level: Optional[int] = None):
+        """``(rows, head)`` of a ``ScatterLanes`` at ``level``, optionally
+        composed with the segment reduction of the remaining lane axis down
+        to ``to_level``: rows are *ancestor node x dim + fid*, so the
+        per-parent scatter buffer is never built."""
+        fids = self.csf.fids[level]
+        if level == 0:
+            return fids, (int(dim),)
+        anc = level - 1 if to_level is None else to_level
+        rows = self.expand_map(anc, level) * int(dim) + fids
+        return rows, (self.lanes(anc), int(dim))
+
+    def spmm(self, rows, head, cols, n_cols=None, valued=True) -> _Spmm:
+        op = _Spmm(rows, head, cols, n_cols, self.csf.values if valued else None)
+        if valued:
+            self.valued.append(op)
+        return op
+
+
+class _Bind:
+    """One bound CSF structure: its level arrays (held, so identity cannot
+    be recycled), the prep tuple, and the values its SpMM data points at."""
+
+    __slots__ = ("levels", "prep", "valued", "values")
+
+    def __init__(self, levels, prep, valued, values) -> None:
+        self.levels = levels
+        self.prep = prep
+        self.valued = valued
+        self.values = values
 
 
 class CompiledJit:
@@ -391,7 +398,7 @@ class CompiledJit:
 
     Owned by a :class:`~repro.engine.plan_cache.CompiledPlan` (stored on
     its ``jit`` slot) and therefore byte-accounted by the plan cache: the
-    pool's buffers and the cached per-tensor preps are reachable through
+    pool's buffers and the cached per-structure preps are reachable through
     this object's slots.  Not safe for concurrent use — same contract as
     the owning executor.
     """
@@ -407,7 +414,7 @@ class CompiledJit:
         "__weakref__",
     )
 
-    #: Per-tensor prep entries kept per callable (MRU order).
+    #: Per-structure prep entries kept per callable (MRU order).
     MAX_BINDS = 4
 
     def __init__(self, source, fn, n_slots, prep_builders) -> None:
@@ -416,24 +423,36 @@ class CompiledJit:
         self.pool: dict = {}
         self.n_slots = n_slots
         self._prep_builders: List[Callable] = prep_builders
-        self._binds: List[tuple] = []
+        self._binds: List[_Bind] = []
         #: Bumped whenever bind state changes, so the executor can
         #: re-account the owning cache entry's byte size.
         self.version = 0
 
     def bind(self, csf) -> tuple:
-        """The prep tuple for *csf*, built once and cached weakly."""
+        """The prep tuple for *csf*, built once per CSF *structure*.
+
+        Entries are keyed by the identity of the level arrays, which
+        :func:`~repro.sptensor.csf.csf_for_mode_order` shares across every
+        tensor of one sparsity pattern: a wire-decoded or ``with_values``
+        tensor of a bound pattern hits, and only re-points the SpMM data
+        at its own values (counted in ``rebinds``).
+        """
         binds = self._binds
-        for i, (ref, prep) in enumerate(binds):
-            if ref() is csf:
+        levels = csf.fids + csf.fptr
+        for i, entry in enumerate(binds):
+            if all(map(operator.is_, entry.levels, levels)):
                 if i:
                     binds.insert(0, binds.pop(i))
+                if entry.values is not csf.values:
+                    for op in entry.valued:
+                        op.rebind(csf.values)
+                    entry.values = csf.values
+                    _STATS["rebinds"] += 1
                 _STATS["bind_hits"] += 1
-                return prep
+                return entry.prep
         ctx = _Ctx(csf)
         prep = tuple(builder(ctx) for builder in self._prep_builders)
-        binds[:] = [entry for entry in binds if entry[0]() is not None]
-        binds.insert(0, (weakref.ref(csf), prep))
+        binds.insert(0, _Bind(levels, prep, ctx.valued, csf.values))
         if len(binds) > self.MAX_BINDS:
             del binds[self.MAX_BINDS:]
             _STATS["bind_evictions"] += 1
@@ -482,12 +501,12 @@ class _Unit:
 
 def _values_gather(op, in_subs, out_sub, ops, uses, def_op, level):
     """Match an elementwise lane Contract of ``LoadValues`` with a dense
-    single-gather (axis 0) ``ReadArray`` at ``level``.
+    row gathered per lane at ``level``: a single-gather (axis 0)
+    ``ReadArray`` or a ``LaneExpand``, consumed by this Contract only.
 
     This is the SpMM-able shape ``einsum('a,a...->a...', V, take(dense,
-    ids))``: each lane scales one gathered dense row.  Returns ``(v_reg,
-    read_idx, read, bind_level, spec)`` with the spec normalized
-    values-first (multiplication commutes bit-exactly), or ``None``.
+    ids))``: each lane scales one gathered dense row.  Returns the op index
+    of the gather, or ``None``.
     """
     for vpos in (0, 1):
         v_sub = in_subs[vpos]
@@ -496,36 +515,37 @@ def _values_gather(op, in_subs, out_sub, ops, uses, def_op, level):
             continue
         if out_sub != r_sub or len(set(r_sub)) != len(r_sub):
             continue
-        v_reg = op.srcs[vpos]
         r_reg = op.srcs[1 - vpos]
-        v_def = def_op.get(v_reg)
+        v_def = def_op.get(op.srcs[vpos])
         r_def = def_op.get(r_reg)
-        if v_def is None or r_def is None:
+        if v_def is None or r_def is None or len(uses.get(r_reg, ())) != 1:
             continue
         if not isinstance(ops[v_def], ir.LoadValues):
             continue
-        read = ops[r_def]
-        if (
-            not isinstance(read, ir.ReadArray)
-            or read.slot[0] != SLOT_DENSE
-            or read.level != level
-            or len(uses.get(r_reg, ())) != 1
+        gather = ops[r_def]
+        if isinstance(gather, ir.LaneExpand):
+            if gather.to_level == level:
+                return r_def
+        elif (
+            isinstance(gather, ir.ReadArray)
+            and gather.slot[0] == SLOT_DENSE
+            and gather.level == level
+            and [kind for kind, _ in gather.axes].count(ir.GATHER) == 1
+            and gather.axes[0][0] == ir.GATHER
         ):
-            continue
-        gathers = [
-            (axis, arg)
-            for axis, (kind, arg) in enumerate(read.axes)
-            if kind == ir.GATHER
-        ]
-        if len(gathers) != 1 or gathers[0][0] != 0:
-            continue
-        spec = f"{v_sub},{r_sub}->{out_sub}"
-        return v_reg, r_def, read, gathers[0][1], spec
+            return r_def
     return None
 
 
+def _leading_gathers(axes) -> bool:
+    """True when every gathered axis of a ``ScatterAdd`` precedes every
+    kept one, so the gathered axes flatten into the rows of a matrix."""
+    kinds = [kind for kind, _ in axes]
+    return kinds == sorted(kinds)  # "gather" < "keep"
+
+
 def _match_fusions(ops, uses, def_op):
-    """Find P1 (seg-GEMM), P2 (scatter-multiply-reduce) and SpMM rewrites.
+    """Find the seg-GEMM, scatter-multiply-reduce, SpMM and lane-GEMM rewrites.
 
     Returns ``(skip, fused)``: op indices subsumed by a fusion, and a map
     from the index of each fusion's *last* op to its fused unit.
@@ -537,83 +557,94 @@ def _match_fusions(ops, uses, def_op):
         """True when none of the op indices is claimed by a fusion yet."""
         return all(x not in skip and x not in fused for x in idxs)
 
+    def only_user(reg):
+        """Index of the single, still unclaimed op reading *reg*, or None."""
+        users = uses.get(reg, ())
+        return users[0] if len(users) == 1 and free(users[0]) else None
+
     for i, op in enumerate(ops):
         if not free(i):
             continue
-        # P1: lane outer-product Contract feeding its only consumer, a
-        # SegmentReduce -> per-segment GEMM over the composed boundaries.
         if isinstance(op, ir.Contract) and len(op.srcs) == 2:
-            if uses.get(op.dst) and len(uses[op.dst]) == 1:
-                j = uses[op.dst][0]
-                nxt = ops[j]
-                if (
-                    isinstance(nxt, ir.SegmentReduce)
-                    and nxt.src == op.dst
-                    and free(j)
-                ):
-                    in_subs, out_sub = _split_spec(op.spec)
-                    lhs_sub, rhs_sub = in_subs
-                    if (
-                        lhs_sub
-                        and rhs_sub
-                        and out_sub
-                        and lhs_sub[0] == rhs_sub[0] == out_sub[0]
-                        and out_sub == lhs_sub[0] + lhs_sub[1:] + rhs_sub[1:]
-                        and len(set(lhs_sub)) == len(lhs_sub)
-                        and len(set(rhs_sub)) == len(rhs_sub)
-                        and not set(lhs_sub[1:]) & set(rhs_sub[1:])
-                    ):
-                        # When the contract is values × gathered-dense, the
-                        # whole gather/scale/reduce chain is one CSR SpMM.
-                        vg = _values_gather(
-                            op, in_subs, out_sub, ops, uses, def_op,
-                            nxt.from_level,
-                        )
-                        if vg is not None and free(vg[1]):
-                            v_reg, r_def, read, bind_level, spec = vg
-                            skip.update((i, r_def))
-                            fused[j] = _Unit(
-                                "spmm_seg",
-                                op,
-                                (v_reg,),
-                                nxt.dst,
-                                (spec, read, bind_level,
-                                 nxt.from_level, nxt.to_level),
-                            )
-                            continue
-                        skip.add(i)
-                        fused[j] = _Unit(
-                            "seg_outer",
-                            op,
-                            op.srcs,
-                            nxt.dst,
-                            (op.spec, nxt.from_level, nxt.to_level),
-                        )
-                        continue
-                # P1b: the same values × gathered-dense contract feeding
-                # its only consumer, a ScatterLanes -> one CSR SpMM whose
-                # row ids are the flattened scatter positions (bit-exact:
-                # at most one lane per row, exact zeros elsewhere).
-                if (
-                    isinstance(nxt, ir.ScatterLanes)
-                    and nxt.src == op.dst
-                    and free(j)
-                ):
-                    in_subs, out_sub = _split_spec(op.spec)
-                    vg = _values_gather(
-                        op, in_subs, out_sub, ops, uses, def_op, nxt.level
+            j = only_user(op.dst)
+            if j is None:
+                continue
+            nxt = ops[j]
+            in_subs, out_sub = _split_spec(op.spec)
+            lhs_sub, rhs_sub = in_subs
+            free_subs = lhs_sub[1:] + rhs_sub[1:]
+            # a per-lane outer product: both operands carry the lane, no
+            # other letter is shared or contracted
+            outer = bool(
+                lhs_sub
+                and rhs_sub
+                and out_sub
+                and lhs_sub[0] == rhs_sub[0] == out_sub[0]
+                and sorted(out_sub[1:]) == sorted(free_subs)
+                and len(set(out_sub)) == len(out_sub)
+            )
+            gather = chain = None
+            if isinstance(nxt, (ir.SegmentReduce, ir.ScatterLanes, ir.ScatterAdd)):
+                is_reduce = isinstance(nxt, ir.SegmentReduce)
+                gather = _values_gather(
+                    op, in_subs, out_sub, ops, uses, def_op,
+                    nxt.from_level if is_reduce else nxt.level,
+                )
+                if gather is not None and not free(gather):
+                    gather = None
+            # P1: lane outer product feeding its only consumer, a
+            # SegmentReduce -> per-segment GEMM over the composed
+            # boundaries; when the product is values x gathered-dense the
+            # whole gather/scale/reduce chain is one CSR SpMM.
+            if isinstance(nxt, ir.SegmentReduce) and outer and out_sub[1:] == free_subs:
+                if gather is not None:
+                    chain = (ops[gather], op, nxt)
+                else:
+                    skip.add(i)
+                    fused[j] = _Unit(
+                        "seg_outer",
+                        op,
+                        op.srcs,
+                        nxt.dst,
+                        (op.spec, nxt.from_level, nxt.to_level),
                     )
-                    if vg is not None and free(vg[1]):
-                        v_reg, r_def, read, bind_level, spec = vg
-                        skip.update((i, r_def))
-                        fused[j] = _Unit(
-                            "spmm_scatter",
-                            nxt,
-                            (v_reg,),
-                            nxt.dst,
-                            (spec, read, bind_level, nxt.level, nxt.dim),
-                        )
-                        continue
+            # P1b: values x gathered-dense feeding a ScatterLanes -> one
+            # SpMM whose rows are the flattened scatter positions; a
+            # SegmentReduce of the remaining lane axis composes into the
+            # same matrix (rows of the ancestor, not of the parent).
+            elif isinstance(nxt, ir.ScatterLanes) and gather is not None:
+                chain = (ops[gather], op, nxt)
+                k = only_user(nxt.dst)
+                if (
+                    k is not None
+                    and isinstance(ops[k], ir.SegmentReduce)
+                    and ops[k].from_level == nxt.level - 1
+                ):
+                    skip.add(j)
+                    chain += (ops[k],)
+                    j = k
+            # P1c: the same product feeding a non-direct ScatterAdd whose
+            # gathered axes lead the output -> O += SpMM.
+            elif (
+                isinstance(nxt, ir.ScatterAdd)
+                and gather is not None
+                and not nxt.direct
+                and _leading_gathers(nxt.axes)
+            ):
+                chain = (ops[gather], op, nxt)
+            # P3: lane outer product whose lanes are all summed away ->
+            # one GEMM contracting the lane axis.
+            elif isinstance(nxt, ir.LaneSum) and outer:
+                skip.add(i)
+                perm = tuple(free_subs.index(ch) for ch in out_sub[1:])
+                fused[j] = _Unit("lane_dot", op, op.srcs, nxt.dst, perm)
+            if chain is not None:
+                skip.update((i, gather))
+                srcs = tuple(s for s in op.srcs if s != chain[0].dst)
+                fused[j] = _Unit(
+                    "spmm", op, srcs + _srcs_of(chain[0]), _dst_of(chain[-1]), chain
+                )
+            continue
         # P2: ScatterLanes -> SegmentReduce -> Contract that contracts the
         # scattered dense axis with a lane-free operand.  Rewritten to
         # gather-multiply-reduce over the original (deeper) lanes; the
@@ -698,14 +729,9 @@ def _reg_signatures(units) -> Dict[int, tuple]:
         if unit.kind == "seg_outer":
             spec, _from, to_level = unit.info
             sig[dst] = ("seg_outer", spec, to_level, tuple(of(s) for s in unit.srcs))
-        elif unit.kind == "spmm_seg":
-            spec, read, _bind, from_level, to_level = unit.info
-            sig[dst] = (
-                "spmm_seg", spec, read.slot, read.axes, from_level, to_level,
-            )
-        elif unit.kind == "spmm_scatter":
-            spec, read, _bind, level, dim = unit.info
-            sig[dst] = ("spmm_scatter", spec, read.slot, read.axes, level, dim)
+        elif unit.kind in ("spmm", "lane_dot"):
+            # no pool slot to share: the op chain itself is the identity
+            sig[dst] = (unit.kind, op, unit.info)
         elif unit.kind == "scatter_mul_reduce":
             sig[dst] = ("smr", unit.info, tuple(of(s) for s in unit.srcs))
         elif isinstance(op, ir.LoadValues):
@@ -739,6 +765,7 @@ class _Emitter:
         self.lines: List[str] = []
         self.preps: List[Callable] = []
         self.dense_vars: Dict[str, str] = {}
+        self.indent = 1
         self._tmp = 0
 
     def prep(self, builder: Callable) -> str:
@@ -757,7 +784,21 @@ class _Emitter:
         return f"_t{self._tmp}"
 
     def line(self, text: str) -> None:
-        self.lines.append(f"    {text}")
+        self.lines.append("    " * self.indent + text)
+
+    def guarded(self, cond: str, fused: str, fallback: Sequence) -> None:
+        """``if cond: fused`` with the un-fused *fallback* ops as ``else``
+        (scipy absent or a non-float64 operand), pooled under their own
+        keys."""
+        self.line(f"if {cond}:")
+        self.line(f"    {fused}")
+        self.line("else:")
+        key = self.tmp()
+        self.indent += 1
+        for n, op in enumerate(fallback):
+            unit = _Unit("op", op, _srcs_of(op), _dst_of(op))
+            _emit_unit(self, unit, f"({key!r}, {n})")
+        self.indent -= 1
 
 
 def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
@@ -772,26 +813,39 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
         em.line(
             f"{dst} = _seg_outer(B, {slot}, {spec!r}, r{a}, r{b}, {bounds})"
         )
-    elif unit.kind == "spmm_seg":
-        spec, read, bind_level, from_level, to_level = unit.info
-        arr = em.dense(read.slot[1])
-        prep = em.prep(
-            lambda ctx, b=bind_level, lv=read.level, f=from_level,
-            t=to_level: _spmm_seg_prep(ctx, b, lv, f, t)
+    elif unit.kind == "spmm":
+        gather, _contract, *tail = unit.info
+        first, last = tail[0], tail[-1]
+        expand = isinstance(gather, ir.LaneExpand)
+        src = f"r{gather.src}" if expand else em.dense(gather.slot[1])
+
+        def build(ctx):
+            if isinstance(last, ir.ScatterAdd):
+                levels = tuple(arg for kind, arg in last.axes if kind == ir.GATHER)
+                rows = ctx.scatter_rows(levels, last.level)
+            elif isinstance(first, ir.ScatterLanes):
+                to_level = last.to_level if len(tail) == 2 else None
+                rows = ctx.lane_rows(first.level, first.dim, to_level)
+            else:
+                rows = (
+                    ctx.expand_map(last.to_level, last.from_level),
+                    (ctx.lanes(last.to_level),),
+                )
+            if expand:
+                cols = ctx.expand_map(gather.from_level, gather.to_level)
+                return ctx.spmm(*rows, cols, ctx.lanes(gather.from_level))
+            return ctx.spmm(*rows, ctx.ids(gather.axes[0][1], gather.level))
+
+        prep = em.prep(build)
+        assign = "O +=" if dst is None else f"{dst} ="
+        em.guarded(
+            f"{prep}.matrix is not None and {src}.dtype == _f64",
+            f"{assign} _spmm({prep}, {src})",
+            unit.info,
         )
-        (v,) = unit.srcs
-        em.line(f"{dst} = _spmm_seg(B, {slot}, {spec!r}, r{v}, {arr}, {prep})")
-    elif unit.kind == "spmm_scatter":
-        spec, read, bind_level, level, dim = unit.info
-        arr = em.dense(read.slot[1])
-        prep = em.prep(
-            lambda ctx, b=bind_level, lv=level, d=dim:
-            _spmm_scatter_prep(ctx, b, lv, d)
-        )
-        (v,) = unit.srcs
-        em.line(
-            f"{dst} = _spmm_scatter(B, {slot}, {spec!r}, r{v}, {arr}, {prep})"
-        )
+    elif unit.kind == "lane_dot":
+        a, b = unit.srcs
+        em.line(f"{dst} = _lane_dot(r{a}, r{b}, {unit.info!r})")
     elif unit.kind == "scatter_mul_reduce":
         new_spec, c_axis, level, to_level = unit.info
         other, src = unit.srcs
@@ -885,7 +939,23 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
                     ctx.ids(arg, lv) for arg in g
                 )
             )
-            em.line(f"_scatter_add_general(O, r{op.src}, {ids}, {op.axes!r})")
+            general = f"_scatter_add_general(O, r{op.src}, {ids}, {op.axes!r})"
+            if _leading_gathers(op.axes):
+                # a unit selector sums each output row's lanes in lane order
+                sel = em.prep(
+                    lambda ctx, g=tuple(gathers), lv=op.level: ctx.spmm(
+                        *ctx.scatter_rows(g, lv),
+                        np.arange(ctx.lanes(lv)),
+                        ctx.lanes(lv),
+                        valued=False,
+                    )
+                )
+                em.line(f"if {sel}.matrix is not None:")
+                em.line(f"    O += _spmm({sel}, r{op.src})")
+                em.line("else:")
+                em.line(f"    {general}")
+            else:
+                em.line(general)
     elif isinstance(op, ir.AccumulateLeaf):
         em.line(f"OV += r{op.src}")
     elif isinstance(op, ir.Note):
@@ -896,7 +966,7 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
 
 #: Unit kinds / op types whose results are views or aliases (no pool slot).
 def _needs_slot(unit: _Unit) -> bool:
-    if unit.dst is None:
+    if unit.dst is None or unit.kind in ("spmm", "lane_dot"):
         return False
     op = unit.op
     if isinstance(op, ir.LoadValues):
@@ -1024,10 +1094,12 @@ def jit_stats() -> Dict[str, int]:
     """Codegen-tier stats in the shared cache-snapshot shape.
 
     ``entries``/``bytes`` cover live compiled callables and their pooled
-    buffers; ``hits``/``misses``/``evictions`` count the per-tensor prep
-    cache; ``rejections`` counts programs the generator declined (each one
-    a transparent fallback to the lowered VM).  Extra keys: ``compiles``,
-    ``runs`` and ``numba`` (whether the optional Numba sweep is active).
+    buffers; ``hits``/``misses``/``evictions`` count the per-structure
+    prep cache; ``rejections`` counts programs the generator declined (each
+    one a transparent fallback to the lowered VM).  Extra keys:
+    ``compiles``, ``runs``, ``rebinds`` (hits that re-pointed the SpMM data
+    at a new tensor's values) and ``numba`` (whether the optional Numba
+    sweep is active).
     """
     live = list(_LIVE)
     return {
@@ -1039,6 +1111,7 @@ def jit_stats() -> Dict[str, int]:
         "bytes": sum(pool_nbytes(c.pool) for c in live),
         "compiles": _STATS["compiles"],
         "runs": _STATS["runs"],
+        "rebinds": _STATS["rebinds"],
         "numba": int(_nb.available()),
     }
 

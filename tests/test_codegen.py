@@ -5,9 +5,13 @@ The contract under test: ``compile_program`` turns a lowered
 
 * is cached on the plan (tri-state ``plan.jit``) and shared by every
   executor resolving the same plan, like ``plan.lowered``;
-* re-binds per concrete CSF tensor through a bounded MRU prep cache
-  (``CompiledJit.MAX_BINDS``) whose hits/misses/evictions surface in
-  :func:`~repro.engine.lowering.codegen.jit_stats`;
+* binds per CSF *structure* (the identity of the level arrays every tensor
+  of one sparsity pattern shares) through a bounded MRU prep cache
+  (``CompiledJit.MAX_BINDS``) whose hits/misses/evictions/rebinds surface
+  in :func:`~repro.engine.lowering.codegen.jit_stats`;
+* never reaches ``np.add.at`` or a lane-expanded einsum on the benchmark
+  kernels: scatter-adds are bind-time CSR products, with the un-fused ops
+  kept as a guarded fallback;
 * reuses its pooled intermediate buffers across runs (warm executions
   allocate nothing) while staying bit-identical when the bound tensor's
   shapes change;
@@ -19,13 +23,27 @@ The contract under test: ``compile_program`` turns a lowered
 import numpy as np
 import pytest
 
+from repro.core.expr import parse_kernel
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import CompiledJit, compile_program, lower_plan
 from repro.engine.lowering import codegen as codegen_mod
 from repro.engine.lowering.codegen import jit_stats, reset_jit_stats
-from repro.engine.plan_cache import caches_snapshot
-from repro.sptensor import random_sparse_tensor
+from repro.engine.plan_cache import (
+    PlanCache,
+    approx_nbytes,
+    cached_executor,
+    cached_schedule,
+    caches_snapshot,
+)
+from repro.serve import protocol
+from repro.serve.request import (
+    all_mode_ttmc_request,
+    mttkrp_request,
+    ttmc_request,
+)
+from repro.sptensor import COOTensor, load_preset, random_sparse_tensor
+from repro.sptensor.csf import default_structure_memo
 from repro.util.counters import OpCounter
 
 
@@ -34,6 +52,41 @@ def _run(kernel, tensors, nest, engine="jit", **kwargs):
     executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine, **kwargs)
     output = executor.execute(tensors)
     return executor, np.asarray(output), counter
+
+
+def _spec_case(spec, tensor, dtype="float64", rank=4):
+    """Kernel + operands for *spec* over *tensor* with random dense factors."""
+    rng = np.random.default_rng(5)
+    subs = spec.split("->")[0].split(",")
+    dims = dict(zip(subs[0], tensor.shape))
+    operands = [tensor]
+    for sub in subs[1:]:
+        shape = tuple(dims.setdefault(idx, rank) for idx in sub)
+        operands.append(rng.random(shape).astype(dtype))
+    kernel = parse_kernel(spec, operands)
+    tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
+    return kernel, tensors, SpTTNScheduler(kernel).schedule().loop_nest
+
+
+def _fallback_buffers(compiled):
+    """Pool keys only the un-fused ``else`` branches of the generated code
+    write (``('_t<n>', step)``): empty means every fused call ran."""
+
+    def head(key):
+        return head(key[0]) if isinstance(key, tuple) else key
+
+    return [key for key in compiled.pool if isinstance(head(key), str)]
+
+
+@pytest.fixture
+def count_add_at(monkeypatch):
+    """Counts ``np.add.at`` calls made from here on (the real one still runs)."""
+    calls = []
+    real = np.add.at
+    monkeypatch.setattr(
+        np.add, "at", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    return calls
 
 
 class TestPlanCaching:
@@ -92,6 +145,16 @@ class TestPrepBinding:
         _, ref, ctr_ref = _run(kernel, other, nest, engine="interpret")
         np.testing.assert_allclose(out3, ref, rtol=1e-12, atol=1e-14)
         assert ctr3.as_dict() == ctr_ref.as_dict()
+        # more tensors of a bound pattern add nothing to the plan's byte
+        # accounting: selectors and CSR index arrays are held once per
+        # structure, only the data vector is swapped
+        size = approx_nbytes(executor._plan)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            again = dict(other, T=other["T"].with_values(rng.random(other["T"].nnz)))
+            _run(kernel, again, nest)
+        assert jit_stats()["misses"] == misses0 + 1
+        assert approx_nbytes(executor._plan) == size
 
     def test_bind_cache_eviction(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
@@ -99,7 +162,7 @@ class TestPrepBinding:
         executor, _, _ = _run(kernel, tensors, nest)
         compiled = executor._plan.jit
         evictions0 = jit_stats()["evictions"]
-        # bind MAX_BINDS + 2 distinct tensors: the MRU prep cache stays
+        # bind MAX_BINDS + 2 distinct patterns: the MRU prep cache stays
         # bounded and the overflow is counted as evictions
         variants = []
         for seed in range(CompiledJit.MAX_BINDS + 2):
@@ -107,8 +170,14 @@ class TestPrepBinding:
             case["T"] = random_sparse_tensor((18, 15, 12), density=0.04, seed=seed)
             variants.append(case)
             _run(kernel, case, nest)
-        assert len(compiled._binds) <= CompiledJit.MAX_BINDS
+        assert len(compiled._binds) == CompiledJit.MAX_BINDS
         assert jit_stats()["evictions"] > evictions0
+        # an evicted structure binds again from scratch, correctly
+        misses0 = jit_stats()["misses"]
+        _, out, _ = _run(kernel, variants[0], nest)
+        assert jit_stats()["misses"] == misses0 + 1
+        _, ref, _ = _run(kernel, variants[0], nest, engine="lowered")
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
 
     def test_buffer_pool_reused_across_runs(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
@@ -120,6 +189,240 @@ class TestPrepBinding:
         _run(kernel, tensors, nest)
         for key, buf in warm.items():
             assert compiled.pool[key] is buf
+
+
+class TestStructureKeyedBinds:
+    """Binds are keyed by the CSF level arrays, not by the tensor object."""
+
+    N = 8
+
+    def _serve(self, requests, cache):
+        outputs = []
+        for request in requests:
+            kernel, tensors = request.build()
+            nest = cached_schedule(kernel).loop_nest
+            executor = cached_executor(kernel, nest, engine="jit", cache=cache)
+            outputs.append(np.asarray(executor.execute(tensors)))
+            assert executor.last_engine == "jit"
+        return outputs, executor
+
+    @pytest.mark.parametrize("mode", [0, 2])
+    def test_wire_decoded_and_with_values_tensors_share_one_bind(self, mode):
+        source = random_sparse_tensor((18, 15, 12), nnz=150, seed=3)
+        rng = np.random.default_rng(1)
+        factors = [rng.random((d, 5)) for n, d in enumerate(source.shape) if n != mode]
+        line = protocol.dumps(
+            protocol.encode_request(mttkrp_request(source, factors, mode=mode))
+        )
+        decoded = [
+            protocol.decode_request(protocol.loads(line)) for _ in range(self.N)
+        ]
+        revalued = [
+            mttkrp_request(
+                source.with_values(rng.random(source.nnz)), factors, mode=mode
+            )
+            for _ in range(self.N)
+        ]
+        before = jit_stats()
+        outputs, executor = self._serve(decoded + revalued, PlanCache())
+        after = jit_stats()
+        # one bind for the one (plan, mode order); every later tensor hits
+        # and only re-points the SpMM data at its own values
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 2 * self.N - 1
+        assert after["rebinds"] - before["rebinds"] == 2 * self.N - 1
+        # ... on the SpMM path, not the gather/einsum fallback
+        compiled = executor._plan.jit
+        assert "_spmm(" in compiled.source
+        assert _fallback_buffers(compiled) == []
+        # bit-equal to a fresh bind of each tensor
+        for request, got in zip(decoded + revalued, outputs):
+            kernel, tensors = request.build()
+            nest = cached_schedule(kernel).loop_nest
+            _, fresh, _ = _run(kernel, tensors, nest, plan_cache=None)
+            np.testing.assert_array_equal(got, fresh)
+        for got in outputs[1 : self.N]:
+            np.testing.assert_array_equal(got, outputs[0])
+
+    def test_same_shape_and_nnz_different_coordinates_never_share(self):
+        a = random_sparse_tensor((18, 15, 12), nnz=150, seed=3)
+        b = random_sparse_tensor((18, 15, 12), nnz=150, seed=4)
+        assert a.shape == b.shape and a.nnz == b.nnz
+        factors = [np.random.default_rng(2).random((d, 5)) for d in a.shape[1:]]
+        requests = [mttkrp_request(t, factors) for t in (a, b, a, b)]
+        misses0, hits0 = jit_stats()["misses"], jit_stats()["hits"]
+        outputs, _ = self._serve(requests, PlanCache())
+        assert jit_stats()["misses"] == misses0 + 2
+        assert jit_stats()["hits"] == hits0 + 2
+        for tensor, got in zip((a, b, a, b), outputs):
+            want = np.einsum("ijk,jr,kr->ir", tensor.to_dense(), *factors)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_structure_evicted_from_the_memo_rebinds(self):
+        source = random_sparse_tensor((18, 15, 12), nnz=150, seed=3)
+        rng = np.random.default_rng(1)
+        factors = [rng.random((d, 5)) for d in source.shape[:2]]
+        cache = PlanCache()
+        first = mttkrp_request(source, factors, mode=2)
+        self._serve([first], cache)
+        # the pattern's level arrays are rebuilt: new arrays, new identity,
+        # so the old bind (and its indptr) must not be reused
+        default_structure_memo().clear()
+        rebuilt = source.with_values(rng.random(source.nnz))
+        misses0 = jit_stats()["misses"]
+        (got,), _ = self._serve([mttkrp_request(rebuilt, factors, mode=2)], cache)
+        assert jit_stats()["misses"] == misses0 + 1
+        want = np.einsum("ijk,ir,jr->kr", rebuilt.to_dense(), *factors)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+#: spec -> text the fused call leaves in ``CompiledJit.source``
+_PEEPHOLES = {
+    # non-direct ScatterAdd, gathered axis leading -> unit CSR selector
+    "ijk,ir,kr->jr": "O += _spmm(",
+    # values x lane-expanded register feeding that ScatterAdd -> one SpMM
+    "ijk,ir,jr->kr": "dtype == _f64:\n        O += _spmm(",
+    # spmm_scatter -> SegmentReduce composed; Contract -> LaneSum as a GEMM
+    "ijk,ir,js->krs": "_lane_dot(",
+    "ijk,ir,js,kt->rst": "_lane_dot(",
+}
+
+
+class TestScatterPeepholes:
+    @pytest.mark.parametrize("spec", sorted(_PEEPHOLES))
+    def test_fused_call_matches_lowered(self, spec, random_coo3, count_add_at):
+        kernel, tensors, nest = _spec_case(spec, random_coo3)
+        del count_add_at[:]  # CSF construction counts children with it
+        executor, out, ctr = _run(kernel, tensors, nest)
+        assert executor.last_engine == "jit"
+        compiled = executor._plan.jit
+        assert _PEEPHOLES[spec] in compiled.source
+        assert "_sum0(" not in compiled.source
+        assert _fallback_buffers(compiled) == []
+        assert count_add_at == []
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+    def test_composed_scatter_reduce_builds_no_per_fibre_buffer(self, random_coo3):
+        kernel, tensors, nest = _spec_case("ijk,ir,js->krs", random_coo3)
+        executor, _, _ = _run(kernel, tensors, nest)
+        compiled = executor._plan.jit
+        assert "_scatter_lanes(" in compiled.source  # kept, as the fallback
+        assert kernel.csf_mode_order == ("i", "j", "k")
+        fibres = np.unique(random_coo3.indices[:, :2], axis=0).shape[0]
+        per_fibre = fibres * random_coo3.shape[2] * 4 * 8  # (ij-fibre, k, s)
+        assert all(buf.nbytes < per_fibre for buf in compiled.pool.values())
+
+    @pytest.mark.parametrize("spec", sorted(_PEEPHOLES))
+    def test_without_scipy_the_unfused_ops_run(
+        self, spec, random_coo3, monkeypatch, count_add_at
+    ):
+        kernel, tensors, nest = _spec_case(spec, random_coo3)
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
+        del count_add_at[:]
+        monkeypatch.setattr(codegen_mod, "_scipy_sparse", None)
+        executor, out, ctr = _run(kernel, tensors, nest, plan_cache=None)
+        assert executor.last_engine == "jit"
+        assert _fallback_buffers(executor._plan.jit)
+        assert bool(count_add_at) == ("O += " in _PEEPHOLES[spec])
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+    def test_float32_operands_take_the_einsum_branch(self, random_coo3):
+        # ``execute`` coerces dense operands to float64; a direct caller of
+        # the compiled callable may not.  Two float32 factors make a float32
+        # lane product, so the values x register SpMM declines and the
+        # gather/einsum ops run instead — the same arithmetic as the VM
+        from repro.engine.lowering import run_program
+        from repro.sptensor.csf import csf_for_mode_order
+
+        kernel, tensors, nest = _spec_case("ijk,ir,jr->kr", random_coo3)
+        executor, out64, _ = _run(kernel, tensors, nest)
+        plan = executor._plan
+        assert _fallback_buffers(plan.jit) == []
+        csf = csf_for_mode_order(random_coo3, (0, 1, 2))
+        dense = {
+            name: t.astype(np.float32) for name, t in tensors.items()
+            if isinstance(t, np.ndarray)
+        }
+        got, want = np.zeros_like(out64), np.zeros_like(out64)
+        ctr, ref_ctr = OpCounter(), OpCounter()
+        plan.jit.run(csf, dense, got, None, ctr)
+        run_program(plan.lowered, csf, dense, want, None, ref_ctr)
+        assert _fallback_buffers(plan.jit)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got, out64, rtol=1e-5)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+    def test_non_leading_gather_axis_stays_on_add_at(self, random_coo3, count_add_at):
+        kernel, tensors, nest = _spec_case("ijk,ir,kr->rj", random_coo3)
+        del count_add_at[:]
+        executor, out, ctr = _run(kernel, tensors, nest)
+        assert executor.last_engine == "jit"
+        assert "O += _spmm(" not in executor._plan.jit.source
+        assert len(count_add_at) == 1
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+
+class TestNoAddAtOnTheJitPath:
+    """``np.add.at`` is unreachable from a jit run of the benchmark kernels."""
+
+    @pytest.fixture
+    def trap_add_at(self, monkeypatch):
+        def arm():
+            def trap(*args, **kwargs):
+                raise AssertionError("np.add.at reached from the jit tier")
+
+            monkeypatch.setattr(np.add, "at", trap)
+
+        return arm
+
+    def _requests(self):
+        # the e2e benchmark's tensor and its seven distinct kernels
+        tensor = load_preset("nell-2", scale=1e-2, max_nnz=60_000, seed=0)
+        rng = np.random.default_rng(0)
+        wide = [rng.random((dim, 32)) for dim in tensor.shape]
+        narrow = [rng.random((dim, 8)) for dim in tensor.shape]
+
+        def without(items, mode):
+            return [f for n, f in enumerate(items) if n != mode]
+
+        modes = range(tensor.order)
+        requests = [mttkrp_request(tensor, without(wide, m), mode=m) for m in modes]
+        requests += [ttmc_request(tensor, without(narrow, m), mode=m) for m in modes]
+        return requests + [all_mode_ttmc_request(tensor, narrow)]
+
+    def test_benchmark_kernels(self, trap_add_at):
+        cases = []
+        for request in self._requests():
+            kernel, tensors = request.build()  # CSF construction sorts here
+            cases.append((kernel, tensors, cached_schedule(kernel).loop_nest))
+        trap_add_at()
+        for kernel, tensors, nest in cases:
+            executor, out, _ = _run(kernel, tensors, nest)
+            assert executor.last_engine == "jit"
+            assert _fallback_buffers(executor._plan.jit) == []
+            assert np.isfinite(out).all() and out.any()
+
+    @pytest.mark.parametrize(
+        "fixture", ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
+    )
+    def test_conformance_kernels(self, fixture, request, trap_add_at):
+        kernel, tensors = request.getfixturevalue(fixture)
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+
+        def run(engine):
+            executor = LoopNestExecutor(kernel, nest, engine=engine)
+            out = executor.execute(tensors)
+            assert executor.last_engine == engine
+            return out.values if isinstance(out, COOTensor) else out
+
+        ref = run("lowered")
+        trap_add_at()
+        np.testing.assert_allclose(run("jit"), ref, rtol=1e-12, atol=1e-14)
 
 
 class TestFallback:

@@ -387,7 +387,17 @@ class TestDaemonObservability:
                     assert set(reply.timings) == set(STAGES)
                     assert all(v >= 0.0 for v in reply.timings.values())
 
-    def test_trace_dir_session_covers_all_layers(self, tmp_path):
+    def test_trace_dir_session_covers_all_layers(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        self._check_trace_session(tmp_path, tier_category="jit")
+
+    def test_trace_dir_session_on_the_pinned_lowered_tier(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENGINE", "lowered")
+        self._check_trace_session(tmp_path, tier_category="vm")
+
+    def _check_trace_session(self, tmp_path, tier_category):
         # one kernel family -> repeated plan signatures -> the parallel
         # dispatch path engages and pool workers record task spans
         requests = scenario_mix(8, mix="mttkrp", seed=3)
@@ -401,9 +411,12 @@ class TestDaemonObservability:
         doc = json.loads(path.read_text())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         categories = {e["cat"] for e in events}
-        # the acceptance criterion: spans from scheduler, plan cache, VM,
+        # the acceptance criterion: spans from scheduler, plan cache, the
+        # execution tier that ran (the jit default; the VM when pinned),
         # pool workers and the daemon itself, in one loadable trace
-        assert {"scheduler", "cache", "vm", "pool", "daemon", "serve"} <= categories
+        assert {
+            "scheduler", "cache", tier_category, "pool", "daemon", "serve"
+        } <= categories
         own_pid = {e["pid"] for e in events if e["cat"] == "daemon"}
         task_pids = {
             e["pid"] for e in events if e["cat"] == "pool" and e["name"] == "task"
