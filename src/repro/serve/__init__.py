@@ -9,8 +9,9 @@
   the naive per-request-planning baseline.
 * :mod:`repro.serve.scenarios` — seeded request mixes for the
   ``repro serve`` load driver and the throughput benchmark.
-* :mod:`repro.serve.protocol` — the newline-delimited JSON wire protocol
-  (see ``docs/PROTOCOL.md``) shared by the daemon and the client.
+* :mod:`repro.serve.protocol` — the wire protocol (newline-delimited JSON
+  heads, raw tensor frames; see ``docs/PROTOCOL.md``) shared by the daemon
+  and the client.
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`: the asyncio TCP server
   fronting a :class:`ContractionService` with backpressure, per-client
   round-robin fairness, cross-client signature batching, streamed results

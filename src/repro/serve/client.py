@@ -1,12 +1,14 @@
 """Blocking client for the contraction-serving daemon.
 
-:class:`ServeClient` speaks the NDJSON protocol of
+:class:`ServeClient` speaks the NDJSON-with-frames protocol of
 :mod:`repro.serve.protocol` over one TCP connection.  Submissions are
-written immediately and return :class:`PendingReply` handles; because the
-daemon streams replies in *completion* order, the client demultiplexes
-inbound lines by message id, buffering replies that belong to other
-handles.  The API deliberately mirrors the in-process service — submit,
-futures, ``run`` — so switching a caller between the two is mechanical.
+written immediately (head line, then the operands' own buffers) and return
+:class:`PendingReply` handles; because the daemon streams replies in
+*completion* order, the client demultiplexes inbound messages by message
+id, buffering replies that belong to other handles (result frames are read
+straight into the writable buffers the results then view).  The API
+deliberately mirrors the in-process service — submit, futures, ``run`` — so
+switching a caller between the two is mechanical.
 
 Examples
 --------
@@ -120,6 +122,13 @@ class ServeClient:
     def _read_message(self) -> Dict[str, Any]:
         try:
             line = self._rfile.readline()
+            message = protocol.loads(line) if line else None
+            if message and message.get("frames"):
+                frames = [bytearray(n) for n in message["frames"]]
+                if any(self._rfile.readinto(f) != len(f) for f in frames):
+                    message = None  # EOF inside a frame
+                else:
+                    protocol.attach(message, frames)
         except socket.timeout:
             host, port = self.address
             raise TimeoutError(
@@ -127,9 +136,9 @@ class ServeClient:
                 f"{self._timeout:g}s; the connection may be stale — "
                 "reconnect with a fresh ServeClient"
             ) from None
-        if not line:
+        if message is None:
             raise ConnectionError("daemon closed the connection")
-        return protocol.loads(line)
+        return message
 
     def _dispatch(self, message: Dict[str, Any]) -> None:
         msg_id = message.get("id")
@@ -161,8 +170,20 @@ class ServeClient:
     def submit_many(
         self, requests: Sequence[ContractionRequest]
     ) -> List[PendingReply]:
-        """Send several requests back to back (replies stream unordered)."""
-        return [self.submit(r) for r in requests]
+        """Send several requests as one burst (replies stream unordered).
+
+        Everything is encoded before the first byte is sent and goes out in
+        one ``sendall``, so the daemon's input does not pause inside the
+        burst and it dispatches the burst as one cycle.
+        """
+        burst = [(self._fresh_id(), r) for r in requests]
+        self._sock.sendall(b"".join(
+            protocol.dumps(
+                {"op": "submit", "id": i, "request": protocol.encode_request(r)}
+            )
+            for i, r in burst
+        ))
+        return [PendingReply(i, self) for i, _ in burst]
 
     def run(self, requests: Sequence[ContractionRequest]) -> List[Output]:
         """Submit all *requests* and collect results in request order."""
@@ -230,14 +251,11 @@ class ServeClient:
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
-        try:
-            self._rfile.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
-        try:
-            self._sock.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
+        for closable in (self._rfile, self._sock):
+            try:
+                closable.close()
+            except Exception:  # pragma: no cover - already closed
+                pass
 
     def __enter__(self) -> "ServeClient":
         return self

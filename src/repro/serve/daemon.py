@@ -2,7 +2,9 @@
 
 :class:`ServeDaemon` turns the in-process :class:`~repro.serve.ContractionService`
 into a long-running TCP server speaking the newline-delimited JSON protocol
-of :mod:`repro.serve.protocol` (see ``docs/PROTOCOL.md``).  The event loop
+of :mod:`repro.serve.protocol` (see ``docs/PROTOCOL.md``): one head line per
+message, then the raw tensor frames it announces, which reach the service
+as read-only ``np.frombuffer`` views.  The event loop
 owns connections and admission; contraction work runs off-loop so the
 daemon keeps accepting, answering ``stats`` and applying backpressure while
 a batch executes:
@@ -21,7 +23,9 @@ a batch executes:
   requests to the shared :class:`~repro.serve.ContractionService` and
   flushes once, so requests from *different* connections that agree on the
   plan-cache signature are served from one schedule search and one
-  compiled plan, exactly as in-process batching does;
+  compiled plan, exactly as in-process batching does; a connection is
+  passed over while a message of its is arriving, so a pipelined burst is
+  one cycle whichever thread wins the GIL;
 * **streaming results** — replies are written as each
   :class:`~repro.serve.ServeFuture` resolves (the service resolves futures
   group by group inside a flush), not when the whole flush returns, so
@@ -51,7 +55,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
@@ -82,10 +86,10 @@ from repro.serve.service import (
 )
 from repro.util.faults import faults_snapshot
 
-#: Maximum NDJSON line length accepted from a client (64 MiB) — bounds the
-#: per-connection read buffer; operands above this must be split or served
-#: in process.
-MAX_LINE_BYTES = 64 * 1024 * 1024
+#: Maximum head-line length accepted from a client (64 MiB, as for the
+#: frames a head may announce) — bounds the per-connection read buffer;
+#: operands above this must be split or served in process.
+MAX_LINE_BYTES = protocol.MAX_MESSAGE_BYTES
 
 #: Default TCP port of ``repro serve --daemon``.
 DEFAULT_PORT = 7421
@@ -107,47 +111,36 @@ def default_idle_timeout() -> Optional[float]:
     return value if value > 0 else None
 
 
+@dataclass(slots=True, eq=False)
 class _QueuedItem:
     """One admitted submit operation waiting in a connection's backlog."""
 
-    __slots__ = ("client", "msg_id", "request", "expires_at")
-
-    def __init__(
-        self,
-        client: "_Client",
-        msg_id: Any,
-        request: ContractionRequest,
-        expires_at: Optional[float] = None,
-    ) -> None:
-        self.client = client
-        self.msg_id = msg_id
-        self.request = request
-        #: absolute ``time.monotonic()`` deadline stamped at receipt, so
-        #: time spent in the backlog counts against ``deadline_ms``.
-        self.expires_at = expires_at
+    client: "_Client"
+    msg_id: Any
+    request: ContractionRequest
+    #: absolute ``time.monotonic()`` deadline stamped at receipt, so time
+    #: spent in the backlog counts against ``deadline_ms``.
+    expires_at: Optional[float]
+    #: seconds spent parsing the head and decoding the operands.
+    wire_decode: float
+    #: the frames the operands view (the next message may share them).
+    frames: List[bytes]
 
 
+@dataclass(slots=True, eq=False)
 class _Client:
     """Per-connection state: backlog, in-flight count, outbound queue."""
 
-    __slots__ = (
-        "conn_id",
-        "writer",
-        "outbox",
-        "backlog",
-        "inflight",
-        "pending_ids",
-        "closed",
-    )
-
-    def __init__(self, conn_id: int, writer: asyncio.StreamWriter) -> None:
-        self.conn_id = conn_id
-        self.writer = writer
-        self.outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        self.backlog: Deque[_QueuedItem] = deque()
-        self.inflight = 0
-        self.pending_ids: set = set()
-        self.closed = False
+    conn_id: int
+    writer: asyncio.StreamWriter
+    outbox: "asyncio.Queue[Optional[bytes]]" = field(default_factory=asyncio.Queue)
+    backlog: Deque[_QueuedItem] = field(default_factory=deque)
+    inflight: int = 0
+    pending_ids: set = field(default_factory=set)
+    closed: bool = False
+    #: a message's frames are arriving: the backlog waits for it, so a
+    #: pipelined burst is one dispatch cycle however its reads interleave
+    receiving: bool = False
 
     def send(self, message: Dict[str, Any]) -> None:
         """Enqueue one reply for the writer task (no-op once closed)."""
@@ -175,23 +168,13 @@ class DaemonStats:
     idle_closed: int = 0
     #: service flushes that raised (futures still resolve; daemon survives).
     flush_errors: int = 0
+    #: bytes read from / written to client sockets (head lines and frames).
+    bytes_received: int = 0
+    bytes_sent: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for the ``stats`` reply."""
-        return {
-            "connections": self.connections,
-            "active_connections": self.active_connections,
-            "received": self.received,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "replied": self.replied,
-            "protocol_errors": self.protocol_errors,
-            "cycles": self.cycles,
-            "expired": self.expired,
-            "quarantined": self.quarantined,
-            "idle_closed": self.idle_closed,
-            "flush_errors": self.flush_errors,
-        }
+        return asdict(self)
 
 
 class ServeDaemon:
@@ -358,24 +341,16 @@ class ServeDaemon:
         try:
             while True:
                 try:
-                    if self.idle_timeout is not None:
-                        try:
-                            line = await asyncio.wait_for(
-                                reader.readline(), self.idle_timeout
-                            )
-                        except asyncio.TimeoutError:
-                            if (
-                                client.backlog
-                                or client.inflight
-                                or client.pending_ids
-                            ):
-                                # not idle — results are still owed; the
-                                # timeout only reaps silent, empty links
-                                continue
-                            self.stats.idle_closed += 1
-                            break
-                    else:
-                        line = await reader.readline()
+                    line = await asyncio.wait_for(
+                        reader.readline(), self.idle_timeout  # None: no limit
+                    )
+                except asyncio.TimeoutError:
+                    if client.backlog or client.inflight or client.pending_ids:
+                        # not idle — results are still owed; the timeout
+                        # only reaps silent, empty links
+                        continue
+                    self.stats.idle_closed += 1
+                    break
                 except (
                     asyncio.LimitOverrunError,
                     ValueError,
@@ -392,21 +367,57 @@ class ServeDaemon:
                     break
                 if not line:
                     break  # EOF
-                if line.strip():
-                    self._handle_line(client, line)
+                self.stats.bytes_received += len(line)
+                if line.strip() and not await self._handle_line(client, reader, line):
+                    break  # framing lost, or the message was cut short
         finally:
             self._drop_client(client)
 
-    def _handle_line(self, client: _Client, line: bytes) -> None:
-        """Decode and act on one inbound message (errors stay structured)."""
+    async def _handle_line(
+        self, client: _Client, reader: asyncio.StreamReader, line: bytes
+    ) -> bool:
+        """Decode and act on one inbound message (errors stay structured).
+
+        ``False`` once the stream cannot be delimited any more: close.
+        """
         self.stats.received += 1
         msg_id: Any = None
+        frames: List[bytes] = []
+        decode_t0 = time.perf_counter()
         try:
             message = protocol.loads(line)
             msg_id = message.get("id")
+            if message.get("frames"):
+                # one bytes object per frame: an operand view keeps alive
+                # only its own bytes; the wait for them is not decode time
+                wait_t0 = time.perf_counter()
+                client.receiving = True
+                try:
+                    frames = [
+                        await asyncio.wait_for(
+                            reader.readexactly(n), self.idle_timeout
+                        )
+                        for n in message["frames"]
+                    ]
+                except (OSError, EOFError, asyncio.TimeoutError):
+                    return False  # cut short, or stalled mid-message
+                finally:
+                    client.receiving = False
+                    if client.backlog:  # ... which this message held back
+                        self._work.set()
+                self.stats.bytes_received += sum(message["frames"])
+                decode_t0 += time.perf_counter() - wait_t0
+                if client.backlog:
+                    # a burst repeats its sparse tensor with new factors: a
+                    # frame byte-identical to the held request's is that object
+                    held = client.backlog[-1].frames
+                    frames[: len(held)] = [
+                        h if h == f else f for f, h in zip(frames, held)
+                    ]
+                protocol.attach(message, frames)
             op = message.get("op")
             if op == "submit":
-                self._handle_submit(client, msg_id, message)
+                self._handle_submit(client, msg_id, message, decode_t0, frames)
             elif op == "stats":
                 client.send(protocol.stats_reply(msg_id, self.snapshot()))
             elif op == "metrics":
@@ -429,14 +440,21 @@ class ServeDaemon:
         except protocol.ProtocolError as exc:
             # malformed traffic never kills the connection: reply with a
             # structured error (id echoes when it was recoverable) and
-            # keep reading
+            # keep reading — unless it was the framing itself
             self.stats.protocol_errors += 1
             client.send(
                 protocol.error_reply(msg_id, protocol.ERROR_PROTOCOL, str(exc))
             )
+            return not isinstance(exc, protocol.FramingError)
+        return True
 
     def _handle_submit(
-        self, client: _Client, msg_id: Any, message: Dict[str, Any]
+        self,
+        client: _Client,
+        msg_id: Any,
+        message: Dict[str, Any],
+        decode_t0: float,
+        frames: List[bytes],
     ) -> None:
         if msg_id is None:
             raise protocol.ProtocolError("submit requires a non-null id")
@@ -453,6 +471,8 @@ class ServeDaemon:
             )
             return
         request = protocol.decode_request(message.get("request"))
+        wire_decode = time.perf_counter() - decode_t0
+        observe("serve.stage.wire_decode", wire_decode)
         expires_at = None
         if request.deadline_ms is not None:
             expires_at = time.monotonic() + request.deadline_ms / 1000.0
@@ -478,7 +498,9 @@ class ServeDaemon:
             )
             return
         client.pending_ids.add(msg_id)
-        client.backlog.append(_QueuedItem(client, msg_id, request, expires_at))
+        client.backlog.append(
+            _QueuedItem(client, msg_id, request, expires_at, wire_decode, frames)
+        )
         self.stats.admitted += 1
         assert self._work is not None
         self._work.set()
@@ -519,10 +541,7 @@ class ServeDaemon:
         client.backlog.clear()
         self._clients.pop(client.conn_id, None)
         self.stats.active_connections -= 1
-        try:
-            client.outbox.put_nowait(None)
-        except Exception:  # pragma: no cover - queue is unbounded
-            pass
+        client.outbox.put_nowait(None)  # unbounded queue: cannot be full
 
     async def _writer_loop(self, client: _Client) -> None:
         """Drain one connection's outbox to its socket, in order."""
@@ -532,6 +551,7 @@ class ServeDaemon:
                 if payload is None:
                     break
                 client.writer.write(payload)
+                self.stats.bytes_sent += len(payload)
                 await client.writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -570,7 +590,13 @@ class ServeDaemon:
         requests.  The result interleaves clients deterministically, so a
         connection with a deep backlog cannot occupy a whole cycle.
         """
-        clients = [c for c in self._clients.values() if c.backlog]
+        clients = []
+        for c in self._clients.values():
+            # a burst that is still arriving waits to be one cycle — up to what a
+            # cycle takes from one client, so a sender that never pauses is served
+            held = c.receiving and len(c.backlog) < self.client_quota
+            if c.backlog and (self._draining or not held):
+                clients.append(c)
         if not clients:
             return []
         start = self._cycle % len(clients)
@@ -689,6 +715,7 @@ class ServeDaemon:
             observe("serve.stage.wire_encode", wire_encode)
             if future.timings:
                 timings = dict(future.timings)
+                timings["wire_decode"] = item.wire_decode
                 timings["wire_encode"] = wire_encode
                 reply["timings"] = timings
             loop.call_soon_threadsafe(self._finish_item, item, reply)

@@ -1,4 +1,4 @@
-"""Newline-delimited JSON wire protocol of the serving daemon.
+"""Newline-delimited JSON wire protocol of the serving daemon, with raw frames.
 
 Every message — in either direction — is one JSON object encoded as UTF-8
 on one ``\\n``-terminated line (NDJSON).  Clients send *operations*
@@ -9,9 +9,14 @@ that ``id``, but replies are **streamed** in completion order, not request
 order, so a client must demultiplex by ``id``.
 
 Tensor operands and results travel as exact bytes: arrays are encoded as
-``{"dtype", "shape", "data"}`` with ``data`` the base64 of the C-order
-buffer, so a round trip through the daemon is *bit-identical* to handing
-the same arrays to the in-process :class:`~repro.serve.ContractionService`.
+``{"dtype", "shape", "data"}``, and a line carrying arrays announces
+``"frames": [n0, n1, ...]`` and is followed by exactly those byte counts of
+raw C-order buffers, ``data`` being the index of the array's frame.  A
+round trip through the daemon is *bit-identical* to handing
+the same arrays to the in-process :class:`~repro.serve.ContractionService`,
+and decoding is an ``np.frombuffer`` view of the frame.  Control messages
+and errors have no frames and stay pure NDJSON; a base64 string as ``data``
+(protocol version 1) is still decoded but never produced.
 Sparse COO tensors ship their canonical (deduplicated, sorted)
 coordinate/value arrays and are rebuilt without a re-sort pass.
 
@@ -23,15 +28,17 @@ Examples
 --------
 >>> from repro.serve import mttkrp_request
 >>> from repro.serve.protocol import decode_request, encode_request
->>> wire = encode_request(mttkrp_request(T, [B, C], mode=0))
->>> request = decode_request(wire)     # bit-identical operands
+>>> wire = dumps(encode_request(mttkrp_request(T, [B, C], mode=0)))
+>>> request = decode_request(loads(wire))     # bit-identical operands
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Dict, List, Optional, Union
+import math
+from itertools import accumulate
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
@@ -41,7 +48,14 @@ from repro.sptensor.dense import DenseTensor
 
 #: Protocol revision carried in ``hello``/stats replies; bump on breaking
 #: wire-format changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Bound on a message's head line and on the frames it announces (64 MiB
+#: each); operands above this must be split or served in process.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+
+#: ``dtype.kind`` of what may cross the wire: bool, int, uint, float, complex.
+WIRE_KINDS = "biufc"
 
 #: Client operations the daemon understands.
 OPS = ("submit", "stats", "metrics", "health", "ping", "shutdown")
@@ -57,6 +71,10 @@ ERROR_QUARANTINED = "quarantined"  # plan signature quarantined (poison)
 
 class ProtocolError(ValueError):
     """A message violated the wire protocol (bad JSON, schema or types)."""
+
+
+class FramingError(ProtocolError):
+    """Unusable ``frames`` field: the bytes after the head cannot be delimited."""
 
 
 class ServeError(RuntimeError):
@@ -78,25 +96,38 @@ class ServeError(RuntimeError):
 # Array / tensor codecs
 # --------------------------------------------------------------------------- #
 def encode_array(arr: np.ndarray) -> Dict[str, Any]:
-    """Encode one ndarray as ``{"dtype", "shape", "data"}`` (exact bytes)."""
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+    """Describe one ndarray as ``{"dtype", "shape", "data"}`` (exact bytes).
+
+    ``data`` is the C-contiguous array itself, uncopied; :func:`dumps`
+    writes its buffer as a frame and the frame's index in its place.
+    """
+    arr = np.asarray(arr, order="C")
+    if arr.dtype.kind not in WIRE_KINDS:
+        raise ProtocolError(f"dtype {arr.dtype} cannot travel on the wire")
+    return {"dtype": str(arr.dtype), "shape": list(arr.shape), "data": arr}
 
 
 def decode_array(obj: Any) -> np.ndarray:
-    """Rebuild an ndarray from :func:`encode_array` output (writable copy)."""
+    """View one array's bytes as an ndarray: validated, not copied.
+
+    ``data`` is the frame :func:`attach` put there (or :func:`encode_array`'s
+    array, or a version-1 base64 string); the result is writable if it is.
+    """
     if not isinstance(obj, dict) or not {"dtype", "shape", "data"} <= set(obj):
         raise ProtocolError("array must be an object with dtype/shape/data")
     try:
-        dtype = np.dtype(obj["dtype"])
-        shape = tuple(int(d) for d in obj["shape"])
-        raw = base64.b64decode(obj["data"])
-        flat = np.frombuffer(raw, dtype=dtype)
-        return flat.reshape(shape).copy()
+        dtype, shape, data = np.dtype(str(obj["dtype"])), obj["shape"], obj["data"]
+        if dtype.kind not in WIRE_KINDS:
+            raise ProtocolError(f"dtype {dtype} is not bool, int, float or complex")
+        raw = memoryview(base64.b64decode(data) if isinstance(data, str) else data)
+        if (
+            not all(type(d) is int and d >= 0 for d in shape)
+            or raw.nbytes != math.prod(shape) * dtype.itemsize
+        ):
+            raise ProtocolError(
+                f"{raw.nbytes} bytes of data do not fill shape {shape} of {dtype}"
+            )
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
     except ProtocolError:
         raise
     except Exception as exc:
@@ -205,19 +236,83 @@ def decode_request(obj: Any) -> ContractionRequest:
 # Message framing and reply builders
 # --------------------------------------------------------------------------- #
 def dumps(message: Dict[str, Any]) -> bytes:
-    """Serialize one message to a ``\\n``-terminated UTF-8 NDJSON line."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    """Serialize one message: its ``\\n``-terminated head line, then its frames.
+
+    Each ndarray in *message* (:func:`encode_array`'s ``data``) becomes one
+    frame, and the head then starts with ``"frames"``, their byte lengths; a
+    message without arrays is one plain NDJSON line.  ``len`` of the result
+    is the bytes put on the wire.
+    """
+    frames: List[np.ndarray] = []
+
+    def frame(value: Any) -> int:
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        frames.append(value)
+        return len(frames) - 1
+
+    body = json.dumps(message, separators=(",", ":"), default=frame)
+    if not frames:
+        return body.encode("utf-8") + b"\n"
+    sizes = ",".join(str(f.nbytes) for f in frames)
+    return b"".join([f'{{"frames":[{sizes}],{body[1:]}\n'.encode("utf-8"), *frames])
 
 
-def loads(line: Union[bytes, str]) -> Dict[str, Any]:
-    """Parse one NDJSON line into a message object; raises ProtocolError."""
+def loads(data: Union[bytes, bytearray, str]) -> Dict[str, Any]:
+    """Parse one head line into a message object; raises ProtocolError.
+
+    ``message.get("frames")`` is then a checked list of byte lengths — never
+    read or allocate before this returns.  A receiver reads that many bytes
+    per frame and calls :func:`attach`; when *data* itself continues past
+    the ``\\n`` (``loads(dumps(m))``) the rest is attached here.
+    """
+    rest = memoryview(b"")
+    if not isinstance(data, str):
+        end = data.find(b"\n") + 1 or len(data)
+        data, rest = data[:end], memoryview(data)[end:]
     try:
-        message = json.loads(line)
+        message = json.loads(data)
     except Exception as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
+    sizes = message.get("frames", [])
+    if (
+        not isinstance(sizes, list)
+        or not all(type(n) is int and n >= 0 for n in sizes)
+        or sum(sizes) > MAX_MESSAGE_BYTES
+        or (len(rest) and sum(sizes) != len(rest))
+    ):
+        raise FramingError(
+            f"frames must be the byte lengths that follow, {MAX_MESSAGE_BYTES} at most"
+        )
+    if sizes and sum(sizes) == len(rest):
+        attach(message, [rest[e - n : e] for n, e in zip(sizes, accumulate(sizes))])
     return message
+
+
+def attach(message: Dict[str, Any], frames: List[Any]) -> None:
+    """Put each frame's buffer where an array's ``data`` names its index.
+
+    In place.  A frame serves at most one array, so no two decoded arrays
+    share memory and none keeps more than its own bytes alive.
+    """
+    frames = list(frames)
+    del message["frames"]
+
+    def walk(node: Any) -> None:
+        if isinstance(node, dict):
+            index = node.get("data")
+            if type(index) is int and "dtype" in node:
+                if not 0 <= index < len(frames) or frames[index] is None:
+                    raise ProtocolError(f"frame {index} is not announced or reused")
+                node["data"], frames[index] = frames[index], None
+            node = list(node.values())
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+
+    walk(message)
 
 
 def result_reply(msg_id: Any, output: Union[np.ndarray, COOTensor]) -> Dict[str, Any]:
@@ -280,6 +375,7 @@ def decode_result(message: Dict[str, Any]) -> Union[np.ndarray, COOTensor]:
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_MESSAGE_BYTES",
     "OPS",
     "ERROR_PROTOCOL",
     "ERROR_ADMISSION",
@@ -288,6 +384,7 @@ __all__ = [
     "ERROR_TIMEOUT",
     "ERROR_QUARANTINED",
     "ProtocolError",
+    "FramingError",
     "ServeError",
     "encode_array",
     "decode_array",
@@ -297,6 +394,7 @@ __all__ = [
     "decode_request",
     "dumps",
     "loads",
+    "attach",
     "result_reply",
     "error_reply",
     "stats_reply",

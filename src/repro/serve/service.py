@@ -95,8 +95,12 @@ _SCHEDULE_KNOBS = dict(
 
 #: Per-request latency stages reported in :attr:`ServeFuture.timings` and
 #: aggregated into the ``serve.stage.*`` histograms; the daemon adds
-#: ``wire_encode`` when it serializes the reply.
-STAGES = ("queue_wait", "schedule", "build", "execute", "reduce", "wire_encode")
+#: ``wire_decode`` when it parses the request and ``wire_encode`` when it
+#: serializes the reply.
+STAGES = (
+    "wire_decode", "queue_wait", "schedule", "build", "execute", "reduce",
+    "wire_encode",
+)
 
 
 class AdmissionError(RuntimeError):

@@ -16,7 +16,13 @@ import repro
 from repro.core.calibrate import reset_calibration
 from repro.core.expr import parse_kernel
 from repro.engine.plan_cache import clear_caches, clear_plan_timings
-from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
+from repro.serve.request import all_mode_ttmc_request, mttkrp_request, ttmc_request
+from repro.sptensor import (
+    COOTensor,
+    load_preset,
+    random_dense_matrix,
+    random_sparse_tensor,
+)
 
 # --------------------------------------------------------------------------- #
 # Hypothesis settings profiles
@@ -85,6 +91,23 @@ def small_coo():
 def random_coo3():
     """A random order-3 sparse tensor of moderate density."""
     return random_sparse_tensor((18, 15, 12), density=0.03, seed=7)
+
+
+@pytest.fixture
+def benchmark_requests():
+    """The e2e benchmark's tensor (nell-2, 60k nnz) and its seven kernels."""
+    tensor = load_preset("nell-2", scale=1e-2, max_nnz=60_000, seed=0)
+    rng = np.random.default_rng(0)
+    wide = [rng.random((dim, 32)) for dim in tensor.shape]
+    narrow = [rng.random((dim, 8)) for dim in tensor.shape]
+
+    def without(items, mode):
+        return [f for n, f in enumerate(items) if n != mode]
+
+    modes = range(tensor.order)
+    requests = [mttkrp_request(tensor, without(wide, m), mode=m) for m in modes]
+    requests += [ttmc_request(tensor, without(narrow, m), mode=m) for m in modes]
+    return requests + [all_mode_ttmc_request(tensor, narrow)]
 
 
 @pytest.fixture

@@ -37,12 +37,8 @@ from repro.engine.plan_cache import (
     caches_snapshot,
 )
 from repro.serve import protocol
-from repro.serve.request import (
-    all_mode_ttmc_request,
-    mttkrp_request,
-    ttmc_request,
-)
-from repro.sptensor import COOTensor, load_preset, random_sparse_tensor
+from repro.serve.request import mttkrp_request
+from repro.sptensor import COOTensor, random_sparse_tensor
 from repro.sptensor.csf import default_structure_memo
 from repro.util.counters import OpCounter
 
@@ -380,24 +376,9 @@ class TestNoAddAtOnTheJitPath:
 
         return arm
 
-    def _requests(self):
-        # the e2e benchmark's tensor and its seven distinct kernels
-        tensor = load_preset("nell-2", scale=1e-2, max_nnz=60_000, seed=0)
-        rng = np.random.default_rng(0)
-        wide = [rng.random((dim, 32)) for dim in tensor.shape]
-        narrow = [rng.random((dim, 8)) for dim in tensor.shape]
-
-        def without(items, mode):
-            return [f for n, f in enumerate(items) if n != mode]
-
-        modes = range(tensor.order)
-        requests = [mttkrp_request(tensor, without(wide, m), mode=m) for m in modes]
-        requests += [ttmc_request(tensor, without(narrow, m), mode=m) for m in modes]
-        return requests + [all_mode_ttmc_request(tensor, narrow)]
-
-    def test_benchmark_kernels(self, trap_add_at):
+    def test_benchmark_kernels(self, benchmark_requests, trap_add_at):
         cases = []
-        for request in self._requests():
+        for request in benchmark_requests:
             kernel, tensors = request.build()  # CSF construction sorts here
             cases.append((kernel, tensors, cached_schedule(kernel).loop_nest))
         trap_add_at()

@@ -13,7 +13,10 @@ and each cell asserts the full executor contract:
 * operation counters — flops, bytes moved, buffer resets and per-BLAS-call
   classification — are *bit-equal* between tiers;
 * the jit and lowered tiers are asserted *taken* (no silent fallback) in
-  every cell.
+  every cell;
+* no tier writes into an operand: read-only operands — what the daemon
+  hands the service, ``np.frombuffer`` views of received bytes — give the
+  same bytes and the same counters as writable ones.
 
 This is the deterministic counterpart of the randomized equivalence
 property in ``test_property_based.py``: one cell per supported
@@ -29,13 +32,18 @@ import pytest
 from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import ENGINES, LoopNestExecutor
-from repro.engine.plan_cache import operand_signature, plan_key, schedule_key
+from repro.engine.plan_cache import (
+    cached_schedule,
+    operand_signature,
+    plan_key,
+    schedule_key,
+)
 from repro.engine.reference import assert_same_result, reference_output
 from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tttc_spec
 from repro.kernels.tttp import tttp_spec
-from repro.sptensor import COOTensor, CSFTensor, random_sparse_tensor
+from repro.sptensor import COOTensor, CSFTensor, DenseTensor, random_sparse_tensor
 from repro.util.counters import OpCounter
 
 #: The order-3 sparse tensor every matrix cell contracts.
@@ -146,6 +154,55 @@ def test_keys_do_not_depend_on_the_sparse_format(name):
         )
     assert keys[0] == keys[1]
     assert keys[0][0][1] == coo.nnz  # the statistics are recorded, not absent
+
+
+def _frozen(tensor):
+    """A copy of *tensor* over immutable bytes, as the daemon decodes one."""
+    if isinstance(tensor, COOTensor):
+        return COOTensor(
+            tensor.shape, _frozen(tensor.indices), _frozen(tensor.values), sort=False
+        )
+    data = tensor.data if isinstance(tensor, DenseTensor) else np.asarray(tensor)
+    return np.frombuffer(data.tobytes(), dtype=data.dtype).reshape(data.shape)
+
+
+def _assert_read_only_operands_change_nothing(kernel, nest, mapping):
+    frozen = {name: _frozen(tensor) for name, tensor in mapping.items()}
+    assert not any(
+        array.flags.writeable
+        for tensor in frozen.values()
+        for array in (
+            (tensor.indices, tensor.values)
+            if isinstance(tensor, COOTensor)
+            else (tensor,)
+        )
+    )
+    for engine in ENGINES:
+        results = []
+        for operands in (mapping, frozen):
+            counter = OpCounter()
+            executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
+            output = executor.execute(operands)
+            assert executor.last_engine == engine
+            values = output.values if isinstance(output, COOTensor) else output
+            results.append((np.asarray(values), counter.as_dict()))
+        (writable, counts), (read_only, frozen_counts) = results
+        np.testing.assert_array_equal(read_only, writable, err_msg=engine)
+        assert frozen_counts == counts, engine
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_read_only_operands_conformance_kernels(name):
+    kernel, mapping = _build_case(_KERNELS[name], "float64", (0, 1, 2))
+    nest = SpTTNScheduler(kernel).schedule().loop_nest
+    _assert_read_only_operands_change_nothing(kernel, nest, mapping)
+
+
+def test_read_only_operands_benchmark_kernels(benchmark_requests):
+    for request in benchmark_requests:
+        kernel, mapping = request.build()
+        nest = cached_schedule(kernel).loop_nest
+        _assert_read_only_operands_change_nothing(kernel, nest, mapping)
 
 
 def test_matrix_covers_every_tier():

@@ -10,6 +10,7 @@ All dispatch-timing-sensitive tests use the daemon's ``pause_dispatch`` /
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -103,6 +104,77 @@ class TestProtocolCodec:
             protocol.decode_request({"spec": "", "operands": []})
         with pytest.raises(protocol.ProtocolError):
             protocol.loads(b"not json at all\n")
+
+    def test_message_is_a_head_line_then_raw_frames(self):
+        arr = np.arange(12, dtype=np.float64).reshape(3, 4)
+        wire = protocol.dumps({"id": "x", "result": protocol.encode_tensor(arr)})
+        head, _, payload = bytes(wire).partition(b"\n")
+        assert json.loads(head) == {
+            "frames": [96],
+            "id": "x",
+            "result": {"dtype": "float64", "shape": [3, 4], "data": 0, "kind": "dense"},
+        }
+        assert payload == arr.tobytes()  # no base64, no copy of the copy
+        assert len(wire) == len(head) + 1 + arr.nbytes
+        back = protocol.decode_tensor(protocol.loads(wire)["result"])
+        np.testing.assert_array_equal(back, arr)
+        # control messages stay one plain NDJSON line
+        assert protocol.dumps(protocol.pong_reply("p")).count(b"\n") == 1
+        assert b"frames" not in protocol.dumps(protocol.pong_reply("p"))
+
+    def test_decoded_arrays_are_views_of_the_received_buffer(self):
+        arr = np.arange(6, dtype=np.int64)
+        wire = protocol.dumps(protocol.encode_array(arr))
+        frozen = protocol.decode_array(protocol.loads(bytes(wire)))
+        assert not frozen.flags.writeable and not frozen.flags.owndata
+        writable = protocol.decode_array(protocol.loads(bytearray(wire)))
+        assert writable.flags.writeable
+        np.testing.assert_array_equal(frozen, arr)
+        np.testing.assert_array_equal(writable, arr)
+
+    def test_version_1_base64_data_still_decodes(self):
+        arr = np.linspace(0.0, 1.0, 10).reshape(2, 5)
+        line = json.dumps(
+            {
+                "kind": "dense",
+                "dtype": "float64",
+                "shape": [2, 5],
+                "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+            }
+        )
+        np.testing.assert_array_equal(
+            protocol.decode_tensor(protocol.loads(line)), arr
+        )
+
+    @pytest.mark.parametrize("dtype", ["S8", "U2", "M8[ns]", "m8[s]", "V8", "O"])
+    def test_decode_rejects_dtypes_that_are_not_numbers(self, dtype):
+        wire = {"dtype": dtype, "shape": [1], "data": bytes(8)}
+        with pytest.raises(protocol.ProtocolError, match="not bool, int, float"):
+            protocol.decode_array(wire)
+        with pytest.raises(protocol.ProtocolError):
+            protocol.encode_array(np.zeros(1, dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "shape", [[2], [1, 0], [-1], [-1, -1], [1.0], ["1"], [True], 1, None]
+    )
+    def test_decode_rejects_a_shape_the_data_does_not_fill(self, shape):
+        for data in (bytes(8), base64.b64encode(bytes(8)).decode("ascii")):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.decode_array({"dtype": "float64", "shape": shape, "data": data})
+
+    @pytest.mark.parametrize(
+        "frames", [[-1], [1.5], ["8"], [True], "8", {"0": 8}, [2**40], [8, 2**26]]
+    )
+    def test_loads_rejects_unusable_frames_before_anything_is_read(self, frames):
+        head = json.dumps({"frames": frames, "id": "x"}).encode() + b"\n"
+        with pytest.raises(protocol.FramingError):
+            protocol.loads(head)
+
+    def test_loads_rejects_a_payload_that_is_not_the_announced_frames(self):
+        wire = bytes(protocol.dumps(protocol.encode_array(np.arange(4.0))))
+        for bad in (wire[:-1], wire + b"\0"):
+            with pytest.raises(protocol.FramingError):
+                protocol.loads(bad)
 
     def test_error_reply_raises_typed_client_error(self):
         reply = protocol.error_reply("x1", protocol.ERROR_ADMISSION, "queue full")
@@ -225,6 +297,327 @@ class TestDaemonEndToEnd:
             assert {"hits", "misses", "entries"} <= set(counters)
         assert {"evictions", "bytes"} <= set(stats["caches"]["csf"])
         assert "pools" in stats["pool"] and "default_workers" in stats["pool"]
+
+
+# --------------------------------------------------------------------------- #
+# Framing against a live daemon: what is refused, what closes, what survives
+# --------------------------------------------------------------------------- #
+def _split(wire):
+    """One framed message as ``(head object, payload bytes)``."""
+    head, _, payload = bytes(wire).partition(b"\n")
+    return json.loads(head), payload
+
+
+def _join(head, payload=b""):
+    return json.dumps(head).encode("utf-8") + b"\n" + payload
+
+
+def _read_reply(rfile):
+    """One reply parsed by hand: its head object and its raw frames."""
+    line = rfile.readline()
+    if not line:
+        return None, []
+    head = json.loads(line)
+    return head, [rfile.read(n) for n in head.get("frames", [])]
+
+
+def _dense_result(head, frames):
+    result = head["result"]
+    return np.frombuffer(frames[result["data"]], dtype=result["dtype"]).reshape(
+        result["shape"]
+    )
+
+
+class TestWireFraming:
+    @pytest.fixture
+    def request_(self):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=2)
+        rng = np.random.default_rng(4)
+        return mttkrp_request(tensor, [rng.random((5, 3)), rng.random((4, 3))], mode=0)
+
+    @pytest.fixture
+    def session(self):
+        """A raw socket to a live daemon; afterwards the daemon must still
+        answer ``ping`` on a new connection and have nothing pending."""
+        with start_daemon_thread(workers=0) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                yield sock, sock.makefile("rb"), handle
+            with ServeClient(*handle.address, timeout=30) as client:
+                assert client.ping()
+                assert client.health()["pending"] == 0
+
+    def _submit(self, request, msg_id="s1"):
+        return _split(
+            protocol.dumps(
+                {"op": "submit", "id": msg_id, "request": protocol.encode_request(request)}
+            )
+        )
+
+    def _assert_protocol_error(self, rfile, msg_id):
+        reply, _ = _read_reply(rfile)
+        assert reply["id"] == msg_id and reply["ok"] is False
+        assert reply["error"]["code"] == "protocol"
+
+    def _assert_still_in_sync(self, sock, rfile, request):
+        """The connection survived and the next message is read correctly."""
+        head, payload = self._submit(request, "after")
+        sock.sendall(_join(head, payload))
+        reply, frames = _read_reply(rfile)
+        assert reply["id"] == "after" and reply["ok"] is True
+        np.testing.assert_array_equal(
+            _dense_result(reply, frames), execute_sequential([request])[0]
+        )
+
+    @pytest.mark.parametrize("delta", [8, -8])
+    def test_frame_longer_or_shorter_than_its_descriptor(self, session, request_, delta):
+        sock, rfile, _ = session
+        head, payload = self._submit(request_)
+        head["frames"][-1] += delta
+        payload = payload + bytes(8) if delta > 0 else payload[:delta]
+        sock.sendall(_join(head, payload))
+        self._assert_protocol_error(rfile, "s1")
+        self._assert_still_in_sync(sock, rfile, request_)
+
+    @pytest.mark.parametrize("index", [4, -1, 2], ids=["past", "negative", "reused"])
+    def test_frame_index_out_of_range_or_reused(self, session, request_, index):
+        sock, rfile, _ = session
+        head, payload = self._submit(request_)
+        assert head["request"]["operands"][1]["data"] == 2
+        head["request"]["operands"][2]["data"] = index
+        sock.sendall(_join(head, payload))
+        self._assert_protocol_error(rfile, "s1")
+        self._assert_still_in_sync(sock, rfile, request_)
+
+    def test_frame_index_without_frames(self, session, request_):
+        sock, rfile, _ = session
+        head, _ = self._submit(request_)
+        del head["frames"]
+        sock.sendall(_join(head))
+        self._assert_protocol_error(rfile, "s1")
+        self._assert_still_in_sync(sock, rfile, request_)
+
+    @pytest.mark.parametrize("length", [-1, 1.5, "8", None, 2**40])
+    def test_unusable_frame_length_is_refused_and_closes(self, session, request_, length):
+        # 2**40: the announced total is over the bound — refused from the
+        # head alone, before a byte of payload is read or allocated
+        sock, rfile, handle = session
+        head, _ = self._submit(request_)
+        head["frames"][0] = length
+        sock.sendall(_join(head))
+        self._assert_protocol_error(rfile, None)  # framing lost: id is null
+        assert rfile.readline() == b""  # ... and the daemon closed the link
+        assert handle.daemon.stats.bytes_received == len(_join(head))
+
+    def test_truncated_payload_then_disconnect(self, session, request_):
+        sock, _, handle = session
+        head, payload = self._submit(request_)
+        sock.sendall(_join(head, payload[: len(payload) // 2]))
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1) == b""  # closed without a reply: nothing to parse
+        assert handle.daemon.stats.admitted == 0
+
+    def test_stall_inside_a_message_is_reaped_by_the_idle_timeout(self, request_):
+        with start_daemon_thread(workers=0, idle_timeout=0.2) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                head, payload = self._submit(request_)
+                sock.sendall(_join(head, payload[:10]))
+                assert sock.recv(1) == b""  # no reply; the link is closed
+            with ServeClient(*handle.address, timeout=30) as client:
+                assert client.health()["pending"] == 0
+
+    def test_control_ops_interleave_with_pipelined_framed_submits(self, session):
+        sock, rfile, _ = session
+        requests = _small_requests(3, seed=9)
+        lines = []
+        for n, request in enumerate(requests):
+            lines.append(_join(*self._submit(request, f"s{n}")))
+            lines.append(_join({"op": ("ping", "health", "stats")[n], "id": f"c{n}"}))
+        sock.sendall(b"".join(lines))
+        replies = {}
+        while len(replies) < 6:
+            reply, frames = _read_reply(rfile)
+            replies[reply["id"]] = (reply, frames)
+        assert replies["c0"][0]["pong"] is True
+        assert replies["c1"][0]["health"]["version"] == 2
+        assert replies["c2"][0]["stats"]["daemon"]["received"] == 6
+        for n, want in enumerate(execute_sequential(requests)):
+            reply, frames = replies[f"s{n}"]
+            assert "frames" not in replies[f"c{n}"][0]  # control stays NDJSON
+            np.testing.assert_array_equal(_dense_result(reply, frames), want)
+
+    def test_hand_written_version_1_submit_is_answered_bit_exactly(self, session):
+        sock, rfile, _ = session
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=2)
+        factors = [np.full((5, 3), 0.5), np.full((4, 3), 0.25)]
+
+        def v1(arr):
+            return {
+                "dtype": str(arr.dtype),
+                "shape": list(arr.shape),
+                "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+            }
+
+        line = json.dumps({"op": "submit", "id": "old", "request": {
+            "spec": "ijk,ja,ka->ia",
+            "operands": [
+                {"kind": "sparse", "shape": [6, 5, 4],
+                 "indices": v1(tensor.indices), "values": v1(tensor.values)},
+                {"kind": "dense", **v1(factors[0])},
+                {"kind": "dense", **v1(factors[1])},
+            ],
+        }})
+        sock.sendall(line.encode("ascii") + b"\n")
+        reply, frames = _read_reply(rfile)
+        assert reply["id"] == "old" and reply["ok"] is True
+        want = execute_sequential([mttkrp_request(tensor, factors, mode=0)])[0]
+        np.testing.assert_array_equal(_dense_result(reply, frames), want)
+
+    def test_stats_count_the_bytes_on_the_wire(self):
+        requests = _small_requests(3, seed=5)
+        sent = [
+            protocol.dumps(
+                {"op": "submit", "id": f"c{n + 1}", "request": protocol.encode_request(r)}
+            )
+            for n, r in enumerate(requests)
+        ] + [protocol.dumps({"op": "stats", "id": "c4"})]
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=30) as client:
+                outputs = client.run(requests)
+                daemon = client.stats()["daemon"]
+        assert daemon["bytes_received"] == sum(len(wire) for wire in sent)
+        results = sum(out.nbytes for out in outputs)
+        assert results < daemon["bytes_sent"] < results + 3 * 1024
+
+
+# --------------------------------------------------------------------------- #
+# A pipelined burst is one dispatch cycle, whatever the timing of its reads
+# --------------------------------------------------------------------------- #
+def _wait_for(predicate) -> None:
+    tick = threading.Event()
+    for _ in range(400):
+        if predicate():
+            return
+        tick.wait(0.025)
+    raise AssertionError("the daemon did not get there within 10 s")
+
+
+class TestBurstDispatch:
+    def _wire(self, request, msg_id):
+        return bytes(protocol.dumps(
+            {"op": "submit", "id": msg_id, "request": protocol.encode_request(request)}
+        ))
+
+    def test_backlog_waits_for_the_message_that_is_arriving(self):
+        requests = _small_requests(3, seed=13)
+        first, second = self._wire(requests[0], "s0"), self._wire(requests[1], "s1")
+        cut = len(second) - 16  # inside the last frame of s1
+        with start_daemon_thread(workers=0) as handle:
+            daemon = handle.daemon
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(first + second[:cut])
+                _wait_for(lambda: daemon.stats.admitted == 1)
+                with ServeClient(*handle.address, timeout=30) as other:
+                    # s0 is held, and holds up nobody else
+                    assert other.health()["pending"] == 1
+                    assert daemon.stats.cycles == 0
+                    _assert_outputs_equal(
+                        other.run([requests[2]])[0], execute_sequential([requests[2]])[0]
+                    )
+                    assert daemon.dispatch_trace == [[1]]
+                    assert other.health()["pending"] == 1
+                sock.sendall(second[cut:])
+                replies = dict(
+                    (reply["id"], _dense_result(reply, frames))
+                    for reply, frames in (_read_reply(rfile), _read_reply(rfile))
+                )
+            assert daemon.dispatch_trace == [[1], [0, 0]]  # s0 and s1: one cycle
+        for msg_id, want in zip(("s0", "s1"), execute_sequential(requests[:2])):
+            np.testing.assert_array_equal(replies[msg_id], want)
+
+    def test_a_sender_that_never_pauses_is_served_a_quota_at_a_time(self):
+        requests = _small_requests(3, seed=17)
+        wires = [self._wire(r, f"s{n}") for n, r in enumerate(requests)]
+        with start_daemon_thread(workers=0, client_quota=2) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(wires[0] + wires[1] + wires[2][:-16])
+                # two held requests are all a cycle takes: no waiting for s2
+                replies = [_read_reply(rfile) for _ in range(2)]
+                assert handle.daemon.dispatch_trace == [[0, 0]]
+                sock.sendall(wires[2][-16:])
+                replies.append(_read_reply(rfile))
+            assert handle.daemon.dispatch_trace == [[0, 0], [0]]
+        got = {reply["id"]: _dense_result(reply, frames) for reply, frames in replies}
+        for n, want in enumerate(execute_sequential(requests)):
+            np.testing.assert_array_equal(got[f"s{n}"], want)
+
+    def test_shutdown_does_not_wait_for_a_stalled_message(self):
+        requests = _small_requests(2, seed=14)
+        first, second = self._wire(requests[0], "s0"), self._wire(requests[1], "s1")
+        with start_daemon_thread(workers=0) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(first + second[: len(second) - 16])
+                _wait_for(lambda: handle.daemon.stats.admitted == 1)
+                handle.call(handle.daemon.begin_shutdown)
+                reply, frames = _read_reply(rfile)  # the drain releases s0
+                assert reply["id"] == "s0" and reply["ok"] is True
+                assert rfile.readline() == b""  # ... and s1 is dropped with the link
+            handle.thread.join(30)
+            assert not handle.thread.is_alive()
+        np.testing.assert_array_equal(
+            _dense_result(reply, frames), execute_sequential(requests[:1])[0]
+        )
+
+    def test_submit_many_goes_out_in_one_send(self):
+        requests = _small_requests(4, seed=15)
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=30) as client:
+                sends = []
+
+                class Recording:
+                    def __init__(self, sock):
+                        self.sock = sock
+
+                    def sendall(self, data):
+                        sends.append(bytes(data))
+                        self.sock.sendall(data)
+
+                    def __getattr__(self, name):
+                        return getattr(self.sock, name)
+
+                client._sock = Recording(client._sock)
+                outputs = [p.result() for p in client.submit_many(requests)]
+            assert handle.daemon.dispatch_trace == [[0] * len(requests)]
+        assert sends == [
+            b"".join(self._wire(r, f"c{n + 1}") for n, r in enumerate(requests))
+        ]
+        for out, want in zip(outputs, execute_sequential(requests)):
+            _assert_outputs_equal(out, want)
+
+    def test_held_requests_share_byte_identical_frames(self):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=2)
+        rng = np.random.default_rng(16)
+        requests = [
+            mttkrp_request(tensor, [rng.random((5, 3)), rng.random((4, 3))], mode=0)
+            for _ in range(3)
+        ]
+        with start_daemon_thread(workers=0) as handle:
+            daemon = handle.daemon
+            with ServeClient(*handle.address, timeout=30) as client:
+                _on_loop(handle, daemon.pause_dispatch)
+                pending = client.submit_many(requests)
+                assert client.ping()  # barrier: the three submits are queued
+                held = [item.frames for item in daemon._clients[0].backlog]
+                _on_loop(handle, daemon.resume_dispatch)
+                outputs = [p.result() for p in pending]
+        assert [len(frames) for frames in held] == [4, 4, 4]
+        for earlier, later in zip(held, held[1:]):
+            # indices and values: one object; the factors differ and stay apart
+            assert [a is b for a, b in zip(earlier, later)] == [True, True, False, False]
+        for out, want in zip(outputs, execute_sequential(requests)):
+            _assert_outputs_equal(out, want)
 
 
 # --------------------------------------------------------------------------- #

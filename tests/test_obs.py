@@ -386,6 +386,12 @@ class TestDaemonObservability:
                     assert reply.timings is not None
                     assert set(reply.timings) == set(STAGES)
                     assert all(v >= 0.0 for v in reply.timings.values())
+                histograms = client.metrics()["histograms"]
+        # both ends of the wire are stages: the daemon times what it decodes
+        # as well as what it encodes
+        for stage in ("wire_decode", "wire_encode"):
+            assert stage in STAGES
+            assert histograms[f"serve.stage.{stage}"]["count"] == 3
 
     def test_trace_dir_session_covers_all_layers(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

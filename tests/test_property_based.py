@@ -8,7 +8,9 @@ These complement the example-based tests with randomized coverage of:
 * lowered-vs-interpreted engine equivalence (results and exact op counters)
   across random kernels, loop orders and operand dtypes;
 * Algorithm 1 optimality against brute force on random kernels;
-* tree-separable cost evaluation consistency (Eq. 5 ground truth).
+* tree-separable cost evaluation consistency (Eq. 5 ground truth);
+* the wire codec: any numeric array, dense or sparse tensor, request or
+  result comes back from ``loads(dumps(·))`` with the same bytes.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from repro.core.optimizer import find_optimal_loop_order
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.reference import assert_same_result, reference_output
+from repro.serve import ContractionRequest, protocol
 from repro.sptensor import COOTensor, CSFTensor
 from repro.sptensor.csf import csf_for_mode_order
 from repro.util.counters import OpCounter
@@ -64,6 +67,42 @@ def coo_tensors(draw, min_order=2, max_order=4, max_dim=8, min_nnz=1, max_nnz=30
     )
     rows = np.asarray(rows, dtype=np.int64).reshape(nnz, order)
     return COOTensor(shape, rows, values)
+
+
+#: Every ``dtype.kind`` the wire carries (b i u f c), in both byte orders.
+WIRE_DTYPES = (
+    "bool", "int8", "<i4", ">i4", "int64", "uint8", ">u2", "<u8",
+    "float16", "<f4", ">f8", "float64", "complex64", ">c16",
+)
+
+
+@st.composite
+def wire_arrays(draw):
+    """Arbitrary bit patterns (NaN payloads, -0.0, denormals) under any wire
+    dtype; shapes include 0-d and zero-size, layouts non-contiguous views."""
+    dtype = np.dtype(draw(st.sampled_from(WIRE_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    raw = rng.integers(0, 256, size=(*shape, dtype.itemsize), dtype=np.uint8)
+    if dtype.kind == "b":
+        raw %= 2
+    arr = raw.view(dtype).reshape(shape)
+    layout = draw(st.sampled_from(["C", "transposed", "strided"]))
+    if layout == "transposed":
+        arr = np.ascontiguousarray(arr.T).T if arr.ndim else arr
+    elif layout == "strided" and arr.ndim:
+        arr = np.repeat(arr, 2, axis=0)[::2]
+    return arr
+
+
+def _assert_same_bytes(back, sent):
+    if isinstance(sent, COOTensor):
+        assert isinstance(back, COOTensor) and back.shape == sent.shape
+        _assert_same_bytes(back.indices, sent.indices)
+        _assert_same_bytes(back.values, sent.values)
+    else:
+        assert back.dtype == sent.dtype and back.shape == sent.shape
+        assert back.tobytes() == sent.tobytes()
 
 
 @st.composite
@@ -194,6 +233,53 @@ class TestSparseFormatsProperties:
 #: after the property test so a regression that silently turns every case
 #: into interpreter-vs-interpreter comparisons cannot pass unnoticed.
 _ENGINE_COVERAGE = {"jit": 0, "lowered": 0, "interpret": 0}
+
+
+class TestWireProperties:
+    @SETTINGS
+    @given(wire_arrays(), st.sampled_from([bytes, bytearray]))
+    def test_array_round_trip_is_bit_exact(self, arr, received_as):
+        wire = protocol.dumps(protocol.encode_array(arr))
+        assert len(wire) == wire.index(b"\n") + 1 + arr.nbytes
+        back = protocol.decode_array(protocol.loads(received_as(wire)))
+        _assert_same_bytes(back, arr)
+        if arr.size:  # a view of what was received, writable exactly when that is
+            assert back.flags.writeable == (received_as is bytearray)
+            assert not back.flags.owndata
+
+    @SETTINGS
+    @given(
+        coo_tensors(),
+        st.lists(wire_arrays(), max_size=3),
+        st.sampled_from([None, "jit", "interpret"]),
+        st.sampled_from([None, 0.0, 12.5]),
+        st.sampled_from([None, "names"]),
+    )
+    def test_request_round_trip_is_bit_exact(self, tensor, dense, engine, deadline, names):
+        operands = (*dense[:1], tensor, *dense[1:])
+        request = ContractionRequest(
+            spec="ijk,ja->ia",
+            operands=operands,
+            names=[f"op{n}" for n in range(len(operands))] if names else None,
+            engine=engine,
+            kind="property",
+            deadline_ms=deadline,
+        )
+        message = {"op": "submit", "id": 7, "request": protocol.encode_request(request)}
+        message = protocol.loads(protocol.dumps(message))
+        assert (message["op"], message["id"]) == ("submit", 7)
+        back = protocol.decode_request(message["request"])
+        assert (back.spec, back.kind, back.engine) == ("ijk,ja->ia", "property", engine)
+        assert (back.names, back.deadline_ms) == (request.names, deadline)
+        assert len(back.operands) == len(operands)
+        for got, sent in zip(back.operands, operands):
+            _assert_same_bytes(got, sent)
+
+    @SETTINGS
+    @given(st.one_of(coo_tensors(), wire_arrays()))
+    def test_result_round_trip_is_bit_exact(self, output):
+        wire = protocol.dumps(protocol.result_reply("c1", output))
+        _assert_same_bytes(protocol.decode_result(protocol.loads(wire)), output)
 
 
 class TestLoweringProperties:
