@@ -79,6 +79,7 @@ from repro.obs import disable_tracing, enable_tracing, write_trace
 from repro.runtime import resolve_workers
 from repro.serve.scenarios import MIXES
 from repro.sptensor import dataset_presets, random_dense_matrix, random_sparse_tensor, read_tns
+from repro.sptensor.coo import digest_stats
 from repro.sptensor.csf import default_structure_memo
 
 _BASELINES = {
@@ -548,7 +549,7 @@ def _print_cache_stats(stats_by_cache) -> None:
             f"{stats['rejections']:11d} {stats['bytes']:12,d}"
         )
         extra = [f"{k}={v}" for k, v in stats.items() if k not in columns]
-        if extra:  # the jit row: compiles, runs, rebinds, numba
+        if extra:  # jit: compiles, runs, rebinds, numba; csf: digests
             print(f"{'':>10s} {'  '.join(extra)}")
 
 
@@ -595,6 +596,7 @@ def cmd_cache(args) -> int:
         for cache in caches.values():
             cache.reset_stats()
         reset_jit_stats()
+        digest_stats(reset=True)
         print("reset cache statistics")
     print()
     _print_cache_stats(caches_snapshot())

@@ -52,7 +52,7 @@ from repro.obs.metrics import inc_counter, register_source
 from repro.obs.trace import span as _span
 from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import Schedule, SpTTNScheduler
-from repro.sptensor.coo import COOTensor
+from repro.sptensor.coo import COOTensor, digest_stats
 from repro.sptensor.csf import CSFTensor, default_structure_memo
 from repro.sptensor.dense import DenseTensor
 
@@ -455,7 +455,7 @@ def caches_snapshot() -> Dict[str, Dict[str, int]]:
     compiled callables, their buffer pools and the per-tensor prep cache;
     the ``csf`` entry is the pattern-keyed CSF structure memo of
     :func:`~repro.sptensor.csf.csf_for_mode_order`, whose ``misses`` are
-    the COO sorts this process paid).
+    the COO sorts this process paid, plus its ``digests`` / ``digest_reuses``).
 
     Examples
     --------
@@ -470,7 +470,7 @@ def caches_snapshot() -> Dict[str, Dict[str, int]]:
         "schedule": _DEFAULT_SCHEDULE_CACHE.stats(),
         "executor": _DEFAULT_EXECUTOR_CACHE.stats(),
         "jit": jit_stats(),
-        "csf": default_structure_memo().stats(),
+        "csf": {**default_structure_memo().stats(), **digest_stats()},
     }
 
 

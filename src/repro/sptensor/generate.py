@@ -11,6 +11,7 @@ tensors such as nell-2 or enron.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +78,7 @@ def random_sparse_tensor(
     shape = check_shape(shape)
     nnz = _resolve_nnz(shape, nnz, density)
     rng = np.random.default_rng(seed)
-    total = int(np.prod([int(s) for s in shape]))
+    total = math.prod(shape)
     if total <= 2 ** 62 and total > 0:
         # Sample flat positions without replacement when the dense size fits
         # in an integer range; this is exact and fast for the sizes we use.

@@ -1,9 +1,18 @@
 """Unit tests for the COO sparse tensor."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sptensor import COOTensor
+from repro.sptensor import coo as coo_module
+from repro.sptensor.coo import digest_stats
+from repro.util.digest import blake2s_digest
 
 
 class TestConstruction:
@@ -119,6 +128,193 @@ class TestDedupe:
         rows = [self.ROWS[0], self.ROWS[1], self.ROWS[1], self.ROWS[2]]
         tensor = self._check(rows, [1.0, 2.0, 3.0, 4.0], monkeypatch, expect_sort=True)
         assert tensor.nnz == 3
+
+
+class TestHugeShape:
+    """Shapes whose dense size exceeds int64 (the ``amazon`` preset's)."""
+
+    HUGE = (4821207, 1774269, 1805187)
+    SMALL = TestDedupe.SHAPE
+    #: order-preserving per-mode stretch of the small rows into the huge shape
+    STRETCH = np.array([1_000_000, 350_000, 300_000], dtype=np.int64)
+
+    def _both(self, rows, values, sort):
+        small = COOTensor(self.SMALL, rows, values, sort=sort)
+        huge = COOTensor(self.HUGE, np.asarray(rows) * self.STRETCH, values, sort=sort)
+        assert huge.indices.dtype == np.int64
+        assert huge.indices.tobytes() == (small.indices * self.STRETCH).tobytes()
+        assert huge.values.tobytes() == small.values.tobytes()
+        return huge
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_canonical_input(self, sort):
+        huge = self._both(TestDedupe.ROWS, TestDedupe.VALUES, sort)
+        assert huge.nnz == len(TestDedupe.ROWS)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_unsorted_input(self, sort):
+        order = [3, 0, 4, 1, 2]
+        rows = [TestDedupe.ROWS[i] for i in order]
+        self._both(rows, [TestDedupe.VALUES[i] for i in order], sort)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_duplicated_input(self, sort):
+        rows = TestDedupe.ROWS + [TestDedupe.ROWS[1], TestDedupe.ROWS[4], TestDedupe.ROWS[1]]
+        values = TestDedupe.VALUES + [10.0, 0.5, 20.0]
+        huge = self._both(rows, values, sort)
+        assert huge.nnz == len(TestDedupe.ROWS)
+
+    def test_adjacent_duplicate_is_not_mistaken_for_sorted(self):
+        rows = [TestDedupe.ROWS[0], TestDedupe.ROWS[1], TestDedupe.ROWS[1]]
+        assert self._both(rows, [1.0, 2.0, 3.0], sort=False).nnz == 2
+
+    def test_a_two_entry_tensor_constructs_and_hashes(self):
+        tensor = COOTensor(self.HUGE, [[0, 0, 0], [1, 2, 3]], [1.0, 2.0], sort=False)
+        assert tensor.nnz == 2 and len(tensor.pattern_digest()) == 16
+
+
+def _frame_tensor(frame, shape, offset=0, rows=None):
+    """A tensor whose indices view *frame* (a bytes-like) from byte *offset*."""
+    order = len(shape)
+    raw = memoryview(frame)[offset:]
+    n = raw.nbytes // (8 * order) if rows is None else rows
+    indices = np.frombuffer(raw, dtype=np.int64, count=n * order).reshape(n, order)
+    return COOTensor(shape, indices, np.ones(n), sort=False)
+
+
+def _fresh_digest(tensor):
+    idx = np.ascontiguousarray(tensor.indices)
+    return blake2s_digest(f"{tensor.shape}{idx.dtype.str}".encode("ascii"), idx)
+
+
+def _delta(before):
+    after = digest_stats()
+    return after["digests"] - before["digests"], after["digest_reuses"] - before["digest_reuses"]
+
+
+class TestFrameDigestMemo:
+    """One blake2s pass per live immutable frame, whatever views it."""
+
+    SHAPE = (6, 5, 4)
+    ROWS = np.array([[0, 1, 2], [1, 0, 3], [2, 4, 0], [5, 4, 3]], dtype=np.int64)
+
+    def test_views_of_one_frame_hash_once(self):
+        frame = self.ROWS.tobytes()
+        before = digest_stats()
+        tensors = [_frame_tensor(frame, self.SHAPE) for _ in range(4)]
+        digests = {t.pattern_digest() for t in tensors}
+        assert _delta(before) == (1, 3)
+        assert digests == {_fresh_digest(tensors[0])}
+
+    def test_a_frame_differing_in_one_byte_gets_its_own_digest_and_structure(self):
+        from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
+
+        frame = self.ROWS.tobytes()
+        changed = bytearray(frame)
+        changed[8 * 11] = 2  # last row (5, 4, 3) -> (5, 4, 2)
+        first, second = _frame_tensor(frame, self.SHAPE), _frame_tensor(bytes(changed), self.SHAPE)
+        before, builds = digest_stats(), default_structure_memo().stats()["misses"]
+        for tensor in (first, second):
+            view = csf_for_mode_order(tensor, (0, 1, 2))
+            np.testing.assert_array_equal(view.to_coo().indices, tensor.indices)
+        assert first.pattern_digest() != second.pattern_digest()
+        assert _delta(before) == (2, 0)
+        assert default_structure_memo().stats()["misses"] == builds + 2
+
+    def test_same_bytes_under_another_shape_get_another_digest(self):
+        frame = self.ROWS.tobytes()
+        first = _frame_tensor(frame, self.SHAPE)
+        larger = _frame_tensor(frame, (7, 5, 4))
+        before = digest_stats()
+        assert first.pattern_digest() != larger.pattern_digest()
+        assert _delta(before) == (2, 0)
+        assert larger.pattern_digest() == _fresh_digest(larger)
+
+    def test_equal_length_ranges_of_one_frame_are_hashed_apart(self):
+        frame = self.ROWS.tobytes()
+        head = _frame_tensor(frame, self.SHAPE, rows=2)
+        tail = _frame_tensor(frame, self.SHAPE, offset=48, rows=2)
+        before = digest_stats()
+        assert head.pattern_digest() != tail.pattern_digest()
+        assert _delta(before) == (2, 0)
+        assert tail.pattern_digest() == _fresh_digest(tail)
+
+    def test_mutable_and_numpy_owned_buffers_never_consult_the_memo(self):
+        entries = len(coo_module._FRAME_DIGESTS)
+        before = digest_stats()
+        mutable = bytearray(self.ROWS.tobytes())
+        for tensor in (
+            _frame_tensor(mutable, self.SHAPE),
+            _frame_tensor(mutable, self.SHAPE),
+            COOTensor(self.SHAPE, self.ROWS, np.ones(4), sort=False),
+            COOTensor(self.SHAPE, self.ROWS, np.ones(4), sort=False),
+        ):
+            assert tensor.pattern_digest() == _fresh_digest(tensor)
+        assert _delta(before) == (4, 0)
+        assert len(coo_module._FRAME_DIGESTS) == entries
+
+    def test_the_memo_pins_nothing(self):
+        frame = self.ROWS.tobytes()
+        gc.collect()
+        baseline = sys.getrefcount(frame)
+        tensors = [_frame_tensor(frame, self.SHAPE) for _ in range(3)]
+        for tensor in tensors:
+            tensor.pattern_digest()
+        assert any(key[0] == id(frame) for key in coo_module._FRAME_DIGESTS.keys())
+        del tensor, tensors
+        gc.collect()
+        assert not any(key[0] == id(frame) for key in coo_module._FRAME_DIGESTS.keys())
+        assert sys.getrefcount(frame) == baseline
+
+    def test_threads_racing_on_one_frame_lose_no_count(self):
+        frame = self.ROWS.tobytes()
+        barrier = threading.Barrier(4)
+        tensors, errors = [], []
+
+        def digest_many():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(200):
+                    tensor = _frame_tensor(frame, self.SHAPE)
+                    tensor.pattern_digest()
+                    tensors.append(tensor)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        before = digest_stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=digest_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert {t.pattern_digest() for t in tensors} == {_fresh_digest(tensors[0])}
+        digests, reuses = _delta(before)
+        assert digests + reuses == 800 and digests >= 1
+
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=12, unique=True
+        ).map(sorted),
+        offsets=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        widen=st.booleans(),
+    )
+    def test_every_memoised_digest_is_the_fresh_digest(self, rows, offsets, widen):
+        frame = np.asarray(rows, dtype=np.int64).tobytes()
+        shapes = [(7, 7, 7), (8, 7, 7)] if widen else [(7, 7, 7)]
+        starts = [min(offset, len(rows) - 1) for offset in offsets]
+        before, tensors = digest_stats(), []
+        for start in starts:
+            for shape in shapes:
+                tensors.append(_frame_tensor(frame, shape, offset=24 * start))
+                assert tensors[-1].pattern_digest() == _fresh_digest(tensors[-1])
+        distinct = len(set(starts)) * len(shapes)
+        assert _delta(before) == (distinct, len(tensors) - distinct)
 
 
 class TestPatternDigest:

@@ -11,6 +11,7 @@ All dispatch-timing-sensitive tests use the daemon's ``pause_dispatch`` /
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import os
 import re
@@ -31,9 +32,11 @@ from repro.serve import (
     mttkrp_request,
     scenario_mix,
     start_daemon_thread,
+    ttmc_request,
 )
 from repro.serve import protocol
 from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor import coo as coo_module
 
 
 def _assert_outputs_equal(result, expected) -> None:
@@ -618,6 +621,42 @@ class TestBurstDispatch:
             assert [a is b for a, b in zip(earlier, later)] == [True, True, False, False]
         for out, want in zip(outputs, execute_sequential(requests)):
             _assert_outputs_equal(out, want)
+
+
+def _bulk_batch(tensor, seed):
+    """The ``serve_bulk`` batch shape: MTTKRP on every mode and a TTMc, twice."""
+    rng = np.random.default_rng(seed)
+    wide = [rng.random((dim, 8)) for dim in tensor.shape]
+    batch = [
+        mttkrp_request(tensor, wide[:m] + wide[m + 1:], mode=m)
+        for m in range(tensor.order)
+    ]
+    batch.append(ttmc_request(tensor, [rng.random((d, 3)) for d in tensor.shape[1:]]))
+    return batch + batch
+
+
+class TestFrameDigestReuse:
+    """A burst over one sparse tensor hashes its shared index frame once."""
+
+    def test_each_burst_pays_one_digest_and_seven_reuses(self):
+        tensor = random_sparse_tensor((60, 50, 40), nnz=3000, seed=21)
+        batch = _bulk_batch(tensor, seed=22)
+        expected = execute_sequential(batch)
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=60) as client:
+                for _ in range(2):
+                    before = client.stats()["caches"]["csf"]
+                    outputs = [p.result() for p in client.submit_many(batch)]
+                    after = client.stats()["caches"]["csf"]
+                    assert after["digests"] - before["digests"] == 1
+                    assert after["digest_reuses"] - before["digest_reuses"] == 7
+                    for out, want in zip(outputs, expected):
+                        _assert_outputs_equal(out, want)
+            assert handle.daemon.dispatch_trace == [[0] * 8] * 2
+        del outputs
+        gc.collect()
+        # the memo is weak: with the requests gone it holds no frame
+        assert len(coo_module._FRAME_DIGESTS) == 0
 
 
 # --------------------------------------------------------------------------- #

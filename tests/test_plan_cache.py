@@ -404,7 +404,8 @@ class TestCSFMemo:
         row = caches_snapshot()["csf"]
         assert row["entries"] == 1 and row["bytes"] > 0
         assert set(row) == {
-            "entries", "hits", "misses", "evictions", "rejections", "bytes"
+            "entries", "hits", "misses", "evictions", "rejections", "bytes",
+            "digests", "digest_reuses",
         }
         clear_caches()
         assert caches_snapshot()["csf"]["entries"] == 0
