@@ -3,7 +3,10 @@
 Each HOOI sweep recomputes one factor matrix per mode from the leading left
 singular vectors of the mode-``n`` TTMc of the sparse tensor with all other
 factors (Equation 2 of the paper), then forms the core with the all-mode
-TTMc.  Both kernels are scheduled once and reused across sweeps.
+TTMc.  Both kernels are scheduled once and reused across sweeps.  The
+singular vectors come from a symmetric eigensolve of the unfolding's
+``prod(R)``-square Gram matrix and a QR, not from a thin SVD of the
+``I_n x prod(R)`` unfolding itself.
 """
 
 from __future__ import annotations
@@ -52,7 +55,19 @@ class TuckerDecomposition:
 
 
 def _leading_singular_vectors(matrix: np.ndarray, rank: int) -> np.ndarray:
-    u, _, _ = np.linalg.svd(matrix, full_matrices=False)
+    """The *rank* leading left singular vectors of *matrix*, from its column Gram.
+
+    ``eigh`` of the ``prod(R)``-square Gram ``Y^T Y`` gives the leading right
+    singular vectors ``V_R``; ``qr(Y V_R)`` then gives exactly orthonormal
+    columns spanning ``U[:, :R]`` up to the Gram's rounding (scaling ``Y V_R``
+    by the square roots of the Gram's eigenvalues instead loses the small
+    directions' digits).  Because the Gram squares the spectrum, the subspace
+    error is about ``eps * sigma_1**2 / (sigma_R**2 - sigma_{R+1}**2)``, far
+    above the SVD's when the gap at ``sigma_R`` is small.  Columns may differ
+    from the SVD's by sign, or by rotation inside a degenerate subspace.
+    """
+    _, v = np.linalg.eigh(matrix.T @ matrix)
+    u, _ = np.linalg.qr(matrix @ v[:, : -rank - 1 : -1])
     if u.shape[1] < rank:
         pad = np.zeros((u.shape[0], rank - u.shape[1]))
         u = np.hstack([u, pad])

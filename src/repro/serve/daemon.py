@@ -32,6 +32,7 @@ a batch executes:
   early groups stream back while later groups still execute;
 * **graceful shutdown** — ``SIGTERM``/``SIGINT`` (or a ``shutdown``
   operation) stop the listener, drain every queued and in-flight request,
+  answer the submits clients had already sent with ``shutdown`` errors,
   deliver all replies, close the connections and drain the shared worker
   pool before the daemon exits.
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import select
 import signal
 import threading
 import time
@@ -93,6 +95,9 @@ MAX_LINE_BYTES = protocol.MAX_MESSAGE_BYTES
 
 #: Default TCP port of ``repro serve --daemon``.
 DEFAULT_PORT = 7421
+
+#: Longest the drain's last step reads what clients had already sent.
+SHUTDOWN_READ_SECONDS = 1.0
 
 #: Environment variable: seconds a connection may sit idle (no inbound
 #: traffic, nothing queued or in flight) before the daemon closes it.
@@ -573,6 +578,7 @@ class ServeDaemon:
             batch = self._take_round_robin()
             if not batch:
                 if self._draining and self._pending_total() == 0:
+                    await self._read_buffered()
                     return
                 continue
             self.dispatch_trace.append([item.client.conn_id for item in batch])
@@ -622,6 +628,27 @@ class ServeDaemon:
         ):
             await self._submit_and_flush(batch)
 
+    async def _read_buffered(self) -> None:
+        """Answer what the open connections had sent before the drain ended.
+
+        A submit that raced the shutdown can still sit unread in a socket or
+        a stream buffer.  Until a pass finds no client socket holding unread
+        bytes and no message handled meanwhile, the connection handlers keep
+        reading, and ``_handle_submit`` answers each submit with ``shutdown``.
+        """
+        deadline = time.monotonic() + SHUTDOWN_READ_SECONDS
+        while time.monotonic() < deadline:
+            poller = select.poll()
+            for client in self._clients.values():
+                fd = client.writer.get_extra_info("socket").fileno()
+                if fd >= 0:  # -1 once the transport has closed it
+                    poller.register(fd, select.POLLIN)
+            received = self.stats.received
+            unread = poller.poll(0)
+            await asyncio.sleep(0.001)  # transports read, then handlers run
+            if not unread and self.stats.received == received:
+                return
+
     async def _submit_and_flush(self, batch: List[_QueuedItem]) -> None:
         assert self._loop is not None
         submitted = False
@@ -633,14 +660,11 @@ class ServeDaemon:
                 # the deadline ran out while the request sat in the
                 # daemon's backlog: shed it without touching the service
                 self.stats.expired += 1
-                self._finish_item(
+                self._refuse(
                     item,
-                    protocol.error_reply(
-                        item.msg_id,
-                        protocol.ERROR_TIMEOUT,
-                        f"deadline ({item.request.deadline_ms}ms) expired "
-                        f"while queued",
-                    ),
+                    protocol.ERROR_TIMEOUT,
+                    f"deadline ({item.request.deadline_ms}ms) expired "
+                    f"while queued",
                 )
                 continue
             try:
@@ -649,33 +673,18 @@ class ServeDaemon:
                 )
             except QuarantinedError as exc:
                 self.stats.quarantined += 1
-                self._finish_item(
-                    item,
-                    protocol.error_reply(
-                        item.msg_id, protocol.ERROR_QUARANTINED, str(exc)
-                    ),
-                )
+                self._refuse(item, protocol.ERROR_QUARANTINED, str(exc))
                 continue
             except DeadlineError as exc:
                 self.stats.expired += 1
-                self._finish_item(
-                    item,
-                    protocol.error_reply(
-                        item.msg_id, protocol.ERROR_TIMEOUT, str(exc)
-                    ),
-                )
+                self._refuse(item, protocol.ERROR_TIMEOUT, str(exc))
                 continue
             except AdmissionError as exc:
                 # unreachable through the daemon's own accounting unless the
                 # service is shared with in-process callers; keep the
                 # structured-reply contract either way
                 self.stats.rejected += 1
-                self._finish_item(
-                    item,
-                    protocol.error_reply(
-                        item.msg_id, protocol.ERROR_ADMISSION, str(exc)
-                    ),
-                )
+                self._refuse(item, protocol.ERROR_ADMISSION, str(exc))
                 continue
             submitted = True
             future.add_done_callback(self._make_streamer(item))
@@ -721,6 +730,10 @@ class ServeDaemon:
             loop.call_soon_threadsafe(self._finish_item, item, reply)
 
         return _on_done
+
+    def _refuse(self, item: _QueuedItem, code: str, text: str) -> None:
+        """Answer one dispatched item with a structured error, unexecuted."""
+        self._finish_item(item, protocol.error_reply(item.msg_id, code, text))
 
     def _finish_item(self, item: _QueuedItem, reply: Dict[str, Any]) -> None:
         """Deliver one reply on the loop thread and release its quota."""

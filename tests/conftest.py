@@ -110,6 +110,44 @@ def benchmark_requests():
     return requests + [all_mode_ttmc_request(tensor, narrow)]
 
 
+@pytest.fixture(scope="session")
+def harness_workloads():
+    """``benchmarks/e2e/workloads.py``, loaded by path (it imports nothing heavy)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def executed_scalar_ops(monkeypatch):
+    """A one-item list: the scalar operations every executor ran in the test.
+
+    Counted the way the benchmark's ``engine.execute`` span counts
+    ``engine.scalar_ops``: the executor's flop counter across each
+    ``LoopNestExecutor.execute`` call.  The totals are tier-independent.
+    """
+    from repro.engine.executor import LoopNestExecutor
+
+    total = [0]
+    execute = LoopNestExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        before = self.counter.flops
+        try:
+            return execute(self, *args, **kwargs)
+        finally:
+            total[0] += self.counter.flops - before
+
+    monkeypatch.setattr(LoopNestExecutor, "execute", counted)
+    return total
+
+
 @pytest.fixture
 def random_coo4():
     """A random order-4 sparse tensor."""

@@ -11,8 +11,13 @@ The stored values were produced by the seed revision of this test (NumPy
 substrate, float64 accumulation).  Tolerances are tight enough to catch
 algorithmic drift but leave room for BLAS/LAPACK library variation across
 platforms: the trajectories are fit values and norms — invariant under the
-sign/rotation ambiguity of the underlying SVD factors — so 1e-6 relative
-slack is platform noise, not drift.
+sign/rotation ambiguity of the factors' leading singular vectors (HOOI takes
+them from an eigensolve of the unfolding's smaller Gram matrix, not from an
+SVD) — so 1e-6 relative slack is platform noise, not drift.
+
+The op-count goldens pin what one benchmark operation of each application
+executes in the engine, on the benchmark harness's own inputs, so a change
+to the dense linear algebra around the contractions cannot move engine work.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import pytest
 from repro.apps.cp_als import cp_als
 from repro.apps.tucker_hooi import tucker_hooi
 from repro.sptensor import random_sparse_tensor
+
+_APPS = {"cp_als": cp_als, "hooi": tucker_hooi}
 
 _RTOL = 1e-6
 _ATOL = 1e-9
@@ -93,3 +100,36 @@ def test_golden_trajectories_stable_across_engines(
     monkeypatch.setenv("REPRO_ENGINE", engine)
     result = cp_als(golden_tensor, rank=4, iterations=5, seed=7, tolerance=0.0)
     np.testing.assert_allclose(result.fits, _CP_FITS, rtol=_RTOL, atol=_ATOL)
+
+
+@pytest.fixture(scope="module")
+def benchmark_tensor(harness_workloads, tmp_path_factory):
+    """The ``cp_als`` / ``hooi`` benchmark tensor (one 60k-nnz nell-2 pattern)."""
+    directory = tmp_path_factory.mktemp("e2e")
+    harness_workloads.generate("hooi", 0, directory)
+    return harness_workloads.load("hooi", 0, directory)[1]
+
+
+@pytest.mark.parametrize(
+    "name, golden", [("cp_als", 130_083_840), ("hooi", 57_006_080)]
+)
+def test_one_benchmark_operation_executes_its_golden_scalar_op_count(
+    name, golden, benchmark_tensor, harness_workloads, executed_scalar_ops
+):
+    """One ``cp_als`` / ``hooi`` operation of ``benchmarks/e2e`` (rank 32 x 10
+    sweeps / ranks 8,8,8 x 5 sweeps, no early stop) executes exactly its
+    ``engine.scalar_ops``.  Tier-1 cost: ≈ 0.1 s per case (one decomposition),
+    after ≈ 2 s generating the shared tensor once."""
+    if name == "cp_als":
+        arguments = dict(
+            rank=harness_workloads.CP_RANK,
+            iterations=harness_workloads.CP_ITERATIONS,
+        )
+    else:
+        arguments = dict(
+            ranks=harness_workloads.HOOI_RANKS,
+            iterations=harness_workloads.HOOI_ITERATIONS,
+        )
+    assert benchmark_tensor.nnz == 60_000
+    _APPS[name](benchmark_tensor, tolerance=0.0, seed=0, **arguments)
+    assert executed_scalar_ops[0] == golden

@@ -280,42 +280,14 @@ class TestReferencePaths:
             _assert_outputs_equal(a, b)
 
 
-def _harness_workloads():
-    """``benchmarks/e2e/workloads.py``, loaded by path (it imports nothing heavy)."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestServeBulkOpCount:
     def test_the_serve_bulk_batch_executes_its_golden_scalar_op_count(
-        self, tmp_path, monkeypatch
+        self, tmp_path, harness_workloads, executed_scalar_ops
     ):
         # the harness's own inputs (nell-2 at scale 1e-2, 40 000 nnz, its
-        # STRUCTURE_SEED pattern), counted the way its engine.execute span
-        # counts: the executor's flop counter across each execute call
-        from repro.engine.executor import LoopNestExecutor
-
-        workloads = _harness_workloads()
-        workloads.generate("serve_bulk", 0, tmp_path)
-        batch, tensor = workloads.load("serve_bulk", 0, tmp_path)
+        # STRUCTURE_SEED pattern)
+        harness_workloads.generate("serve_bulk", 0, tmp_path)
+        batch, tensor = harness_workloads.load("serve_bulk", 0, tmp_path)
         assert (len(batch), tensor.nnz) == (8, 40_000)
-        total = [0]
-        execute = LoopNestExecutor.execute
-
-        def counted(self, *args, **kwargs):
-            before = self.counter.flops
-            try:
-                return execute(self, *args, **kwargs)
-            finally:
-                total[0] += self.counter.flops - before
-
-        monkeypatch.setattr(LoopNestExecutor, "execute", counted)
         execute_sequential(batch)  # any tier: op counts are tier-independent
-        assert total[0] == 20_784_640
+        assert executed_scalar_ops[0] == 20_784_640
