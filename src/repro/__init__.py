@@ -18,111 +18,37 @@ Quick start
 (50, 8)
 """
 
-from repro.core import (
-    SpTTNKernel,
-    parse_kernel,
-    ContractionPath,
-    enumerate_contraction_paths,
-    rank_contraction_paths,
-    LoopNest,
-    LoopOrder,
-    MaxBufferDimCost,
-    MaxBufferSizeCost,
-    CacheMissCost,
-    ExecutionCost,
-    evaluate_cost,
-    find_optimal_loop_order,
-    SpTTNScheduler,
-    Schedule,
-    Autotuner,
-    ExecutionRunner,
-    SweepResult,
-    sweep_loop_nests,
-    sweep_loop_orders,
-)
-from repro.engine import (
-    LoopNestExecutor,
-    PlanCache,
-    cached_executor,
-    cached_schedule,
-    default_plan_cache,
-    execute_kernel,
-)
-from repro.runtime import (
-    WorkerPool,
-    parallel_map,
-    resolve_workers,
-    shutdown_pool,
-)
-from repro.serve import (
-    ContractionRequest,
-    ContractionService,
-    scenario_mix,
-)
-from repro.sptensor import (
-    COOTensor,
-    CSFTensor,
-    DenseTensor,
-    random_sparse_tensor,
-    random_dense_matrix,
-    power_law_sparse_tensor,
-    read_tns,
-    write_tns,
-    load_preset,
-    dataset_presets,
-)
-from repro.util import OpCounter
+from repro.util.lazy import lazy_exports
 
-#: Convenience alias: parse, schedule and execute a kernel in one call.
-contract = execute_kernel
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": (
+        "SpTTNKernel", "parse_kernel", "ContractionPath", "enumerate_contraction_paths",
+        "rank_contraction_paths", "LoopNest", "LoopOrder", "MaxBufferDimCost",
+        "MaxBufferSizeCost", "CacheMissCost", "ExecutionCost", "evaluate_cost",
+        "find_optimal_loop_order", "SpTTNScheduler", "Schedule", "Autotuner",
+        "ExecutionRunner", "SweepResult", "sweep_loop_nests", "sweep_loop_orders",
+    ),
+    ".engine": (
+        "LoopNestExecutor", "PlanCache", "cached_executor", "cached_schedule",
+        "default_plan_cache", "execute_kernel",
+    ),
+    ".runtime": ("WorkerPool", "parallel_map", "resolve_workers", "shutdown_pool"),
+    ".serve": ("ContractionRequest", "ContractionService", "scenario_mix"),
+    ".sptensor": (
+        "COOTensor", "CSFTensor", "DenseTensor", "random_sparse_tensor",
+        "random_dense_matrix", "power_law_sparse_tensor", "read_tns", "write_tns",
+        "load_preset", "dataset_presets",
+    ),
+    ".util": ("OpCounter",),
+})
+__all__ += ["contract", "__version__"]
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SpTTNKernel",
-    "parse_kernel",
-    "ContractionPath",
-    "enumerate_contraction_paths",
-    "rank_contraction_paths",
-    "LoopNest",
-    "LoopOrder",
-    "MaxBufferDimCost",
-    "MaxBufferSizeCost",
-    "CacheMissCost",
-    "ExecutionCost",
-    "evaluate_cost",
-    "find_optimal_loop_order",
-    "SpTTNScheduler",
-    "Schedule",
-    "Autotuner",
-    "ExecutionRunner",
-    "SweepResult",
-    "sweep_loop_nests",
-    "sweep_loop_orders",
-    "LoopNestExecutor",
-    "PlanCache",
-    "cached_executor",
-    "cached_schedule",
-    "default_plan_cache",
-    "execute_kernel",
-    "WorkerPool",
-    "parallel_map",
-    "resolve_workers",
-    "shutdown_pool",
-    "ContractionRequest",
-    "ContractionService",
-    "scenario_mix",
-    "contract",
-    "COOTensor",
-    "CSFTensor",
-    "DenseTensor",
-    "random_sparse_tensor",
-    "random_dense_matrix",
-    "power_law_sparse_tensor",
-    "read_tns",
-    "write_tns",
-    "load_preset",
-    "dataset_presets",
-    "OpCounter",
-    "__version__",
-]
+
+def contract(*args, **kwargs):
+    """Convenience alias of :func:`repro.engine.execute_kernel`: parse, schedule
+    and execute a kernel in one call."""
+    from repro.engine.executor import execute_kernel
+
+    return execute_kernel(*args, **kwargs)

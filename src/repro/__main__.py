@@ -56,42 +56,22 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.autotune import Autotuner
-from repro.core.cost_model import ExecutionCost
-from repro.core.expr import parse_kernel
-from repro.core.scheduler import SpTTNScheduler
-from repro.core.search import ExecutionRunner, sweep_loop_orders
 from repro.engine.executor import ENGINES
-from repro.engine.plan_cache import (
-    clear_caches,
-    default_executor_cache,
-    default_plan_cache,
-    default_schedule_cache,
-)
-from repro.frameworks import (
-    CTFLikeBaseline,
-    SparseLNRLikeBaseline,
-    SplattLikeBaseline,
-    SpTTNCyclopsBaseline,
-    TacoLikeBaseline,
-)
-from repro.obs import disable_tracing, enable_tracing, write_trace
-from repro.runtime import resolve_workers
 from repro.serve.scenarios import MIXES
-from repro.sptensor import dataset_presets, random_dense_matrix, random_sparse_tensor, read_tns
-from repro.sptensor.coo import digest_stats
-from repro.sptensor.csf import default_structure_memo
 
+#: ``--compare`` names of the :mod:`repro.frameworks` baselines.
 _BASELINES = {
-    "spttn": SpTTNCyclopsBaseline,
-    "taco": TacoLikeBaseline,
-    "sparselnr": SparseLNRLikeBaseline,
-    "ctf": CTFLikeBaseline,
-    "splatt": SplattLikeBaseline,
+    "spttn": "SpTTNCyclopsBaseline",
+    "taco": "TacoLikeBaseline",
+    "sparselnr": "SparseLNRLikeBaseline",
+    "ctf": "CTFLikeBaseline",
+    "splatt": "SplattLikeBaseline",
 }
 
 
 def _load_sparse(args):
+    from repro.sptensor import random_sparse_tensor, read_tns
+
     if args.tns:
         tensor = read_tns(args.tns)
         print(f"loaded {args.tns}: shape={tensor.shape}, nnz={tensor.nnz}")
@@ -107,6 +87,8 @@ def _load_sparse(args):
 
 def _build_operands(spec: str, tensor, rank: int, seed: int):
     """Concrete operands for *spec*: the sparse tensor plus random dense factors."""
+    from repro.sptensor import random_dense_matrix
+
     lhs = spec.split("->")[0].split(",")
     sparse_sub = lhs[0]
     dims = {name: dim for name, dim in zip(sparse_sub, tensor.shape)}
@@ -128,6 +110,8 @@ def _build_operands(spec: str, tensor, rank: int, seed: int):
 
 
 def cmd_schedule(args) -> int:
+    from repro.core import SpTTNScheduler, parse_kernel
+
     tensor = _load_sparse(args)
     operands = _build_operands(args.spec, tensor, args.rank, args.seed)
     kernel = parse_kernel(args.spec, operands)
@@ -145,6 +129,10 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro import frameworks
+    from repro.core import parse_kernel
+    from repro.obs import disable_tracing, enable_tracing, write_trace
+
     tensor = _load_sparse(args)
     operands = _build_operands(args.spec, tensor, args.rank, args.seed)
     kernel = parse_kernel(args.spec, operands)
@@ -156,13 +144,13 @@ def cmd_run(args) -> int:
     print(f"\n{'system':>12s} {'time [ms]':>12s} {'flops':>14s}")
     for name in systems:
         if name == "spttn":
-            baseline = SpTTNCyclopsBaseline(engine=args.engine)
+            baseline = frameworks.SpTTNCyclopsBaseline(engine=args.engine)
         else:
-            baseline = _BASELINES[name]()
+            baseline = getattr(frameworks, _BASELINES[name])()
         if not baseline.supports(kernel):
             print(f"{name:>12s} {'unsupported':>12s}")
             continue
-        if isinstance(baseline, SpTTNCyclopsBaseline):
+        if name == "spttn":
             baseline.schedule_for(kernel)
         best = None
         flops = 0
@@ -179,6 +167,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from repro.core import (
+        Autotuner,
+        ExecutionCost,
+        ExecutionRunner,
+        SpTTNScheduler,
+        parse_kernel,
+        sweep_loop_orders,
+    )
+    from repro.runtime import resolve_workers
+
     tensor = _load_sparse(args)
     operands = _build_operands(args.spec, tensor, args.rank, args.seed)
     kernel = parse_kernel(args.spec, operands)
@@ -247,7 +245,7 @@ def cmd_tune(args) -> int:
 
 def _tune_calibrate(args, kernel, tuner, result) -> None:
     """Fit measured cost coefficients and report the re-ranked sweep."""
-    from repro.core.search import CostModelEvaluator
+    from repro.core import CostModelEvaluator, ExecutionCost
     from repro.engine.plan_store import default_plan_store
 
     coefficients = tuner.fit_calibration(result, apply=True)
@@ -299,7 +297,9 @@ def cmd_dist(args) -> int:
     CPU); ``--mode simulate`` sweeps the alpha-beta simulator instead, and
     ``--mode both`` prints the measured and predicted curves side by side.
     """
+    from repro.core import parse_kernel
     from repro.distributed import DistributedSpTTN, measured_scaling, strong_scaling
+    from repro.runtime import resolve_workers
 
     tensor = _load_sparse(args)
     operands = _build_operands(args.spec, tensor, args.rank, args.seed)
@@ -372,6 +372,7 @@ def _cmd_serve_daemon(args) -> int:
     """Run the network-facing serving daemon until SIGTERM/SIGINT."""
     import asyncio
 
+    from repro.runtime import resolve_workers
     from repro.serve.daemon import ServeDaemon
 
     daemon = ServeDaemon(
@@ -481,6 +482,8 @@ def cmd_serve(args) -> int:
         return _cmd_serve_daemon(args)
     if args.connect:
         return _cmd_serve_connect(args)
+    from repro.obs import disable_tracing, enable_tracing, write_trace
+    from repro.runtime import resolve_workers
     from repro.serve import (
         ContractionService,
         ServiceStats,
@@ -574,10 +577,16 @@ def cmd_cache(args) -> int:
     from repro.engine.lowering.codegen import reset_jit_stats
     from repro.engine.plan_cache import (
         caches_snapshot,
+        clear_caches,
         clear_plan_timings,
+        default_executor_cache,
+        default_plan_cache,
+        default_schedule_cache,
         plan_timings_snapshot,
         plan_timings_stats,
     )
+    from repro.sptensor.coo import digest_stats
+    from repro.sptensor.csf import default_structure_memo
 
     caches = {
         "plan": default_plan_cache(),
@@ -644,6 +653,8 @@ def _print_store_stats() -> None:
 
 
 def cmd_datasets(args) -> int:
+    from repro.sptensor import dataset_presets
+
     print(f"{'name':>12s} {'order':>6s} {'shape':>30s} {'nnz':>14s}")
     for name, spec in sorted(dataset_presets().items()):
         print(

@@ -26,96 +26,31 @@ This subpackage contains the paper's primary contribution:
   across ``multiprocessing`` workers).
 """
 
-from repro.core.expr import IndexInfo, KernelOperand, SpTTNKernel, parse_kernel
-from repro.core.contraction_path import (
-    ContractionTerm,
-    ContractionPath,
-    enumerate_contraction_paths,
-    count_contraction_paths,
-    path_flop_estimate,
-    rank_contraction_paths,
-)
-from repro.core.loop_nest import (
-    LoopOrder,
-    LoopNest,
-    LoopVertex,
-    FusedForest,
-    build_fused_forest,
-    intermediate_buffers,
-    validate_loop_order,
-)
-from repro.core.cost_model import (
-    TreeSeparableCost,
-    MaxBufferDimCost,
-    MaxBufferSizeCost,
-    CacheMissCost,
-    ExecutionCost,
-    BoundedBufferCost,
-    LexicographicCost,
-    evaluate_cost,
-)
-from repro.core.optimizer import OptimalLoopOrderSearch, find_optimal_loop_order
-from repro.core.enumeration import (
-    enumerate_loop_orders_for_term,
-    enumerate_loop_orders,
-    enumerate_loop_nests,
-    count_loop_orders,
-)
-from repro.core.scheduler import Schedule, SpTTNScheduler
-from repro.core.autotune import Autotuner, AutotuneResult
-from repro.core.search import (
-    CostModelEvaluator,
-    ExecutionRunner,
-    SweepEntry,
-    SweepResult,
-    best_loop_nest,
-    measure_loop_nests,
-    sweep_loop_nests,
-    sweep_loop_orders,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "IndexInfo",
-    "KernelOperand",
-    "SpTTNKernel",
-    "parse_kernel",
-    "ContractionTerm",
-    "ContractionPath",
-    "enumerate_contraction_paths",
-    "count_contraction_paths",
-    "path_flop_estimate",
-    "rank_contraction_paths",
-    "LoopOrder",
-    "LoopNest",
-    "LoopVertex",
-    "FusedForest",
-    "build_fused_forest",
-    "intermediate_buffers",
-    "validate_loop_order",
-    "TreeSeparableCost",
-    "MaxBufferDimCost",
-    "MaxBufferSizeCost",
-    "CacheMissCost",
-    "ExecutionCost",
-    "BoundedBufferCost",
-    "LexicographicCost",
-    "evaluate_cost",
-    "OptimalLoopOrderSearch",
-    "find_optimal_loop_order",
-    "enumerate_loop_orders_for_term",
-    "enumerate_loop_orders",
-    "enumerate_loop_nests",
-    "count_loop_orders",
-    "Schedule",
-    "SpTTNScheduler",
-    "Autotuner",
-    "AutotuneResult",
-    "CostModelEvaluator",
-    "ExecutionRunner",
-    "SweepEntry",
-    "SweepResult",
-    "best_loop_nest",
-    "measure_loop_nests",
-    "sweep_loop_nests",
-    "sweep_loop_orders",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".expr": ("IndexInfo", "KernelOperand", "SpTTNKernel", "parse_kernel"),
+    ".contraction_path": (
+        "ContractionTerm", "ContractionPath", "enumerate_contraction_paths",
+        "count_contraction_paths", "path_flop_estimate", "rank_contraction_paths",
+    ),
+    ".loop_nest": (
+        "LoopOrder", "LoopNest", "LoopVertex", "FusedForest", "build_fused_forest",
+        "intermediate_buffers", "validate_loop_order",
+    ),
+    ".cost_model": (
+        "TreeSeparableCost", "MaxBufferDimCost", "MaxBufferSizeCost", "CacheMissCost",
+        "ExecutionCost", "BoundedBufferCost", "LexicographicCost", "evaluate_cost",
+    ),
+    ".optimizer": ("OptimalLoopOrderSearch", "find_optimal_loop_order"),
+    ".enumeration": (
+        "enumerate_loop_orders_for_term", "enumerate_loop_orders", "enumerate_loop_nests",
+        "count_loop_orders",
+    ),
+    ".scheduler": ("Schedule", "SpTTNScheduler"),
+    ".autotune": ("Autotuner", "AutotuneResult"),
+    ".search": (
+        "CostModelEvaluator", "ExecutionRunner", "SweepEntry", "SweepResult",
+        "best_loop_nest", "measure_loop_nests", "sweep_loop_nests", "sweep_loop_orders",
+    ),
+})

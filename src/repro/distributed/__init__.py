@@ -26,31 +26,12 @@ No MPI implementation is available in this environment, so this subpackage
   simulated and measured.
 """
 
-from repro.distributed.grid import ProcessorGrid, factor_processors
-from repro.distributed.distribution import (
-    CyclicDistribution,
-    DenseReplication,
-    partition_sparse_tensor,
-)
-from repro.distributed.comm_model import AlphaBetaModel, CommunicationEstimate
-from repro.distributed.runtime import DistributedSpTTN, SimulatedRun
-from repro.distributed.scaling import (
-    StrongScalingResult,
-    measured_scaling,
-    strong_scaling,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ProcessorGrid",
-    "factor_processors",
-    "CyclicDistribution",
-    "DenseReplication",
-    "partition_sparse_tensor",
-    "AlphaBetaModel",
-    "CommunicationEstimate",
-    "DistributedSpTTN",
-    "SimulatedRun",
-    "StrongScalingResult",
-    "measured_scaling",
-    "strong_scaling",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".grid": ("ProcessorGrid", "factor_processors"),
+    ".distribution": ("CyclicDistribution", "DenseReplication", "partition_sparse_tensor"),
+    ".comm_model": ("AlphaBetaModel", "CommunicationEstimate"),
+    ".runtime": ("DistributedSpTTN", "SimulatedRun"),
+    ".scaling": ("StrongScalingResult", "measured_scaling", "strong_scaling"),
+})

@@ -20,44 +20,16 @@
   validate every executor and baseline.
 """
 
-from repro.engine.blas import classify_call, vectorized_contract
-from repro.engine.buffers import BufferSet
-from repro.engine.executor import ENGINES, LoopNestExecutor, default_engine, execute_kernel
-from repro.engine.lowering import NotLowerable, Program, lower_plan, run_program
-from repro.engine.plan_cache import (
-    CompiledPlan,
-    PlanCache,
-    cached_executor,
-    cached_schedule,
-    clear_caches,
-    default_executor_cache,
-    default_plan_cache,
-    default_schedule_cache,
-    plan_key,
-)
-from repro.engine.reference import dense_reference, reference_output
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "classify_call",
-    "vectorized_contract",
-    "BufferSet",
-    "ENGINES",
-    "LoopNestExecutor",
-    "NotLowerable",
-    "Program",
-    "default_engine",
-    "execute_kernel",
-    "lower_plan",
-    "run_program",
-    "CompiledPlan",
-    "PlanCache",
-    "cached_executor",
-    "cached_schedule",
-    "clear_caches",
-    "default_executor_cache",
-    "default_plan_cache",
-    "default_schedule_cache",
-    "plan_key",
-    "dense_reference",
-    "reference_output",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".blas": ("classify_call", "vectorized_contract"),
+    ".buffers": ("BufferSet",),
+    ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
+    ".lowering": ("NotLowerable", "Program", "lower_plan", "run_program"),
+    ".plan_cache": (
+        "CompiledPlan", "PlanCache", "cached_executor", "cached_schedule", "clear_caches",
+        "default_executor_cache", "default_plan_cache", "default_schedule_cache", "plan_key",
+    ),
+    ".reference": ("dense_reference", "reference_output"),
+})

@@ -19,18 +19,11 @@ clean fallback to interpretation for anything not lowerable yet.
   Numba lane sweep (:mod:`.numba_kernels`).
 """
 
-from repro.engine.lowering.codegen import CompiledJit, compile_program, jit_stats
-from repro.engine.lowering.ir import Charge, Program
-from repro.engine.lowering.lower import NotLowerable, lower_plan
-from repro.engine.lowering.vm import run_program
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Charge",
-    "CompiledJit",
-    "NotLowerable",
-    "Program",
-    "compile_program",
-    "jit_stats",
-    "lower_plan",
-    "run_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".codegen": ("CompiledJit", "compile_program", "jit_stats"),
+    ".ir": ("Charge", "Program"),
+    ".lower": ("NotLowerable", "lower_plan"),
+    ".vm": ("run_program",),
+})

@@ -68,11 +68,6 @@ from repro.engine.lowering import pool as _bufpool
 from repro.engine.lowering.pool import pool_nbytes
 from repro.engine.plan_cache import SLOT_DENSE
 
-try:  # optional: CSR segment selectors beat np.add.reduceat by 2-10x
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - scipy is an optional accelerator
-    _scipy_sparse = None
-
 _STATS = {
     "compiles": 0,
     "failures": 0,
@@ -99,6 +94,15 @@ class _NotCompilable(Exception):
 # --------------------------------------------------------------------------- #
 # Runtime helpers (injected into the generated function's namespace)
 # --------------------------------------------------------------------------- #
+def _sparse():
+    """``scipy.sparse``, imported by the first bind; ``None`` without scipy."""
+    try:
+        from scipy import sparse
+    except ImportError:  # pragma: no cover - scipy is an optional accelerator
+        return None
+    return sparse
+
+
 def _reduce_prep(bounds):
     """Bind-time prep for one segment reduction: ``(bounds, selector)``.
 
@@ -110,10 +114,11 @@ def _reduce_prep(bounds):
     tier's other fused kernels (per-segment GEMM) already carry.
     """
     selector = None
-    if _scipy_sparse is not None:
+    sparse = _sparse()
+    if sparse is not None:
         n = int(bounds[-1])
         try:
-            selector = _scipy_sparse.csr_matrix(
+            selector = sparse.csr_matrix(
                 (np.ones(n), np.arange(n), np.asarray(bounds)),
                 shape=(len(bounds) - 1, n),
             )
@@ -212,7 +217,8 @@ class _Spmm:
     def __init__(self, rows, head, cols, n_cols=None, values=None) -> None:
         self.head = head
         self.order = self.matrix = None
-        if _scipy_sparse is None:
+        sparse = _sparse()
+        if sparse is None:
             return
         if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
             self.order = np.argsort(rows, kind="stable")
@@ -221,7 +227,7 @@ class _Spmm:
         if n_cols is None:
             n_cols = int(cols.max()) + 1 if cols.size else 0
         indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        self.matrix = _scipy_sparse.csr_matrix(
+        self.matrix = sparse.csr_matrix(
             (np.ones(rows.size), cols, indptr), shape=(n_rows, n_cols)
         )
         if values is not None:

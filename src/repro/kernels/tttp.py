@@ -12,18 +12,20 @@ dense-dense matrix multiplication) is the order-2 special case.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
 from repro.core.scheduler import Schedule
-from repro.engine.executor import TensorLike
 from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel, sparse_order_of
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.engine.executor import TensorLike
 
 
 def tttp_spec(order: int) -> str:

@@ -13,65 +13,18 @@ every other layer imports *it*, registering its stats snapshot as a lazy
 metrics source, so there are no import cycles.
 """
 
-from repro.obs.export import trace_events, write_trace
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    inc_counter,
-    metrics_snapshot,
-    observe,
-    prometheus_text,
-    register_source,
-    reset_metrics,
-    set_gauge,
-)
-from repro.obs.trace import (
-    TRACE_DIR_ENV,
-    TRACE_ENV,
-    Span,
-    Tracer,
-    add_spans,
-    capture_spans,
-    default_tracer,
-    disable_tracing,
-    drain_spans,
-    enable_tracing,
-    span,
-    trace_stats,
-    tracing_enabled,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "TRACE_DIR_ENV",
-    "TRACE_ENV",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "add_spans",
-    "capture_spans",
-    "default_registry",
-    "default_tracer",
-    "disable_tracing",
-    "drain_spans",
-    "enable_tracing",
-    "inc_counter",
-    "metrics_snapshot",
-    "observe",
-    "prometheus_text",
-    "register_source",
-    "reset_metrics",
-    "set_gauge",
-    "span",
-    "trace_events",
-    "trace_stats",
-    "tracing_enabled",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".export": ("trace_events", "write_trace"),
+    ".metrics": (
+        "DEFAULT_LATENCY_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "default_registry", "inc_counter", "metrics_snapshot", "observe", "prometheus_text",
+        "register_source", "reset_metrics", "set_gauge",
+    ),
+    ".trace": (
+        "TRACE_DIR_ENV", "TRACE_ENV", "Span", "Tracer", "add_spans", "capture_spans",
+        "default_tracer", "disable_tracing", "drain_spans", "enable_tracing", "span",
+        "trace_stats", "tracing_enabled",
+    ),
+})

@@ -18,50 +18,15 @@ and measured sweeps) and :mod:`repro.distributed.runtime` (rank-parallel
 virtual-rank execution).
 """
 
-from repro.runtime.pool import (
-    TASK_RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
-    WORKERS_ENV,
-    WorkerPool,
-    default_task_retries,
-    default_task_timeout,
-    default_workers,
-    drain_pools,
-    parallel_map,
-    pool_stats,
-    resolve_workers,
-    shared_pool,
-    shutdown_pool,
-    supervision_events,
-)
-from repro.runtime.reduce import tree_reduce
-from repro.runtime.shm import (
-    DenseBroadcast,
-    SharedArrayHandle,
-    attach,
-    detach_all,
-    publish,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "TASK_RETRIES_ENV",
-    "TASK_TIMEOUT_ENV",
-    "WORKERS_ENV",
-    "WorkerPool",
-    "default_task_retries",
-    "default_task_timeout",
-    "default_workers",
-    "drain_pools",
-    "parallel_map",
-    "pool_stats",
-    "resolve_workers",
-    "shared_pool",
-    "shutdown_pool",
-    "supervision_events",
-    "tree_reduce",
-    "DenseBroadcast",
-    "SharedArrayHandle",
-    "attach",
-    "detach_all",
-    "publish",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".pool": (
+        "TASK_RETRIES_ENV", "TASK_TIMEOUT_ENV", "WORKERS_ENV", "WorkerPool",
+        "default_task_retries", "default_task_timeout", "default_workers", "drain_pools",
+        "parallel_map", "pool_stats", "resolve_workers", "shared_pool", "shutdown_pool",
+        "supervision_events",
+    ),
+    ".reduce": ("tree_reduce",),
+    ".shm": ("DenseBroadcast", "SharedArrayHandle", "attach", "detach_all", "publish"),
+})

@@ -20,59 +20,20 @@
   client used by ``repro serve --connect``, tests and benchmarks.
 """
 
-from repro.serve.client import PendingReply, ServeClient
-from repro.serve.daemon import (
-    DaemonHandle,
-    ServeDaemon,
-    start_daemon_thread,
-)
-from repro.serve.protocol import ProtocolError, ServeError
-from repro.serve.request import (
-    ContractionRequest,
-    all_mode_ttmc_request,
-    mttkrp_request,
-    ttmc_request,
-    tttc_request,
-    tttp_request,
-)
-from repro.serve.scenarios import MIXES, scenario_mix
-from repro.serve.service import (
-    AdmissionError,
-    ContractionService,
-    DeadlineError,
-    QuarantinedError,
-    RequestFailed,
-    ServeFuture,
-    ServiceStats,
-    default_quarantine_ttl,
-    execute_naive,
-    execute_sequential,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ContractionRequest",
-    "mttkrp_request",
-    "ttmc_request",
-    "all_mode_ttmc_request",
-    "tttp_request",
-    "tttc_request",
-    "MIXES",
-    "scenario_mix",
-    "AdmissionError",
-    "ContractionService",
-    "DeadlineError",
-    "QuarantinedError",
-    "RequestFailed",
-    "ServeFuture",
-    "ServiceStats",
-    "default_quarantine_ttl",
-    "execute_naive",
-    "execute_sequential",
-    "DaemonHandle",
-    "PendingReply",
-    "ProtocolError",
-    "ServeClient",
-    "ServeDaemon",
-    "ServeError",
-    "start_daemon_thread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".request": (
+        "ContractionRequest", "mttkrp_request", "ttmc_request", "all_mode_ttmc_request",
+        "tttp_request", "tttc_request",
+    ),
+    ".scenarios": ("MIXES", "scenario_mix"),
+    ".service": (
+        "AdmissionError", "ContractionService", "DeadlineError", "QuarantinedError",
+        "RequestFailed", "ServeFuture", "ServiceStats", "default_quarantine_ttl",
+        "execute_naive", "execute_sequential",
+    ),
+    ".daemon": ("DaemonHandle", "ServeDaemon", "start_daemon_thread"),
+    ".client": ("PendingReply", "ServeClient"),
+    ".protocol": ("ProtocolError", "ServeError"),
+})

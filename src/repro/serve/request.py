@@ -17,18 +17,20 @@ dimensions *before* the request enters the queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.engine.executor import TensorLike
 from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.spttn import build_kernel, sparse_order_of
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tttc_spec
 from repro.kernels.tttp import tttp_spec
 from repro.sptensor.dense import DenseTensor
+
+if TYPE_CHECKING:
+    from repro.engine.executor import TensorLike
 
 DenseLike = Union[DenseTensor, np.ndarray]
 

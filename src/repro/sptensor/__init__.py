@@ -15,30 +15,16 @@ reproduction:
 * FROSTT ``.tns`` text I/O (:mod:`repro.sptensor.io`).
 """
 
-from repro.sptensor.coo import COOTensor
-from repro.sptensor.csf import CSFTensor, CSFNode
-from repro.sptensor.dense import DenseTensor
-from repro.sptensor.generate import (
-    random_sparse_tensor,
-    random_dense_matrix,
-    power_law_sparse_tensor,
-    block_sparse_tensor,
-)
-from repro.sptensor.io import read_tns, write_tns
-from repro.sptensor.datasets import DatasetSpec, dataset_presets, load_preset
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "COOTensor",
-    "CSFTensor",
-    "CSFNode",
-    "DenseTensor",
-    "random_sparse_tensor",
-    "random_dense_matrix",
-    "power_law_sparse_tensor",
-    "block_sparse_tensor",
-    "read_tns",
-    "write_tns",
-    "DatasetSpec",
-    "dataset_presets",
-    "load_preset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".coo": ("COOTensor",),
+    ".csf": ("CSFTensor", "CSFNode"),
+    ".dense": ("DenseTensor",),
+    ".generate": (
+        "random_sparse_tensor", "random_dense_matrix", "power_law_sparse_tensor",
+        "block_sparse_tensor",
+    ),
+    ".io": ("read_tns", "write_tns"),
+    ".datasets": ("DatasetSpec", "dataset_presets", "load_preset"),
+})

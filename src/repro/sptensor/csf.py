@@ -162,8 +162,7 @@ class CSFTensor:
                 # range begin among this level's nodes?
                 parent_of_node = prev_group[starts]
                 n_parents = fids[level - 1].shape[0]
-                counts = np.zeros(n_parents, dtype=np.int64)
-                np.add.at(counts, parent_of_node, 1)
+                counts = np.bincount(parent_of_node, minlength=n_parents)
                 ptr = np.zeros(n_parents + 1, dtype=np.int64)
                 np.cumsum(counts, out=ptr[1:])
                 fptr.append(ptr)

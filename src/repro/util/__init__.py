@@ -1,38 +1,15 @@
 """Shared utilities: validation, timers, operation counters, fault injection."""
 
-from repro.util.validation import (
-    check_axis,
-    check_dtype_real,
-    check_positive_int,
-    check_shape,
-    require,
-)
-from repro.util.timing import Timer, timed
-from repro.util.counters import OpCounter
-from repro.util.faults import (
-    FAULTS_ENV,
-    FaultInjected,
-    configure_faults,
-    fault_point,
-    faults_active,
-    faults_snapshot,
-    reset_faults,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "check_axis",
-    "check_dtype_real",
-    "check_positive_int",
-    "check_shape",
-    "require",
-    "Timer",
-    "timed",
-    "OpCounter",
-    "FAULTS_ENV",
-    "FaultInjected",
-    "configure_faults",
-    "fault_point",
-    "faults_active",
-    "faults_snapshot",
-    "reset_faults",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".validation": (
+        "check_axis", "check_dtype_real", "check_positive_int", "check_shape", "require",
+    ),
+    ".timing": ("Timer", "timed"),
+    ".counters": ("OpCounter",),
+    ".faults": (
+        "FAULTS_ENV", "FaultInjected", "configure_faults", "fault_point", "faults_active",
+        "faults_snapshot", "reset_faults",
+    ),
+})

@@ -42,7 +42,6 @@ The registry is import-cheap and hot-path-cheap: with no plan configured
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import signal
@@ -213,6 +212,8 @@ def fault_point(name: str) -> None:
         raise FaultInjected(f"injected fault at {name!r}")
     # kill: only child processes die — the parent (daemon, serial
     # fallback, test process) treats a kill plan as survivable noise.
+    import multiprocessing
+
     if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
 

@@ -124,6 +124,14 @@ def harness_workloads():
     return module
 
 
+@pytest.fixture(scope="session")
+def benchmark_tensor(harness_workloads, tmp_path_factory):
+    """The ``cp_als`` / ``hooi`` benchmark tensor (one 60k-nnz nell-2 pattern)."""
+    directory = tmp_path_factory.mktemp("e2e")
+    harness_workloads.generate("hooi", 0, directory)
+    return harness_workloads.load("hooi", 0, directory)[1]
+
+
 @pytest.fixture
 def executed_scalar_ops(monkeypatch):
     """A one-item list: the scalar operations every executor ran in the test.

@@ -102,14 +102,6 @@ def test_golden_trajectories_stable_across_engines(
     np.testing.assert_allclose(result.fits, _CP_FITS, rtol=_RTOL, atol=_ATOL)
 
 
-@pytest.fixture(scope="module")
-def benchmark_tensor(harness_workloads, tmp_path_factory):
-    """The ``cp_als`` / ``hooi`` benchmark tensor (one 60k-nnz nell-2 pattern)."""
-    directory = tmp_path_factory.mktemp("e2e")
-    harness_workloads.generate("hooi", 0, directory)
-    return harness_workloads.load("hooi", 0, directory)[1]
-
-
 @pytest.mark.parametrize(
     "name, golden", [("cp_als", 130_083_840), ("hooi", 57_006_080)]
 )

@@ -288,7 +288,6 @@ class TestScatterPeepholes:
     @pytest.mark.parametrize("spec", sorted(_PEEPHOLES))
     def test_fused_call_matches_lowered(self, spec, random_coo3, count_add_at):
         kernel, tensors, nest = _spec_case(spec, random_coo3)
-        del count_add_at[:]  # CSF construction counts children with it
         executor, out, ctr = _run(kernel, tensors, nest)
         assert executor.last_engine == "jit"
         compiled = executor._plan.jit
@@ -317,7 +316,7 @@ class TestScatterPeepholes:
         kernel, tensors, nest = _spec_case(spec, random_coo3)
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
         del count_add_at[:]
-        monkeypatch.setattr(codegen_mod, "_scipy_sparse", None)
+        monkeypatch.setattr(codegen_mod, "_sparse", lambda: None)
         executor, out, ctr = _run(kernel, tensors, nest, plan_cache=None)
         assert executor.last_engine == "jit"
         assert _fallback_buffers(executor._plan.jit)

@@ -75,6 +75,21 @@ class TestLevelStructure:
             assert ptr[-1] == csf.nnz_at_level(level + 1)
             assert np.all(np.diff(ptr) >= 1)  # every node has at least one child
 
+    @pytest.mark.parametrize("mode_order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    def test_fptr_on_the_benchmark_pattern(self, mode_order, benchmark_tensor):
+        # the cp_als / hooi workloads' 60k-nnz nell-2-like pattern, each mode
+        # at the root once: a parent's child count is the number of distinct
+        # (k + 2)-prefixes that extend its (k + 1)-prefix
+        assert benchmark_tensor.nnz == 60_000
+        csf = CSFTensor.from_coo(benchmark_tensor, mode_order)
+        columns = benchmark_tensor.indices[:, list(mode_order)]
+        for level in range(csf.order - 1):
+            children = np.unique(columns[:, : level + 2], axis=0)
+            _, counts = np.unique(children[:, : level + 1], axis=0, return_counts=True)
+            expected = np.concatenate([[0], np.cumsum(counts)])
+            assert csf.fptr[level].dtype == np.int64
+            np.testing.assert_array_equal(csf.fptr[level], expected)
+
     def test_children_are_sorted(self, random_coo3):
         csf = CSFTensor.from_coo(random_coo3)
         for level in range(csf.order - 1):

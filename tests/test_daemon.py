@@ -301,6 +301,34 @@ class TestDaemonEndToEnd:
         assert {"evictions", "bytes"} <= set(stats["caches"]["csf"])
         assert "pools" in stats["pool"] and "default_workers" in stats["pool"]
 
+    def test_a_cold_cli_daemon_lists_every_metrics_source(self):
+        # a source registers when its module loads; the stock daemon in a fresh
+        # interpreter, asked before any request, shows what its imports load
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--daemon", "--port", "0",
+             "--workers", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        try:
+            match = re.search(r"listening on ([\d.]+):(\d+)", proc.stdout.readline())
+            assert match, "daemon did not start"
+            with ServeClient(match[1], int(match[2]), timeout=60) as client:
+                sources = client.metrics()["sources"]
+                stats = client.stats()
+                client.shutdown_server()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        expected = {"caches", "plan_timings", "plan_store", "pool", "faults"}
+        assert expected <= set(sources)
+        assert expected <= set(stats)
+
 
 # --------------------------------------------------------------------------- #
 # Framing against a live daemon: what is refused, what closes, what survives

@@ -291,3 +291,17 @@ class TestServeBulkOpCount:
         assert (len(batch), tensor.nnz) == (8, 40_000)
         execute_sequential(batch)  # any tier: op counts are tier-independent
         assert executed_scalar_ops[0] == 20_784_640
+
+    def test_a_serve_small_request_executes_its_golden_median_scalar_op_count(
+        self, tmp_path, harness_workloads, executed_scalar_ops
+    ):
+        # one pass of the harness's 512-request mix; the benchmark reports the
+        # median per operation, and one operation is one request
+        stream, _ = harness_workloads.load("serve_small", 0, tmp_path)
+        assert len(stream) == 512
+        counts = []
+        for request in stream:
+            before = executed_scalar_ops[0]
+            execute_sequential([request])
+            counts.append(executed_scalar_ops[0] - before)
+        assert float(np.median(counts)) == 6_552
