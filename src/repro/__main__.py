@@ -552,7 +552,7 @@ def _print_cache_stats(stats_by_cache) -> None:
             f"{stats['rejections']:11d} {stats['bytes']:12,d}"
         )
         extra = [f"{k}={v}" for k, v in stats.items() if k not in columns]
-        if extra:  # jit: compiles, runs, rebinds, numba; csf: digests
+        if extra:  # jit: compiles, runs, rebinds; csf: digests
             print(f"{'':>10s} {'  '.join(extra)}")
 
 

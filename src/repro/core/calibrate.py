@@ -225,13 +225,13 @@ def fit_coefficients(
         return None
     matrix = np.array([features[:4] for features, _ in usable])
     target = np.array([seconds for _, seconds in usable])
+    from scipy.optimize import nnls
+
     solution: Optional[np.ndarray] = None
     try:
-        from scipy.optimize import nnls
-
         solution, _residual = nnls(matrix, target)
     except Exception:
-        # scipy unavailable or the solver failed: clipped least squares
+        # the solver failed (e.g. no convergence): clipped least squares
         lsq, *_rest = np.linalg.lstsq(matrix, target, rcond=None)
         solution = np.clip(lsq, 0.0, None)
     if solution is None or not np.all(np.isfinite(solution)):

@@ -15,8 +15,8 @@ clean fallback to interpretation for anything not lowerable yet.
 * :mod:`repro.engine.lowering.lower` — the lowering pass over plan sites;
 * :mod:`repro.engine.lowering.vm` — the IR executor;
 * :mod:`repro.engine.lowering.codegen` — the jit tier: programs compiled
-  to fused callables with pooled buffers (:mod:`.pool`) and an optional
-  Numba lane sweep (:mod:`.numba_kernels`).
+  to fused callables with pooled buffers (:mod:`.pool`) and bind-time
+  scipy CSR operators for the sums over lanes.
 """
 
 from repro.util.lazy import lazy_exports

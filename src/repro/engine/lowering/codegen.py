@@ -23,16 +23,16 @@ Three mechanisms carry the speedup:
   axis, and a ``ScatterLanes`` + ``SegmentReduce`` + ``Contract`` chain
   that immediately contracts the scattered axis with a lane-free operand
   becomes gather-multiply-reduce (the scatter buffer is never built).
-  When scipy is importable, sums over lanes run as CSR products prepared
-  at bind time (:class:`_Spmm`): an elementwise values × gathered-dense
-  contract feeding a ``SegmentReduce``, a ``ScatterLanes`` (optionally
-  composed with the ``SegmentReduce`` of the remaining lane axis) or a
+  Sums over lanes run as scipy CSR products prepared at bind time
+  (:class:`_Spmm`): an elementwise values × gathered-dense contract
+  feeding a ``SegmentReduce``, a ``ScatterLanes`` (optionally composed
+  with the ``SegmentReduce`` of the remaining lane axis) or a
   ``ScatterAdd`` collapses into a single SpMM with ``csf.values`` as the
   matrix data — the dominant MTTKRP/TTMc kernel shapes — and any other
   scatter-add whose gathered axes lead the output multiplies by a unit
-  selector, so ``np.add.at`` is only the guarded fallback.  Every rewrite
-  changes only the association order of the same scalar sums; the
-  un-fused ops stay in the generated source as the ``else`` branch.
+  selector, so ``np.add.at`` is left only for non-leading gather axes.
+  Every rewrite changes only the association order of the same scalar
+  sums, and each fused unit has one body in the generated source.
 * **Bind-time preparation.**  Everything that depends only on the CSF
   *structure* — lane ancestor id maps, composed reduction boundaries,
   scatter index vectors, CSR ``indices``/``indptr``, and the program's
@@ -46,11 +46,9 @@ Three mechanisms carry the speedup:
   :class:`~repro.engine.lowering.ir.Charge` terms the VM adds
   incrementally, so counters stay bit-equal.
 
-Segment reductions optionally route through a Numba-compiled lane sweep
-(:mod:`repro.engine.lowering.numba_kernels`) when Numba is importable;
-otherwise they stay on ``np.add.reduceat``.  Any program the generator
-cannot compile — and any unexpected failure while compiling — returns
-``None``, and the executor transparently stays on the lowered VM tier.
+Any program the generator cannot compile — and any unexpected failure
+while compiling — returns ``None``, and the executor transparently stays
+on the lowered VM tier.
 """
 
 from __future__ import annotations
@@ -58,12 +56,11 @@ from __future__ import annotations
 import operator
 import weakref
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.lowering import ir
-from repro.engine.lowering import numba_kernels as _nb
 from repro.engine.lowering import pool as _bufpool
 from repro.engine.lowering.pool import pool_nbytes
 from repro.engine.plan_cache import SLOT_DENSE
@@ -95,11 +92,9 @@ class _NotCompilable(Exception):
 # Runtime helpers (injected into the generated function's namespace)
 # --------------------------------------------------------------------------- #
 def _sparse():
-    """``scipy.sparse``, imported by the first bind; ``None`` without scipy."""
-    try:
-        from scipy import sparse
-    except ImportError:  # pragma: no cover - scipy is an optional accelerator
-        return None
+    """``scipy.sparse``, imported by the first bind, not by this module."""
+    from scipy import sparse
+
     return sparse
 
 
@@ -113,35 +108,23 @@ def _reduce_prep(bounds):
     only by accumulation order — the same ~1 ulp reassociation the jit
     tier's other fused kernels (per-segment GEMM) already carry.
     """
-    selector = None
-    sparse = _sparse()
-    if sparse is not None:
-        n = int(bounds[-1])
-        try:
-            selector = sparse.csr_matrix(
-                (np.ones(n), np.arange(n), np.asarray(bounds)),
-                shape=(len(bounds) - 1, n),
-            )
-        except Exception:  # pragma: no cover - malformed bounds: fall back
-            selector = None
+    n = int(bounds[-1])
+    selector = _sparse().csr_matrix(
+        (np.ones(n), np.arange(n), np.asarray(bounds)),
+        shape=(len(bounds) - 1, n),
+    )
     return bounds, selector
 
 
 def _reduce(B, key, value, red):
     """Segment-reduce lanes along axis 0.
 
-    Strategy order: Numba sweep (bit-equal to reduceat), CSR selector
-    matmul (~1 ulp reassociation), pooled ``np.add.reduceat``.
+    Contiguous float64 lanes take the CSR selector matmul (~1 ulp
+    reassociation); any other layout or dtype takes the pooled
+    ``np.add.reduceat``.
     """
     bounds, selector = red
-    out = _nb.segment_reduce(value, bounds)
-    if out is not None:
-        return out
-    if (
-        selector is not None
-        and value.dtype == np.float64
-        and value.flags.c_contiguous
-    ):
+    if value.dtype == np.float64 and value.flags.c_contiguous:
         flat = selector @ value.reshape(value.shape[0], -1)
         return flat.reshape((selector.shape[0],) + value.shape[1:])
     return _bufpool.reduceat_into(B, key, value, bounds[:-1])
@@ -208,18 +191,13 @@ class _Spmm:
     selector) or ``csf.values``; ``indices``/``indptr``/``order`` depend
     only on the CSF structure, so a new tensor of a bound structure only
     re-points ``data`` (:meth:`rebind`), with no scipy constructor call.
-    Without scipy ``matrix`` is ``None`` and the generated code takes its
-    gather/einsum branch.
     """
 
     __slots__ = ("matrix", "order", "head")
 
     def __init__(self, rows, head, cols, n_cols=None, values=None) -> None:
         self.head = head
-        self.order = self.matrix = None
-        sparse = _sparse()
-        if sparse is None:
-            return
+        self.order = None
         if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
             self.order = np.argsort(rows, kind="stable")
             rows, cols = rows[self.order], cols[self.order]
@@ -227,7 +205,7 @@ class _Spmm:
         if n_cols is None:
             n_cols = int(cols.max()) + 1 if cols.size else 0
         indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        self.matrix = sparse.csr_matrix(
+        self.matrix = _sparse().csr_matrix(
             (np.ones(rows.size), cols, indptr), shape=(n_rows, n_cols)
         )
         if values is not None:
@@ -236,8 +214,7 @@ class _Spmm:
             self.rebind(values)
 
     def rebind(self, values) -> None:
-        if self.matrix is not None:
-            self.matrix.data = values if self.order is None else values[self.order]
+        self.matrix.data = values if self.order is None else values[self.order]
 
 
 def _spmm(op, src):
@@ -305,7 +282,6 @@ _NAMESPACE = {
     "_seg_outer": _seg_outer,
     "_spmm": _spmm,
     "_lane_dot": _lane_dot,
-    "_f64": np.dtype(np.float64),
     "_apply_calls": _apply_calls,
 }
 
@@ -771,7 +747,6 @@ class _Emitter:
         self.lines: List[str] = []
         self.preps: List[Callable] = []
         self.dense_vars: Dict[str, str] = {}
-        self.indent = 1
         self._tmp = 0
 
     def prep(self, builder: Callable) -> str:
@@ -790,21 +765,7 @@ class _Emitter:
         return f"_t{self._tmp}"
 
     def line(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    def guarded(self, cond: str, fused: str, fallback: Sequence) -> None:
-        """``if cond: fused`` with the un-fused *fallback* ops as ``else``
-        (scipy absent or a non-float64 operand), pooled under their own
-        keys."""
-        self.line(f"if {cond}:")
-        self.line(f"    {fused}")
-        self.line("else:")
-        key = self.tmp()
-        self.indent += 1
-        for n, op in enumerate(fallback):
-            unit = _Unit("op", op, _srcs_of(op), _dst_of(op))
-            _emit_unit(self, unit, f"({key!r}, {n})")
-        self.indent -= 1
+        self.lines.append("    " + text)
 
 
 def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
@@ -842,13 +803,8 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
                 return ctx.spmm(*rows, cols, ctx.lanes(gather.from_level))
             return ctx.spmm(*rows, ctx.ids(gather.axes[0][1], gather.level))
 
-        prep = em.prep(build)
         assign = "O +=" if dst is None else f"{dst} ="
-        em.guarded(
-            f"{prep}.matrix is not None and {src}.dtype == _f64",
-            f"{assign} _spmm({prep}, {src})",
-            unit.info,
-        )
+        em.line(f"{assign} _spmm({em.prep(build)}, {src})")
     elif unit.kind == "lane_dot":
         a, b = unit.srcs
         em.line(f"{dst} = _lane_dot(r{a}, r{b}, {unit.info!r})")
@@ -939,29 +895,24 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
                 )
             )
             em.line(f"O[{ids}] += r{op.src}")
+        elif _leading_gathers(op.axes):
+            # a unit selector sums each output row's lanes in lane order
+            sel = em.prep(
+                lambda ctx, g=tuple(gathers), lv=op.level: ctx.spmm(
+                    *ctx.scatter_rows(g, lv),
+                    np.arange(ctx.lanes(lv)),
+                    ctx.lanes(lv),
+                    valued=False,
+                )
+            )
+            em.line(f"O += _spmm({sel}, r{op.src})")
         else:
             ids = em.prep(
                 lambda ctx, g=tuple(gathers), lv=op.level: tuple(
                     ctx.ids(arg, lv) for arg in g
                 )
             )
-            general = f"_scatter_add_general(O, r{op.src}, {ids}, {op.axes!r})"
-            if _leading_gathers(op.axes):
-                # a unit selector sums each output row's lanes in lane order
-                sel = em.prep(
-                    lambda ctx, g=tuple(gathers), lv=op.level: ctx.spmm(
-                        *ctx.scatter_rows(g, lv),
-                        np.arange(ctx.lanes(lv)),
-                        ctx.lanes(lv),
-                        valued=False,
-                    )
-                )
-                em.line(f"if {sel}.matrix is not None:")
-                em.line(f"    O += _spmm({sel}, r{op.src})")
-                em.line("else:")
-                em.line(f"    {general}")
-            else:
-                em.line(general)
+            em.line(f"_scatter_add_general(O, r{op.src}, {ids}, {op.axes!r})")
     elif isinstance(op, ir.AccumulateLeaf):
         em.line(f"OV += r{op.src}")
     elif isinstance(op, ir.Note):
@@ -1103,9 +1054,8 @@ def jit_stats() -> Dict[str, int]:
     buffers; ``hits``/``misses``/``evictions`` count the per-structure
     prep cache; ``rejections`` counts programs the generator declined (each
     one a transparent fallback to the lowered VM).  Extra keys:
-    ``compiles``, ``runs``, ``rebinds`` (hits that re-pointed the SpMM data
-    at a new tensor's values) and ``numba`` (whether the optional Numba
-    sweep is active).
+    ``compiles``, ``runs`` and ``rebinds`` (hits that re-pointed the SpMM
+    data at a new tensor's values).
     """
     live = list(_LIVE)
     return {
@@ -1118,7 +1068,6 @@ def jit_stats() -> Dict[str, int]:
         "compiles": _STATS["compiles"],
         "runs": _STATS["runs"],
         "rebinds": _STATS["rebinds"],
-        "numba": int(_nb.available()),
     }
 
 

@@ -27,9 +27,8 @@ import pytest
 
 from repro.apps.cp_als import cp_als
 from repro.apps.tucker_hooi import tucker_hooi
+from repro.engine.plan_cache import default_plan_cache
 from repro.sptensor import random_sparse_tensor
-
-_APPS = {"cp_als": cp_als, "hooi": tucker_hooi}
 
 _RTOL = 1e-6
 _ATOL = 1e-9
@@ -102,26 +101,35 @@ def test_golden_trajectories_stable_across_engines(
     np.testing.assert_allclose(result.fits, _CP_FITS, rtol=_RTOL, atol=_ATOL)
 
 
+def _benchmark_operation(name, tensor, workloads):
+    """One ``cp_als`` / ``hooi`` operation of ``benchmarks/e2e`` (no early stop)."""
+    assert tensor.nnz == 60_000
+    if name == "cp_als":
+        cp_als(tensor, workloads.CP_RANK, workloads.CP_ITERATIONS, tolerance=0.0, seed=0)
+    else:
+        tucker_hooi(tensor, workloads.HOOI_RANKS, workloads.HOOI_ITERATIONS, tolerance=0.0, seed=0)
+
+
 @pytest.mark.parametrize(
     "name, golden", [("cp_als", 130_083_840), ("hooi", 57_006_080)]
 )
 def test_one_benchmark_operation_executes_its_golden_scalar_op_count(
     name, golden, benchmark_tensor, harness_workloads, executed_scalar_ops
 ):
-    """One ``cp_als`` / ``hooi`` operation of ``benchmarks/e2e`` (rank 32 x 10
-    sweeps / ranks 8,8,8 x 5 sweeps, no early stop) executes exactly its
-    ``engine.scalar_ops``.  Tier-1 cost: ≈ 0.1 s per case (one decomposition),
-    after ≈ 2 s generating the shared tensor once."""
-    if name == "cp_als":
-        arguments = dict(
-            rank=harness_workloads.CP_RANK,
-            iterations=harness_workloads.CP_ITERATIONS,
-        )
-    else:
-        arguments = dict(
-            ranks=harness_workloads.HOOI_RANKS,
-            iterations=harness_workloads.HOOI_ITERATIONS,
-        )
-    assert benchmark_tensor.nnz == 60_000
-    _APPS[name](benchmark_tensor, tolerance=0.0, seed=0, **arguments)
+    """One benchmark operation executes exactly its ``engine.scalar_ops``.
+    Tier-1 cost: ≈ 0.1 s per case (one decomposition), after ≈ 2 s
+    generating the shared tensor once."""
+    _benchmark_operation(name, benchmark_tensor, harness_workloads)
     assert executed_scalar_ops[0] == golden
+
+
+@pytest.mark.parametrize("name, golden", [("cp_als", 19), ("hooi", 25)])
+def test_one_benchmark_operation_binds_its_golden_prep_builder_count(
+    name, golden, benchmark_tensor, harness_workloads, monkeypatch
+):
+    """One benchmark operation's jit callables carry exactly this many prep
+    builders: a second, un-fused body per fused unit would add its ops'."""
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    _benchmark_operation(name, benchmark_tensor, harness_workloads)
+    plans = default_plan_cache()._entries.values()
+    assert sum(len(plan.jit._prep_builders) for plan in plans if plan.jit) == golden

@@ -10,8 +10,8 @@ The contract under test: ``compile_program`` turns a lowered
   (``CompiledJit.MAX_BINDS``) whose hits/misses/evictions/rebinds surface
   in :func:`~repro.engine.lowering.codegen.jit_stats`;
 * never reaches ``np.add.at`` or a lane-expanded einsum on the benchmark
-  kernels: scatter-adds are bind-time CSR products, with the un-fused ops
-  kept as a guarded fallback;
+  kernels: scatter-adds are bind-time CSR products, and each fused unit
+  has one body (no ``else:`` in the generated source);
 * reuses its pooled intermediate buffers across runs (warm executions
   allocate nothing) while staying bit-identical when the bound tensor's
   shapes change;
@@ -62,16 +62,6 @@ def _spec_case(spec, tensor, dtype="float64", rank=4):
     kernel = parse_kernel(spec, operands)
     tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
     return kernel, tensors, SpTTNScheduler(kernel).schedule().loop_nest
-
-
-def _fallback_buffers(compiled):
-    """Pool keys only the un-fused ``else`` branches of the generated code
-    write (``('_t<n>', step)``): empty means every fused call ran."""
-
-    def head(key):
-        return head(key[0]) if isinstance(key, tuple) else key
-
-    return [key for key in compiled.pool if isinstance(head(key), str)]
 
 
 @pytest.fixture
@@ -227,10 +217,10 @@ class TestStructureKeyedBinds:
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 2 * self.N - 1
         assert after["rebinds"] - before["rebinds"] == 2 * self.N - 1
-        # ... on the SpMM path, not the gather/einsum fallback
+        # ... on the SpMM path, the fused unit's only body
         compiled = executor._plan.jit
         assert "_spmm(" in compiled.source
-        assert _fallback_buffers(compiled) == []
+        assert "else:" not in compiled.source
         # bit-equal to a fresh bind of each tensor
         for request, got in zip(decoded + revalued, outputs):
             kernel, tensors = request.build()
@@ -277,7 +267,7 @@ _PEEPHOLES = {
     # non-direct ScatterAdd, gathered axis leading -> unit CSR selector
     "ijk,ir,kr->jr": "O += _spmm(",
     # values x lane-expanded register feeding that ScatterAdd -> one SpMM
-    "ijk,ir,jr->kr": "dtype == _f64:\n        O += _spmm(",
+    "ijk,ir,jr->kr": "= V\n    O += _spmm(",
     # spmm_scatter -> SegmentReduce composed; Contract -> LaneSum as a GEMM
     "ijk,ir,js->krs": "_lane_dot(",
     "ijk,ir,js,kt->rst": "_lane_dot(",
@@ -293,7 +283,7 @@ class TestScatterPeepholes:
         compiled = executor._plan.jit
         assert _PEEPHOLES[spec] in compiled.source
         assert "_sum0(" not in compiled.source
-        assert _fallback_buffers(compiled) == []
+        assert "else:" not in compiled.source
         assert count_add_at == []
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
@@ -303,39 +293,23 @@ class TestScatterPeepholes:
         kernel, tensors, nest = _spec_case("ijk,ir,js->krs", random_coo3)
         executor, _, _ = _run(kernel, tensors, nest)
         compiled = executor._plan.jit
-        assert "_scatter_lanes(" in compiled.source  # kept, as the fallback
+        assert "_scatter_lanes(" not in compiled.source
         assert kernel.csf_mode_order == ("i", "j", "k")
         fibres = np.unique(random_coo3.indices[:, :2], axis=0).shape[0]
         per_fibre = fibres * random_coo3.shape[2] * 4 * 8  # (ij-fibre, k, s)
         assert all(buf.nbytes < per_fibre for buf in compiled.pool.values())
 
-    @pytest.mark.parametrize("spec", sorted(_PEEPHOLES))
-    def test_without_scipy_the_unfused_ops_run(
-        self, spec, random_coo3, monkeypatch, count_add_at
-    ):
-        kernel, tensors, nest = _spec_case(spec, random_coo3)
-        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
-        del count_add_at[:]
-        monkeypatch.setattr(codegen_mod, "_sparse", lambda: None)
-        executor, out, ctr = _run(kernel, tensors, nest, plan_cache=None)
-        assert executor.last_engine == "jit"
-        assert _fallback_buffers(executor._plan.jit)
-        assert bool(count_add_at) == ("O += " in _PEEPHOLES[spec])
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
-        assert ctr.as_dict() == ref_ctr.as_dict()
-
-    def test_float32_operands_take_the_einsum_branch(self, random_coo3):
+    def test_float32_operands_match_the_vm(self, random_coo3):
         # ``execute`` coerces dense operands to float64; a direct caller of
         # the compiled callable may not.  Two float32 factors make a float32
-        # lane product, so the values x register SpMM declines and the
-        # gather/einsum ops run instead — the same arithmetic as the VM
+        # lane product, which the values x register SpMM multiplies by the
+        # float64 values — the same upcast the VM's einsum applies
         from repro.engine.lowering import run_program
         from repro.sptensor.csf import csf_for_mode_order
 
         kernel, tensors, nest = _spec_case("ijk,ir,jr->kr", random_coo3)
         executor, out64, _ = _run(kernel, tensors, nest)
         plan = executor._plan
-        assert _fallback_buffers(plan.jit) == []
         csf = csf_for_mode_order(random_coo3, (0, 1, 2))
         dense = {
             name: t.astype(np.float32) for name, t in tensors.items()
@@ -345,7 +319,6 @@ class TestScatterPeepholes:
         ctr, ref_ctr = OpCounter(), OpCounter()
         plan.jit.run(csf, dense, got, None, ctr)
         run_program(plan.lowered, csf, dense, want, None, ref_ctr)
-        assert _fallback_buffers(plan.jit)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(got, out64, rtol=1e-5)
         assert ctr.as_dict() == ref_ctr.as_dict()
@@ -384,7 +357,7 @@ class TestNoAddAtOnTheJitPath:
         for kernel, tensors, nest in cases:
             executor, out, _ = _run(kernel, tensors, nest)
             assert executor.last_engine == "jit"
-            assert _fallback_buffers(executor._plan.jit) == []
+            assert "else:" not in executor._plan.jit.source
             assert np.isfinite(out).all() and out.any()
 
     @pytest.mark.parametrize(
@@ -398,6 +371,8 @@ class TestNoAddAtOnTheJitPath:
             executor = LoopNestExecutor(kernel, nest, engine=engine)
             out = executor.execute(tensors)
             assert executor.last_engine == engine
+            if engine == "jit":
+                assert "else:" not in executor._plan.jit.source
             return out.values if isinstance(out, COOTensor) else out
 
         ref = run("lowered")
@@ -480,23 +455,37 @@ class TestStats:
         assert stats["misses"] == 0 and stats["evictions"] == 0
 
 
-class TestNumbaGating:
-    def test_numba_env_zero_disables(self, monkeypatch):
-        from repro.engine.lowering import numba_kernels
+class TestReduceRoute:
+    """``_reduce`` picks its route by layout: C-contiguous float64 lanes go
+    through the CSR selector, any other lanes through ``np.add.reduceat``
+    (the route that keeps strided lanes bit-identical to the VM)."""
 
-        monkeypatch.setenv(numba_kernels.NUMBA_ENV, "0")
-        monkeypatch.setitem(numba_kernels._STATE, "resolved", False)
-        monkeypatch.setitem(numba_kernels._STATE, "ok", False)
-        assert not numba_kernels.available()
-        assert numba_kernels.segment_reduce(np.ones((4, 2)), np.array([0, 2, 4])) is None
+    BOUNDS = np.array([0, 2, 3, 7, 10])
+    LANES = np.random.default_rng(3).random((10, 4, 3))
 
-    def test_segment_reduce_matches_reduceat_when_available(self):
-        from repro.engine.lowering import numba_kernels
+    @pytest.fixture
+    def reduceat_calls(self, monkeypatch):
+        calls = []
+        real = codegen_mod._bufpool.reduceat_into
 
-        value = np.arange(12.0).reshape(6, 2)
-        bounds = np.array([0, 1, 4, 6])
-        result = numba_kernels.segment_reduce(value, bounds)
-        if result is None:
-            pytest.skip("numba not installed")
-        expected = np.add.reduceat(value, bounds[:-1], axis=0)
-        np.testing.assert_array_equal(result, expected)
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(codegen_mod._bufpool, "reduceat_into", spy)
+        return calls
+
+    def test_contiguous_float64_lanes_take_the_selector(self, reduceat_calls):
+        got = codegen_mod._reduce({}, 0, self.LANES, codegen_mod._reduce_prep(self.BOUNDS))
+        assert reduceat_calls == []
+        want = np.add.reduceat(self.LANES, self.BOUNDS[:-1], axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("layout", ["strided", "float32"])
+    def test_other_lanes_take_reduceat_bit_for_bit(self, layout, reduceat_calls):
+        lanes = {"strided": self.LANES.transpose(0, 2, 1), "float32": self.LANES.astype("f4")}
+        lanes = lanes[layout]
+        got = codegen_mod._reduce({}, 0, lanes, codegen_mod._reduce_prep(self.BOUNDS))
+        assert reduceat_calls == [1]
+        assert got.dtype == lanes.dtype
+        np.testing.assert_array_equal(got, np.add.reduceat(lanes, self.BOUNDS[:-1], axis=0))
