@@ -15,7 +15,7 @@
 * :mod:`repro.engine.lowering` — the vectorized lowering subsystem: compile
   any lowerable plan into a flat program of segment-reduction ops, then
   into one fused NumPy/CSR-SpMM callable (the default ``"jit"`` engine) or
-  run it op by op with no per-fiber Python dispatch (``"lowered"``).
+  one that runs it op by op, without the fusions (``"lowered"``).
 * :mod:`repro.engine.reference` — dense ``numpy.einsum`` reference used to
   validate every executor and baseline.
 """
@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".blas": ("classify_call", "vectorized_contract"),
     ".buffers": ("BufferSet",),
     ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
-    ".lowering": ("NotLowerable", "Program", "lower_plan", "run_program"),
+    ".lowering": ("NotLowerable", "Program", "lower_plan"),
     ".plan_cache": (
         "CompiledPlan", "PlanCache", "cached_executor", "cached_schedule", "clear_caches",
         "default_executor_cache", "default_plan_cache", "default_schedule_cache", "plan_key",

@@ -26,22 +26,23 @@ execution hot loop performs no per-iteration analysis.
 parameter (default from the ``REPRO_ENGINE`` environment variable, falling
 back to ``"jit"``):
 
-* ``"jit"`` (the default) — the lowered program is additionally compiled
-  (once, cached on the plan) by :mod:`repro.engine.lowering.codegen` into a
-  single fused NumPy callable with pooled intermediate buffers and index
-  maps / CSR operators prepared once per CSF structure; programs the
-  generator declines run on the lowered VM (jit → lowered → interpret
-  fallback chain).
-* ``"lowered"`` — the plan is compiled once (cached on the plan) by
+* ``"jit"`` (the default) — the plan is lowered by
   :mod:`repro.engine.lowering` into a flat program of vectorized array ops
   (gathers into CSF lane layout, batched einsums, segment reductions along
-  the level pointers) and executed with no per-fiber Python dispatch.
-  Constructs without a vectorized lowering fall back to interpretation
-  automatically, so the switch is always safe.
+  the level pointers), which :mod:`repro.engine.lowering.codegen` compiles
+  (once, cached on the plan) into a single fused NumPy callable with
+  pooled intermediate buffers and index maps / CSR operators prepared once
+  per CSF structure.
+* ``"lowered"`` — the same lowered program compiled op by op, without the
+  codegen's peephole fusions.
 * ``"interpret"`` — the plan is interpreted; sparse loops walk the CSF tree
   level by level so only stored fibers are visited, dense loops iterate
   full index ranges, and offloaded regions execute one pre-specialized
   kernel call.
+
+A nest that does not lower, or a program the generator declines, is
+interpreted, so the switch is always safe (jit → interpret and
+lowered → interpret).
 
 All engines report identical operation counts; results agree to the usual
 floating-point reassociation of vectorized summation (last-ulp).  Dense
@@ -62,7 +63,7 @@ from repro.core.loop_nest import LoopNest, validate_loop_order
 from repro.core.scheduler import Schedule
 from repro.engine.blas import specialize_contraction
 from repro.engine.buffers import BufferSet
-from repro.engine.lowering import compile_program, lower_plan, run_program
+from repro.engine.lowering import compile_program, lower_plan
 from repro.engine.plan_cache import (
     ARRAY as _ARRAY,
     SLOT_BUFFER as _SLOT_BUFFER,
@@ -94,25 +95,26 @@ from repro.util.validation import require
 TensorLike = Union[COOTensor, CSFTensor, DenseTensor, np.ndarray]
 
 #: Execution engines accepted by :class:`LoopNestExecutor`, fastest first;
-#: each falls back transparently to the next when a plan does not support
-#: it (jit → lowered → interpret).
+#: a plan the compiled tiers do not support is interpreted.
 ENGINES = ("jit", "lowered", "interpret")
 
 
 def default_engine() -> str:
-    """The process default engine: ``REPRO_ENGINE`` or ``"jit"``."""
-    return os.environ.get("REPRO_ENGINE", "jit").strip().lower()
+    """The process default engine: ``REPRO_ENGINE`` (unless empty) or ``"jit"``."""
+    return os.environ.get("REPRO_ENGINE", "").strip().lower() or "jit"
 
 
 def _plan_state(plan: CompiledPlan) -> tuple:
     """Growth fingerprint of a plan: when it changes after an execution the
     cache entry is re-measured against its byte budget (sites discovered,
-    lowering compiled, jit compiled, jit bound to a new tensor)."""
+    lowering compiled, a callable compiled or bound to a new tensor)."""
     return (
         plan.n_sites,
         plan.lowered is not None,
         plan.jit is not None,
         getattr(plan.jit, "version", 0),
+        plan.unfused is not None,
+        getattr(plan.unfused, "version", 0),
     )
 
 
@@ -145,15 +147,13 @@ class LoopNestExecutor:
         pre-cache per-call-planning behaviour, kept for measurement).
     engine:
         ``"jit"`` executes the lowered program as one fused codegen
-        callable when it compiles (falling back to the lowered VM, then
-        interpretation); ``"lowered"`` executes via the vectorized
-        lowering subsystem when the scheduled nest is lowerable (falling
-        back to interpretation otherwise); ``"interpret"`` always
-        interprets.  ``None`` (default)
-        resolves through :func:`default_engine` (the ``REPRO_ENGINE``
-        environment variable, else ``"jit"``).  After each
-        ``execute()`` call, :attr:`last_engine` records which engine
-        actually ran.
+        callable; ``"lowered"`` executes it compiled op by op, without
+        the peephole fusions; both interpret a nest that does not lower
+        or compile.  ``"interpret"`` always interprets.  ``None``
+        (default) resolves through :func:`default_engine` (the
+        ``REPRO_ENGINE`` environment variable, else ``"jit"``).  After
+        each ``execute()`` call, :attr:`last_engine` records which
+        engine actually ran.
     """
 
     def __init__(
@@ -245,36 +245,27 @@ class LoopNestExecutor:
                     plan.lowered = program if program is not None else False
                     prepare_s += time.perf_counter() - mark
                 if plan.lowered is not False:
-                    if self.engine == "jit":
-                        if plan.jit is None:
-                            mark = time.perf_counter()
-                            with _span("compile", "jit", ops=plan.lowered.n_ops):
-                                compiled = compile_program(plan.lowered)
-                            plan.jit = compiled if compiled is not None else False
-                            prepare_s += time.perf_counter() - mark
-                        if plan.jit is not False:
-                            with _span("run", "jit", nnz=self._csf.nnz):
-                                plan.jit.run(
-                                    self._csf,
-                                    self._dense,
-                                    self._out_dense,
-                                    self._out_values,
-                                    self.counter,
-                                )
-                            self.last_engine = "jit"
-                    if self.last_engine == "interpret":
-                        if plan.vm_pool is None:
-                            plan.vm_pool = {}
-                        run_program(
-                            plan.lowered,
-                            self._csf,
-                            self._dense,
-                            self._out_dense,
-                            self._out_values,
-                            self.counter,
-                            pool=plan.vm_pool,
-                        )
-                        self.last_engine = "lowered"
+                    fuse = self.engine == "jit"
+                    compiled = plan.jit if fuse else plan.unfused
+                    if compiled is None:
+                        mark = time.perf_counter()
+                        with _span("compile", self.engine, ops=plan.lowered.n_ops):
+                            compiled = compile_program(plan.lowered, fuse=fuse) or False
+                        if fuse:
+                            plan.jit = compiled
+                        else:
+                            plan.unfused = compiled
+                        prepare_s += time.perf_counter() - mark
+                    if compiled is not False:
+                        with _span("run", self.engine, nnz=self._csf.nnz):
+                            compiled.run(
+                                self._csf,
+                                self._dense,
+                                self._out_dense,
+                                self._out_values,
+                                self.counter,
+                            )
+                        self.last_engine = self.engine
             if self.last_engine == "interpret":
                 positions = tuple(range(len(self.path)))
                 self._run(positions, 0, {}, -1, 0)

@@ -4,8 +4,8 @@ This subsystem compiles any lowerable scheduled loop nest (a
 :class:`~repro.engine.plan_cache.CompiledPlan`'s symbolic site steps) into a
 small typed IR of array-level ops — dense-operand gathers into CSF lane
 layout, batched einsum contractions, ``np.add.reduceat`` segment reductions
-along the level pointers, scatter-accumulates into the output — and executes
-that IR with no per-fiber Python dispatch.  It generalizes the hand-fused
+along the level pointers, scatter-accumulates into the output — and compiles
+that IR into one NumPy callable with no per-fiber Python dispatch.  It generalizes the hand-fused
 MTTKRP sweep into one compiler: MTTKRP, TTMc, TTTc, TTTP and arbitrary
 SpTTN expressions all take the vectorized path whenever their scheduled
 nest lowers, with op-counter accounting identical to the interpreter and a
@@ -13,10 +13,10 @@ clean fallback to interpretation for anything not lowerable yet.
 
 * :mod:`repro.engine.lowering.ir` — the typed op set and symbolic counts;
 * :mod:`repro.engine.lowering.lower` — the lowering pass over plan sites;
-* :mod:`repro.engine.lowering.vm` — the IR executor;
-* :mod:`repro.engine.lowering.codegen` — the jit tier: programs compiled
-  to fused callables with pooled buffers (:mod:`.pool`) and bind-time
-  scipy CSR operators for the sums over lanes.
+* :mod:`repro.engine.lowering.codegen` — the IR executor: programs
+  compiled to callables with pooled buffers (:mod:`.pool`) and bind-time
+  scipy CSR operators for the sums over lanes, fused by a peephole pass
+  for the ``jit`` engine and op by op for the ``lowered`` engine.
 """
 
 from repro.util.lazy import lazy_exports
@@ -25,5 +25,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".codegen": ("CompiledJit", "compile_program", "jit_stats"),
     ".ir": ("Charge", "Program"),
     ".lower": ("NotLowerable", "lower_plan"),
-    ".vm": ("run_program",),
 })

@@ -1,13 +1,14 @@
-"""JIT tier: compile a lowered program into one fused NumPy callable.
+"""The executor of lowered programs: compile one into a NumPy callable.
 
-The lowered VM (:mod:`repro.engine.lowering.vm`) already replaced per-fiber
-Python recursion with flat array ops, but it still pays per-op dispatch,
-re-derives lane id maps / reduction offsets on every call, and allocates
-every intermediate afresh.  This module removes all three costs by *code
-generation*: :func:`compile_program` emits Python/NumPy source specialized
-to one :class:`~repro.engine.lowering.ir.Program` — straight-line calls
-with every einsum spec, gather axis and segment boundary decision burned
-in — and ``exec``\\ s it into a single fused callable.
+The lowering pass replaced per-fiber Python recursion with flat array ops;
+this module runs them by *code generation*: :func:`compile_program` emits
+Python/NumPy source specialized to one
+:class:`~repro.engine.lowering.ir.Program` — straight-line calls with
+every einsum spec, gather axis and segment boundary decision burned in —
+and ``exec``\\ s it into a single callable.  The ``jit`` engine compiles
+with the peephole pass below; the ``lowered`` engine compiles the same
+program without it (``fuse=False``), so every op runs through its own
+emitter, and the gap between the two tiers is what the fusions buy.
 
 Three mechanisms carry the speedup:
 
@@ -19,11 +20,8 @@ Three mechanisms carry the speedup:
 * **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
   per output fiber instead of materializing the full lane-expanded outer
-  product), one feeding a ``LaneSum`` becomes a single GEMM over the lane
-  axis, and a ``ScatterLanes`` + ``SegmentReduce`` + ``Contract`` chain
-  that immediately contracts the scattered axis with a lane-free operand
-  becomes gather-multiply-reduce (the scatter buffer is never built).
-  Sums over lanes run as scipy CSR products prepared at bind time
+  product), and one feeding a ``LaneSum`` becomes a single GEMM over the
+  lane axis.  Sums over lanes run as scipy CSR products prepared at bind time
   (:class:`_Spmm`): an elementwise values × gathered-dense contract
   feeding a ``SegmentReduce``, a ``ScatterLanes`` (optionally composed
   with the ``SegmentReduce`` of the remaining lane axis) or a
@@ -43,12 +41,12 @@ Three mechanisms carry the speedup:
   bound structure only re-points the CSR data at its values.  Warm calls
   do no index arithmetic and apply counter accounting in O(1).  The
   aggregate counts are plain integer sums of the same
-  :class:`~repro.engine.lowering.ir.Charge` terms the VM adds
-  incrementally, so counters stay bit-equal.
+  :class:`~repro.engine.lowering.ir.Charge` terms the interpreter adds
+  one step at a time, so counters stay bit-equal.
 
 Any program the generator cannot compile — and any unexpected failure
-while compiling — returns ``None``, and the executor transparently stays
-on the lowered VM tier.
+while compiling — returns ``None``, and the executor transparently falls
+back to the interpreter.
 """
 
 from __future__ import annotations
@@ -152,7 +150,8 @@ def _gather_along(src, ids, axis):
 
 
 def _broadcast_index(gather_ids, axes, shape):
-    """The VM's broadcast gather/scatter index, from prebound id arrays."""
+    """One broadcast index per axis (lane first, then kept axes), from
+    prebound id arrays."""
     n = gather_ids[0].shape[0]
     rank = 1 + (len(axes) - len(gather_ids))
     idx = []
@@ -379,7 +378,7 @@ class CompiledJit:
     """One lowered program compiled to a fused callable with pooled buffers.
 
     Owned by a :class:`~repro.engine.plan_cache.CompiledPlan` (stored on
-    its ``jit`` slot) and therefore byte-accounted by the plan cache: the
+    its ``jit`` or ``unfused`` slot) and therefore byte-accounted by the plan cache: the
     pool's buffers and the cached per-structure preps are reachable through
     this object's slots.  Not safe for concurrent use — same contract as
     the owning executor.
@@ -527,7 +526,7 @@ def _leading_gathers(axes) -> bool:
 
 
 def _match_fusions(ops, uses, def_op):
-    """Find the seg-GEMM, scatter-multiply-reduce, SpMM and lane-GEMM rewrites.
+    """Find the seg-GEMM, SpMM and lane-GEMM rewrites.
 
     Returns ``(skip, fused)``: op indices subsumed by a fusion, and a map
     from the index of each fusion's *last* op to its fused unit.
@@ -545,152 +544,85 @@ def _match_fusions(ops, uses, def_op):
         return users[0] if len(users) == 1 and free(users[0]) else None
 
     for i, op in enumerate(ops):
-        if not free(i):
+        if not (free(i) and isinstance(op, ir.Contract) and len(op.srcs) == 2):
             continue
-        if isinstance(op, ir.Contract) and len(op.srcs) == 2:
-            j = only_user(op.dst)
-            if j is None:
-                continue
-            nxt = ops[j]
-            in_subs, out_sub = _split_spec(op.spec)
-            lhs_sub, rhs_sub = in_subs
-            free_subs = lhs_sub[1:] + rhs_sub[1:]
-            # a per-lane outer product: both operands carry the lane, no
-            # other letter is shared or contracted
-            outer = bool(
-                lhs_sub
-                and rhs_sub
-                and out_sub
-                and lhs_sub[0] == rhs_sub[0] == out_sub[0]
-                and sorted(out_sub[1:]) == sorted(free_subs)
-                and len(set(out_sub)) == len(out_sub)
+        j = only_user(op.dst)
+        if j is None:
+            continue
+        nxt = ops[j]
+        in_subs, out_sub = _split_spec(op.spec)
+        lhs_sub, rhs_sub = in_subs
+        free_subs = lhs_sub[1:] + rhs_sub[1:]
+        # a per-lane outer product: both operands carry the lane, no
+        # other letter is shared or contracted
+        outer = bool(
+            lhs_sub
+            and rhs_sub
+            and out_sub
+            and lhs_sub[0] == rhs_sub[0] == out_sub[0]
+            and sorted(out_sub[1:]) == sorted(free_subs)
+            and len(set(out_sub)) == len(out_sub)
+        )
+        gather = chain = None
+        if isinstance(nxt, (ir.SegmentReduce, ir.ScatterLanes, ir.ScatterAdd)):
+            is_reduce = isinstance(nxt, ir.SegmentReduce)
+            gather = _values_gather(
+                op, in_subs, out_sub, ops, uses, def_op,
+                nxt.from_level if is_reduce else nxt.level,
             )
-            gather = chain = None
-            if isinstance(nxt, (ir.SegmentReduce, ir.ScatterLanes, ir.ScatterAdd)):
-                is_reduce = isinstance(nxt, ir.SegmentReduce)
-                gather = _values_gather(
-                    op, in_subs, out_sub, ops, uses, def_op,
-                    nxt.from_level if is_reduce else nxt.level,
-                )
-                if gather is not None and not free(gather):
-                    gather = None
-            # P1: lane outer product feeding its only consumer, a
-            # SegmentReduce -> per-segment GEMM over the composed
-            # boundaries; when the product is values x gathered-dense the
-            # whole gather/scale/reduce chain is one CSR SpMM.
-            if isinstance(nxt, ir.SegmentReduce) and outer and out_sub[1:] == free_subs:
-                if gather is not None:
-                    chain = (ops[gather], op, nxt)
-                else:
-                    skip.add(i)
-                    fused[j] = _Unit(
-                        "seg_outer",
-                        op,
-                        op.srcs,
-                        nxt.dst,
-                        (op.spec, nxt.from_level, nxt.to_level),
-                    )
-            # P1b: values x gathered-dense feeding a ScatterLanes -> one
-            # SpMM whose rows are the flattened scatter positions; a
-            # SegmentReduce of the remaining lane axis composes into the
-            # same matrix (rows of the ancestor, not of the parent).
-            elif isinstance(nxt, ir.ScatterLanes) and gather is not None:
+            if gather is not None and not free(gather):
+                gather = None
+        # P1: lane outer product feeding its only consumer, a
+        # SegmentReduce -> per-segment GEMM over the composed
+        # boundaries; when the product is values x gathered-dense the
+        # whole gather/scale/reduce chain is one CSR SpMM.
+        if isinstance(nxt, ir.SegmentReduce) and outer and out_sub[1:] == free_subs:
+            if gather is not None:
                 chain = (ops[gather], op, nxt)
-                k = only_user(nxt.dst)
-                if (
-                    k is not None
-                    and isinstance(ops[k], ir.SegmentReduce)
-                    and ops[k].from_level == nxt.level - 1
-                ):
-                    skip.add(j)
-                    chain += (ops[k],)
-                    j = k
-            # P1c: the same product feeding a non-direct ScatterAdd whose
-            # gathered axes lead the output -> O += SpMM.
-            elif (
-                isinstance(nxt, ir.ScatterAdd)
-                and gather is not None
-                and not nxt.direct
-                and _leading_gathers(nxt.axes)
-            ):
-                chain = (ops[gather], op, nxt)
-            # P3: lane outer product whose lanes are all summed away ->
-            # one GEMM contracting the lane axis.
-            elif isinstance(nxt, ir.LaneSum) and outer:
+            else:
                 skip.add(i)
-                perm = tuple(free_subs.index(ch) for ch in out_sub[1:])
-                fused[j] = _Unit("lane_dot", op, op.srcs, nxt.dst, perm)
-            if chain is not None:
-                skip.update((i, gather))
-                srcs = tuple(s for s in op.srcs if s != chain[0].dst)
                 fused[j] = _Unit(
-                    "spmm", op, srcs + _srcs_of(chain[0]), _dst_of(chain[-1]), chain
+                    "seg_outer",
+                    op,
+                    op.srcs,
+                    nxt.dst,
+                    (op.spec, nxt.from_level, nxt.to_level),
                 )
-            continue
-        # P2: ScatterLanes -> SegmentReduce -> Contract that contracts the
-        # scattered dense axis with a lane-free operand.  Rewritten to
-        # gather-multiply-reduce over the original (deeper) lanes; the
-        # scatter buffer is never materialized.
-        if isinstance(op, ir.ScatterLanes) and op.level >= 1:
-            if not (uses.get(op.dst) and len(uses[op.dst]) == 1):
-                continue
-            j = uses[op.dst][0]
-            red = ops[j]
-            if not (
-                isinstance(red, ir.SegmentReduce)
-                and red.src == op.dst
-                and red.from_level == op.level - 1
-                and free(j)
-            ):
-                continue
-            if not (uses.get(red.dst) and len(uses[red.dst]) == 1):
-                continue
-            k = uses[red.dst][0]
-            if not free(k):
-                continue
-            ct = ops[k]
-            if not (
-                isinstance(ct, ir.Contract)
-                and len(ct.srcs) == 2
-                and ct.srcs.count(red.dst) == 1
-            ):
-                continue
-            t_pos = ct.srcs.index(red.dst)
-            other = ct.srcs[1 - t_pos]
-            other_def = def_op.get(other)
-            if other_def is None:
-                continue
-            other_op = ops[other_def]
-            if not isinstance(other_op, ir.ReadArray) or any(
-                kind == ir.GATHER for kind, _ in other_op.axes
-            ):
-                continue
-            in_subs, out_sub = _split_spec(ct.spec)
-            t_sub = in_subs[t_pos]
-            o_sub = in_subs[1 - t_pos]
-            if len(t_sub) < 2 or not out_sub:
-                continue
-            lane, scat = t_sub[0], t_sub[1]
+        # P1b: values x gathered-dense feeding a ScatterLanes -> one
+        # SpMM whose rows are the flattened scatter positions; a
+        # SegmentReduce of the remaining lane axis composes into the
+        # same matrix (rows of the ancestor, not of the parent).
+        elif isinstance(nxt, ir.ScatterLanes) and gather is not None:
+            chain = (ops[gather], op, nxt)
+            k = only_user(nxt.dst)
             if (
-                out_sub[0] != lane
-                or scat == lane
-                or lane in o_sub
-                or o_sub.count(scat) != 1
-                or t_sub.count(scat) != 1
-                or scat in out_sub
+                k is not None
+                and isinstance(ops[k], ir.SegmentReduce)
+                and ops[k].from_level == nxt.level - 1
             ):
-                continue
-            o_rest = o_sub.replace(scat, "")
-            new_spec = (
-                f"{lane}{o_rest},{lane}{t_sub[2:]}->{lane}{out_sub[1:]}"
-            )
-            skip.update((i, j))
-            fused[k] = _Unit(
-                "scatter_mul_reduce",
-                ct,
-                (other, op.src),
-                ct.dst,
-                (new_spec, o_sub.index(scat), op.level, red.to_level),
+                skip.add(j)
+                chain += (ops[k],)
+                j = k
+        # P1c: the same product feeding a non-direct ScatterAdd whose
+        # gathered axes lead the output -> O += SpMM.
+        elif (
+            isinstance(nxt, ir.ScatterAdd)
+            and gather is not None
+            and not nxt.direct
+            and _leading_gathers(nxt.axes)
+        ):
+            chain = (ops[gather], op, nxt)
+        # P2: lane outer product whose lanes are all summed away -> one
+        # GEMM contracting the lane axis.
+        elif isinstance(nxt, ir.LaneSum) and outer:
+            skip.add(i)
+            perm = tuple(free_subs.index(ch) for ch in out_sub[1:])
+            fused[j] = _Unit("lane_dot", op, op.srcs, nxt.dst, perm)
+        if chain is not None:
+            skip.update((i, gather))
+            srcs = tuple(s for s in op.srcs if s != chain[0].dst)
+            fused[j] = _Unit(
+                "spmm", op, srcs + _srcs_of(chain[0]), _dst_of(chain[-1]), chain
             )
     return skip, fused
 
@@ -714,8 +646,6 @@ def _reg_signatures(units) -> Dict[int, tuple]:
         elif unit.kind in ("spmm", "lane_dot"):
             # no pool slot to share: the op chain itself is the identity
             sig[dst] = (unit.kind, op, unit.info)
-        elif unit.kind == "scatter_mul_reduce":
-            sig[dst] = ("smr", unit.info, tuple(of(s) for s in unit.srcs))
         elif isinstance(op, ir.LoadValues):
             sig[dst] = ("values",)
         elif isinstance(op, ir.ReadArray):
@@ -808,20 +738,6 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
     elif unit.kind == "lane_dot":
         a, b = unit.srcs
         em.line(f"{dst} = _lane_dot(r{a}, r{b}, {unit.info!r})")
-    elif unit.kind == "scatter_mul_reduce":
-        new_spec, c_axis, level, to_level = unit.info
-        other, src = unit.srcs
-        fids = em.prep(lambda ctx, lv=level: ctx.csf.fids[lv])
-        bounds = em.prep(
-            lambda ctx, f=level, t=to_level: _reduce_prep(ctx.bounds(f, t))
-        )
-        gvar = em.tmp()
-        mvar = em.tmp()
-        em.line(f"{gvar} = _take(B, ({slot}, 'g'), r{other}, {fids}, {c_axis})")
-        em.line(
-            f"{mvar} = _einsum(B, ({slot}, 'm'), {new_spec!r}, {gvar}, r{src})"
-        )
-        em.line(f"{dst} = _reduce(B, ({slot}, 'r'), {mvar}, {bounds})")
     elif isinstance(op, ir.LoadValues):
         em.line(f"{dst} = V")
     elif isinstance(op, ir.ReadArray):
@@ -964,15 +880,15 @@ def _emit_counters(em: _Emitter, ops) -> None:
         em.line(f"_apply_calls(C, {em.prep(call_totals)})")
 
 
-def compile_program(program: ir.Program) -> Optional[CompiledJit]:
-    """Compile one lowered program into a fused callable, or ``None``.
+def compile_program(program: ir.Program, fuse: bool = True) -> Optional[CompiledJit]:
+    """Compile one lowered program into a callable, or ``None``.
 
-    ``None`` means the generator declined (or failed); the caller keeps
-    running the program on the lowered VM — the jit tier's transparent
-    fallback, mirroring lowered → interpret.
+    ``fuse=False`` skips the peephole pass, so every op is emitted on its
+    own (the ``lowered`` engine).  ``None`` means the generator declined
+    (or failed); the executor then interprets the plan instead.
     """
     try:
-        compiled = _compile(program)
+        compiled = _compile(program, fuse)
     except Exception:
         _STATS["failures"] += 1
         return None
@@ -981,7 +897,7 @@ def compile_program(program: ir.Program) -> Optional[CompiledJit]:
     return compiled
 
 
-def _compile(program: ir.Program) -> CompiledJit:
+def _compile(program: ir.Program, fuse: bool) -> CompiledJit:
     ops = program.ops
     uses: Dict[int, List[int]] = defaultdict(list)
     def_op: Dict[int, int] = {}
@@ -992,7 +908,7 @@ def _compile(program: ir.Program) -> CompiledJit:
         if dst is not None:
             def_op[dst] = i
 
-    skip, fused = _match_fusions(ops, uses, def_op)
+    skip, fused = _match_fusions(ops, uses, def_op) if fuse else (set(), {})
     units: List[_Unit] = []
     for i, op in enumerate(ops):
         if i in skip:
@@ -1053,7 +969,8 @@ def jit_stats() -> Dict[str, int]:
     ``entries``/``bytes`` cover live compiled callables and their pooled
     buffers; ``hits``/``misses``/``evictions`` count the per-structure
     prep cache; ``rejections`` counts programs the generator declined (each
-    one a transparent fallback to the lowered VM).  Extra keys:
+    one a transparent fallback to the interpreter).  Both the ``jit`` and
+    the ``lowered`` engine's callables count here.  Extra keys:
     ``compiles``, ``runs`` and ``rebinds`` (hits that re-pointed the SpMM
     data at a new tensor's values).
     """

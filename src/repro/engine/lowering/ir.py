@@ -6,8 +6,9 @@ linear program over flat arrays: gathers of dense operands into *lane*
 layout, broadcast multiplies / contractions over lanes, segment reductions
 along the CSF level pointers, and scatter-accumulates into the output.  The
 program is array-independent (operands are named slots, CSF level arrays are
-read from whatever tensor the execution binds) and is executed by
-:mod:`repro.engine.lowering.vm` with no per-fiber Python dispatch.
+read from whatever tensor the execution binds) and is compiled by
+:mod:`repro.engine.lowering.codegen` into a callable with no per-fiber
+Python dispatch.
 
 Lanes
 -----
@@ -176,7 +177,7 @@ class ScatterAdd:
     the source's post-lane axes.  ``direct`` marks the fast path where the
     gathered axes form a leading prefix whose id tuples are unique per lane
     (a full CSF prefix), allowing a plain fancy-indexed ``+=``; otherwise
-    the VM uses an unbuffered ``np.add.at``.
+    the sum needs an unbuffered ``np.add.at`` or a CSR product.
     """
 
     src: int

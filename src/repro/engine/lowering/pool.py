@@ -1,13 +1,13 @@
-"""Pooled array primitives shared by the lowered VM and the jit tier.
+"""Pooled array primitives for the compiled lowered programs.
 
 Warm executions of a lowered program allocate the same intermediate shapes
 over and over; on the fig7/TTMc workloads those allocations (page faults on
 multi-megabyte einsum outputs, fresh gather buffers per call) dominate the
 actual arithmetic.  This module centralizes the fix: a *pool* is a plain
-``dict`` owned by the plan (one per lowered program for the VM, one per
-compiled jit callable), mapping stable slot keys to reusable ``ndarray``
-buffers.  Each primitive computes into the pooled buffer via the NumPy
-``out=`` parameter when the cached buffer still matches, and transparently
+``dict`` owned by the plan (one per compiled callable), mapping stable
+slot keys to reusable ``ndarray`` buffers.  Each primitive computes into
+the pooled buffer via the NumPy ``out=`` parameter when the cached buffer
+still matches, and transparently
 re-allocates (updating the pool) when it does not — so results are
 bit-identical to the unpooled expressions while warm calls allocate
 nothing.
@@ -46,9 +46,8 @@ def take_into(pool: Pool, key: Hashable, arr: np.ndarray, ids: np.ndarray,
               axis: int) -> np.ndarray:
     """``np.take`` into a pooled buffer, lane axis moved to the front.
 
-    Matches the VM's gather semantics exactly: the gathered axis stays at
-    ``axis`` in the backing buffer and the returned value is a
-    ``moveaxis`` view with the lane axis first.
+    The gathered axis stays at ``axis`` in the backing buffer and the
+    returned value is a ``moveaxis`` view with the lane axis first.
     """
     buf = pool.get(key)
     if buf is not None:

@@ -176,21 +176,22 @@ class CompiledPlan:
     execution attempts the lowering pass, then either ``False`` (not
     lowerable — the interpreter is used) or the compiled
     :class:`~repro.engine.lowering.ir.Program`.  ``jit`` records the same
-    tri-state for the codegen tier (``None`` / ``False`` / a
-    :class:`~repro.engine.lowering.codegen.CompiledJit`), and ``vm_pool``
-    holds the lowered VM's per-plan reusable buffer pool — both live on
-    the plan so the cache's byte budget accounts for compiled callables
-    and pooled buffers alongside the plan itself.
+    tri-state for that program's fused callable (``None`` / ``False`` / a
+    :class:`~repro.engine.lowering.codegen.CompiledJit`), and ``unfused``
+    for the one the ``lowered`` engine runs (compiled without the
+    peephole pass) — both live on the plan so the cache's byte budget
+    accounts for compiled callables and their pooled buffers alongside
+    the plan itself.
     """
 
-    __slots__ = ("key", "sites", "lowered", "jit", "vm_pool")
+    __slots__ = ("key", "sites", "lowered", "jit", "unfused")
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
         self.sites: Dict[SiteKey, list] = {}
         self.lowered: object = None
         self.jit: object = None
-        self.vm_pool: Optional[dict] = None
+        self.unfused: object = None
 
     @property
     def n_sites(self) -> int:

@@ -2,7 +2,7 @@
 
 The obs subsystem is the introspection layer the serving north star
 demands: :mod:`repro.obs.trace` records nested wall-clock spans across
-every layer (scheduler sweeps, plan-cache builds, the lowering VM, worker
+every layer (scheduler sweeps, plan-cache builds, compiled-tier runs, worker
 pool tasks, shm broadcasts, the serving path) at near-zero cost when
 disabled; :mod:`repro.obs.metrics` keeps process-wide counters, gauges and
 latency histograms behind one snapshot API; :mod:`repro.obs.export` turns

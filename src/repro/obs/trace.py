@@ -2,7 +2,7 @@
 
 The tracer records *spans* — named wall-clock intervals with a category,
 free-form attributes and process/thread identity — from every layer of the
-reproduction: scheduler sweeps, plan-cache builds, the lowering VM, worker
+reproduction: scheduler sweeps, plan-cache builds, compiled-tier runs, worker
 pool dispatch, shared-memory broadcasts and the serving path.  Three design
 points keep it cheap enough to leave compiled into the hot paths:
 

@@ -1,7 +1,7 @@
 """Golden regression tests for the apps layer.
 
 CP-ALS and Tucker-HOOI drive every engine layer — schedule cache, compiled
-plans, the lowered VM, BLAS offload — through dozens of kernel executions,
+plans, the compiled tiers, BLAS offload — through dozens of kernel executions,
 so their seeded fit trajectories are a sensitive end-to-end probe: a future
 engine change that silently shifts numerics (a reassociated reduction, a
 changed accumulation order, a broken recipe) moves these values long before

@@ -15,10 +15,13 @@ The contract under test: ``compile_program`` turns a lowered
 * reuses its pooled intermediate buffers across runs (warm executions
   allocate nothing) while staying bit-identical when the bound tensor's
   shapes change;
-* falls back to the lowered VM transparently when compilation declines or
-  fails, and to the interpreter on empty tensors — without changing
-  results or counters.
+* compiles the same program without its peephole pass for the
+  ``lowered`` tier, a callable of its own;
+* falls back to the interpreter transparently when compilation declines
+  or fails, and on empty tensors — without changing results or counters.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -299,12 +302,11 @@ class TestScatterPeepholes:
         per_fibre = fibres * random_coo3.shape[2] * 4 * 8  # (ij-fibre, k, s)
         assert all(buf.nbytes < per_fibre for buf in compiled.pool.values())
 
-    def test_float32_operands_match_the_vm(self, random_coo3):
+    def test_float32_operands_match_the_unfused_callable(self, random_coo3):
         # ``execute`` coerces dense operands to float64; a direct caller of
         # the compiled callable may not.  Two float32 factors make a float32
         # lane product, which the values x register SpMM multiplies by the
-        # float64 values — the same upcast the VM's einsum applies
-        from repro.engine.lowering import run_program
+        # float64 values — the same upcast the un-fused einsum applies
         from repro.sptensor.csf import csf_for_mode_order
 
         kernel, tensors, nest = _spec_case("ijk,ir,jr->kr", random_coo3)
@@ -318,7 +320,7 @@ class TestScatterPeepholes:
         got, want = np.zeros_like(out64), np.zeros_like(out64)
         ctr, ref_ctr = OpCounter(), OpCounter()
         plan.jit.run(csf, dense, got, None, ctr)
-        run_program(plan.lowered, csf, dense, want, None, ref_ctr)
+        compile_program(plan.lowered, fuse=False).run(csf, dense, want, None, ref_ctr)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(got, out64, rtol=1e-5)
         assert ctr.as_dict() == ref_ctr.as_dict()
@@ -333,6 +335,9 @@ class TestScatterPeepholes:
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
         assert ctr.as_dict() == ref_ctr.as_dict()
+
+
+_CONFORMANCE_FIXTURES = ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
 
 
 class TestNoAddAtOnTheJitPath:
@@ -360,9 +365,7 @@ class TestNoAddAtOnTheJitPath:
             assert "else:" not in executor._plan.jit.source
             assert np.isfinite(out).all() and out.any()
 
-    @pytest.mark.parametrize(
-        "fixture", ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
-    )
+    @pytest.mark.parametrize("fixture", _CONFORMANCE_FIXTURES)
     def test_conformance_kernels(self, fixture, request, trap_add_at):
         kernel, tensors = request.getfixturevalue(fixture)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
@@ -380,19 +383,48 @@ class TestNoAddAtOnTheJitPath:
         np.testing.assert_allclose(run("jit"), ref, rtol=1e-12, atol=1e-14)
 
 
+class TestTiers:
+    """``lowered`` is the same program compiled without the peephole pass."""
+
+    @pytest.mark.parametrize("fixture", _CONFORMANCE_FIXTURES)
+    def test_lowered_callable_is_unfused(self, fixture, request):
+        kernel, tensors = request.getfixturevalue(fixture)
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        lowered, _, _ = _run(kernel, tensors, nest, engine="lowered")
+        assert lowered.last_engine == "lowered"
+        plan = _run(kernel, tensors, nest)[0]._plan
+        assert plan is lowered._plan
+        assert isinstance(plan.unfused, CompiledJit) and plan.unfused is not plan.jit
+        source = plan.unfused.source
+        assert "_seg_outer(" not in source and "_lane_dot(" not in source
+        assert not re.search(r"^ +r\d+ = _spmm\(", source, re.MULTILINE)
+
+    def test_benchmark_kernels_compile_on_both_tiers(self, benchmark_requests):
+        rejections, cache = jit_stats()["rejections"], PlanCache()  # compile afresh
+        for request in benchmark_requests:
+            kernel, tensors = request.build()
+            nest = cached_schedule(kernel).loop_nest
+            for engine in ("jit", "lowered"):
+                executor = _run(kernel, tensors, nest, engine=engine, plan_cache=cache)[0]
+                assert executor.last_engine == engine
+        assert jit_stats()["rejections"] == rejections
+
+
 class TestFallback:
-    def test_compile_failure_falls_back_to_lowered(self, mttkrp_setup, monkeypatch):
+    def test_compile_failure_falls_back_to_interpret(self, mttkrp_setup, monkeypatch):
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         monkeypatch.setattr(
-            "repro.engine.executor.compile_program", lambda program: None
+            "repro.engine.executor.compile_program", lambda program, fuse=True: None
         )
-        executor, out, ctr = _run(kernel, tensors, nest)
-        assert executor.last_engine == "lowered"
-        assert executor._plan.jit is False  # the decline is cached
-        ref_exec, ref, ref_ctr = _run(kernel, tensors, nest, engine="interpret")
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
-        assert ctr.as_dict() == ref_ctr.as_dict()
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="interpret")
+        for engine in ("jit", "lowered"):
+            executor, out, ctr = _run(kernel, tensors, nest, engine=engine, plan_cache=PlanCache())
+            assert executor.last_engine == "interpret"
+            slot = "jit" if engine == "jit" else "unfused"
+            assert getattr(executor._plan, slot) is False  # the decline is cached
+            np.testing.assert_array_equal(out, ref)
+            assert ctr.as_dict() == ref_ctr.as_dict()
 
     def test_internal_errors_count_as_rejections(self, mttkrp_setup, monkeypatch):
         kernel, tensors = mttkrp_setup
@@ -458,7 +490,7 @@ class TestStats:
 class TestReduceRoute:
     """``_reduce`` picks its route by layout: C-contiguous float64 lanes go
     through the CSR selector, any other lanes through ``np.add.reduceat``
-    (the route that keeps strided lanes bit-identical to the VM)."""
+    (the route that keeps strided lanes bit for bit)."""
 
     BOUNDS = np.array([0, 2, 3, 7, 10])
     LANES = np.random.default_rng(3).random((10, 4, 3))

@@ -124,6 +124,13 @@ class TestEngineSwitch:
         executor.execute(tensors)
         assert executor.last_engine == "lowered"
 
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_env_variable_is_unset(self, mttkrp_setup, monkeypatch, value):
+        kernel, _ = mttkrp_setup
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert LoopNestExecutor(kernel, nest).engine == "jit"
+
     def test_empty_tensor_interprets(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest

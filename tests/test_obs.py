@@ -401,7 +401,7 @@ class TestDaemonObservability:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_ENGINE", "lowered")
-        self._check_trace_session(tmp_path, tier_category="vm")
+        self._check_trace_session(tmp_path, tier_category="lowered")
 
     def _check_trace_session(self, tmp_path, tier_category):
         # one kernel family -> repeated plan signatures -> the parallel
@@ -418,7 +418,7 @@ class TestDaemonObservability:
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         categories = {e["cat"] for e in events}
         # the acceptance criterion: spans from scheduler, plan cache, the
-        # execution tier that ran (the jit default; the VM when pinned),
+        # execution tier that ran (the jit default, or the pinned one),
         # pool workers and the daemon itself, in one loadable trace
         assert {
             "scheduler", "cache", tier_category, "pool", "daemon", "serve"
