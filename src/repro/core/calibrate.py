@@ -19,29 +19,22 @@ the constants with *measured* per-op-class timings (ROADMAP item 4):
   counts) — ``dot(coefficients, F[:4]) + penalty·F₄`` reproduces the
   model's value bit-for-bit, a property the test suite asserts.
 * :func:`fit_coefficients` solves a non-negative least-squares problem
-  mapping accumulated feature vectors to measured *execute-phase* seconds
-  from the :class:`~repro.engine.plan_cache.PlanTimings` registry, giving
-  coefficients in seconds-per-unit.
+  mapping the feature vectors of measured candidates (a ``repro tune
+  --calibrate`` sweep, :meth:`~repro.core.autotune.Autotuner.fit_calibration`)
+  to their measured seconds, giving coefficients in seconds-per-unit.
 * :func:`apply_calibration` installs a fit as the process-wide default
   (:func:`~repro.core.cost_model.set_active_coefficients`), so every
   subsequently constructed ``ExecutionCost`` — the scheduler, the sweeps,
   ``cached_schedule`` — ranks with measured numbers.
-* :func:`maybe_retune` re-fits *online*: the executor registers each
-  plan's predicted seconds next to its measurements, and when the
-  observed mean drifts from the prediction by more than a configurable
-  factor (``REPRO_CALIBRATE_DRIFT``) on enough plans, the coefficients
-  are re-fit from the current measurements and re-persisted through the
-  plan store.
 
-This module deliberately imports only :mod:`repro.core`; the engine layer
-(executor, plan cache) calls *into* it, never vice versa.
+The fit changes only when a tune applies one or a warm plan store is
+loaded; executing kernels never alters it, so a kernel's loop nest does
+not depend on what the process ran before.  This module deliberately
+imports only :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -52,6 +45,7 @@ from repro.core.cost_model import (
     DEFAULT_COEFFICIENTS,
     ExecutionCost,
     TreeSeparableCost,
+    active_coefficients,
     evaluate_cost,
     set_active_coefficients,
 )
@@ -67,18 +61,6 @@ FEATURE_NAMES = (
     "scalar_ops",     # interpreted innermost multiply-adds
     "violations",     # buffers exceeding the dimension bound
 )
-
-#: Environment variable: observed/predicted latency ratio beyond which a
-#: plan counts as drifted ("0"/"off" disables online re-tuning).
-CALIBRATE_DRIFT_ENV = "REPRO_CALIBRATE_DRIFT"
-DEFAULT_DRIFT_FACTOR = 4.0
-
-#: Environment variable: minimum predicted plans before drift is judged.
-CALIBRATE_MIN_SAMPLES_ENV = "REPRO_CALIBRATE_MIN_SAMPLES"
-DEFAULT_MIN_SAMPLES = 8
-
-#: Fraction of predicted plans that must drift to trigger a re-fit.
-_DRIFT_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -105,15 +87,6 @@ class CostCoefficients:
             scalar_op=float(doc["scalar_op"]),
             vector_op=float(doc["vector_op"]),
             call_overhead=float(doc["call_overhead"]),
-        )
-
-    def predict_seconds(self, features: Sequence[float]) -> float:
-        """Predicted execute-phase seconds of a nest with *features*."""
-        return (
-            self.vector_op * features[0]
-            + self.call_overhead * features[1]
-            + self.loop_overhead * features[2]
-            + self.scalar_op * features[3]
         )
 
 
@@ -249,152 +222,30 @@ def fit_coefficients(
     )
 
 
-def fit_from_timings(
-    timings, engine: Optional[str] = None
-) -> Optional[CostCoefficients]:
-    """Fit coefficients from a :class:`PlanTimings` registry's records.
-
-    Joins each plan's registered feature vector with its measured
-    execute-phase mean (cold-call preparation is recorded under a
-    separate phase and never pollutes the fit).
-    """
-    return fit_coefficients(timings.training_rows(engine=engine))
-
-
 # --------------------------------------------------------------------------- #
 # Process-wide calibration state
 # --------------------------------------------------------------------------- #
-_state_lock = threading.Lock()
-_fitted: Optional[CostCoefficients] = None
-_retunes = 0
-_retuning = False
-
-
 def apply_calibration(coefficients: CostCoefficients) -> None:
     """Install a fit as the process-wide ``ExecutionCost`` default."""
-    global _fitted
-    with _state_lock:
-        _fitted = coefficients
     set_active_coefficients(coefficients.as_dict())
 
 
 def reset_calibration() -> None:
     """Restore the hand-tuned default coefficients (test isolation)."""
-    global _fitted, _retunes
-    with _state_lock:
-        _fitted = None
-        _retunes = 0
     set_active_coefficients(None)
 
 
-def current_calibration() -> Optional[CostCoefficients]:
-    """The active fitted coefficients, or ``None`` when uncalibrated."""
-    with _state_lock:
-        return _fitted
-
-
-def predict_seconds(features: Sequence[float]) -> Optional[float]:
-    """Predicted execute seconds under the active fit (``None`` if none).
-
-    Predictions are only meaningful once a measured fit is installed; the
-    hand-tuned defaults are relative magnitudes, not seconds, so no
-    prediction (and hence no drift judgement) is made under them.
-    """
-    fitted = current_calibration()
-    if fitted is None:
-        return None
-    return fitted.predict_seconds(features)
-
-
 def calibration_state() -> Dict[str, object]:
-    """JSON-safe view of the calibration layer for the stats surfaces."""
-    with _state_lock:
-        fitted = _fitted
-        retunes = _retunes
-    return {
-        "active": fitted is not None,
-        "coefficients": (
-            fitted.as_dict() if fitted is not None else dict(DEFAULT_COEFFICIENTS)
-        ),
-        "retunes": retunes,
-        "drift_factor": _drift_factor(),
-        "min_samples": _min_samples(),
-    }
+    """JSON-safe view of the active coefficients for the stats surfaces.
 
-
-def _drift_factor() -> Optional[float]:
-    raw = os.environ.get(CALIBRATE_DRIFT_ENV, "")
-    text = raw.strip().lower()
-    if not text:
-        return DEFAULT_DRIFT_FACTOR
-    if text in ("0", "off", "none", "disable", "disabled"):
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return DEFAULT_DRIFT_FACTOR
-    if not math.isfinite(value) or value <= 1.0:
-        return None
-    return value
-
-
-def _min_samples() -> int:
-    raw = os.environ.get(CALIBRATE_MIN_SAMPLES_ENV, "")
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        return DEFAULT_MIN_SAMPLES
-    return value if value >= 2 else DEFAULT_MIN_SAMPLES
-
-
-def maybe_retune(timings) -> Optional[CostCoefficients]:
-    """Re-fit online when observed latency drifts from prediction.
-
-    Called periodically from the timing-record path with the process
-    registry.  A re-fit happens only when (a) a measured calibration is
-    already active (the hand-tuned defaults make no seconds predictions),
-    (b) online re-tuning is enabled (``REPRO_CALIBRATE_DRIFT``), (c) at
-    least ``REPRO_CALIBRATE_MIN_SAMPLES`` predicted plans have execute
-    measurements and a quarter of them drift beyond the factor, and (d)
-    the re-fit itself succeeds.  Returns the new coefficients when a
-    re-fit was applied (the caller persists them), else ``None``.
+    ``active`` is true when they differ from the hand-tuned defaults — a
+    tune applied a fit, or a warm plan store loaded one.
     """
-    global _retunes, _retuning
-    with _state_lock:
-        if _fitted is None or _retuning:
-            return None
-        _retuning = True
-    try:
-        factor = _drift_factor()
-        if factor is None:
-            return None
-        pairs = timings.drift_rows()
-        if len(pairs) < _min_samples():
-            return None
-        drifted = sum(
-            1
-            for predicted, observed in pairs
-            if observed > 0.0
-            and max(observed / predicted, predicted / observed) > factor
-        )
-        if drifted < math.ceil(_DRIFT_FRACTION * len(pairs)):
-            return None
-        coefficients = fit_from_timings(timings)
-        if coefficients is None:
-            return None
-        apply_calibration(coefficients)
-        with _state_lock:
-            _retunes += 1
-        # refresh the stored predictions so the drift that triggered this
-        # re-fit is not re-judged against stale numbers forever
-        for key, vector in timings.feature_items():
-            timings.record_features(
-                key, vector, coefficients.predict_seconds(vector)
-            )
-        return coefficients
-    finally:
-        with _state_lock:
-            _retuning = False
+    coefficients = active_coefficients()
+    return {
+        "active": coefficients != DEFAULT_COEFFICIENTS,
+        "coefficients": coefficients,
+    }
 
 
 def calibrate_from_measurements(

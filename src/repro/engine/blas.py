@@ -5,9 +5,8 @@ nest to BLAS routines (xAXPY, xGER, xGEMV, ...).  In this pure-Python
 reproduction the same role is played by a single vectorized
 ``numpy.einsum`` call over the free (not-yet-iterated) indices of one
 contraction term; NumPy dispatches the heavy cases to its own compiled BLAS.
-This module builds those calls, classifies them with BLAS-style names for
-the operation counters, and exposes tiny wrappers for the classic level-1/2
-kernels used by the specialized baselines.
+This module builds those calls and classifies them with BLAS-style names
+for the operation counters.
 """
 
 from __future__ import annotations
@@ -237,38 +236,3 @@ def specialize_contraction(
         return 2 * space
 
     return k_einsum, name
-
-
-# --------------------------------------------------------------------------- #
-# Classic level-1/2 wrappers used by the specialized (SPLATT-like) baseline
-# --------------------------------------------------------------------------- #
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray, counter: Optional[OpCounter] = None) -> None:
-    """``y += alpha * x`` (BLAS-1)."""
-    y += alpha * x
-    if counter is not None:
-        counter.add_flops(2 * x.size)
-        counter.add_call("axpy")
-
-
-def dot(x: np.ndarray, y: np.ndarray, counter: Optional[OpCounter] = None) -> float:
-    """Inner product (BLAS-1)."""
-    if counter is not None:
-        counter.add_flops(2 * x.size)
-        counter.add_call("dot")
-    return float(np.dot(x, y))
-
-
-def ger(alpha: float, x: np.ndarray, y: np.ndarray, a: np.ndarray, counter: Optional[OpCounter] = None) -> None:
-    """Rank-1 update ``A += alpha * outer(x, y)`` (BLAS-2)."""
-    a += alpha * np.outer(x, y)
-    if counter is not None:
-        counter.add_flops(2 * x.size * y.size)
-        counter.add_call("ger")
-
-
-def gemv(a: np.ndarray, x: np.ndarray, y: np.ndarray, counter: Optional[OpCounter] = None) -> None:
-    """``y += A @ x`` (BLAS-2)."""
-    y += a @ x
-    if counter is not None:
-        counter.add_flops(2 * a.size)
-        counter.add_call("gemv")

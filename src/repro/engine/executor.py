@@ -81,10 +81,8 @@ from repro.engine.plan_cache import (
     default_plan_cache,
     operand_signature,
     plan_key,
-    record_plan_features,
     record_plan_timing,
 )
-from repro.core.calibrate import cost_features, predict_seconds
 from repro.obs.trace import span as _span
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor, csf_for_mode_order
@@ -204,7 +202,6 @@ class LoopNestExecutor:
         self._out_values: Optional[np.ndarray] = None
         self._plan: Optional[CompiledPlan] = None
         self._bound_sites: Dict[Tuple[Tuple[int, ...], int], list] = {}
-        self._features_registered = False
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -227,8 +224,8 @@ class LoopNestExecutor:
         start = time.perf_counter()
         # preparation (COO→CSF conversion, plan fetch/build, lowering and
         # jit compilation) is timed separately from steady-state execution:
-        # both are recorded, but under distinct phases, so cold-call
-        # compilation never poisons the per-plan calibration feed
+        # both are recorded, but under distinct phases, so a plan's execute
+        # row never includes its cold-call compilation
         prepare_s = 0.0
         with _span("execute", "engine", engine=self.engine):
             mark = time.perf_counter()
@@ -284,32 +281,16 @@ class LoopNestExecutor:
         return result
 
     # ------------------------------------------------------------------ #
-    # Timing feed
+    # Timing records
     # ------------------------------------------------------------------ #
     def _record_timings(
         self, key, prepare_s: float, execute_s: float
     ) -> None:
-        """Feed the per-plan timing registry (the calibration input).
-
-        Preparation and steady-state execution go in under separate
-        phases; on the first execution the plan's cost-model feature
-        vector (:func:`repro.core.calibrate.cost_features`) is registered
-        alongside, together with the active calibration's predicted
-        seconds (when one is installed) for online drift detection.
-        Feature extraction mirrors :class:`ExecutionCost`'s offload
-        model, so it is skipped for ``offload=False`` executors.
-        """
+        """Record preparation and steady-state execution in the per-plan
+        timing registry, under separate phases."""
         engine = self.last_engine or self.engine
         record_plan_timing(key, engine, prepare_s, phase="prepare")
         record_plan_timing(key, engine, execute_s, phase="execute")
-        if self._features_registered or not self.offload:
-            return
-        self._features_registered = True
-        try:
-            features = cost_features(self.kernel, self.loop_nest)
-        except Exception:  # a foreign cost shape must never fail execution
-            return
-        record_plan_features(key, features, predict_seconds(features))
 
     # ------------------------------------------------------------------ #
     # Preparation

@@ -494,70 +494,41 @@ def describe_plan_key(key: PlanKey) -> str:
         return canonical_key(key)[:80]
 
 
-#: Environment variable bounding the default timing registry's signature
-#: count (unset/invalid = the built-in default below).
-PLAN_TIMINGS_CAP_ENV = "REPRO_PLAN_TIMINGS_CAP"
-
-#: Default bound on distinct ``(plan key, engine, phase)`` rows retained.
-DEFAULT_PLAN_TIMINGS_CAP = 1024
-
-
-def _env_timings_cap() -> int:
-    raw = os.environ.get(PLAN_TIMINGS_CAP_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_PLAN_TIMINGS_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_PLAN_TIMINGS_CAP
-    return value if value >= 1 else DEFAULT_PLAN_TIMINGS_CAP
+#: Bound on distinct ``(plan key, engine, phase)`` rows the process-wide
+#: timing registry retains.
+PLAN_TIMINGS_CAP = 1024
 
 
 class PlanTimings:
     """Measured execution times accumulated per plan signature.
 
-    The calibration feed for measurement-driven autotuning (ROADMAP item
-    4): every :meth:`~repro.engine.executor.LoopNestExecutor.execute` call
+    Every :meth:`~repro.engine.executor.LoopNestExecutor.execute` call
     records wall-clock time under ``(plan key, engine actually run,
     phase)``, where the phase separates one-time preparation
     (``"prepare"``: COO→CSF conversion, plan build, lowering/jit
-    compilation) from steady-state execution (``"execute"``) so cold-call
-    compilation never poisons the calibration fit.  :meth:`snapshot`
-    reports count/total/min/mean/max per signature — visible via
-    ``repro cache``, the service stats and the daemon's
+    compilation) from steady-state execution (``"execute"``).
+    :meth:`snapshot` reports count/total/min/mean/max per signature —
+    visible via ``repro cache``, the service stats and the daemon's
     ``stats``/``metrics`` operations.
 
     The registry is a *capped* LRU over signatures (``max_records``,
-    defaulting to ``REPRO_PLAN_TIMINGS_CAP`` else
-    :data:`DEFAULT_PLAN_TIMINGS_CAP`): a long-lived daemon serving many
-    distinct plans ages out the least-recently-recorded rows instead of
-    growing without bound, counting them in ``evictions``.
-
-    Executors additionally register the cost model's *feature vector* of
-    each plan (:func:`repro.core.calibrate.cost_features`) together with
-    the model's predicted seconds; :meth:`training_rows` joins those with
-    the measured execute-phase timings to form the calibration fit's
-    input, and :meth:`drift_rows` the observed-vs-predicted pairs driving
-    online re-tuning.
+    defaulting to :data:`PLAN_TIMINGS_CAP`): a long-lived daemon serving
+    many distinct plans ages out the least-recently-recorded rows instead
+    of growing without bound, counting them in ``evictions``.
 
     Thread-safe: serving flushes record from worker threads.
     """
 
-    def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be None or >= 1")
+    def __init__(self, max_records: int = PLAN_TIMINGS_CAP) -> None:
+        if max_records < 1:
+            raise ValueError("max_records must be >= 1")
         self._lock = threading.Lock()
-        self.max_records = (
-            _env_timings_cap() if max_records is None else max_records
-        )
+        self.max_records = max_records
         self.evictions = 0
         # (key, engine, phase) -> [count, total, min, max], LRU order
         self._records: "OrderedDict[Tuple[PlanKey, str, str], List[float]]" = (
             OrderedDict()
         )
-        # plan key -> cost-model feature vector / predicted seconds
-        self._features: Dict[PlanKey, Tuple[float, ...]] = {}
-        self._predictions: Dict[PlanKey, float] = {}
 
     def record(
         self, key: PlanKey, engine: str, seconds: float, phase: str = "execute"
@@ -575,85 +546,17 @@ class PlanTimings:
                 rec[3] = max(rec[3], seconds)
                 self._records.move_to_end(record_key)
             while len(self._records) > self.max_records:
-                (old_key, _, _), _ = self._records.popitem(last=False)
+                self._records.popitem(last=False)
                 self.evictions += 1
-                if not any(k == old_key for k, _, _ in self._records):
-                    self._features.pop(old_key, None)
-                    self._predictions.pop(old_key, None)
-
-    def record_features(
-        self,
-        key: PlanKey,
-        features: Tuple[float, ...],
-        predicted_s: Optional[float] = None,
-    ) -> None:
-        """Attach a cost-model feature vector (and prediction) to *key*."""
-        with self._lock:
-            self._features[key] = tuple(float(f) for f in features)
-            if predicted_s is not None:
-                self._predictions[key] = float(predicted_s)
-            while len(self._features) > self.max_records:
-                self._features.pop(next(iter(self._features)))
-            while len(self._predictions) > self.max_records:
-                self._predictions.pop(next(iter(self._predictions)))
-
-    def features_of(self, key: PlanKey) -> Optional[Tuple[float, ...]]:
-        with self._lock:
-            return self._features.get(key)
-
-    def feature_items(self) -> List[Tuple[PlanKey, Tuple[float, ...]]]:
-        """All registered ``(plan key, feature vector)`` pairs."""
-        with self._lock:
-            return list(self._features.items())
-
-    def training_rows(
-        self, engine: Optional[str] = None, phase: str = "execute"
-    ) -> List[Tuple[Tuple[float, ...], float]]:
-        """``(feature vector, mean measured seconds)`` pairs for fitting.
-
-        Only rows of the requested *phase* (steady-state execution by
-        default) whose plan key has a registered feature vector
-        participate; *engine* restricts to one engine's measurements
-        (``None`` = all).
-        """
-        with self._lock:
-            items = list(self._records.items())
-            features = dict(self._features)
-        rows = []
-        for (key, eng, ph), (count, total, _lo, _hi) in items:
-            if ph != phase or (engine is not None and eng != engine):
-                continue
-            vector = features.get(key)
-            if vector is None or count < 1:
-                continue
-            rows.append((vector, total / count))
-        return rows
-
-    def drift_rows(self, phase: str = "execute") -> List[Tuple[float, float]]:
-        """``(predicted seconds, observed mean seconds)`` pairs."""
-        with self._lock:
-            items = list(self._records.items())
-            predictions = dict(self._predictions)
-        rows = []
-        for (key, _eng, ph), (count, total, _lo, _hi) in items:
-            if ph != phase or count < 1:
-                continue
-            predicted = predictions.get(key)
-            if predicted is None or predicted <= 0.0:
-                continue
-            rows.append((predicted, total / count))
-        return rows
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
 
     def clear(self) -> None:
-        """Drop every accumulated record, feature and prediction."""
+        """Drop every accumulated record."""
         with self._lock:
             self._records.clear()
-            self._features.clear()
-            self._predictions.clear()
 
     def stats(self) -> Dict[str, int]:
         """Bound/occupancy counters for the stats surfaces."""
@@ -662,7 +565,6 @@ class PlanTimings:
                 "signatures": len(self._records),
                 "cap": self.max_records,
                 "evictions": self.evictions,
-                "features": len(self._features),
             }
 
     def snapshot(self) -> List[Dict[str, object]]:
@@ -697,11 +599,6 @@ class PlanTimings:
 
 _DEFAULT_PLAN_TIMINGS = PlanTimings()
 
-#: Records between online drift checks (kept coarse so the steady-state
-#: recording path stays a dict update).
-_RETUNE_CHECK_EVERY = 64
-_records_since_check = 0
-
 
 def default_plan_timings() -> PlanTimings:
     """The process-wide per-plan timing registry the executor records into."""
@@ -711,35 +608,8 @@ def default_plan_timings() -> PlanTimings:
 def record_plan_timing(
     key: PlanKey, engine: str, seconds: float, phase: str = "execute"
 ) -> None:
-    """Record one measured phase into the process-wide registry.
-
-    Every :data:`_RETUNE_CHECK_EVERY` records the calibration layer is
-    given a chance to re-fit (:func:`repro.core.calibrate.maybe_retune`)
-    when observed latencies have drifted from the model's predictions; a
-    re-fit is persisted through the default plan store when one is
-    configured.
-    """
+    """Record one measured phase into the process-wide registry."""
     _DEFAULT_PLAN_TIMINGS.record(key, engine, seconds, phase=phase)
-    global _records_since_check
-    _records_since_check += 1
-    if _records_since_check >= _RETUNE_CHECK_EVERY:
-        _records_since_check = 0
-        from repro.core.calibrate import maybe_retune
-
-        coefficients = maybe_retune(_DEFAULT_PLAN_TIMINGS)
-        if coefficients is not None:
-            store = default_plan_store()
-            if store is not None:
-                store.save_calibration(coefficients.as_dict())
-
-
-def record_plan_features(
-    key: PlanKey,
-    features: Tuple[float, ...],
-    predicted_s: Optional[float] = None,
-) -> None:
-    """Register a plan's cost-model features in the process registry."""
-    _DEFAULT_PLAN_TIMINGS.record_features(key, features, predicted_s)
 
 
 def plan_timings_snapshot() -> List[Dict[str, object]]:

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.contraction_path import ContractionPath, ContractionTerm
+from repro.core.cost_model import set_active_coefficients
 from repro.core.loop_nest import LoopNest, LoopOrder, validate_loop_order
 from repro.core.scheduler import Schedule
 from repro.core.expr import SpTTNKernel
@@ -356,16 +357,7 @@ def default_plan_store() -> Optional[PlanStore]:
         _DEFAULT_STORE = (path, store)
     coefficients = store.load_calibration()
     if coefficients:
-        from repro.core.calibrate import CostCoefficients, apply_calibration
-        from repro.core.cost_model import set_active_coefficients
-
-        try:
-            # full documents restore the fitted state too, so the warm
-            # process predicts seconds and judges drift immediately
-            apply_calibration(CostCoefficients.from_dict(coefficients))
-        except (KeyError, TypeError, ValueError):
-            # partial/legacy documents still adjust the model constants
-            set_active_coefficients(coefficients)
+        set_active_coefficients(coefficients)
     return store
 
 

@@ -787,12 +787,13 @@ class ServeDaemon:
         ``metrics`` is the registry-only slice (counters, gauges and the
         per-stage latency histograms; the caches/pool sources are already
         present as top-level keys) and ``plan_timings`` the per-plan-
-        signature timing records — the calibration feed of ROADMAP item 4.
-        ``plan_timings_stats`` reports that registry's LRU bound and
-        eviction count, ``plan_store`` the disk-backed schedule store
-        (``{"configured": False}`` without ``REPRO_PLAN_STORE``) and
-        ``calibration`` the measured-coefficient state of
-        :mod:`repro.core.calibrate`.
+        signature timing records (count/total/min/mean/max per plan,
+        engine and phase).  ``plan_timings_stats`` reports that
+        registry's LRU bound and eviction count, ``plan_store`` the
+        disk-backed schedule store (``{"configured": False}`` without
+        ``REPRO_PLAN_STORE``) and ``calibration`` the cost-model
+        coefficients the scheduler ranks with
+        (:func:`repro.core.calibrate.calibration_state`).
         """
         return {
             "version": protocol.PROTOCOL_VERSION,

@@ -20,12 +20,8 @@ from repro.core.calibrate import (
     apply_calibration,
     calibration_state,
     cost_features,
-    current_calibration,
     features_value,
     fit_coefficients,
-    fit_from_timings,
-    maybe_retune,
-    predict_seconds,
     reset_calibration,
 )
 from repro.core.cost_model import (
@@ -36,7 +32,8 @@ from repro.core.cost_model import (
 )
 from repro.core.scheduler import SpTTNScheduler
 from repro.core.search import sweep_loop_orders
-from repro.engine.plan_cache import PlanTimings
+from repro.engine.executor import LoopNestExecutor
+from repro.engine.plan_cache import PlanCache, cached_schedule
 from repro.kernels.mttkrp import mttkrp_kernel
 from repro.sptensor import load_preset, random_dense_matrix
 
@@ -49,6 +46,11 @@ GROUND_TRUTH = CostCoefficients(
     vector_op=1e-9,
     call_overhead=5e-6,
 )
+
+
+def _seconds(features, coefficients=GROUND_TRUTH):
+    """Seconds a linear model with *coefficients* predicts for *features*."""
+    return features_value(features, coefficients.as_dict(), penalty=0.0)
 
 
 def _candidates(kernel, limit=16):
@@ -97,7 +99,7 @@ class TestFit:
     def test_fit_recovers_predictions_on_linear_data(self, mttkrp_setup):
         kernel, _ = mttkrp_setup
         rows = [
-            (f, GROUND_TRUTH.predict_seconds(f))
+            (f, _seconds(f))
             for nest in _candidates(kernel)
             for f in [cost_features(kernel, nest)]
             if f[4] == 0.0
@@ -106,7 +108,7 @@ class TestFit:
         fitted = fit_coefficients(rows)
         assert fitted is not None
         for features, seconds in rows:
-            assert fitted.predict_seconds(features) == pytest.approx(
+            assert _seconds(features, fitted) == pytest.approx(
                 seconds, rel=1e-6, abs=1e-12
             )
 
@@ -133,28 +135,6 @@ class TestFit:
         assert fitted is not None
         assert all(v >= 0.0 for v in fitted.as_dict().values())
 
-    def test_fit_from_timings_joins_execute_phase_only(self, mttkrp_setup):
-        kernel, _ = mttkrp_setup
-        nests = [n for n in _candidates(kernel) if cost_features(kernel, n)[4] == 0.0]
-        timings = PlanTimings(max_records=64)
-        for i, nest in enumerate(nests):
-            features = cost_features(kernel, nest)
-            timings.record_features(("plan", i), features)
-            timings.record(
-                ("plan", i), "lowered",
-                GROUND_TRUTH.predict_seconds(features), phase="execute",
-            )
-            # cold-call compilation: orders of magnitude larger, must not
-            # perturb the fit
-            timings.record(("plan", i), "lowered", 1.0, phase="prepare")
-        fitted = fit_from_timings(timings)
-        assert fitted is not None
-        for nest in nests:
-            features = cost_features(kernel, nest)
-            assert fitted.predict_seconds(features) == pytest.approx(
-                GROUND_TRUTH.predict_seconds(features), rel=1e-6, abs=1e-12
-            )
-
 
 # --------------------------------------------------------------------------- #
 # Process-wide state
@@ -162,8 +142,10 @@ class TestFit:
 class TestCalibrationState:
     def test_apply_changes_new_execution_costs(self, mttkrp_setup):
         kernel, _ = mttkrp_setup
-        assert current_calibration() is None
-        assert predict_seconds((1.0, 0.0, 1.0, 2.0, 0.0)) is None
+        assert active_coefficients() == DEFAULT_COEFFICIENTS
+        assert calibration_state() == {
+            "active": False, "coefficients": DEFAULT_COEFFICIENTS,
+        }
         before = ExecutionCost(kernel)
         assert before.loop_overhead == DEFAULT_COEFFICIENTS["loop_overhead"]
 
@@ -171,15 +153,14 @@ class TestCalibrationState:
         after = ExecutionCost(kernel)
         assert after.loop_overhead == GROUND_TRUTH.loop_overhead
         assert after.call_overhead == GROUND_TRUTH.call_overhead
-        assert predict_seconds((1.0, 0.0, 1.0, 2.0, 0.0)) == pytest.approx(
-            GROUND_TRUTH.predict_seconds((1.0, 0.0, 1.0, 2.0, 0.0))
-        )
+        assert active_coefficients() == GROUND_TRUTH.as_dict()
         state = calibration_state()
         assert state["active"] is True
         assert state["coefficients"] == GROUND_TRUTH.as_dict()
 
         reset_calibration()
-        assert current_calibration() is None
+        assert active_coefficients() == DEFAULT_COEFFICIENTS
+        assert calibration_state()["active"] is False
         assert ExecutionCost(kernel).loop_overhead == DEFAULT_COEFFICIENTS[
             "loop_overhead"
         ]
@@ -196,61 +177,37 @@ class TestCalibrationState:
 
 
 # --------------------------------------------------------------------------- #
-# Online re-tuning
+# One cost model per process
 # --------------------------------------------------------------------------- #
-class TestOnlineRetune:
-    def _drifting_timings(self, n=10):
-        """A registry whose observations all drift ~100x from prediction."""
-        timings = PlanTimings(max_records=64)
-        rng = np.random.default_rng(5)
-        for i in range(n):
-            features = tuple(float(x) for x in rng.random(4) * 50.0) + (0.0,)
-            observed = GROUND_TRUTH.predict_seconds(features)
-            timings.record_features(("plan", i), features, observed / 100.0)
-            timings.record(("plan", i), "lowered", observed)
-        return timings
+def test_loop_nest_choice_does_not_depend_on_process_history(
+    mttkrp_setup, ttmc_setup
+):
+    """Executing kernels never re-fits the installed coefficients, so a
+    fixed kernel's schedule is the same before and after a busy history."""
+    wrong = CostCoefficients(
+        loop_overhead=1e-15, scalar_op=1e-15, vector_op=1e-15, call_overhead=1e-15
+    )
+    apply_calibration(wrong)
+    installed = active_coefficients()
+    fixed, _ = mttkrp_setup
+    before = cached_schedule(fixed, cache=PlanCache(), store=False).loop_nest
 
-    def test_drift_triggers_refit(self):
-        apply_calibration(
-            CostCoefficients(
-                loop_overhead=5e-9, scalar_op=2e-10,
-                vector_op=1e-11, call_overhead=5e-8,
+    # 16 plans x 2 engines x 2 runs: 64 executions, 128 timing records
+    kernel, tensors = ttmc_setup
+    nests = _candidates(kernel, limit=16)
+    assert len(nests) == 16
+    for nest in nests:
+        for engine in ("interpret", "jit"):
+            executor = LoopNestExecutor(
+                kernel, nest, plan_cache=PlanCache(), engine=engine
             )
-        )
-        timings = self._drifting_timings()
-        fitted = maybe_retune(timings)
-        assert fitted is not None
-        assert calibration_state()["retunes"] == 1
-        assert current_calibration() == fitted
-        # predictions were refreshed, so the same registry no longer drifts
-        assert maybe_retune(timings) is None
-        assert calibration_state()["retunes"] == 1
+            for _ in range(2):
+                executor.execute(tensors)
 
-    def test_no_retune_without_prior_fit(self):
-        assert current_calibration() is None
-        assert maybe_retune(self._drifting_timings()) is None
-
-    def test_no_retune_when_disabled(self, monkeypatch):
-        apply_calibration(GROUND_TRUTH)
-        monkeypatch.setenv("REPRO_CALIBRATE_DRIFT", "off")
-        assert calibration_state()["drift_factor"] is None
-        assert maybe_retune(self._drifting_timings()) is None
-
-    def test_no_retune_below_min_samples(self, monkeypatch):
-        apply_calibration(GROUND_TRUTH)
-        monkeypatch.setenv("REPRO_CALIBRATE_MIN_SAMPLES", "32")
-        assert maybe_retune(self._drifting_timings(n=10)) is None
-
-    def test_no_retune_when_predictions_hold(self):
-        apply_calibration(GROUND_TRUTH)
-        timings = PlanTimings(max_records=64)
-        rng = np.random.default_rng(6)
-        for i in range(10):
-            features = tuple(float(x) for x in rng.random(4) * 50.0) + (0.0,)
-            observed = GROUND_TRUTH.predict_seconds(features)
-            timings.record_features(("plan", i), features, observed)
-            timings.record(("plan", i), "lowered", observed * 1.5)  # < factor
-        assert maybe_retune(timings) is None
+    assert active_coefficients() == installed
+    after = cached_schedule(fixed, cache=PlanCache(), store=False).loop_nest
+    assert after.order == before.order
+    assert after.path.terms == before.path.terms
 
 
 # --------------------------------------------------------------------------- #
@@ -262,7 +219,7 @@ class TestAutotunerCalibration:
         entries = [
             AutotuneEntry(
                 loop_nest=nest,
-                seconds=GROUND_TRUTH.predict_seconds(cost_features(kernel, nest)),
+                seconds=_seconds(cost_features(kernel, nest)),
                 max_buffer_dimension=nest.max_buffer_dimension(),
             )
             for nest in _candidates(kernel)
@@ -272,11 +229,12 @@ class TestAutotunerCalibration:
 
         fitted = tuner.fit_calibration(result, apply=False)
         assert fitted is not None
-        assert current_calibration() is None  # apply=False leaves state alone
+        # apply=False leaves state alone
+        assert active_coefficients() == DEFAULT_COEFFICIENTS
 
         applied = tuner.fit_calibration(result, apply=True)
         assert applied is not None
-        assert current_calibration() == applied
+        assert active_coefficients() == applied.as_dict()
 
 
 # --------------------------------------------------------------------------- #
@@ -288,10 +246,10 @@ def test_fig7_calibrated_ranking_at_least_as_good(dataset):
     often as the hand-tuned constants on the fig7 MTTKRP workloads.
 
     "Measured" seconds are synthesized from :data:`GROUND_TRUTH` — a
-    coefficient set with deliberately different op-class ratios — which the
-    executor's timing feed is linear in by the decomposition invariant, so
-    the test is deterministic while exercising the full fit path
-    (timings registry -> training rows -> NNLS -> ranking).
+    coefficient set with deliberately different op-class ratios — which a
+    nest's cost is linear in by the decomposition invariant, so the test
+    is deterministic while exercising the full fit path (feature rows ->
+    NNLS -> ranking).
     """
     tensor = load_preset(dataset, scale=2e-3, max_nnz=500, seed=0)
     factors = [
@@ -304,10 +262,8 @@ def test_fig7_calibrated_ranking_at_least_as_good(dataset):
         if cost_features(kernel, nest)[4] == 0.0
     ]
     assert len(nests) >= 2
-    measured = [
-        GROUND_TRUTH.predict_seconds(cost_features(kernel, nest))
-        for nest in nests
-    ]
+    features = [cost_features(kernel, nest) for nest in nests]
+    measured = [_seconds(f) for f in features]
     fastest = int(np.argmin(measured))
 
     def rank_of_fastest() -> int:
@@ -321,13 +277,7 @@ def test_fig7_calibrated_ranking_at_least_as_good(dataset):
 
     uncalibrated_rank = rank_of_fastest()
 
-    # feed the registry the way the executor does and fit from it
-    timings = PlanTimings(max_records=64)
-    for i, nest in enumerate(nests):
-        features = cost_features(kernel, nest)
-        timings.record_features(("plan", i), features)
-        timings.record(("plan", i), "lowered", measured[i])
-    fitted = fit_from_timings(timings)
+    fitted = fit_coefficients(list(zip(features, measured)))
     assert fitted is not None
     apply_calibration(fitted)
     calibrated_rank = rank_of_fastest()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.loop_nest import BufferSpec
-from repro.engine.blas import axpy, classify_call, dot, gemv, ger, vectorized_contract
+from repro.engine.blas import classify_call, vectorized_contract
 from repro.engine.buffers import BufferSet
 from repro.engine.reference import assert_same_result, dense_reference, reference_output
 from repro.util.counters import OpCounter
@@ -53,28 +53,6 @@ class TestVectorizedContract:
         out = np.zeros(2)
         vectorized_contract(scalar, vec, out, slice(None), [], ["s"], ["s"])
         np.testing.assert_allclose(out, 2.0 * vec)
-
-
-class TestBlasWrappers:
-    def test_axpy(self):
-        y = np.zeros(3)
-        counter = OpCounter()
-        axpy(2.0, np.array([1.0, 2.0, 3.0]), y, counter)
-        np.testing.assert_allclose(y, [2.0, 4.0, 6.0])
-        assert counter.kernel_calls["axpy"] == 1
-
-    def test_dot(self):
-        assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_ger(self):
-        a = np.zeros((2, 2))
-        ger(1.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]), a)
-        np.testing.assert_allclose(a, np.outer([1.0, 2.0], [3.0, 4.0]))
-
-    def test_gemv(self):
-        y = np.zeros(2)
-        gemv(np.eye(2), np.array([5.0, 7.0]), y)
-        np.testing.assert_allclose(y, [5.0, 7.0])
 
 
 class TestBufferSet:

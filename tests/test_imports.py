@@ -93,3 +93,26 @@ def test_kernel_and_app_functions_are_not_shadowed_by_their_submodules():
         "from repro.apps import cp_als\n"
         "assert all(map(callable, (mttkrp, ttmc, tttp, tttc, cp_als)))\n"
     )
+
+
+def test_executing_a_kernel_does_not_load_the_calibration_module():
+    # without a plan store nothing installs or reads a fit, so the
+    # execution path has no use for the calibration layer
+    loaded = _fresh(
+        "import os\n"
+        "os.environ.pop('REPRO_PLAN_STORE', None)\n"
+        "import sys\n"
+        "from repro.core.expr import parse_kernel\n"
+        "from repro.engine.executor import LoopNestExecutor\n"
+        "from repro.engine.plan_cache import cached_schedule\n"
+        "from repro.sptensor import random_dense_matrix, random_sparse_tensor\n"
+        "T = random_sparse_tensor((30, 25, 20), nnz=400, seed=0)\n"
+        "B = random_dense_matrix(25, 4, seed=1)\n"
+        "C = random_dense_matrix(20, 4, seed=2)\n"
+        "kernel = parse_kernel('ijk,ja,ka->ia', [T, B, C], names=['T', 'B', 'C'])\n"
+        "nest = cached_schedule(kernel).loop_nest\n"
+        "LoopNestExecutor(kernel, nest).execute({'T': T, 'B': B, 'C': C})\n"
+        "print(*sys.modules)\n"
+    ).split()
+    assert "repro.engine.executor" in loaded
+    assert "repro.core.calibrate" not in loaded

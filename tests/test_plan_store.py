@@ -13,8 +13,9 @@ import json
 import threading
 
 import numpy as np
-import pytest
 
+from repro.core.calibrate import calibration_state
+from repro.core.cost_model import DEFAULT_COEFFICIENTS, active_coefficients
 from repro.core.expr import parse_kernel
 from repro.engine.keys import canonical_key, key_digest
 from repro.engine.plan_cache import (
@@ -139,6 +140,21 @@ class TestWarmStart:
         snap = plan_store_snapshot()
         assert snap["configured"] is True
         assert snap["entries"] == 1 and snap["hits"] == 1
+
+    def test_partial_calibration_is_what_stats_report(self, tmp_path, monkeypatch):
+        """A partial ``calibration.json`` is installed and reported as one
+        state: the stats surface shows the coefficients the scheduler uses."""
+        root = tmp_path / "partial"
+        root.mkdir()
+        (root / "calibration.json").write_text(json.dumps(
+            {"version": STORE_VERSION, "coefficients": {"scalar_op": 2e-8}}
+        ))
+        monkeypatch.setenv(PLAN_STORE_ENV, str(root))
+        assert default_plan_store() is not None
+        assert active_coefficients() == {**DEFAULT_COEFFICIENTS, "scalar_op": 2e-8}
+        state = calibration_state()
+        assert state["coefficients"] == active_coefficients()
+        assert state["active"] is True
 
     def test_store_false_disables_persistence(self, tmp_path, monkeypatch):
         monkeypatch.setenv(PLAN_STORE_ENV, str(tmp_path / "unused"))
@@ -273,15 +289,6 @@ class TestBoundedTimings:
         assert key_digest(("plan", 0)) not in digests
         assert key_digest(("plan", 5)) in digests
 
-    def test_eviction_drops_orphaned_features(self):
-        timings = PlanTimings(max_records=2)
-        timings.record(("plan", 0), "lowered", 0.01)
-        timings.record_features(("plan", 0), (1.0, 0.0, 1.0, 2.0, 0.0), 0.01)
-        timings.record(("plan", 1), "lowered", 0.01)
-        timings.record(("plan", 2), "lowered", 0.01)  # evicts plan 0
-        assert timings.features_of(("plan", 0)) is None
-        assert timings.stats()["evictions"] == 1
-
     def test_recent_signature_survives_by_recency(self):
         timings = PlanTimings(max_records=2)
         timings.record(("plan", 0), "lowered", 0.01)
@@ -298,7 +305,3 @@ class TestBoundedTimings:
         timings.record(("plan", 0), "lowered", 0.01, phase="execute")
         rows = timings.snapshot()
         assert {row["phase"] for row in rows} == {"prepare", "execute"}
-        assert timings.training_rows() == []  # no features registered yet
-        timings.record_features(("plan", 0), (1.0, 0.0, 1.0, 2.0, 0.0))
-        ((vector, seconds),) = timings.training_rows()
-        assert seconds == pytest.approx(0.01)  # execute only, never prepare
