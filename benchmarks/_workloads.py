@@ -19,11 +19,11 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.sptensor import COOTensor, load_preset, random_dense_matrix, random_sparse_tensor
+from repro.sptensor import COOTensor, load_preset, random_dense_matrix
 
 #: Base seed for every benchmark RNG; change in one place to re-roll all
 #: benchmark inputs.
-BENCH_SEED = 0
+BASE_SEED = 0
 
 
 def bench_rng(salt: int = 0) -> np.random.Generator:
@@ -34,7 +34,7 @@ def bench_rng(salt: int = 0) -> np.random.Generator:
     seeds from explicit constants), so two CI runs see identical inputs.
     *salt* decorrelates multiple streams within one benchmark.
     """
-    return np.random.default_rng(BENCH_SEED + salt)
+    return np.random.default_rng(BASE_SEED + salt)
 
 #: Dataset presets used by the single-node kernel comparisons (Figure 7 and
 #: the TTMc speedup discussion).  Scales keep every baseline under ~1 s per
@@ -60,28 +60,6 @@ def factor_matrices(tensor: COOTensor, rank: int, seed: int = 0):
     ]
 
 
-def scaling_tensor(order: int, dim: int, density: float, seed: int = 0) -> COOTensor:
-    """Synthetic uniform tensor mirroring the Figure 8 strong-scaling inputs
-    (identical mode sizes, fixed density), scaled down for the Python runtime."""
-    shape = tuple(dim for _ in range(order))
-    return random_sparse_tensor(shape, density=density, seed=seed)
-
-
 def record_rows(benchmark, rows: Sequence[Dict[str, object]]) -> None:
     """Attach result rows to the pytest-benchmark record (shown with --benchmark-json)."""
     benchmark.extra_info["rows"] = list(rows)
-
-
-def format_table(rows: Sequence[Dict[str, object]]) -> str:
-    if not rows:
-        return "(no rows)"
-    keys = list(rows[0].keys())
-    lines = ["  ".join(f"{k:>14s}" for k in keys)]
-    for row in rows:
-        lines.append(
-            "  ".join(
-                f"{row[k]:>14.4g}" if isinstance(row[k], float) else f"{str(row[k]):>14s}"
-                for k in keys
-            )
-        )
-    return "\n".join(lines)

@@ -11,8 +11,8 @@ Only correctness is asserted (results bit-identical to sequential
 execution through both paths); the overhead ratio is recorded, not gated —
 loopback latency is too machine-dependent for a hard bar, and the wire
 cost is dominated by payload size, not by anything this repo optimizes.
-A measured snapshot lives in ``BENCH_serve.json`` (regenerate with
-``python benchmarks/snapshot.py serve``).
+The judged wire cost is the ``serve.wire_overhead_x`` cell of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.serve import (
 )
 from repro.sptensor import COOTensor
 
-from _workloads import BENCH_SEED, format_table, record_rows
+from _workloads import BASE_SEED, record_rows
 
 N_REQUESTS = 32
 MIX = "mixed"
@@ -50,7 +50,7 @@ def _outputs_equal(a, b) -> None:
 
 @pytest.mark.smoke
 def test_daemon_round_trip_vs_in_process(benchmark):
-    requests = scenario_mix(N_REQUESTS, mix=MIX, seed=BENCH_SEED, engine=ENGINE)
+    requests = scenario_mix(N_REQUESTS, mix=MIX, seed=BASE_SEED, engine=ENGINE)
     clear_caches()
     expected = execute_sequential(requests, engine=ENGINE)
 
@@ -84,7 +84,6 @@ def test_daemon_round_trip_vs_in_process(benchmark):
                 }
             ]
             record_rows(benchmark, rows)
-            print("\n" + format_table(rows))
 
             benchmark.pedantic(
                 lambda: client.run(requests), rounds=3, iterations=1, warmup_rounds=1

@@ -26,7 +26,7 @@ import pytest
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import PlanCache, cached_schedule, schedule_search_count
 
-from _workloads import FIG7_RANK, factor_matrices, format_table, preset_tensor, record_rows
+from _workloads import FIG7_RANK, factor_matrices, preset_tensor, record_rows
 
 from repro.kernels.mttkrp import mttkrp_kernel
 from repro.sptensor import CSFTensor
@@ -58,10 +58,11 @@ def _run_cold(tensor, factors):
     interpreter tier is forced process-wide via REPRO_ENGINE.
     """
     kernel, tensors = mttkrp_kernel(CSFTensor.from_coo(tensor), factors, mode=0)
-    # an empty private cache and no store: always a real (counted) search
+    # empty private caches and no store: always a real (counted) search and
+    # a freshly built plan
     schedule = cached_schedule(kernel, cache=PlanCache(), store=False)
     executor = LoopNestExecutor(
-        kernel, schedule.loop_nest, plan_cache=None, engine="lowered"
+        kernel, schedule.loop_nest, plan_cache=PlanCache(), engine="lowered"
     )
     return np.asarray(executor.execute(tensors))
 
@@ -111,7 +112,6 @@ def test_repeated_execute_plan_cache_speedup(benchmark, dataset):
         }
     ]
     record_rows(benchmark, rows)
-    print("\n" + format_table(rows))
 
     # the acceptance bar, as counts (wall-time ratios flake on shared
     # hosts): per-call planning searches every time, the cached path never

@@ -31,7 +31,6 @@ from _workloads import (
     FIG7_DATASETS,
     FIG7_RANK,
     factor_matrices,
-    format_table,
     preset_tensor,
     record_rows,
 )
@@ -84,13 +83,14 @@ def test_store_warm_startup_speedup(benchmark, tmp_path):
     assert [n.order for n in warm_nests] == [n.order for n in cold_nests]
     assert [n.path.terms for n in warm_nests] == [n.path.terms for n in cold_nests]
 
-    # bit-identity: the warm-restored schedule computes the same bytes
+    # bit-identity: the warm-restored schedule computes the same bytes, each
+    # through a freshly built plan
     _, kernel, tensors = workloads[0]
     cold_out = np.asarray(
-        LoopNestExecutor(kernel, cold_nests[0], plan_cache=None).execute(tensors)
+        LoopNestExecutor(kernel, cold_nests[0], plan_cache=PlanCache()).execute(tensors)
     )
     warm_out = np.asarray(
-        LoopNestExecutor(kernel, warm_nests[0], plan_cache=None).execute(tensors)
+        LoopNestExecutor(kernel, warm_nests[0], plan_cache=PlanCache()).execute(tensors)
     )
     np.testing.assert_array_equal(cold_out, warm_out)
 
@@ -108,7 +108,6 @@ def test_store_warm_startup_speedup(benchmark, tmp_path):
         }
     ]
     record_rows(benchmark, rows)
-    print("\n" + format_table(rows))
 
     # keep a pytest-benchmark record of the warm startup path
     benchmark.pedantic(

@@ -26,10 +26,9 @@ pool — and/or sweep the strong-scaling simulator::
         --nnz 40000 --procs 1,2,4,8 --workers 4 --mode both
 
 Serve a seeded mix of concurrent contraction requests through the batched
-contraction service and report throughput (optionally against naive
-per-request re-planning)::
+contraction service and report throughput::
 
-    python -m repro serve --requests 64 --workers 2 --mix mixed --compare-naive
+    python -m repro serve --requests 64 --workers 2 --mix mixed
 
 Run the network-facing serving daemon, then drive it from a second shell
 with a scripted client session (bit-identity check, stats, drain)::
@@ -468,8 +467,7 @@ def cmd_serve(args) -> int:
     the ``--mix`` scenario (kernels, shapes, dtypes and sparsities vary
     within the mix), serves them through
     :class:`~repro.serve.ContractionService` on ``--workers`` worker
-    processes, and prints throughput, batching and cache statistics;
-    ``--compare-naive`` also times naive per-request re-planning.
+    processes, and prints throughput, batching and cache statistics.
     ``--daemon`` instead runs the asyncio TCP daemon on ``--host``/
     ``--port`` until SIGTERM (see ``docs/PROTOCOL.md``), and
     ``--connect HOST:PORT`` runs a scripted client session against a
@@ -484,12 +482,7 @@ def cmd_serve(args) -> int:
         return _cmd_serve_connect(args)
     from repro.obs import disable_tracing, enable_tracing, write_trace
     from repro.runtime import resolve_workers
-    from repro.serve import (
-        ContractionService,
-        ServiceStats,
-        execute_naive,
-        scenario_mix,
-    )
+    from repro.serve import ContractionService, ServiceStats, scenario_mix
 
     requests = scenario_mix(
         args.requests, mix=args.mix, seed=args.seed, engine=args.engine
@@ -519,16 +512,6 @@ def cmd_serve(args) -> int:
           f"{stats.shared_bytes / 1e3:9.1f}")
     kinds = ", ".join(f"{k}={n}" for k, n in sorted(stats.by_kind.items()))
     print(f"request mix: {kinds}")
-
-    if args.compare_naive:
-        start = time.perf_counter()
-        execute_naive(requests, engine=args.engine)
-        naive_s = time.perf_counter() - start
-        print(
-            f"\nnaive per-request re-planning: {naive_s * 1e3:.1f} ms "
-            f"({args.requests / naive_s:.1f} req/s) — batched cached "
-            f"serving is {naive_s / served_s:.1f}x faster"
-        )
 
     print("\nprocess cache statistics:")
     _print_cache_stats(service.cache_stats())
@@ -802,10 +785,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cold", dest="warmup", action="store_false",
         help="time the first (cold) pass instead of warming the caches "
         "with one untimed pass first",
-    )
-    p_serve.add_argument(
-        "--compare-naive", action="store_true",
-        help="also time naive per-request re-planning and print the speedup",
     )
     p_serve.add_argument(
         "--daemon", action="store_true",

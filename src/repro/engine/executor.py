@@ -137,12 +137,10 @@ class LoopNestExecutor:
         Optional :class:`~repro.util.counters.OpCounter` accumulating scalar
         operation counts, buffer resets and BLAS-call classifications.
     plan_cache:
-        Where compiled plans live.  ``True`` (default) uses the process-wide
+        Where compiled plans live.  ``None`` (default) uses the process-wide
         cache from :func:`~repro.engine.plan_cache.default_plan_cache`; a
-        :class:`~repro.engine.plan_cache.PlanCache` instance uses that cache
-        (isolation for tests/benchmarks); ``None``/``False`` disables
-        caching entirely, rebuilding the plan on every ``execute`` call (the
-        pre-cache per-call-planning behaviour, kept for measurement).
+        :class:`~repro.engine.plan_cache.PlanCache` instance isolates the
+        executor's plans (pass a fresh ``PlanCache()`` for a cold plan).
     engine:
         ``"jit"`` executes the lowered program as one fused codegen
         callable; ``"lowered"`` executes it compiled op by op, without
@@ -160,7 +158,7 @@ class LoopNestExecutor:
         loop_nest: LoopNest,
         offload: bool = True,
         counter: Optional[OpCounter] = None,
-        plan_cache: Union[PlanCache, bool, None] = True,
+        plan_cache: Optional[PlanCache] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
@@ -187,12 +185,7 @@ class LoopNestExecutor:
             spec.name: spec.indices for spec in self._buffer_specs
         }
         self._dense_names = frozenset(op.name for op in kernel.dense_operands)
-        if plan_cache is True:
-            self._cache: Optional[PlanCache] = default_plan_cache()
-        elif plan_cache in (False, None):
-            self._cache = None
-        else:
-            self._cache = plan_cache
+        self._cache = plan_cache if plan_cache is not None else default_plan_cache()
 
         # run-time state, populated by execute()
         self._csf: Optional[CSFTensor] = None
@@ -273,7 +266,7 @@ class LoopNestExecutor:
         else:
             assert self._out_dense is not None
             result = self._out_dense
-        if self._cache is not None and plan_state != _plan_state(plan):
+        if plan_state != _plan_state(plan):
             # the plan grew (sites discovered / lowering compiled): let the
             # cache's memory budget see the real size
             self._cache.reaccount(plan.key)
@@ -348,12 +341,9 @@ class LoopNestExecutor:
             offload=self.offload,
             operands=operand_signature(kernel, tensors),
         )
-        if self._cache is not None:
-            plan = self._cache.get_or_create(key, lambda: CompiledPlan(key))
-            assert isinstance(plan, CompiledPlan)
-            self._plan = plan
-        else:
-            self._plan = CompiledPlan(key)
+        plan = self._cache.get_or_create(key, lambda: CompiledPlan(key))
+        assert isinstance(plan, CompiledPlan)
+        self._plan = plan
         self._bound_sites = {}
 
     def _release_bindings(self) -> None:

@@ -5,8 +5,7 @@
 * :mod:`repro.serve.service` — :class:`ContractionService`: bounded
   admission, batching by plan-cache signature, dispatch over the shared
   worker pool with shm broadcast of shared dense operands, futures with
-  deterministic submission-order results; plus the sequential oracle and
-  the naive per-request-planning baseline.
+  deterministic submission-order results; plus the sequential oracle.
 * :mod:`repro.serve.scenarios` — seeded request mixes for the
   ``repro serve`` load driver and the throughput benchmark.
 * :mod:`repro.serve.protocol` — the wire protocol (newline-delimited JSON
@@ -31,7 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".service": (
         "AdmissionError", "ContractionService", "DeadlineError", "QuarantinedError",
         "RequestFailed", "ServeFuture", "ServiceStats", "default_quarantine_ttl",
-        "execute_naive", "execute_sequential",
+        "execute_sequential",
     ),
     ".daemon": ("DaemonHandle", "ServeDaemon", "start_daemon_thread"),
     ".client": ("PendingReply", "ServeClient"),

@@ -54,12 +54,7 @@ import numpy as np
 
 from repro.core.expr import SpTTNKernel
 from repro.core.loop_nest import LoopNest
-from repro.engine.executor import (
-    ENGINES,
-    LoopNestExecutor,
-    TensorLike,
-    default_engine,
-)
+from repro.engine.executor import ENGINES, TensorLike, default_engine
 from repro.engine.plan_cache import (
     cached_executor,
     cached_schedule,
@@ -67,7 +62,6 @@ from repro.engine.plan_cache import (
     operand_signature,
     schedule_key,
 )
-from repro.core.scheduler import SpTTNScheduler
 from repro.obs.metrics import inc_counter, observe
 from repro.obs.trace import span as _span
 from repro.runtime import (
@@ -902,7 +896,7 @@ class ContractionService:
 
 
 # --------------------------------------------------------------------------- #
-# Reference execution paths (oracle and baseline)
+# Reference execution path (the oracle)
 # --------------------------------------------------------------------------- #
 def execute_sequential(
     requests: Sequence[ContractionRequest], engine: Optional[str] = None
@@ -920,30 +914,6 @@ def execute_sequential(
         executor = cached_executor(
             kernel,
             schedule.loop_nest,
-            engine=request.engine if request.engine is not None else resolved,
-        )
-        results.append(executor.execute(mapping))
-    return results
-
-
-def execute_naive(
-    requests: Sequence[ContractionRequest], engine: Optional[str] = None
-) -> List[Output]:
-    """Per-request re-planning: no schedule, plan or executor reuse.
-
-    Every request pays the full pipeline — scheduler search, symbolic
-    preprocessing, lowering — from scratch.  This is the baseline the serve
-    benchmark compares batched cached serving against.
-    """
-    resolved = default_engine() if engine is None else engine
-    results: List[Output] = []
-    for request in requests:
-        kernel, mapping = request.build()
-        schedule = SpTTNScheduler(kernel, **_SCHEDULE_KNOBS).schedule()
-        executor = LoopNestExecutor(
-            kernel,
-            schedule.loop_nest,
-            plan_cache=None,
             engine=request.engine if request.engine is not None else resolved,
         )
         results.append(executor.execute(mapping))

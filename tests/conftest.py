@@ -19,7 +19,6 @@ from repro.engine.plan_cache import clear_caches, clear_plan_timings
 from repro.serve.request import all_mode_ttmc_request, mttkrp_request, ttmc_request
 from repro.sptensor import (
     COOTensor,
-    load_preset,
     random_dense_matrix,
     random_sparse_tensor,
 )
@@ -93,10 +92,14 @@ def random_coo3():
     return random_sparse_tensor((18, 15, 12), density=0.03, seed=7)
 
 
-@pytest.fixture
-def benchmark_requests():
-    """The e2e benchmark's tensor (nell-2, 60k nnz) and its seven kernels."""
-    tensor = load_preset("nell-2", scale=1e-2, max_nnz=60_000, seed=0)
+@pytest.fixture(scope="session")
+def benchmark_requests(benchmark_tensor):
+    """The e2e benchmark's tensor (nell-2, 60k nnz) and its seven kernels.
+
+    Session-scoped: no tier writes into an operand (the read-only-operand
+    conformance test checks that on these very requests).
+    """
+    tensor = benchmark_tensor
     rng = np.random.default_rng(0)
     wide = [rng.random((dim, 32)) for dim in tensor.shape]
     narrow = [rng.random((dim, 8)) for dim in tensor.shape]

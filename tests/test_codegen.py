@@ -228,7 +228,7 @@ class TestStructureKeyedBinds:
         for request, got in zip(decoded + revalued, outputs):
             kernel, tensors = request.build()
             nest = cached_schedule(kernel).loop_nest
-            _, fresh, _ = _run(kernel, tensors, nest, plan_cache=None)
+            _, fresh, _ = _run(kernel, tensors, nest, plan_cache=PlanCache())
             np.testing.assert_array_equal(got, fresh)
         for got in outputs[1 : self.N]:
             np.testing.assert_array_equal(got, outputs[0])

@@ -18,7 +18,7 @@ from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import Program, lower_plan
-from repro.engine.plan_cache import default_plan_cache
+from repro.engine.plan_cache import PlanCache, default_plan_cache
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
 from repro.sptensor import COOTensor, DenseTensor, random_sparse_tensor
 from repro.util.counters import OpCounter
@@ -37,7 +37,7 @@ def run_both(kernel, tensors, nest, offload=True):
         counter = OpCounter()
         executor = LoopNestExecutor(
             kernel, nest, offload=offload, counter=counter,
-            plan_cache=False, engine=engine,
+            plan_cache=PlanCache(), engine=engine,
         )
         output = executor.execute(tensors)
         results[engine] = (output, counter, executor.last_engine)

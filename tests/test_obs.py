@@ -20,9 +20,11 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine.plan_cache import (
+    clear_caches,
     clear_plan_timings,
     plan_timings_snapshot,
 )
@@ -49,6 +51,7 @@ from repro.serve import (
     scenario_mix,
     start_daemon_thread,
 )
+from repro.sptensor import COOTensor
 from repro.util.timing import Timer
 
 
@@ -219,6 +222,25 @@ def test_disabled_tracing_overhead_under_two_percent():
         f"disabled tracing would cost {per_call_s * span_count * 1e6:.1f}us "
         f"across {span_count} sites vs warm workload {warm_s * 1e3:.1f}ms"
     )
+
+
+def test_tracing_on_serves_the_same_bytes():
+    """Tracing observes what the service computes and never changes it."""
+    requests = scenario_mix(8, mix="mixed", seed=5)
+    enable_tracing()
+    try:
+        traced = ContractionService(workers=0).run(requests)
+        spans = drain_spans()
+    finally:
+        disable_tracing()
+    clear_caches()  # both passes cold: same searches, plans and compiles
+    untraced = ContractionService(workers=0).run(requests)
+    assert len(spans) > 0
+    for got, want in zip(traced, untraced):
+        if isinstance(want, COOTensor):
+            np.testing.assert_array_equal(got.indices, want.indices)
+            got, want = got.values, want.values
+        np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------------------- #

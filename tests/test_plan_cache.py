@@ -15,6 +15,7 @@ from repro.engine.plan_cache import (
     default_plan_cache,
     kernel_signature,
     plan_key,
+    schedule_search_count,
 )
 from repro.sptensor import COOTensor, CSFTensor, random_dense_matrix, random_sparse_tensor
 from repro.sptensor.csf import (
@@ -139,7 +140,7 @@ class TestPlanCacheKeying:
         kernel, tensors = mttkrp_setup
         nest = _schedule_nest(kernel)
         cache = default_plan_cache()
-        executor = LoopNestExecutor(kernel, nest)  # plan_cache=True default
+        executor = LoopNestExecutor(kernel, nest)  # plan_cache=None default
         executor.execute(tensors)
         assert cache.get(executor._plan.key) is executor._plan
 
@@ -156,20 +157,30 @@ class TestPlanCacheResults:
         cached_exec = LoopNestExecutor(kernel, nest, plan_cache=cache)
         warm1 = cached_exec.execute(tensors)
         warm2 = cached_exec.execute(tensors)  # cache hit
-        fresh = LoopNestExecutor(kernel, nest, plan_cache=None).execute(tensors)
+        fresh = LoopNestExecutor(kernel, nest, plan_cache=PlanCache()).execute(tensors)
 
         _outputs_equal(warm1, warm2)
         _outputs_equal(warm1, fresh)
         assert cache.stats()["hits"] >= 1
 
-    def test_disabled_cache_rebuilds_plans(self, mttkrp_setup):
+    def test_warm_loop_searches_plans_and_sorts_nothing(self, mttkrp_setup):
+        # an ALS-style sweep: one kernel structure, new values every call
         kernel, tensors = mttkrp_setup
-        nest = _schedule_nest(kernel)
-        executor = LoopNestExecutor(kernel, nest, plan_cache=None)
-        executor.execute(tensors)
-        plan_a = executor._plan
-        executor.execute(tensors)
-        assert executor._plan is not plan_a  # rebuilt per call
+        schedules, plans = PlanCache(), PlanCache()
+        nest = cached_schedule(kernel, cache=schedules, store=False).loop_nest
+        executor = LoopNestExecutor(kernel, nest, plan_cache=plans)
+        first = executor.execute(tensors)
+        memo = default_structure_memo()
+
+        def counts():
+            return schedule_search_count(), schedules.misses + plans.misses, memo.misses
+
+        before = counts()
+        for scale in (2.0, 4.0, 0.5):  # powers of two scale every sum exactly
+            sparse = tensors["T"].with_values(tensors["T"].values * scale)
+            cached_schedule(kernel, cache=schedules, store=False)
+            _outputs_equal(executor.execute(dict(tensors, T=sparse)), first * scale)
+        assert counts() == before
 
 
 class TestScheduleCache:

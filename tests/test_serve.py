@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.engine.plan_cache import (
     clear_caches,
     default_schedule_cache,
+    schedule_key,
+    schedule_search_count,
 )
 from repro.runtime import shm
 from repro.serve import (
@@ -22,13 +24,13 @@ from repro.serve import (
     AdmissionError,
     ContractionRequest,
     ContractionService,
-    execute_naive,
     execute_sequential,
     mttkrp_request,
     scenario_mix,
     ttmc_request,
     tttp_request,
 )
+from repro.serve.service import _SCHEDULE_KNOBS
 from repro.sptensor import (
     COOTensor,
     DenseTensor,
@@ -271,13 +273,18 @@ class TestServeProperties:
                 _assert_outputs_equal(result, exp)
 
 
-class TestReferencePaths:
-    def test_naive_matches_sequential(self):
-        requests = scenario_mix(6, mix="mixed", seed=11)
-        naive = execute_naive(requests)
-        sequential = execute_sequential(requests)
-        for a, b in zip(naive, sequential):
-            _assert_outputs_equal(a, b)
+class TestBatchAmortization:
+    def test_a_mixed_mix_searches_once_per_schedule_key(self):
+        # the serving claim as counts: one schedule search per distinct
+        # scheduling problem, every other request of a batch rides along
+        requests = scenario_mix(64, mix="mixed", seed=0)
+        keys = {schedule_key(r.build()[0], **_SCHEDULE_KNOBS) for r in requests}
+        searches = schedule_search_count()
+        service = ContractionService(workers=0)
+        service.run(requests)
+        assert schedule_search_count() - searches == len(keys)
+        assert service.stats.batches < len(requests)
+        assert service.stats.amortized == len(requests) - service.stats.batches
 
 
 class TestServeBulkOpCount:
