@@ -16,7 +16,9 @@ Three mechanisms carry the speedup:
   program assigns every intermediate to a pool slot; registers with
   identical structural shape signatures and disjoint live ranges share a
   slot.  Slots persist on the compiled object across executions, so warm
-  calls write into existing buffers (NumPy ``out=``) and allocate nothing.
+  calls write into existing buffers (NumPy ``out=``) and allocate nothing;
+  a gather is direct once its ids pass a range check, since ``np.take``
+  copies through a temporary under ``mode="raise"`` (:mod:`.pool`).
 * **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
   per output fiber instead of materializing the full lane-expanded outer

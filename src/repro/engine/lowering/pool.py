@@ -10,7 +10,8 @@ the pooled buffer via the NumPy ``out=`` parameter when the cached buffer
 still matches, and transparently
 re-allocates (updating the pool) when it does not — so results are
 bit-identical to the unpooled expressions while warm calls allocate
-nothing.
+nothing.  Gathers are direct only when every id is in range: NumPy
+buffers ``np.take``'s ``out=`` under its default ``mode="raise"``.
 
 The pool is intentionally dumb: no locking (plans are not shared across
 threads), no size cap of its own (pool bytes are charged to the owning
@@ -48,11 +49,16 @@ def take_into(pool: Pool, key: Hashable, arr: np.ndarray, ids: np.ndarray,
 
     The gathered axis stays at ``axis`` in the backing buffer and the
     returned value is a ``moveaxis`` view with the lane axis first.
+    Non-empty ids inside ``[0, arr.shape[axis])`` gather with
+    ``mode="clip"``, which writes straight into the buffer and equals
+    ``"raise"`` for them; any other ids keep ``"raise"`` (negative ids
+    wrap, out-of-range ones raise), which copies through a temporary.
     """
     buf = pool.get(key)
     if buf is not None:
+        in_range = ids.size and 0 <= ids.min() and ids.max() < arr.shape[axis]
         try:
-            np.take(arr, ids, axis=axis, out=buf)
+            np.take(arr, ids, axis=axis, out=buf, mode="clip" if in_range else "raise")
         except (ValueError, TypeError):
             buf = None
     if buf is None:

@@ -22,6 +22,7 @@ The contract under test: ``compile_program`` turns a lowered
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -521,3 +522,65 @@ class TestReduceRoute:
         assert reduceat_calls == [1]
         assert got.dtype == lanes.dtype
         np.testing.assert_array_equal(got, np.add.reduceat(lanes, self.BOUNDS[:-1], axis=0))
+
+
+class TestGatherRoute:
+    """``_take`` gathers into its pooled buffer with ``mode="clip"`` only
+    after a range check: under ``mode="raise"`` NumPy copies ``out=``
+    through a temporary, and any ids the check rejects keep that route."""
+
+    ARR = np.random.default_rng(4).random((50, 40, 3))
+
+    def _take_warm(self, arr, ids, axis):
+        pool = {}
+        codegen_mod._bufpool.take_into(pool, "k", arr, ids, axis)
+        buf = pool["k"]
+        got = codegen_mod._bufpool.take_into(pool, "k", arr, ids, axis)
+        assert pool["k"] is buf
+        return got
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_in_range_ids_equal_np_take(self, axis, dtype):
+        arr = self.ARR.astype(dtype)
+        ids = np.random.default_rng(5).integers(0, arr.shape[axis], 300)
+        got = self._take_warm(arr, ids, axis)
+        assert got.dtype == arr.dtype
+        np.testing.assert_array_equal(got, np.moveaxis(np.take(arr, ids, axis=axis), axis, 0))
+
+    def test_negative_ids_wrap(self):
+        ids = np.array([-1, 0, -50, 7, -3])
+        got = self._take_warm(self.ARR, ids, 0)
+        np.testing.assert_array_equal(got, self.ARR[[49, 0, 0, 7, 47]])
+
+    def test_out_of_range_id_raises(self):
+        pool = {}
+        codegen_mod._bufpool.take_into(pool, "k", self.ARR, np.array([0, 1]), 0)
+        with pytest.raises(IndexError):
+            codegen_mod._bufpool.take_into(pool, "k", self.ARR, np.array([0, 50]), 0)
+
+    def test_empty_ids(self):
+        got = self._take_warm(self.ARR, np.array([], dtype=np.int64), 1)
+        assert got.shape == (0, 50, 3)
+
+    def test_shape_mismatch_reallocates(self):
+        pool = {}
+        codegen_mod._bufpool.take_into(pool, "k", self.ARR, np.arange(5), 0)
+        old = pool["k"]
+        got = codegen_mod._bufpool.take_into(pool, "k", self.ARR, np.arange(9), 0)
+        assert pool["k"] is not old and pool["k"].shape == (9, 40, 3)
+        np.testing.assert_array_equal(got, self.ARR[:9])
+
+    def test_warm_gather_allocates_no_temporary(self):
+        rng = np.random.default_rng(6)
+        arr = rng.random((2000, 32))
+        ids = rng.integers(0, 2000, 7752)
+        pool = {}
+        codegen_mod._bufpool.take_into(pool, "k", arr, ids, 0)
+        tracemalloc.start()
+        try:
+            codegen_mod._bufpool.take_into(pool, "k", arr, ids, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool["k"].nbytes / 4
