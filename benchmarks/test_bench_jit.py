@@ -4,19 +4,21 @@ The jit tier (:mod:`repro.engine.lowering.codegen`) compiles a lowered
 program into one fused callable: straight-line NumPy specialized per
 program, pooled buffers reused across runs, bind-time index preparation,
 and SpMM / per-segment-GEMM peephole fusions.  The lowered tier compiles
-the same program without the fusions, so this module measures exactly
-their gain, on the paper's fig7 MTTKRP datasets and the TTMc workload —
-the same workloads the lowered tier is benchmarked on.
+the same program without the fusions, so the timed cases below record
+exactly their gain, on the paper's fig7 MTTKRP datasets and the TTMc
+workload — the same workloads the lowered tier is benchmarked on.
 
-Expected shape: the fusions collapse the dominant gather/scale/reduce
-chains into single CSR SpMMs and the large-segment outer products into
-per-segment GEMMs — >= 2x over the lowered tier on every fig7 MTTKRP
-dataset and on TTMc.
+The smoke case asserts structure, not seconds: each workload compiles to
+the fused unit that carries it (a CSR SpMM for MTTKRP, per-segment GEMMs
+for TTMc, per-row GEMMs for a TTMc whose output index is a middle CSF
+level), none builds a lane outer product for a selector SpMM to sum, and
+every result and op count equals the lowered tier's.  Wall-clock ratios
+are the end-to-end benchmark's business (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
 
-import time
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.kernels.mttkrp import mttkrp_kernel
 from repro.sptensor import random_dense_matrix, random_sparse_tensor
+from repro.util.counters import OpCounter
 
 from _workloads import (
     FIG7_DATASETS,
@@ -33,11 +36,7 @@ from _workloads import (
     TTMC_RANK,
     factor_matrices,
     preset_tensor,
-    record_rows,
 )
-
-REPEATS = 15
-TRIALS = 3
 
 
 def _mttkrp_case(dataset):
@@ -46,37 +45,14 @@ def _mttkrp_case(dataset):
     return mttkrp_kernel(tensor, factors, mode=0)
 
 
-def _ttmc_case(shape=(300, 250, 200), nnz=20000, rank=TTMC_RANK, seed=1):
+def _ttmc_case(spec="ijk,jr,ks->irs", shape=(300, 250, 200), nnz=20000, rank=TTMC_RANK, seed=1):
     tensor = random_sparse_tensor(shape, nnz=nnz, seed=seed)
-    u = random_dense_matrix(shape[1], rank, seed=seed + 1, name="U")
-    v = random_dense_matrix(shape[2], rank, seed=seed + 2, name="V")
-    kernel = parse_kernel("ijk,jr,ks->irs", [tensor, u, v], names=["T", "U", "V"])
+    dims = dict(zip("ijk", shape))
+    lhs, rhs = spec.split("->")[0].split(",")[1:]
+    u = random_dense_matrix(dims[lhs[0]], rank, seed=seed + 1, name="U")
+    v = random_dense_matrix(dims[rhs[0]], rank, seed=seed + 2, name="V")
+    kernel = parse_kernel(spec, [tensor, u, v], names=["T", "U", "V"])
     return kernel, {"T": tensor, "U": u, "V": v}
-
-
-def _best_time(executor, tensors, repeats=REPEATS):
-    executor.execute(tensors)  # warm plan, compiled callable and pools
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        executor.execute(tensors)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _engine_times(kernel, tensors, engines=("jit", "lowered")):
-    """Min-of-interleaved-trials per engine (robust to scheduler noise)."""
-    executors = {}
-    for engine in engines:
-        executors[engine] = LoopNestExecutor(
-            kernel, SpTTNScheduler(kernel).schedule().loop_nest, engine=engine
-        )
-    times = {engine: np.inf for engine in engines}
-    for _ in range(TRIALS):
-        for engine, executor in executors.items():
-            times[engine] = min(times[engine], _best_time(executor, tensors))
-            assert executor.last_engine == engine
-    return times
 
 
 @pytest.mark.parametrize("dataset", FIG7_DATASETS)
@@ -106,34 +82,39 @@ def test_ttmc_jit(benchmark, engine):
     assert executor.last_engine == engine
 
 
+#: A lane outer-product einsum (more output letters than either input) ...
+_OUTER_EINSUM = re.compile(r"^ +(r\d+) = _einsum\(B, \d+, '(\w+),(\w+)->(\w+)'", re.MULTILINE)
+#: ... and the selector SpMM that would sum its lanes into the output.
+_SELECTOR = re.compile(r"^ +O \+= _spmm\(P\[\d+\], (r\d+)\)$", re.MULTILINE)
+
+
 @pytest.mark.smoke
-def test_jit_speedup_smoke(benchmark):
-    """JIT vs lowered on every fig7 MTTKRP dataset and on TTMc.
-
-    The acceptance bar: >= 2x over the lowered tier on each workload (the
-    CSR SpMM fusions carry the MTTKRP datasets, the per-segment GEMM loop
-    carries TTMc)."""
-    cases = {f"mttkrp/{ds}": _mttkrp_case(ds) for ds in FIG7_DATASETS}
-    cases["ttmc"] = _ttmc_case()
-
-    def measure():
-        return {
-            name: _engine_times(kernel, tensors)
-            for name, (kernel, tensors) in cases.items()
+def test_jit_fused_unit_census_smoke():
+    """Every fig7 MTTKRP dataset and both TTMc shapes compile to their fused
+    unit, with no lane-expanded outer product, and agree with the lowered
+    tier."""
+    cases = {f"mttkrp/{ds}": (_mttkrp_case(ds), "_spmm(") for ds in FIG7_DATASETS}
+    cases["ttmc"] = (_ttmc_case(), " = _seg_outer(")
+    # a hooi-style mode-1 TTMc: its output index is the CSF's middle level
+    cases["ttmc/mode-1"] = (
+        _ttmc_case("ijk,ir,ks->jrs", shape=(2000, 100, 2000), nnz=20000),
+        "] += _seg_outer(",
+    )
+    for name, ((kernel, tensors), unit) in cases.items():
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        results = {}
+        for engine in ("jit", "lowered"):
+            counter = OpCounter()
+            executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
+            results[engine] = (np.asarray(executor.execute(tensors)), counter.as_dict())
+            assert executor.last_engine == engine, name
+        source = executor._plan.jit.source
+        assert unit in source, name
+        outer = {
+            reg
+            for reg, lhs, rhs, out in _OUTER_EINSUM.findall(source)
+            if len(out) > max(len(lhs), len(rhs))
         }
-
-    times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    rows = [
-        {
-            "kernel": name,
-            "jit_ms": engine_times["jit"] * 1e3,
-            "lowered_ms": engine_times["lowered"] * 1e3,
-            "speedup": engine_times["lowered"] / engine_times["jit"],
-        }
-        for name, engine_times in times.items()
-    ]
-    record_rows(benchmark, rows)
-    speedups = {row["kernel"]: row["speedup"] for row in rows}
-    benchmark.extra_info["speedups"] = speedups
-    for name, speedup in speedups.items():
-        assert speedup >= 2.0, f"{name}: jit only {speedup:.2f}x over lowered"
+        assert not outer & set(_SELECTOR.findall(source)), name
+        np.testing.assert_allclose(results["jit"][0], results["lowered"][0], rtol=1e-12, err_msg=name)
+        assert results["jit"][1] == results["lowered"][1], name

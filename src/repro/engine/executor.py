@@ -257,8 +257,8 @@ class LoopNestExecutor:
                             )
                         self.last_engine = self.engine
             if self.last_engine == "interpret":
-                positions = tuple(range(len(self.path)))
-                self._run(positions, 0, {}, -1, 0)
+                self._buffers = BufferSet(self._buffer_specs, self.kernel.index_dims, self.counter)
+                self._run(tuple(range(len(self.path))), 0, {}, -1, 0)
         total_s = time.perf_counter() - start
         self._record_timings(plan.key, prepare_s, max(0.0, total_s - prepare_s))
         if self.kernel.output.is_sparse:
@@ -324,7 +324,6 @@ class LoopNestExecutor:
             )
             self._dense[op.name] = arr
 
-        self._buffers = BufferSet(self._buffer_specs, kernel.index_dims, self.counter)
         if kernel.output.is_sparse:
             self._out_values = np.zeros(csf.nnz, dtype=np.float64)
             self._out_dense = None

@@ -21,9 +21,10 @@ Three mechanisms carry the speedup:
   copies through a temporary under ``mode="raise"`` (:mod:`.pool`).
 * **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
-  per output fiber instead of materializing the full lane-expanded outer
-  product), and one feeding a ``LaneSum`` becomes a single GEMM over the
-  lane axis.  Sums over lanes run as scipy CSR products prepared at bind time
+  per output fiber, never the full lane-expanded outer product), as does
+  one feeding a scatter-add by leading gathered axes, on lanes grouped by
+  output row at bind time; one feeding a ``LaneSum`` is one GEMM over the
+  lane axis.  Other lane sums are scipy CSR products prepared at bind time
   (:class:`_Spmm`): an elementwise values × gathered-dense contract
   feeding a ``SegmentReduce``, a ``ScatterLanes`` (optionally composed
   with the ``SegmentReduce`` of the remaining lane axis) or a
@@ -181,6 +182,11 @@ def _scatter_add_general(out, src, gather_ids, axes):
     np.add.at(out, _broadcast_index(gather_ids, axes, out.shape), src)
 
 
+def _group_order(rows):
+    """Stable lane order grouping *rows*, ``None`` when already sorted."""
+    return np.argsort(rows, kind="stable") if np.any(rows[1:] < rows[:-1]) else None
+
+
 class _Spmm:
     """A bind-time CSR operator: lanes grouped by flattened row id.
 
@@ -198,9 +204,8 @@ class _Spmm:
 
     def __init__(self, rows, head, cols, n_cols=None, values=None) -> None:
         self.head = head
-        self.order = None
-        if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
-            self.order = np.argsort(rows, kind="stable")
+        self.order = _group_order(rows)
+        if self.order is not None:
             rows, cols = rows[self.order], cols[self.order]
         n_rows = int(np.prod(head, dtype=np.int64))
         if n_cols is None:
@@ -302,12 +307,13 @@ class _Ctx:
     def __init__(self, csf) -> None:
         self.csf = csf
         self._ids: Dict[tuple, np.ndarray] = {}
+        self._groups: Dict[tuple, tuple] = {}
         self.valued: List[_Spmm] = []
 
     def lanes(self, level: int) -> int:
         return 1 if level < 0 else self.csf.nnz_at_level(level)
 
-    def ids(self, level: int, at_level: int) -> np.ndarray:
+    def ids(self, level: int, at_level: int, group=None) -> np.ndarray:
         key = (level, at_level)
         cached = self._ids.get(key)
         if cached is None:
@@ -315,7 +321,8 @@ class _Ctx:
             for lvl in range(level, at_level):
                 arr = np.repeat(arr, np.diff(self.csf.fptr[lvl]))
             self._ids[key] = cached = arr
-        return cached
+        order = group and self.row_groups(group)[0]  # lanes grouped by row
+        return cached if order is None else cached[order]
 
     def bounds(self, from_level: int, to_level: int) -> np.ndarray:
         """Composed segment boundaries: for each ``to_level`` node, the
@@ -325,16 +332,13 @@ class _Ctx:
             g = self.csf.fptr[lvl][g]
         return g
 
-    def expand_map(self, from_level: int, to_level: int) -> np.ndarray:
-        """For each ``to_level`` lane, its ``from_level`` ancestor index."""
+    def expand_map(self, from_level: int, to_level: int, group=None) -> np.ndarray:
+        """Each ``to_level`` lane's ``from_level`` ancestor (in *group*'s row order)."""
         arr = np.arange(self.lanes(from_level))
         for lvl in range(from_level, to_level):
             arr = np.repeat(arr, np.diff(self.csf.fptr[lvl]))
-        return arr
-
-    def parents(self, level: int) -> np.ndarray:
-        """Parent lane index of each level-``level`` lane (``level >= 1``)."""
-        return self.expand_map(level - 1, level)
+        order = group and self.row_groups(group)[0]
+        return arr if order is None else np.argsort(order)[arr]
 
     def scatter_rows(self, levels: Tuple[int, ...], at_level: int):
         """``(rows, head)`` of a scatter-add whose gathered axes lead the
@@ -344,7 +348,20 @@ class _Ctx:
         rows = ids[0] if len(ids) == 1 else np.ravel_multi_index(ids, head)
         return rows, head
 
-    def lane_rows(self, level: int, dim: int, to_level: Optional[int] = None):
+    def row_groups(self, group: tuple):
+        """Scatter ``group = (levels, at_level)``'s lanes grouped by output row:
+        the stable lane order (``None`` when already grouped), the reduction
+        over the rows that have lanes, and those rows' index into ``O``."""
+        if group not in self._groups:
+            flat, head = self.scatter_rows(*group)
+            order = _group_order(flat)
+            flat = flat if order is None else flat[order]
+            starts = np.flatnonzero(np.diff(flat, prepend=-1))
+            red = _reduce_prep(np.append(starts, flat.size))
+            self._groups[group] = (order, red, np.unravel_index(flat[starts], head))
+        return self._groups[group]
+
+    def lane_rows(self, level: int, dim: int, to_level: Optional[int] = None, group=None):
         """``(rows, head)`` of a ``ScatterLanes`` at ``level``, optionally
         composed with the segment reduction of the remaining lane axis down
         to ``to_level``: rows are *ancestor node x dim + fid*, so the
@@ -353,7 +370,7 @@ class _Ctx:
         if level == 0:
             return fids, (int(dim),)
         anc = level - 1 if to_level is None else to_level
-        rows = self.expand_map(anc, level) * int(dim) + fids
+        rows = self.expand_map(anc, level, group) * int(dim) + fids
         return rows, (self.lanes(anc), int(dim))
 
     def spmm(self, rows, head, cols, n_cols=None, valued=True) -> _Spmm:
@@ -464,11 +481,6 @@ def _dst_of(op) -> Optional[int]:
     return getattr(op, "dst", None)
 
 
-def _split_spec(spec: str) -> Tuple[List[str], str]:
-    inputs, out = spec.split("->")
-    return inputs.split(","), out
-
-
 class _Unit:
     """One emission unit: an original op or a fused pseudo-op."""
 
@@ -528,13 +540,14 @@ def _leading_gathers(axes) -> bool:
 
 
 def _match_fusions(ops, uses, def_op):
-    """Find the seg-GEMM, SpMM and lane-GEMM rewrites.
+    """Find the seg-GEMM, row-GEMM, SpMM and lane-GEMM rewrites.
 
-    Returns ``(skip, fused)``: op indices subsumed by a fusion, and a map
-    from the index of each fusion's *last* op to its fused unit.
+    Returns ``(skip, fused, regroup)``: op indices subsumed by a fusion, each
+    fusion's unit keyed by its *last* op, and the registers emitted row-grouped.
     """
     skip = set()
     fused = {}
+    regroup = {}
 
     def free(*idxs):
         """True when none of the op indices is claimed by a fusion yet."""
@@ -552,8 +565,8 @@ def _match_fusions(ops, uses, def_op):
         if j is None:
             continue
         nxt = ops[j]
-        in_subs, out_sub = _split_spec(op.spec)
-        lhs_sub, rhs_sub = in_subs
+        inputs, out_sub = op.spec.split("->")
+        lhs_sub, rhs_sub = in_subs = inputs.split(",")
         free_subs = lhs_sub[1:] + rhs_sub[1:]
         # a per-lane outer product: both operands carry the lane, no
         # other letter is shared or contracted
@@ -565,6 +578,7 @@ def _match_fusions(ops, uses, def_op):
             and sorted(out_sub[1:]) == sorted(free_subs)
             and len(set(out_sub)) == len(out_sub)
         )
+        gemm = outer and out_sub[1:] == free_subs
         gather = chain = None
         if isinstance(nxt, (ir.SegmentReduce, ir.ScatterLanes, ir.ScatterAdd)):
             is_reduce = isinstance(nxt, ir.SegmentReduce)
@@ -578,7 +592,7 @@ def _match_fusions(ops, uses, def_op):
         # SegmentReduce -> per-segment GEMM over the composed
         # boundaries; when the product is values x gathered-dense the
         # whole gather/scale/reduce chain is one CSR SpMM.
-        if isinstance(nxt, ir.SegmentReduce) and outer and out_sub[1:] == free_subs:
+        if isinstance(nxt, ir.SegmentReduce) and gemm:
             if gather is not None:
                 chain = (ops[gather], op, nxt)
             else:
@@ -614,6 +628,21 @@ def _match_fusions(ops, uses, def_op):
             and _leading_gathers(nxt.axes)
         ):
             chain = (ops[gather], op, nxt)
+        # P1d: a lane outer product feeding that ScatterAdd -> P1's GEMMs on
+        # lanes grouped by output row; single-use gather / P1 SpMM operands
+        # are emitted grouped, others are gathered into that order.
+        elif (
+            isinstance(nxt, ir.ScatterAdd) and gemm and not nxt.direct and _leading_gathers(nxt.axes)
+        ):
+            skip.add(i)
+            group = (tuple(a for kind, a in nxt.axes if kind == ir.GATHER), nxt.level)
+            fused[j] = _Unit("row_outer", op, op.srcs, None, (op.spec, group))
+            for reg in op.srcs:
+                prod = fused.get(def_op[reg], ops[def_op[reg]])
+                if uses[reg] == [i] and (
+                    isinstance(prod, ir.ReadArray) or getattr(prod, "kind", "") == "spmm"
+                ):
+                    regroup[reg] = group
         # P2: lane outer product whose lanes are all summed away -> one
         # GEMM contracting the lane axis.
         elif isinstance(nxt, ir.LaneSum) and outer:
@@ -626,7 +655,7 @@ def _match_fusions(ops, uses, def_op):
             fused[j] = _Unit(
                 "spmm", op, srcs + _srcs_of(chain[0]), _dst_of(chain[-1]), chain
             )
-    return skip, fused
+    return skip, fused, regroup
 
 
 def _reg_signatures(units) -> Dict[int, tuple]:
@@ -700,9 +729,10 @@ class _Emitter:
         self.lines.append("    " + text)
 
 
-def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
+def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) -> None:
     op = unit.op
     dst = f"r{unit.dst}" if unit.dst is not None else None
+    group = regroup.get(unit.dst)  # emit the lanes grouped by its rows
     if unit.kind == "seg_outer":
         spec, from_level, to_level = unit.info
         bounds = em.prep(
@@ -712,6 +742,14 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
         em.line(
             f"{dst} = _seg_outer(B, {slot}, {spec!r}, r{a}, r{b}, {bounds})"
         )
+    elif unit.kind == "row_outer":
+        spec, scatter = unit.info
+        key, rows = ("row", op.dst), em.prep(lambda ctx: ctx.row_groups(scatter))
+        a, b = (
+            f"r{r}" if r in regroup else f"_take(B, {(key, n)!r}, r{r}, {rows}[0], 0)"
+            for n, r in enumerate(unit.srcs)
+        )
+        em.line(f"O[{rows}[2]] += _seg_outer(B, {key!r}, {spec!r}, {a}, {b}, {rows}[1])")
     elif unit.kind == "spmm":
         gather, _contract, *tail = unit.info
         first, last = tail[0], tail[-1]
@@ -724,10 +762,10 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
                 rows = ctx.scatter_rows(levels, last.level)
             elif isinstance(first, ir.ScatterLanes):
                 to_level = last.to_level if len(tail) == 2 else None
-                rows = ctx.lane_rows(first.level, first.dim, to_level)
+                rows = ctx.lane_rows(first.level, first.dim, to_level, group)
             else:
                 rows = (
-                    ctx.expand_map(last.to_level, last.from_level),
+                    ctx.expand_map(last.to_level, last.from_level, group),
                     (ctx.lanes(last.to_level),),
                 )
             if expand:
@@ -756,13 +794,13 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
         elif len(gathers) == 1:
             axis, bind_level = gathers[0]
             ids = em.prep(
-                lambda ctx, b=bind_level, lv=op.level: ctx.ids(b, lv)
+                lambda ctx, b=bind_level, lv=op.level: ctx.ids(b, lv, group)
             )
             em.line(f"{dst} = _take(B, {slot}, {arr}, {ids}, {axis})")
         else:
             ids = em.prep(
                 lambda ctx, g=tuple(gathers), lv=op.level: tuple(
-                    ctx.ids(arg, lv) for _axis, arg in g
+                    ctx.ids(arg, lv, group) for _axis, arg in g
                 )
             )
             em.line(f"{dst} = _multigather({arr}, {ids}, {op.axes!r})")
@@ -790,7 +828,7 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int]) -> None:
                 f"{dst} = _scatter_lanes0(B, {slot}, r{op.src}, {fids}, {op.dim})"
             )
         else:
-            parents = em.prep(lambda ctx, lv=op.level: ctx.parents(lv))
+            parents = em.prep(lambda ctx, lv=op.level: ctx.expand_map(lv - 1, lv))
             n_par = em.prep(lambda ctx, lv=op.level: ctx.lanes(lv - 1))
             em.line(
                 f"{dst} = _scatter_lanes(B, {slot}, r{op.src}, {parents}, "
@@ -910,7 +948,7 @@ def _compile(program: ir.Program, fuse: bool) -> CompiledJit:
         if dst is not None:
             def_op[dst] = i
 
-    skip, fused = _match_fusions(ops, uses, def_op) if fuse else (set(), {})
+    skip, fused, regroup = _match_fusions(ops, uses, def_op) if fuse else (set(), {}, {})
     units: List[_Unit] = []
     for i, op in enumerate(ops):
         if i in skip:
@@ -944,7 +982,7 @@ def _compile(program: ir.Program, fuse: bool) -> CompiledJit:
                 slot = n_slots
                 n_slots += 1
             slot_of[unit.dst] = slot
-        _emit_unit(em, unit, slot)
+        _emit_unit(em, unit, slot, regroup)
         dying = set(unit.srcs)
         if unit.dst is not None:
             dying.add(unit.dst)

@@ -53,7 +53,10 @@ def take_into(pool: Pool, key: Hashable, arr: np.ndarray, ids: np.ndarray,
     ``mode="clip"``, which writes straight into the buffer and equals
     ``"raise"`` for them; any other ids keep ``"raise"`` (negative ids
     wrap, out-of-range ones raise), which copies through a temporary.
+    ``None`` ids take nothing: *arr* is returned as it is.
     """
+    if ids is None:
+        return arr
     buf = pool.get(key)
     if buf is not None:
         in_range = ids.size and 0 <= ids.min() and ids.max() < arr.shape[axis]

@@ -27,8 +27,10 @@ import pytest
 
 from repro.apps.cp_als import cp_als
 from repro.apps.tucker_hooi import tucker_hooi
+from repro.engine.lowering import compile_program
 from repro.engine.plan_cache import default_plan_cache
 from repro.sptensor import random_sparse_tensor
+from test_codegen import outer_products_fed_to_selectors
 
 _RTOL = 1e-6
 _ATOL = 1e-9
@@ -121,6 +123,24 @@ def test_one_benchmark_operation_executes_its_golden_scalar_op_count(
     generating the shared tensor once."""
     _benchmark_operation(name, benchmark_tensor, harness_workloads)
     assert executed_scalar_ops[0] == golden
+
+
+def test_no_hooi_kernel_scatters_a_lane_outer_product_through_a_selector(
+    benchmark_tensor, harness_workloads, monkeypatch
+):
+    """The fused-unit census of one ``hooi`` operation: none of its four jit
+    kernels builds the lane-expanded outer product a selector SpMM then
+    sums (the mode-1 TTMc runs GEMMs on row-grouped lanes instead), while
+    the un-fused program of that TTMc still does."""
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    _benchmark_operation("hooi", benchmark_tensor, harness_workloads)
+    plans = [plan for plan in default_plan_cache()._entries.values() if plan.jit]
+    assert len(plans) == 4
+    assert not any(outer_products_fed_to_selectors(plan.jit.source) for plan in plans)
+    row_grouped = [plan for plan in plans if "] += _seg_outer(" in plan.jit.source]
+    assert len(row_grouped) == 1
+    unfused = compile_program(row_grouped[0].lowered, fuse=False)
+    assert outer_products_fed_to_selectors(unfused.source)
 
 
 @pytest.mark.parametrize("name, golden", [("cp_als", 19), ("hooi", 25)])

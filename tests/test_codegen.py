@@ -30,7 +30,7 @@ import pytest
 from repro.core.expr import parse_kernel
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
-from repro.engine.lowering import CompiledJit, compile_program, lower_plan
+from repro.engine.lowering import CompiledJit, compile_program, ir, lower_plan
 from repro.engine.lowering import codegen as codegen_mod
 from repro.engine.lowering.codegen import jit_stats, reset_jit_stats
 from repro.engine.plan_cache import (
@@ -43,7 +43,7 @@ from repro.engine.plan_cache import (
 from repro.serve import protocol
 from repro.serve.request import mttkrp_request
 from repro.sptensor import COOTensor, random_sparse_tensor
-from repro.sptensor.csf import default_structure_memo
+from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
 from repro.util.counters import OpCounter
 
 
@@ -275,7 +275,24 @@ _PEEPHOLES = {
     # spmm_scatter -> SegmentReduce composed; Contract -> LaneSum as a GEMM
     "ijk,ir,js->krs": "_lane_dot(",
     "ijk,ir,js,kt->rst": "_lane_dot(",
+    # lane outer product feeding that ScatterAdd -> GEMMs on row-grouped lanes
+    "ijk,ir,ks->jrs": "] += _seg_outer(",
 }
+
+_OUTER_EINSUM = re.compile(r"^ +(r\d+) = _einsum\(B, \d+, '(\w+),(\w+)->(\w+)'", re.MULTILINE)
+_SELECTOR = re.compile(r"^ +O \+= _spmm\(P\[\d+\], (r\d+)\)$", re.MULTILINE)
+
+
+def outer_products_fed_to_selectors(source):
+    """Registers that a lane outer-product ``_einsum`` writes and a selector
+    SpMM (``O += _spmm(``) reads in generated source: the lane-expanded
+    chain the row-grouped GEMM unit replaces."""
+    outer = {
+        reg
+        for reg, lhs, rhs, out in _OUTER_EINSUM.findall(source)
+        if len(out) > max(len(lhs), len(rhs))
+    }
+    return outer & set(_SELECTOR.findall(source))
 
 
 class TestScatterPeepholes:
@@ -288,6 +305,7 @@ class TestScatterPeepholes:
         assert _PEEPHOLES[spec] in compiled.source
         assert "_sum0(" not in compiled.source
         assert "else:" not in compiled.source
+        assert not outer_products_fed_to_selectors(compiled.source)
         assert count_add_at == []
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
@@ -336,6 +354,131 @@ class TestScatterPeepholes:
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
         assert ctr.as_dict() == ref_ctr.as_dict()
+
+
+def _run_compiled(compiled, coo, dense, out):
+    """Run a compiled callable straight on *coo*'s (i, j, k) CSF, as a caller
+    bypassing ``execute`` (no dtype or layout coercion) would."""
+    counter = OpCounter()
+    compiled.run(csf_for_mode_order(coo, tuple(range(coo.order))), dense, out, None, counter)
+    return counter
+
+
+class TestRowGroupedScatter:
+    """A lane outer product scattered by leading gathered axes runs as
+    ``_seg_outer`` on lanes grouped by output row, then ``O[rows] +=``."""
+
+    SPEC = "ijk,ir,ks->jrs"
+
+    def _case(self, tensor, dtype="float64", rank=4):
+        kernel, tensors, nest = _spec_case(self.SPEC, tensor, rank=rank)
+        assert kernel.csf_mode_order == ("i", "j", "k")
+        plan = _run(kernel, tensors, nest)[0]._plan
+        dense = {n: t.astype(dtype) for n, t in tensors.items() if isinstance(t, np.ndarray)}
+        shape = (tensor.shape[1], rank, rank)
+        return plan, dense, shape
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_rows_without_lanes_stay_exactly_zero(self, random_coo3, dtype):
+        # every odd j is empty; float32 lanes reduce through np.add.reduceat,
+        # which would fold a zero-length segment's neighbour into the row
+        keep = random_coo3.indices[:, 1] % 2 == 0
+        tensor = COOTensor(random_coo3.shape, random_coo3.indices[keep], random_coo3.values[keep])
+        plan, dense, shape = self._case(tensor, dtype)
+        got, want = np.zeros(shape), np.zeros(shape)
+        ctr = _run_compiled(plan.jit, tensor, dense, got)
+        ref_ctr = _run_compiled(compile_program(plan.lowered, fuse=False), tensor, dense, want)
+        assert np.all(got[1::2] == 0.0) and got[::2].any()
+        np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == "float32" else 1e-12)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+    def test_grouped_lanes_build_no_permutation(self, random_coo3):
+        ctx = codegen_mod._Ctx(csf_for_mode_order(random_coo3, (0, 1, 2)))
+        assert ctx.row_groups(((0,), 1))[0] is None  # i ids: already sorted
+        order, (bounds, _), (rows,) = ctx.row_groups(((1,), 1))  # j ids: not
+        assert order is not None
+        j = ctx.ids(1, 1)[order]
+        assert np.all(np.diff(bounds) > 0)  # one segment per present row
+        np.testing.assert_array_equal(rows, np.unique(j))
+        np.testing.assert_array_equal(ctx.ids(1, 1, ((1,), 1)), j)
+
+    def test_large_segments_take_the_gemm_path(self):
+        # ~280 lanes per output row x rank 8: past _GEMM_MIN_FLOPS_PER_SEG
+        tensor = random_sparse_tensor((400, 6, 400), nnz=3000, seed=3)
+        kernel, tensors, nest = _spec_case(self.SPEC, tensor, rank=8)
+        executor, out, ctr = _run(kernel, tensors, nest)
+        assert "] += _seg_outer(" in executor._plan.jit.source
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
+        np.testing.assert_allclose(out, ref, rtol=1e-12)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+        # the (lanes, 8, 8) outer product is never materialised
+        lanes = np.unique(tensor.indices[:, :2], axis=0).shape[0]
+        assert all(buf.nbytes < lanes * 64 * 8 for buf in executor._plan.jit.pool.values())
+
+    def test_unregrouped_operand_is_gathered_and_small_segments_match_bit_for_bit(
+        self, random_coo3
+    ):
+        # r1 has a second reader, so its producer cannot emit grouped lanes:
+        # the unit gathers it into row order at run time.  Small segments
+        # take einsum + selector over the same lane order as the un-fused
+        # selector SpMM, so the bits agree.
+        gather = (("gather", 0), ("keep", -1)), (("gather", 1), ("keep", -1))
+        program = ir.Program(
+            (
+                ir.ReadArray(dst=0, slot=("dense", "A"), level=1, axes=gather[0]),
+                ir.ReadArray(dst=1, slot=("dense", "C"), level=1, axes=gather[1]),
+                ir.Contract(dst=2, spec="ab,ac->abc", srcs=(0, 1)),
+                ir.Contract(dst=3, spec="ac,ac->ac", srcs=(1, 1)),
+                ir.ScatterAdd(src=2, level=1, axes=(("gather", 1),) + (("keep", -1),) * 2,
+                              direct=False),
+            ),
+            n_regs=4,
+        )
+        rng = np.random.default_rng(2)
+        dense = {"A": rng.random((18, 3)), "C": rng.random((15, 4))}
+        jit = compile_program(program)
+        assert "] += _seg_outer(B, ('row', 2), 'ab,ac->abc', r0, _take(" in jit.source
+        got, want = np.zeros((15, 3, 4)), np.zeros((15, 3, 4))
+        _run_compiled(jit, random_coo3, dense, got)
+        _run_compiled(compile_program(program, fuse=False), random_coo3, dense, want)
+        np.testing.assert_array_equal(got, want)
+        i, j, _ = random_coo3.indices.T
+        pairs = np.unique(np.stack([i, j], 1), axis=0)
+        ref = np.zeros((15, 3, 4))
+        np.add.at(ref, pairs[:, 1], np.einsum("ab,ac->abc", dense["A"][pairs[:, 0]],
+                                              dense["C"][pairs[:, 1]]))
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    def test_new_values_rebind_the_regrouped_spmm(self, random_coo3):
+        # the values x gather SpMM feeding the unit emits its rows grouped,
+        # so its data is a permuted copy of the values, rebound per tensor
+        kernel, tensors, nest = _spec_case(self.SPEC, random_coo3)
+        _run(kernel, tensors, nest)
+        rebinds = jit_stats()["rebinds"]
+        values = np.random.default_rng(3).random(random_coo3.nnz)
+        other = dict(tensors, T=random_coo3.with_values(values))
+        _, got, _ = _run(kernel, other, nest)
+        assert jit_stats()["rebinds"] == rebinds + 1
+        _, want, _ = _run(kernel, other, nest, plan_cache=PlanCache())
+        np.testing.assert_array_equal(got, want)
+
+    def test_two_level_row_head(self, random_coo4):
+        # rows are (k, j) pairs, against the CSF's (j, k) order
+        kernel, tensors, nest = _spec_case("ijkl,ir,ls->kjrs", random_coo4)
+        executor, out, ctr = _run(kernel, tensors, nest)
+        assert "] += _seg_outer(" in executor._plan.jit.source
+        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+        assert ctr.as_dict() == ref_ctr.as_dict()
+
+    def test_rows_scatter_through_a_strided_output(self, random_coo3):
+        plan, dense, shape = self._case(random_coo3)
+        got = np.zeros(shape[::-1]).T  # Fortran order: a reshape would copy
+        want = np.zeros(shape)
+        _run_compiled(plan.jit, random_coo3, dense, got)
+        _run_compiled(plan.jit, random_coo3, dense, want)
+        assert got.any()
+        np.testing.assert_array_equal(got, want)
 
 
 _CONFORMANCE_FIXTURES = ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
