@@ -670,13 +670,7 @@ class LoopNestExecutor:
         key = (positions, depth)
         plan = self._bound_sites.get(key)
         if plan is None:
-            assert self._plan is not None
-            symbolic = self._plan.site(key)
-            if symbolic is None:
-                symbolic = self._plan.add_site(
-                    key, self._build_plan(positions, depth, csf_level)
-                )
-            plan = self._bind_steps(symbolic)
+            plan = self._bind_steps(self._site_steps(positions, depth, csf_level))
             self._bound_sites[key] = plan
 
         counter = self.counter

@@ -16,7 +16,7 @@ buffers ``np.take``'s ``out=`` under its default ``mode="raise"``.
 The pool is intentionally dumb: no locking (plans are not shared across
 threads), no size cap of its own (pool bytes are charged to the owning
 plan-cache entry through :func:`pool_nbytes` /
-:func:`~repro.engine.plan_cache.approx_nbytes`).
+:func:`~repro.util.lru.approx_nbytes`).
 """
 
 from __future__ import annotations

@@ -75,6 +75,7 @@ from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.dense import DenseTensor
 from repro.util.faults import fault_point
+from repro.util.lru import LRUCache
 from repro.util.validation import require
 
 Output = Union[np.ndarray, COOTensor]
@@ -171,25 +172,22 @@ class _SharedSparse:
 #: values segment name.  Returning the *same* COOTensor object for every
 #: request of a batch is what makes the per-object CSF-conversion memo hit
 #: across the batch — one CSF analysis per worker, not one per request.
-_SPARSE_ATTACHED: "OrderedDict[str, COOTensor]" = OrderedDict()
 _SPARSE_ATTACH_CAP = 8
+_SPARSE_ATTACHED = LRUCache(max_entries=_SPARSE_ATTACH_CAP, name="sparse_attach")
 
 
 def _resolve_sparse(ref: _SharedSparse) -> COOTensor:
+    def build() -> COOTensor:
+        # the broadcast arrays are already canonical (deduped, sorted), so
+        # the constructor's sort pass is skipped
+        return COOTensor(
+            ref.shape, attach(ref.indices), attach(ref.values), sort=False
+        )
+
     key = getattr(ref.values, "segment", None)
-    if key is not None:
-        cached = _SPARSE_ATTACHED.get(key)
-        if cached is not None:
-            _SPARSE_ATTACHED.move_to_end(key)
-            return cached
-    # the broadcast arrays are already canonical (deduped, sorted), so the
-    # constructor's sort pass is skipped
-    tensor = COOTensor(ref.shape, attach(ref.indices), attach(ref.values), sort=False)
-    if key is not None:
-        _SPARSE_ATTACHED[key] = tensor
-        if len(_SPARSE_ATTACHED) > _SPARSE_ATTACH_CAP:
-            _SPARSE_ATTACHED.popitem(last=False)
-    return tensor
+    if key is None:
+        return build()
+    return _SPARSE_ATTACHED.get_or_create(key, build)
 
 
 class ServeFuture:

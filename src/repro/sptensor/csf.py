@@ -36,15 +36,15 @@ new set of values to the shared structure.
 
 from __future__ import annotations
 
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sptensor.coo import COOTensor
+from repro.util.lru import LRUCache
 from repro.util.validation import require
 
 
@@ -364,73 +364,13 @@ class _Structure(NamedTuple):
         return sum(int(a.nbytes) for a in arrays)
 
 
-_StructureKey = Tuple[bytes, Tuple[int, ...]]
-
-
-class StructureMemo:
-    """Byte-accounted LRU of CSF structure keyed by (pattern digest, mode order).
-
-    Locked: the daemon's event-loop thread converts at admission while its
-    flush thread converts at execution.  Builds run outside the lock, so two
-    threads racing on one cold pattern both build and the later insert
-    replaces the (equal) earlier one.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self.hits = self.misses = self.evictions = self.rejections = 0
-        self.bytes = 0
-        self._entries: "OrderedDict[_StructureKey, _Structure]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: _StructureKey) -> Optional[_Structure]:
-        with self._lock:
-            structure = self._entries.get(key)
-            if structure is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return structure
-
-    def put(self, key: _StructureKey, structure: _Structure) -> None:
-        size = structure.nbytes
-        with self._lock:
-            if size > self.max_bytes:
-                self.rejections += 1
-                return
-            replaced = self._entries.pop(key, None)
-            if replaced is not None:
-                self.bytes -= replaced.nbytes
-            self._entries[key] = structure
-            self.bytes += size
-            while self.bytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self.bytes -= evicted.nbytes
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.bytes = 0
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.evictions = self.rejections = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "rejections": self.rejections,
-                "bytes": self.bytes,
-            }
-
-
-_STRUCTURE_MEMO = StructureMemo(STRUCTURE_MEMO_BYTES)
+#: Locked, byte-budgeted; its ``misses`` are the COO sorts the process paid.
+_STRUCTURE_MEMO = LRUCache(
+    max_entries=None,
+    max_bytes=STRUCTURE_MEMO_BYTES,
+    size_of=attrgetter("nbytes"),
+    name="csf",
+)
 
 #: Per-source-object fast path in front of the structure memo, keyed weakly
 #: so entries disappear with their tensors.  Values map a CSF mode order to
@@ -451,7 +391,7 @@ def csf_for_mode_order(
     object, the converted tensor itself: repeated calls return the *same*
     ``CSFTensor`` while ``tensor.values`` is the same array.  Process-wide,
     the CSF *structure* (level arrays and leaf permutation) keyed by
-    ``(COOTensor.pattern_digest(), mode_order)``: any tensor with a pattern
+    ``(COOTensor.pattern_digest(), mode_order, shape, nnz)``: any tensor with a pattern
     seen before — decoded from the wire again, or derived with
     :meth:`COOTensor.with_values` — only gathers its values into a new
     ``CSFTensor`` sharing the stored level arrays, so the sort is paid once
@@ -480,27 +420,21 @@ def csf_for_mode_order(
 
 def _convert(coo: COOTensor, mode_order: Tuple[int, ...]) -> CSFTensor:
     """Bind *coo*'s values to memoized structure, building it on a miss."""
-    key = (coo.pattern_digest(), mode_order)
-    known = _STRUCTURE_MEMO.get(key)
-    # a digest match alone never binds: the stored structure must also
-    # agree with the tensor's shape and nnz, else it is rebuilt and replaced
-    if (
-        known is not None
-        and known.shape == coo.shape
-        and known.fids[-1].shape[0] == coo.nnz
-    ):
-        perm = known.leaf_perm
-        values = coo.values if perm is None else coo.values[perm]
-        return CSFTensor(
-            known.shape, mode_order, known.fids, known.fptr, values, leaf_perm=perm
-        )
-    csf = CSFTensor.from_coo(coo, mode_order)
-    _STRUCTURE_MEMO.put(
-        key, _Structure(csf.shape, csf.fids, csf.fptr, csf.leaf_perm)
+
+    def build() -> _Structure:
+        csf = CSFTensor.from_coo(coo, mode_order)
+        return _Structure(csf.shape, csf.fids, csf.fptr, csf.leaf_perm)
+
+    # a digest match alone never binds: shape and nnz are part of the key
+    key = (coo.pattern_digest(), mode_order, coo.shape, coo.nnz)
+    known = _STRUCTURE_MEMO.get_or_create(key, build)
+    perm = known.leaf_perm
+    values = coo.values if perm is None else coo.values[perm]
+    return CSFTensor(
+        known.shape, mode_order, known.fids, known.fptr, values, leaf_perm=perm
     )
-    return csf
 
 
-def default_structure_memo() -> StructureMemo:
+def default_structure_memo() -> LRUCache:
     """The process-wide structure memo behind :func:`csf_for_mode_order`."""
     return _STRUCTURE_MEMO

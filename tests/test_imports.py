@@ -116,3 +116,19 @@ def test_executing_a_kernel_does_not_load_the_calibration_module():
     ).split()
     assert "repro.engine.executor" in loaded
     assert "repro.core.calibrate" not in loaded
+
+
+def test_csf_conversion_loads_nothing_above_the_sparse_tensor_layer():
+    # the structure memo is an instance of the shared LRU in repro.util, so
+    # converting COO to CSF never reaches up into the engine or beyond
+    loaded = _fresh(
+        "import repro.sptensor.csf as csf\n"
+        "from repro.sptensor import random_sparse_tensor\n"
+        "T = random_sparse_tensor((8, 7, 6), nnz=30, seed=0)\n"
+        "csf.csf_for_mode_order(T, (2, 0, 1))\n"
+        "import sys\n"
+        "print(*sys.modules)\n"
+    ).split()
+    assert "repro.util.lru" in loaded
+    above = {"repro.engine", "repro.serve", "repro.runtime"}
+    assert sorted(m for m in loaded if ".".join(m.split(".")[:2]) in above) == []

@@ -18,12 +18,8 @@ from repro.engine.plan_cache import (
     schedule_search_count,
 )
 from repro.sptensor import COOTensor, CSFTensor, random_dense_matrix, random_sparse_tensor
-from repro.sptensor.csf import (
-    StructureMemo,
-    _Structure,
-    csf_for_mode_order,
-    default_structure_memo,
-)
+from repro.sptensor.csf import _Structure, csf_for_mode_order, default_structure_memo
+from repro.util.lru import LRUCache
 from repro.core.expr import parse_kernel
 
 
@@ -338,37 +334,47 @@ class TestCSFMemo:
         assert default_structure_memo().stats()["entries"] == before + 3
 
     def test_mismatched_entry_under_a_matching_digest_is_rebuilt(self, csf_builds):
+        # shape and nnz are part of the key: an entry under the same digest
+        # and mode order with another shape or nnz is never bound
         coo = random_sparse_tensor((8, 7, 6), nnz=30, seed=5)
         other = csf_for_mode_order(
             random_sparse_tensor((8, 7, 6), nnz=12, seed=6), (0, 1, 2)
         )
-        default_structure_memo().put(
-            (coo.pattern_digest(), (0, 1, 2)),
-            _Structure(other.shape, other.fids, other.fptr, other.leaf_perm),
-        )
+        planted = _Structure(other.shape, other.fids, other.fptr, other.leaf_perm)
+        for shape, nnz in (((8, 7, 6), other.nnz), ((9, 7, 6), coo.nnz)):
+            default_structure_memo().get_or_create(
+                (coo.pattern_digest(), (0, 1, 2), shape, nnz), lambda: planted
+            )
         view = csf_for_mode_order(coo, (0, 1, 2))
         assert len(csf_builds) == 2 and view.nnz == coo.nnz
+        assert view.fids[-1] is not other.fids[-1]
         np.testing.assert_array_equal(view.to_coo().to_dense(), coo.to_dense())
 
     def test_lru_evicts_by_bytes_and_rejects_oversized(self):
         def structure(n):
             return _Structure((n,), [np.zeros(n, dtype=np.int64)], [], None)
 
-        memo = StructureMemo(max_bytes=8 * 100)
+        def unbuilt():
+            raise AssertionError("a cached key was rebuilt")
+
+        memo = LRUCache(
+            max_entries=None,
+            max_bytes=8 * 100,
+            size_of=default_structure_memo().size_of,
+        )
         for name in (b"a", b"b"):
-            memo.put((name, (0,)), structure(40))
-        assert memo.get((b"a", (0,))) is not None  # a is now most recent
-        memo.put((b"c", (0,)), structure(40))  # 960 bytes > 800: evicts b
-        assert memo.get((b"b", (0,))) is None
-        assert memo.get((b"a", (0,))) is not None
-        memo.put((b"huge", (0,)), structure(101))
-        assert memo.get((b"huge", (0,))) is None
+            memo.get_or_create((name, (0,)), lambda: structure(40))
+        memo.get_or_create((b"a", (0,)), unbuilt)  # a is now most recent
+        memo.get_or_create((b"c", (0,)), lambda: structure(40))  # 960 > 800: evicts b
+        assert (b"b", (0,)) not in memo and (b"a", (0,)) in memo
+        huge = memo.get_or_create((b"huge", (0,)), lambda: structure(101))
+        assert huge.nbytes == 808 and (b"huge", (0,)) not in memo  # served only
         stats = memo.stats()
         assert (stats["entries"], stats["bytes"]) == (2, 640)
         assert (stats["evictions"], stats["rejections"]) == (1, 1)
-        assert (stats["hits"], stats["misses"]) == (2, 2)
+        assert (stats["hits"], stats["misses"]) == (1, 4)
         memo.clear()
-        assert memo.stats()["bytes"] == 0 and memo.stats()["hits"] == 2
+        assert memo.stats()["bytes"] == 0 and memo.stats()["hits"] == 1
 
     def test_threads_racing_on_a_cold_pattern_both_get_correct_views(self):
         import sys
@@ -402,7 +408,10 @@ class TestCSFMemo:
         assert not errors and not any(t.is_alive() for t in threads)
         for view in views:
             np.testing.assert_array_equal(view.to_coo().to_dense(), source.to_dense())
+            # the first insert wins: every racer binds the stored structure
+            assert all(a is b for a, b in zip(view.fids, views[0].fids))
         stats = default_structure_memo().stats()
+        assert stats["entries"] == 1
         assert stats["bytes"] == _Structure(
             views[0].shape, views[0].fids, views[0].fptr, views[0].leaf_perm
         ).nbytes
@@ -491,6 +500,34 @@ class TestMemoryBudget:
         assert stats["evictions"] >= 1
         assert len(cache) < len(orders)
         assert stats["bytes"] <= int(one_plan * 2.5)
+
+    def test_racing_builders_of_one_cold_key_store_it_once(self):
+        import threading
+        import time
+
+        cache = PlanCache(max_entries=None, max_bytes=10_000_000)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def factory():
+            time.sleep(0.01)
+            return np.zeros(1_000)
+
+        def race(slot):
+            barrier.wait(timeout=30)
+            got[slot] = cache.get_or_create(("cold",), factory)
+
+        threads = [threading.Thread(target=race, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] == cache.size_of(cache.get(("cold",)))
+        assert stats["misses"] == 4  # every build is paid and counted
+        assert all(value is got[0] for value in got)
 
     def test_clear_resets_bytes(self):
         cache = PlanCache(max_entries=None, max_bytes=10_000)
