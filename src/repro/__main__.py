@@ -550,23 +550,21 @@ def cmd_cache(args) -> int:
     ``REPRO_PLAN_CACHE_BYTES`` LRU memory budget) is shown in the ``bytes``
     column; ``rejections`` counts oversized entries refused admission.
 
-    Per-plan-signature timing records (count, total, min, mean, max per
-    executed plan and *phase* — ``prepare`` covers CSF conversion, plan
-    build and JIT compilation, ``execute`` the steady-state run) accumulated
-    by the executor are printed below the cache table whenever any exist;
-    ``--clear`` drops them too.  ``--store`` additionally reports the
+    The cached plans' timing rows (count, total and mean per plan, engine
+    and *phase* — ``prepare`` covers CSF conversion, plan build and JIT
+    compilation, ``execute`` the steady-state run) are printed below the
+    cache table whenever any exist; they live on the plans, so ``--clear``
+    drops them with the plans.  ``--store`` additionally reports the
     disk-backed plan store named by ``REPRO_PLAN_STORE``.
     """
     from repro.engine.lowering.codegen import reset_jit_stats
     from repro.engine.plan_cache import (
         caches_snapshot,
         clear_caches,
-        clear_plan_timings,
         default_executor_cache,
         default_plan_cache,
         default_schedule_cache,
         plan_timings_snapshot,
-        plan_timings_stats,
     )
     from repro.sptensor.coo import digest_stats
     from repro.sptensor.csf import default_structure_memo
@@ -579,10 +577,9 @@ def cmd_cache(args) -> int:
     }
     if args.clear:
         clear_caches()
-        clear_plan_timings()
         print(
-            "cleared all cached plans, schedules, executors, CSF structure "
-            "and plan timings"
+            "cleared all cached plans (and their timings), schedules, "
+            "executors and CSF structure"
         )
     if args.reset_stats:
         for cache in caches.values():
@@ -596,22 +593,17 @@ def cmd_cache(args) -> int:
         _print_store_stats()
     rows = plan_timings_snapshot()
     if rows:
-        registry = plan_timings_stats()
-        print(
-            f"\nper-plan timings ({registry['signatures']} row(s), "
-            f"cap {registry['cap']}, {registry['evictions']} evicted, "
-            f"by total time):"
-        )
+        print(f"\nper-plan timings ({len(rows)} row(s), by total time):")
         print(
             f"{'digest':>18s} {'engine':>8s} {'phase':>8s} {'count':>6s} "
-            f"{'total [ms]':>11s} {'mean [ms]':>10s} {'max [ms]':>9s}  plan"
+            f"{'total [ms]':>11s} {'mean [ms]':>10s}  plan"
         )
         for row in rows[: args.top]:
             print(
                 f"{row['digest']:>18s} {row['engine']:>8s} "
                 f"{row['phase']:>8s} {row['count']:6d} "
-                f"{row['total_s'] * 1e3:11.2f} {row['mean_s'] * 1e3:10.3f} "
-                f"{row['max_s'] * 1e3:9.2f}  {row['plan']}"
+                f"{row['total_s'] * 1e3:11.2f} {row['mean_s'] * 1e3:10.3f}  "
+                f"{row['plan']}"
             )
     return 0
 

@@ -81,7 +81,6 @@ from repro.engine.plan_cache import (
     default_plan_cache,
     operand_signature,
     plan_key,
-    record_plan_timing,
 )
 from repro.obs.trace import span as _span
 from repro.sptensor.coo import COOTensor
@@ -214,6 +213,13 @@ class LoopNestExecutor:
         place between calls is not observed — build a new tensor with
         :meth:`~repro.sptensor.coo.COOTensor.with_values` instead.
         """
+        try:
+            return self._execute(tensors)
+        finally:
+            # a call that raises must not pin its operands either
+            self._release_bindings()
+
+    def _execute(self, tensors: Mapping[str, TensorLike]) -> Union[np.ndarray, COOTensor]:
         start = time.perf_counter()
         # preparation (COO→CSF conversion, plan fetch/build, lowering and
         # jit compilation) is timed separately from steady-state execution:
@@ -260,7 +266,8 @@ class LoopNestExecutor:
                 self._buffers = BufferSet(self._buffer_specs, self.kernel.index_dims, self.counter)
                 self._run(tuple(range(len(self.path))), 0, {}, -1, 0)
         total_s = time.perf_counter() - start
-        self._record_timings(plan.key, prepare_s, max(0.0, total_s - prepare_s))
+        plan.record_timing(self.last_engine, "prepare", prepare_s)
+        plan.record_timing(self.last_engine, "execute", max(0.0, total_s - prepare_s))
         if self.kernel.output.is_sparse:
             result: Union[np.ndarray, COOTensor] = self._sparse_output()
         else:
@@ -270,20 +277,7 @@ class LoopNestExecutor:
             # the plan grew (sites discovered / lowering compiled): let the
             # cache's memory budget see the real size
             self._cache.reaccount(plan.key)
-        self._release_bindings()
         return result
-
-    # ------------------------------------------------------------------ #
-    # Timing records
-    # ------------------------------------------------------------------ #
-    def _record_timings(
-        self, key, prepare_s: float, execute_s: float
-    ) -> None:
-        """Record preparation and steady-state execution in the per-plan
-        timing registry, under separate phases."""
-        engine = self.last_engine or self.engine
-        record_plan_timing(key, engine, prepare_s, phase="prepare")
-        record_plan_timing(key, engine, execute_s, phase="execute")
 
     # ------------------------------------------------------------------ #
     # Preparation

@@ -32,21 +32,19 @@ sharing a :class:`CompiledPlan` between executors is safe.
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.engine.keys import canonical_key, key_digest
+from repro.engine.keys import key_digest
 from repro.engine.plan_store import (
     PlanStore,
     default_plan_store,
     schedule_from_payload,
     schedule_payload,
 )
-from repro.obs.metrics import inc_counter, register_source
+from repro.obs.metrics import Histogram, inc_counter, register_source
 from repro.obs.trace import span as _span
 from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import Schedule, SpTTNScheduler
@@ -181,9 +179,15 @@ class CompiledPlan:
     peephole pass) — both live on the plan so the cache's byte budget
     accounts for compiled callables and their pooled buffers alongside
     the plan itself.
+
+    ``timings`` holds the plan's measured wall-clock seconds: one
+    :class:`~repro.obs.metrics.Histogram` per ``(engine actually run,
+    phase)``, where ``"prepare"`` covers COO→CSF conversion, plan fetch,
+    lowering and compilation and ``"execute"`` the steady-state run
+    (:func:`plan_timings_snapshot` reports them).
     """
 
-    __slots__ = ("key", "sites", "lowered", "jit", "unfused")
+    __slots__ = ("key", "sites", "lowered", "jit", "unfused", "timings")
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
@@ -191,6 +195,7 @@ class CompiledPlan:
         self.lowered: object = None
         self.jit: object = None
         self.unfused: object = None
+        self.timings: Dict[Tuple[str, str], Histogram] = {}
 
     @property
     def n_sites(self) -> int:
@@ -202,6 +207,14 @@ class CompiledPlan:
     def add_site(self, site_key: SiteKey, steps: list) -> list:
         self.sites[site_key] = steps
         return steps
+
+    def record_timing(self, engine: str, phase: str, seconds: float) -> None:
+        """Account one *phase* of one execution on *engine* (``setdefault``:
+        threads racing on a row's first observation share one histogram)."""
+        hist = self.timings.get((engine, phase))
+        if hist is None:
+            hist = self.timings.setdefault((engine, phase), Histogram(phase))
+        hist.observe(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledPlan(sites={len(self.sites)})"
@@ -286,155 +299,46 @@ def caches_snapshot() -> Dict[str, Dict[str, int]]:
 
 
 # --------------------------------------------------------------------------- #
-# Per-plan-signature execution timings
+# Per-plan execution timings
 # --------------------------------------------------------------------------- #
 def describe_plan_key(key: PlanKey) -> str:
-    """Short human-readable label of one plan key: spec plus loop orders."""
-    try:
-        kernel_sig, _path, orders = key[0], key[1], key[2]
-        operands, output = kernel_sig[0], kernel_sig[1]
-        spec = (
-            ",".join("".join(op[1]) for op in operands)
-            + "->"
-            + "".join(output[1])
-        )
-        order_s = ";".join(",".join(order) for order in orders)
-        return f"{spec} [{order_s}]"
-    except Exception:  # foreign key shapes must not break introspection
-        return canonical_key(key)[:80]
-
-
-#: Bound on distinct ``(plan key, engine, phase)`` rows the process-wide
-#: timing registry retains.
-PLAN_TIMINGS_CAP = 1024
-
-
-class PlanTimings:
-    """Measured execution times accumulated per plan signature.
-
-    Every :meth:`~repro.engine.executor.LoopNestExecutor.execute` call
-    records wall-clock time under ``(plan key, engine actually run,
-    phase)``, where the phase separates one-time preparation
-    (``"prepare"``: COO→CSF conversion, plan build, lowering/jit
-    compilation) from steady-state execution (``"execute"``).
-    :meth:`snapshot` reports count/total/min/mean/max per signature —
-    visible via ``repro cache``, the service stats and the daemon's
-    ``stats``/``metrics`` operations.
-
-    The registry is a *capped* LRU over signatures (``max_records``,
-    defaulting to :data:`PLAN_TIMINGS_CAP`): a long-lived daemon serving
-    many distinct plans ages out the least-recently-recorded rows instead
-    of growing without bound, counting them in ``evictions``.
-
-    Thread-safe: serving flushes record from worker threads.
-    """
-
-    def __init__(self, max_records: int = PLAN_TIMINGS_CAP) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self._lock = threading.Lock()
-        self.max_records = max_records
-        self.evictions = 0
-        # (key, engine, phase) -> [count, total, min, max], LRU order
-        self._records: "OrderedDict[Tuple[PlanKey, str, str], List[float]]" = (
-            OrderedDict()
-        )
-
-    def record(
-        self, key: PlanKey, engine: str, seconds: float, phase: str = "execute"
-    ) -> None:
-        """Account one *phase* of one execution of *key* on *engine*."""
-        with self._lock:
-            record_key = (key, engine, phase)
-            rec = self._records.get(record_key)
-            if rec is None:
-                self._records[record_key] = [1, seconds, seconds, seconds]
-            else:
-                rec[0] += 1
-                rec[1] += seconds
-                rec[2] = min(rec[2], seconds)
-                rec[3] = max(rec[3], seconds)
-                self._records.move_to_end(record_key)
-            while len(self._records) > self.max_records:
-                self._records.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def clear(self) -> None:
-        """Drop every accumulated record."""
-        with self._lock:
-            self._records.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Bound/occupancy counters for the stats surfaces."""
-        with self._lock:
-            return {
-                "signatures": len(self._records),
-                "cap": self.max_records,
-                "evictions": self.evictions,
-            }
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        """JSON-safe rows sorted by total time descending.
-
-        Each row carries the canonical ``digest`` of the structural key
-        (:func:`repro.engine.keys.key_digest` — stable across processes
-        and NumPy versions, so snapshots from different daemon runs
-        correlate), a readable ``plan`` label, the engine, the phase and
-        the count/total/min/mean/max statistics in seconds.
-        """
-        with self._lock:
-            items = list(self._records.items())
-        rows = []
-        for (key, engine, phase), (count, total, lo, hi) in items:
-            rows.append(
-                {
-                    "digest": key_digest(key),
-                    "plan": describe_plan_key(key),
-                    "engine": engine,
-                    "phase": phase,
-                    "count": int(count),
-                    "total_s": total,
-                    "min_s": lo,
-                    "mean_s": total / count if count else 0.0,
-                    "max_s": hi,
-                }
-            )
-        rows.sort(key=lambda row: row["total_s"], reverse=True)
-        return rows
-
-
-_DEFAULT_PLAN_TIMINGS = PlanTimings()
-
-
-def default_plan_timings() -> PlanTimings:
-    """The process-wide per-plan timing registry the executor records into."""
-    return _DEFAULT_PLAN_TIMINGS
-
-
-def record_plan_timing(
-    key: PlanKey, engine: str, seconds: float, phase: str = "execute"
-) -> None:
-    """Record one measured phase into the process-wide registry."""
-    _DEFAULT_PLAN_TIMINGS.record(key, engine, seconds, phase=phase)
+    """Short human-readable label of one :func:`plan_key`: spec plus loop orders."""
+    (operands, output, *_), _path, orders = key[:3]
+    spec = ",".join("".join(op[1]) for op in operands) + "->" + "".join(output[1])
+    return f"{spec} [{';'.join(','.join(order) for order in orders)}]"
 
 
 def plan_timings_snapshot() -> List[Dict[str, object]]:
-    """Rows of the process-wide per-plan timing registry (total-desc)."""
-    return _DEFAULT_PLAN_TIMINGS.snapshot()
+    """Timing rows of the plans in the process-wide cache, total time first.
 
-
-def plan_timings_stats() -> Dict[str, int]:
-    """Bound/occupancy counters of the process-wide timing registry."""
-    return _DEFAULT_PLAN_TIMINGS.stats()
-
-
-def clear_plan_timings() -> None:
-    """Drop the process-wide per-plan timing records (test isolation)."""
-    _DEFAULT_PLAN_TIMINGS.clear()
+    One row per executed ``(plan, engine, phase)`` (see
+    :attr:`CompiledPlan.timings`): the canonical ``digest`` of the plan key
+    (:func:`repro.engine.keys.key_digest` — stable across processes, so
+    snapshots from different daemon runs correlate), a readable ``plan``
+    label, the engine, the phase, ``count``/``total_s``/``mean_s`` and the
+    histogram's cumulative ``[le, count]`` ``buckets``.  The rows live and
+    age out with their plans, so the plan cache's LRU bounds them.
+    """
+    rows = []
+    for plan in _DEFAULT_PLAN_CACHE.values():
+        digest, label = key_digest(plan.key), describe_plan_key(plan.key)
+        for (engine, phase), hist in plan.timings.copy().items():
+            snap = hist.snapshot()
+            count, total = snap["count"], snap["sum"]
+            rows.append(
+                {
+                    "digest": digest,
+                    "plan": label,
+                    "engine": engine,
+                    "phase": phase,
+                    "count": count,
+                    "total_s": total,
+                    "mean_s": total / count if count else 0.0,
+                    "buckets": snap["buckets"],
+                }
+            )
+    rows.sort(key=lambda row: row["total_s"], reverse=True)
+    return rows
 
 
 # The metrics registry embeds these documents in its snapshots; registering

@@ -4,10 +4,14 @@ One snapshot API subsumes the stats surfaces that grew per subsystem —
 :class:`~repro.serve.ServiceStats` counters are mirrored into registry
 counters by the serving layer, and the cache/pool snapshot functions
 (:func:`~repro.engine.plan_cache.caches_snapshot`,
-:func:`~repro.runtime.pool.pool_stats`, the plan-timing records) register
+:func:`~repro.runtime.pool.pool_stats`,
+:func:`~repro.engine.plan_cache.plan_timings_snapshot`) register
 themselves as lazy *sources* so :func:`metrics_snapshot` returns one
 coherent document without this module importing any of them (no import
 cycles: producers import ``repro.obs``, never the reverse).
+
+Per-plan timings are histograms kept on each cached plan, not registry
+names: the registry has no bound, the plan cache's LRU drops them.
 
 Histograms use fixed latency buckets (seconds, log-spaced from 100 µs to
 10 s) so per-stage serving latency distributions are mergeable across
@@ -90,8 +94,9 @@ class Histogram:
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> None:
         self.name = name
-        self.buckets: Tuple[float, ...] = tuple(
-            sorted(buckets if buckets is not None else DEFAULT_LATENCY_BUCKETS)
+        # the (sorted) default tuple is shared: every cached plan holds some
+        self.buckets: Tuple[float, ...] = (
+            DEFAULT_LATENCY_BUCKETS if buckets is None else tuple(sorted(buckets))
         )
         self._counts = [0] * (len(self.buckets) + 1)
         self._sum = 0.0

@@ -62,11 +62,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.calibrate import calibration_state
-from repro.engine.plan_cache import (
-    caches_snapshot,
-    plan_timings_snapshot,
-    plan_timings_stats,
-)
+from repro.engine.plan_cache import caches_snapshot, plan_timings_snapshot
 from repro.engine.plan_store import plan_store_snapshot
 from repro.obs.export import write_trace
 from repro.obs.metrics import metrics_snapshot, observe, prometheus_text
@@ -786,14 +782,13 @@ class ServeDaemon:
 
         ``metrics`` is the registry-only slice (counters, gauges and the
         per-stage latency histograms; the caches/pool sources are already
-        present as top-level keys) and ``plan_timings`` the per-plan-
-        signature timing records (count/total/min/mean/max per plan,
-        engine and phase).  ``plan_timings_stats`` reports that
-        registry's LRU bound and eviction count, ``plan_store`` the
-        disk-backed schedule store (``{"configured": False}`` without
-        ``REPRO_PLAN_STORE``) and ``calibration`` the cost-model
-        coefficients the scheduler ranks with
-        (:func:`repro.core.calibrate.calibration_state`).
+        present as top-level keys) and ``plan_timings`` one timing row
+        per cached plan, engine and phase (count/total/mean and the
+        cumulative ``buckets``; the ``plan`` row of ``caches`` bounds
+        them), ``plan_store`` the disk-backed schedule store
+        (``{"configured": False}`` without ``REPRO_PLAN_STORE``) and
+        ``calibration`` the cost-model coefficients the scheduler ranks
+        with (:func:`repro.core.calibrate.calibration_state`).
         """
         return {
             "version": protocol.PROTOCOL_VERSION,
@@ -805,7 +800,6 @@ class ServeDaemon:
             "pool": pool_stats(),
             "metrics": metrics_snapshot(include_sources=False),
             "plan_timings": plan_timings_snapshot(),
-            "plan_timings_stats": plan_timings_stats(),
             "plan_store": plan_store_snapshot(),
             "calibration": calibration_state(),
             "quarantine": self.service.quarantine_snapshot(),

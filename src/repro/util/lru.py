@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def approx_nbytes(value: object, _seen: Optional[set] = None) -> int:
     if isinstance(value, dict):
         return sys.getsizeof(value) + sum(
             approx_nbytes(k, _seen) + approx_nbytes(v, _seen)
-            for k, v in value.items()
+            for k, v in list(value.items())  # a copy: plans grow while in use
         )
     if callable(value):
         return _OPAQUE_BYTES
@@ -123,6 +123,11 @@ class LRUCache:
     def get(self, key: Hashable) -> Optional[object]:
         """Peek without touching the counters or the LRU order."""
         return self._entries.get(key)
+
+    def values(self) -> List[object]:
+        """The cached values, least recently used first (a locked copy)."""
+        with self._lock:
+            return list(self._entries.values())
 
     def _measure(self, value: object) -> int:
         if self.max_bytes is None:

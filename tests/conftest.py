@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 import repro
 from repro.core.calibrate import reset_calibration
 from repro.core.expr import parse_kernel
-from repro.engine.plan_cache import clear_caches, clear_plan_timings
+from repro.engine.plan_cache import clear_caches
 from repro.serve.request import all_mode_ttmc_request, mttkrp_request, ttmc_request
 from repro.sptensor import (
     COOTensor,
@@ -51,17 +51,15 @@ def _fresh_caches():
     from an unrelated test.  Clearing on both sides keeps every test
     hermetic.
 
-    The per-plan timing registry and the calibration state are global for
-    the same reason the caches are, and are reset on both sides too — a
-    test that installs measured coefficients must not change how every
-    later test's scheduler ranks candidates.
+    Per-plan timings live on the cached plans and go with them.  The
+    calibration state is global for the same reason the caches are, and is
+    reset on both sides too — a test that installs measured coefficients
+    must not change how every later test's scheduler ranks candidates.
     """
     clear_caches()
-    clear_plan_timings()
     reset_calibration()
     yield
     clear_caches()
-    clear_plan_timings()
     reset_calibration()
 
 

@@ -134,7 +134,7 @@ def test_no_hooi_kernel_scatters_a_lane_outer_product_through_a_selector(
     the un-fused program of that TTMc still does."""
     monkeypatch.setenv("REPRO_ENGINE", "jit")
     _benchmark_operation("hooi", benchmark_tensor, harness_workloads)
-    plans = [plan for plan in default_plan_cache()._entries.values() if plan.jit]
+    plans = [plan for plan in default_plan_cache().values() if plan.jit]
     assert len(plans) == 4
     assert not any(outer_products_fed_to_selectors(plan.jit.source) for plan in plans)
     row_grouped = [plan for plan in plans if "] += _seg_outer(" in plan.jit.source]
@@ -151,5 +151,5 @@ def test_one_benchmark_operation_binds_its_golden_prep_builder_count(
     builders: a second, un-fused body per fused unit would add its ops'."""
     monkeypatch.setenv("REPRO_ENGINE", "jit")
     _benchmark_operation(name, benchmark_tensor, harness_workloads)
-    plans = default_plan_cache()._entries.values()
+    plans = default_plan_cache().values()
     assert sum(len(plan.jit._prep_builders) for plan in plans if plan.jit) == golden

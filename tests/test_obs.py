@@ -11,7 +11,8 @@ The contracts under test:
   pre-existing stats schema;
 * the exporter writes valid Chrome-trace JSON that covers every
   instrumented layer of a parallel daemon session;
-* per-plan-signature timing records accumulate per executed plan.
+* per-plan timing rows accumulate on each executed plan, one row per
+  engine and phase, shared by the threads executing it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine.plan_cache import (
-    clear_caches,
-    clear_plan_timings,
-    plan_timings_snapshot,
-)
+from repro.engine.plan_cache import clear_caches, plan_timings_snapshot
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -61,12 +58,12 @@ def _clean_obs_state():
     disable_tracing()
     default_tracer().reset()
     reset_metrics()
-    clear_plan_timings()
+    clear_caches()
     yield
     disable_tracing()
     default_tracer().reset()
     reset_metrics()
-    clear_plan_timings()
+    clear_caches()
 
 
 # --------------------------------------------------------------------------- #
@@ -328,11 +325,48 @@ def test_plan_timings_record_per_signature(ttmc_setup):
     assert len({row["digest"] for row in rows}) == 1
     for row in rows:
         assert row["count"] == 3
-        assert row["total_s"] >= row["min_s"] * 3 - 1e-9
+        assert row["total_s"] > 0
         assert row["mean_s"] == pytest.approx(row["total_s"] / 3)
-        assert row["max_s"] >= row["mean_s"] - 1e-12
-        assert "ijk,jr,ks->irs" in row["plan"]
+        # cumulative [le, count] buckets: non-decreasing, and every
+        # observation (all far below 10 s) lands in a finite bucket
+        counts = [count for _, count in row["buckets"]]
+        assert counts == sorted(counts) and counts[-1] == 3
+        assert "ijk,jr,ks->irs [" in row["plan"]
         assert len(row["digest"]) == 16  # blake2s, 8 bytes hex
+
+
+def test_plan_timings_threads_share_one_row_per_phase(mttkrp_setup):
+    from repro.engine.executor import LoopNestExecutor
+    from repro.engine.plan_cache import cached_schedule
+
+    kernel, tensors = mttkrp_setup
+    nest = cached_schedule(kernel).loop_nest
+    calls = 20
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def run() -> None:
+        # one executor per thread; the interpreter keeps all per-call state
+        # on it, while the jit tiers share the plan's pooled buffers
+        executor = LoopNestExecutor(kernel, nest, engine="interpret")
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(calls):
+                executor.execute(tensors)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not errors
+    rows = plan_timings_snapshot()
+    # both threads recorded into the one shared plan's histograms
+    assert sorted(row["phase"] for row in rows) == ["execute", "prepare"]
+    assert {row["engine"] for row in rows} == {"interpret"}
+    assert all(row["count"] == 2 * calls for row in rows)
 
 
 # --------------------------------------------------------------------------- #

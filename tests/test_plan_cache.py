@@ -11,6 +11,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import (
     PlanCache,
+    cached_executor,
     cached_schedule,
     default_plan_cache,
     kernel_signature,
@@ -177,6 +178,22 @@ class TestPlanCacheResults:
             cached_schedule(kernel, cache=schedules, store=False)
             _outputs_equal(executor.execute(dict(tensors, T=sparse)), first * scale)
         assert counts() == before
+
+    def test_failed_execute_releases_its_bindings(self, mttkrp_setup):
+        # a process-wide executor outlives its call: an operand that fails
+        # validation after the sparse tensor and ``B`` are bound must not
+        # stay pinned by the executor cache until the next good call
+        kernel, tensors = mttkrp_setup
+        executor = cached_executor(kernel, _schedule_nest(kernel))
+        with pytest.raises(ValueError, match="dense operand 'C'"):
+            executor.execute(dict(tensors, C=np.zeros((3, 5))))
+        assert executor._csf is None and executor._dense == {}
+        assert executor._out_dense is None and executor._out_values is None
+        # the executor still serves the next call
+        _outputs_equal(
+            executor.execute(tensors),
+            LoopNestExecutor(kernel, _schedule_nest(kernel)).execute(tensors),
+        )
 
 
 class TestScheduleCache:

@@ -4,7 +4,7 @@ Covers the PR-9 acceptance criteria: schedule round-trips through the
 store, a second "process" (fresh in-memory cache) warm-starts with zero
 schedule searches, corrupt/truncated/mismatched entries degrade to misses
 (never errors), concurrent writers cannot produce torn files, and the
-per-plan timing registry stays bounded.
+per-plan timing rows stay bounded by the plan cache.
 """
 
 from __future__ import annotations
@@ -18,10 +18,14 @@ from repro.core.calibrate import calibration_state
 from repro.core.cost_model import DEFAULT_COEFFICIENTS, active_coefficients
 from repro.core.expr import parse_kernel
 from repro.engine.keys import canonical_key, key_digest
+from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import (
     PlanCache,
-    PlanTimings,
     cached_schedule,
+    default_plan_cache,
+    operand_signature,
+    plan_key,
+    plan_timings_snapshot,
     schedule_key,
     schedule_search_count,
 )
@@ -275,33 +279,51 @@ class TestConcurrentWriters:
 
 
 # --------------------------------------------------------------------------- #
-# Bounded timings registry
+# Timing rows bounded by the plan cache
 # --------------------------------------------------------------------------- #
+def _execute_plan(rank: int) -> str:
+    """Execute the MTTKRP of factor rank *rank* (one plan per rank) and
+    return the digest its timing rows carry."""
+    T = random_sparse_tensor((30, 25, 20), nnz=400, seed=0)
+    B = random_dense_matrix(25, rank, seed=1)
+    C = random_dense_matrix(20, rank, seed=2)
+    tensors = {"T": T, "B": B, "C": C}
+    kernel = parse_kernel("ijk,ja,ka->ia", [T, B, C], names=list(tensors))
+    nest = cached_schedule(kernel).loop_nest
+    LoopNestExecutor(kernel, nest).execute(tensors)
+    return key_digest(
+        plan_key(kernel, nest, operands=operand_signature(kernel, tensors))
+    )
+
+
 class TestBoundedTimings:
-    def test_lru_eviction_over_cap(self):
-        timings = PlanTimings(max_records=4)
-        for i in range(6):
-            timings.record(("plan", i), "lowered", 0.01)
-        assert len(timings) == 4
-        assert timings.stats()["evictions"] == 2
-        # the oldest signatures aged out, the newest survive
-        digests = {row["digest"] for row in timings.snapshot()}
-        assert key_digest(("plan", 0)) not in digests
-        assert key_digest(("plan", 5)) in digests
+    def test_lru_eviction_over_cap(self, monkeypatch):
+        monkeypatch.setattr(default_plan_cache(), "max_entries", 4)
+        evictions = default_plan_cache().evictions
+        digests = [_execute_plan(rank) for rank in range(1, 7)]
+        assert default_plan_cache().evictions - evictions == 2
+        # one row per (plan, engine, phase), for the cached plans only
+        rows = plan_timings_snapshot()
+        assert len(rows) == 2 * len(default_plan_cache()) == 8
+        # the oldest plans aged out with their rows, the newest survive
+        surviving = {row["digest"] for row in rows}
+        assert digests[0] not in surviving and digests[1] not in surviving
+        assert set(digests[2:]) == surviving
 
-    def test_recent_signature_survives_by_recency(self):
-        timings = PlanTimings(max_records=2)
-        timings.record(("plan", 0), "lowered", 0.01)
-        timings.record(("plan", 1), "lowered", 0.01)
-        timings.record(("plan", 0), "lowered", 0.01)  # refresh 0
-        timings.record(("plan", 2), "lowered", 0.01)  # evicts 1, not 0
-        digests = {row["digest"] for row in timings.snapshot()}
-        assert key_digest(("plan", 0)) in digests
-        assert key_digest(("plan", 1)) not in digests
+    def test_recent_signature_survives_by_recency(self, monkeypatch):
+        monkeypatch.setattr(default_plan_cache(), "max_entries", 2)
+        first, second = _execute_plan(1), _execute_plan(2)
+        assert _execute_plan(1) == first  # refresh plan 1
+        third = _execute_plan(3)  # evicts plan 2, not plan 1
+        surviving = {row["digest"] for row in plan_timings_snapshot()}
+        assert surviving == {first, third}
+        assert second not in surviving
 
-    def test_phase_rows_count_separately(self):
-        timings = PlanTimings(max_records=8)
-        timings.record(("plan", 0), "lowered", 0.02, phase="prepare")
-        timings.record(("plan", 0), "lowered", 0.01, phase="execute")
-        rows = timings.snapshot()
+    def test_phase_rows_count_separately(self, monkeypatch):
+        monkeypatch.setattr(default_plan_cache(), "max_entries", 8)
+        digest = _execute_plan(1)
+        _execute_plan(1)
+        rows = plan_timings_snapshot()
         assert {row["phase"] for row in rows} == {"prepare", "execute"}
+        assert {row["digest"] for row in rows} == {digest}
+        assert [row["count"] for row in rows] == [2, 2]
