@@ -8,15 +8,13 @@ and TTTc workloads whose fused schedules the paper's evaluation features
 (complementing the fig7 MTTKRP numbers, whose fast path now also goes
 through the general lowering).
 
-Expected shape: the lowered engine wins by a growing factor as nnz rises —
-per-fiber Python dispatch costs O(nnz) interpreter steps while the lowered
-program runs O(loop-nest-size) NumPy ops — with >= 2x on the TTMc smoke
-workload and an order of magnitude on deeper nests (TTTc).
+Expected shape: the lowered engine wins by a growing factor as nnz rises,
+because per-fiber Python dispatch costs O(nnz) interpreter steps while the
+lowered program runs O(loop-nest-size) NumPy ops.  The smoke case gates that
+claim on counts, not on a wall-clock ratio.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -24,12 +22,12 @@ import pytest
 from repro.core.expr import parse_kernel
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
+from repro.engine.plan_cache import PlanCache
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
 from repro.sptensor import DenseTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor.csf import csf_for_mode_order
 
-from _workloads import TTMC_RANK, record_rows
-
-REPEATS = 5
+from _workloads import TTMC_RANK
 
 
 def _ttmc_case(shape=(300, 250, 200), nnz=20000, rank=TTMC_RANK, seed=1):
@@ -50,27 +48,6 @@ def _tttc_case(order=6, dim=14, nnz=4000, rank=8, seed=3):
     return tttc_kernel(tensor, cores, removed_core=order - 1)
 
 
-def _best_time(executor, tensors, repeats=REPEATS):
-    executor.execute(tensors)  # warm the cached plan (and lowered program)
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        executor.execute(tensors)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _engine_times(kernel, tensors, repeats=REPEATS):
-    times = {}
-    for engine in ("lowered", "interpret"):
-        executor = LoopNestExecutor(
-            kernel, SpTTNScheduler(kernel).schedule().loop_nest, engine=engine
-        )
-        times[engine] = _best_time(executor, tensors, repeats=repeats)
-        assert executor.last_engine == engine
-    return times
-
-
 @pytest.mark.parametrize("engine", ["lowered", "interpret"])
 def test_ttmc_engines(benchmark, engine):
     kernel, tensors = _ttmc_case()
@@ -84,32 +61,37 @@ def test_ttmc_engines(benchmark, engine):
 
 
 @pytest.mark.smoke
-def test_lowering_speedup_smoke(benchmark):
-    """Lowered TTMc/TTTc vs the interpreter on one small workload each.
-
-    The acceptance bar: >= 2x on TTMc (measured ~3-4x even at this scale;
-    TTTc lands an order of magnitude ahead)."""
-    ttmc_kernel_, ttmc_tensors = _ttmc_case(shape=(120, 100, 80), nnz=6000)
-    tttc_kernel_, tttc_tensors = _tttc_case(dim=12, nnz=1500)
-
-    def measure():
-        return {
-            "ttmc": _engine_times(ttmc_kernel_, ttmc_tensors),
-            "tttc": _engine_times(tttc_kernel_, tttc_tensors),
-        }
-
-    times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    rows = [
-        {
-            "kernel": name,
-            "lowered_ms": engine_times["lowered"] * 1e3,
-            "interpret_ms": engine_times["interpret"] * 1e3,
-            "speedup": engine_times["interpret"] / engine_times["lowered"],
-        }
-        for name, engine_times in times.items()
-    ]
-    record_rows(benchmark, rows)
-    speedups = {row["kernel"]: row["speedup"] for row in rows}
-    benchmark.extra_info["speedups"] = speedups
-    assert speedups["ttmc"] >= 2.0
-    assert speedups["tttc"] >= 2.0
+def test_lowered_program_is_independent_of_nnz_smoke(monkeypatch):
+    """TTMc and TTTc at two nnz each: the lowered program and its generated
+    source do not change, while the interpreter takes one ``_run`` step per
+    stored non-leaf CSF node."""
+    runs = []
+    real_run = LoopNestExecutor._run
+    monkeypatch.setattr(
+        LoopNestExecutor, "_run", lambda self, *args: runs.append(1) or real_run(self, *args)
+    )
+    for build in (
+        lambda nnz: _ttmc_case(shape=(120, 100, 80), nnz=nnz),
+        lambda nnz: _tttc_case(dim=12, nnz=nnz),
+    ):
+        programs, steps = [], []
+        for nnz in (400, 1600):
+            kernel, tensors = build(nnz)
+            nest = SpTTNScheduler(kernel).schedule().loop_nest
+            lowered = LoopNestExecutor(kernel, nest, engine="lowered", plan_cache=PlanCache())
+            lowered.execute(tensors)
+            assert lowered.last_engine == "lowered"
+            programs.append((lowered._plan.lowered.n_ops, lowered._plan.unfused.source))
+            runs.clear()
+            LoopNestExecutor(kernel, nest, engine="interpret", plan_cache=PlanCache()).execute(
+                tensors
+            )
+            sparse = kernel.sparse_operand
+            csf = csf_for_mode_order(
+                tensors[sparse.name], [sparse.indices.index(i) for i in kernel.csf_mode_order]
+            )
+            inner_nodes = sum(csf.nnz_at_level(level) for level in range(csf.order - 1))
+            assert len(runs) > inner_nodes
+            steps.append(len(runs))
+        assert programs[0] == programs[1]
+        assert steps[0] < steps[1]

@@ -548,7 +548,8 @@ def cmd_cache(args) -> int:
     kept so hit/miss history stays visible); ``--reset-stats`` zeroes the
     counters as well.  The plan cache's byte accounting (the
     ``REPRO_PLAN_CACHE_BYTES`` LRU memory budget) is shown in the ``bytes``
-    column; ``rejections`` counts oversized entries refused admission.
+    column; ``rejections`` counts oversized entries refused admission (in
+    the ``jit`` row: plans whose lowering was declined).
 
     The cached plans' timing rows (count, total and mean per plan, engine
     and *phase* — ``prepare`` covers CSF conversion, plan build and JIT

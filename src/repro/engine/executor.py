@@ -38,11 +38,13 @@ back to ``"jit"``):
 * ``"interpret"`` — the plan is interpreted; sparse loops walk the CSF tree
   level by level so only stored fibers are visited, dense loops iterate
   full index ranges, and offloaded regions execute one pre-specialized
-  kernel call.
+  kernel call.  It is the reference the compiled engines are tested
+  against.
 
-A nest that does not lower, or a program the generator declines, is
-interpreted, so the switch is always safe (jit → interpret and
-lowered → interpret).
+The compiled engines interpret only a nest whose lowering is declined (a
+coordinate lookup into the sparse pattern, see
+:class:`~repro.engine.lowering.lower.NotLowerable`) and an empty tensor; a
+compile error raises.
 
 All engines report identical operation counts; results agree to the usual
 floating-point reassociation of vectorized summation (last-ulp).  Dense
@@ -91,8 +93,7 @@ from repro.util.validation import require
 
 TensorLike = Union[COOTensor, CSFTensor, DenseTensor, np.ndarray]
 
-#: Execution engines accepted by :class:`LoopNestExecutor`, fastest first;
-#: a plan the compiled tiers do not support is interpreted.
+#: Execution engines accepted by :class:`LoopNestExecutor`, fastest first.
 ENGINES = ("jit", "lowered", "interpret")
 
 
@@ -143,8 +144,9 @@ class LoopNestExecutor:
     engine:
         ``"jit"`` executes the lowered program as one fused codegen
         callable; ``"lowered"`` executes it compiled op by op, without
-        the peephole fusions; both interpret a nest that does not lower
-        or compile.  ``"interpret"`` always interprets.  ``None``
+        the peephole fusions; both interpret a nest whose lowering is
+        declined and an empty tensor.  ``"interpret"`` always
+        interprets.  ``None``
         (default) resolves through :func:`default_engine` (the
         ``REPRO_ENGINE`` environment variable, else ``"jit"``).  After
         each ``execute()`` call, :attr:`last_engine` records which
@@ -237,8 +239,7 @@ class LoopNestExecutor:
             if self.engine in ("jit", "lowered") and self._csf.nnz > 0:
                 if plan.lowered is None:
                     mark = time.perf_counter()
-                    program = lower_plan(self)
-                    plan.lowered = program if program is not None else False
+                    plan.lowered = lower_plan(self) or False
                     prepare_s += time.perf_counter() - mark
                 if plan.lowered is not False:
                     fuse = self.engine == "jit"
@@ -246,22 +247,21 @@ class LoopNestExecutor:
                     if compiled is None:
                         mark = time.perf_counter()
                         with _span("compile", self.engine, ops=plan.lowered.n_ops):
-                            compiled = compile_program(plan.lowered, fuse=fuse) or False
+                            compiled = compile_program(plan.lowered, fuse=fuse)
                         if fuse:
                             plan.jit = compiled
                         else:
                             plan.unfused = compiled
                         prepare_s += time.perf_counter() - mark
-                    if compiled is not False:
-                        with _span("run", self.engine, nnz=self._csf.nnz):
-                            compiled.run(
-                                self._csf,
-                                self._dense,
-                                self._out_dense,
-                                self._out_values,
-                                self.counter,
-                            )
-                        self.last_engine = self.engine
+                    with _span("run", self.engine, nnz=self._csf.nnz):
+                        compiled.run(
+                            self._csf,
+                            self._dense,
+                            self._out_dense,
+                            self._out_values,
+                            self.counter,
+                        )
+                    self.last_engine = self.engine
             if self.last_engine == "interpret":
                 self._buffers = BufferSet(self._buffer_specs, self.kernel.index_dims, self.counter)
                 self._run(tuple(range(len(self.path))), 0, {}, -1, 0)
@@ -703,10 +703,7 @@ class LoopNestExecutor:
                 (_, _, idx, group, use_csf, dim) = step
                 if use_csf:
                     level = csf_level + 1
-                    if level == 0:
-                        lo, hi = 0, csf.fids[0].shape[0]
-                    else:
-                        lo, hi = csf.children_range(csf_level, csf_pos)
+                    lo, hi = csf.children_range(csf_level, csf_pos)
                     ids = csf.fids[level]
                     for child in range(lo, hi):
                         bound[idx] = int(ids[child])

@@ -47,9 +47,8 @@ Three mechanisms carry the speedup:
   :class:`~repro.engine.lowering.ir.Charge` terms the interpreter adds
   one step at a time, so counters stay bit-equal.
 
-Any program the generator cannot compile — and any unexpected failure
-while compiling — returns ``None``, and the executor transparently falls
-back to the interpreter.
+Every lowered program compiles; a failure while compiling is a bug and
+raises out of ``execute()``.
 """
 
 from __future__ import annotations
@@ -65,10 +64,11 @@ from repro.engine.lowering import ir
 from repro.engine.lowering import pool as _bufpool
 from repro.engine.lowering.pool import pool_nbytes
 from repro.engine.plan_cache import SLOT_DENSE
+from repro.util.validation import require
 
 _STATS = {
     "compiles": 0,
-    "failures": 0,
+    "rejections": 0,
     "runs": 0,
     "bind_hits": 0,
     "bind_misses": 0,
@@ -83,10 +83,6 @@ _LIVE: "weakref.WeakSet[CompiledJit]" = weakref.WeakSet()
 #: over one big einsum + segment reduction (each ``np.dot`` call costs a
 #: few µs of Python/BLAS dispatch, ~10k flops at memory-bound rates).
 _GEMM_MIN_FLOPS_PER_SEG = 4096
-
-
-class _NotCompilable(Exception):
-    """Raised during codegen for programs the generator declines."""
 
 
 # --------------------------------------------------------------------------- #
@@ -781,8 +777,6 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
     elif isinstance(op, ir.LoadValues):
         em.line(f"{dst} = V")
     elif isinstance(op, ir.ReadArray):
-        if op.slot[0] != SLOT_DENSE:
-            raise _NotCompilable(f"non-dense read slot {op.slot!r}")
         arr = em.dense(op.slot[1])
         gathers = [
             (axis, arg)
@@ -871,10 +865,8 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
             em.line(f"_scatter_add_general(O, r{op.src}, {ids}, {op.axes!r})")
     elif isinstance(op, ir.AccumulateLeaf):
         em.line(f"OV += r{op.src}")
-    elif isinstance(op, ir.Note):
-        pass
     else:
-        raise _NotCompilable(f"unknown lowered op {type(op).__name__}")
+        require(isinstance(op, ir.Note), f"internal error: unknown lowered op {op!r}")
 
 
 #: Unit kinds / op types whose results are views or aliases (no pool slot).
@@ -920,18 +912,13 @@ def _emit_counters(em: _Emitter, ops) -> None:
         em.line(f"_apply_calls(C, {em.prep(call_totals)})")
 
 
-def compile_program(program: ir.Program, fuse: bool = True) -> Optional[CompiledJit]:
-    """Compile one lowered program into a callable, or ``None``.
+def compile_program(program: ir.Program, fuse: bool = True) -> CompiledJit:
+    """Compile one lowered program into a callable.
 
     ``fuse=False`` skips the peephole pass, so every op is emitted on its
-    own (the ``lowered`` engine).  ``None`` means the generator declined
-    (or failed); the executor then interprets the plan instead.
+    own (the ``lowered`` engine).
     """
-    try:
-        compiled = _compile(program, fuse)
-    except Exception:
-        _STATS["failures"] += 1
-        return None
+    compiled = _compile(program, fuse)
     _STATS["compiles"] += 1
     _LIVE.add(compiled)
     return compiled
@@ -1008,9 +995,10 @@ def jit_stats() -> Dict[str, int]:
 
     ``entries``/``bytes`` cover live compiled callables and their pooled
     buffers; ``hits``/``misses``/``evictions`` count the per-structure
-    prep cache; ``rejections`` counts programs the generator declined (each
-    one a transparent fallback to the interpreter).  Both the ``jit`` and
-    the ``lowered`` engine's callables count here.  Extra keys:
+    prep cache; ``rejections`` counts plans whose lowering was declined
+    (:class:`~repro.engine.lowering.lower.NotLowerable`, once per plan;
+    each one is interpreted).  Both the ``jit`` and the ``lowered``
+    engine's callables count here.  Extra keys:
     ``compiles``, ``runs`` and ``rebinds`` (hits that re-pointed the SpMM
     data at a new tensor's values).
     """
@@ -1020,7 +1008,7 @@ def jit_stats() -> Dict[str, int]:
         "hits": _STATS["bind_hits"],
         "misses": _STATS["bind_misses"],
         "evictions": _STATS["bind_evictions"],
-        "rejections": _STATS["failures"],
+        "rejections": _STATS["rejections"],
         "bytes": sum(pool_nbytes(c.pool) for c in live),
         "compiles": _STATS["compiles"],
         "runs": _STATS["runs"],

@@ -25,11 +25,13 @@ orders and symbolic site steps, never for concrete arrays, so one lowered
 program is cached per :class:`~repro.engine.plan_cache.CompiledPlan` and
 reused by every execution of that structure.
 
-Constructs with no vectorized equivalent yet (sparse lookups outside CSF
-order, dense iteration over a sparse index, buffers scattered along bound
-sparse axes, reading the kernel output as an operand) raise
-:class:`NotLowerable`; the executor then falls back to interpretation —
-lowering is an optimization, never a semantics change.
+Every nest that passes :func:`~repro.core.loop_nest.validate_loop_order`
+lowers, with two exceptions that raise :class:`NotLowerable`: a coordinate
+lookup into the sparse pattern (``SPARSE_LOOKUP`` / ``SPARSE_OUT_LOOKUP``,
+one ``find_leaf`` per coordinate in the interpreter, with no vectorized
+form), and more distinct indices than einsum has letters.  The executor
+caches that decline on the plan and interprets it; any other failure is a
+bug and raises.
 """
 
 from __future__ import annotations
@@ -37,21 +39,22 @@ from __future__ import annotations
 import string
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.lowering import ir
+from repro.engine.lowering import codegen, ir
 from repro.engine.plan_cache import (
     ARRAY,
     SLOT_BUFFER,
     SLOT_DENSE,
     SLOT_OUT,
-    SPARSE_FIBER,
-    SPARSE_LEAF,
+    SPARSE_LOOKUP,
     SPARSE_OUT_FIBER,
     SPARSE_OUT_LEAF,
+    SPARSE_OUT_LOOKUP,
 )
 
 
 class NotLowerable(Exception):
-    """A plan construct has no vectorized lowering (yet); interpret instead."""
+    """The nest needs a sparse-pattern coordinate lookup or more than 52
+    einsum letters; the executor interprets it instead."""
 
 
 #: Internal name reserved for the lane axis in the einsum letter table (a
@@ -152,8 +155,6 @@ class _Lowerer:
                     self._site(group, depth + 1, level + 1)
                     del self.bound[idx]
                 else:
-                    if idx in self.kernel.sparse_indices:
-                        raise NotLowerable("dense iteration over a sparse index")
                     self.batch.append(idx)
                     self._site(group, depth + 1, level)
                     self.batch.pop()
@@ -177,20 +178,20 @@ class _Lowerer:
     # ------------------------------------------------------------------ #
     def _offload(self, step: tuple, level: int) -> None:
         (_, _resets, lhs_recipe, rhs_recipe, out_recipe, _fn, blas_name, is_fiber) = step
+        if {lhs_recipe[0], rhs_recipe[0], out_recipe[0]} & {SPARSE_LOOKUP, SPARSE_OUT_LOOKUP}:
+            raise NotLowerable("coordinate lookup into the sparse pattern")
         fiber_index = self.kernel.csf_mode_order[-1] if is_fiber else None
         eval_level = self.leaf if is_fiber else level
         if is_fiber:
             self.bound[fiber_index] = self.leaf
-        try:
-            lhs, lhs_free = self._operand(lhs_recipe, eval_level)
-            rhs, rhs_free = self._operand(rhs_recipe, eval_level)
-            self._store(
-                lhs, lhs_free, rhs, rhs_free, out_recipe,
-                level, eval_level, blas_name, fiber_index,
-            )
-        finally:
-            if is_fiber:
-                del self.bound[fiber_index]
+        lhs, lhs_free = self._operand(lhs_recipe, eval_level)
+        rhs, rhs_free = self._operand(rhs_recipe, eval_level)
+        self._store(
+            lhs, lhs_free, rhs, rhs_free, out_recipe,
+            level, eval_level, blas_name, fiber_index,
+        )
+        if is_fiber:
+            del self.bound[fiber_index]
 
     def _operand(self, recipe: tuple, eval_level: int):
         """Evaluate one operand recipe to a (_Value, free-index-names) pair.
@@ -199,17 +200,10 @@ class _Lowerer:
         interpreted kernel call iterates — used for exact flop accounting.
         The fiber index is excluded: it is the lane axis at the leaf level.
         """
-        mode = recipe[0]
-        if mode in (SPARSE_FIBER, SPARSE_LEAF):
-            if eval_level != self.leaf:
-                raise NotLowerable("sparse value read away from the leaf level")
+        if recipe[0] != ARRAY:  # SPARSE_FIBER / SPARSE_LEAF: the leaf values
             return self._values(), ()
-        if mode != ARRAY:
-            raise NotLowerable("sparse lookup outside CSF storage order")
         _, slot, template, _gather_axis = recipe
         kind, name = slot
-        if kind == SLOT_OUT:
-            raise NotLowerable("kernel output read back as an operand")
         if kind == SLOT_BUFFER:
             return self._read_buffer(name, template, eval_level)
         axes_names = self.dense_axes[name]
@@ -218,24 +212,14 @@ class _Lowerer:
         free_names: List[str] = []
         any_gather = False
         for axis_name, bound_name in zip(axes_names, template):
-            if bound_name is None:
-                if axis_name in self.bound:  # the fiber index, gathered per leaf
-                    specs.append((ir.GATHER, self.bound[axis_name]))
-                    any_gather = True
-                else:
-                    specs.append((ir.KEEP, -1))
-                    result_axes.append(axis_name)
-                    free_names.append(axis_name)
-            elif bound_name in self.bound:
-                specs.append((ir.GATHER, self.bound[bound_name]))
+            if axis_name in self.bound:  # a sparse loop's or the fiber index
+                specs.append((ir.GATHER, self.bound[axis_name]))
                 any_gather = True
-            elif bound_name in self.batch:
+            else:  # a dense loop's batch axis, or free
                 specs.append((ir.KEEP, -1))
-                result_axes.append(bound_name)
-            else:
-                raise NotLowerable(
-                    f"operand axis {bound_name!r} bound outside the lowered context"
-                )
+                result_axes.append(axis_name)
+                if bound_name is None:
+                    free_names.append(axis_name)
         reg = self._reg()
         self.ops.append(
             ir.ReadArray(reg, (SLOT_DENSE, name), eval_level, tuple(specs))
@@ -256,26 +240,16 @@ class _Lowerer:
         Buffer axes the consumer binds to a sparse loop are gathered per
         lane (:class:`~repro.engine.lowering.ir.GatherAxis`).
         """
-        rec = self.buffers.get(name)
-        if rec is None:
-            raise NotLowerable(f"buffer {name!r} consumed before a lowered producer")
+        rec = self.buffers[name]
         axes_names = self.ex._buffer_axes[name]
         free_names = []
         gathers: List[Tuple[str, int]] = []
         for axis_name, bound_name in zip(axes_names, template):
-            if bound_name is None:
-                if axis_name in self.bound:  # the fiber index: gather per leaf
-                    gathers.append((axis_name, self.bound[axis_name]))
-                else:
-                    free_names.append(axis_name)
-            elif bound_name in self.batch:
-                pass  # aligned by shared einsum letter
-            elif bound_name in self.bound:
-                gathers.append((axis_name, self.bound[bound_name]))
-            else:
-                raise NotLowerable(
-                    f"buffer axis {bound_name!r} bound outside the lowered context"
-                )
+            if axis_name in self.bound:  # a sparse loop's or the fiber index
+                gathers.append((axis_name, self.bound[axis_name]))
+            elif bound_name is None:
+                free_names.append(axis_name)
+            # else: a batch axis, aligned by its shared einsum letter
         value = rec
         if rec.level is not None and rec.level != eval_level:
             if eval_level < 0:
@@ -296,8 +270,6 @@ class _Lowerer:
                 self.ops.append(ir.LaneExpand(reg, rec.reg, rec.level, eval_level))
                 value = _Value(reg, rec.axes, eval_level)
         for axis_name, bind_level in gathers:
-            if eval_level < 0:  # pragma: no cover - bound implies an open loop
-                raise NotLowerable("sparse binding outside all sparse loops")
             offset = 1 if value.has_lane else 0
             position = offset + value.axes.index(axis_name)
             reg = self._reg()
@@ -350,16 +322,9 @@ class _Lowerer:
     def _contract(
         self, lhs: _Value, rhs: _Value, out_sub: str, charge: ir.Charge
     ) -> int:
-        sub_l = self._subscript(lhs)
-        sub_r = self._subscript(rhs)
-        inputs = set(sub_l) | set(sub_r)
-        for ch in out_sub:
-            if ch not in inputs:
-                raise NotLowerable("output axis missing from both inputs")
+        spec = f"{self._subscript(lhs)},{self._subscript(rhs)}->{out_sub}"
         reg = self._reg()
-        self.ops.append(
-            ir.Contract(reg, f"{sub_l},{sub_r}->{out_sub}", (lhs.reg, rhs.reg), charge)
-        )
+        self.ops.append(ir.Contract(reg, spec, (lhs.reg, rhs.reg), charge))
         return reg
 
     def _store(
@@ -375,8 +340,6 @@ class _Lowerer:
         fiber_index: Optional[str],
     ) -> None:
         has_lane = lhs.has_lane or rhs.has_lane
-        if not has_lane and eval_level >= 0:
-            raise NotLowerable("lane-independent update under sparse loops")
         charge = self._charge(
             lhs_free, rhs_free, blas_name, site_level, eval_level, has_lane
         )
@@ -386,14 +349,10 @@ class _Lowerer:
             # Accumulate into the sparse-pattern output, aligned with the
             # leaves; dense batch axes are summed (the interpreted loop
             # accumulates one term per iteration).
-            if eval_level != self.leaf or not has_lane:
-                raise NotLowerable("sparse-pattern write away from the leaf level")
             reg = self._contract(lhs, rhs, self.lane, charge)
             self.ops.append(ir.AccumulateLeaf(reg))
             return
 
-        if kind != ARRAY:
-            raise NotLowerable("sparse output written outside CSF storage order")
         _, slot, template, _g = out_recipe
 
         if slot[0] == SLOT_BUFFER:
@@ -406,19 +365,11 @@ class _Lowerer:
             record_axes = list(self.batch)
             scattered: List[Tuple[str, int]] = []
             for axis_name, bound_name in zip(axes_names, template):
-                if bound_name is None:
-                    if axis_name in self.bound:  # the fiber index: the lane axis
-                        scattered.append((axis_name, self.bound[axis_name]))
-                    else:
-                        record_axes.append(axis_name)
-                elif bound_name in self.batch:
-                    pass  # already a batch axis of the record
-                elif bound_name in self.bound:
-                    scattered.append((bound_name, self.bound[bound_name]))
-                else:
-                    raise NotLowerable(
-                        f"buffer axis {bound_name!r} bound outside the lowered context"
-                    )
+                if axis_name in self.bound:  # a sparse loop's or the fiber index
+                    scattered.append((axis_name, self.bound[axis_name]))
+                elif bound_name is None:
+                    record_axes.append(axis_name)
+                # else: already a batch axis of the record
             out_sub = (self.lane if has_lane else "") + "".join(
                 self._letter(a) for a in record_axes
             )
@@ -449,26 +400,14 @@ class _Lowerer:
         specs: List[ir.AxisSpec] = []
         kept: List[str] = []
         gather_levels: List[int] = []
-        for axis_name, bound_name in zip(out_axes_names, template):
-            if bound_name is None:
-                if axis_name in self.bound:  # the fiber index: scatter per leaf
-                    lvl = self.bound[axis_name]
-                    specs.append((ir.GATHER, lvl))
-                    gather_levels.append(lvl)
-                else:
-                    specs.append((ir.KEEP, -1))
-                    kept.append(axis_name)
-            elif bound_name in self.bound:
-                lvl = self.bound[bound_name]
+        for axis_name in out_axes_names:
+            if axis_name in self.bound:  # a sparse loop's or the fiber index
+                lvl = self.bound[axis_name]
                 specs.append((ir.GATHER, lvl))
                 gather_levels.append(lvl)
-            elif bound_name in self.batch:
+            else:  # a dense loop's batch axis, or free
                 specs.append((ir.KEEP, -1))
-                kept.append(bound_name)
-            else:
-                raise NotLowerable(
-                    f"output axis {bound_name!r} bound outside the lowered context"
-                )
+                kept.append(axis_name)
         out_sub = (self.lane if has_lane else "") + "".join(
             self._letter(a) for a in kept
         )
@@ -491,8 +430,6 @@ class _Lowerer:
                 self.ops.append(ir.SegmentReduce(tmp, reg, src_level, lmax))
                 reg = tmp
                 src_level = lmax
-        elif gather_levels:
-            raise NotLowerable("lane-independent value scattered by sparse indices")
 
         direct = True
         if gather_levels:
@@ -513,13 +450,15 @@ class _Lowerer:
 def lower_plan(executor) -> Optional[ir.Program]:
     """Compile *executor*'s plan into a lowered :class:`~repro.engine.lowering.ir.Program`.
 
-    Returns ``None`` when some construct of the scheduled loop nest is not
-    lowerable; the caller then interprets the plan as before.  The pass
-    reads only structural state (kernel, loop orders, symbolic site steps)
-    and builds any missing plan sites as a side effect, exactly as the
-    interpreter's lazy site discovery would.
+    Returns ``None`` on a :class:`NotLowerable` decline, counted in
+    ``jit_stats()["rejections"]``; the caller then interprets the plan.
+    Any other exception is a bug and propagates.  The pass reads only
+    structural state (kernel, loop orders, symbolic site steps) and builds
+    any missing plan sites as a side effect, exactly as the interpreter's
+    lazy site discovery would.
     """
     try:
         return _Lowerer(executor).lower()
     except NotLowerable:
+        codegen._STATS["rejections"] += 1
         return None

@@ -170,12 +170,12 @@ class CompiledPlan:
 
     ``lowered`` records the whole-nest vectorization decision (the general
     lowering of :mod:`repro.engine.lowering`): ``None`` until the first
-    execution attempts the lowering pass, then either ``False`` (not
-    lowerable — the interpreter is used) or the compiled
-    :class:`~repro.engine.lowering.ir.Program`.  ``jit`` records the same
-    tri-state for that program's fused callable (``None`` / ``False`` / a
+    execution attempts the lowering pass, then either ``False`` (declined
+    — the interpreter is used) or the compiled
+    :class:`~repro.engine.lowering.ir.Program`.  ``jit`` holds that
+    program's fused callable (``None`` until compiled, then a
     :class:`~repro.engine.lowering.codegen.CompiledJit`), and ``unfused``
-    for the one the ``lowered`` engine runs (compiled without the
+    the one the ``lowered`` engine runs (compiled without the
     peephole pass) — both live on the plan so the cache's byte budget
     accounts for compiled callables and their pooled buffers alongside
     the plan itself.

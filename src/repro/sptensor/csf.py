@@ -212,7 +212,10 @@ class CSFTensor:
         return self.fids[0]
 
     def children_range(self, level: int, position: int) -> Tuple[int, int]:
-        """Half-open range of child positions at ``level + 1`` for a node."""
+        """Half-open range of child positions at ``level + 1`` for a node;
+        ``(-1, 0)`` is the root, whose children are all level-0 nodes."""
+        if level == -1 and position == 0:
+            return 0, int(self.fids[0].shape[0])
         if level < 0 or level >= self.order - 1:
             raise ValueError(
                 f"level {level} has no children (order {self.order})"

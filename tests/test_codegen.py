@@ -3,7 +3,7 @@
 The contract under test: ``compile_program`` turns a lowered
 :class:`~repro.engine.lowering.ir.Program` into one fused callable that
 
-* is cached on the plan (tri-state ``plan.jit``) and shared by every
+* is cached on the plan (``plan.jit``) and shared by every
   executor resolving the same plan, like ``plan.lowered``;
 * binds per CSF *structure* (the identity of the level arrays every tensor
   of one sparsity pattern shares) through a bounded MRU prep cache
@@ -17,8 +17,9 @@ The contract under test: ``compile_program`` turns a lowered
   shapes change;
 * compiles the same program without its peephole pass for the
   ``lowered`` tier, a callable of its own;
-* falls back to the interpreter transparently when compilation declines
-  or fails, and on empty tensors — without changing results or counters.
+* compiles every nest the scheduler picks, raises out of ``execute()``
+  when compilation fails, and leaves only sparse-pattern lookups and empty
+  tensors to the interpreter.
 """
 
 import re
@@ -27,10 +28,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.contraction_path import enumerate_contraction_paths
 from repro.core.expr import parse_kernel
+from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
-from repro.engine.lowering import CompiledJit, compile_program, ir, lower_plan
+from repro.engine.lowering import CompiledJit, compile_program, ir
 from repro.engine.lowering import codegen as codegen_mod
 from repro.engine.lowering.codegen import jit_stats, reset_jit_stats
 from repro.engine.plan_cache import (
@@ -40,11 +43,16 @@ from repro.engine.plan_cache import (
     cached_schedule,
     caches_snapshot,
 )
+from repro.engine.reference import reference_output
+from repro.kernels.mttkrp import mttkrp_spec
+from repro.kernels.ttmc import ttmc_spec
 from repro.serve import protocol
 from repro.serve.request import mttkrp_request
+from repro.serve.scenarios import _RAW_SPECS
 from repro.sptensor import COOTensor, random_sparse_tensor
 from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
 from repro.util.counters import OpCounter
+from test_conformance import _KERNELS, _MODE_ORDERS, _build_case
 
 
 def _run(kernel, tensors, nest, engine="jit", **kwargs):
@@ -54,7 +62,7 @@ def _run(kernel, tensors, nest, engine="jit", **kwargs):
     return executor, np.asarray(output), counter
 
 
-def _spec_case(spec, tensor, dtype="float64", rank=4):
+def _spec_operands(spec, tensor, dtype="float64", rank=4):
     """Kernel + operands for *spec* over *tensor* with random dense factors."""
     rng = np.random.default_rng(5)
     subs = spec.split("->")[0].split(",")
@@ -64,7 +72,11 @@ def _spec_case(spec, tensor, dtype="float64", rank=4):
         shape = tuple(dims.setdefault(idx, rank) for idx in sub)
         operands.append(rng.random(shape).astype(dtype))
     kernel = parse_kernel(spec, operands)
-    tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
+    return kernel, {op.name: t for op, t in zip(kernel.operands, operands)}
+
+
+def _spec_case(spec, tensor, dtype="float64", rank=4):
+    kernel, tensors = _spec_operands(spec, tensor, dtype, rank)
     return kernel, tensors, SpTTNScheduler(kernel).schedule().loop_nest
 
 
@@ -483,6 +495,17 @@ class TestRowGroupedScatter:
 
 _CONFORMANCE_FIXTURES = ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
 
+#: Kernels whose scheduled nests must compile: every conformance kernel at
+#: each of its CSF mode orders, MTTKRP and TTMc at order 4, and the raw
+#: ``scenario_mix`` specs (``None``: identity mode order, built here).
+_CHOSEN = {
+    f"{name}-{''.join(map(str, order))}": (spec, order)
+    for name, spec in sorted(_KERNELS.items())
+    for order in _MODE_ORDERS
+}
+_CHOSEN.update(mttkrp4=(mttkrp_spec(4, 0), None), ttmc4=(ttmc_spec(4, 0), None))
+_CHOSEN.update((f"raw{order}", (spec, None)) for order, spec in _RAW_SPECS.items())
+
 
 class TestNoAddAtOnTheJitPath:
     """``np.add.at`` is unreachable from a jit run of the benchmark kernels."""
@@ -553,35 +576,58 @@ class TestTiers:
                 assert executor.last_engine == engine
         assert jit_stats()["rejections"] == rejections
 
+    @pytest.mark.parametrize("spec, mode_order", _CHOSEN.values(), ids=list(_CHOSEN))
+    def test_chosen_nests_compile_on_both_tiers(self, spec, mode_order):
+        """The nest the scheduler picks at every buffer-dimension bound
+        lowers and compiles on both tiers."""
+        if mode_order is None:
+            order = len(spec.split(",")[0])
+            tensor = random_sparse_tensor((9, 8, 7, 6)[:order], nnz=80, seed=11)
+            kernel, tensors = _spec_operands(spec, tensor, rank=3)
+        else:
+            kernel, tensors = _build_case(spec, "float64", mode_order)
+        rejections, cache = jit_stats()["rejections"], PlanCache()
+        for bound in (None, 1, 2):
+            nest = cached_schedule(kernel, buffer_dim_bound=bound).loop_nest
+            for engine in ("jit", "lowered"):
+                executor = _run(kernel, tensors, nest, engine=engine, plan_cache=cache)[0]
+                assert executor.last_engine == engine
+        assert jit_stats()["rejections"] == rejections
+
 
 class TestFallback:
-    def test_compile_failure_falls_back_to_interpret(self, mttkrp_setup, monkeypatch):
+    def test_compile_failure_raises(self, mttkrp_setup, monkeypatch):
+        """A codegen error on a chosen nest raises out of ``execute()`` and
+        caches no callable on the plan."""
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        monkeypatch.setattr(
-            "repro.engine.executor.compile_program", lambda program, fuse=True: None
-        )
-        _, ref, ref_ctr = _run(kernel, tensors, nest, engine="interpret")
-        for engine in ("jit", "lowered"):
-            executor, out, ctr = _run(kernel, tensors, nest, engine=engine, plan_cache=PlanCache())
-            assert executor.last_engine == "interpret"
-            slot = "jit" if engine == "jit" else "unfused"
-            assert getattr(executor._plan, slot) is False  # the decline is cached
-            np.testing.assert_array_equal(out, ref)
-            assert ctr.as_dict() == ref_ctr.as_dict()
 
-    def test_internal_errors_count_as_rejections(self, mttkrp_setup, monkeypatch):
-        kernel, tensors = mttkrp_setup
-        nest = SpTTNScheduler(kernel).schedule().loop_nest
-        executor = LoopNestExecutor(kernel, nest, engine="interpret")
-        executor._prepare(tensors)
-        program = lower_plan(executor)
-        monkeypatch.setattr(
-            codegen_mod, "_compile", lambda program: (_ for _ in ()).throw(RuntimeError)
+        def broken(program, fuse):
+            raise RuntimeError("injected codegen error")
+
+        monkeypatch.setattr(codegen_mod, "_compile", broken)
+        for engine in ("jit", "lowered"):
+            executor = LoopNestExecutor(kernel, nest, engine=engine, plan_cache=PlanCache())
+            with pytest.raises(RuntimeError, match="injected codegen error"):
+                executor.execute(tensors)
+            assert executor._plan.jit is None and executor._plan.unfused is None
+
+    def test_lookup_declines_count_as_rejections(self, tttp_setup):
+        """``T*A -> X; B*C -> Y; X*Y -> O`` with the last term looping
+        ``i, j, k`` densely writes the sparse-pattern output one
+        ``find_leaf`` per coordinate: the nest interprets, and its decline
+        counts once per plan."""
+        kernel, tensors = tttp_setup
+        path = next(
+            p for p in enumerate_contraction_paths(kernel)
+            if [(t.lhs, t.rhs) for t in p][:2] == [("T", "A"), ("B", "C")]
         )
-        rejections0 = jit_stats()["rejections"]
-        assert compile_program(program) is None
-        assert jit_stats()["rejections"] == rejections0 + 1
+        order = LoopOrder((("i", "j", "k", "r"), ("j", "r", "k"), ("i", "j", "k", "r")))
+        nest = LoopNest(path, order)
+        rejections, cache = jit_stats()["rejections"], PlanCache()
+        for _ in range(2):
+            assert _run(kernel, tensors, nest, plan_cache=cache)[0].last_engine == "interpret"
+        assert jit_stats()["rejections"] == rejections + 1
 
     def test_empty_tensor_interprets(self, mttkrp_setup):
         from repro.sptensor import COOTensor
@@ -593,6 +639,20 @@ class TestFallback:
         executor, out, _ = _run(kernel, empty, nest)
         assert executor.last_engine == "interpret"
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("engine", ["jit", "interpret"])
+    @pytest.mark.parametrize("nnz", [0, 5])
+    def test_order_one_tensor(self, nnz, engine):
+        """An order-1 sparse operand: the root is the leaf's parent, so the
+        interpreter's fiber offload starts at the virtual root."""
+        tensor = random_sparse_tensor((9,), nnz=nnz, seed=4) if nnz else COOTensor.empty((9,))
+        operands = (tensor, np.random.default_rng(4).random((9, 3)))
+        kernel = parse_kernel("i,ir->r", operands)
+        tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        executor, out, _ = _run(kernel, tensors, nest, engine=engine)
+        assert executor.last_engine == (engine if nnz else "interpret")
+        np.testing.assert_allclose(out, reference_output(kernel, tensors), rtol=1e-12)
 
     def test_env_variable_selects_jit(self, mttkrp_setup, monkeypatch):
         kernel, tensors = mttkrp_setup

@@ -3,8 +3,8 @@
 The contract under test: for every kernel whose scheduled loop nest lowers,
 the lowered engine produces the same output as the interpreter (to the
 floating-point reassociation of vectorized summation, ~1 ulp) with *exactly*
-equal operation counters, and every construct that does not lower falls back
-to interpretation transparently.  Every shipped kernel family (MTTKRP, TTMc,
+equal operation counters; only a nest that needs a coordinate lookup into the
+sparse pattern is interpreted.  Every shipped kernel family (MTTKRP, TTMc,
 TTTc, TTTP, all-mode TTMc) must take the lowered path for its
 scheduler-chosen loop order.
 """
@@ -12,9 +12,9 @@ scheduler-chosen loop order.
 import numpy as np
 import pytest
 
-from repro.core.contraction_path import rank_contraction_paths
+from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.enumeration import enumerate_loop_orders
-from repro.core.loop_nest import LoopNest
+from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import Program, lower_plan
@@ -97,6 +97,27 @@ def test_all_best_path_loop_orders_agree(fixture_name, request):
         assert_equivalent(lowered, interpreted)
         lowered_count += lowered[2] == "lowered"
     assert lowered_count > 0
+
+
+def test_dense_only_group_over_sparse_indices_compiles(tttp_setup):
+    """``A*B -> X; C*X -> Y; T*Y -> O`` with orders ``(r,i,j)``,
+    ``(r,i,j,k)``, ``(i,j,k)``: the two dense-only terms fuse under a dense
+    loop over ``r`` and then over the sparse indices ``i`` and ``j``, which
+    lower as ordinary batch axes."""
+    kernel, tensors = tttp_setup
+    path = next(
+        p for p in enumerate_contraction_paths(kernel)
+        if [(t.lhs, t.rhs) for t in p] == [("A", "B"), ("C", p[0].out), ("T", p[1].out)]
+    )
+    nest = LoopNest(path, LoopOrder((("r", "i", "j"), ("r", "i", "j", "k"), ("i", "j", "k"))))
+    runs = {}
+    for engine in ("jit", "lowered", "interpret"):
+        counter = OpCounter()
+        executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
+        runs[engine] = (executor.execute(tensors), counter, executor.last_engine)
+        assert executor.last_engine == engine
+    for engine in ("jit", "lowered"):
+        assert_equivalent(runs[engine], runs["interpret"])
 
 
 class TestEngineSwitch:
