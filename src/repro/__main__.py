@@ -611,11 +611,11 @@ def cmd_cache(args) -> int:
 
 def _print_store_stats() -> None:
     """Print the default plan store's stats (or that none is configured)."""
-    from repro.engine.plan_store import PLAN_STORE_ENV, plan_store_snapshot
+    from repro.engine.plan_store import plan_store_snapshot
 
     snap = plan_store_snapshot()
     if not snap.get("configured"):
-        print(f"\nplan store: not configured (set {PLAN_STORE_ENV})")
+        print("\nplan store: not configured (set REPRO_PLAN_STORE)")
         return
     print(f"\nplan store at {snap['path']}:")
     print(

@@ -68,13 +68,6 @@ class ContractionTerm:
     def involves(self, operand: str) -> bool:
         return operand in (self.lhs, self.rhs)
 
-    def index_sets(self) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
-        return (
-            frozenset(self.lhs_indices),
-            frozenset(self.rhs_indices),
-            frozenset(self.out_indices),
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.lhs}[{','.join(self.lhs_indices)}] * "
@@ -102,20 +95,6 @@ class ContractionPath:
     def intermediates(self) -> Tuple[str, ...]:
         """Names of the intermediate tensors (every term output but the last)."""
         return tuple(t.out for t in self.terms[:-1])
-
-    def producer_of(self, name: str) -> Optional[int]:
-        """Index of the term producing *name*, or ``None`` for input tensors."""
-        for pos, term in enumerate(self.terms):
-            if term.out == name:
-                return pos
-        return None
-
-    def consumer_of(self, name: str) -> Optional[int]:
-        """Index of the term consuming *name* as an operand, or ``None``."""
-        for pos, term in enumerate(self.terms):
-            if term.lhs == name or term.rhs == name:
-                return pos
-        return None
 
     def consumers(self) -> Dict[int, int]:
         """Map producer term position -> consumer term position (for intermediates)."""

@@ -187,9 +187,6 @@ class SpTTNKernel:
             return self.output
         raise KeyError(f"no operand named {name!r}")
 
-    def operand_indices(self, name: str) -> Tuple[str, ...]:
-        return self.operand(name).indices
-
     def dim(self, index: str) -> int:
         return self.index_dims[index]
 

@@ -85,12 +85,3 @@ class AlphaBetaModel:
             2 * self._log2p(procs) * self.alpha,
             float(elements) * self.word_bytes * self.beta * factor,
         )
-
-    def allgather(self, elements_per_rank: float, procs: int) -> CommunicationEstimate:
-        if procs <= 1 or elements_per_rank <= 0:
-            return CommunicationEstimate(0.0, 0.0)
-        total = elements_per_rank * (procs - 1)
-        return CommunicationEstimate(
-            self._log2p(procs) * self.alpha,
-            float(total) * self.word_bytes * self.beta,
-        )

@@ -141,9 +141,6 @@ class CyclicDistribution:
     def total_broadcast_elements(self) -> int:
         return sum(p.broadcast_elements for p in self.dense_placements)
 
-    def max_local_dense_elements(self) -> int:
-        return sum(p.local_elements for p in self.dense_placements)
-
     def local_nnz(self, tensor: COOTensor) -> np.ndarray:
         """Per-rank stored-nonzero counts under the cyclic layout."""
         require(tensor.order == self.grid.order, "tensor/grid order mismatch")

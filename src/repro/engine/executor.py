@@ -53,7 +53,6 @@ outputs and sparse-pattern outputs (TTTP/SDDMM-style) are both supported.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -88,6 +87,7 @@ from repro.obs.trace import span as _span
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor, csf_for_mode_order
 from repro.sptensor.dense import DenseTensor
+from repro.util.config import setting
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
@@ -99,7 +99,7 @@ ENGINES = ("jit", "lowered", "interpret")
 
 def default_engine() -> str:
     """The process default engine: ``REPRO_ENGINE`` (unless empty) or ``"jit"``."""
-    return os.environ.get("REPRO_ENGINE", "").strip().lower() or "jit"
+    return setting("REPRO_ENGINE")
 
 
 def _plan_state(plan: CompiledPlan) -> tuple:

@@ -31,7 +31,6 @@ sharing a :class:`CompiledPlan` between executors is safe.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -51,6 +50,7 @@ from repro.core.scheduler import Schedule, SpTTNScheduler
 from repro.sptensor.coo import COOTensor, digest_stats
 from repro.sptensor.csf import CSFTensor, default_structure_memo
 from repro.sptensor.dense import DenseTensor
+from repro.util.config import setting
 from repro.util.lru import LRUCache, approx_nbytes  # noqa: F401 - approx_nbytes re-exported
 
 PlanKey = Tuple[Hashable, ...]
@@ -223,23 +223,9 @@ class CompiledPlan:
 #: The engine's name for :class:`~repro.util.lru.LRUCache`, the one LRU class.
 PlanCache = LRUCache
 
-#: Environment variable bounding the default plan cache's memory use, in
-#: bytes (unset/invalid = entry-count bound only, the PR-1 behaviour).
-PLAN_CACHE_BYTES_ENV = "REPRO_PLAN_CACHE_BYTES"
-
-
-def _env_plan_cache_bytes() -> Optional[int]:
-    raw = os.environ.get(PLAN_CACHE_BYTES_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-_DEFAULT_PLAN_CACHE = PlanCache(max_bytes=_env_plan_cache_bytes(), name="plan")
+#: ``REPRO_PLAN_CACHE_BYTES`` bounds the default plan cache's memory use
+#: (unset = entry-count bound only).
+_DEFAULT_PLAN_CACHE = PlanCache(max_bytes=setting("REPRO_PLAN_CACHE_BYTES"), name="plan")
 _DEFAULT_SCHEDULE_CACHE = PlanCache(max_entries=256, name="schedule")
 _DEFAULT_EXECUTOR_CACHE = PlanCache(max_entries=128, name="executor")
 

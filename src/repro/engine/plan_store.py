@@ -54,11 +54,8 @@ from repro.core.expr import SpTTNKernel
 from repro.engine.keys import _jsonable, canonical_key, key_digest
 from repro.obs.metrics import register_source
 from repro.obs.trace import span as _span
+from repro.util.config import setting
 from repro.util.faults import FaultInjected, fault_point
-
-#: Environment variable naming the default store directory (unset = no
-#: persistence).
-PLAN_STORE_ENV = "REPRO_PLAN_STORE"
 
 #: On-disk format version; bumped whenever the schedule payload or the key
 #: schema changes.  Mismatching entries are ignored (treated as misses),
@@ -343,8 +340,7 @@ def default_plan_store() -> Optional[PlanStore]:
     a warm-started process searches — when it must search at all — with
     the same calibrated model that populated the store.
     """
-    raw = os.environ.get(PLAN_STORE_ENV, "")
-    path = raw.strip()
+    path = setting("REPRO_PLAN_STORE") or ""
     global _DEFAULT_STORE
     with _DEFAULT_STORE_LOCK:
         cached_path, cached_store = _DEFAULT_STORE

@@ -23,8 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "register_source", "reset_metrics", "set_gauge",
     ),
     ".trace": (
-        "TRACE_DIR_ENV", "TRACE_ENV", "Span", "Tracer", "add_spans", "capture_spans",
-        "default_tracer", "disable_tracing", "drain_spans", "enable_tracing", "span",
-        "trace_stats", "tracing_enabled",
+        "Span", "Tracer", "add_spans", "capture_spans", "default_tracer", "disable_tracing",
+        "drain_spans", "enable_tracing", "span", "trace_stats", "tracing_enabled",
     ),
 })

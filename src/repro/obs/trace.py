@@ -39,15 +39,8 @@ from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.util.config import setting
 from repro.util.timing import Timer
-
-#: Environment variable enabling the tracer at import time (any non-empty
-#: value other than ``0``).
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable naming a directory for daemon trace files
-#: (``repro serve --daemon`` writes one Chrome-trace JSON per run there).
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: Offset converting ``time.perf_counter()`` readings to epoch seconds, so
 #: spans from different processes (pool workers fork after import) align on
@@ -212,12 +205,7 @@ class Tracer:
         self.timer.reset()
 
 
-def _env_enabled() -> bool:
-    raw = os.environ.get(TRACE_ENV, "").strip()
-    return bool(raw) and raw != "0"
-
-
-_DEFAULT_TRACER = Tracer(enabled=_env_enabled())
+_DEFAULT_TRACER = Tracer(enabled=setting("REPRO_TRACE"))
 
 
 def default_tracer() -> Tracer:
@@ -250,13 +238,13 @@ def enable_tracing() -> None:
     (the ``--trace`` CLI paths).
     """
     _DEFAULT_TRACER.enabled = True
-    os.environ[TRACE_ENV] = "1"
+    os.environ["REPRO_TRACE"] = "1"
 
 
 def disable_tracing() -> None:
     """Turn the default tracer off (and stop exporting it to children)."""
     _DEFAULT_TRACER.enabled = False
-    os.environ.pop(TRACE_ENV, None)
+    os.environ.pop("REPRO_TRACE", None)
 
 
 def drain_spans() -> List[Span]:
@@ -299,8 +287,6 @@ def capture_spans(force: bool = False) -> Iterator[List[Span]]:
 
 
 __all__ = [
-    "TRACE_ENV",
-    "TRACE_DIR_ENV",
     "Span",
     "Tracer",
     "add_spans",

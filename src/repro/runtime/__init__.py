@@ -22,10 +22,9 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".pool": (
-        "TASK_RETRIES_ENV", "TASK_TIMEOUT_ENV", "WORKERS_ENV", "WorkerPool",
-        "default_task_retries", "default_task_timeout", "default_workers", "drain_pools",
-        "parallel_map", "pool_stats", "resolve_workers", "shared_pool", "shutdown_pool",
-        "supervision_events",
+        "WorkerPool", "default_task_retries", "default_task_timeout", "default_workers",
+        "drain_pools", "parallel_map", "pool_stats", "resolve_workers", "shared_pool",
+        "shutdown_pool", "supervision_events",
     ),
     ".reduce": ("tree_reduce",),
     ".shm": ("DenseBroadcast", "SharedArrayHandle", "attach", "detach_all", "publish"),

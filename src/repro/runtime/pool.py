@@ -32,45 +32,25 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs.metrics import register_source
 from repro.obs.trace import add_spans, capture_spans, span, tracing_enabled
+from repro.util.config import setting
 from repro.util.faults import fault_active, fault_point, faults_snapshot
 
 T, R = TypeVar("T"), TypeVar("R")
 
-#: Default worker count of every consumer (``0``/unset → serial, ``-1`` → one per CPU).
-WORKERS_ENV = "REPRO_WORKERS"
-#: Deadline in seconds for one dispatched chunk (unset/empty/``0`` → none).
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-#: Supervision rounds one map answers by re-issuing chunks before going serial (default 1).
-TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
-
-
-def _env_number(name: str, parse: Callable, kind: str, consequence: str = ""):
-    """One numeric ``REPRO_*`` variable; ``None`` if unset, or unparseable with a warning."""
-    raw = os.environ.get(name)
-    if raw and raw.strip():
-        try:
-            return parse(raw)
-        except ValueError:  # a manifest typo must not silently mean "serial"
-            message = f"ignoring invalid {name}={raw!r} (not {kind}){consequence}"
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
-    return None
-
 
 def default_workers() -> Optional[int]:
-    """Worker count requested via ``REPRO_WORKERS`` (``None`` if unset/invalid)."""
-    return _env_number(WORKERS_ENV, int, "an integer", "; running serial as if it were unset")
+    """Worker count from ``REPRO_WORKERS`` (``0``/unset → serial, ``-1`` → one per CPU)."""
+    return setting("REPRO_WORKERS")
 
 
 def default_task_timeout() -> Optional[float]:
-    """Chunk deadline in seconds from ``REPRO_TASK_TIMEOUT`` (``None`` = none)."""
-    value = _env_number(TASK_TIMEOUT_ENV, float, "a number")
-    return value if value is not None and value > 0 else None
+    """Per-chunk deadline in seconds from ``REPRO_TASK_TIMEOUT`` (``None`` = none)."""
+    return setting("REPRO_TASK_TIMEOUT")
 
 
 def default_task_retries() -> int:
-    """Retry budget of one map from ``REPRO_TASK_RETRIES`` (default 1)."""
-    value = _env_number(TASK_RETRIES_ENV, int, "an integer", "; using the default of 1")
-    return 1 if value is None else max(0, value)
+    """Supervision rounds one map answers before going serial, from ``REPRO_TASK_RETRIES``."""
+    return setting("REPRO_TASK_RETRIES")
 
 
 # Process-wide totals beside the per-pool counters: the service samples deltas

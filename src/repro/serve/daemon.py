@@ -51,7 +51,6 @@ Tests and benchmarks embed the daemon in a background thread::
 from __future__ import annotations
 
 import asyncio
-import os
 import select
 import signal
 import threading
@@ -66,12 +65,7 @@ from repro.engine.plan_cache import caches_snapshot, plan_timings_snapshot
 from repro.engine.plan_store import plan_store_snapshot
 from repro.obs.export import write_trace
 from repro.obs.metrics import metrics_snapshot, observe, prometheus_text
-from repro.obs.trace import (
-    TRACE_DIR_ENV,
-    enable_tracing,
-    span as _span,
-    tracing_enabled,
-)
+from repro.obs.trace import enable_tracing, span as _span, tracing_enabled
 from repro.runtime import drain_pools, pool_stats, supervision_events
 from repro.serve import protocol
 from repro.serve.request import ContractionRequest
@@ -82,6 +76,7 @@ from repro.serve.service import (
     QuarantinedError,
     ServeFuture,
 )
+from repro.util.config import resolved, setting
 from repro.util.faults import faults_snapshot
 
 #: Maximum head-line length accepted from a client (64 MiB, as for the
@@ -95,21 +90,11 @@ DEFAULT_PORT = 7421
 #: Longest the drain's last step reads what clients had already sent.
 SHUTDOWN_READ_SECONDS = 1.0
 
-#: Environment variable: seconds a connection may sit idle (no inbound
-#: traffic, nothing queued or in flight) before the daemon closes it.
-IDLE_TIMEOUT_ENV = "REPRO_IDLE_TIMEOUT"
-
 
 def default_idle_timeout() -> Optional[float]:
-    """Idle-connection timeout from ``REPRO_IDLE_TIMEOUT`` (``None`` = off)."""
-    raw = os.environ.get(IDLE_TIMEOUT_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+    """Seconds a connection may sit idle (no inbound traffic, nothing queued or
+    in flight) before the daemon closes it, from ``REPRO_IDLE_TIMEOUT`` (``None`` = never)."""
+    return setting("REPRO_IDLE_TIMEOUT")
 
 
 @dataclass(slots=True, eq=False)
@@ -229,7 +214,7 @@ class ServeDaemon:
             default_idle_timeout() if idle_timeout is None else idle_timeout
         )
         if trace_dir is None:
-            trace_dir = os.environ.get(TRACE_DIR_ENV) or None
+            trace_dir = setting("REPRO_TRACE_DIR")
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         if self.trace_dir is not None:
             enable_tracing()
@@ -788,7 +773,8 @@ class ServeDaemon:
         them), ``plan_store`` the disk-backed schedule store
         (``{"configured": False}`` without ``REPRO_PLAN_STORE``) and
         ``calibration`` the cost-model coefficients the scheduler ranks
-        with (:func:`repro.core.calibrate.calibration_state`).
+        with (:func:`repro.core.calibrate.calibration_state`), ``config``
+        every ``REPRO_*`` setting as resolved now (:func:`repro.util.config.resolved`).
         """
         return {
             "version": protocol.PROTOCOL_VERSION,
@@ -804,6 +790,7 @@ class ServeDaemon:
             "calibration": calibration_state(),
             "quarantine": self.service.quarantine_snapshot(),
             "faults": faults_snapshot(),
+            "config": resolved(),
         }
 
     async def _close_everything(self) -> None:
@@ -901,7 +888,6 @@ def start_daemon_thread(
 
 __all__ = [
     "DEFAULT_PORT",
-    "IDLE_TIMEOUT_ENV",
     "MAX_LINE_BYTES",
     "DaemonHandle",
     "DaemonStats",

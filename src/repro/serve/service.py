@@ -44,7 +44,6 @@ eviction/bytes counters per cache.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -74,6 +73,7 @@ from repro.runtime import (
 from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.dense import DenseTensor
+from repro.util.config import setting
 from repro.util.faults import fault_point
 from repro.util.lru import LRUCache
 from repro.util.validation import require
@@ -136,22 +136,13 @@ class _RequestError:
     code: str = "execution"
 
 
-#: Environment variable: how long (seconds) a poison signature stays
-#: quarantined.  ``0`` disables quarantining entirely.
-QUARANTINE_TTL_ENV = "REPRO_QUARANTINE_TTL"
 #: Worker-crash strikes against one signature before it is quarantined.
 QUARANTINE_STRIKES = 2
 
 
 def default_quarantine_ttl() -> float:
-    """Quarantine TTL in seconds from ``REPRO_QUARANTINE_TTL`` (default 30)."""
-    raw = os.environ.get(QUARANTINE_TTL_ENV)
-    if raw is None or not raw.strip():
-        return 30.0
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 30.0
+    """Seconds a poison signature stays quarantined, from ``REPRO_QUARANTINE_TTL`` (``0`` = off)."""
+    return setting("REPRO_QUARANTINE_TTL")
 
 
 @dataclass

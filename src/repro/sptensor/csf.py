@@ -230,11 +230,6 @@ class CSFTensor:
         lo, hi = self.children_range(level, position)
         return self.fids[level + 1][lo:hi]
 
-    def leaf_values(self, position_range: Tuple[int, int]) -> np.ndarray:
-        """Values for a range of leaf positions (view)."""
-        lo, hi = position_range
-        return self.values[lo:hi]
-
     def iter_nodes(self, level: int) -> Iterator[CSFNode]:
         """Iterate handles over all nodes of *level*."""
         for pos in range(self.nnz_at_level(level)):

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, timers, operation counters, the LRU, fault injection."""
+"""Shared utilities: validation, timers, operation counters, the LRU, settings, fault injection."""
 
 from repro.util.lazy import lazy_exports
 
@@ -9,8 +9,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".timing": ("Timer", "timed"),
     ".counters": ("OpCounter",),
     ".lru": ("LRUCache",),
+    ".config": ("SETTINGS", "resolved", "setting"),
     ".faults": (
-        "FAULTS_ENV", "FaultInjected", "configure_faults", "fault_point", "faults_active",
-        "faults_snapshot", "reset_faults",
+        "FaultInjected", "configure_faults", "fault_point", "faults_active", "faults_snapshot",
+        "reset_faults",
     ),
 })

@@ -49,10 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-#: Environment variable holding the fault plan (empty/unset → no faults).
-FAULTS_ENV = "REPRO_FAULTS"
-#: Environment variable seeding the per-point decision RNGs.
-FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
+from repro.util.config import setting
 
 #: Injection modes understood by the spec grammar.
 MODES = ("kill", "raise", "delay")
@@ -135,21 +132,11 @@ _CONFIGURED: Optional[str] = None
 _SEED: int = 0
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(FAULTS_SEED_ENV)
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _load() -> Dict[str, _PointState]:
     global _STATE, _CONFIGURED, _SEED
     if _STATE is None:
-        _CONFIGURED = os.environ.get(FAULTS_ENV) or None
-        _SEED = _default_seed()
+        _CONFIGURED = setting("REPRO_FAULTS")
+        _SEED = setting("REPRO_FAULTS_SEED")
         specs = parse_faults(_CONFIGURED)
         _STATE = {name: _PointState(spec, _SEED) for name, spec in specs.items()}
     return _STATE

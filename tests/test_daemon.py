@@ -37,6 +37,7 @@ from repro.serve import (
 from repro.serve import protocol
 from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
 from repro.sptensor import coo as coo_module
+from repro.util.config import SETTINGS
 
 
 def _assert_outputs_equal(result, expected) -> None:
@@ -285,7 +286,8 @@ class TestDaemonEndToEnd:
         # supervision info rides along for probes that alert on crash churn
         assert {"crashes", "respawns", "last_crash_unix"} <= set(health)
 
-    def test_stats_endpoint_exposes_all_layers(self):
+    def test_stats_endpoint_exposes_all_layers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         with start_daemon_thread(workers=0) as handle:
             with ServeClient(*handle.address) as client:
                 client.run(_small_requests(2, seed=1))
@@ -300,6 +302,9 @@ class TestDaemonEndToEnd:
             assert {"hits", "misses", "entries"} <= set(counters)
         assert {"evictions", "bytes"} <= set(stats["caches"]["csf"])
         assert "pools" in stats["pool"] and "default_workers" in stats["pool"]
+        # every REPRO_* setting as the daemon resolves it at request time
+        assert set(stats["config"]) == set(SETTINGS) and len(SETTINGS) == 12
+        assert stats["config"]["REPRO_WORKERS"] == 1
 
     def test_a_cold_cli_daemon_lists_every_metrics_source(self):
         # a source registers when its module loads; the stock daemon in a fresh

@@ -30,7 +30,6 @@ from repro.engine.plan_cache import (
     schedule_search_count,
 )
 from repro.engine.plan_store import (
-    PLAN_STORE_ENV,
     STORE_VERSION,
     PlanStore,
     default_plan_store,
@@ -127,11 +126,11 @@ class TestWarmStart:
         assert warm.loop_nest.path.terms == first.loop_nest.path.terms
 
     def test_default_store_resolves_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PLAN_STORE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_PLAN_STORE", raising=False)
         assert default_plan_store() is None
         assert plan_store_snapshot() == {"configured": False}
 
-        monkeypatch.setenv(PLAN_STORE_ENV, str(tmp_path / "envstore"))
+        monkeypatch.setenv("REPRO_PLAN_STORE", str(tmp_path / "envstore"))
         store = default_plan_store()
         assert store is not None
         assert default_plan_store() is store  # cached while env unchanged
@@ -153,7 +152,7 @@ class TestWarmStart:
         (root / "calibration.json").write_text(json.dumps(
             {"version": STORE_VERSION, "coefficients": {"scalar_op": 2e-8}}
         ))
-        monkeypatch.setenv(PLAN_STORE_ENV, str(root))
+        monkeypatch.setenv("REPRO_PLAN_STORE", str(root))
         assert default_plan_store() is not None
         assert active_coefficients() == {**DEFAULT_COEFFICIENTS, "scalar_op": 2e-8}
         state = calibration_state()
@@ -161,7 +160,7 @@ class TestWarmStart:
         assert state["active"] is True
 
     def test_store_false_disables_persistence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(PLAN_STORE_ENV, str(tmp_path / "unused"))
+        monkeypatch.setenv("REPRO_PLAN_STORE", str(tmp_path / "unused"))
         kernel = _mttkrp_kernel()
         cached_schedule(kernel, cache=PlanCache(), store=False)
         assert len(default_plan_store()) == 0
