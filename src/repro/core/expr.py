@@ -92,19 +92,19 @@ class SpTTNKernel:
         csf_mode_order: Optional[Sequence[str]] = None,
         sparse_stats: Optional[Mapping[str, object]] = None,
     ) -> None:
+        # every kernel of every request passes these checks: each raises
+        # without formatting its message unless it fails
         operands = tuple(operands)
         require(len(operands) >= 2, "an SpTTN kernel needs at least two operands")
         names = [op.name for op in operands] + [output.name]
-        require(
-            len(set(names)) == len(names),
-            f"operand names must be unique, got {names}",
-        )
+        if len(set(names)) != len(names):
+            raise ValueError(f"operand names must be unique, got {names}")
         sparse_ops = [op for op in operands if op.is_sparse]
-        require(
-            len(sparse_ops) == 1,
-            f"an SpTTN kernel must have exactly one sparse operand, "
-            f"found {len(sparse_ops)}",
-        )
+        if len(sparse_ops) != 1:
+            raise ValueError(
+                f"an SpTTN kernel must have exactly one sparse operand, "
+                f"found {len(sparse_ops)}"
+            )
         self.operands: Tuple[KernelOperand, ...] = operands
         self.output: KernelOperand = output
         self.sparse_operand: KernelOperand = sparse_ops[0]
@@ -119,26 +119,26 @@ class SpTTNKernel:
                 if idx not in all_indices:
                     all_indices.append(idx)
         for idx in output.indices:
-            require(
-                idx in all_indices,
-                f"output index {idx!r} does not appear in any input operand",
-            )
+            if idx not in all_indices:
+                raise ValueError(
+                    f"output index {idx!r} does not appear in any input operand"
+                )
         self.index_names: Tuple[str, ...] = tuple(all_indices)
         dims: Dict[str, int] = {}
         for idx in all_indices:
-            require(idx in index_dims, f"missing dimension for index {idx!r}")
+            if idx not in index_dims:
+                raise ValueError(f"missing dimension for index {idx!r}")
             dim = int(index_dims[idx])
-            require(dim > 0, f"dimension of index {idx!r} must be positive")
+            if dim <= 0:
+                raise ValueError(f"dimension of index {idx!r} must be positive")
             dims[idx] = dim
         self.index_dims: Dict[str, int] = dims
 
         # indices repeated within a single operand are not supported (no
         # diagonal extraction in SpTTN kernels)
-        for op in tuple(operands) + (output,):
-            require(
-                len(set(op.indices)) == len(op.indices),
-                f"operand {op.name!r} repeats an index: {op.indices}",
-            )
+        for op in operands + (output,):
+            if len(set(op.indices)) != len(op.indices):
+                raise ValueError(f"operand {op.name!r} repeats an index: {op.indices}")
 
         # --- sparsity classification --------------------------------------
         sparse_idx = set(self.sparse_operand.indices)
@@ -153,9 +153,7 @@ class SpTTNKernel:
             )
         self.csf_mode_order: Tuple[str, ...] = csf_mode_order
         self.sparse_indices: frozenset = frozenset(sparse_idx)
-        self.dense_indices: frozenset = frozenset(
-            idx for idx in all_indices if idx not in sparse_idx
-        )
+        self.dense_indices: frozenset = frozenset(all_indices).difference(sparse_idx)
 
         # --- SpTTN output restriction --------------------------------------
         if output.is_sparse:
@@ -164,8 +162,8 @@ class SpTTNKernel:
                 "a sparse output must have exactly the sparse operand's indices "
                 "(same sparsity pattern), e.g. TTTP/SDDMM",
             )
-        self.contracted_indices: frozenset = frozenset(
-            idx for idx in all_indices if idx not in set(output.indices)
+        self.contracted_indices: frozenset = frozenset(all_indices).difference(
+            output.indices
         )
 
         self.sparse_stats: Dict[str, object] = dict(sparse_stats or {})
@@ -316,16 +314,20 @@ def parse_kernel(
         The validated kernel, with index dimensions taken from the tensors
         and sparse statistics recorded when the sparse operand is COO/CSF.
     """
-    require("->" in spec, f"kernel spec must contain '->': {spec!r}")
+    # every request's kernel is parsed here: each check formats its
+    # message only when it fails
+    if "->" not in spec:
+        raise ValueError(f"kernel spec must contain '->': {spec!r}")
     lhs, rhs = spec.split("->")
     input_specs = [s.strip() for s in lhs.split(",")]
     output_spec = rhs.strip()
-    require(
-        len(input_specs) == len(tensors),
-        f"spec has {len(input_specs)} inputs but {len(tensors)} tensors given",
-    )
+    if len(input_specs) != len(tensors):
+        raise ValueError(
+            f"spec has {len(input_specs)} inputs but {len(tensors)} tensors given"
+        )
     for s in input_specs + [output_spec]:
-        require(s.isalpha() or s == "", f"invalid subscripts {s!r}")
+        if not (s.isalpha() or s == ""):
+            raise ValueError(f"invalid subscripts {s!r}")
 
     operands: List[KernelOperand] = []
     index_dims: Dict[str, int] = {}
@@ -343,25 +345,25 @@ def parse_kernel(
                 name = f"A{dense_counter}"
                 dense_counter += 1
         operand, shape = _operand_from_tensor(name, indices, tensor)
-        require(
-            len(shape) == len(indices),
-            f"operand {name!r}: spec has {len(indices)} indices but tensor has "
-            f"order {len(shape)}",
-        )
+        if len(shape) != len(indices):
+            raise ValueError(
+                f"operand {name!r}: spec has {len(indices)} indices but tensor has "
+                f"order {len(shape)}"
+            )
         if operand.is_sparse:
             sparse_count += 1
             sparse_tensor = tensor  # type: ignore[assignment]
         for idx, dim in zip(indices, shape):
-            if idx in index_dims:
-                require(
-                    index_dims[idx] == dim,
-                    f"index {idx!r} has inconsistent dimensions "
-                    f"{index_dims[idx]} vs {dim}",
-                )
-            else:
+            if idx not in index_dims:
                 index_dims[idx] = int(dim)
+            elif index_dims[idx] != dim:
+                raise ValueError(
+                    f"index {idx!r} has inconsistent dimensions "
+                    f"{index_dims[idx]} vs {dim}"
+                )
         operands.append(operand)
-    require(sparse_count == 1, f"expected exactly one sparse operand, got {sparse_count}")
+    if sparse_count != 1:
+        raise ValueError(f"expected exactly one sparse operand, got {sparse_count}")
 
     output_indices = tuple(output_spec)
     sparse_op = next(op for op in operands if op.is_sparse)

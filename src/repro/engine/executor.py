@@ -78,6 +78,7 @@ from repro.engine.plan_cache import (
     SPARSE_OUT_LOOKUP as _SPARSE_OUT_LOOKUP,
     CompiledPlan,
     PlanCache,
+    PlanKey,
     cached_schedule,
     default_plan_cache,
     operand_signature,
@@ -187,8 +188,17 @@ class LoopNestExecutor:
         }
         self._dense_names = frozenset(op.name for op in kernel.dense_operands)
         self._cache = plan_cache if plan_cache is not None else default_plan_cache()
+        # what _prepare checks and allocates against, fixed by the kernel
+        sparse, dim = kernel.sparse_operand.indices, kernel.index_dims.__getitem__
+        self._mode_order = tuple(map(sparse.index, kernel.csf_mode_order))
+        self._sparse_shape = tuple(map(dim, sparse))
+        self._dense_shapes = [(o.name, tuple(map(dim, o.indices))) for o in kernel.dense_operands]
+        self._out_shape = tuple(map(dim, kernel.output.indices))
+        #: the plan key up to its operand signature, completed per call
+        self._key = plan_key(kernel, loop_nest, offload=self.offload)[:-1]
 
         # run-time state, populated by execute()
+        self._source: Optional[Union[COOTensor, CSFTensor]] = None
         self._csf: Optional[CSFTensor] = None
         self._dense: Dict[str, np.ndarray] = {}
         self._buffers: Optional[BufferSet] = None
@@ -201,7 +211,10 @@ class LoopNestExecutor:
     # Public API
     # ------------------------------------------------------------------ #
     def execute(
-        self, tensors: Mapping[str, TensorLike]
+        self,
+        tensors: Mapping[str, TensorLike],
+        *,
+        _operands: Optional[PlanKey] = None,
     ) -> Union[np.ndarray, COOTensor]:
         """Run the loop nest on concrete tensors keyed by operand name.
 
@@ -214,24 +227,26 @@ class LoopNestExecutor:
         pattern), so writing into a tensor's ``values`` or ``indices`` in
         place between calls is not observed — build a new tensor with
         :meth:`~repro.sptensor.coo.COOTensor.with_values` instead.
+        ``_operands`` is internal: *tensors*' ``operand_signature``, when
+        the caller derived it already (the serving layer, at admission).
         """
         try:
-            return self._execute(tensors)
+            return self._execute(tensors, _operands)
         finally:
             # a call that raises must not pin its operands either
             self._release_bindings()
 
-    def _execute(self, tensors: Mapping[str, TensorLike]) -> Union[np.ndarray, COOTensor]:
+    def _execute(
+        self, tensors: Mapping[str, TensorLike], operands: Optional[PlanKey]
+    ) -> Union[np.ndarray, COOTensor]:
         start = time.perf_counter()
         # preparation (COO→CSF conversion, plan fetch/build, lowering and
         # jit compilation) is timed separately from steady-state execution:
         # both are recorded, but under distinct phases, so a plan's execute
         # row never includes its cold-call compilation
-        prepare_s = 0.0
         with _span("execute", "engine", engine=self.engine):
-            mark = time.perf_counter()
-            self._prepare(tensors)
-            prepare_s += time.perf_counter() - mark
+            self._prepare(tensors, operands)
+            prepare_s = time.perf_counter() - start
             plan = self._plan
             assert plan is not None and self._csf is not None
             plan_state = _plan_state(plan)
@@ -282,58 +297,51 @@ class LoopNestExecutor:
     # ------------------------------------------------------------------ #
     # Preparation
     # ------------------------------------------------------------------ #
-    def _prepare(self, tensors: Mapping[str, TensorLike]) -> None:
+    def _prepare(
+        self, tensors: Mapping[str, TensorLike], operands: Optional[PlanKey] = None
+    ) -> None:
+        # checks raise without formatting a message on the warm path
         kernel = self.kernel
-        for op in kernel.operands:
-            require(op.name in tensors, f"missing tensor for operand {op.name!r}")
-
-        sparse_in = tensors[self.sparse_name]
-        spec_indices = kernel.sparse_operand.indices
-        mode_order = tuple(
-            spec_indices.index(name) for name in kernel.csf_mode_order
-        )
-        if isinstance(sparse_in, (CSFTensor, COOTensor)):
-            csf = csf_for_mode_order(sparse_in, mode_order)
-        else:
+        try:
+            sparse_in = tensors[self.sparse_name]
+            dense_in = [tensors[name] for name, _ in self._dense_shapes]
+        except KeyError as exc:
+            raise ValueError(f"missing tensor for operand {exc.args[0]!r}") from None
+        if not isinstance(sparse_in, (CSFTensor, COOTensor)):
             raise TypeError(
                 f"sparse operand {self.sparse_name!r} must be COOTensor or CSFTensor"
             )
-        for pos, name in enumerate(spec_indices):
-            require(
-                csf.shape[pos] == kernel.index_dims[name],
-                f"sparse operand dimension mismatch on index {name!r}",
+        csf = csf_for_mode_order(sparse_in, self._mode_order)
+        if csf.shape != self._sparse_shape:
+            raise ValueError(
+                f"sparse operand has shape {csf.shape}, expected {self._sparse_shape}"
             )
+        self._source = sparse_in
         self._csf = csf
 
         self._dense = {}
-        for op in kernel.dense_operands:
-            value = tensors[op.name]
+        for (name, expected), value in zip(self._dense_shapes, dense_in):
             arr = value.data if isinstance(value, DenseTensor) else np.asarray(
                 value, dtype=np.float64
             )
-            expected = tuple(kernel.index_dims[i] for i in op.indices)
-            require(
-                tuple(arr.shape) == expected,
-                f"dense operand {op.name!r} has shape {arr.shape}, expected {expected}",
-            )
-            self._dense[op.name] = arr
+            if arr.shape != expected:
+                raise ValueError(
+                    f"dense operand {name!r} has shape {arr.shape}, expected {expected}"
+                )
+            self._dense[name] = arr
 
         if kernel.output.is_sparse:
             self._out_values = np.zeros(csf.nnz, dtype=np.float64)
             self._out_dense = None
         else:
-            shape = tuple(kernel.index_dims[i] for i in kernel.output.indices)
-            self._out_dense = np.zeros(shape if shape else (), dtype=np.float64)
+            self._out_dense = np.zeros(self._out_shape, dtype=np.float64)
             self._out_values = None
 
         # Fetch (or create) the compiled plan for this structure.  Plans are
         # array-independent; only the per-execution bindings are reset here.
-        key = plan_key(
-            kernel,
-            self.loop_nest,
-            offload=self.offload,
-            operands=operand_signature(kernel, tensors),
-        )
+        if operands is None:
+            operands = operand_signature(kernel, tensors)
+        key = self._key + (operands,)
         plan = self._cache.get_or_create(key, lambda: CompiledPlan(key))
         assert isinstance(plan, CompiledPlan)
         self._plan = plan
@@ -350,6 +358,7 @@ class LoopNestExecutor:
         otherwise pin their last operands and output for the life of the
         cache entry.
         """
+        self._source = None
         self._csf = None
         self._dense = {}
         self._buffers = None
@@ -358,12 +367,26 @@ class LoopNestExecutor:
         self._bound_sites = {}
 
     def _sparse_output(self) -> COOTensor:
-        csf = self._csf
-        assert csf is not None and self._out_values is not None
-        coords = np.empty((csf.nnz, csf.order), dtype=np.int64)
-        for level in range(csf.order):
-            coords[:, csf.mode_order[level]] = csf.expanded_level_indices(level)
-        return COOTensor(csf.shape, coords, self._out_values, sort=True)
+        """The output on the input's pattern, rows in lexicographic order:
+        CSF leaf order in the natural mode order (a sorted COO input's own
+        rows; ``leaf_perm`` gathers an unsorted one's), sorted otherwise."""
+        csf, source, values = self._csf, self._source, self._out_values
+        assert csf is not None and values is not None
+        if not isinstance(source, COOTensor):
+            coords = csf.coordinates()
+        elif csf.leaf_perm is None:
+            coords = source.indices
+        else:
+            coords = source.indices[csf.leaf_perm]
+        if csf.mode_order != tuple(range(csf.order)) and csf.nnz > 1:
+            rows = np.lexsort(coords.T[::-1])
+            coords, values = coords[rows], values[rows]
+        if coords is getattr(source, "indices", None):
+            # the input's own rows: shared read-only, with its pattern digest
+            coords = coords.view()
+            coords.flags.writeable = False
+            return COOTensor.on_pattern(csf.shape, coords, values, source)
+        return COOTensor.on_pattern(csf.shape, coords, values)
 
     # ------------------------------------------------------------------ #
     # Plan construction (Algorithm 2, preprocessing stage)

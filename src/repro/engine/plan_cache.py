@@ -92,20 +92,27 @@ def kernel_signature(kernel: SpTTNKernel) -> PlanKey:
     )
 
 
+def _signature_of(kernel: SpTTNKernel) -> PlanKey:
+    """:func:`kernel_signature`, derived once per kernel object (a kernel is
+    not mutated after construction) and carried on it."""
+    signature = kernel.__dict__.get("_signature")
+    if signature is None:
+        signature = kernel._signature = kernel_signature(kernel)
+    return signature
+
+
 def operand_signature(
     kernel: SpTTNKernel, tensors: Mapping[str, object]
 ) -> PlanKey:
-    """Shapes and dtypes of the concrete operands, in operand order."""
+    """Shapes and dtypes (``dtype.str``) of the concrete operands, in operand order."""
     sig: List[Tuple[Hashable, ...]] = []
     for op in kernel.operands:
         value = tensors[op.name]
         if isinstance(value, (COOTensor, CSFTensor)):
-            sig.append(("sparse", tuple(value.shape), str(value.values.dtype)))
-        elif isinstance(value, DenseTensor):
-            sig.append(("dense", tuple(value.data.shape), str(value.data.dtype)))
+            sig.append(("sparse", value.shape, value.values.dtype.str))
         else:
-            arr = np.asarray(value)
-            sig.append(("dense", tuple(arr.shape), str(arr.dtype)))
+            arr = value.data if isinstance(value, DenseTensor) else np.asarray(value)
+            sig.append(("dense", arr.shape, arr.dtype.str))
     return tuple(sig)
 
 
@@ -124,7 +131,7 @@ def plan_key(
     """
     path = loop_nest.path
     return (
-        kernel_signature(kernel),
+        _signature_of(kernel),
         tuple(
             (t.lhs, t.rhs, t.out, t.lhs_indices, t.rhs_indices, t.out_indices)
             for t in path
@@ -146,7 +153,7 @@ def schedule_key(
     stats = kernel.sparse_stats
     prefix = stats.get("prefix_nnz") or {}
     return (
-        kernel_signature(kernel),
+        _signature_of(kernel),
         stats.get("nnz"),
         tuple(sorted(prefix.items())),
         buffer_dim_bound,
@@ -384,14 +391,12 @@ def cached_schedule(
     key = schedule_key(
         kernel, buffer_dim_bound, flop_tolerance, max_paths, enforce_csf_order
     )
-    if store is True:
-        resolved_store: Optional[PlanStore] = default_plan_store()
-    elif store is False or store is None:
-        resolved_store = None
-    else:
-        resolved_store = store
 
     def build() -> Schedule:
+        # resolved on a miss only: a hit never reads the environment
+        resolved_store = default_plan_store() if store is True else store
+        if resolved_store is False:
+            resolved_store = None
         if resolved_store is not None:
             payload = resolved_store.get(key)
             if payload is not None:
@@ -458,17 +463,14 @@ def cached_executor(
     >>> out = cached_executor(kernel, nest).execute(tensors)   # compiles
     >>> out = cached_executor(kernel, nest).execute(tensors)   # plan reused
     """
-    # Imported here: repro.engine.executor imports this module at load time.
-    from repro.engine.executor import LoopNestExecutor, default_engine
-
-    resolved = default_engine() if engine is None else engine
+    resolved = setting("REPRO_ENGINE") if engine is None else engine  # = default_engine()
     cache = cache if cache is not None else _DEFAULT_EXECUTOR_CACHE
     key = ("executor", plan_key(kernel, loop_nest, offload=offload), resolved)
-    executor = cache.get_or_create(
-        key,
-        lambda: LoopNestExecutor(
-            kernel, loop_nest, offload=offload, engine=resolved
-        ),
-    )
-    assert isinstance(executor, LoopNestExecutor)
-    return executor
+
+    def build():
+        # imported on a miss only: repro.engine.executor imports this module
+        from repro.engine.executor import LoopNestExecutor
+
+        return LoopNestExecutor(kernel, loop_nest, offload=offload, engine=resolved)
+
+    return cache.get_or_create(key, build)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -282,57 +282,22 @@ class ServiceStats:
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view of the counters (stats replies, CLI printing)."""
-        return {
-            "submitted": self.submitted,
-            "rejected": self.rejected,
-            "served": self.served,
-            "failed": self.failed,
-            "flushes": self.flushes,
-            "batches": self.batches,
-            "amortized": self.amortized,
-            "shared_bytes": self.shared_bytes,
-            "expired": self.expired,
-            "quarantined": self.quarantined,
-            "quarantines": self.quarantines,
-            "by_kind": dict(self.by_kind),
-        }
+        return asdict(self)
 
 
+@dataclass(slots=True)
 class _Pending:
     """One admitted request waiting for the next flush."""
 
-    __slots__ = (
-        "request",
-        "kernel",
-        "mapping",
-        "signature",
-        "digest",
-        "engine",
-        "future",
-        "submitted_at",
-        "expires_at",
-    )
-
-    def __init__(
-        self,
-        request: ContractionRequest,
-        kernel: SpTTNKernel,
-        mapping: Dict[str, TensorLike],
-        signature: Tuple,
-        digest: str,
-        engine: str,
-        future: ServeFuture,
-        expires_at: Optional[float],
-    ) -> None:
-        self.request = request
-        self.kernel = kernel
-        self.mapping = mapping
-        self.signature = signature
-        self.digest = digest
-        self.engine = engine
-        self.future = future
-        self.submitted_at = time.perf_counter()
-        self.expires_at = expires_at
+    request: ContractionRequest
+    kernel: SpTTNKernel
+    mapping: Dict[str, TensorLike]
+    #: the request's plan identity, derived once at admission
+    signature: Tuple
+    engine: str
+    future: ServeFuture
+    expires_at: Optional[float]
+    submitted_at: float = field(default_factory=time.perf_counter)
 
 
 @dataclass
@@ -349,9 +314,9 @@ class _BatchTask:
     """Picklable per-request execution task for the worker pool.
 
     The task carries the batch's shared structure (kernel, loop nest,
-    engine) once; each payload holds the request's private operands, a
-    ``"__shared__"`` map of shm handles for broadcast dense operands
-    (resolved with the worker-side attachment cache of
+    engine, operand signature) once; each payload holds the request's
+    private operands, a ``"__shared__"`` map of shm handles for broadcast
+    dense operands (resolved with the worker-side attachment cache of
     :mod:`repro.runtime.shm`), and :class:`_SharedSparse` references for
     broadcast sparse operands (rebuilt once per worker per broadcast).
     The executor is resolved through the process-wide
@@ -361,11 +326,12 @@ class _BatchTask:
     """
 
     def __init__(
-        self, kernel: SpTTNKernel, loop_nest: LoopNest, engine: str
+        self, kernel: SpTTNKernel, loop_nest: LoopNest, engine: str, operands: Tuple
     ) -> None:
         self.kernel = kernel
         self.loop_nest = loop_nest
         self.engine = engine
+        self.operands = operands
 
     def __call__(self, payload: Dict[str, object]) -> object:
         payload = dict(payload)
@@ -382,7 +348,7 @@ class _BatchTask:
             executor = cached_executor(
                 self.kernel, self.loop_nest, engine=self.engine
             )
-            return executor.execute(tensors)
+            return executor.execute(tensors, _operands=self.operands)
         except Exception as exc:  # per-request isolation
             return _RequestError(f"{type(exc).__name__}: {exc}")
 
@@ -443,11 +409,11 @@ class ContractionService:
         )
         self.stats = ServiceStats()
         self._pending: List[_Pending] = []
-        #: signature digest -> quarantine entry (monotonic expiry, strike
-        #: count, a human-readable sample of the offending request).
-        self._quarantine: Dict[str, Dict[str, object]] = {}
-        #: signature digest -> worker-crash strikes accumulated so far.
-        self._strikes: Dict[str, int] = {}
+        #: signature -> quarantine entry (monotonic expiry, strike count, a
+        #: human-readable sample of the offending request).
+        self._quarantine: Dict[Tuple, Dict[str, object]] = {}
+        #: signature -> worker-crash strikes accumulated so far.
+        self._strikes: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -460,6 +426,8 @@ class ContractionService:
     def _signature(
         self, kernel: SpTTNKernel, mapping: Mapping[str, TensorLike], engine: str
     ) -> Tuple:
+        """The request's plan identity, derived once at admission and read
+        by grouping, the lookups of both group paths and the quarantine."""
         return (
             schedule_key(kernel, **_SCHEDULE_KNOBS),
             operand_signature(kernel, mapping),
@@ -496,8 +464,8 @@ class ContractionService:
             raise AdmissionError(f"invalid request: {exc}") from exc
         engine = request.engine if request.engine is not None else self.engine
         signature = self._signature(kernel, mapping, engine)
-        digest = self.signature_digest(signature)
-        self._check_quarantine(digest)
+        if self._quarantine:
+            self._check_quarantine(signature)
         if expires_at is None and request.deadline_ms is not None:
             expires_at = time.monotonic() + request.deadline_ms / 1000.0
         if expires_at is not None and time.monotonic() >= expires_at:
@@ -508,16 +476,7 @@ class ContractionService:
             )
         future = ServeFuture(request, self)
         self._pending.append(
-            _Pending(
-                request,
-                kernel,
-                dict(mapping),
-                signature,
-                digest,
-                engine,
-                future,
-                expires_at,
-            )
+            _Pending(request, kernel, dict(mapping), signature, engine, future, expires_at)
         )
         self.stats.submitted += 1
         inc_counter("serve.submitted")
@@ -531,36 +490,40 @@ class ContractionService:
     # ------------------------------------------------------------------ #
     @staticmethod
     def signature_digest(signature: Tuple) -> str:
-        """Short stable digest naming a plan signature in stats/errors."""
+        """Short stable digest naming a plan signature in stats/errors.
+
+        Only a name: the quarantine tables are keyed by the signature
+        itself, so admission never hashes one through SHA-1.
+        """
         return hashlib.sha1(repr(signature).encode("utf-8")).hexdigest()[:12]
 
-    def _check_quarantine(self, digest: str) -> None:
-        entry = self._quarantine.get(digest)
+    def _check_quarantine(self, signature: Tuple) -> None:
+        entry = self._quarantine.get(signature)
         if entry is None:
             return
         now = time.monotonic()
         if now >= entry["until"]:
             # TTL expiry: fresh slate — the next crash starts a new count
-            del self._quarantine[digest]
-            self._strikes.pop(digest, None)
+            del self._quarantine[signature]
+            self._strikes.pop(signature, None)
             return
         entry["rejected"] = int(entry["rejected"]) + 1
         self.stats.quarantined += 1
         inc_counter("serve.quarantined")
         raise QuarantinedError(
-            f"plan signature {digest} is quarantined for another "
+            f"plan signature {self.signature_digest(signature)} is quarantined for another "
             f"{float(entry['until']) - now:.1f}s after {entry['strikes']} "
             f"worker-crash strike(s)"
         )
 
     def _note_crash_strike(self, leader: _Pending) -> None:
         """Record that *leader*'s signature group crashed pool workers."""
-        digest = leader.digest
-        strikes = self._strikes.get(digest, 0) + 1
-        self._strikes[digest] = strikes
+        signature = leader.signature
+        strikes = self._strikes.get(signature, 0) + 1
+        self._strikes[signature] = strikes
         if strikes < QUARANTINE_STRIKES or self.quarantine_ttl <= 0:
             return
-        self._quarantine[digest] = {
+        self._quarantine[signature] = {
             "until": time.monotonic() + self.quarantine_ttl,
             "strikes": strikes,
             "kind": leader.request.kind,
@@ -575,16 +538,18 @@ class ContractionService:
         now = time.monotonic()
         return {
             "ttl_s": self.quarantine_ttl,
-            "strikes": dict(self._strikes),
+            "strikes": {
+                self.signature_digest(sig): n for sig, n in self._strikes.items()
+            },
             "entries": {
-                digest: {
+                self.signature_digest(sig): {
                     "kind": entry["kind"],
                     "spec": entry["spec"],
                     "strikes": entry["strikes"],
                     "rejected": entry["rejected"],
                     "expires_in_s": max(0.0, float(entry["until"]) - now),
                 }
-                for digest, entry in self._quarantine.items()
+                for sig, entry in self._quarantine.items()
             },
         }
 
@@ -774,7 +739,7 @@ class ContractionService:
             exec_t0 = time.perf_counter()
             try:
                 fault_point("serve.execute")
-                results.append(executor.execute(p.mapping))
+                results.append(executor.execute(p.mapping, _operands=p.signature[1]))
             except Exception as exc:
                 results.append(_RequestError(f"{type(exc).__name__}: {exc}"))
             execute_s.append(time.perf_counter() - exec_t0)
@@ -863,7 +828,7 @@ class ContractionService:
                         payload[op.name] = value
                 payload["__shared__"] = task_shared
                 payloads.append(payload)
-            task = _BatchTask(leader.kernel, nest, leader.engine)
+            task = _BatchTask(leader.kernel, nest, leader.engine, leader.signature[1])
             exec_t0 = time.perf_counter()
             results = parallel_map(
                 task, payloads, workers=min(workers, len(group))

@@ -143,11 +143,25 @@ class COOTensor:
             values.shape[0] == self.nnz,
             f"expected {self.nnz} values, got {values.shape[0]}",
         )
-        out = COOTensor.__new__(COOTensor)
-        out.shape = self.shape
-        out.indices = self.indices.copy()
-        out.values = values.copy()
-        out._pattern = self._pattern
+        return COOTensor.on_pattern(self.shape, self.indices.copy(), values.copy(), self)
+
+    @classmethod
+    def on_pattern(
+        cls,
+        shape: Tuple[int, ...],
+        indices: np.ndarray,
+        values: np.ndarray,
+        source: Optional["COOTensor"] = None,
+    ) -> "COOTensor":
+        """Wrap rows that are already canonical, unchecked and uncopied.
+
+        *indices* must be unique, in-range ``int64`` rows in lexicographic
+        order and *values* a matching ``float64`` vector; a *source* tensor
+        with the same rows lends its pattern digest.
+        """
+        out = cls.__new__(cls)
+        out.shape, out.indices, out.values = shape, indices, values
+        out._pattern = source._pattern if source is not None else None
         return out
 
     def pattern_digest(self) -> bytes:

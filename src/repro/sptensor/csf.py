@@ -248,32 +248,7 @@ class CSFTensor:
     # ------------------------------------------------------------------ #
     def to_coo(self) -> COOTensor:
         """Expand back to COO (in the original mode order)."""
-        if self.nnz == 0:
-            return COOTensor.empty(self.shape)
-        order = self.order
-        # Expand per-level indices down to the leaves.
-        expanded = np.empty((self.nnz, order), dtype=np.int64)
-        # Start with the leaf level, then propagate ancestors upward by
-        # repeating each level's index over its subtree leaf range.
-        for level in range(order):
-            ids = self.fids[level]
-            if level == order - 1:
-                expanded[:, level] = ids
-                continue
-            # repeat counts: number of leaves under each node of this level
-            counts = np.ones(ids.shape[0], dtype=np.int64)
-            lo = np.arange(ids.shape[0], dtype=np.int64)
-            hi = lo + 1
-            for lvl in range(level, order - 1):
-                lo = self.fptr[lvl][lo]
-                hi = self.fptr[lvl][hi]
-            counts = hi - lo
-            expanded[:, level] = np.repeat(ids, counts)
-        # Undo the mode permutation.
-        original = np.empty_like(expanded)
-        for csf_pos, mode in enumerate(self.mode_order):
-            original[:, mode] = expanded[:, csf_pos]
-        return COOTensor(self.shape, original, self.values, sort=True)
+        return COOTensor(self.shape, self.coordinates(), self.values, sort=True)
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo().to_dense()
@@ -299,6 +274,14 @@ class CSFTensor:
             hi = self.fptr[lvl][hi]
         counts = hi - lo
         return np.repeat(ids, counts)
+
+    def coordinates(self) -> np.ndarray:
+        """``(nnz, order)`` coordinates of the leaves, in leaf order, with
+        columns in the original mode order."""
+        coords = np.empty((self.nnz, self.order), dtype=np.int64)
+        for level, mode in enumerate(self.mode_order):
+            coords[:, mode] = self.expanded_level_indices(level)
+        return coords
 
     def find_leaf(self, level_indices: Sequence[int]) -> Optional[int]:
         """Leaf position of the entry with the given per-level index values.

@@ -102,14 +102,28 @@ class TestServiceSurvivesWorkerCrashes:
             for out, want in zip(outputs, expected):  # crashes never corrupt
                 np.testing.assert_array_equal(np.asarray(out), want)
         assert service.stats.quarantines == 1
+        # the table is keyed by the signature; its 12-hex name is derived
+        # only to report it, and must name the struck group everywhere
+        kernel, mapping = _mttkrp_batch(1, seed=1)[0].build()
+        name = service.signature_digest(service._signature(kernel, mapping, service.engine))
         snapshot = service.quarantine_snapshot()
-        assert len(snapshot["entries"]) == 1
-        (entry,) = snapshot["entries"].values()
+        assert list(snapshot["entries"]) == [name]
+        assert snapshot["strikes"] == {name: 2}
+        entry = snapshot["entries"][name]
         assert entry["kind"] == "mttkrp"
         assert entry["strikes"] == 2
         # matching submissions now fail fast, before queue or workers
-        with pytest.raises(QuarantinedError, match="quarantined"):
+        with pytest.raises(QuarantinedError, match=f"plan signature {name} is quarantined"):
             service.submit(_mttkrp_batch(1, seed=1)[0])
+        assert service.stats.quarantined == 1
+        # a different signature is never refused meanwhile, not even one
+        # that differs from the struck group's in its operand dtypes only
+        other = mttkrp_request(
+            mapping["T"], [mapping["A0"].astype(np.float32), mapping["A1"]], mode=0
+        )
+        future = service.submit(other)
+        service.flush()  # a group of one runs serially, away from the pool
+        np.testing.assert_array_equal(future.result(), execute_sequential([other])[0])
         assert service.stats.quarantined == 1
         # TTL expiry clears the entry and the strike count: fresh slate
         configure_faults(None)

@@ -9,6 +9,7 @@ offloading.
 import numpy as np
 import pytest
 
+from repro.core.expr import parse_kernel
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.enumeration import enumerate_loop_orders, sample_loop_orders
 from repro.core.loop_nest import LoopNest
@@ -134,6 +135,61 @@ class TestInputHandling:
         bad = LoopOrder((("j", "i", "k", "s"), ("i", "j", "s", "r")))
         with pytest.raises(ValueError):
             LoopNestExecutor(kernel, LoopNest(path, bad))
+
+
+def _tttp_case(case):
+    """(kernel, tensors) of an order-3 TTTP whose sparse input is *case*."""
+    T = random_sparse_tensor((9, 8, 7), nnz=60, seed=5)
+    if case == "empty":
+        T = COOTensor.empty(T.shape)
+    elif case == "unsorted":
+        rows = np.random.default_rng(0).permutation(T.nnz)
+        T = COOTensor(T.shape, T.indices[rows], T.values[rows], sort=False)
+    elif case == "permuted":
+        T = CSFTensor.from_coo(T, mode_order=(2, 0, 1))
+    factors = [random_dense_matrix(dim, 3, seed=dim).data for dim in T.shape]
+    kernel = parse_kernel("ijk,ir,jr,kr->ijk", [T, *factors], names=["T", "A", "B", "C"])
+    return kernel, dict(zip(["T", "A", "B", "C"], [T, *factors]))
+
+
+class TestSparseOutput:
+    @pytest.mark.parametrize("engine", ["jit", "interpret"])
+    @pytest.mark.parametrize("case", ["sorted", "unsorted", "permuted", "empty"])
+    def test_output_on_the_input_pattern_matches_a_sorted_build(
+        self, case, engine, monkeypatch
+    ):
+        # the output shares the input's pattern instead of re-expanding and
+        # re-sorting it; it must equal the sorted COOTensor built from the
+        # CSF leaves bit for bit, for natural and permuted mode orders
+        kernel, tensors = _tttp_case(case)
+        assert (kernel.csf_mode_order != ("i", "j", "k")) == (case == "permuted")
+        leaves = {}
+        original = LoopNestExecutor._sparse_output
+
+        def capture(self):
+            leaves["csf"], leaves["values"] = self._csf, self._out_values.copy()
+            return original(self)
+
+        monkeypatch.setattr(LoopNestExecutor, "_sparse_output", capture)
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        out = LoopNestExecutor(kernel, nest, engine=engine).execute(tensors)
+
+        csf = leaves["csf"]
+        coords = np.empty((csf.nnz, csf.order), dtype=np.int64)
+        for level in range(csf.order):
+            coords[:, csf.mode_order[level]] = csf.expanded_level_indices(level)
+        expected = COOTensor(csf.shape, coords, leaves["values"], sort=True)
+        assert out.shape == expected.shape
+        for got, want in ((out.indices, expected.indices), (out.values, expected.values)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        source = tensors["T"]
+        assert not np.shares_memory(out.values, source.values)
+        if isinstance(source, COOTensor) and np.shares_memory(out.indices, source.indices):
+            assert not out.indices.flags.writeable
+        # an unsorted input's reference keeps its row order: compare values
+        reference = reference_output(kernel, tensors)
+        np.testing.assert_allclose(out.to_dense(), reference.to_dense(), atol=1e-10)
 
 
 class TestEdgeCases:

@@ -7,11 +7,14 @@ sequentially one at a time through the ordinary library path.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import plan_cache
 from repro.engine.plan_cache import (
     clear_caches,
     default_schedule_cache,
@@ -285,6 +288,44 @@ class TestBatchAmortization:
         assert schedule_search_count() - searches == len(keys)
         assert service.stats.batches < len(requests)
         assert service.stats.amortized == len(requests) - service.stats.batches
+
+
+class TestDeriveOnce:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_warm_request_derives_its_plan_identity_once(self, workers, monkeypatch):
+        # the request's identity is derived at admission and read by the
+        # schedule, executor and plan lookups of both group paths; a SHA-1
+        # name of it is computed only for the quarantine
+        requests = scenario_mix(48, mix="mixed", seed=0)
+        service = ContractionService(workers=workers)
+        expected = service.run(requests)  # warm: every lookup below hits
+        calls = dict.fromkeys(("kernel_signature", "operand_signature", "signature_digest"), 0)
+
+        def counting(name, function):
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return count
+
+        for name in ("kernel_signature", "operand_signature"):
+            function = getattr(plan_cache, name)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("repro") and vars(module).get(name) is function:
+                    monkeypatch.setattr(module, name, counting(name, function))
+        digest = counting("signature_digest", ContractionService.signature_digest)
+        monkeypatch.setattr(ContractionService, "signature_digest", staticmethod(digest))
+
+        fresh = [
+            ContractionRequest(r.spec, r.operands, names=r.names, engine=r.engine, kind=r.kind)
+            for r in requests
+        ]
+        outputs = service.run(fresh)
+        assert calls["kernel_signature"] <= len(fresh)
+        assert calls["operand_signature"] <= len(fresh)
+        assert calls["signature_digest"] == 0
+        for result, want in zip(outputs, expected):
+            _assert_outputs_equal(result, want)
 
 
 class TestServeBulkOpCount:
