@@ -9,9 +9,9 @@ offloading.
 import numpy as np
 import pytest
 
-from repro.core.expr import parse_kernel
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.enumeration import enumerate_loop_orders, sample_loop_orders
+from repro.core.expr import parse_kernel
 from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor, execute_kernel
