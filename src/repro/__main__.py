@@ -37,9 +37,9 @@ with a scripted client session (bit-identity check, stats, drain)::
     python -m repro serve --connect 127.0.0.1:7421 --requests 32 \
         --verify --stats --shutdown
 
-Show (or clear) the process-wide plan/schedule cache statistics::
+Show the disk-backed plan store named by ``REPRO_PLAN_STORE``::
 
-    python -m repro cache
+    REPRO_PLAN_STORE=planstore python -m repro cache
 
 List the built-in dataset presets::
 
@@ -215,7 +215,7 @@ def cmd_tune(args) -> int:
         else "\nscheduler's pick lies outside the swept candidate set"
     )
 
-    if args.measure or args.calibrate:
+    if args.measure:
         mapping = {op.name: t for op, t in zip(kernel.operands, operands)}
         runner = ExecutionRunner(kernel, mapping)
         tuner = Autotuner(kernel, runner, repeats=args.repeats)
@@ -237,53 +237,7 @@ def cmd_tune(args) -> int:
                 f"\nscheduler's pick ranks #{measured_rank} of "
                 f"{len(result.entries)} by measured time"
             )
-        if args.calibrate:
-            _tune_calibrate(args, kernel, tuner, result)
     return 0
-
-
-def _tune_calibrate(args, kernel, tuner, result) -> None:
-    """Fit measured cost coefficients and report the re-ranked sweep."""
-    from repro.core import CostModelEvaluator, ExecutionCost
-    from repro.engine.plan_store import default_plan_store
-
-    coefficients = tuner.fit_calibration(result, apply=True)
-    if coefficients is None:
-        print(
-            "\ncalibration: too few usable measurements to fit "
-            "(need >= 2 constraint-satisfying candidates)"
-        )
-        return
-    print("\ncalibrated cost coefficients (seconds per unit):")
-    for name, value in sorted(coefficients.as_dict().items()):
-        print(f"  {name:>14s} = {value:.3e}")
-
-    # Re-rank the measured candidates under the calibrated model and show
-    # where the measured-fastest candidate lands — the whole point of
-    # calibration is pushing that toward rank #0.
-    evaluator = CostModelEvaluator(
-        kernel, ExecutionCost(kernel, buffer_dim_bound=args.buffer_bound)
-    )
-    rescored = sorted(
-        ((evaluator(e.loop_nest), i) for i, e in enumerate(result.entries)),
-    )
-    fastest_rank = next(
-        rank for rank, (_, i) in enumerate(rescored) if i == 0
-    )
-    print(
-        f"calibrated model ranks the measured-fastest candidate "
-        f"#{fastest_rank} of {len(rescored)}"
-    )
-
-    store = default_plan_store()
-    if store is not None:
-        store.save_calibration(coefficients.as_dict())
-        print(f"calibration persisted to {store.root}")
-    else:
-        print(
-            "calibration applied to this process only "
-            "(set REPRO_PLAN_STORE to persist it)"
-        )
 
 
 def cmd_dist(args) -> int:
@@ -540,72 +494,13 @@ def _print_cache_stats(stats_by_cache) -> None:
 
 
 def cmd_cache(args) -> int:
-    """Print (and optionally clear) the process-wide plan/schedule caches.
+    """Print the disk-backed plan store named by ``REPRO_PLAN_STORE``.
 
-    The caches are per process: long-running embeddings (apps, services,
-    benchmark harnesses) accumulate entries; a fresh CLI invocation starts
-    empty.  ``--clear`` drops all cached plans and schedules (statistics are
-    kept so hit/miss history stays visible); ``--reset-stats`` zeroes the
-    counters as well.  The plan cache's byte accounting (the
-    ``REPRO_PLAN_CACHE_BYTES`` LRU memory budget) is shown in the ``bytes``
-    column; ``rejections`` counts oversized entries refused admission (in
-    the ``jit`` row: plans whose lowering was declined).
-
-    The cached plans' timing rows (count, total and mean per plan, engine
-    and *phase* — ``prepare`` covers CSF conversion, plan build and JIT
-    compilation, ``execute`` the steady-state run) are printed below the
-    cache table whenever any exist; they live on the plans, so ``--clear``
-    drops them with the plans.  ``--store`` additionally reports the
-    disk-backed plan store named by ``REPRO_PLAN_STORE``.
+    The in-memory caches are per process and a fresh CLI invocation starts
+    with them empty; a live process's cache, timing and store rows are the
+    daemon's ``stats`` op.  The store is what a fresh process can see.
     """
-    from repro.engine.lowering.codegen import reset_jit_stats
-    from repro.engine.plan_cache import (
-        caches_snapshot,
-        clear_caches,
-        default_executor_cache,
-        default_plan_cache,
-        default_schedule_cache,
-        plan_timings_snapshot,
-    )
-    from repro.sptensor.coo import digest_stats
-    from repro.sptensor.csf import default_structure_memo
-
-    caches = {
-        "plan": default_plan_cache(),
-        "schedule": default_schedule_cache(),
-        "executor": default_executor_cache(),
-        "csf": default_structure_memo(),
-    }
-    if args.clear:
-        clear_caches()
-        print(
-            "cleared all cached plans (and their timings), schedules, "
-            "executors and CSF structure"
-        )
-    if args.reset_stats:
-        for cache in caches.values():
-            cache.reset_stats()
-        reset_jit_stats()
-        digest_stats(reset=True)
-        print("reset cache statistics")
-    print()
-    _print_cache_stats(caches_snapshot())
-    if args.store:
-        _print_store_stats()
-    rows = plan_timings_snapshot()
-    if rows:
-        print(f"\nper-plan timings ({len(rows)} row(s), by total time):")
-        print(
-            f"{'digest':>18s} {'engine':>8s} {'phase':>8s} {'count':>6s} "
-            f"{'total [ms]':>11s} {'mean [ms]':>10s}  plan"
-        )
-        for row in rows[: args.top]:
-            print(
-                f"{row['digest']:>18s} {row['engine']:>8s} "
-                f"{row['phase']:>8s} {row['count']:6d} "
-                f"{row['total_s'] * 1e3:11.2f} {row['mean_s'] * 1e3:10.3f}  "
-                f"{row['plan']}"
-            )
+    _print_store_stats()
     return 0
 
 
@@ -709,12 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_tune.add_argument("--repeats", type=int, default=1,
                         help="timed repetitions per measured candidate")
-    p_tune.add_argument(
-        "--calibrate", action="store_true",
-        help="fit measured cost-model coefficients from the timed "
-        "candidates (implies --measure), apply them process-wide, report "
-        "the re-ranked sweep, and persist them when REPRO_PLAN_STORE is set",
-    )
     p_tune.set_defaults(func=cmd_tune)
 
     p_dist = sub.add_parser(
@@ -845,17 +734,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.set_defaults(func=cmd_serve, warmup=True)
 
     p_cache = sub.add_parser(
-        "cache", help="show (or clear) the process-wide plan/schedule cache stats"
-    )
-    p_cache.add_argument("--clear", action="store_true",
-                         help="drop all cached plans and schedules")
-    p_cache.add_argument("--reset-stats", action="store_true",
-                         help="zero the hit/miss/eviction counters")
-    p_cache.add_argument("--top", type=int, default=20,
-                         help="per-plan timing rows to print (default 20)")
-    p_cache.add_argument(
-        "--store", action="store_true",
-        help="also show the disk-backed plan store stats (REPRO_PLAN_STORE)",
+        "cache", help="show the disk-backed plan store (REPRO_PLAN_STORE)"
     )
     p_cache.set_defaults(func=cmd_cache)
 

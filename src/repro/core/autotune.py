@@ -22,12 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.calibrate import (
-    CostCoefficients,
-    calibrate_from_measurements,
-    cost_features,
-    fit_coefficients,
-)
 from repro.core.contraction_path import ContractionPath
 from repro.core.enumeration import enumerate_loop_orders, sample_loop_orders
 from repro.core.expr import SpTTNKernel
@@ -134,28 +128,6 @@ class Autotuner:
             for entry in sweep.sorted_entries()
         ]
         return AutotuneResult(entries)
-
-    def fit_calibration(
-        self, result: AutotuneResult, apply: bool = True
-    ) -> Optional[CostCoefficients]:
-        """Fit measured cost coefficients from a :meth:`tune` result.
-
-        Each measured candidate contributes one ``(feature vector,
-        seconds)`` row (:func:`repro.core.calibrate.cost_features`); the
-        non-negative least-squares fit yields per-op-class coefficients in
-        seconds-per-unit.  With ``apply=True`` (default) a successful fit
-        is installed process-wide
-        (:func:`repro.core.calibrate.apply_calibration`), so subsequent
-        schedule searches rank with the measured model.  Returns ``None``
-        when the measurements are too few/degenerate to fit.
-        """
-        rows = [
-            (cost_features(self.kernel, entry.loop_nest), entry.seconds)
-            for entry in result.entries
-        ]
-        if apply:
-            return calibrate_from_measurements(rows)
-        return fit_coefficients(rows)
 
     def tune_path(
         self,

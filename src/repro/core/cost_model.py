@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.contraction_path import ContractionPath
 from repro.core.expr import SpTTNKernel
@@ -58,48 +58,14 @@ Removed = FrozenSet[str]
 #: infinity so violating nests can still be ranked among themselves.
 CONSTRAINT_PENALTY = 1.0e18
 
-#: Hand-tuned defaults of :class:`ExecutionCost`'s per-op-class
-#: coefficients — relative magnitudes of an interpreted loop iteration, a
-#: scalar multiply-add, a vectorized element and a vectorized-call
-#: dispatch.  :mod:`repro.core.calibrate` replaces them process-wide with
-#: measured values (then in seconds-per-unit) via
-#: :func:`set_active_coefficients`.
-DEFAULT_COEFFICIENTS: Dict[str, float] = {
-    "loop_overhead": 40.0,
-    "scalar_op": 6.0,
-    "vector_op": 1.0,
-    "call_overhead": 200.0,
-}
-
-_active_coefficients: Dict[str, float] = dict(DEFAULT_COEFFICIENTS)
-
-
-def active_coefficients() -> Dict[str, float]:
-    """The process-wide coefficients new :class:`ExecutionCost` objects use."""
-    return dict(_active_coefficients)
-
-
-def set_active_coefficients(
-    coefficients: Optional[Mapping[str, float]],
-) -> None:
-    """Install measured coefficients as the process default (``None`` resets).
-
-    Only the four known coefficient names are consulted; non-finite or
-    negative values are ignored in favour of the hand-tuned default, so a
-    corrupt persisted calibration can never produce a degenerate cost
-    model.  Explicit constructor arguments always override these defaults.
-    """
-    global _active_coefficients
-    merged = dict(DEFAULT_COEFFICIENTS)
-    if coefficients is not None:
-        for name in DEFAULT_COEFFICIENTS:
-            value = coefficients.get(name)
-            if value is None:
-                continue
-            value = float(value)
-            if math.isfinite(value) and value >= 0.0:
-                merged[name] = value
-    _active_coefficients = merged
+#: :class:`ExecutionCost`'s per-op-class coefficients: relative magnitudes
+#: of an interpreted loop iteration, a scalar multiply-add, a vectorized
+#: element and a vectorized-call dispatch.  They are fixed, so a loop nest
+#: is a function of the kernel's structure alone.
+LOOP_OVERHEAD = 40.0
+SCALAR_OP = 6.0
+VECTOR_OP = 1.0
+CALL_OVERHEAD = 200.0
 
 
 class TreeSeparableCost(ABC):
@@ -418,14 +384,14 @@ class ExecutionCost(TreeSeparableCost):
     the final CSF level) to one vectorized NumPy call — the analogue of the
     paper's BLAS offload.  This model charges:
 
-    * ``vector_op`` per scalar multiply-add inside an offloaded subtree, plus
-      ``call_overhead`` per offloaded call;
-    * ``loop_overhead`` per iteration of every interpreted (non-offloaded)
-      loop, plus ``scalar_op`` for each innermost scalar contraction that is
-      not offloaded;
-    * ``penalty`` for every intermediate buffer whose dimension exceeds
-      ``buffer_dim_bound`` (set ``buffer_dim_bound=None`` to disable the
-      constraint).
+    * :data:`VECTOR_OP` per scalar multiply-add inside an offloaded
+      subtree, plus :data:`CALL_OVERHEAD` per offloaded call;
+    * :data:`LOOP_OVERHEAD` per iteration of every interpreted
+      (non-offloaded) loop, plus :data:`SCALAR_OP` for each innermost
+      scalar contraction that is not offloaded;
+    * :data:`CONSTRAINT_PENALTY` for every intermediate buffer whose
+      dimension exceeds ``buffer_dim_bound`` (set ``buffer_dim_bound=None``
+      to disable the constraint).
 
     Minimizing this cost therefore prefers loop nests with the largest
     possible offloaded (BLAS) regions subject to a bound on intermediate
@@ -434,35 +400,10 @@ class ExecutionCost(TreeSeparableCost):
     """
 
     def __init__(
-        self,
-        kernel: SpTTNKernel,
-        buffer_dim_bound: Optional[int] = 2,
-        loop_overhead: Optional[float] = None,
-        scalar_op: Optional[float] = None,
-        vector_op: Optional[float] = None,
-        call_overhead: Optional[float] = None,
-        penalty: float = CONSTRAINT_PENALTY,
+        self, kernel: SpTTNKernel, buffer_dim_bound: Optional[int] = 2
     ) -> None:
         super().__init__(kernel)
-        # coefficient defaults resolve through the process-wide active set
-        # (measured calibration when one is installed, hand-tuned constants
-        # otherwise) at construction time, so scheduler/search call sites
-        # pick up a calibration without changing
-        active = _active_coefficients
         self.buffer_dim_bound = buffer_dim_bound
-        self.loop_overhead = float(
-            active["loop_overhead"] if loop_overhead is None else loop_overhead
-        )
-        self.scalar_op = float(
-            active["scalar_op"] if scalar_op is None else scalar_op
-        )
-        self.vector_op = float(
-            active["vector_op"] if vector_op is None else vector_op
-        )
-        self.call_overhead = float(
-            active["call_overhead"] if call_overhead is None else call_overhead
-        )
-        self.penalty = float(penalty)
 
     def combine(self, a: float, b: float) -> float:
         return a + b
@@ -506,27 +447,6 @@ class ExecutionCost(TreeSeparableCost):
                 return False
         return True
 
-    def offload_elements(
-        self,
-        path: ContractionPath,
-        term_position: int,
-        root_index: str,
-        removed: Removed,
-    ) -> float:
-        """Estimated element count of one offloaded (vectorized) subtree.
-
-        Split out of :meth:`_offload_cost` so the calibration layer's
-        feature extraction (:mod:`repro.core.calibrate`) counts exactly
-        the elements this model charges ``vector_op`` for.
-        """
-        term = path[term_position]
-        remaining = self.remaining_indices(term.all_indices, removed)
-        elements = 1.0
-        for idx in remaining:
-            elements *= self.iteration_count(idx, (term_position,), removed, path)
-            removed = removed | {idx}
-        return elements
-
     def _offload_cost(
         self,
         path: ContractionPath,
@@ -534,8 +454,13 @@ class ExecutionCost(TreeSeparableCost):
         root_index: str,
         removed: Removed,
     ) -> float:
-        elements = self.offload_elements(path, term_position, root_index, removed)
-        return self.call_overhead + 2.0 * elements * self.vector_op
+        term = path[term_position]
+        remaining = self.remaining_indices(term.all_indices, removed)
+        elements = 1.0
+        for idx in remaining:
+            elements *= self.iteration_count(idx, (term_position,), removed, path)
+            removed = removed | {idx}
+        return CALL_OVERHEAD + 2.0 * elements * VECTOR_OP
 
     def _violation_penalty(
         self,
@@ -551,7 +476,7 @@ class ExecutionCost(TreeSeparableCost):
             path, inner_positions, after_positions, removed
         ):
             if len(kept) > self.buffer_dim_bound:
-                total += self.penalty
+                total += CONSTRAINT_PENALTY
         return total
 
     def phi(
@@ -571,7 +496,7 @@ class ExecutionCost(TreeSeparableCost):
                 path, inner_positions[0], root_index, removed
             )
         trips = self.iteration_count(root_index, inner_positions, removed, path)
-        return violation + trips * (self.loop_overhead + inner_cost)
+        return violation + trips * (LOOP_OVERHEAD + inner_cost)
 
     def leaf(
         self,
@@ -580,7 +505,7 @@ class ExecutionCost(TreeSeparableCost):
         after_positions: Positions,
         removed: Removed,
     ) -> float:
-        return self.scalar_op * 2.0
+        return SCALAR_OP * 2.0
 
 
 # --------------------------------------------------------------------------- #

@@ -651,7 +651,53 @@ def _match_fusions(ops, uses, def_op):
             fused[j] = _Unit(
                 "spmm", op, srcs + _srcs_of(chain[0]), _dst_of(chain[-1]), chain
             )
+    # P3: a lane-making gather (a LaneExpand, or a GatherAxis creating the
+    # lane axis) read only by lane-carrying GatherAxis picks -> one gather of
+    # every lane's slots, so no register holds the picked axes whole per
+    # lane (lanes x free axes only).
+    for i, op in enumerate(ops):
+        if not free(i):
+            continue
+        if isinstance(op, ir.LaneExpand):
+            at_level = op.to_level
+        elif isinstance(op, ir.GatherAxis) and not op.src_has_lane:
+            at_level = op.at_level
+        else:
+            continue
+        picks, last, j = [], None, only_user(op.dst)
+        while (
+            j is not None
+            and isinstance(ops[j], ir.GatherAxis)
+            and ops[j].src_has_lane
+            and ops[j].at_level == at_level
+        ):
+            picks.append(ops[j])
+            last, j = j, only_user(ops[j].dst)
+        if picks:
+            skip.add(i)
+            skip.update(def_op[pick.src] for pick in picks[1:])
+            fused[last] = _Unit("lane_gather", op, (op.src,), picks[-1].dst, tuple(picks))
     return skip, fused, regroup
+
+
+def _gathered_axes(head, picks) -> Tuple[int, ...]:
+    """Source axis of each id array of a ``lane_gather`` unit, head first.
+
+    The head puts the lane axis first (a ``LaneExpand`` source already
+    has it there) and each pick drops one axis of what is left, so the
+    picks' axis numbers are mapped back through both.
+    """
+    taken: List[int] = []  # positions in the lane-first layout
+    for pick in picks:
+        axis = pick.axis
+        for t in sorted(taken):
+            if t <= axis:
+                axis += 1
+        taken.append(axis)
+    if isinstance(head, ir.LaneExpand):
+        return (0, *taken)
+    lane = head.axis  # lane-first position p > 0 is source axis p - 1 up to it
+    return (lane, *(pos - 1 if pos <= lane else pos for pos in taken))
 
 
 def _reg_signatures(units) -> Dict[int, tuple]:
@@ -670,7 +716,7 @@ def _reg_signatures(units) -> Dict[int, tuple]:
         if unit.kind == "seg_outer":
             spec, _from, to_level = unit.info
             sig[dst] = ("seg_outer", spec, to_level, tuple(of(s) for s in unit.srcs))
-        elif unit.kind in ("spmm", "lane_dot"):
+        elif unit.kind in ("spmm", "lane_dot", "lane_gather"):
             # no pool slot to share: the op chain itself is the identity
             sig[dst] = (unit.kind, op, unit.info)
         elif isinstance(op, ir.LoadValues):
@@ -771,6 +817,26 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
 
         assign = "O +=" if dst is None else f"{dst} ="
         em.line(f"{assign} _spmm({em.prep(build)}, {src})")
+    elif unit.kind == "lane_gather":
+        axes = _gathered_axes(op, unit.info)
+
+        def build(ctx, head=op, picks=unit.info):
+            if isinstance(head, ir.LaneExpand):
+                ids = [ctx.expand_map(head.from_level, head.to_level)]
+            else:
+                ids = [ctx.ids(head.level, head.at_level)]
+            ids += [ctx.ids(pick.level, pick.at_level) for pick in picks]
+            index = [slice(None)] * (1 + max(axes))
+            for axis, axis_ids in zip(axes, ids):
+                index[axis] = axis_ids
+            return tuple(index)
+
+        picked = f"r{op.src}[{em.prep(build)}]"
+        # adjacent id arrays put the lane axis where the first one was
+        first = min(axes)
+        if first and sorted(axes) == list(range(first, first + len(axes))):
+            picked = f"np.moveaxis({picked}, {first}, 0)"
+        em.line(f"{dst} = {picked}")
     elif unit.kind == "lane_dot":
         a, b = unit.srcs
         em.line(f"{dst} = _lane_dot(r{a}, r{b}, {unit.info!r})")
@@ -871,7 +937,7 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
 
 #: Unit kinds / op types whose results are views or aliases (no pool slot).
 def _needs_slot(unit: _Unit) -> bool:
-    if unit.dst is None or unit.kind in ("spmm", "lane_dot"):
+    if unit.dst is None or unit.kind in ("spmm", "lane_dot", "lane_gather"):
         return False
     op = unit.op
     if isinstance(op, ir.LoadValues):

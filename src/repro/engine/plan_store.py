@@ -27,10 +27,9 @@ Design points:
   the store directory and ``os.replace``-d into place, so concurrent
   writers (several processes warming one store) can only ever race
   complete documents; readers never observe a half-written file.
-* **Calibration rides along.**  The measured cost-model coefficients of
-  :mod:`repro.core.calibrate` persist as ``calibration.json`` next to the
-  schedule entries, so a warm start restores both the schedules and the
-  cost model that selected them.
+* **Nothing else is stored.**  The scheduler's cost model has fixed
+  coefficients, so a schedule is a function of its key alone: a store hit
+  returns exactly what a fresh search in any process would.
 
 The process default store is configured with the ``REPRO_PLAN_STORE``
 environment variable (a directory path, created on first write); unset
@@ -47,7 +46,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.contraction_path import ContractionPath, ContractionTerm
-from repro.core.cost_model import set_active_coefficients
 from repro.core.loop_nest import LoopNest, LoopOrder, validate_loop_order
 from repro.core.scheduler import Schedule
 from repro.core.expr import SpTTNKernel
@@ -61,9 +59,6 @@ from repro.util.faults import FaultInjected, fault_point
 #: schema changes.  Mismatching entries are ignored (treated as misses),
 #: so an old store directory degrades to a cold start, never to an error.
 STORE_VERSION = 1
-
-#: Filename of the persisted calibration coefficients inside a store.
-CALIBRATION_FILENAME = "calibration.json"
 
 
 # --------------------------------------------------------------------------- #
@@ -230,60 +225,15 @@ class PlanStore:
             self.misses += 1
             self.errors += 1
 
-    # -- calibration ----------------------------------------------------- #
-    def load_calibration(self) -> Optional[Dict[str, float]]:
-        """The persisted cost coefficients, or ``None`` when absent/corrupt."""
-        path = self.root / CALIBRATION_FILENAME
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("version") != STORE_VERSION
-            or not isinstance(doc.get("coefficients"), dict)
-        ):
-            return None
-        try:
-            return {
-                str(name): float(value)
-                for name, value in doc["coefficients"].items()
-            }
-        except (TypeError, ValueError):
-            return None
-
-    def save_calibration(self, coefficients: Dict[str, float]) -> bool:
-        """Persist cost coefficients next to the schedule entries."""
-        document = {
-            "version": STORE_VERSION,
-            "coefficients": {
-                str(name): float(value)
-                for name, value in coefficients.items()
-            },
-        }
-        try:
-            self._write_atomic(self.root / CALIBRATION_FILENAME, document)
-        except OSError:
-            with self._lock:
-                self.errors += 1
-            return False
-        return True
-
     # -- introspection ---------------------------------------------------- #
     def __len__(self) -> int:
-        return sum(
-            1
-            for p in self.root.glob("*.json")
-            if p.name != CALIBRATION_FILENAME
-        ) if self.root.is_dir() else 0
+        return sum(1 for _ in self.root.glob("*.json")) if self.root.is_dir() else 0
 
     def clear(self) -> int:
-        """Delete every schedule entry (calibration is kept); count removed."""
+        """Delete every ``*.json`` document in the store; count removed."""
         removed = 0
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
-                if path.name == CALIBRATION_FILENAME:
-                    continue
                 try:
                     path.unlink()
                     removed += 1
@@ -297,8 +247,6 @@ class PlanStore:
         nbytes = 0
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
-                if path.name == CALIBRATION_FILENAME:
-                    continue
                 try:
                     nbytes += path.stat().st_size
                 except OSError:
@@ -332,14 +280,7 @@ _DEFAULT_STORE_LOCK = threading.Lock()
 
 
 def default_plan_store() -> Optional[PlanStore]:
-    """The store named by ``REPRO_PLAN_STORE``, or ``None`` when unset.
-
-    Creating the default store for a directory that already carries a
-    ``calibration.json`` applies the persisted coefficients to the active
-    cost model (:func:`repro.core.cost_model.set_active_coefficients`), so
-    a warm-started process searches — when it must search at all — with
-    the same calibrated model that populated the store.
-    """
+    """The store named by ``REPRO_PLAN_STORE``, or ``None`` when unset."""
     path = setting("REPRO_PLAN_STORE") or ""
     global _DEFAULT_STORE
     with _DEFAULT_STORE_LOCK:
@@ -351,10 +292,7 @@ def default_plan_store() -> Optional[PlanStore]:
             return None
         store = PlanStore(path)
         _DEFAULT_STORE = (path, store)
-    coefficients = store.load_calibration()
-    if coefficients:
-        set_active_coefficients(coefficients)
-    return store
+        return store
 
 
 def plan_store_snapshot() -> Dict[str, object]:

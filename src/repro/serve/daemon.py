@@ -60,7 +60,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.calibrate import calibration_state
 from repro.engine.plan_cache import caches_snapshot, plan_timings_snapshot
 from repro.engine.plan_store import plan_store_snapshot
 from repro.obs.export import write_trace
@@ -772,9 +771,8 @@ class ServeDaemon:
         cumulative ``buckets``; the ``plan`` row of ``caches`` bounds
         them), ``plan_store`` the disk-backed schedule store
         (``{"configured": False}`` without ``REPRO_PLAN_STORE``) and
-        ``calibration`` the cost-model coefficients the scheduler ranks
-        with (:func:`repro.core.calibrate.calibration_state`), ``config``
-        every ``REPRO_*`` setting as resolved now (:func:`repro.util.config.resolved`).
+        ``config`` every ``REPRO_*`` setting as resolved now
+        (:func:`repro.util.config.resolved`).
         """
         return {
             "version": protocol.PROTOCOL_VERSION,
@@ -787,7 +785,6 @@ class ServeDaemon:
             "metrics": metrics_snapshot(include_sources=False),
             "plan_timings": plan_timings_snapshot(),
             "plan_store": plan_store_snapshot(),
-            "calibration": calibration_state(),
             "quarantine": self.service.quarantine_snapshot(),
             "faults": faults_snapshot(),
             "config": resolved(),

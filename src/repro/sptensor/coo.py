@@ -310,13 +310,10 @@ class COOTensor:
         return bool(np.allclose(self.values, other.values, rtol=rtol, atol=atol))
 
 
-def digest_stats(reset: bool = False) -> Dict[str, int]:
+def digest_stats() -> Dict[str, int]:
     """``digests`` (blake2s passes run), ``digest_reuses`` (frame memo hits)."""
     with _DIGEST_LOCK:
-        counts = dict(_DIGEST_COUNTS)
-        if reset:
-            _DIGEST_COUNTS.update(digests=0, digest_reuses=0)
-        return counts
+        return dict(_DIGEST_COUNTS)
 
 
 def _frame_of(arr: np.ndarray) -> Optional[bytes]:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import repro
-from repro.core.calibrate import reset_calibration
 from repro.core.expr import parse_kernel
 from repro.engine.plan_cache import clear_caches
 from repro.serve.request import all_mode_ttmc_request, mttkrp_request, ttmc_request
@@ -51,16 +50,11 @@ def _fresh_caches():
     from an unrelated test.  Clearing on both sides keeps every test
     hermetic.
 
-    Per-plan timings live on the cached plans and go with them.  The
-    calibration state is global for the same reason the caches are, and is
-    reset on both sides too — a test that installs measured coefficients
-    must not change how every later test's scheduler ranks candidates.
+    Per-plan timings live on the cached plans and go with them.
     """
     clear_caches()
-    reset_calibration()
     yield
     clear_caches()
-    reset_calibration()
 
 
 @pytest.fixture

@@ -14,9 +14,9 @@ import threading
 
 import numpy as np
 
-from repro.core.calibrate import calibration_state
-from repro.core.cost_model import DEFAULT_COEFFICIENTS, active_coefficients
 from repro.core.expr import parse_kernel
+from repro.core.scheduler import SpTTNScheduler
+from repro.core.search import sweep_loop_orders
 from repro.engine.keys import canonical_key, key_digest
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import (
@@ -38,6 +38,22 @@ from repro.engine.plan_store import (
     schedule_payload,
 )
 from repro.sptensor import random_dense_matrix, random_sparse_tensor
+
+
+#: A ``calibration.json`` in the format stores used to carry cost-model
+#: coefficients in.  Installed as a cost model, these coefficients ranked a
+#: different nest first for both the MTTKRP and the TTMc fixture.
+LEGACY_CALIBRATION = {
+    "version": 1,
+    "coefficients": {
+        "loop_overhead": 1.0, "scalar_op": 1.0, "vector_op": 1.0,
+        "call_overhead": 1e6,
+    },
+}
+
+
+def _same_nest(a, b) -> bool:
+    return a.order == b.order and a.path.terms == b.path.terms
 
 
 def _mttkrp_kernel(seed: int = 0, rank: int = 4):
@@ -144,20 +160,64 @@ class TestWarmStart:
         assert snap["configured"] is True
         assert snap["entries"] == 1 and snap["hits"] == 1
 
-    def test_partial_calibration_is_what_stats_report(self, tmp_path, monkeypatch):
-        """A partial ``calibration.json`` is installed and reported as one
-        state: the stats surface shows the coefficients the scheduler uses."""
-        root = tmp_path / "partial"
+    def test_legacy_calibration_file_changes_no_schedule(
+        self, tmp_path, monkeypatch, mttkrp_setup, ttmc_setup
+    ):
+        """A store holding a ``calibration.json`` from an older version
+        searches, writes and hits the same nests as a fresh scheduler; the
+        file is an inert document that the census counts as an entry."""
+        root = tmp_path / "legacy"
         root.mkdir()
-        (root / "calibration.json").write_text(json.dumps(
-            {"version": STORE_VERSION, "coefficients": {"scalar_op": 2e-8}}
-        ))
+        (root / "calibration.json").write_text(json.dumps(LEGACY_CALIBRATION))
         monkeypatch.setenv("REPRO_PLAN_STORE", str(root))
-        assert default_plan_store() is not None
-        assert active_coefficients() == {**DEFAULT_COEFFICIENTS, "scalar_op": 2e-8}
-        state = calibration_state()
-        assert state["coefficients"] == active_coefficients()
-        assert state["active"] is True
+        for kernel, _ in (mttkrp_setup, ttmc_setup):
+            fresh = SpTTNScheduler(kernel).schedule().loop_nest
+            searched = cached_schedule(kernel, cache=PlanCache()).loop_nest
+            reloaded = cached_schedule(kernel, cache=PlanCache()).loop_nest
+            assert _same_nest(searched, fresh) and _same_nest(reloaded, fresh)
+        snap = plan_store_snapshot()
+        assert (snap["writes"], snap["hits"], snap["misses"]) == (2, 2, 2)
+        assert snap["entries"] == 3  # two schedules and the legacy file
+
+    def test_schedule_is_a_function_of_its_key(
+        self, tmp_path, mttkrp_setup, ttmc_setup
+    ):
+        """A fresh search, an in-memory hit and a hit through a fresh store
+        on the same directory return one nest, before and after a busy
+        execution history: nothing a process runs changes the ranking."""
+        root = tmp_path / "store"
+        cache = PlanCache()
+        kernels = [mttkrp_setup[0], ttmc_setup[0]]
+
+        def routes(kernel):
+            fresh = SpTTNScheduler(kernel).schedule().loop_nest
+            hits = cache.stats()["hits"]
+            cached = cached_schedule(kernel, cache=cache, store=PlanStore(root))
+            memory = cached_schedule(kernel, cache=cache, store=False)
+            assert cache.stats()["hits"] >= hits + 1
+            store = PlanStore(root)
+            disk = cached_schedule(kernel, cache=PlanCache(), store=store)
+            assert store.stats()["hits"] == 1
+            return [fresh, cached.loop_nest, memory.loop_nest, disk.loop_nest]
+
+        before = [routes(kernel) for kernel in kernels]
+
+        # 16 plans x 2 engines x 2 runs: 64 executions
+        kernel, tensors = ttmc_setup
+        path = SpTTNScheduler(kernel).schedule().path
+        nests = [e.nest for e in sweep_loop_orders(kernel, path, workers=0, limit=16).entries]
+        assert len(nests) == 16
+        for nest in nests:
+            for engine in ("interpret", "jit"):
+                executor = LoopNestExecutor(
+                    kernel, nest, plan_cache=PlanCache(), engine=engine
+                )
+                for _ in range(2):
+                    executor.execute(tensors)
+
+        after = [routes(kernel) for kernel in kernels]
+        for first, second in zip(before, after):
+            assert all(_same_nest(nest, first[0]) for nest in first + second)
 
     def test_store_false_disables_persistence(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_STORE", str(tmp_path / "unused"))
@@ -176,10 +236,7 @@ class TestTolerance:
         key = schedule_key(kernel, 2, 1.5, 5000, True)
         schedule = cached_schedule(kernel, cache=PlanCache(), store=False)
         store.put(key, schedule_payload(schedule))
-        (entry,) = [
-            p for p in store.root.glob("*.json")
-            if p.name != "calibration.json"
-        ]
+        (entry,) = store.root.glob("*.json")
         return store, kernel, key, entry
 
     def test_version_mismatch_falls_back_to_search(self, tmp_path):
@@ -225,20 +282,13 @@ class TestTolerance:
         stats = store.stats()
         assert stats["hits"] == 0 and stats["misses"] == 1  # reclassified
 
-    def test_calibration_corruption_returns_none(self, tmp_path):
-        store = PlanStore(tmp_path / "store")
-        assert store.load_calibration() is None
-        assert store.save_calibration({"loop_overhead": 1e-7})
-        assert store.load_calibration() == {"loop_overhead": 1e-7}
-        (store.root / "calibration.json").write_text("{not json")
-        assert store.load_calibration() is None
-
-    def test_clear_keeps_calibration(self, tmp_path):
+    def test_clear_removes_a_legacy_calibration_file(self, tmp_path):
         store, kernel, key, entry = self._populated(tmp_path)
-        store.save_calibration({"scalar_op": 2e-8})
-        assert store.clear() == 1
+        (store.root / "calibration.json").write_text(json.dumps(LEGACY_CALIBRATION))
+        assert len(store) == 2
+        assert store.clear() == 2
         assert len(store) == 0
-        assert store.load_calibration() == {"scalar_op": 2e-8}
+        assert store.get(key) is None
 
 
 # --------------------------------------------------------------------------- #

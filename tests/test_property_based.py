@@ -7,7 +7,8 @@ These complement the example-based tests with randomized coverage of:
 * executor-vs-reference agreement on randomly generated SpTTN kernels;
 * lowered-vs-interpreted engine equivalence (results and exact op counters)
   across random kernels, loop orders and operand dtypes;
-* Algorithm 1 optimality against brute force on random kernels;
+* Algorithm 1 optimality against brute force (Thm 4.7) on every ranked
+  contraction path of random kernels, with and without the CSF restriction;
 * tree-separable cost evaluation consistency (Eq. 5 ground truth);
 * the wire codec: any numeric array, dense or sparse tensor, request or
   result comes back from ``loads(dumps(·))`` with the same bytes.
@@ -23,10 +24,15 @@ from hypothesis import strategies as st
 from repro.core.contraction_path import rank_contraction_paths
 from repro.core.cost_model import (
     CacheMissCost,
+    ExecutionCost,
     MaxBufferDimCost,
     evaluate_cost,
 )
-from repro.core.enumeration import enumerate_loop_orders, sample_loop_orders
+from repro.core.enumeration import (
+    count_loop_orders,
+    enumerate_loop_orders,
+    sample_loop_orders,
+)
 from repro.core.expr import parse_kernel
 from repro.core.loop_nest import LoopNest, max_buffer_dimension
 from repro.core.optimizer import find_optimal_loop_order
@@ -34,7 +40,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.reference import assert_same_result, reference_output
 from repro.serve import ContractionRequest, protocol
-from repro.sptensor import COOTensor, CSFTensor
+from repro.sptensor import COOTensor, CSFTensor, random_sparse_tensor
 from repro.sptensor.csf import csf_for_mode_order
 from repro.util.counters import OpCounter
 
@@ -356,6 +362,39 @@ class TestLoweringProperties:
 # --------------------------------------------------------------------------- #
 # Kernel-level properties
 # --------------------------------------------------------------------------- #
+#: Largest loop-order space, summed over every ranked path with and without
+#: the CSF restriction, that a property enumerates in full.  Kernels with
+#: at most two factors stay below it; a three-factor kernel's unrestricted
+#: space alone reaches ~10^6 nests, so there only the first ranked path
+#: under the restriction is enumerated.
+MAX_BRUTE_FORCE = 3000
+
+
+def _assert_dp_is_bruteforce_minimum(kernel, make_cost):
+    """Thm 4.7: on every path the scheduler may rank, with and without the
+    CSF restriction, Algorithm 1 returns an order whose cost is the
+    minimum over the enumerated fully-fused loop nests."""
+    cost = make_cost(kernel)
+    cases = [
+        (path, csf)
+        for path, _flops in rank_contraction_paths(kernel)
+        for csf in (True, False)
+    ]
+    size = sum(count_loop_orders(kernel, p, enforce_csf_order=c) for p, c in cases)
+    if size > MAX_BRUTE_FORCE:
+        cases = cases[:1]  # the first ranked path, CSF-restricted
+    for path, csf in cases:
+        result = find_optimal_loop_order(kernel, path, cost, enforce_csf_order=csf)
+        brute = min(
+            evaluate_cost(kernel, path, order, cost)
+            for order in enumerate_loop_orders(kernel, path, enforce_csf_order=csf)
+        )
+        assert result.cost == pytest.approx(brute, rel=1e-12)
+        assert evaluate_cost(kernel, path, result.order, cost) == pytest.approx(
+            result.cost, rel=1e-12
+        )
+
+
 class TestKernelProperties:
     @SETTINGS
     @given(spttn_cases())
@@ -380,28 +419,28 @@ class TestKernelProperties:
     @SETTINGS
     @given(spttn_cases())
     def test_dp_matches_bruteforce_buffer_dim(self, case):
-        kernel, _ = case
-        path = rank_contraction_paths(kernel)[0][0]
-        cost = MaxBufferDimCost(kernel)
-        result = find_optimal_loop_order(kernel, path, cost)
-        brute = min(
-            evaluate_cost(kernel, path, order, cost)
-            for order in enumerate_loop_orders(kernel, path)
-        )
-        assert result.cost == brute
+        _assert_dp_is_bruteforce_minimum(case[0], MaxBufferDimCost)
 
     @SETTINGS
     @given(spttn_cases())
     def test_dp_matches_bruteforce_cache_cost(self, case):
-        kernel, _ = case
-        path = rank_contraction_paths(kernel)[0][0]
-        cost = CacheMissCost(kernel)
-        result = find_optimal_loop_order(kernel, path, cost)
-        brute = min(
-            evaluate_cost(kernel, path, order, cost)
-            for order in enumerate_loop_orders(kernel, path)
-        )
-        assert result.cost == pytest.approx(brute)
+        _assert_dp_is_bruteforce_minimum(case[0], CacheMissCost)
+
+    @SETTINGS
+    @given(spttn_cases())
+    def test_dp_matches_bruteforce_execution_cost(self, case):
+        _assert_dp_is_bruteforce_minimum(case[0], ExecutionCost)
+
+    def test_dp_suffix_falls_back_to_a_different_root(self):
+        """Directed case for Algorithm 1's "second best with a different
+        root": on ``ij,jr,ir->`` the best suffix order of the first path
+        starts with the loop just opened, so only its runner-up keeps the
+        two loops separate; taking the best would price two ``i`` loops
+        while the returned order fuses them into one."""
+        rng = np.random.default_rng(0)
+        T = random_sparse_tensor((6, 5), nnz=12, seed=0)
+        kernel = parse_kernel("ij,jr,ir->", [T, rng.random((5, 3)), rng.random((6, 3))])
+        _assert_dp_is_bruteforce_minimum(kernel, ExecutionCost)
 
     @SETTINGS
     @given(spttn_cases())

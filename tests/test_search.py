@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,3 +202,29 @@ class TestTuneCLI:
         assert "cost-model sweep" in out
         assert "scheduler's pick" in out
         assert "measured 3 candidates" in out
+
+    def test_tune_measures_tttp_without_replicating_picked_axes(self, capsys):
+        """TTTP nests that pick two axes of a shallow buffer per nonzero are
+        measured at lanes x rank: replicating the buffer to every nonzero
+        first would hold its j and k axes whole per nonzero (400 x 16 x
+        40 x 40 doubles, 82 MB, 1600x the picked register)."""
+        tracemalloc.start()
+        try:
+            rc = cli_main(
+                [
+                    "tune",
+                    "--spec", "ijk,ia,ja,ka->ijk",
+                    "--shape", "40,40,40",
+                    "--nnz", "400",
+                    "--rank", "16",
+                    "--workers", "0",
+                    "--measure",
+                ]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "measured 12 candidates" in out
+        assert peak < 48 * 2**20
