@@ -467,10 +467,11 @@ def cmd_serve(args) -> int:
     kinds = ", ".join(f"{k}={n}" for k, n in sorted(stats.by_kind.items()))
     print(f"request mix: {kinds}")
 
-    print("\nprocess cache statistics:")
-    _print_cache_stats(service.cache_stats())
+    from repro.engine.plan_cache import caches_snapshot
     from repro.engine.plan_store import plan_store_snapshot
 
+    print("\nprocess cache statistics:")
+    _print_cache_stats(caches_snapshot())
     if plan_store_snapshot().get("configured"):
         _print_store_stats()
     return 0

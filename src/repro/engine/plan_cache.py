@@ -263,8 +263,8 @@ def clear_caches() -> None:
 def caches_snapshot() -> Dict[str, Dict[str, int]]:
     """One coherent stats snapshot of the process-wide caches.
 
-    The canonical introspection document shared by ``repro cache``, the
-    serving layer's ``cache_stats`` and the daemon's ``stats`` endpoint:
+    The canonical introspection document shared by ``repro serve`` and the
+    daemon's ``stats`` endpoint:
     a dict keyed ``plan``/``schedule``/``executor``/``jit``/``csf``, each
     value the corresponding cache's entries/hits/misses/evictions/
     rejections/bytes counters (:meth:`PlanCache.stats`; the ``jit`` entry

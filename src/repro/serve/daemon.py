@@ -4,32 +4,29 @@
 into a long-running TCP server speaking the newline-delimited JSON protocol
 of :mod:`repro.serve.protocol` (see ``docs/PROTOCOL.md``): one head line per
 message, then the raw tensor frames it announces, which reach the service
-as read-only ``np.frombuffer`` views.  The event loop
-owns connections and admission; contraction work runs off-loop so the
-daemon keeps accepting, answering ``stats`` and applying backpressure while
-a batch executes:
+as read-only ``np.frombuffer`` views.  The event loop owns connections,
+admission and dispatch:
 
-* **admission with backpressure** — every ``submit`` is validated (the
-  request's spec is parsed against its operands) and counted against the
-  service's ``max_pending`` bound *at receipt*; a full queue or an invalid
-  request raises :class:`~repro.serve.AdmissionError` internally and is
-  answered with a structured ``admission`` error reply, exactly mirroring
-  in-process :meth:`~repro.serve.ContractionService.submit`;
-* **per-client fairness** — admitted requests queue per connection and a
-  single dispatch task drains them round-robin (rotating the starting
-  client every cycle) with a per-client in-flight quota, so one chatty
-  client cannot starve the rest;
+* **admission with backpressure** — every ``submit`` is validated (its spec
+  parsed against its operands) and counted against the service's
+  ``max_pending`` bound *at receipt*; a full queue or an invalid request is
+  answered with a structured ``admission`` error, exactly as in-process
+  :meth:`~repro.serve.ContractionService.submit` refuses it;
+* **per-client fairness** — admitted requests queue per connection and one
+  dispatch task drains them round-robin (rotating the starting client every
+  cycle) with a per-client in-flight quota;
 * **batching across clients** — each dispatch cycle submits its drained
-  requests to the shared :class:`~repro.serve.ContractionService` and
-  flushes once, so requests from *different* connections that agree on the
-  plan-cache signature are served from one schedule search and one
-  compiled plan, exactly as in-process batching does; a connection is
-  passed over while a message of its is arriving, so a pipelined burst is
-  one cycle whichever thread wins the GIL;
+  requests to the shared service and flushes once, so requests from
+  *different* connections that agree on the plan-cache signature share one
+  schedule search and one compiled plan; a connection is passed over while
+  a message of its is arriving, so a pipelined burst is one cycle;
+* **inline or off-loop flush** — a serial service flushes a cycle of at most
+  :data:`INLINE_MAX_BYTES` whose schedules are all cached on the loop itself
+  (no search can run there); any other cycle flushes in a worker thread, so
+  the daemon keeps accepting and answering ``stats`` while it executes;
 * **streaming results** — replies are written as each
-  :class:`~repro.serve.ServeFuture` resolves (the service resolves futures
-  group by group inside a flush), not when the whole flush returns, so
-  early groups stream back while later groups still execute;
+  :class:`~repro.serve.ServeFuture` resolves (group by group inside a
+  flush), so early groups stream back while later groups still execute;
 * **graceful shutdown** — ``SIGTERM``/``SIGINT`` (or a ``shutdown``
   operation) stop the listener, drain every queued and in-flight request,
   answer the submits clients had already sent with ``shutdown`` errors,
@@ -89,11 +86,24 @@ DEFAULT_PORT = 7421
 #: Longest the drain's last step reads what clients had already sent.
 SHUTDOWN_READ_SECONDS = 1.0
 
+#: Largest cycle (head lines plus frames) a serial daemon flushes on its event
+#: loop when every schedule is cached; a bigger or colder one flushes off-loop.
+INLINE_MAX_BYTES = 64 * 1024
 
-def default_idle_timeout() -> Optional[float]:
-    """Seconds a connection may sit idle (no inbound traffic, nothing queued or
-    in flight) before the daemon closes it, from ``REPRO_IDLE_TIMEOUT`` (``None`` = never)."""
-    return setting("REPRO_IDLE_TIMEOUT")
+
+class _Draining(RuntimeError):
+    """A submit that arrived after the drain began."""
+
+
+#: Refused submit -> (the ``DaemonStats`` counter, the wire error code), at
+#: receipt or at dispatch.  At dispatch an ``AdmissionError`` needs a service
+#: shared with in-process callers; the reply stays structured either way.
+_REFUSALS = {
+    _Draining: ("rejected", protocol.ERROR_SHUTDOWN),
+    AdmissionError: ("rejected", protocol.ERROR_ADMISSION),
+    DeadlineError: ("expired", protocol.ERROR_TIMEOUT),
+    QuarantinedError: ("quarantined", protocol.ERROR_QUARANTINED),
+}
 
 
 @dataclass(slots=True, eq=False)
@@ -110,6 +120,8 @@ class _QueuedItem:
     wire_decode: float
     #: the frames the operands view (the next message may share them).
     frames: List[bytes]
+    #: bytes the message took on the wire: head line plus frames.
+    wire_bytes: int
 
 
 @dataclass(slots=True, eq=False)
@@ -145,6 +157,8 @@ class DaemonStats:
     replied: int = 0
     protocol_errors: int = 0
     cycles: int = 0
+    #: cycles flushed on the event loop (serial, schedules cached, small).
+    inline_cycles: int = 0
     #: requests answered with a ``timeout`` error (deadline expirations).
     expired: int = 0
     #: requests answered with a ``quarantined`` error (poison signatures).
@@ -210,7 +224,7 @@ class ServeDaemon:
         self.host = host
         self.port = port
         self.idle_timeout = (
-            default_idle_timeout() if idle_timeout is None else idle_timeout
+            setting("REPRO_IDLE_TIMEOUT") if idle_timeout is None else idle_timeout
         )
         if trace_dir is None:
             trace_dir = setting("REPRO_TRACE_DIR")
@@ -402,7 +416,8 @@ class ServeDaemon:
                 protocol.attach(message, frames)
             op = message.get("op")
             if op == "submit":
-                self._handle_submit(client, msg_id, message, decode_t0, frames)
+                wire_bytes = len(line) + sum(map(len, frames))
+                self._handle_submit(client, msg_id, message, decode_t0, frames, wire_bytes)
             elif op == "stats":
                 client.send(protocol.stats_reply(msg_id, self.snapshot()))
             elif op == "metrics":
@@ -440,6 +455,7 @@ class ServeDaemon:
         message: Dict[str, Any],
         decode_t0: float,
         frames: List[bytes],
+        wire_bytes: int,
     ) -> None:
         if msg_id is None:
             raise protocol.ProtocolError("submit requires a non-null id")
@@ -447,44 +463,28 @@ class ServeDaemon:
             raise protocol.ProtocolError(
                 f"id {msg_id!r} is already in flight on this connection"
             )
-        if self._draining:
-            self.stats.rejected += 1
-            client.send(
-                protocol.error_reply(
-                    msg_id, protocol.ERROR_SHUTDOWN, "daemon is draining"
-                )
-            )
-            return
-        request = protocol.decode_request(message.get("request"))
-        wire_decode = time.perf_counter() - decode_t0
-        observe("serve.stage.wire_decode", wire_decode)
-        expires_at = None
-        if request.deadline_ms is not None:
-            expires_at = time.monotonic() + request.deadline_ms / 1000.0
-            if request.deadline_ms <= 0:
-                # already expired at receipt: shed before it costs a queue
-                # slot or a dispatch cycle
-                self.stats.expired += 1
-                client.send(
-                    protocol.error_reply(
-                        msg_id,
-                        protocol.ERROR_TIMEOUT,
-                        f"deadline ({request.deadline_ms}ms) expired "
-                        f"before admission",
-                    )
-                )
-                return
         try:
+            if self._draining:
+                raise _Draining("daemon is draining")
+            request = protocol.decode_request(message.get("request"))
+            wire_decode = time.perf_counter() - decode_t0
+            observe("serve.stage.wire_decode", wire_decode)
+            expires_at = None
+            if request.deadline_ms is not None:
+                expires_at = time.monotonic() + request.deadline_ms / 1000.0
+                if request.deadline_ms <= 0:
+                    # already expired at receipt: shed before it costs a
+                    # queue slot or a dispatch cycle
+                    raise DeadlineError(
+                        f"deadline ({request.deadline_ms}ms) expired before admission"
+                    )
             self._admit(request)
-        except AdmissionError as exc:
-            self.stats.rejected += 1
-            client.send(
-                protocol.error_reply(msg_id, protocol.ERROR_ADMISSION, str(exc))
-            )
+        except tuple(_REFUSALS) as exc:
+            client.send(protocol.error_reply(msg_id, self._refusal(exc), str(exc)))
             return
         client.pending_ids.add(msg_id)
         client.backlog.append(
-            _QueuedItem(client, msg_id, request, expires_at, wire_decode, frames)
+            _QueuedItem(client, msg_id, request, expires_at, wire_decode, frames, wire_bytes)
         )
         self.stats.admitted += 1
         assert self._work is not None
@@ -547,7 +547,7 @@ class ServeDaemon:
                 pass
 
     # ------------------------------------------------------------------ #
-    # Dispatch: round-robin drain -> service submit -> off-loop flush
+    # Dispatch: round-robin drain -> service submit -> flush, inline or off-loop
     # ------------------------------------------------------------------ #
     async def _dispatch_loop(self) -> None:
         assert self._work is not None and self._gate is not None
@@ -563,7 +563,7 @@ class ServeDaemon:
                 continue
             self.dispatch_trace.append([item.client.conn_id for item in batch])
             self.stats.cycles += 1
-            await self._run_batch(batch)
+            await self._submit_and_flush(batch)
             if self._pending_total() > 0 or self._draining:
                 self._work.set()
 
@@ -601,13 +601,6 @@ class ServeDaemon:
                     took = True
         return batch
 
-    async def _run_batch(self, batch: List[_QueuedItem]) -> None:
-        """Submit one cycle's requests and flush the service off-loop."""
-        with _span(
-            "dispatch", "daemon", requests=len(batch), cycle=self.stats.cycles
-        ):
-            await self._submit_and_flush(batch)
-
     async def _read_buffered(self) -> None:
         """Answer what the open connections had sent before the drain ended.
 
@@ -630,60 +623,58 @@ class ServeDaemon:
                 return
 
     async def _submit_and_flush(self, batch: List[_QueuedItem]) -> None:
+        """Submit one cycle's requests, then flush the service once: on the
+        loop for a small, cached, serial cycle (no thread hop either way),
+        else in a worker thread while the loop keeps serving."""
         assert self._loop is not None
-        submitted = False
+        submitted = []
         for item in batch:
-            if (
-                item.expires_at is not None
-                and time.monotonic() >= item.expires_at
-            ):
-                # the deadline ran out while the request sat in the
-                # daemon's backlog: shed it without touching the service
-                self.stats.expired += 1
-                self._refuse(
-                    item,
-                    protocol.ERROR_TIMEOUT,
-                    f"deadline ({item.request.deadline_ms}ms) expired "
-                    f"while queued",
-                )
-                continue
             try:
-                future = self.service.submit(
-                    item.request, expires_at=item.expires_at
+                if item.expires_at is not None and time.monotonic() >= item.expires_at:
+                    # the deadline ran out in the daemon's backlog: shed it
+                    # without touching the service
+                    raise DeadlineError(
+                        f"deadline ({item.request.deadline_ms}ms) expired while queued"
+                    )
+                submitted.append(
+                    (item, self.service.submit(item.request, expires_at=item.expires_at))
                 )
-            except QuarantinedError as exc:
-                self.stats.quarantined += 1
-                self._refuse(item, protocol.ERROR_QUARANTINED, str(exc))
-                continue
-            except DeadlineError as exc:
-                self.stats.expired += 1
-                self._refuse(item, protocol.ERROR_TIMEOUT, str(exc))
-                continue
-            except AdmissionError as exc:
-                # unreachable through the daemon's own accounting unless the
-                # service is shared with in-process callers; keep the
-                # structured-reply contract either way
-                self.stats.rejected += 1
-                self._refuse(item, protocol.ERROR_ADMISSION, str(exc))
-                continue
-            submitted = True
-            future.add_done_callback(self._make_streamer(item))
-        if submitted:
-            # flush in a worker thread: futures resolve group by group and
-            # their callbacks stream replies back through the loop while
-            # later groups are still executing
+            except tuple(_REFUSALS) as exc:
+                self._finish_item(
+                    item, protocol.error_reply(item.msg_id, self._refusal(exc), str(exc))
+                )
+        if not submitted:
+            return
+        inline = (
+            sum(item.wire_bytes for item in batch) <= INLINE_MAX_BYTES
+            and self.service.flushes_cached_serially()
+        )
+        self.stats.inline_cycles += inline
+        for item, future in submitted:
+            future.add_done_callback(self._make_streamer(item, inline))
+        with _span(
+            "dispatch", "daemon", requests=len(batch), cycle=self.stats.cycles,
+            inline=inline,
+        ):
             try:
-                await self._loop.run_in_executor(None, self.service.flush)
+                if inline:
+                    self.service.flush()
+                else:
+                    # futures resolve group by group and their callbacks
+                    # stream replies back through the loop while later
+                    # groups are still executing
+                    await self._loop.run_in_executor(None, self.service.flush)
             except Exception:
                 # a flush abort already resolved every future with a
                 # structured error (the service's BaseException handler);
                 # the daemon must outlive it — record and keep serving
                 self.stats.flush_errors += 1
+        if inline:
+            await asyncio.sleep(0)  # the writers send this cycle's replies first
 
-    def _make_streamer(self, item: _QueuedItem):
-        """Done-callback delivering one resolved future to its connection."""
-        assert self._loop is not None
-        loop = self._loop
+    def _make_streamer(self, item: _QueuedItem, inline: bool):
+        """Done-callback delivering one resolved future to its connection
+        (directly when the flush runs on the loop, else through it)."""
 
         def _on_done(future: ServeFuture) -> None:
             encode_t0 = time.perf_counter()
@@ -707,13 +698,18 @@ class ServeDaemon:
                 timings["wire_decode"] = item.wire_decode
                 timings["wire_encode"] = wire_encode
                 reply["timings"] = timings
-            loop.call_soon_threadsafe(self._finish_item, item, reply)
+            if inline:
+                self._finish_item(item, reply)
+            else:
+                self._loop.call_soon_threadsafe(self._finish_item, item, reply)
 
         return _on_done
 
-    def _refuse(self, item: _QueuedItem, code: str, text: str) -> None:
-        """Answer one dispatched item with a structured error, unexecuted."""
-        self._finish_item(item, protocol.error_reply(item.msg_id, code, text))
+    def _refusal(self, exc: Exception) -> str:
+        """Count one refused submit; returns its wire error code."""
+        stat, code = _REFUSALS[type(exc)]
+        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
+        return code
 
     def _finish_item(self, item: _QueuedItem, reply: Dict[str, Any]) -> None:
         """Deliver one reply on the loop thread and release its quota."""
@@ -753,6 +749,7 @@ class ServeDaemon:
             "version": protocol.PROTOCOL_VERSION,
             "pending": self._pending_total(),
             "active_connections": self.stats.active_connections,
+            "inline_cycles": self.stats.inline_cycles,
             "quarantined_signatures": len(quarantine["entries"]),
             "expired": self.stats.expired + self.service.stats.expired,
             "crashes": events["crashes"],
@@ -885,10 +882,10 @@ def start_daemon_thread(
 
 __all__ = [
     "DEFAULT_PORT",
+    "INLINE_MAX_BYTES",
     "MAX_LINE_BYTES",
     "DaemonHandle",
     "DaemonStats",
     "ServeDaemon",
-    "default_idle_timeout",
     "start_daemon_thread",
 ]

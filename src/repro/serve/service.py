@@ -37,8 +37,8 @@ across requests instead of across iterations:
 The memory side of admission lives in the plan cache itself: the process
 caches are LRU with an optional byte budget (``REPRO_PLAN_CACHE_BYTES``),
 so a long-running service cannot grow its compiled-plan footprint without
-bound.  :meth:`ContractionService.cache_stats` surfaces the hit/miss/
-eviction/bytes counters per cache.
+bound.  :func:`~repro.engine.plan_cache.caches_snapshot` surfaces the
+hit/miss/eviction/bytes counters per cache.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.engine.executor import ENGINES, TensorLike, default_engine
 from repro.engine.plan_cache import (
     cached_executor,
     cached_schedule,
-    caches_snapshot,
+    default_schedule_cache,
     operand_signature,
     schedule_key,
 )
@@ -217,9 +217,10 @@ class ServeFuture:
     def add_done_callback(self, fn) -> None:
         """Call ``fn(self)`` once resolved (immediately if already done).
 
-        Callbacks run in the thread executing the flush and must not
-        raise; exceptions are swallowed so one subscriber cannot poison
-        the batch that is still resolving.
+        Callbacks run in the thread executing the flush — the daemon's
+        event loop for a warm small serial cycle, else its worker thread —
+        and must not raise; exceptions are swallowed so one subscriber
+        cannot poison the batch that is still resolving.
         """
         if self._done:
             self._invoke(fn)
@@ -553,6 +554,14 @@ class ContractionService:
             },
         }
 
+    def flushes_cached_serially(self) -> bool:
+        """Whether the next flush runs serially and searches nothing: every pending
+        schedule key is in the in-memory cache (no LRU touch, no counter change)."""
+        cache = default_schedule_cache()
+        return resolve_workers(self.workers) <= 1 and all(
+            p.signature[0] in cache for p in self._pending
+        )
+
     def submit_many(
         self, requests: Sequence[ContractionRequest]
     ) -> List[ServeFuture]:
@@ -839,14 +848,6 @@ class ContractionService:
             return results, 0.0, [batch_wall] * len(group)
         finally:
             published.close()
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def cache_stats() -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction/bytes stats of the process-wide caches."""
-        return caches_snapshot()
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,9 @@ All dispatch-timing-sensitive tests use the daemon's ``pause_dispatch`` /
 from __future__ import annotations
 
 import base64
+import functools
 import gc
+import itertools
 import json
 import os
 import re
@@ -23,8 +25,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.engine.plan_cache import default_schedule_cache
+from repro.engine.plan_cache import clear_caches, default_schedule_cache
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -35,6 +40,7 @@ from repro.serve import (
     ttmc_request,
 )
 from repro.serve import protocol
+from repro.serve.daemon import INLINE_MAX_BYTES
 from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
 from repro.sptensor import coo as coo_module
 from repro.util.config import SETTINGS
@@ -364,6 +370,29 @@ def _dense_result(head, frames):
     )
 
 
+def _version_1_mttkrp(msg_id, tensor, factors):
+    """A hand-written protocol-version-1 mode-0 MTTKRP submit: one base64
+    line, no frames."""
+
+    def v1(arr):
+        return {
+            "dtype": str(arr.dtype),
+            "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        }
+
+    line = json.dumps({"op": "submit", "id": msg_id, "request": {
+        "spec": "ijk,jr,kr->ir",  # mttkrp_request's: the same schedule key
+        "operands": [
+            {"kind": "sparse", "shape": list(tensor.shape),
+             "indices": v1(tensor.indices), "values": v1(tensor.values)},
+            {"kind": "dense", **v1(factors[0])},
+            {"kind": "dense", **v1(factors[1])},
+        ],
+    }})
+    return line.encode("ascii") + b"\n"
+
+
 class TestWireFraming:
     @pytest.fixture
     def request_(self):
@@ -485,24 +514,7 @@ class TestWireFraming:
         sock, rfile, _ = session
         tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=2)
         factors = [np.full((5, 3), 0.5), np.full((4, 3), 0.25)]
-
-        def v1(arr):
-            return {
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-            }
-
-        line = json.dumps({"op": "submit", "id": "old", "request": {
-            "spec": "ijk,ja,ka->ia",
-            "operands": [
-                {"kind": "sparse", "shape": [6, 5, 4],
-                 "indices": v1(tensor.indices), "values": v1(tensor.values)},
-                {"kind": "dense", **v1(factors[0])},
-                {"kind": "dense", **v1(factors[1])},
-            ],
-        }})
-        sock.sendall(line.encode("ascii") + b"\n")
+        sock.sendall(_version_1_mttkrp("old", tensor, factors))
         reply, frames = _read_reply(rfile)
         assert reply["id"] == "old" and reply["ok"] is True
         want = execute_sequential([mttkrp_request(tensor, factors, mode=0)])[0]
@@ -690,6 +702,230 @@ class TestFrameDigestReuse:
         gc.collect()
         # the memo is weak: with the requests gone it holds no frame
         assert len(coo_module._FRAME_DIGESTS) == 0
+
+# --------------------------------------------------------------------------- #
+# Which cycles flush on the event loop: serial, every schedule cached, small
+# --------------------------------------------------------------------------- #
+def _wide_mttkrp(seed):
+    """A cheap mode-0 MTTKRP whose dense factors alone exceed INLINE_MAX_BYTES."""
+    tensor = random_sparse_tensor((8, 70, 60), nnz=40, seed=seed)
+    rng = np.random.default_rng(seed)
+    return tensor, [rng.random((70, 64)), rng.random((60, 64))]
+
+
+def _streamer_threads(daemon):
+    """Record the thread every done callback of *daemon* runs on."""
+    threads = []
+    make = daemon._make_streamer
+
+    def recording(item, inline):
+        deliver = make(item, inline)
+
+        def on_done(future):
+            threads.append(threading.get_ident())
+            deliver(future)
+
+        return on_done
+
+    daemon._make_streamer = recording
+    return threads
+
+
+class TestInlineFlush:
+    def test_a_warm_small_request_runs_on_the_loop(self):
+        request = _small_requests(1, seed=31)[0]
+        want = execute_sequential([request])[0]  # the schedule is now cached
+        with start_daemon_thread(workers=0) as handle:
+            threads = _streamer_threads(handle.daemon)
+            with ServeClient(*handle.address, timeout=30) as client:
+                _assert_outputs_equal(client.run([request])[0], want)
+                health, stats = client.health(), client.stats()
+        assert threads == [handle.thread.ident]
+        assert health["inline_cycles"] == stats["daemon"]["inline_cycles"] == 1
+        assert stats["daemon"]["cycles"] == 1
+
+    def test_a_cold_schedule_flushes_off_the_loop(self):
+        request = _small_requests(1, seed=32)[0]
+        clear_caches()
+        misses = default_schedule_cache().stats()["misses"]
+        with start_daemon_thread(workers=0) as handle:
+            threads = _streamer_threads(handle.daemon)
+            with ServeClient(*handle.address, timeout=30) as client:
+                out = client.run([request])[0]
+                assert client.health()["inline_cycles"] == 0
+                assert default_schedule_cache().stats()["misses"] == misses + 1
+                client.run([request])  # now cached: this cycle runs inline
+                assert client.health()["inline_cycles"] == 1
+        assert threads[0] != handle.thread.ident == threads[1]
+        _assert_outputs_equal(out, execute_sequential([request])[0])
+
+    def test_a_cycle_over_the_bound_flushes_off_the_loop(self):
+        tensor, factors = _wide_mttkrp(seed=33)
+        request = mttkrp_request(tensor, factors, mode=0)
+        want = execute_sequential([request])[0]
+        framed = protocol.dumps(
+            {"op": "submit", "id": "f", "request": protocol.encode_request(request)}
+        )
+        assert len(framed) > INLINE_MAX_BYTES
+        # protocol version 1 sends no frames: its head line is the whole message
+        base64_line = _version_1_mttkrp("b", tensor, factors)
+        assert len(base64_line) > INLINE_MAX_BYTES
+        with start_daemon_thread(workers=0) as handle:
+            threads = _streamer_threads(handle.daemon)
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                for wire in (framed, base64_line):
+                    sock.sendall(wire)
+                    np.testing.assert_array_equal(_dense_result(*_read_reply(rfile)), want)
+            assert handle.daemon.stats.inline_cycles == 0
+            assert handle.daemon.stats.cycles == 2
+        assert handle.thread.ident not in threads and len(threads) == 2
+
+    def test_a_pooled_service_never_inlines(self):
+        requests = _small_requests(2, seed=34)
+        want = execute_sequential(requests)
+        with start_daemon_thread(workers=2) as handle:
+            threads = _streamer_threads(handle.daemon)
+            with ServeClient(*handle.address, timeout=30) as client:
+                for request, expected in zip(requests, want):
+                    _assert_outputs_equal(client.run([request])[0], expected)
+                assert client.health()["inline_cycles"] == 0
+        assert handle.thread.ident not in threads and len(threads) == 2
+
+    def test_each_inline_cycle_is_on_the_wire_before_the_next_runs(self):
+        requests = _small_requests(4, seed=35)
+        want = execute_sequential(requests)
+        with start_daemon_thread(workers=0, client_quota=1) as handle:
+            daemon = handle.daemon
+            seen = []  # at each flush: (replies made, bytes written, replies unwritten)
+            flush = daemon.service.flush
+
+            def recording_flush():
+                [client] = daemon._clients.values()
+                seen.append((daemon.stats.replied, daemon.stats.bytes_sent,
+                             client.outbox.qsize()))
+                flush()
+
+            daemon.service.flush = recording_flush
+            with ServeClient(*handle.address, timeout=30) as client:
+                outputs = [p.result() for p in client.submit_many(requests)]
+            assert daemon.stats.inline_cycles == len(daemon.dispatch_trace) == 4
+        assert [replied for replied, _, _ in seen] == [0, 1, 2, 3]
+        assert [unwritten for _, _, unwritten in seen] == [0, 0, 0, 0]
+        written = [sent for _, sent, _ in seen]
+        assert all(before < after for before, after in zip(written, written[1:]))
+        for out, expected in zip(outputs, want):
+            _assert_outputs_equal(out, expected)
+
+
+# --------------------------------------------------------------------------- #
+# Random traffic against one live serial daemon (a Hypothesis state machine)
+# --------------------------------------------------------------------------- #
+_COLD_SHAPES = itertools.count()
+
+
+@functools.lru_cache(maxsize=1)
+def _machine_inputs():
+    """Warm small requests, one warm request over the inline bound, and the
+    outputs ``execute_sequential`` gives for them."""
+    small = _small_requests(4, seed=36)
+    big = mttkrp_request(*_wide_mttkrp(seed=37), mode=0)
+    return small, execute_sequential(small), big, execute_sequential([big])[0]
+
+
+class DaemonMachine(RuleBasedStateMachine):
+    """Submits (warm, cold, over the bound), pipelined bursts, ``health`` and
+    mid-frame disconnects, in any order, on ``start_daemon_thread(workers=0)``.
+
+    Every admitted id is answered exactly once with ``execute_sequential``'s
+    bytes, only warm small cycles run inline, ``pending`` returns to 0 after
+    each step and the daemon thread stays alive.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.small, self.small_want, self.big, self.big_want = _machine_inputs()
+        self.handle = start_daemon_thread(workers=0)
+        self.sock = socket.create_connection(self.handle.address, timeout=30)
+        self.rfile = self.sock.makefile("rb")
+        self.sent = 0
+
+    def _exchange(self, requests, expected=None):
+        """Send *requests* as one burst and check exactly their replies."""
+        ids = [f"m{self.sent + n}" for n in range(len(requests))]
+        self.sent += len(requests)
+        self.sock.sendall(b"".join(
+            protocol.dumps({"op": "submit", "id": i, "request": protocol.encode_request(r)})
+            for i, r in zip(ids, requests)
+        ))
+        replies = {}
+        for _ in ids:
+            reply, frames = _read_reply(self.rfile)
+            assert reply["ok"] is True and reply["id"] in ids and reply["id"] not in replies
+            replies[reply["id"]] = _dense_result(reply, frames)
+        if expected is None:  # computed afterwards, so the daemon saw it cold
+            expected = execute_sequential(requests)
+        for i, want in zip(ids, expected):
+            np.testing.assert_array_equal(replies[i], want)
+
+    def _inline_after(self, exchange, *args):
+        before = self.handle.daemon.stats.inline_cycles
+        exchange(*args)
+        return self.handle.daemon.stats.inline_cycles - before
+
+    @rule(n=st.integers(0, 3))
+    def submit_warm(self, n):
+        assert self._inline_after(self._exchange, [self.small[n]], [self.small_want[n]]) == 1
+
+    @rule()
+    def submit_cold(self):
+        k = next(_COLD_SHAPES)  # a new sparsity count: a schedule never searched
+        tensor = random_sparse_tensor((7, 6, 5), nnz=60 + k, seed=k)
+        rng = np.random.default_rng(k)
+        request = mttkrp_request(tensor, [rng.random((6, 3)), rng.random((5, 3))], mode=0)
+        assert self._inline_after(self._exchange, [request]) == 0
+
+    @rule(picks=st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    def burst(self, picks):
+        self._exchange([self.small[n] for n in picks], [self.small_want[n] for n in picks])
+
+    @rule()
+    def submit_over_the_bound(self):
+        assert self._inline_after(self._exchange, [self.big], [self.big_want]) == 0
+
+    @rule()
+    def health(self):
+        self.sock.sendall(b'{"op": "health", "id": "h"}\n')
+        reply, _ = _read_reply(self.rfile)
+        assert reply["id"] == "h" and reply["health"]["status"] == "ready"
+
+    @rule(n=st.integers(0, 3))
+    def disconnect_mid_frame(self, n):
+        wire = bytes(protocol.dumps(
+            {"op": "submit", "id": "cut", "request": protocol.encode_request(self.small[n])}
+        ))
+        with socket.create_connection(self.handle.address, timeout=30) as sock:
+            sock.sendall(wire[: len(wire) - 16])  # inside the last frame
+
+    @invariant()
+    def settled(self):
+        assert self.handle.thread.is_alive()
+        # the next reply is the pong: no reply is left over or repeated
+        self.sock.sendall(b'{"op": "ping", "id": "p"}\n')
+        reply, _ = _read_reply(self.rfile)
+        assert reply["id"] == "p" and reply["pong"] is True
+        _wait_for(lambda: self.handle.daemon.health()["pending"] == 0)
+
+    def teardown(self):
+        self.sock.close()
+        daemon = self.handle.daemon
+        self.handle.shutdown()
+        assert not self.handle.thread.is_alive()
+        assert daemon.stats.admitted == daemon.stats.replied == self.sent
+
+
+TestDaemonMachine = DaemonMachine.TestCase
+TestDaemonMachine.settings = settings(max_examples=20, stateful_step_count=10)
 
 
 # --------------------------------------------------------------------------- #
