@@ -851,7 +851,9 @@ class DaemonMachine(RuleBasedStateMachine):
         self.sent = 0
 
     def _exchange(self, requests, expected=None):
-        """Send *requests* as one burst and check exactly their replies."""
+        """Send *requests* as one burst and check exactly their replies;
+        returns how many of the daemon's cycles ran inline meanwhile."""
+        inline = self.handle.daemon.stats.inline_cycles
         ids = [f"m{self.sent + n}" for n in range(len(requests))]
         self.sent += len(requests)
         self.sock.sendall(b"".join(
@@ -867,15 +869,11 @@ class DaemonMachine(RuleBasedStateMachine):
             expected = execute_sequential(requests)
         for i, want in zip(ids, expected):
             np.testing.assert_array_equal(replies[i], want)
-
-    def _inline_after(self, exchange, *args):
-        before = self.handle.daemon.stats.inline_cycles
-        exchange(*args)
-        return self.handle.daemon.stats.inline_cycles - before
+        return self.handle.daemon.stats.inline_cycles - inline
 
     @rule(n=st.integers(0, 3))
     def submit_warm(self, n):
-        assert self._inline_after(self._exchange, [self.small[n]], [self.small_want[n]]) == 1
+        assert self._exchange([self.small[n]], [self.small_want[n]]) == 1
 
     @rule()
     def submit_cold(self):
@@ -883,7 +881,7 @@ class DaemonMachine(RuleBasedStateMachine):
         tensor = random_sparse_tensor((7, 6, 5), nnz=60 + k, seed=k)
         rng = np.random.default_rng(k)
         request = mttkrp_request(tensor, [rng.random((6, 3)), rng.random((5, 3))], mode=0)
-        assert self._inline_after(self._exchange, [request]) == 0
+        assert self._exchange([request]) == 0
 
     @rule(picks=st.lists(st.integers(0, 3), min_size=2, max_size=4))
     def burst(self, picks):
@@ -891,7 +889,7 @@ class DaemonMachine(RuleBasedStateMachine):
 
     @rule()
     def submit_over_the_bound(self):
-        assert self._inline_after(self._exchange, [self.big], [self.big_want]) == 0
+        assert self._exchange([self.big], [self.big_want]) == 0
 
     @rule()
     def health(self):
