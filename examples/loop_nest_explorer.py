@@ -14,7 +14,6 @@ Run with:  python examples/loop_nest_explorer.py
 """
 
 import repro
-from repro.core.autotune import Autotuner
 from repro.core.cost_model import (
     CacheMissCost,
     ExecutionCost,
@@ -22,9 +21,14 @@ from repro.core.cost_model import (
     MaxBufferSizeCost,
     evaluate_cost,
 )
-from repro.core.enumeration import count_loop_orders, enumerate_loop_orders
+from repro.core.enumeration import (
+    count_loop_orders,
+    enumerate_loop_orders,
+    sample_loop_orders,
+)
 from repro.core.loop_nest import LoopNest
 from repro.core.optimizer import find_optimal_loop_order
+from repro.core.search import TimedRunner, measure_loop_nests
 from repro.engine.executor import LoopNestExecutor
 
 
@@ -66,13 +70,17 @@ def main() -> None:
     def runner(nest: LoopNest):
         return LoopNestExecutor(kernel, nest).execute(tensors)
 
-    tuner = Autotuner(kernel, runner)
-    sampled = tuner.tune_path(best_path, fraction=0.5, seed=0, max_candidates=10)
-    picked = tuner.measure(LoopNest(best_path, result.order))
+    # one timer for the sample and the pick, so both share its single warmup
+    timer = TimedRunner(runner)
+    orders = sample_loop_orders(
+        kernel, best_path, fraction=0.5, seed=0, max_samples=10
+    )
+    sampled = measure_loop_nests([LoopNest(best_path, o) for o in orders], timer)
+    picked = timer(LoopNest(best_path, result.order))
     print("\nmeasured times of sampled loop orders (fastest first):")
-    for entry in sampled.entries:
-        print(f"  {entry.seconds * 1e3:8.2f} ms   {tuple(entry.loop_nest.order.orders)}")
-    print(f"\ncost-model pick: {picked.seconds * 1e3:8.2f} ms")
+    for entry in sampled.sorted_entries():
+        print(f"  {entry.value * 1e3:8.2f} ms   {tuple(entry.nest.order.orders)}")
+    print(f"\ncost-model pick: {picked * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SpTTNKernel", "parse_kernel", "ContractionPath", "enumerate_contraction_paths",
         "rank_contraction_paths", "LoopNest", "LoopOrder", "MaxBufferDimCost",
         "MaxBufferSizeCost", "CacheMissCost", "ExecutionCost", "evaluate_cost",
-        "find_optimal_loop_order", "SpTTNScheduler", "Schedule", "Autotuner",
-        "ExecutionRunner", "SweepResult", "sweep_loop_nests", "sweep_loop_orders",
+        "find_optimal_loop_order", "SpTTNScheduler", "Schedule", "ExecutionRunner",
+        "SweepResult", "measure_loop_nests", "sweep_loop_nests", "sweep_loop_orders",
     ),
     ".engine": (
         "LoopNestExecutor", "PlanCache", "cached_executor", "cached_schedule",

@@ -13,8 +13,8 @@ when no file is given)::
         --nnz 20000 --rank 16 --compare taco
 
 Sweep every CSF-consistent loop order of the scheduler's contraction path
-through the cost model (optionally across processes) and measure the best
-candidates::
+through the cost model (optionally across processes) and time the best
+candidates serially::
 
     python -m repro tune --spec "ijk,ja,ka->ia" --shape 60,50,40 \
         --nnz 2000 --rank 8 --workers 4 --measure
@@ -167,10 +167,10 @@ def cmd_run(args) -> int:
 
 def cmd_tune(args) -> int:
     from repro.core import (
-        Autotuner,
         ExecutionCost,
         ExecutionRunner,
         SpTTNScheduler,
+        measure_loop_nests,
         parse_kernel,
         sweep_loop_orders,
     )
@@ -217,25 +217,25 @@ def cmd_tune(args) -> int:
 
     if args.measure:
         mapping = {op.name: t for op, t in zip(kernel.operands, operands)}
-        runner = ExecutionRunner(kernel, mapping)
-        tuner = Autotuner(kernel, runner, repeats=args.repeats)
         candidates = [e.nest for e in ranked[: args.measure_candidates]]
         start = time.perf_counter()
-        result = tuner.tune(candidates, workers=args.workers)
+        measured = measure_loop_nests(
+            candidates, ExecutionRunner(kernel, mapping), repeats=args.repeats
+        )
         elapsed = time.perf_counter() - start
         print(
-            f"\nmeasured {len(result.entries)} candidates "
+            f"\nmeasured {len(measured)} candidates serially "
             f"({args.repeats} repeat(s) each) in {elapsed * 1e3:.1f} ms"
         )
         print(f"\n{'rank':>5s} {'time [ms]':>12s}  loop orders")
-        for rank, entry in enumerate(result.entries[: args.top]):
-            orders = "; ".join(",".join(o) for o in entry.loop_nest.order)
-            print(f"{rank:5d} {entry.seconds * 1e3:12.3f}  {orders}")
-        measured_rank = result.rank_of(schedule.loop_nest)
+        for rank, entry in enumerate(measured.sorted_entries()[: args.top]):
+            orders = "; ".join(",".join(o) for o in entry.nest.order)
+            print(f"{rank:5d} {entry.value * 1e3:12.3f}  {orders}")
+        measured_rank = measured.rank_of(schedule.loop_nest)
         if measured_rank is not None:
             print(
                 f"\nscheduler's pick ranks #{measured_rank} of "
-                f"{len(result.entries)} by measured time"
+                f"{len(measured)} by measured time"
             )
     return 0
 
@@ -585,8 +585,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_common(p_tune)
     p_tune.add_argument(
         "--workers", type=int, default=None,
-        help="parallel sweep workers (-1 = one per CPU; default: the "
-        "REPRO_WORKERS environment variable, else serial)",
+        help="cost-model sweep workers (-1 = one per CPU; default: the "
+        "REPRO_WORKERS environment variable, else serial); --measure "
+        "always times serially",
     )
     p_tune.add_argument(
         "--max-candidates", type=int, default=None,

@@ -19,11 +19,10 @@ This subpackage contains the paper's primary contribution:
 * :mod:`repro.core.scheduler` — the end-to-end schedule selection used by
   the runtime (sweep contraction paths in asymptotic-cost order, run the DP,
   apply constraints; Section 5).
-* :mod:`repro.core.autotune` — measured-time autotuning over enumerated
-  loop nests (used for the Figure 10 experiment).
-* :mod:`repro.core.search` — deterministic parallel sweeps over the
-  enumeration space (cost-model scoring and measured autotuning fanned
-  across ``multiprocessing`` workers).
+* :mod:`repro.core.search` — deterministic sweeps over the enumeration
+  space: cost-model scoring (optionally across ``multiprocessing``
+  workers) and measured-time autotuning (serial; used for the Figure 10
+  experiment).
 """
 
 from repro.util.lazy import lazy_exports
@@ -40,7 +39,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".cost_model": (
         "TreeSeparableCost", "MaxBufferDimCost", "MaxBufferSizeCost", "CacheMissCost",
-        "ExecutionCost", "BoundedBufferCost", "LexicographicCost", "evaluate_cost",
+        "ExecutionCost", "evaluate_cost",
     ),
     ".optimizer": ("OptimalLoopOrderSearch", "find_optimal_loop_order"),
     ".enumeration": (
@@ -48,9 +47,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "count_loop_orders",
     ),
     ".scheduler": ("Schedule", "SpTTNScheduler"),
-    ".autotune": ("Autotuner", "AutotuneResult"),
     ".search": (
         "CostModelEvaluator", "ExecutionRunner", "SweepEntry", "SweepResult",
-        "best_loop_nest", "measure_loop_nests", "sweep_loop_nests", "sweep_loop_orders",
+        "measure_loop_nests", "sweep_loop_nests", "sweep_loop_orders",
     ),
 })

@@ -33,8 +33,6 @@ Cost functions provided
 :class:`OperationCountCost`
     Leading-order scalar multiply-add count of the loop nest (depends on the
     contraction path and on which loops iterate sparsely).
-:class:`LexicographicCost`
-    Tuple composition of several cost functions compared lexicographically.
 
 All costs assume loop orders that respect the CSF storage-order restriction;
 sparse loops iterate only over stored fibers and their trip counts are
@@ -506,64 +504,6 @@ class ExecutionCost(TreeSeparableCost):
         removed: Removed,
     ) -> float:
         return SCALAR_OP * 2.0
-
-
-# --------------------------------------------------------------------------- #
-# Compositions
-# --------------------------------------------------------------------------- #
-class BoundedBufferCost(ExecutionCost):
-    """Alias of :class:`ExecutionCost` emphasizing the buffer-dimension bound.
-
-    Provided for readability at call sites that only care about the
-    constraint (Figure 9's "bound of one / bound of two" experiment).
-    """
-
-
-class LexicographicCost(TreeSeparableCost):
-    """Tuple of tree-separable costs compared lexicographically.
-
-    The component costs must agree on the peeling structure (they always do,
-    because the structure is determined by the loop order, not the cost).
-    Note that lexicographic comparison is only a heuristic inside the
-    dynamic program: optimal substructure is guaranteed for each component
-    individually but not for the tuple.  The scheduler uses it for
-    tie-breaking after filtering with the primary component.
-    """
-
-    def __init__(self, kernel: SpTTNKernel, components: Sequence[TreeSeparableCost]) -> None:
-        super().__init__(kernel)
-        if not components:
-            raise ValueError("at least one component cost is required")
-        self.components = tuple(components)
-
-    def identity(self):  # type: ignore[override]
-        return tuple(c.identity() for c in self.components)
-
-    def combine(self, a, b):  # type: ignore[override]
-        return tuple(c.combine(x, y) for c, x, y in zip(self.components, a, b))
-
-    def phi(self, path, root_index, inner_positions, after_positions, removed, inner_cost):  # type: ignore[override]
-        return tuple(
-            c.phi(path, root_index, inner_positions, after_positions, removed, ic)
-            for c, ic in zip(self.components, inner_cost)
-        )
-
-    def leaf(self, path, term_position, after_positions, removed):  # type: ignore[override]
-        return tuple(
-            c.leaf(path, term_position, after_positions, removed)
-            for c in self.components
-        )
-
-    def is_better(self, a, b) -> bool:  # type: ignore[override]
-        for comp, x, y in zip(self.components, a, b):
-            if comp.is_better(x, y):
-                return True
-            if comp.is_better(y, x):
-                return False
-        return False
-
-    def infinity(self):  # type: ignore[override]
-        return tuple(c.infinity() for c in self.components)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,35 +1,30 @@
-"""Parallel sweeps over the loop-nest search space (Section 4.1).
+"""Sweeps over the loop-nest search space (Section 4.1).
 
 Enumeration "enables autotuning": every candidate loop nest can be scored
-with the analytic cost model or simply executed and timed.  Both sweeps are
-embarrassingly parallel, so this module fans them out across
-``multiprocessing`` workers while keeping results **deterministic**:
+with the analytic cost model or simply executed and timed.  This module is
+the one place that does either, and both kinds of sweep return a
+:class:`SweepResult` whose ranking is **deterministic**:
 
-* candidates are enumerated in a canonical order and tagged with their
-  enumeration index;
-* evaluation preserves that order (:func:`~repro.runtime.parallel_map`), so
-  the result is independent of worker count and scheduling;
-* the argmin uses the tie-break ``(value, index)`` — among equal-cost
-  candidates the earliest enumerated one wins, guaranteeing that a parallel
-  sweep returns exactly the same winner as the serial sweep.
+* candidates are evaluated in the order the caller lists them (callers build
+  that list with :func:`~repro.core.enumeration.enumerate_loop_orders` or
+  :func:`~repro.core.enumeration.sample_loop_orders`) and tagged with their
+  index;
+* the argmin uses the tie-break ``(value, index)`` — among equal values the
+  earliest listed candidate wins.
 
-Evaluators are small picklable callables (no closures), so they survive both
-``fork`` and ``spawn`` start methods; anything that cannot be pickled makes
-:func:`~repro.runtime.parallel_map` fall back to the serial path, which
-produces identical results.
-
-The pool itself lives in :mod:`repro.runtime` — a persistent process-wide
-worker pool shared with the distributed runtime, defaulting its worker
-count to the ``REPRO_WORKERS`` environment variable.
+Cost-model sweeps (:func:`sweep_loop_orders`, :func:`sweep_loop_nests`) may
+fan out over the shared worker pool of :mod:`repro.runtime` (``workers``,
+defaulting to ``REPRO_WORKERS``); :class:`CostModelEvaluator` is picklable
+for that, and evaluation order is preserved, so the result is independent
+of the worker count.  Measured sweeps (:func:`measure_loop_nests`) always
+time in the calling process: candidates timed concurrently on shared cores
+disturb each other's clocks.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Set
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.core.contraction_path import (
     ContractionPath,
@@ -41,6 +36,7 @@ from repro.core.expr import SpTTNKernel
 from repro.core.loop_nest import LoopNest
 from repro.obs.trace import span as _obs_span
 from repro.runtime import parallel_map, resolve_workers
+from repro.util.timing import timed
 from repro.util.validation import require
 
 
@@ -113,14 +109,12 @@ class CostModelEvaluator:
 
 
 class ExecutionRunner:
-    """Picklable autotune runner: executes a kernel on fixed tensors.
+    """Measured-sweep runner: executes a kernel on fixed tensors.
 
-    Closures over executors cannot cross process boundaries; this runner
-    carries the kernel and concrete operands instead and resolves the
-    executor per call through
-    :func:`~repro.engine.plan_cache.cached_executor`, so repeated
-    measurement of one candidate reuses one executor (and its compiled
-    plan) per process.
+    It carries the kernel and concrete operands and resolves the executor
+    per call through :func:`~repro.engine.plan_cache.cached_executor`, so
+    repeated measurement of one candidate reuses one executor (and its
+    compiled plan).
     """
 
     def __init__(
@@ -133,9 +127,8 @@ class ExecutionRunner:
         self.kernel = kernel
         self.tensors = dict(tensors)
         self.offload = bool(offload)
-        # pinned at construction (a string survives pickling into workers)
-        # so a sweep measures one engine regardless of worker environment;
-        # None defers to each process's REPRO_ENGINE default
+        # pinned at construction so a sweep measures one engine;
+        # None defers to the REPRO_ENGINE default
         self.engine = engine
 
     def __call__(self, nest: LoopNest):
@@ -148,24 +141,13 @@ class ExecutionRunner:
         return executor.execute(self.tensors)
 
 
-#: Warmup tokens seen by *this* process.  A TimedRunner carries its token
-#: through pickling, and every pool worker unpickles a copy of its own —
-#: tracking tokens process-globally (rather than as instance state) keeps
-#: the warmup at one execution per runner per process, not per copy.
-_WARMED_TOKENS: Set[str] = set()
-
-_TOKEN_COUNTER = itertools.count()
-
-
 class TimedRunner:
     """Wraps a runner into ``nest -> seconds`` (min over *repeats*).
 
-    The first call in each process performs one untimed warmup execution so
-    one-time process state (memoized CSF conversion, NumPy internals) is not
-    charged to whichever candidate happens to be measured first — without
-    it, rankings with ``repeats=1`` would depend on measurement order and
-    worker count.  The token travels through pickling, so every worker
-    process warms up exactly once per runner.
+    The first call performs one untimed warmup execution so one-time process
+    state (memoized CSF conversion, NumPy internals) is not charged to
+    whichever candidate happens to be measured first — without it, rankings
+    with ``repeats=1`` would depend on measurement order.
     """
 
     def __init__(
@@ -177,19 +159,13 @@ class TimedRunner:
         require(repeats >= 1, "repeats must be >= 1")
         self.runner = runner
         self.repeats = int(repeats)
-        self.warmup = bool(warmup)
-        self._token = f"{os.getpid()}-{next(_TOKEN_COUNTER)}"
+        self.warmed = not warmup
 
     def __call__(self, nest: LoopNest) -> float:
-        if self.warmup and self._token not in _WARMED_TOKENS:
-            _WARMED_TOKENS.add(self._token)
+        if not self.warmed:
+            self.warmed = True
             self.runner(nest)
-        best = float("inf")
-        for _ in range(self.repeats):
-            start = time.perf_counter()
-            self.runner(nest)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return timed(self.runner, nest, repeat=self.repeats)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -258,29 +234,16 @@ def measure_loop_nests(
     nests: Sequence[LoopNest],
     runner: Callable[[LoopNest], object],
     repeats: int = 1,
-    workers: Optional[int] = None,
 ) -> SweepResult:
-    """Measured-time sweep over explicit candidates (autotuning backend).
+    """Measured-time sweep over explicit candidates, in this process.
 
     Each candidate's value is the minimum wall-clock time over *repeats*
-    runs of *runner*.  With multiple workers, candidates are timed in
-    separate processes; enumeration order and the ``(value, index)``
-    tie-break keep ranking deterministic for deterministic runners.  Pass a
+    runs of *runner*, after one untimed warmup run per sweep.  Pass a
     prebuilt :class:`TimedRunner` to share its warmup across several sweeps
     (*repeats* is then ignored).
     """
     if isinstance(runner, TimedRunner):
-        timed = runner
+        timer = runner
     else:
-        timed = TimedRunner(runner, repeats)
-    return _sweep(list(nests), timed, workers)
-
-
-def best_loop_nest(
-    kernel: SpTTNKernel,
-    cost: Optional[TreeSeparableCost] = None,
-    workers: Optional[int] = None,
-    **kwargs,
-) -> LoopNest:
-    """Argmin of :func:`sweep_loop_nests` (brute force; small kernels only)."""
-    return sweep_loop_nests(kernel, cost=cost, workers=workers, **kwargs).best.nest
+        timer = TimedRunner(runner, repeats)
+    return _sweep(list(nests), timer, workers=0)

@@ -446,7 +446,7 @@ def cached_executor(
     path (the compiled plan is bound, never rebuilt); this helper makes the
     reuse automatic for callers that cannot conveniently hold the executor
     themselves — the measured sweeps' :class:`~repro.core.search.ExecutionRunner`
-    (one executor per candidate per worker process) and the distributed
+    (one executor per candidate) and the distributed
     runtime (one executor shared by all virtual ranks of a kernel).
 
     ``engine=None`` is resolved through the ``REPRO_ENGINE`` default *now*,

@@ -13,9 +13,8 @@ same guarantees:
 * :mod:`repro.runtime.reduce` — deterministic binary-tree combination of
   ordered per-rank partials.
 
-Consumers: :mod:`repro.core.search` / :mod:`repro.core.autotune` (cost-model
-and measured sweeps) and :mod:`repro.distributed.runtime` (rank-parallel
-virtual-rank execution).
+Consumers: :mod:`repro.core.search` (cost-model sweeps) and
+:mod:`repro.distributed.runtime` (rank-parallel virtual-rank execution).
 """
 
 from repro.util.lazy import lazy_exports

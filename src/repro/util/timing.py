@@ -1,4 +1,4 @@
-"""Lightweight wall-clock timing helpers for benchmarks and the autotuner."""
+"""Lightweight wall-clock timing helpers for benchmarks and measured sweeps."""
 
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ from repro.core.cost_model import (
     CONSTRAINT_PENALTY,
     CacheMissCost,
     ExecutionCost,
-    LexicographicCost,
     MaxBufferDimCost,
     MaxBufferSizeCost,
     OperationCountCost,
@@ -167,30 +166,3 @@ class TestExecutionCost:
         # after iterating i, the j loop only visits stored fibers
         sparse_trips = cost.iteration_count("j", (0,), frozenset({"i"}), path)
         assert sparse_trips <= dense_trips
-
-
-class TestLexicographicCost:
-    def test_combines_components(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        path = best_path(kernel)
-        lex = LexicographicCost(
-            kernel, [MaxBufferDimCost(kernel), CacheMissCost(kernel)]
-        )
-        listing3 = LoopOrder((("i", "j", "k", "s"), ("i", "j", "s", "r")))
-        value = evaluate_cost(kernel, path, listing3, lex)
-        assert isinstance(value, tuple) and len(value) == 2
-        assert value[0] == 1
-
-    def test_lexicographic_comparison(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        lex = LexicographicCost(
-            kernel, [MaxBufferDimCost(kernel), CacheMissCost(kernel)]
-        )
-        assert lex.is_better((0, 100.0), (1, 1.0))
-        assert lex.is_better((1, 1.0), (1, 2.0))
-        assert not lex.is_better((1, 2.0), (1, 2.0))
-
-    def test_requires_components(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        with pytest.raises(ValueError):
-            LexicographicCost(kernel, [])

@@ -1,10 +1,9 @@
-"""Tests for exhaustive enumeration, the scheduler and the autotuner."""
+"""Tests for exhaustive enumeration, the scheduler and measured tuning."""
 
 import math
 
 import pytest
 
-from repro.core.autotune import Autotuner
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.cost_model import CONSTRAINT_PENALTY, MaxBufferDimCost
 from repro.core.enumeration import (
@@ -16,6 +15,7 @@ from repro.core.enumeration import (
 )
 from repro.core.loop_nest import LoopNest, validate_loop_order
 from repro.core.scheduler import SpTTNScheduler
+from repro.core.search import SweepResult, TimedRunner, measure_loop_nests
 from repro.engine.executor import LoopNestExecutor
 
 
@@ -146,8 +146,8 @@ class TestScheduler:
         assert schedule.cost_value == schedule.max_buffer_dimension()
 
 
-class TestAutotuner:
-    def test_autotuner_finds_fast_order(self, ttmc_setup):
+class TestMeasuredTuning:
+    def test_measured_sweep_finds_fast_order(self, ttmc_setup):
         kernel, tensors = ttmc_setup
         path = rank_contraction_paths(kernel)[0][0]
 
@@ -155,14 +155,13 @@ class TestAutotuner:
             executor = LoopNestExecutor(kernel, nest)
             return executor.execute(tensors)
 
-        tuner = Autotuner(kernel, runner, repeats=1)
-        result = tuner.tune_path(path, fraction=0.2, seed=0, max_candidates=8)
-        assert len(result.entries) >= 1
-        assert result.best.seconds == min(result.times())
-        assert all(
-            a.seconds <= b.seconds
-            for a, b in zip(result.entries, result.entries[1:])
-        )
+        orders = sample_loop_orders(kernel, path, fraction=0.2, seed=0, max_samples=8)
+        result = measure_loop_nests([LoopNest(path, o) for o in orders], runner)
+        ranked = result.sorted_entries()
+        assert len(ranked) >= 1
+        assert result.best.value == min(result.values())
+        assert ranked[0] == result.best
+        assert all(a.value <= b.value for a, b in zip(ranked, ranked[1:]))
 
     def test_rank_of(self, ttmc_setup):
         kernel, tensors = ttmc_setup
@@ -171,20 +170,19 @@ class TestAutotuner:
         def runner(nest: LoopNest):
             return LoopNestExecutor(kernel, nest).execute(tensors)
 
-        tuner = Autotuner(kernel, runner)
-        result = tuner.tune_path(path, fraction=0.1, seed=1, max_candidates=4)
-        nest = result.entries[0].loop_nest
-        assert result.rank_of(nest) == 0
-        other = LoopNest(path, result.entries[-1].loop_nest.order)
-        assert result.rank_of(other) == len(result.entries) - 1
+        orders = sample_loop_orders(kernel, path, fraction=0.1, seed=1, max_samples=4)
+        result = measure_loop_nests([LoopNest(path, o) for o in orders], runner)
+        ranked = result.sorted_entries()
+        assert result.rank_of(ranked[0].nest) == 0
+        other = LoopNest(path, ranked[-1].nest.order)
+        assert result.rank_of(other) == len(ranked) - 1
 
-    def test_empty_result_raises(self, ttmc_setup):
-        from repro.core.autotune import AutotuneResult
-
+    def test_empty_result_raises(self):
         with pytest.raises(ValueError):
-            _ = AutotuneResult([]).best
+            _ = SweepResult([]).best
 
-    def test_invalid_repeats(self, ttmc_setup):
-        kernel, _ = ttmc_setup
+    def test_invalid_repeats(self):
         with pytest.raises(ValueError):
-            Autotuner(kernel, lambda nest: None, repeats=0)
+            TimedRunner(lambda nest: None, repeats=0)
+        with pytest.raises(ValueError):
+            measure_loop_nests([], lambda nest: None, repeats=0)

@@ -31,7 +31,6 @@ NOT_ON_COLD_PATHS = (
     "repro.distributed",
     "repro.frameworks",
     "repro.core.search",
-    "repro.core.autotune",
 )
 
 COLD_PATHS = {

@@ -1,14 +1,14 @@
-"""Parallel search sweeps: determinism, argmin equality, autotune wiring."""
+"""Search sweeps: determinism, argmin equality, serial measured sweeps."""
 
 from __future__ import annotations
 
+import os
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.autotune import Autotuner
 from repro.core.cost_model import ExecutionCost, TreeSeparableCost
 from repro.core.enumeration import enumerate_loop_orders
 from repro.core.loop_nest import LoopNest
@@ -136,7 +136,7 @@ class TestMeasuredSweep:
         direct = LoopNestExecutor(kernel, nest).execute(tensors)
         np.testing.assert_array_equal(np.asarray(clone(nest)), np.asarray(direct))
 
-    def test_measured_sweep_parallel_covers_all_candidates(self, mttkrp_setup):
+    def test_measured_sweep_covers_all_candidates(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         path = SpTTNScheduler(kernel).schedule().path
         nests = [
@@ -144,42 +144,41 @@ class TestMeasuredSweep:
             for order in enumerate_loop_orders(kernel, path, limit=6)
         ]
         runner = ExecutionRunner(kernel, tensors)
-        sweep = measure_loop_nests(nests, runner, workers=2)
+        sweep = measure_loop_nests(nests, runner)
         assert len(sweep) == len(nests)
         assert all(entry.value > 0 for entry in sweep.entries)
         assert [entry.nest for entry in sweep.entries] == nests  # order kept
 
-
-class TestAutotunerWiring:
-    def test_parallel_autotune_same_candidate_ranking_universe(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
+    def test_measured_sweep_times_in_this_process(
+        self, mttkrp_setup, monkeypatch, tmp_path
+    ):
+        """REPRO_WORKERS sizes cost-model sweeps only: a picklable runner is
+        still timed here, once per repeat plus one warmup."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        kernel, _ = mttkrp_setup
         path = SpTTNScheduler(kernel).schedule().path
-        runner = ExecutionRunner(kernel, tensors)
-        tuner = Autotuner(kernel, runner, repeats=1)
-        serial = tuner.tune_path(path, max_candidates=6)
-        parallel = tuner.tune_path(path, max_candidates=6, workers=2)
-        def key(entry):
-            return entry.loop_nest.order
+        nests = [
+            LoopNest(path, order)
+            for order in enumerate_loop_orders(kernel, path, limit=4)
+        ]
+        log = tmp_path / "pids.txt"
+        repeats = 2
+        sweep = measure_loop_nests(nests, PidRecordingRunner(log), repeats=repeats)
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(sweep) == len(nests)
+        assert set(pids) == {os.getpid()}
+        assert len(pids) == 1 + repeats * len(nests)
 
-        assert sorted(map(key, serial.entries), key=str) == sorted(
-            map(key, parallel.entries), key=str
-        )
-        assert parallel.rank_of(serial.best.loop_nest) is not None
 
-    def test_closure_runner_still_works(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
-        path = SpTTNScheduler(kernel).schedule().path
-        calls = []
+class PidRecordingRunner:
+    """Picklable runner that appends the executing process's pid to a file."""
 
-        def runner(nest):  # not picklable across processes -> serial fallback
-            calls.append(nest)
-            return LoopNestExecutor(kernel, nest).execute(tensors)
+    def __init__(self, log):
+        self.log = log
 
-        tuner = Autotuner(kernel, runner, repeats=1, workers=2)
-        result = tuner.tune_path(path, max_candidates=4)
-        assert len(result.entries) == 4
-        # 4 timed runs plus the one untimed process warmup
-        assert len(calls) == 5
+    def __call__(self, nest):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
 
 
 class TestTuneCLI:
