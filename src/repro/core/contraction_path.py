@@ -91,11 +91,6 @@ class ContractionPath:
     def __getitem__(self, item: int) -> ContractionTerm:
         return self.terms[item]
 
-    @property
-    def intermediates(self) -> Tuple[str, ...]:
-        """Names of the intermediate tensors (every term output but the last)."""
-        return tuple(t.out for t in self.terms[:-1])
-
     def consumers(self) -> Dict[int, int]:
         """Map producer term position -> consumer term position (for intermediates)."""
         out: Dict[int, int] = {}

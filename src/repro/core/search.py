@@ -121,12 +121,10 @@ class ExecutionRunner:
         self,
         kernel: SpTTNKernel,
         tensors: Mapping[str, object],
-        offload: bool = True,
         engine: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
         self.tensors = dict(tensors)
-        self.offload = bool(offload)
         # pinned at construction so a sweep measures one engine;
         # None defers to the REPRO_ENGINE default
         self.engine = engine
@@ -135,9 +133,7 @@ class ExecutionRunner:
         # Imported here: repro.engine depends on repro.core, not vice versa.
         from repro.engine.plan_cache import cached_executor
 
-        executor = cached_executor(
-            self.kernel, nest, offload=self.offload, engine=self.engine
-        )
+        executor = cached_executor(self.kernel, nest, engine=self.engine)
         return executor.execute(self.tensors)
 
 

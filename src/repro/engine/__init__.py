@@ -23,7 +23,7 @@
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".blas": ("classify_call", "vectorized_contract"),
+    ".blas": ("classify_call",),
     ".buffers": ("BufferSet",),
     ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
     ".lowering": ("NotLowerable", "Program", "lower_plan"),

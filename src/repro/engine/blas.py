@@ -11,11 +11,9 @@ for the operation counters.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
-
-from repro.util.counters import OpCounter
 
 
 def classify_call(
@@ -59,43 +57,6 @@ def _subscripts(
     rhs = "".join(letters[n] for n in rhs_free)
     out = "".join(letters[n] for n in out_free)
     return f"{lhs},{rhs}->{out}"
-
-
-def vectorized_contract(
-    lhs_view: np.ndarray,
-    rhs_view: np.ndarray,
-    out_array: np.ndarray,
-    out_key,
-    lhs_free: Sequence[str],
-    rhs_free: Sequence[str],
-    out_free: Sequence[str],
-    counter: Optional[OpCounter] = None,
-) -> None:
-    """Accumulate ``out_array[out_key] += contract(lhs, rhs)``.
-
-    The free index lists name the axes of the corresponding views (and of
-    the selected output region); indices present in the inputs but absent
-    from *out_free* are summed.  The output is addressed as array-plus-key
-    (basic indexing) so that fully-bound scalar targets are writable.  The
-    call is recorded in *counter* with a BLAS-style classification and a
-    scalar multiply-add count equal to ``2 * |iteration space|``.
-    """
-    spec = _subscripts(lhs_free, rhs_free, out_free)
-    result = np.einsum(spec, lhs_view, rhs_view)
-    out_array[out_key] += result
-    if counter is not None:
-        space = 1
-        seen = {}
-        for names, view in ((lhs_free, lhs_view), (rhs_free, rhs_view)):
-            for axis, name in enumerate(names):
-                if name not in seen:
-                    seen[name] = int(view.shape[axis])
-        for name in out_free:
-            seen.setdefault(name, 1)
-        for size in seen.values():
-            space *= size
-        counter.add_flops(2 * space)
-        counter.add_call(classify_call(lhs_free, rhs_free, out_free))
 
 
 # --------------------------------------------------------------------------- #

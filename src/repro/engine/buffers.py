@@ -44,9 +44,6 @@ class BufferSet:
     def __contains__(self, name: str) -> bool:
         return name in self.arrays
 
-    def axes(self, name: str) -> Tuple[str, ...]:
-        return self.specs[name].indices
-
     def array(self, name: str) -> np.ndarray:
         return self.arrays[name]
 

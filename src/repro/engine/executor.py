@@ -128,12 +128,6 @@ class LoopNestExecutor:
         The contraction path and loop order to execute.  The loop order must
         respect the CSF storage-order restriction (validated on
         construction).
-    offload:
-        When true (default), maximal dense/fiber-led single-term regions are
-        executed with specialized vectorized NumPy kernels; when false every
-        loop is interpreted and the innermost update is a scalar
-        multiply-add (useful for testing and for modelling unvectorized
-        baselines).
     counter:
         Optional :class:`~repro.util.counters.OpCounter` accumulating scalar
         operation counts, buffer resets and BLAS-call classifications.
@@ -158,7 +152,6 @@ class LoopNestExecutor:
         self,
         kernel: SpTTNKernel,
         loop_nest: LoopNest,
-        offload: bool = True,
         counter: Optional[OpCounter] = None,
         plan_cache: Optional[PlanCache] = None,
         engine: Optional[str] = None,
@@ -177,7 +170,6 @@ class LoopNestExecutor:
         self.orders: Tuple[Tuple[str, ...], ...] = tuple(
             tuple(o) for o in loop_nest.order
         )
-        self.offload = bool(offload)
         self.counter = counter if counter is not None else OpCounter()
         self.sparse_name = kernel.sparse_operand.name
         self.output_name = kernel.output.name
@@ -195,7 +187,7 @@ class LoopNestExecutor:
         self._dense_shapes = [(o.name, tuple(map(dim, o.indices))) for o in kernel.dense_operands]
         self._out_shape = tuple(map(dim, kernel.output.indices))
         #: the plan key up to its operand signature, completed per call
-        self._key = plan_key(kernel, loop_nest, offload=self.offload)[:-1]
+        self._key = plan_key(kernel, loop_nest)[:-1]
 
         # run-time state, populated by execute()
         self._source: Optional[Union[COOTensor, CSFTensor]] = None
@@ -436,8 +428,6 @@ class LoopNestExecutor:
         remaining = self.orders[pos][depth:]
         if not remaining:
             return "scalar"
-        if not self.offload:
-            return None
         sparse_remaining = [i for i in remaining if i in kernel.sparse_indices]
         uses_sparse = self._term_uses_sparse(pos)
         writes_sparse_output = (
@@ -794,7 +784,6 @@ def execute_kernel(
     tensors: Sequence[TensorLike],
     names: Optional[Sequence[str]] = None,
     buffer_dim_bound: Optional[int] = 2,
-    offload: bool = True,
     counter: Optional[OpCounter] = None,
     engine: Optional[str] = None,
 ) -> Tuple[Union[np.ndarray, COOTensor], Schedule]:
@@ -810,7 +799,7 @@ def execute_kernel(
     kernel = parse_kernel(spec, tensors, names=names)
     schedule = cached_schedule(kernel, buffer_dim_bound=buffer_dim_bound)
     executor = LoopNestExecutor(
-        kernel, schedule.loop_nest, offload=offload, counter=counter, engine=engine
+        kernel, schedule.loop_nest, counter=counter, engine=engine
     )
     operand_tensors = {
         op.name: tensor for op, tensor in zip(kernel.operands, tensors)

@@ -1080,9 +1080,3 @@ def jit_stats() -> Dict[str, int]:
         "runs": _STATS["runs"],
         "rebinds": _STATS["rebinds"],
     }
-
-
-def reset_jit_stats() -> None:
-    """Zero the codegen-tier counters (live entries are unaffected)."""
-    for key in _STATS:
-        _STATS[key] = 0

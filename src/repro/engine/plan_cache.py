@@ -18,7 +18,7 @@ This module provides that amortization layer:
   :class:`~repro.util.lru.LRUCache` (hit/miss/eviction counters and an
   optional *memory budget*), here keyed by the full structural identity of
   a loop nest (:func:`plan_key`: kernel signature, loop orders, contraction
-  path, CSF mode order, operand shapes/dtypes, offload flag).
+  path, CSF mode order, operand shapes/dtypes).
 * :func:`cached_schedule` — the same amortization for the scheduler's
   search itself, keyed by kernel signature plus sparsity statistics, so
   applications that repeatedly schedule structurally identical kernels
@@ -119,15 +119,14 @@ def operand_signature(
 def plan_key(
     kernel: SpTTNKernel,
     loop_nest: LoopNest,
-    offload: bool = True,
     operands: PlanKey = (),
 ) -> PlanKey:
     """Full structural identity of one compiled plan.
 
     Two executions share a plan exactly when this key matches: same kernel
     signature, same contraction path, same per-term loop orders, same CSF
-    mode order (part of the kernel signature), same operand shapes/dtypes
-    and the same offload setting.
+    mode order (part of the kernel signature) and same operand
+    shapes/dtypes.
     """
     path = loop_nest.path
     return (
@@ -137,7 +136,6 @@ def plan_key(
             for t in path
         ),
         tuple(tuple(order) for order in loop_nest.order),
-        bool(offload),
         tuple(operands),
     )
 
@@ -436,7 +434,6 @@ def cached_schedule(
 def cached_executor(
     kernel: SpTTNKernel,
     loop_nest: LoopNest,
-    offload: bool = True,
     engine: Optional[str] = None,
     cache: Optional[PlanCache] = None,
 ):
@@ -465,12 +462,12 @@ def cached_executor(
     """
     resolved = setting("REPRO_ENGINE") if engine is None else engine  # = default_engine()
     cache = cache if cache is not None else _DEFAULT_EXECUTOR_CACHE
-    key = ("executor", plan_key(kernel, loop_nest, offload=offload), resolved)
+    key = ("executor", plan_key(kernel, loop_nest), resolved)
 
     def build():
         # imported on a miss only: repro.engine.executor imports this module
         from repro.engine.executor import LoopNestExecutor
 
-        return LoopNestExecutor(kernel, loop_nest, offload=offload, engine=resolved)
+        return LoopNestExecutor(kernel, loop_nest, engine=resolved)
 
     return cache.get_or_create(key, build)

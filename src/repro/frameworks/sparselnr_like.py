@@ -94,7 +94,7 @@ class SparseLNRLikeBaseline(FrameworkBaseline):
             return taco._execute(kernel, tensors)
         nest = self.build_loop_nest(kernel)
         self._last_nest = nest
-        executor = LoopNestExecutor(kernel, nest, offload=True, counter=self.counter)
+        executor = LoopNestExecutor(kernel, nest, counter=self.counter)
         return executor.execute(tensors)
 
     def metadata(self) -> Dict[str, object]:

@@ -27,13 +27,11 @@ class SpTTNCyclopsBaseline(FrameworkBaseline):
         counter=None,
         buffer_dim_bound: Optional[int] = 2,
         cost: Optional[TreeSeparableCost] = None,
-        offload: bool = True,
         engine: Optional[str] = None,
     ) -> None:
         super().__init__(counter)
         self.buffer_dim_bound = buffer_dim_bound
         self.cost = cost
-        self.offload = bool(offload)
         self.engine = engine
         self._schedules: Dict[int, Schedule] = {}
 
@@ -52,11 +50,7 @@ class SpTTNCyclopsBaseline(FrameworkBaseline):
     ) -> Output:
         schedule = self.schedule_for(kernel)
         executor = LoopNestExecutor(
-            kernel,
-            schedule.loop_nest,
-            offload=self.offload,
-            counter=self.counter,
-            engine=self.engine,
+            kernel, schedule.loop_nest, counter=self.counter, engine=self.engine
         )
         return executor.execute(tensors)
 

@@ -2,22 +2,23 @@
 
 Each helper builds the einsum-style specification for one kernel family
 (for any tensor order and target mode), parses it into an
-:class:`~repro.core.expr.SpTTNKernel`, and executes it through the
-scheduler + loop-nest executor.  The ``*_kernel`` variants return the kernel
-object without executing, for use by the scheduler benchmarks and the
-distributed runtime.
+:class:`~repro.core.expr.SpTTNKernel`, and executes it through
+:func:`~repro.engine.executor.execute_kernel`, whose schedule cache makes a
+repeated call on structurally identical operands search nothing.  The
+``*_kernel`` variants return the kernel and its operand mapping without
+executing (run a chosen loop nest on them with
+:class:`~repro.engine.executor.LoopNestExecutor`).
 """
 
-from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel
+from repro.kernels.spttn import KernelBuilder, build_kernel
 from repro.kernels.mttkrp import mttkrp, mttkrp_kernel
 from repro.kernels.ttmc import ttmc, ttmc_kernel, all_mode_ttmc, all_mode_ttmc_kernel
-from repro.kernels.tttp import tttp, tttp_kernel, sddmm, sddmm_kernel
+from repro.kernels.tttp import tttp, tttp_kernel, sddmm
 from repro.kernels.tttc import tttc, tttc_kernel
 
 __all__ = [
     "KernelBuilder",
     "build_kernel",
-    "run_kernel",
     "mttkrp",
     "mttkrp_kernel",
     "ttmc",
@@ -27,7 +28,6 @@ __all__ = [
     "tttp",
     "tttp_kernel",
     "sddmm",
-    "sddmm_kernel",
     "tttc",
     "tttc_kernel",
 ]

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.core.scheduler import Schedule
-from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel, sparse_order_of
+from repro.engine.executor import execute_kernel
+from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
 from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
@@ -70,7 +70,6 @@ def mttkrp(
     tensor: TensorLike,
     factors: Sequence[Union[DenseTensor, np.ndarray]],
     mode: int = 0,
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> np.ndarray:
@@ -85,20 +84,12 @@ def mttkrp(
         ignored) or one per non-target mode, each of shape ``(I_n, R)``.
     mode:
         The target mode.
-    schedule:
-        Optionally reuse a previously computed schedule (the search is
-        data-independent, so CP-ALS reuses one schedule per mode across
-        iterations).
     """
     order = sparse_order_of(tensor)
     spec = mttkrp_spec(order, mode)
     operands = [tensor] + list(_factor_list(order, mode, factors))
-    output, _ = run_kernel(
-        spec,
-        operands,
-        schedule=schedule,
-        counter=counter,
-        buffer_dim_bound=buffer_dim_bound,
+    output, _ = execute_kernel(
+        spec, operands, buffer_dim_bound=buffer_dim_bound, counter=counter
     )
     assert isinstance(output, np.ndarray)
     return output

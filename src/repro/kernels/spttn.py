@@ -1,18 +1,14 @@
-"""Generic SpTTN kernel construction and execution helpers."""
+"""Generic SpTTN kernel construction helpers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.expr import SpTTNKernel, parse_kernel
-from repro.core.scheduler import Schedule, SpTTNScheduler
-from repro.engine.executor import LoopNestExecutor, TensorLike
+from repro.engine.executor import TensorLike
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor
-from repro.util.counters import OpCounter
 from repro.util.validation import require
 
 #: Index letters used for sparse modes, then dense (rank) modes.
@@ -64,27 +60,6 @@ def build_kernel(
     kernel = parse_kernel(spec, tensors, names=names)
     mapping = {op.name: t for op, t in zip(kernel.operands, tensors)}
     return kernel, mapping
-
-
-def run_kernel(
-    spec: str,
-    tensors: Sequence[TensorLike],
-    names: Optional[Sequence[str]] = None,
-    schedule: Optional[Schedule] = None,
-    buffer_dim_bound: Optional[int] = 2,
-    counter: Optional[OpCounter] = None,
-    offload: bool = True,
-    engine: Optional[str] = None,
-) -> Tuple[Union[np.ndarray, COOTensor], Schedule]:
-    """Schedule (unless given) and execute a kernel; return (output, schedule)."""
-    kernel, mapping = build_kernel(spec, tensors, names=names)
-    if schedule is None:
-        scheduler = SpTTNScheduler(kernel, buffer_dim_bound=buffer_dim_bound)
-        schedule = scheduler.schedule()
-    executor = LoopNestExecutor(
-        kernel, schedule.loop_nest, offload=offload, counter=counter, engine=engine
-    )
-    return executor.execute(mapping), schedule
 
 
 def sparse_order_of(tensor: TensorLike) -> int:

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.core.scheduler import Schedule
-from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel, sparse_order_of
+from repro.engine.executor import execute_kernel
+from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
 from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
@@ -93,7 +93,6 @@ def ttmc(
     tensor: TensorLike,
     factors: Sequence[Union[DenseTensor, np.ndarray]],
     mode: int = 0,
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> np.ndarray:
@@ -101,12 +100,8 @@ def ttmc(
     order = sparse_order_of(tensor)
     spec = ttmc_spec(order, mode)
     operands = [tensor] + list(_factor_list(order, mode, factors))
-    output, _ = run_kernel(
-        spec,
-        operands,
-        schedule=schedule,
-        counter=counter,
-        buffer_dim_bound=buffer_dim_bound,
+    output, _ = execute_kernel(
+        spec, operands, buffer_dim_bound=buffer_dim_bound, counter=counter
     )
     assert isinstance(output, np.ndarray)
     return output
@@ -126,7 +121,6 @@ def all_mode_ttmc_kernel(
 def all_mode_ttmc(
     tensor: TensorLike,
     factors: Sequence[Union[DenseTensor, np.ndarray]],
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> np.ndarray:
@@ -134,12 +128,8 @@ def all_mode_ttmc(
     order = sparse_order_of(tensor)
     spec = all_mode_ttmc_spec(order)
     operands = [tensor] + _factor_list(order, None, factors)
-    output, _ = run_kernel(
-        spec,
-        operands,
-        schedule=schedule,
-        counter=counter,
-        buffer_dim_bound=buffer_dim_bound,
+    output, _ = execute_kernel(
+        spec, operands, buffer_dim_bound=buffer_dim_bound, counter=counter
     )
     assert isinstance(output, np.ndarray)
     return output

@@ -24,8 +24,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.core.scheduler import Schedule
-from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel, sparse_order_of
+from repro.engine.executor import LoopNestExecutor
+from repro.engine.plan_cache import cached_schedule
+from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
 from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
@@ -126,39 +127,21 @@ def tttc(
     tensor: TensorLike,
     cores: Sequence[Union[DenseTensor, np.ndarray]],
     removed_core: Optional[int] = None,
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
     max_paths: Optional[int] = 2000,
 ) -> np.ndarray:
-    """Contract the sparse tensor with all TT cores except *removed_core*."""
-    order = sparse_order_of(tensor)
-    if removed_core is None:
-        removed_core = order - 1
-    spec = tttc_spec(order, removed_core)
-    operands = [tensor] + _core_list(order, removed_core, cores)
-    if schedule is None:
-        from repro.core.scheduler import SpTTNScheduler
+    """Contract the sparse tensor with all TT cores except *removed_core*.
 
-        kernel, mapping = build_kernel(spec, operands)
-        scheduler = SpTTNScheduler(
-            kernel, buffer_dim_bound=buffer_dim_bound, max_paths=max_paths
-        )
-        schedule = scheduler.schedule()
-        from repro.engine.executor import LoopNestExecutor
-
-        executor = LoopNestExecutor(
-            kernel, schedule.loop_nest, counter=counter
-        )
-        output = executor.execute(mapping)
-        assert isinstance(output, np.ndarray)
-        return output
-    output, _ = run_kernel(
-        spec,
-        operands,
-        schedule=schedule,
-        counter=counter,
-        buffer_dim_bound=buffer_dim_bound,
+    This is :func:`~repro.engine.executor.execute_kernel` with the path
+    search capped at *max_paths*; the schedule comes from the process-wide
+    schedule cache, so repeated calls on structurally identical operands
+    search once.
+    """
+    kernel, mapping = tttc_kernel(tensor, cores, removed_core)
+    schedule = cached_schedule(
+        kernel, buffer_dim_bound=buffer_dim_bound, max_paths=max_paths
     )
+    output = LoopNestExecutor(kernel, schedule.loop_nest, counter=counter).execute(mapping)
     assert isinstance(output, np.ndarray)
     return output

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.core.scheduler import Schedule
-from repro.kernels.spttn import KernelBuilder, build_kernel, run_kernel, sparse_order_of
+from repro.engine.executor import execute_kernel
+from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
@@ -55,7 +55,6 @@ def tttp_kernel(
 def tttp(
     tensor: TensorLike,
     factors: Sequence[Union[DenseTensor, np.ndarray]],
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> COOTensor:
@@ -70,12 +69,8 @@ def tttp(
         f"TTTP needs one factor per mode ({order}), got {len(factors)}",
     )
     spec = tttp_spec(order)
-    output, _ = run_kernel(
-        spec,
-        [tensor] + list(factors),
-        schedule=schedule,
-        counter=counter,
-        buffer_dim_bound=buffer_dim_bound,
+    output, _ = execute_kernel(
+        spec, [tensor] + list(factors), buffer_dim_bound=buffer_dim_bound, counter=counter
     )
     assert isinstance(output, COOTensor)
     return output
@@ -86,21 +81,10 @@ def sddmm_spec() -> str:
     return tttp_spec(2)
 
 
-def sddmm_kernel(
-    matrix: TensorLike,
-    left: Union[DenseTensor, np.ndarray],
-    right: Union[DenseTensor, np.ndarray],
-) -> Tuple[SpTTNKernel, dict]:
-    """Build (without executing) the SDDMM kernel ``S_ij = M_ij * (L R^T)_ij``."""
-    require(sparse_order_of(matrix) == 2, "SDDMM requires an order-2 sparse matrix")
-    return build_kernel(sddmm_spec(), [matrix, left, right])
-
-
 def sddmm(
     matrix: TensorLike,
     left: Union[DenseTensor, np.ndarray],
     right: Union[DenseTensor, np.ndarray],
-    schedule: Optional[Schedule] = None,
     counter: Optional[OpCounter] = None,
 ) -> COOTensor:
     """Sampled dense-dense matrix multiplication over the pattern of *matrix*.
@@ -108,8 +92,6 @@ def sddmm(
     ``S(i, j) = M(i, j) * sum_r L(i, r) * R(j, r)`` for every stored (i, j).
     """
     require(sparse_order_of(matrix) == 2, "SDDMM requires an order-2 sparse matrix")
-    output, _ = run_kernel(
-        sddmm_spec(), [matrix, left, right], schedule=schedule, counter=counter
-    )
+    output, _ = execute_kernel(sddmm_spec(), [matrix, left, right], counter=counter)
     assert isinstance(output, COOTensor)
     return output

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges and latency histograms.
+"""Process-wide metrics registry: counters and latency histograms.
 
 One snapshot API subsumes the stats surfaces that grew per subsystem —
 :class:`~repro.serve.ServiceStats` counters are mirrored into registry
@@ -59,27 +59,6 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Point-in-time value that can move both ways (thread-safe)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        """Current value."""
-        return self._value
-
-
 class Histogram:
     """Fixed-bucket latency histogram (thread-safe, cumulative snapshot).
 
@@ -127,7 +106,7 @@ class Histogram:
 class MetricsRegistry:
     """Named metrics plus lazily evaluated snapshot sources.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create by name, so call
+    ``counter``/``histogram`` are get-or-create by name, so call
     sites never race on registration; :meth:`register_source` attaches a
     zero-argument callable whose result is embedded in snapshots under its
     name (the cache/pool/plan-timing documents).
@@ -136,7 +115,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._sources: Dict[str, Callable[[], object]] = {}
 
@@ -146,14 +124,6 @@ class MetricsRegistry:
             metric = self._counters.get(name)
             if metric is None:
                 metric = self._counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under *name* (created on first use)."""
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(
@@ -180,12 +150,10 @@ class MetricsRegistry:
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             sources = dict(self._sources) if include_sources else {}
         doc: Dict[str, object] = {
             "counters": {name: c.value for name, c in sorted(counters.items())},
-            "gauges": {name: g.value for name, g in sorted(gauges.items())},
             "histograms": {
                 name: h.snapshot() for name, h in sorted(histograms.items())
             },
@@ -204,26 +172,15 @@ class MetricsRegistry:
         """Drop every metric (sources stay registered)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry every instrumentation site records into."""
-    return _DEFAULT_REGISTRY
-
-
 def inc_counter(name: str, amount: int = 1) -> None:
     """Increment a default-registry counter by *amount*."""
     _DEFAULT_REGISTRY.counter(name).inc(amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a default-registry gauge to *value*."""
-    _DEFAULT_REGISTRY.gauge(name).set(value)
 
 
 def observe(name: str, seconds: float) -> None:
@@ -255,7 +212,7 @@ def prometheus_text(
 ) -> str:
     """Registry metrics (default registry) in Prometheus exposition format.
 
-    Counters, gauges and histograms only — the lazy sources are nested
+    Counters and histograms only — the lazy sources are nested
     documents and stay JSON-only.  Histogram values are seconds, so names
     gain the conventional ``_seconds`` unit suffix.
     """
@@ -266,10 +223,6 @@ def prometheus_text(
     for name, value in doc["counters"].items():  # type: ignore[union-attr]
         metric = f"{prefix}_{_sanitize(name)}_total"
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in doc["gauges"].items():  # type: ignore[union-attr]
-        metric = f"{prefix}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {value}")
     for name, hist in doc["histograms"].items():  # type: ignore[union-attr]
         metric = f"{prefix}_{_sanitize(name)}_seconds"
@@ -285,15 +238,12 @@ def prometheus_text(
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
     "inc_counter",
     "metrics_snapshot",
     "observe",
     "prometheus_text",
     "register_source",
     "reset_metrics",
-    "set_gauge",
 ]

@@ -21,11 +21,8 @@ points keep it cheap enough to leave compiled into the hot paths:
   are merged into the parent's buffer (:func:`add_spans`), keeping their
   worker ``pid``/``tid`` identity for the trace timeline.
 
-Finished spans land in a bounded process-wide buffer (drained by
-:func:`drain_spans`, exported by :mod:`repro.obs.export`) and are
-simultaneously accumulated per ``category.name`` into a thread-safe
-:class:`~repro.util.timing.Timer` — the same accumulation primitive the
-benchmarks use.
+Finished spans land in a bounded process-wide buffer, drained by
+:func:`drain_spans` and exported by :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.util.config import setting
-from repro.util.timing import Timer
 
 #: Offset converting ``time.perf_counter()`` readings to epoch seconds, so
 #: spans from different processes (pool workers fork after import) align on
@@ -146,7 +142,6 @@ class Tracer:
         self.enabled = bool(enabled)
         self.max_spans = int(max_spans)
         self.dropped = 0
-        self.timer = Timer()
         self._spans: List[Span] = []
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -158,7 +153,6 @@ class Tracer:
         return _SpanContext(self, name, category, attrs)
 
     def _finish(self, span: Span) -> None:
-        self.timer.add(f"{span.category}.{span.name}", span.duration_s)
         sink = _SINK.get()
         if sink is not None:
             sink.append(span)
@@ -186,23 +180,11 @@ class Tracer:
             spans, self._spans = self._spans, []
         return spans
 
-    def stats(self) -> Dict[str, object]:
-        """Buffer state plus the per-``category.name`` timing accumulation."""
-        with self._lock:
-            buffered = len(self._spans)
-        return {
-            "enabled": self.enabled,
-            "buffered": buffered,
-            "dropped": self.dropped,
-            "sections": self.timer.snapshot(),
-        }
-
     def reset(self) -> None:
-        """Drop buffered spans, the dropped counter and timing sections."""
+        """Drop buffered spans and the dropped counter."""
         with self._lock:
             self._spans.clear()
             self.dropped = 0
-        self.timer.reset()
 
 
 _DEFAULT_TRACER = Tracer(enabled=setting("REPRO_TRACE"))
@@ -258,11 +240,6 @@ def add_spans(spans: Sequence[Span]) -> None:
         _DEFAULT_TRACER.add_spans(list(spans))
 
 
-def trace_stats() -> Dict[str, object]:
-    """Buffer/accumulation stats of the default tracer."""
-    return _DEFAULT_TRACER.stats()
-
-
 @contextmanager
 def capture_spans(force: bool = False) -> Iterator[List[Span]]:
     """Redirect spans finished in this context into the yielded list.
@@ -296,6 +273,5 @@ __all__ = [
     "drain_spans",
     "enable_tracing",
     "span",
-    "trace_stats",
     "tracing_enabled",
 ]

@@ -761,7 +761,7 @@ class ServeDaemon:
     def snapshot(self) -> Dict[str, Any]:
         """One coherent stats document: daemon, service, caches, pool.
 
-        ``metrics`` is the registry-only slice (counters, gauges and the
+        ``metrics`` is the registry-only slice (counters and the
         per-stage latency histograms; the caches/pool sources are already
         present as top-level keys) and ``plan_timings`` one timing row
         per cached plan, engine and phase (count/total/mean and the

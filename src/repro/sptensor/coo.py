@@ -93,10 +93,6 @@ class COOTensor:
         return len(self.shape)
 
     @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
     def nnz(self) -> int:
         """Number of stored entries."""
         return int(self.indices.shape[0])

@@ -1,12 +1,12 @@
-"""Shared utilities: validation, timers, operation counters, the LRU, settings, fault injection."""
+"""Shared utilities: validation, timing, operation counters, the LRU, settings, fault injection."""
 
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".validation": (
-        "check_axis", "check_dtype_real", "check_positive_int", "check_shape", "require",
+        "check_positive_int", "check_shape", "require",
     ),
-    ".timing": ("Timer", "timed"),
+    ".timing": ("timed",),
     ".counters": ("OpCounter",),
     ".lru": ("LRUCache",),
     ".config": ("SETTINGS", "resolved", "setting"),

@@ -210,10 +210,6 @@ class LRUCache:
             self._sizes.clear()
             self.bytes = 0
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.evictions = self.rejections = 0
-
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {

@@ -41,25 +41,6 @@ def check_shape(shape: Iterable[int], name: str = "shape") -> Tuple[int, ...]:
     return out
 
 
-def check_axis(axis: int, ndim: int, name: str = "axis") -> int:
-    """Validate *axis* against an ``ndim``-dimensional tensor, allowing negatives."""
-    ndim = check_positive_int(ndim, "ndim")
-    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(axis).__name__}")
-    axis = int(axis)
-    if axis < -ndim or axis >= ndim:
-        raise ValueError(f"{name} {axis} out of bounds for tensor of order {ndim}")
-    return axis % ndim
-
-
-def check_dtype_real(dtype, name: str = "dtype") -> np.dtype:
-    """Validate that *dtype* is a real floating or integer dtype."""
-    dt = np.dtype(dtype)
-    if dt.kind not in "fiu":
-        raise TypeError(f"{name} must be a real numeric dtype, got {dt}")
-    return dt
-
-
 def as_index_array(indices: Sequence[Sequence[int]], order: int) -> np.ndarray:
     """Coerce *indices* into an ``(nnz, order)`` int64 array and validate it."""
     arr = np.asarray(indices, dtype=np.int64)

@@ -35,7 +35,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import CompiledJit, compile_program, ir
 from repro.engine.lowering import codegen as codegen_mod
-from repro.engine.lowering.codegen import jit_stats, reset_jit_stats
+from repro.engine.lowering.codegen import jit_stats
 from repro.engine.plan_cache import (
     PlanCache,
     approx_nbytes,
@@ -679,16 +679,6 @@ class TestStats:
         assert stats["compiles"] >= 1
         assert stats["runs"] >= 1
         assert stats["bytes"] > 0  # pooled buffers are byte-accounted
-
-    def test_reset_jit_stats(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
-        nest = SpTTNScheduler(kernel).schedule().loop_nest
-        _run(kernel, tensors, nest)
-        assert jit_stats()["compiles"] >= 1
-        reset_jit_stats()
-        stats = jit_stats()
-        assert stats["compiles"] == 0 and stats["runs"] == 0
-        assert stats["misses"] == 0 and stats["evictions"] == 0
 
 
 class TestReduceRoute:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.loop_nest import BufferSpec
-from repro.engine.blas import classify_call, vectorized_contract
+from repro.engine.blas import classify_call, specialize_contraction
 from repro.engine.buffers import BufferSet
 from repro.engine.reference import assert_same_result, dense_reference, reference_output
 from repro.util.counters import OpCounter
@@ -23,36 +23,48 @@ class TestClassifyCall:
 
 
 class TestVectorizedContract:
+    """The vectorized kernels :func:`specialize_contraction` binds to an
+    offload site: each accumulates into the output and returns its flops."""
+
     def test_matrix_vector(self):
         a = np.arange(12.0).reshape(3, 4)
         x = np.arange(4.0)
         out = np.zeros(3)
-        counter = OpCounter()
-        vectorized_contract(a, x, out, slice(None), ["i", "k"], ["k"], ["i"], counter)
+        kernel, name = specialize_contraction(["i", "k"], ["k"], ["i"])
+        flops = kernel(a, x, out, slice(None))
         np.testing.assert_allclose(out, a @ x)
-        assert counter.flops == 2 * 12
-        assert counter.kernel_calls.get("gemv") == 1
+        assert flops == 2 * 12
+        assert name == "gemv"
 
     def test_outer_product_accumulates(self):
         x = np.array([1.0, 2.0])
         y = np.array([3.0, 4.0, 5.0])
         out = np.ones((2, 3))
-        vectorized_contract(x, y, out, (slice(None), slice(None)), ["i"], ["j"], ["i", "j"])
+        kernel, name = specialize_contraction(["i"], ["j"], ["i", "j"])
+        flops = kernel(x, y, out, (slice(None), slice(None)))
         np.testing.assert_allclose(out, 1.0 + np.outer(x, y))
+        assert flops == 2 * 6
+        assert name == "ger"
 
     def test_scalar_target(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([1.0, 1.0, 1.0])
         out = np.zeros(4)
-        vectorized_contract(x, y, out, 2, ["k"], ["k"], [])
+        kernel, name = specialize_contraction(["k"], ["k"], [])
+        flops = kernel(x, y, out, 2)
         assert out[2] == pytest.approx(6.0)
+        assert flops == 2 * 3
+        assert name == "dot"
 
     def test_contraction_with_scalar_operand(self):
         scalar = np.float64(2.0)
         vec = np.array([1.0, 2.0])
         out = np.zeros(2)
-        vectorized_contract(scalar, vec, out, slice(None), [], ["s"], ["s"])
+        kernel, name = specialize_contraction([], ["s"], ["s"])
+        flops = kernel(scalar, vec, out, slice(None))
         np.testing.assert_allclose(out, 2.0 * vec)
+        assert flops == 2 * 2
+        assert name == "axpy"
 
 
 class TestBufferSet:

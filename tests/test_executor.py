@@ -2,8 +2,7 @@
 
 The strongest check: for every kernel family, *every* enumerated loop order
 of the best contraction path (and a sample over other paths) must produce
-the same result as the dense einsum reference, with and without BLAS
-offloading.
+the same result as the dense einsum reference.
 """
 
 import numpy as np
@@ -22,8 +21,8 @@ from repro.util.counters import OpCounter
 KERNELS = ["mttkrp_setup", "ttmc_setup", "tttp_setup", "allmode_setup"]
 
 
-def run_nest(kernel, tensors, nest, offload=True, counter=None):
-    executor = LoopNestExecutor(kernel, nest, offload=offload, counter=counter)
+def run_nest(kernel, tensors, nest, counter=None):
+    executor = LoopNestExecutor(kernel, nest, counter=counter)
     return executor.execute(tensors)
 
 
@@ -46,15 +45,6 @@ class TestAllLoopOrdersMatchReference:
             for order in sample_loop_orders(kernel, path, fraction=0.3, seed=0, max_samples=2):
                 result = run_nest(kernel, tensors, LoopNest(path, order))
                 assert_same_result(result, expected)
-
-    def test_offload_and_interpreted_agree(self, fixture_name, request):
-        kernel, tensors = request.getfixturevalue(fixture_name)
-        expected = reference_output(kernel, tensors)
-        schedule = SpTTNScheduler(kernel).schedule()
-        fast = run_nest(kernel, tensors, schedule.loop_nest, offload=True)
-        slow = run_nest(kernel, tensors, schedule.loop_nest, offload=False)
-        assert_same_result(fast, expected)
-        assert_same_result(slow, expected)
 
 
 class TestOrder4:

@@ -11,7 +11,7 @@ from repro.kernels import (
     tttp,
     ttmc,
 )
-from repro.kernels.mttkrp import mttkrp_spec, mttkrp_kernel
+from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.spttn import KernelBuilder, sparse_order_of
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tt_core_shapes, tttc_spec
@@ -76,6 +76,49 @@ class TestSpecBuilders:
             sparse_order_of(np.zeros((3, 3)))
 
 
+def _family_call(family, tensor3, factors3):
+    """One family wrapper bound to its operands, as a zero-argument call."""
+    if family == "mttkrp":
+        return lambda: mttkrp(tensor3, factors3, mode=1)
+    if family == "ttmc":
+        return lambda: ttmc(tensor3, factors3, mode=2)
+    if family == "all_mode_ttmc":
+        return lambda: all_mode_ttmc(tensor3, factors3)
+    if family == "tttp":
+        return lambda: tttp(tensor3, factors3).values
+    if family == "sddmm":
+        matrix = random_sparse_tensor((20, 15), density=0.08, seed=3)
+        left, right = random_dense_matrix(20, 6, seed=4), random_dense_matrix(15, 6, seed=5)
+        return lambda: sddmm(matrix, left, right).values
+    cores = [
+        DenseTensor(np.random.default_rng(n).random(s))
+        for n, s in enumerate(tt_core_shapes(tensor3.shape, 3))
+    ]
+    return lambda: tttc(tensor3, cores)
+
+
+class TestScheduleCache:
+    @pytest.mark.parametrize(
+        "family", ["mttkrp", "ttmc", "all_mode_ttmc", "tttp", "sddmm", "tttc"]
+    )
+    def test_second_call_runs_no_search(self, family, tensor3, factors3, monkeypatch):
+        monkeypatch.delenv("REPRO_PLAN_STORE", raising=False)
+        searches = []
+        search = SpTTNScheduler.schedule
+
+        def counted(self, *args, **kwargs):
+            searches.append(self.kernel)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpTTNScheduler, "schedule", counted)
+        call = _family_call(family, tensor3, factors3)
+        first = call()
+        assert len(searches) == 1
+        second = call()
+        assert len(searches) == 1, "the second call searched again"
+        np.testing.assert_array_equal(first, second)
+
+
 class TestMTTKRP:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_all_modes_match_reference(self, tensor3, factors3, mode):
@@ -101,13 +144,6 @@ class TestMTTKRP:
     def test_wrong_factor_count_rejected(self, tensor3, factors3):
         with pytest.raises(ValueError):
             mttkrp(tensor3, factors3[:1], mode=0)
-
-    def test_schedule_reuse(self, tensor3, factors3):
-        kernel, _ = mttkrp_kernel(tensor3, factors3, mode=0)
-        schedule = SpTTNScheduler(kernel).schedule()
-        a = mttkrp(tensor3, factors3, mode=0, schedule=schedule)
-        b = mttkrp(tensor3, factors3, mode=0)
-        np.testing.assert_allclose(a, b)
 
 
 class TestTTMc:

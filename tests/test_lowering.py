@@ -30,14 +30,13 @@ def _values(output):
     return output.values if isinstance(output, COOTensor) else np.asarray(output)
 
 
-def run_both(kernel, tensors, nest, offload=True):
+def run_both(kernel, tensors, nest):
     """Execute one nest under both engines; return (lowered, interpreted)."""
     results = {}
     for engine in ("lowered", "interpret"):
         counter = OpCounter()
         executor = LoopNestExecutor(
-            kernel, nest, offload=offload, counter=counter,
-            plan_cache=PlanCache(), engine=engine,
+            kernel, nest, counter=counter, plan_cache=PlanCache(), engine=engine,
         )
         output = executor.execute(tensors)
         results[engine] = (output, counter, executor.last_engine)
@@ -60,12 +59,6 @@ class TestScheduledKernelsLower:
         lowered, interpreted = run_both(kernel, tensors, nest)
         assert lowered[2] == "lowered"
         assert interpreted[2] == "interpret"
-        assert_equivalent(lowered, interpreted)
-
-    def test_unoffloaded_execution_agrees(self, fixture_name, request):
-        kernel, tensors = request.getfixturevalue(fixture_name)
-        nest = SpTTNScheduler(kernel).schedule().loop_nest
-        lowered, interpreted = run_both(kernel, tensors, nest, offload=False)
         assert_equivalent(lowered, interpreted)
 
 

@@ -102,16 +102,6 @@ class TestPlanCacheKeying:
         LoopNestExecutor(kernel, nest, plan_cache=cache).execute(downcast)
         assert cache.stats()["misses"] == 2
 
-    def test_miss_on_offload_flag(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
-        nest = _schedule_nest(kernel)
-        cache = PlanCache()
-        LoopNestExecutor(kernel, nest, plan_cache=cache).execute(tensors)
-        LoopNestExecutor(kernel, nest, offload=False, plan_cache=cache).execute(
-            tensors
-        )
-        assert cache.stats()["misses"] == 2
-
     def test_plan_key_is_hashable_and_stable(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         nest = _schedule_nest(kernel)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.util.counters import OpCounter
-from repro.util.timing import Timer, timed
+from repro.util.timing import timed
 from repro.util.validation import (
     as_index_array,
-    check_axis,
-    check_dtype_real,
     check_positive_int,
     check_shape,
     require,
@@ -40,20 +38,6 @@ class TestValidation:
         with pytest.raises(TypeError):
             check_shape(5)
 
-    def test_check_axis(self):
-        assert check_axis(1, 3) == 1
-        assert check_axis(-1, 3) == 2
-        with pytest.raises(ValueError):
-            check_axis(3, 3)
-        with pytest.raises(TypeError):
-            check_axis(1.5, 3)
-
-    def test_check_dtype_real(self):
-        assert check_dtype_real(np.float64).kind == "f"
-        assert check_dtype_real("int32").kind == "i"
-        with pytest.raises(TypeError):
-            check_dtype_real(np.complex128)
-
     def test_as_index_array(self):
         arr = as_index_array([[0, 1], [2, 3]], 2)
         assert arr.shape == (2, 2) and arr.dtype == np.int64
@@ -66,27 +50,6 @@ class TestValidation:
 
 
 class TestTimer:
-    def test_sections_accumulate(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        with t.section("b"):
-            pass
-        assert t.counts["a"] == 2 and t.counts["b"] == 1
-        assert t.totals["a"] >= 0.0
-        assert t.mean("a") == pytest.approx(t.totals["a"] / 2)
-        assert t.mean("missing") == 0.0
-        assert "a" in t.summary()
-
-    def test_reset(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        t.reset()
-        assert not t.totals and not t.counts
-
     def test_timed(self):
         calls = []
 
