@@ -49,8 +49,8 @@ def _ttmc_case(spec="ijk,jr,ks->irs", shape=(300, 250, 200), nnz=20000, rank=TTM
     tensor = random_sparse_tensor(shape, nnz=nnz, seed=seed)
     dims = dict(zip("ijk", shape))
     lhs, rhs = spec.split("->")[0].split(",")[1:]
-    u = random_dense_matrix(dims[lhs[0]], rank, seed=seed + 1, name="U")
-    v = random_dense_matrix(dims[rhs[0]], rank, seed=seed + 2, name="V")
+    u = random_dense_matrix(dims[lhs[0]], rank, seed=seed + 1)
+    v = random_dense_matrix(dims[rhs[0]], rank, seed=seed + 2)
     kernel = parse_kernel(spec, [tensor, u, v], names=["T", "U", "V"])
     return kernel, {"T": tensor, "U": u, "V": v}
 

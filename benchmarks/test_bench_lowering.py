@@ -24,7 +24,7 @@ from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import PlanCache
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
-from repro.sptensor import DenseTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor import random_dense_matrix, random_sparse_tensor
 from repro.sptensor.csf import csf_for_mode_order
 
 from _workloads import TTMC_RANK
@@ -32,8 +32,8 @@ from _workloads import TTMC_RANK
 
 def _ttmc_case(shape=(300, 250, 200), nnz=20000, rank=TTMC_RANK, seed=1):
     tensor = random_sparse_tensor(shape, nnz=nnz, seed=seed)
-    u = random_dense_matrix(shape[1], rank, seed=seed + 1, name="U")
-    v = random_dense_matrix(shape[2], rank, seed=seed + 2, name="V")
+    u = random_dense_matrix(shape[1], rank, seed=seed + 1)
+    v = random_dense_matrix(shape[2], rank, seed=seed + 2)
     kernel = parse_kernel("ijk,jr,ks->irs", [tensor, u, v], names=["T", "U", "V"])
     return kernel, {"T": tensor, "U": u, "V": v}
 
@@ -41,10 +41,7 @@ def _ttmc_case(shape=(300, 250, 200), nnz=20000, rank=TTMC_RANK, seed=1):
 def _tttc_case(order=6, dim=14, nnz=4000, rank=8, seed=3):
     tensor = random_sparse_tensor(tuple(dim for _ in range(order)), nnz=nnz, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    cores = [
-        DenseTensor(rng.random(shape), name=f"G{i}")
-        for i, shape in enumerate(tt_core_shapes(tensor.shape, rank))
-    ]
+    cores = [rng.random(shape) for shape in tt_core_shapes(tensor.shape, rank)]
     return tttc_kernel(tensor, cores, removed_core=order - 1)
 
 

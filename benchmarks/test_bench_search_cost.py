@@ -23,7 +23,7 @@ from repro.core.optimizer import OptimalLoopOrderSearch
 from repro.kernels.mttkrp import mttkrp_kernel
 from repro.kernels.ttmc import ttmc_kernel
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
-from repro.sptensor import DenseTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor import random_dense_matrix, random_sparse_tensor
 
 from _workloads import bench_rng
 
@@ -37,17 +37,11 @@ def _kernel_for(name: str):
         return ttmc_kernel(t, [random_dense_matrix(16, 4, seed=i) for i in range(4)], 0)[0]
     if name == "tttc-order5":
         t = random_sparse_tensor((10, 10, 10, 10, 10), nnz=400, seed=2)
-        cores = [
-            DenseTensor(bench_rng(i).random(s))
-            for i, s in enumerate(tt_core_shapes(t.shape, 4))
-        ]
+        cores = [bench_rng(i).random(s) for i, s in enumerate(tt_core_shapes(t.shape, 4))]
         return tttc_kernel(t, cores)[0]
     if name == "tttc-order6":
         t = random_sparse_tensor((8, 8, 8, 8, 8, 8), nnz=400, seed=3)
-        cores = [
-            DenseTensor(bench_rng(i).random(s))
-            for i, s in enumerate(tt_core_shapes(t.shape, 4))
-        ]
+        cores = [bench_rng(i).random(s) for i, s in enumerate(tt_core_shapes(t.shape, 4))]
         return tttc_kernel(t, cores)[0]
     raise KeyError(name)
 

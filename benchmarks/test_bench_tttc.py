@@ -18,7 +18,7 @@ import pytest
 from repro.distributed import strong_scaling
 from repro.frameworks import SpTTNCyclopsBaseline, TacoLikeBaseline
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
-from repro.sptensor import DenseTensor, random_sparse_tensor
+from repro.sptensor import random_sparse_tensor
 
 from _workloads import record_rows
 
@@ -29,10 +29,7 @@ PROCESS_COUNTS = (1, 2, 4, 8, 16, 32)
 def _setup(order=6, dim=14, nnz=1200, rank=RANK, seed=0):
     tensor = random_sparse_tensor(tuple(dim for _ in range(order)), nnz=nnz, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    cores = [
-        DenseTensor(rng.random(shape), name=f"G{i}")
-        for i, shape in enumerate(tt_core_shapes(tensor.shape, rank))
-    ]
+    cores = [rng.random(shape) for shape in tt_core_shapes(tensor.shape, rank)]
     return tttc_kernel(tensor, cores, removed_core=order - 1)
 
 

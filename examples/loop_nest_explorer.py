@@ -34,8 +34,8 @@ from repro.engine.executor import LoopNestExecutor
 
 def main() -> None:
     T = repro.random_sparse_tensor((120, 100, 90), nnz=8_000, seed=4)
-    U = repro.random_dense_matrix(T.shape[1], 16, seed=5, name="U")
-    V = repro.random_dense_matrix(T.shape[2], 16, seed=6, name="V")
+    U = repro.random_dense_matrix(T.shape[1], 16, seed=5)
+    V = repro.random_dense_matrix(T.shape[2], 16, seed=6)
     kernel = repro.parse_kernel("ijk,jr,ks->irs", [T, U, V], names=["T", "U", "V"])
     tensors = {"T": T, "U": U, "V": V}
 

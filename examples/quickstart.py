@@ -18,8 +18,8 @@ def main() -> None:
     # 1. Build the operands: one sparse tensor, several small dense matrices.
     T = repro.random_sparse_tensor((200, 150, 120), nnz=20_000, seed=0)
     rank = 16
-    B = repro.random_dense_matrix(T.shape[1], rank, seed=1, name="B")
-    C = repro.random_dense_matrix(T.shape[2], rank, seed=2, name="C")
+    B = repro.random_dense_matrix(T.shape[1], rank, seed=1)
+    C = repro.random_dense_matrix(T.shape[2], rank, seed=2)
     print(f"sparse tensor: shape={T.shape}, nnz={T.nnz}")
 
     # 2. One call does everything: parse the einsum-style kernel, enumerate
@@ -33,7 +33,7 @@ def main() -> None:
     print(f"\nintermediate buffers: {schedule.loop_nest.buffers()}")
 
     # 4. Verify against the dense reference (only feasible for small tensors).
-    reference = np.einsum("ijk,jr,kr->ir", T.to_dense(), B.data, C.data)
+    reference = np.einsum("ijk,jr,kr->ir", T.to_dense(), B, C)
     error = np.abs(output - reference).max()
     print(f"\nmax abs error vs dense einsum: {error:.3e}")
     assert error < 1e-8

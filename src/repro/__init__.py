@@ -35,7 +35,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".runtime": ("WorkerPool", "parallel_map", "resolve_workers", "shutdown_pool"),
     ".serve": ("ContractionRequest", "ContractionService", "scenario_mix"),
     ".sptensor": (
-        "COOTensor", "CSFTensor", "DenseTensor", "random_sparse_tensor",
+        "COOTensor", "CSFTensor", "random_sparse_tensor",
         "random_dense_matrix", "power_law_sparse_tensor", "read_tns", "write_tns",
         "load_preset", "dataset_presets",
     ),

@@ -86,8 +86,6 @@ def _load_sparse(args):
 
 def _build_operands(spec: str, tensor, rank: int, seed: int):
     """Concrete operands for *spec*: the sparse tensor plus random dense factors."""
-    from repro.sptensor import random_dense_matrix
-
     lhs = spec.split("->")[0].split(",")
     sparse_sub = lhs[0]
     dims = {name: dim for name, dim in zip(sparse_sub, tensor.shape)}
@@ -100,11 +98,7 @@ def _build_operands(spec: str, tensor, rank: int, seed: int):
             else:
                 dims[idx] = rank
                 shape.append(rank)
-        operands.append(
-            random_dense_matrix(shape[0], shape[1], seed=seed + pos).data
-            if len(shape) == 2
-            else np.random.default_rng(seed + pos).random(tuple(shape))
-        )
+        operands.append(np.random.default_rng(seed + pos).random(tuple(shape)))
     return operands
 
 

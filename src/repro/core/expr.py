@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor, csf_for_mode_order
-from repro.sptensor.dense import DenseTensor
 from repro.util.validation import require
 
 SparseInput = Union[COOTensor, CSFTensor]
@@ -271,20 +270,18 @@ class SpTTNKernel:
 def _operand_from_tensor(
     name: str,
     indices: Tuple[str, ...],
-    tensor: Union[SparseInput, DenseTensor, np.ndarray],
+    tensor: Union[SparseInput, np.ndarray],
 ) -> Tuple[KernelOperand, Tuple[int, ...]]:
     """Classify a concrete tensor object and return (operand, shape)."""
     if isinstance(tensor, (COOTensor, CSFTensor)):
         return KernelOperand(name, indices, True), tensor.shape
-    if isinstance(tensor, DenseTensor):
-        return KernelOperand(name, indices, False), tensor.shape
     arr = np.asarray(tensor)
     return KernelOperand(name, indices, False), tuple(arr.shape)
 
 
 def parse_kernel(
     spec: str,
-    tensors: Sequence[Union[SparseInput, DenseTensor, np.ndarray]],
+    tensors: Sequence[Union[SparseInput, np.ndarray]],
     names: Optional[Sequence[str]] = None,
     output_name: str = "OUT",
     output_sparse: Optional[bool] = None,

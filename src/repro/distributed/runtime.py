@@ -53,7 +53,6 @@ from repro.engine.plan_cache import cached_executor, cached_schedule
 from repro.runtime import attach, parallel_map, publish, resolve_workers, tree_reduce
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor
-from repro.sptensor.dense import DenseTensor
 from repro.util.validation import require
 
 Output = Union[np.ndarray, COOTensor]
@@ -195,12 +194,10 @@ class DistributedSpTTN:
 
     def _dense_arrays(self) -> Dict[str, np.ndarray]:
         """The dense operands as float64 arrays (what executors consume)."""
-        out: Dict[str, np.ndarray] = {}
-        for op in self.kernel.dense_operands:
-            value = self.tensors[op.name]
-            arr = value.data if isinstance(value, DenseTensor) else value
-            out[op.name] = np.asarray(arr, dtype=np.float64)
-        return out
+        return {
+            op.name: np.asarray(self.tensors[op.name], dtype=np.float64)
+            for op in self.kernel.dense_operands
+        }
 
     # ------------------------------------------------------------------ #
     # Exact execution over virtual ranks

@@ -7,8 +7,6 @@
 * :mod:`repro.engine.blas` — the vectorized kernel layer plus call
   classification (axpy / dot / ger / gemv / gemm-like), feeding the
   operation counters.
-* :mod:`repro.engine.buffers` — intermediate-buffer allocation and reset
-  bookkeeping.
 * :mod:`repro.engine.plan_cache` — compiled (array-independent) execution
   plans, the process-wide plan cache, and schedule caching, so repeated
   executions of one structure pay for planning and search once.
@@ -24,7 +22,6 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".blas": ("classify_call",),
-    ".buffers": ("BufferSet",),
     ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
     ".lowering": ("NotLowerable", "Program", "lower_plan"),
     ".plan_cache": (

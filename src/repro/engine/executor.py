@@ -63,7 +63,6 @@ from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.loop_nest import LoopNest, validate_loop_order
 from repro.core.scheduler import Schedule
 from repro.engine.blas import specialize_contraction
-from repro.engine.buffers import BufferSet
 from repro.engine.lowering import compile_program, lower_plan
 from repro.engine.plan_cache import (
     ARRAY as _ARRAY,
@@ -87,12 +86,11 @@ from repro.engine.plan_cache import (
 from repro.obs.trace import span as _span
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor, csf_for_mode_order
-from repro.sptensor.dense import DenseTensor
 from repro.util.config import setting
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
-TensorLike = Union[COOTensor, CSFTensor, DenseTensor, np.ndarray]
+TensorLike = Union[COOTensor, CSFTensor, np.ndarray]
 
 #: Execution engines accepted by :class:`LoopNestExecutor`, fastest first.
 ENGINES = ("jit", "lowered", "interpret")
@@ -193,7 +191,7 @@ class LoopNestExecutor:
         self._source: Optional[Union[COOTensor, CSFTensor]] = None
         self._csf: Optional[CSFTensor] = None
         self._dense: Dict[str, np.ndarray] = {}
-        self._buffers: Optional[BufferSet] = None
+        self._buffers: Dict[str, np.ndarray] = {}
         self._out_dense: Optional[np.ndarray] = None
         self._out_values: Optional[np.ndarray] = None
         self._plan: Optional[CompiledPlan] = None
@@ -270,7 +268,11 @@ class LoopNestExecutor:
                         )
                     self.last_engine = self.engine
             if self.last_engine == "interpret":
-                self._buffers = BufferSet(self._buffer_specs, self.kernel.index_dims, self.counter)
+                dims = self.kernel.index_dims
+                self._buffers = {
+                    spec.name: np.zeros(tuple(dims[idx] for idx in spec.indices))
+                    for spec in self._buffer_specs
+                }
                 self._run(tuple(range(len(self.path))), 0, {}, -1, 0)
         total_s = time.perf_counter() - start
         plan.record_timing(self.last_engine, "prepare", prepare_s)
@@ -313,9 +315,7 @@ class LoopNestExecutor:
 
         self._dense = {}
         for (name, expected), value in zip(self._dense_shapes, dense_in):
-            arr = value.data if isinstance(value, DenseTensor) else np.asarray(
-                value, dtype=np.float64
-            )
+            arr = np.asarray(value, dtype=np.float64)
             if arr.shape != expected:
                 raise ValueError(
                     f"dense operand {name!r} has shape {arr.shape}, expected {expected}"
@@ -353,7 +353,7 @@ class LoopNestExecutor:
         self._source = None
         self._csf = None
         self._dense = {}
-        self._buffers = None
+        self._buffers = {}
         self._out_dense = None
         self._out_values = None
         self._bound_sites = {}
@@ -627,8 +627,7 @@ class LoopNestExecutor:
         if kind == _SLOT_DENSE:
             return self._dense[name]
         if kind == _SLOT_BUFFER:
-            assert self._buffers is not None
-            return self._buffers.array(name)
+            return self._buffers[name]
         assert self._out_dense is not None
         return self._out_dense
 

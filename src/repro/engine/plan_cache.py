@@ -49,7 +49,6 @@ from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import Schedule, SpTTNScheduler
 from repro.sptensor.coo import COOTensor, digest_stats
 from repro.sptensor.csf import CSFTensor, default_structure_memo
-from repro.sptensor.dense import DenseTensor
 from repro.util.config import setting
 from repro.util.lru import LRUCache, approx_nbytes  # noqa: F401 - approx_nbytes re-exported
 
@@ -111,7 +110,7 @@ def operand_signature(
         if isinstance(value, (COOTensor, CSFTensor)):
             sig.append(("sparse", value.shape, value.values.dtype.str))
         else:
-            arr = value.data if isinstance(value, DenseTensor) else np.asarray(value)
+            arr = np.asarray(value)
             sig.append(("dense", arr.shape, arr.dtype.str))
     return tuple(sig)
 

@@ -8,23 +8,21 @@ the test suite and the examples' self-checks.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor
-from repro.sptensor.dense import DenseTensor
 
-TensorLike = Union[COOTensor, CSFTensor, DenseTensor, np.ndarray]
+if TYPE_CHECKING:
+    from repro.engine.executor import TensorLike
 
 
 def _to_dense(value: TensorLike) -> np.ndarray:
     if isinstance(value, (COOTensor, CSFTensor)):
         return value.to_dense()
-    if isinstance(value, DenseTensor):
-        return value.data
     return np.asarray(value, dtype=np.float64)
 
 

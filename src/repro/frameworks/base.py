@@ -10,12 +10,11 @@ from typing import Dict, Mapping, Optional, Union
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
+from repro.engine.executor import TensorLike
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor
-from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 
-TensorLike = Union[COOTensor, CSFTensor, DenseTensor, np.ndarray]
 Output = Union[np.ndarray, COOTensor]
 
 
@@ -89,6 +88,4 @@ class FrameworkBaseline(ABC):
 
     @staticmethod
     def as_array(value: TensorLike) -> np.ndarray:
-        if isinstance(value, DenseTensor):
-            return value.data
         return np.asarray(value, dtype=np.float64)

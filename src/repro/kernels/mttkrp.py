@@ -12,14 +12,13 @@ execute it through the SpTTN scheduler/executor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
 from repro.engine.executor import execute_kernel
 from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
-from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
@@ -41,9 +40,7 @@ def mttkrp_spec(order: int, mode: int) -> str:
     return ",".join(inputs) + "->" + output
 
 
-def _factor_list(
-    order: int, mode: int, factors: Sequence[Union[DenseTensor, np.ndarray]]
-) -> List[Union[DenseTensor, np.ndarray]]:
+def _factor_list(order: int, mode: int, factors: Sequence[np.ndarray]) -> List[np.ndarray]:
     if len(factors) == order:
         return [f for n, f in enumerate(factors) if n != mode]
     require(
@@ -56,7 +53,7 @@ def _factor_list(
 
 def mttkrp_kernel(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
 ) -> Tuple[SpTTNKernel, dict]:
     """Build (without executing) the MTTKRP kernel and its operand mapping."""
@@ -68,7 +65,7 @@ def mttkrp_kernel(
 
 def mttkrp(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,

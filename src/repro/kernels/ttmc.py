@@ -15,14 +15,13 @@ the kernel of the Figure 9/10 experiments)::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
 from repro.engine.executor import execute_kernel
 from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
-from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
@@ -60,8 +59,8 @@ def all_mode_ttmc_spec(order: int) -> str:
 
 
 def _factor_list(
-    order: int, mode: Optional[int], factors: Sequence[Union[DenseTensor, np.ndarray]]
-) -> List[Union[DenseTensor, np.ndarray]]:
+    order: int, mode: Optional[int], factors: Sequence[np.ndarray]
+) -> List[np.ndarray]:
     if mode is None:
         require(
             len(factors) == order,
@@ -79,7 +78,7 @@ def _factor_list(
 
 def ttmc_kernel(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
 ) -> Tuple[SpTTNKernel, dict]:
     """Build (without executing) the TTMc kernel and its operand mapping."""
@@ -91,7 +90,7 @@ def ttmc_kernel(
 
 def ttmc(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
@@ -109,7 +108,7 @@ def ttmc(
 
 def all_mode_ttmc_kernel(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
 ) -> Tuple[SpTTNKernel, dict]:
     """Build (without executing) the all-mode TTMc kernel and operand mapping."""
     order = sparse_order_of(tensor)
@@ -120,7 +119,7 @@ def all_mode_ttmc_kernel(
 
 def all_mode_ttmc(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> np.ndarray:

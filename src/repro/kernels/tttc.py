@@ -19,7 +19,7 @@ helpers build this kernel for any order and any removed-core position.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.core.expr import SpTTNKernel
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.plan_cache import cached_schedule
 from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
-from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
@@ -94,11 +93,7 @@ def tt_core_shapes(
     return shapes
 
 
-def _core_list(
-    order: int,
-    removed_core: int,
-    cores: Sequence[Union[DenseTensor, np.ndarray]],
-) -> List[Union[DenseTensor, np.ndarray]]:
+def _core_list(order: int, removed_core: int, cores: Sequence[np.ndarray]) -> List[np.ndarray]:
     if len(cores) == order:
         return [c for n, c in enumerate(cores) if n != removed_core]
     require(
@@ -111,7 +106,7 @@ def _core_list(
 
 def tttc_kernel(
     tensor: TensorLike,
-    cores: Sequence[Union[DenseTensor, np.ndarray]],
+    cores: Sequence[np.ndarray],
     removed_core: Optional[int] = None,
 ) -> Tuple[SpTTNKernel, dict]:
     """Build (without executing) the TTTc kernel and its operand mapping."""
@@ -125,7 +120,7 @@ def tttc_kernel(
 
 def tttc(
     tensor: TensorLike,
-    cores: Sequence[Union[DenseTensor, np.ndarray]],
+    cores: Sequence[np.ndarray],
     removed_core: Optional[int] = None,
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,

@@ -12,7 +12,7 @@ dense-dense matrix multiplication) is the order-2 special case.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.core.expr import SpTTNKernel
 from repro.engine.executor import execute_kernel
 from repro.kernels.spttn import KernelBuilder, build_kernel, sparse_order_of
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.dense import DenseTensor
 from repro.util.counters import OpCounter
 from repro.util.validation import require
 
@@ -40,7 +39,7 @@ def tttp_spec(order: int) -> str:
 
 def tttp_kernel(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
 ) -> Tuple[SpTTNKernel, dict]:
     """Build (without executing) the TTTP kernel and its operand mapping."""
     order = sparse_order_of(tensor)
@@ -54,7 +53,7 @@ def tttp_kernel(
 
 def tttp(
     tensor: TensorLike,
-    factors: Sequence[Union[DenseTensor, np.ndarray]],
+    factors: Sequence[np.ndarray],
     counter: Optional[OpCounter] = None,
     buffer_dim_bound: Optional[int] = 2,
 ) -> COOTensor:
@@ -83,8 +82,8 @@ def sddmm_spec() -> str:
 
 def sddmm(
     matrix: TensorLike,
-    left: Union[DenseTensor, np.ndarray],
-    right: Union[DenseTensor, np.ndarray],
+    left: np.ndarray,
+    right: np.ndarray,
     counter: Optional[OpCounter] = None,
 ) -> COOTensor:
     """Sampled dense-dense matrix multiplication over the pattern of *matrix*.

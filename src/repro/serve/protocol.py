@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.dense import DenseTensor
 
 #: Protocol revision carried in ``hello``/stats replies; bump on breaking
 #: wire-format changes.
@@ -134,7 +133,7 @@ def decode_array(obj: Any) -> np.ndarray:
         raise ProtocolError(f"malformed array: {exc}") from exc
 
 
-def encode_tensor(value: Union[np.ndarray, DenseTensor, COOTensor]) -> Dict[str, Any]:
+def encode_tensor(value: Union[np.ndarray, COOTensor]) -> Dict[str, Any]:
     """Encode one operand or result tensor (dense or sparse COO)."""
     if isinstance(value, COOTensor):
         return {
@@ -143,8 +142,7 @@ def encode_tensor(value: Union[np.ndarray, DenseTensor, COOTensor]) -> Dict[str,
             "indices": encode_array(value.indices),
             "values": encode_array(value.values),
         }
-    arr = value.data if isinstance(value, DenseTensor) else np.asarray(value)
-    encoded = encode_array(arr)
+    encoded = encode_array(np.asarray(value))
     encoded["kind"] = "dense"
     return encoded
 

@@ -17,7 +17,7 @@ dimensions *before* the request enters the queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +27,9 @@ from repro.kernels.spttn import build_kernel, sparse_order_of
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tttc_spec
 from repro.kernels.tttp import tttp_spec
-from repro.sptensor.dense import DenseTensor
 
 if TYPE_CHECKING:
     from repro.engine.executor import TensorLike
-
-DenseLike = Union[DenseTensor, np.ndarray]
 
 
 # eq=False: the generated __eq__ would compare operand tuples containing
@@ -103,7 +100,7 @@ def _named(
 
 def mttkrp_request(
     tensor: TensorLike,
-    factors: Sequence[DenseLike],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
     engine: Optional[str] = None,
 ) -> ContractionRequest:
@@ -127,7 +124,7 @@ def mttkrp_request(
 
 def ttmc_request(
     tensor: TensorLike,
-    factors: Sequence[DenseLike],
+    factors: Sequence[np.ndarray],
     mode: int = 0,
     engine: Optional[str] = None,
 ) -> ContractionRequest:
@@ -145,7 +142,7 @@ def ttmc_request(
 
 def all_mode_ttmc_request(
     tensor: TensorLike,
-    factors: Sequence[DenseLike],
+    factors: Sequence[np.ndarray],
     engine: Optional[str] = None,
 ) -> ContractionRequest:
     """All-mode TTMc request (one factor per mode, every mode contracted)."""
@@ -155,7 +152,7 @@ def all_mode_ttmc_request(
 
 def tttp_request(
     tensor: TensorLike,
-    factors: Sequence[DenseLike],
+    factors: Sequence[np.ndarray],
     engine: Optional[str] = None,
 ) -> ContractionRequest:
     """TTTP request (one factor per mode, sparse-pattern output).
@@ -172,7 +169,7 @@ def tttp_request(
 
 def tttc_request(
     tensor: TensorLike,
-    cores: Sequence[DenseLike],
+    cores: Sequence[np.ndarray],
     removed_core: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> ContractionRequest:

@@ -72,7 +72,6 @@ from repro.runtime import (
 )
 from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.dense import DenseTensor
 from repro.util.config import setting
 from repro.util.faults import fault_point
 from repro.util.lru import LRUCache
@@ -767,14 +766,9 @@ class ContractionService:
         seen: Dict[int, Tuple[str, np.ndarray, int]] = {}
         for p in group:
             for op in p.kernel.dense_operands:
-                value = p.mapping[op.name]
-                arr = value.data if isinstance(value, DenseTensor) else value
+                arr = p.mapping[op.name]
                 if not isinstance(arr, np.ndarray):
                     continue
-                # a broadcast strips the DenseTensor wrapper, which is
-                # safe: DenseTensor normalizes its data to float64 on
-                # construction, so the executor binds the attached array
-                # to the same bits either way
                 key = id(arr)
                 name, _, count = seen.get(key, (op.name, arr, 0))
                 seen[key] = (name, arr, count + 1)
@@ -828,9 +822,8 @@ class ContractionService:
                 task_shared: Dict[str, object] = {}
                 for op in p.kernel.operands:
                     value = p.mapping[op.name]
-                    arr = value.data if isinstance(value, DenseTensor) else value
-                    if isinstance(arr, np.ndarray) and id(arr) in handle_of:
-                        task_shared[op.name] = handle_of[id(arr)]
+                    if isinstance(value, np.ndarray) and id(value) in handle_of:
+                        task_shared[op.name] = handle_of[id(value)]
                     elif id(value) in sparse_ref_of:
                         payload[op.name] = sparse_ref_of[id(value)]
                     else:

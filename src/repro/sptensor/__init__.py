@@ -1,15 +1,13 @@
-"""Sparse and dense tensor substrate.
+"""Sparse tensor substrate.
 
-This subpackage provides the storage formats used throughout the
-reproduction:
+This subpackage provides the sparse storage formats used throughout the
+reproduction (dense operands are plain ``numpy.ndarray``):
 
 * :class:`~repro.sptensor.coo.COOTensor` — coordinate-format sparse tensor,
   the interchange format used for construction, I/O and validation.
 * :class:`~repro.sptensor.csf.CSFTensor` — compressed sparse fiber format
   (Smith & Karypis), the execution format: SpTTN loop nests iterate the
   sparse indices in CSF storage order.
-* :class:`~repro.sptensor.dense.DenseTensor` — a thin labelled wrapper over
-  ``numpy.ndarray`` for the dense factor operands.
 * Synthetic tensor generators and FROSTT-style dataset presets
   (:mod:`repro.sptensor.generate`, :mod:`repro.sptensor.datasets`).
 * FROSTT ``.tns`` text I/O (:mod:`repro.sptensor.io`).
@@ -20,7 +18,6 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".coo": ("COOTensor",),
     ".csf": ("CSFTensor", "CSFNode"),
-    ".dense": ("DenseTensor",),
     ".generate": (
         "random_sparse_tensor", "random_dense_matrix", "power_law_sparse_tensor",
         "block_sparse_tensor",

@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sptensor.coo import COOTensor
-from repro.sptensor.dense import DenseTensor
 from repro.util.validation import check_positive_int, check_shape, require
 
 
@@ -174,13 +173,11 @@ def block_sparse_tensor(
     return COOTensor(shape, coords, values, sort=True)
 
 
-def random_dense_matrix(
-    rows: int, cols: int, seed: Optional[int] = None, name: Optional[str] = None
-) -> DenseTensor:
-    """Convenience constructor for the dense factor matrices of SpTTN kernels."""
+def random_dense_matrix(rows: int, cols: int, seed: Optional[int] = None) -> np.ndarray:
+    """A ``rows x cols`` float64 factor matrix with i.i.d. uniform [0, 1) entries."""
     rows = check_positive_int(rows, "rows")
     cols = check_positive_int(cols, "cols")
-    return DenseTensor.random((rows, cols), name=name, seed=seed)
+    return np.random.default_rng(seed).random((rows, cols))
 
 
 def _draw_values(rng: np.random.Generator, n: int, distribution: str) -> np.ndarray:

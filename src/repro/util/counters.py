@@ -16,16 +16,13 @@ from typing import Dict
 
 @dataclass
 class OpCounter:
-    """Counts scalar multiply/add operations and memory traffic.
+    """Counts scalar multiply/add operations, buffer resets and kernel calls.
 
     Attributes
     ----------
     flops:
         Scalar fused multiply-add operations (a multiply and the accumulate
         that follows are counted as 2 operations, matching the paper).
-    bytes_moved:
-        Bytes read from or written to tensor operands and buffers by the
-        execution engine (approximate; counts NumPy-level slice traffic).
     buffer_resets:
         Number of intermediate-buffer zero-fills performed, a proxy for the
         overhead of the factorize-and-fuse approach.
@@ -34,41 +31,23 @@ class OpCounter:
     """
 
     flops: int = 0
-    bytes_moved: int = 0
     buffer_resets: int = 0
     kernel_calls: Dict[str, int] = field(default_factory=dict)
 
     def add_flops(self, n: int) -> None:
         self.flops += int(n)
 
-    def add_bytes(self, n: int) -> None:
-        self.bytes_moved += int(n)
-
-    def add_reset(self, n: int = 1) -> None:
-        self.buffer_resets += int(n)
-
     def add_call(self, kernel: str, n: int = 1) -> None:
         self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + int(n)
 
-    def merge(self, other: "OpCounter") -> "OpCounter":
-        """Accumulate *other* into this counter and return ``self``."""
-        self.flops += other.flops
-        self.bytes_moved += other.bytes_moved
-        self.buffer_resets += other.buffer_resets
-        for k, v in other.kernel_calls.items():
-            self.kernel_calls[k] = self.kernel_calls.get(k, 0) + v
-        return self
-
     def reset(self) -> None:
         self.flops = 0
-        self.bytes_moved = 0
         self.buffer_resets = 0
         self.kernel_calls.clear()
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "flops": self.flops,
-            "bytes_moved": self.bytes_moved,
             "buffer_resets": self.buffer_resets,
             "kernel_calls": dict(self.kernel_calls),
         }

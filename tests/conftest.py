@@ -161,8 +161,8 @@ def random_coo4():
 def mttkrp_setup(random_coo3):
     """(kernel, tensors dict) for an order-3 MTTKRP with R=5."""
     T = random_coo3
-    B = random_dense_matrix(T.shape[1], 5, seed=1, name="B")
-    C = random_dense_matrix(T.shape[2], 5, seed=2, name="C")
+    B = random_dense_matrix(T.shape[1], 5, seed=1)
+    C = random_dense_matrix(T.shape[2], 5, seed=2)
     kernel = parse_kernel("ijk,ja,ka->ia", [T, B, C], names=["T", "B", "C"])
     return kernel, {"T": T, "B": B, "C": C}
 
@@ -171,8 +171,8 @@ def mttkrp_setup(random_coo3):
 def ttmc_setup(random_coo3):
     """(kernel, tensors dict) for an order-3 TTMc with R=4, S=5."""
     T = random_coo3
-    U = random_dense_matrix(T.shape[1], 4, seed=3, name="U")
-    V = random_dense_matrix(T.shape[2], 5, seed=4, name="V")
+    U = random_dense_matrix(T.shape[1], 4, seed=3)
+    V = random_dense_matrix(T.shape[2], 5, seed=4)
     kernel = parse_kernel("ijk,jr,ks->irs", [T, U, V], names=["T", "U", "V"])
     return kernel, {"T": T, "U": U, "V": V}
 
@@ -181,9 +181,9 @@ def ttmc_setup(random_coo3):
 def ttmc4_setup(random_coo4):
     """(kernel, tensors dict) for an order-4 TTMc."""
     T = random_coo4
-    U = random_dense_matrix(T.shape[1], 3, seed=5, name="U")
-    V = random_dense_matrix(T.shape[2], 4, seed=6, name="V")
-    W = random_dense_matrix(T.shape[3], 3, seed=7, name="W")
+    U = random_dense_matrix(T.shape[1], 3, seed=5)
+    V = random_dense_matrix(T.shape[2], 4, seed=6)
+    W = random_dense_matrix(T.shape[3], 3, seed=7)
     kernel = parse_kernel(
         "ijkl,jr,ks,lt->irst", [T, U, V, W], names=["T", "U", "V", "W"]
     )
@@ -194,9 +194,9 @@ def ttmc4_setup(random_coo4):
 def tttp_setup(random_coo3):
     """(kernel, tensors dict) for an order-3 TTTP (sparse-pattern output)."""
     T = random_coo3
-    A = random_dense_matrix(T.shape[0], 4, seed=8, name="A")
-    B = random_dense_matrix(T.shape[1], 4, seed=9, name="B")
-    C = random_dense_matrix(T.shape[2], 4, seed=10, name="C")
+    A = random_dense_matrix(T.shape[0], 4, seed=8)
+    B = random_dense_matrix(T.shape[1], 4, seed=9)
+    C = random_dense_matrix(T.shape[2], 4, seed=10)
     kernel = parse_kernel(
         "ijk,ir,jr,kr->ijk", [T, A, B, C], names=["T", "A", "B", "C"]
     )
@@ -207,9 +207,9 @@ def tttp_setup(random_coo3):
 def allmode_setup(random_coo3):
     """(kernel, tensors dict) for the order-3 all-mode TTMc."""
     T = random_coo3
-    U = random_dense_matrix(T.shape[0], 3, seed=11, name="U")
-    V = random_dense_matrix(T.shape[1], 4, seed=12, name="V")
-    W = random_dense_matrix(T.shape[2], 3, seed=13, name="W")
+    U = random_dense_matrix(T.shape[0], 3, seed=11)
+    V = random_dense_matrix(T.shape[1], 4, seed=12)
+    W = random_dense_matrix(T.shape[2], 3, seed=13)
     kernel = parse_kernel(
         "ijk,ir,js,kt->rst", [T, U, V, W], names=["T", "U", "V", "W"]
     )

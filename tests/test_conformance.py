@@ -43,7 +43,7 @@ from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tttc_spec
 from repro.kernels.tttp import tttp_spec
-from repro.sptensor import COOTensor, CSFTensor, DenseTensor, random_sparse_tensor
+from repro.sptensor import COOTensor, CSFTensor, random_sparse_tensor
 from repro.util.counters import OpCounter
 
 #: The order-3 sparse tensor every matrix cell contracts.
@@ -162,8 +162,7 @@ def _frozen(tensor):
         return COOTensor(
             tensor.shape, _frozen(tensor.indices), _frozen(tensor.values), sort=False
         )
-    data = tensor.data if isinstance(tensor, DenseTensor) else np.asarray(tensor)
-    return np.frombuffer(data.tobytes(), dtype=data.dtype).reshape(data.shape)
+    return np.frombuffer(tensor.tobytes(), dtype=tensor.dtype).reshape(tensor.shape)
 
 
 def _assert_read_only_operands_change_nothing(kernel, nest, mapping):

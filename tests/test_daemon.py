@@ -95,7 +95,7 @@ class TestProtocolCodec:
     def test_request_round_trip_preserves_fields(self):
         tensor = random_sparse_tensor((8, 7, 6), nnz=40, seed=5)
         factors = [
-            random_dense_matrix(dim, 4, seed=m).data
+            random_dense_matrix(dim, 4, seed=m)
             for m, dim in enumerate(tensor.shape)
         ]
         request = mttkrp_request(tensor, factors[1:], mode=0, engine="reference")

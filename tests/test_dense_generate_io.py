@@ -1,10 +1,9 @@
-"""Unit tests for DenseTensor, the synthetic generators, .tns I/O and presets."""
+"""Unit tests for the synthetic generators, .tns I/O and presets."""
 
 import numpy as np
 import pytest
 
 from repro.sptensor import (
-    DenseTensor,
     block_sparse_tensor,
     dataset_presets,
     load_preset,
@@ -15,48 +14,6 @@ from repro.sptensor import (
     write_tns,
 )
 from repro.sptensor.io import tns_from_string
-
-
-class TestDenseTensor:
-    def test_basic_properties(self):
-        d = DenseTensor(np.zeros((3, 4)), name="A")
-        assert d.shape == (3, 4)
-        assert d.order == 2
-        assert d.size == 12
-        assert d.name == "A"
-
-    def test_scalar_promoted_to_1d(self):
-        d = DenseTensor(np.float64(2.0))
-        assert d.shape == (1,)
-
-    def test_zeros_and_random_constructors(self):
-        z = DenseTensor.zeros((2, 3))
-        assert np.all(z.data == 0)
-        r = DenseTensor.random((2, 3), seed=0)
-        r2 = DenseTensor.random((2, 3), seed=0)
-        np.testing.assert_allclose(r.data, r2.data)
-
-    def test_slice_at(self):
-        d = DenseTensor(np.arange(24, dtype=float).reshape(2, 3, 4))
-        view = d.slice_at({0: 1, 2: 3})
-        np.testing.assert_allclose(view, d.data[1, :, 3])
-
-    def test_slice_at_out_of_bounds(self):
-        d = DenseTensor.zeros((2, 3))
-        with pytest.raises(ValueError):
-            d.slice_at({0: 5})
-
-    def test_copy_independent(self):
-        d = DenseTensor.random((2, 2), seed=1)
-        c = d.copy()
-        c.data[:] = 0
-        assert not np.allclose(d.data, 0)
-
-    def test_allclose(self):
-        a = DenseTensor.random((3, 3), seed=2)
-        assert a.allclose(a.copy())
-        assert not a.allclose(DenseTensor.zeros((3, 3)))
-        assert not a.allclose(DenseTensor.zeros((2, 2)))
 
 
 class TestGenerators:
@@ -120,9 +77,10 @@ class TestGenerators:
             block_sparse_tensor((5, 5), (2, 2), n_blocks=1, fill=0.0)
 
     def test_random_dense_matrix(self):
-        m = random_dense_matrix(6, 4, seed=0, name="F")
-        assert m.shape == (6, 4)
-        assert m.name == "F"
+        m = random_dense_matrix(6, 4, seed=0)
+        assert type(m) is np.ndarray
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        np.testing.assert_array_equal(m, np.random.default_rng(0).random((6, 4)))
 
 
 class TestTnsIO:

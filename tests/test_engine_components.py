@@ -1,13 +1,10 @@
-"""Unit tests for the engine building blocks: BLAS layer, buffers, reference."""
+"""Unit tests for the engine building blocks: BLAS layer and reference."""
 
 import numpy as np
 import pytest
 
-from repro.core.loop_nest import BufferSpec
 from repro.engine.blas import classify_call, specialize_contraction
-from repro.engine.buffers import BufferSet
 from repro.engine.reference import assert_same_result, dense_reference, reference_output
-from repro.util.counters import OpCounter
 
 
 class TestClassifyCall:
@@ -67,54 +64,6 @@ class TestVectorizedContract:
         assert name == "axpy"
 
 
-class TestBufferSet:
-    def _specs(self):
-        return [
-            BufferSpec(name="_X", producer=0, consumer=1, indices=("s",)),
-            BufferSpec(name="_Y", producer=1, consumer=2, indices=("s", "t")),
-            BufferSpec(name="_Z", producer=2, consumer=3, indices=()),
-        ]
-
-    def test_allocation_shapes(self):
-        bs = BufferSet(self._specs(), {"s": 4, "t": 3})
-        assert bs.array("_X").shape == (4,)
-        assert bs.array("_Y").shape == (4, 3)
-        assert bs.array("_Z").shape == ()
-        assert bs.total_elements() == 4 + 12 + 1
-        assert bs.max_dimension() == 2
-
-    def test_duplicate_names_rejected(self):
-        specs = self._specs() + [BufferSpec("_X", 3, 4, ("t",))]
-        with pytest.raises(ValueError, match="duplicate"):
-            BufferSet(specs, {"s": 4, "t": 3})
-
-    def test_view_and_free_indices(self):
-        bs = BufferSet(self._specs(), {"s": 4, "t": 3})
-        view = bs.view("_Y", {"s": 2})
-        assert view.shape == (3,)
-        assert bs.free_indices("_Y", {"s": 2}) == ("t",)
-        assert bs.free_indices("_Y", {"s": 2, "t": 0}) == ()
-
-    def test_reset_partial(self):
-        counter = OpCounter()
-        bs = BufferSet(self._specs(), {"s": 4, "t": 3}, counter)
-        bs.array("_Y")[:] = 7.0
-        bs.reset("_Y", {"s": 1})
-        assert np.all(bs.array("_Y")[1] == 0.0)
-        assert np.all(bs.array("_Y")[0] == 7.0)
-        assert counter.buffer_resets == 1
-
-    def test_reset_scalar_buffer(self):
-        bs = BufferSet(self._specs(), {"s": 4, "t": 3})
-        bs.array("_Z")[()] = 5.0
-        bs.reset("_Z", {})
-        assert bs.array("_Z")[()] == 0.0
-
-    def test_contains(self):
-        bs = BufferSet(self._specs(), {"s": 4, "t": 3})
-        assert "_X" in bs and "_missing" not in bs
-
-
 class TestReference:
     def test_dense_reference_matches_einsum(self, ttmc_setup):
         kernel, tensors = ttmc_setup
@@ -122,8 +71,8 @@ class TestReference:
         manual = np.einsum(
             "ijk,jr,ks->irs",
             tensors["T"].to_dense(),
-            tensors["U"].data,
-            tensors["V"].data,
+            tensors["U"],
+            tensors["V"],
         )
         np.testing.assert_allclose(ref, manual)
 

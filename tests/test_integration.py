@@ -17,7 +17,7 @@ class TestPublicAPI:
         B = random_dense_matrix(random_coo3.shape[1], 4, seed=0)
         C = random_dense_matrix(random_coo3.shape[2], 4, seed=1)
         out, schedule = repro.contract("ijk,ja,ka->ia", [random_coo3, B, C])
-        ref = np.einsum("ijk,ja,ka->ia", random_coo3.to_dense(), B.data, C.data)
+        ref = np.einsum("ijk,ja,ka->ia", random_coo3.to_dense(), B, C)
         np.testing.assert_allclose(out, ref, atol=1e-10)
         assert schedule.max_buffer_dimension() <= 2
 
@@ -27,6 +27,16 @@ class TestPublicAPI:
     def test_top_level_symbols(self):
         for name in ("SpTTNScheduler", "LoopNestExecutor", "CSFTensor", "contract"):
             assert hasattr(repro, name)
+
+    def test_cli_dense_operands_are_ndarrays(self, random_coo3):
+        from repro.__main__ import _build_operands
+
+        _, J, K = random_coo3.shape
+        operands = _build_operands("ijk,ja,kab->ib", random_coo3, rank=4, seed=7)
+        assert operands[0] is random_coo3
+        assert [type(d) for d in operands[1:]] == [np.ndarray, np.ndarray]
+        np.testing.assert_array_equal(operands[1], np.random.default_rng(7).random((J, 4)))
+        np.testing.assert_array_equal(operands[2], np.random.default_rng(8).random((K, 4, 4)))
 
 
 class TestDatasetToScheduleFlow:
@@ -48,7 +58,7 @@ class TestDatasetToScheduleFlow:
         B = random_dense_matrix(T.shape[1], 3, seed=0)
         C = random_dense_matrix(T.shape[2], 3, seed=1)
         out, _ = repro.contract("ijk,jr,ks->irs", [T, B, C])
-        ref = np.einsum("ijk,jr,ks->irs", random_coo3.to_dense(), B.data, C.data)
+        ref = np.einsum("ijk,jr,ks->irs", random_coo3.to_dense(), B, C)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
@@ -72,7 +82,7 @@ class TestDistributedDecompositionFlow:
         """One CP-ALS style step where the MTTKRP runs on the distributed runtime."""
         rank = 3
         factors = [
-            random_dense_matrix(d, rank, seed=n).data for n, d in enumerate(random_coo3.shape)
+            random_dense_matrix(d, rank, seed=n) for n, d in enumerate(random_coo3.shape)
         ]
         kernel, tensors = mttkrp_kernel(random_coo3, factors, mode=0)
         dist = DistributedSpTTN(kernel, tensors)

@@ -17,7 +17,7 @@ from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
 from repro.kernels.tttc import tt_core_shapes, tttc_spec
 from repro.kernels.tttp import tttp_spec
 from repro.core.scheduler import SpTTNScheduler
-from repro.sptensor import DenseTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor import random_dense_matrix, random_sparse_tensor
 
 
 @pytest.fixture
@@ -91,8 +91,7 @@ def _family_call(family, tensor3, factors3):
         left, right = random_dense_matrix(20, 6, seed=4), random_dense_matrix(15, 6, seed=5)
         return lambda: sddmm(matrix, left, right).values
     cores = [
-        DenseTensor(np.random.default_rng(n).random(s))
-        for n, s in enumerate(tt_core_shapes(tensor3.shape, 3))
+        np.random.default_rng(n).random(s) for n, s in enumerate(tt_core_shapes(tensor3.shape, 3))
     ]
     return lambda: tttc(tensor3, cores)
 
@@ -133,7 +132,7 @@ class TestMTTKRP:
             + letters[mode]
             + "r"
         )
-        other = [factors3[n].data for n in range(3) if n != mode]
+        other = [factors3[n] for n in range(3) if n != mode]
         np.testing.assert_allclose(out, np.einsum(spec, dense, *other), atol=1e-10)
 
     def test_accepts_reduced_factor_list(self, tensor3, factors3):
@@ -166,7 +165,7 @@ class TestTTMc:
                 continue
             ins.append(letters[n] + ranks[pos])
             outs += ranks[pos]
-            args.append(factors[n].data)
+            args.append(factors[n])
             pos += 1
         spec = "ijk," + ",".join(ins) + "->" + outs
         np.testing.assert_allclose(out, np.einsum(spec, dense, *args), atol=1e-10)
@@ -176,9 +175,9 @@ class TestTTMc:
         ref = np.einsum(
             "ijk,ir,js,kt->rst",
             tensor3.to_dense(),
-            factors3[0].data,
-            factors3[1].data,
-            factors3[2].data,
+            factors3[0],
+            factors3[1],
+            factors3[2],
         )
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
@@ -192,7 +191,7 @@ class TestTTTPAndSDDMM:
         out = tttp(tensor3, factors3)
         assert out.same_pattern(tensor3)
         model = np.einsum(
-            "ir,jr,kr->ijk", factors3[0].data, factors3[1].data, factors3[2].data
+            "ir,jr,kr->ijk", factors3[0], factors3[1], factors3[2]
         )
         dense = tensor3.to_dense()
         expected = np.array([dense[tuple(c)] * model[tuple(c)] for c in out.indices])
@@ -212,7 +211,7 @@ class TestTTTPAndSDDMM:
         L = random_dense_matrix(20, 6, seed=4)
         R = random_dense_matrix(15, 6, seed=5)
         out = sddmm(M, L, R)
-        dd = L.data @ R.data.T
+        dd = L @ R.T
         dense = M.to_dense()
         expected = np.array([dense[tuple(c)] * dd[tuple(c)] for c in out.indices])
         np.testing.assert_allclose(out.values, expected, atol=1e-10)
@@ -232,12 +231,11 @@ class TestTTTc:
     def test_order3_last_core(self):
         T = random_sparse_tensor((10, 9, 8), density=0.05, seed=9)
         cores = [
-            DenseTensor(np.random.default_rng(n).random(s))
-            for n, s in enumerate(tt_core_shapes(T.shape, 3))
+            np.random.default_rng(n).random(s) for n, s in enumerate(tt_core_shapes(T.shape, 3))
         ]
         out = tttc(T, cores)
         ref = np.einsum(
-            "ijk,ir,rjs->sk", T.to_dense(), cores[0].data, cores[1].data
+            "ijk,ir,rjs->sk", T.to_dense(), cores[0], cores[1]
         )
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
@@ -245,8 +243,7 @@ class TestTTTc:
     def test_order4_any_removed_core(self, removed):
         T = random_sparse_tensor((8, 7, 6, 5), density=0.02, seed=10)
         cores = [
-            DenseTensor(np.random.default_rng(n).random(s))
-            for n, s in enumerate(tt_core_shapes(T.shape, 2))
+            np.random.default_rng(n).random(s) for n, s in enumerate(tt_core_shapes(T.shape, 2))
         ]
         out = tttc(T, cores, removed_core=removed)
         subs = ["ia", "ajb", "bkc", "cl"]
@@ -255,15 +252,14 @@ class TestTTTc:
         ref = np.einsum(
             ",".join(ins) + "->" + outs,
             T.to_dense(),
-            *[cores[n].data for n in range(4) if n != removed],
+            *[cores[n] for n in range(4) if n != removed],
         )
         np.testing.assert_allclose(out, ref.reshape(out.shape), atol=1e-10)
 
     def test_reduced_core_list(self):
         T = random_sparse_tensor((10, 9, 8), density=0.05, seed=9)
         cores = [
-            DenseTensor(np.random.default_rng(n).random(s))
-            for n, s in enumerate(tt_core_shapes(T.shape, 3))
+            np.random.default_rng(n).random(s) for n, s in enumerate(tt_core_shapes(T.shape, 3))
         ]
         full = tttc(T, cores, removed_core=2)
         reduced = tttc(T, cores[:2], removed_core=2)

@@ -20,7 +20,7 @@ from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import Program, lower_plan
 from repro.engine.plan_cache import PlanCache, default_plan_cache
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
-from repro.sptensor import COOTensor, DenseTensor, random_sparse_tensor
+from repro.sptensor import COOTensor, random_sparse_tensor
 from repro.util.counters import OpCounter
 
 KERNELS = ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
@@ -66,10 +66,7 @@ class TestTTTcLowers:
     def test_order6_tensor_train_contraction(self):
         tensor = random_sparse_tensor(tuple(8 for _ in range(6)), nnz=300, seed=3)
         rng = np.random.default_rng(5)
-        cores = [
-            DenseTensor(rng.random(shape), name=f"G{i}")
-            for i, shape in enumerate(tt_core_shapes(tensor.shape, 4))
-        ]
+        cores = [rng.random(shape) for shape in tt_core_shapes(tensor.shape, 4)]
         kernel, tensors = tttc_kernel(tensor, cores, removed_core=5)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         lowered, interpreted = run_both(kernel, tensors, nest)

@@ -78,8 +78,8 @@ class TestPlanCacheKeying:
     def test_miss_on_changed_shape(self):
         def build(dim):
             T = random_sparse_tensor((10, dim, 6), nnz=40, seed=3)
-            B = random_dense_matrix(dim, 4, seed=1, name="B")
-            C = random_dense_matrix(6, 4, seed=2, name="C")
+            B = random_dense_matrix(dim, 4, seed=1)
+            C = random_dense_matrix(6, 4, seed=2)
             kernel = parse_kernel("ijk,ja,ka->ia", [T, B, C], names=["T", "B", "C"])
             return kernel, {"T": T, "B": B, "C": C}
 
@@ -98,7 +98,7 @@ class TestPlanCacheKeying:
         LoopNestExecutor(kernel, nest, plan_cache=cache).execute(tensors)
 
         downcast = dict(tensors)
-        downcast["B"] = np.asarray(tensors["B"].data, dtype=np.float32)
+        downcast["B"] = np.asarray(tensors["B"], dtype=np.float32)
         LoopNestExecutor(kernel, nest, plan_cache=cache).execute(downcast)
         assert cache.stats()["misses"] == 2
 
@@ -206,8 +206,8 @@ class TestScheduleCache:
         cache = PlanCache()
         for seed in (1, 2):
             T = random_sparse_tensor((12, 10, 8), nnz=30 + seed * 10, seed=seed)
-            B = random_dense_matrix(10, 3, seed=1, name="B")
-            C = random_dense_matrix(8, 3, seed=2, name="C")
+            B = random_dense_matrix(10, 3, seed=1)
+            C = random_dense_matrix(8, 3, seed=2)
             kernel = parse_kernel("ijk,ja,ka->ia", [T, B, C], names=["T", "B", "C"])
             cached_schedule(kernel, cache=cache)
         assert cache.stats()["misses"] == 2

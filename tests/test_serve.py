@@ -36,7 +36,6 @@ from repro.serve import (
 from repro.serve.service import _SCHEDULE_KNOBS
 from repro.sptensor import (
     COOTensor,
-    DenseTensor,
     random_dense_matrix,
     random_sparse_tensor,
 )
@@ -59,7 +58,7 @@ def serve_tensor():
 @pytest.fixture
 def serve_factors(serve_tensor):
     return [
-        random_dense_matrix(dim, 5, seed=mode).data
+        random_dense_matrix(dim, 5, seed=mode)
         for mode, dim in enumerate(serve_tensor.shape)
     ]
 
@@ -233,14 +232,11 @@ class TestParallelServing:
             _assert_outputs_equal(r, results[0])
 
     def test_shared_dense_tensor_wrappers_stay_bitwise(self, serve_tensor):
-        # DenseTensor-wrapped operands lose their wrapper through the shm
-        # broadcast (workers receive the bare float64 array); results must
-        # still match serial serving bit for bit
+        # float32 factors cross the shm broadcast as float32 and are widened
+        # to float64 in the worker; results must still match serial serving
+        # bit for bit
         factors = [
-            DenseTensor(
-                np.random.default_rng(m).random((serve_tensor.shape[m], 4)),
-                name=f"F{m}",
-            )
+            np.random.default_rng(m).random((serve_tensor.shape[m], 4), dtype=np.float32)
             for m in range(3)
         ]
         requests = [

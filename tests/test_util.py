@@ -69,25 +69,12 @@ class TestOpCounter:
     def test_accumulation(self):
         c = OpCounter()
         c.add_flops(10)
-        c.add_bytes(64)
-        c.add_reset()
+        c.buffer_resets += 1
         c.add_call("gemv")
         c.add_call("gemv")
         assert c.flops == 10
-        assert c.bytes_moved == 64
         assert c.buffer_resets == 1
         assert c.kernel_calls == {"gemv": 2}
-
-    def test_merge(self):
-        a, b = OpCounter(), OpCounter()
-        a.add_flops(1)
-        a.add_call("axpy")
-        b.add_flops(2)
-        b.add_call("axpy")
-        b.add_call("ger")
-        a.merge(b)
-        assert a.flops == 3
-        assert a.kernel_calls == {"axpy": 2, "ger": 1}
 
     def test_reset_and_as_dict(self):
         c = OpCounter()
@@ -95,4 +82,4 @@ class TestOpCounter:
         c.reset()
         assert c.flops == 0
         d = c.as_dict()
-        assert set(d) == {"flops", "bytes_moved", "buffer_resets", "kernel_calls"}
+        assert set(d) == {"flops", "buffer_resets", "kernel_calls"}
