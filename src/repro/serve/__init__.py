@@ -15,6 +15,8 @@
   fronting a :class:`ContractionService` with backpressure, per-client
   round-robin fairness, cross-client signature batching, streamed results
   and graceful drain (``repro serve --daemon``).
+* :mod:`repro.serve.connection` — the daemon's connection reader, which
+  reads each tensor frame in place (imported by the daemon only).
 * :mod:`repro.serve.client` — :class:`ServeClient`: the blocking NDJSON
   client used by ``repro serve --connect``, tests and benchmarks.
 """

@@ -33,6 +33,9 @@ from repro.sptensor.coo import COOTensor
 
 Output = Union[np.ndarray, COOTensor]
 
+#: Most buffers one ``sendmsg`` call takes (Linux ``IOV_MAX``).
+_IOV_MAX = 1024
+
 
 class PendingReply:
     """Handle for one submitted request's streamed reply.
@@ -172,17 +175,23 @@ class ServeClient:
     ) -> List[PendingReply]:
         """Send several requests as one burst (replies stream unordered).
 
-        Everything is encoded before the first byte is sent and goes out in
-        one ``sendall``, so the daemon's input does not pause inside the
-        burst and it dispatches the burst as one cycle.
+        Every request is encoded before the first byte is sent; their
+        ``dumps`` bytes go out back to back in one vectored ``sendmsg`` (and
+        more for what a partial send left), never joined into a second copy.
+        The daemon's input does not pause inside the burst: it is one cycle.
         """
         burst = [(self._fresh_id(), r) for r in requests]
-        self._sock.sendall(b"".join(
-            protocol.dumps(
-                {"op": "submit", "id": i, "request": protocol.encode_request(r)}
-            )
-            for i, r in burst
-        ))
+        views = [memoryview(protocol.dumps(
+            {"op": "submit", "id": i, "request": protocol.encode_request(r)}
+        )) for i, r in burst]
+        first = 0
+        while first < len(views):
+            sent = self._sock.sendmsg(views[first : first + _IOV_MAX])
+            while first < len(views) and sent >= len(views[first]):
+                sent -= len(views[first])
+                first += 1
+            if sent:
+                views[first] = views[first][sent:]
         return [PendingReply(i, self) for i, _ in burst]
 
     def run(self, requests: Sequence[ContractionRequest]) -> List[Output]:

@@ -3,9 +3,10 @@
 :class:`ServeDaemon` turns the in-process :class:`~repro.serve.ContractionService`
 into a long-running TCP server speaking the newline-delimited JSON protocol
 of :mod:`repro.serve.protocol` (see ``docs/PROTOCOL.md``): one head line per
-message, then the raw tensor frames it announces, which reach the service
-as read-only ``np.frombuffer`` views.  The event loop owns connections,
-admission and dispatch:
+message, then the raw tensor frames it announces.  Each frame is read in
+place into its own ``bytearray`` (:mod:`repro.serve.connection`) and reaches
+the service as read-only ``np.frombuffer`` views.  The event loop owns
+connections, admission and dispatch:
 
 * **admission with backpressure** — every ``submit`` is validated (its spec
   parsed against its operands) and counted against the service's
@@ -19,7 +20,8 @@ admission and dispatch:
   requests to the shared service and flushes once, so requests from
   *different* connections that agree on the plan-cache signature share one
   schedule search and one compiled plan; a connection is passed over while
-  a message of its is arriving, so a pipelined burst is one cycle;
+  a message of its is arriving or unread bytes of it wait in its buffer or
+  socket, so a pipelined burst is one cycle;
 * **inline or off-loop flush** — a serial service flushes a cycle of at most
   :data:`INLINE_MAX_BYTES` whose schedules are all cached on the loop itself
   (no search can run there); any other cycle flushes in a worker thread, so
@@ -48,7 +50,6 @@ Tests and benchmarks embed the daemon in a background thread::
 from __future__ import annotations
 
 import asyncio
-import select
 import signal
 import threading
 import time
@@ -64,6 +65,7 @@ from repro.obs.metrics import metrics_snapshot, observe, prometheus_text
 from repro.obs.trace import enable_tracing, span as _span, tracing_enabled
 from repro.runtime import drain_pools, pool_stats, supervision_events
 from repro.serve import protocol
+from repro.serve.connection import Connection
 from repro.serve.request import ContractionRequest
 from repro.serve.service import (
     AdmissionError,
@@ -119,7 +121,7 @@ class _QueuedItem:
     #: seconds spent parsing the head and decoding the operands.
     wire_decode: float
     #: the frames the operands view (the next message may share them).
-    frames: List[bytes]
+    frames: List[bytearray]
     #: bytes the message took on the wire: head line plus frames.
     wire_bytes: int
 
@@ -129,7 +131,7 @@ class _Client:
     """Per-connection state: backlog, in-flight count, outbound queue."""
 
     conn_id: int
-    writer: asyncio.StreamWriter
+    conn: Connection
     outbox: "asyncio.Queue[Optional[bytes]]" = field(default_factory=asyncio.Queue)
     backlog: Deque[_QueuedItem] = field(default_factory=deque)
     inflight: int = 0
@@ -275,8 +277,9 @@ class ServeDaemon:
         self._work = asyncio.Event()
         self._gate = asyncio.Event()
         self._gate.set()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
+        self._server = await self._loop.create_server(
+            lambda: Connection(MAX_LINE_BYTES, self._handle_connection),
+            self.host, self.port,
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -326,12 +329,10 @@ class ServeDaemon:
     # ------------------------------------------------------------------ #
     # Connection handling (event-loop thread)
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle_connection(self, conn: Connection) -> None:
         conn_id = self._next_conn_id
         self._next_conn_id += 1
-        client = _Client(conn_id, writer)
+        client = _Client(conn_id, conn)
         self._clients[conn_id] = client
         self.stats.connections += 1
         self.stats.active_connections += 1
@@ -341,7 +342,7 @@ class ServeDaemon:
             while True:
                 try:
                     line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout  # None: no limit
+                        conn.readline(), self.idle_timeout  # None: no limit
                     )
                 except asyncio.TimeoutError:
                     if client.backlog or client.inflight or client.pending_ids:
@@ -350,60 +351,44 @@ class ServeDaemon:
                         continue
                     self.stats.idle_closed += 1
                     break
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                ):  # oversized line: unrecoverable framing loss
-                    client.send(
-                        protocol.error_reply(
-                            None,
-                            protocol.ERROR_PROTOCOL,
-                            f"line exceeds {MAX_LINE_BYTES} bytes",
-                        )
-                    )
-                    break
-                except (ConnectionError, OSError):
+                except ValueError as exc:  # an overlong line: framing is lost
+                    client.send(protocol.error_reply(None, protocol.ERROR_PROTOCOL, str(exc)))
                     break
                 if not line:
                     break  # EOF
                 self.stats.bytes_received += len(line)
-                if line.strip() and not await self._handle_line(client, reader, line):
+                if line.strip() and not await self._handle_line(client, line):
                     break  # framing lost, or the message was cut short
+                if client.backlog:  # dispatch it, or check again whether it is held
+                    self._work.set()
         finally:
             self._drop_client(client)
 
-    async def _handle_line(
-        self, client: _Client, reader: asyncio.StreamReader, line: bytes
-    ) -> bool:
+    async def _handle_line(self, client: _Client, line: bytes) -> bool:
         """Decode and act on one inbound message (errors stay structured).
 
         ``False`` once the stream cannot be delimited any more: close.
         """
         self.stats.received += 1
         msg_id: Any = None
-        frames: List[bytes] = []
+        frames: List[bytearray] = []
         decode_t0 = time.perf_counter()
         try:
             message = protocol.loads(line)
             msg_id = message.get("id")
             if message.get("frames"):
-                # one bytes object per frame: an operand view keeps alive
-                # only its own bytes; the wait for them is not decode time
+                # one bytearray per frame, read into in place: an operand view
+                # keeps alive only its own bytes; the wait is not decode time
                 wait_t0 = time.perf_counter()
                 client.receiving = True
+                frames = [bytearray(n) for n in message["frames"]]
                 try:
-                    frames = [
-                        await asyncio.wait_for(
-                            reader.readexactly(n), self.idle_timeout
-                        )
-                        for n in message["frames"]
-                    ]
-                except (OSError, EOFError, asyncio.TimeoutError):
+                    for frame in frames:
+                        await asyncio.wait_for(client.conn.readinto(frame), self.idle_timeout)
+                except (EOFError, asyncio.TimeoutError):
                     return False  # cut short, or stalled mid-message
                 finally:
                     client.receiving = False
-                    if client.backlog:  # ... which this message held back
-                        self._work.set()
                 self.stats.bytes_received += sum(message["frames"])
                 decode_t0 += time.perf_counter() - wait_t0
                 if client.backlog:
@@ -413,7 +398,7 @@ class ServeDaemon:
                     frames[: len(held)] = [
                         h if h == f else f for f, h in zip(frames, held)
                     ]
-                protocol.attach(message, frames)
+                protocol.attach(message, [memoryview(f).toreadonly() for f in frames])
             op = message.get("op")
             if op == "submit":
                 wire_bytes = len(line) + sum(map(len, frames))
@@ -487,8 +472,6 @@ class ServeDaemon:
             _QueuedItem(client, msg_id, request, expires_at, wire_decode, frames, wire_bytes)
         )
         self.stats.admitted += 1
-        assert self._work is not None
-        self._work.set()
 
     def _admit(self, request: ContractionRequest) -> None:
         """Admission control: the service's bound and eager validation.
@@ -535,16 +518,13 @@ class ServeDaemon:
                 payload = await client.outbox.get()
                 if payload is None:
                     break
-                client.writer.write(payload)
+                client.conn.transport.write(payload)
                 self.stats.bytes_sent += len(payload)
-                await client.writer.drain()
+                await client.conn.drain()
         except (ConnectionError, OSError):
             pass
         finally:
-            try:
-                client.writer.close()
-            except Exception:  # pragma: no cover - already closed
-                pass
+            client.conn.transport.close()
 
     # ------------------------------------------------------------------ #
     # Dispatch: round-robin drain -> service submit -> flush, inline or off-loop
@@ -578,10 +558,14 @@ class ServeDaemon:
         """
         clients = []
         for c in self._clients.values():
-            # a burst that is still arriving waits to be one cycle — up to what a
-            # cycle takes from one client, so a sender that never pauses is served
-            held = c.receiving and len(c.backlog) < self.client_quota
-            if c.backlog and (self._draining or not held):
+            # a burst that is still arriving (a message half read, or bytes no
+            # read has taken yet) waits to be one cycle — up to what a cycle
+            # takes from one client, so a sender that never pauses is served
+            if c.backlog and (
+                self._draining
+                or len(c.backlog) >= self.client_quota
+                or not (c.receiving or c.conn.unread())
+            ):
                 clients.append(c)
         if not clients:
             return []
@@ -605,19 +589,14 @@ class ServeDaemon:
         """Answer what the open connections had sent before the drain ended.
 
         A submit that raced the shutdown can still sit unread in a socket or
-        a stream buffer.  Until a pass finds no client socket holding unread
+        a connection's buffer.  Until a pass finds no client holding unread
         bytes and no message handled meanwhile, the connection handlers keep
         reading, and ``_handle_submit`` answers each submit with ``shutdown``.
         """
         deadline = time.monotonic() + SHUTDOWN_READ_SECONDS
         while time.monotonic() < deadline:
-            poller = select.poll()
-            for client in self._clients.values():
-                fd = client.writer.get_extra_info("socket").fileno()
-                if fd >= 0:  # -1 once the transport has closed it
-                    poller.register(fd, select.POLLIN)
             received = self.stats.received
-            unread = poller.poll(0)
+            unread = any(c.conn.unread() for c in self._clients.values())
             await asyncio.sleep(0.001)  # transports read, then handlers run
             if not unread and self.stats.received == received:
                 return

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.util.digest import blake2s_digest
 from repro.util.validation import as_index_array, check_shape, require
 
 #: ``(id(frame), address, nbytes, header)`` -> the latest tensor whose indices
-#: view that range of an immutable ``bytes`` frame; weak, so it pins no frame.
+#: view that range of a wire frame (see ``_frame_of``); weak, so it pins no frame.
 _FRAME_DIGESTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _DIGEST_COUNTS = {"digests": 0, "digest_reuses": 0}
 _DIGEST_LOCK = threading.Lock()
@@ -171,8 +171,11 @@ class COOTensor:
         immutable by contract, so ``indices`` must not be written in place
         afterwards.
 
-        A tensor viewing the same range of the same live ``bytes`` wire frame
-        as an earlier one, under the same header, takes that one's digest.
+        A tensor viewing the same range of the same live wire frame as an
+        earlier one, under the same header, takes that one's digest.  The memo
+        recognises a ``bytes`` frame, and a ``bytearray`` frame seen through a
+        read-only memoryview (how the daemon exposes the frames it reads in
+        place); whoever holds such a bytearray must not write it afterwards.
         """
         if self._pattern is None:
             idx = np.ascontiguousarray(self.indices)
@@ -312,10 +315,13 @@ def digest_stats() -> Dict[str, int]:
         return dict(_DIGEST_COUNTS)
 
 
-def _frame_of(arr: np.ndarray) -> Optional[bytes]:
-    """The immutable ``bytes`` object whose memory *arr* views, if any."""
+def _frame_of(arr: np.ndarray) -> Optional[Union[bytes, bytearray]]:
+    """The frame whose memory *arr* views, if views cannot write it: a ``bytes``
+    object, or a ``bytearray`` reached through a read-only memoryview."""
     while isinstance(arr, np.ndarray):
         arr = arr.base
+    if isinstance(arr, memoryview) and arr.readonly and type(arr.obj) is bytearray:
+        return arr.obj
     frame = arr.obj if isinstance(arr, memoryview) else arr
     return frame if type(frame) is bytes else None
 

@@ -39,6 +39,7 @@ from repro.serve import (
     start_daemon_thread,
     ttmc_request,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve import protocol
 from repro.serve.daemon import INLINE_MAX_BYTES
 from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
@@ -629,8 +630,12 @@ class TestBurstDispatch:
                         self.sock = sock
 
                     def sendall(self, data):
-                        sends.append(bytes(data))
+                        sends.append([bytes(data)])
                         self.sock.sendall(data)
+
+                    def sendmsg(self, buffers):
+                        sends.append([bytes(b) for b in buffers])
+                        return self.sock.sendmsg(buffers)
 
                     def __getattr__(self, name):
                         return getattr(self.sock, name)
@@ -638,9 +643,11 @@ class TestBurstDispatch:
                 client._sock = Recording(client._sock)
                 outputs = [p.result() for p in client.submit_many(requests)]
             assert handle.daemon.dispatch_trace == [[0] * len(requests)]
-        assert sends == [
-            b"".join(self._wire(r, f"c{n + 1}") for n, r in enumerate(requests))
-        ]
+        # one vectored send whose buffers are each request's own encoding,
+        # never a joined copy of the burst; on the wire, the same bytes
+        wires = [self._wire(r, f"c{n + 1}") for n, r in enumerate(requests)]
+        assert sends == [wires]
+        assert b"".join(sends[0]) == b"".join(wires)
         for out, want in zip(outputs, execute_sequential(requests)):
             _assert_outputs_equal(out, want)
 
@@ -657,10 +664,17 @@ class TestBurstDispatch:
                 _on_loop(handle, daemon.pause_dispatch)
                 pending = client.submit_many(requests)
                 assert client.ping()  # barrier: the three submits are queued
-                held = [item.frames for item in daemon._clients[0].backlog]
+                backlog = list(daemon._clients[0].backlog)
+                held = [item.frames for item in backlog]
+                operands = [op for item in backlog for op in item.request.operands]
                 _on_loop(handle, daemon.resume_dispatch)
                 outputs = [p.result() for p in pending]
         assert [len(frames) for frames in held] == [4, 4, 4]
+        # frames are read in place, but every operand is a read-only view
+        arrays = [a for op in operands for a in (
+            (op.indices, op.values) if isinstance(op, COOTensor) else (op,)
+        )]
+        assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
         for earlier, later in zip(held, held[1:]):
             # indices and values: one object; the factors differ and stay apart
             assert [a is b for a, b in zip(earlier, later)] == [True, True, False, False]
@@ -682,6 +696,33 @@ def _bulk_batch(tensor, seed):
 
 class TestFrameDigestReuse:
     """A burst over one sparse tensor hashes its shared index frame once."""
+
+    def test_a_burst_cut_at_message_boundaries_is_one_cycle(self):
+        # frames are read in place, so a read ends exactly where a message
+        # does; the next message's bytes, still unread, must hold the burst.
+        # The burst leaves as one blocking sendmsg of buffers that each end
+        # at a message boundary: a continuous stream, cut only there
+        tensor = random_sparse_tensor((80, 70, 60), nnz=36_000, seed=23)
+        batch = _bulk_batch(tensor, seed=24)
+        wires = [TestBurstDispatch()._wire(r, f"b{n}") for n, r in enumerate(batch)]
+        assert min(map(len, wires)) >= 1 << 20
+        expected = execute_sequential(batch)
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=60) as control:
+                before = control.stats()["caches"]["csf"]
+                with socket.create_connection(handle.address) as sock:
+                    rfile = sock.makefile("rb")
+                    assert sock.sendmsg(wires) == sum(map(len, wires))
+                    replies = dict(
+                        (reply["id"], _dense_result(reply, frames))
+                        for reply, frames in (_read_reply(rfile) for _ in wires)
+                    )
+                after = control.stats()["caches"]["csf"]
+            assert handle.daemon.dispatch_trace == [[1] * 8]
+        assert after["digests"] - before["digests"] == 1
+        assert after["digest_reuses"] - before["digest_reuses"] == 7
+        for n, want in enumerate(expected):
+            np.testing.assert_array_equal(replies[f"b{n}"], want)
 
     def test_each_burst_pays_one_digest_and_seven_reuses(self):
         tensor = random_sparse_tensor((60, 50, 40), nnz=3000, seed=21)
@@ -950,6 +991,20 @@ class TestDaemonFailurePaths:
                 sock.sendall(b'{"op":"ping","id":"p2"}\n')
                 assert json.loads(rfile.readline())["id"] == "p2"
             assert handle.daemon.stats.protocol_errors == 2
+
+    def test_an_overlong_head_line_closes_only_its_connection(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", 256)
+        with start_daemon_thread(workers=0) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(b'{"op":"ping","id":"' + b"x" * 300 + b'"}\n')
+                reply = json.loads(rfile.readline())
+                assert reply["id"] is None and reply["ok"] is False
+                assert reply["error"]["code"] == "protocol"
+                assert "line exceeds 256 bytes" in reply["error"]["message"]
+                assert rfile.readline() == b""  # framing is lost: closed
+            with ServeClient(*handle.address, timeout=30) as client:
+                assert client.ping()
 
     def test_invalid_request_is_rejected_at_admission(self):
         # structurally valid wire message whose spec cannot be built
