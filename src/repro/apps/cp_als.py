@@ -4,7 +4,10 @@ Each ALS sweep updates one factor matrix per mode by solving the linear
 least-squares problem whose right-hand side is the mode-``n`` MTTKRP of the
 sparse tensor with the other factors — the kernel whose scheduling the paper
 optimizes.  The Gram-matrix Hadamard product and the normal-equation solve
-are tiny dense operations by comparison.
+are tiny dense operations by comparison: the ``R x R`` system is solved by
+LU (``np.linalg.solve``), and only an exactly singular one (a zero factor
+column, an all-zero tensor) falls back to the pseudo-inverse.  Tensor
+values must be finite; a NaN or inf raises ``ValueError`` up front.
 
 The fit is computed without densifying the tensor using the standard
 identity ``<T, model> = sum(MTTKRP_n * F_n)`` for the last updated mode.
@@ -95,6 +98,7 @@ def cp_als(
     rank = check_positive_int(rank, "rank")
     coo = tensor.to_coo() if isinstance(tensor, CSFTensor) else tensor
     require(isinstance(coo, COOTensor), "tensor must be a sparse tensor")
+    require(np.isfinite(coo.values).all(), "tensor values must be finite (no NaN or inf)")
     order = coo.order
     rng = np.random.default_rng(seed)
     if initial_factors is not None:
@@ -141,7 +145,10 @@ def cp_als(
             for n in range(order):
                 if n != mode:
                     v *= grams[n]
-            factor = m @ np.linalg.pinv(v)
+            try:
+                factor = np.linalg.solve(v, m.T).T
+            except np.linalg.LinAlgError:  # v singular: a zero column or tensor
+                factor = m @ np.linalg.pinv(v)
             factor, weights = _normalize_columns(factor)
             factors[mode] = factor
             grams[mode] = factor.T @ factor

@@ -98,6 +98,7 @@ def tucker_hooi(
     """
     coo = tensor.to_coo() if isinstance(tensor, CSFTensor) else tensor
     require(isinstance(coo, COOTensor), "tensor must be a sparse tensor")
+    require(np.isfinite(coo.values).all(), "tensor values must be finite (no NaN or inf)")
     order = coo.order
     require(len(ranks) == order, "need one Tucker rank per mode")
     ranks = [check_positive_int(r, f"ranks[{n}]") for n, r in enumerate(ranks)]

@@ -19,6 +19,12 @@ Three mechanisms carry the speedup:
   calls write into existing buffers (NumPy ``out=``) and allocate nothing;
   a gather is direct once its ids pass a range check, since ``np.take``
   copies through a temporary under ``mode="raise"`` (:mod:`.pool`).
+  A two-operand ``Contract`` whose inputs both carry exactly its output
+  subscripts (``'ab,ab->ab'``, the MTTKRP Hadamard) sums nothing and runs
+  as one pooled ``np.multiply``; broadcasts (``'a,ab->ab'``) and every
+  contract that sums stay on ``np.einsum``.  Outputs stay bit-identical:
+  the multiply's only difference, a ``-0.0`` product where einsum's sum
+  read ``+0.0``, vanishes because every output is accumulated onto zeros.
 * **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
   per output fiber, never the full lane-expanded outer product), as does
@@ -274,6 +280,7 @@ _NAMESPACE = {
     "np": np,
     "_take": _bufpool.take_into,
     "_einsum": _bufpool.einsum_into,
+    "_mul": _bufpool.multiply_into,
     "_sum0": _bufpool.sum0_into,
     "_reduce": _reduce,
     "_scatter_lanes0": _scatter_lanes0,
@@ -466,6 +473,13 @@ class CompiledJit:
 # --------------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------------- #
+def _sums_nothing(spec: str) -> bool:
+    """Whether *spec* multiplies two operands elementwise (``'ab,ab->ab'``):
+    both inputs carry exactly the output subscripts, in their order."""
+    inputs, out = spec.split("->")
+    return inputs == f"{out},{out}"
+
+
 def _srcs_of(op) -> Tuple[int, ...]:
     if isinstance(op, ir.Contract):
         return tuple(op.srcs)
@@ -866,7 +880,10 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
             em.line(f"{dst} = _multigather({arr}, {ids}, {op.axes!r})")
     elif isinstance(op, ir.Contract):
         srcs = ", ".join(f"r{s}" for s in op.srcs)
-        em.line(f"{dst} = _einsum(B, {slot}, {op.spec!r}, {srcs})")
+        if _sums_nothing(op.spec):
+            em.line(f"{dst} = _mul(B, {slot}, {srcs})")
+        else:
+            em.line(f"{dst} = _einsum(B, {slot}, {op.spec!r}, {srcs})")
     elif isinstance(op, ir.SegmentReduce):
         cur = f"r{op.src}"
         for step, lvl in enumerate(range(op.from_level - 1, op.to_level - 1, -1)):

@@ -105,6 +105,27 @@ def einsum_into(pool: Pool, key: Hashable, spec: str, *operands) -> np.ndarray:
     return out
 
 
+def multiply_into(pool: Pool, key: Hashable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.multiply`` into a pooled buffer: an einsum that sums nothing.
+
+    The shapes are checked like :func:`einsum_into`'s, since ufunc ``out=``
+    broadcasts too.  Each element is the one rounded product
+    ``einsum('ab,ab->ab')`` computes, except that einsum adds it to
+    ``+0.0``, so a ``-0.0`` product reads ``+0.0`` there.
+    """
+    buf = pool.get(key)
+    if (
+        buf is not None
+        and buf.shape == a.shape == b.shape
+        and buf.dtype == np.result_type(a, b)
+    ):
+        return np.multiply(a, b, out=buf)
+    out = np.multiply(a, b)
+    if out.ndim:
+        pool[key] = out
+    return out
+
+
 def reduceat_into(pool: Pool, key: Hashable, value: np.ndarray,
                   starts: np.ndarray) -> np.ndarray:
     """``np.add.reduceat`` along axis 0 into a pooled buffer.

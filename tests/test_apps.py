@@ -175,3 +175,18 @@ class TestTensorTrain:
             tensor_train_decomposition(random_coo3, rank=0)
         with pytest.raises(ValueError):
             tensor_train_decomposition(COOTensor.empty((3, 3)), rank=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("app", ["cp_als", "tucker_hooi"])
+def test_non_finite_values_are_rejected_up_front(app, bad, lowrank_tensor):
+    """A NaN or inf value raises before any sweep: the normal-equation solve
+    would otherwise turn a NaN tensor into a silent fit of 1.0."""
+    values = lowrank_tensor.values.copy()
+    values[3] = bad
+    tensor = lowrank_tensor.with_values(values)
+    with pytest.raises(ValueError, match="finite"):
+        if app == "cp_als":
+            cp_als(tensor, rank=2, iterations=2)
+        else:
+            tucker_hooi(tensor, ranks=(2, 2, 2), iterations=2)

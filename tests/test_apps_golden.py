@@ -27,10 +27,15 @@ import pytest
 
 from repro.apps.cp_als import cp_als
 from repro.apps.tucker_hooi import tucker_hooi
+from repro.core.cost_model import OperationCountCost, evaluate_cost
+from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import compile_program
-from repro.engine.plan_cache import default_plan_cache
+from repro.engine.plan_cache import cached_schedule, default_plan_cache
+from repro.kernels.mttkrp import mttkrp_kernel
+from repro.kernels.ttmc import all_mode_ttmc_kernel, ttmc_kernel
 from repro.sptensor import random_sparse_tensor
-from test_codegen import outer_products_fed_to_selectors
+from repro.util.counters import OpCounter
+from test_codegen import elementwise_einsums, outer_products_fed_to_selectors
 
 _RTOL = 1e-6
 _ATOL = 1e-9
@@ -92,6 +97,54 @@ def test_tucker_hooi_fit_trajectory_matches_golden(golden_tensor):
     assert all(b >= a - 1e-12 for a, b in zip(result.fits, result.fits[1:]))
 
 
+#: cp_als(golden tensor, rank=4, iterations=3, tolerance=0) from factors
+#: ``default_rng(1).random((dim, 4))`` with column 1 of factor 2 zeroed: the
+#: Gram Hadamard is exactly singular, so the update takes the pseudo-inverse.
+_CP_ZERO_COLUMN_FITS = [0.09707803689156114, 0.11410913039700576, 0.12328061828663162]
+
+
+def test_cp_als_singular_normal_equations_fall_back_to_pinv(golden_tensor):
+    initial = [np.random.default_rng(1).random((dim, 4)) for dim in golden_tensor.shape]
+    initial[2][:, 1] = 0.0
+    result = cp_als(golden_tensor, 4, iterations=3, tolerance=0, initial_factors=initial)
+    np.testing.assert_allclose(result.fits, _CP_ZERO_COLUMN_FITS, rtol=1e-12)
+
+
+def test_cp_als_of_an_all_zero_tensor_is_a_perfect_finite_fit(golden_tensor):
+    zero = golden_tensor.with_values(np.zeros(golden_tensor.nnz))
+    result = cp_als(zero, 4, iterations=3, tolerance=0)
+    assert result.fits == [1.0, 1.0, 1.0]
+    assert all(np.isfinite(factor).all() for factor in result.factors)
+
+
+def _app_kernels(tensor):
+    """The kernels CP-ALS (rank 4) and HOOI (ranks 3) run on *tensor*: three
+    MTTKRPs, three TTMcs and the all-mode core, with their operands."""
+    rng = np.random.default_rng(0)
+
+    def factors(rank):
+        return [rng.random((dim, rank)) for dim in tensor.shape]
+
+    modes = range(tensor.order)
+    return (
+        [mttkrp_kernel(tensor, factors(4), mode) for mode in modes]
+        + [ttmc_kernel(tensor, factors(3), mode) for mode in modes]
+        + [all_mode_ttmc_kernel(tensor, factors(3))]
+    )
+
+
+@pytest.mark.parametrize("engine", ["interpret", "jit"])
+def test_the_model_counts_what_runs_on_the_app_kernels(golden_tensor, engine):
+    """On each app kernel's chosen nest, the executed multiply-adds are the
+    ``OperationCountCost`` Algorithm 1 minimizes."""
+    for kernel, operands in _app_kernels(golden_tensor):
+        nest = cached_schedule(kernel).loop_nest
+        model = evaluate_cost(kernel, nest.path, nest.order, OperationCountCost(kernel))
+        counter = OpCounter()
+        LoopNestExecutor(kernel, nest, counter=counter, engine=engine).execute(operands)
+        assert counter.flops == pytest.approx(model, rel=1e-9), kernel
+
+
 @pytest.mark.parametrize("engine", ["lowered", "interpret"])
 def test_golden_trajectories_stable_across_engines(
     golden_tensor, engine, monkeypatch
@@ -141,6 +194,20 @@ def test_no_hooi_kernel_scatters_a_lane_outer_product_through_a_selector(
     assert len(row_grouped) == 1
     unfused = compile_program(row_grouped[0].lowered, fuse=False)
     assert outer_products_fed_to_selectors(unfused.source)
+
+
+def test_no_cp_als_kernel_runs_an_elementwise_product_through_einsum(
+    benchmark_tensor, harness_workloads, monkeypatch
+):
+    """The census of one ``cp_als`` operation: each of its three jit kernels
+    multiplies its gathered factor rows with one pooled ``_mul``, and none
+    calls ``_einsum`` with an equal-subscript (``'ab,ab->ab'``) spec."""
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    _benchmark_operation("cp_als", benchmark_tensor, harness_workloads)
+    sources = [plan.jit.source for plan in default_plan_cache().values() if plan.jit]
+    assert len(sources) == 3
+    assert all(source.count(" = _mul(B, ") == 1 for source in sources)
+    assert not any(elementwise_einsums(source) for source in sources)
 
 
 @pytest.mark.parametrize("name, golden", [("cp_als", 19), ("hooi", 25)])

@@ -777,3 +777,77 @@ class TestGatherRoute:
         finally:
             tracemalloc.stop()
         assert peak < pool["k"].nbytes / 4
+
+
+_EINSUM_SPEC = re.compile(r"_einsum\(B, [^']+'([\w,]+)->(\w*)'")
+
+
+def elementwise_einsums(source):
+    """Specs of the ``_einsum`` calls in generated source that sum nothing
+    (both inputs carry exactly the output subscripts, ``'ab,ab->ab'``)."""
+    return [
+        f"{ins}->{out}"
+        for ins, out in _EINSUM_SPEC.findall(source)
+        if ins == f"{out},{out}"
+    ]
+
+
+class TestElementwiseMultiply:
+    """A two-operand ``Contract`` whose inputs both carry its output
+    subscripts sums nothing: both tiers compile it to one pooled
+    ``np.multiply`` (``_mul``), bit-identical to the interpreter."""
+
+    #: kernel -> the equal-subscript contract its chosen nest lowers to
+    CASES = {
+        "ijk,ij->ijk": "a,a->a",
+        "ijk,jr,kr->ir": "ab,ab->ab",
+        "ijk,jrs,krs->irs": "abc,abc->abc",
+    }
+
+    @staticmethod
+    def _execute(kernel, tensors, nest, engine):
+        counter = OpCounter()
+        executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
+        out = executor.execute(tensors)
+        assert executor.last_engine == engine
+        return executor, (out.values if isinstance(out, COOTensor) else out), counter
+
+    @pytest.mark.parametrize("engine", ["jit", "lowered"])
+    @pytest.mark.parametrize("spec", sorted(CASES))
+    def test_compiles_to_a_pooled_multiply(self, spec, engine):
+        # 30 nonzeros in 30^3: sums so short that every tier adds them in one order
+        tensor = random_sparse_tensor((30, 30, 30), nnz=30, seed=11)
+        kernel, tensors, nest = _spec_case(spec, tensor)
+        # negative factors with -0.0 rows: the multiply makes -0.0 products
+        # where einsum made +0.0, and no output may show them
+        for op in kernel.dense_operands:
+            tensors[op.name] = -tensors[op.name]
+            tensors[op.name][::2] = -0.0
+        executor, out, counter = self._execute(kernel, tensors, nest, engine)
+        plan = executor._plan
+        compiled = plan.jit if engine == "jit" else plan.unfused
+        assert self.CASES[spec] in [
+            op.spec for op in plan.lowered.ops if isinstance(op, ir.Contract)
+        ]
+        (slot,) = re.findall(r"= _mul\(B, (\d+), r\d+, r\d+\)", compiled.source)
+        assert elementwise_einsums(compiled.source) == []
+
+        _, ref, ref_counter = self._execute(kernel, tensors, nest, "interpret")
+        assert out.tobytes() == ref.tobytes()
+        assert counter.as_dict() == ref_counter.as_dict()
+
+        buf, keys = compiled.pool[int(slot)], set(compiled.pool)
+        assert (np.signbit(buf) & (buf == 0)).any()
+        _, warm, _ = self._execute(kernel, tensors, nest, engine)
+        assert compiled.pool[int(slot)] is buf and set(compiled.pool) == keys
+        assert warm.tobytes() == ref.tobytes()
+
+    def test_reallocates_on_a_shape_change(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.random((6, 4)), rng.random((6, 4))
+        pool = {}
+        codegen_mod._bufpool.multiply_into(pool, "k", a, b)
+        small = codegen_mod._bufpool.multiply_into(pool, "k", a[:1], b[:1])
+        assert small.shape == (1, 4) and pool["k"] is small
+        got = codegen_mod._bufpool.multiply_into(pool, "k", a, b[:1])  # broadcast
+        np.testing.assert_array_equal(got, np.einsum("ab,ab->ab", a, b[:1]))

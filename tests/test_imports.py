@@ -108,3 +108,19 @@ def test_csf_conversion_loads_nothing_above_the_sparse_tensor_layer():
     assert "repro.util.lru" in loaded
     above = {"repro.engine", "repro.serve", "repro.runtime"}
     assert sorted(m for m in loaded if ".".join(m.split(".")[:2]) in above) == []
+
+
+def test_running_the_apps_loads_no_dense_scipy_linalg():
+    # the normal equations are NumPy's LU solve; scipy.linalg would add its
+    # import time to every app's cold start
+    loaded = _fresh(
+        "from repro.apps import cp_als, tucker_hooi\n"
+        "from repro.sptensor import random_sparse_tensor\n"
+        "T = random_sparse_tensor((8, 7, 6), nnz=40, seed=0)\n"
+        "cp_als(T, 3, iterations=2)\n"
+        "tucker_hooi(T, (2, 2, 2), iterations=2)\n"
+        "import sys\n"
+        "print(*sys.modules)\n"
+    ).split()
+    assert "scipy.sparse" in loaded  # the jit tier ran
+    assert sorted(m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]) == []
