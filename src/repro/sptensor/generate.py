@@ -32,6 +32,14 @@ def _resolve_nnz(shape: Tuple[int, ...], nnz: Optional[int], density: Optional[f
     return nnz
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique(rows, axis=0)`` by a lexsort, without its void-dtype sort."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _dedupe_target(
     draw, shape: Tuple[int, ...], nnz: int, rng: np.random.Generator, max_rounds: int = 64
 ) -> np.ndarray:
@@ -40,7 +48,7 @@ def _dedupe_target(
     need = nnz
     for _ in range(max_rounds):
         batch = draw(int(need * 1.3) + 8)
-        collected = np.unique(np.vstack([collected, batch]), axis=0)
+        collected = _unique_rows(np.vstack([collected, batch]))
         if collected.shape[0] >= nnz:
             break
         need = nnz - collected.shape[0]

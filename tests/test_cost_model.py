@@ -112,8 +112,8 @@ class TestOperationCount:
         kernel, _ = ttmc_setup
         path = best_path(kernel)
         cost = OperationCountCost(kernel)
-        values = {
-            round(evaluate_cost(kernel, path, order, cost), 6)
+        kept = [
+            order
             for order in enumerate_loop_orders(kernel, path, limit=50)
             # only orders that keep the sparse loops sparse (descent available)
             if all(
@@ -121,10 +121,12 @@ class TestOperationCount:
                 == [i for i in kernel.csf_mode_order if i in set(o)]
                 for o in order
             )
-        }
+        ]
+        values = {round(evaluate_cost(kernel, path, order, cost), 6) for order in kept}
         # op count may differ when a sparse index is iterated densely, but the
         # CSF-consistent orders that keep descent available all agree
-        assert len(values) >= 1
+        assert kept
+        assert len(values) == 1
 
 
 class TestExecutionCost:

@@ -13,6 +13,7 @@ from repro.sptensor import (
     read_tns,
     write_tns,
 )
+from repro.sptensor.generate import _unique_rows
 from repro.sptensor.io import tns_from_string
 
 
@@ -75,6 +76,17 @@ class TestGenerators:
             block_sparse_tensor((5, 5), (6, 6), n_blocks=1)
         with pytest.raises(ValueError):
             block_sparse_tensor((5, 5), (2, 2), n_blocks=1, fill=0.0)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 500, 5000])
+    @pytest.mark.parametrize("shape", [(7,), (6, 5, 4), (30, 3, 900, 2)])
+    def test_unique_rows_equals_numpy_unique_on_drawn_batches(self, rows, shape):
+        # small extents force duplicates; the draws match the generators'
+        rng = np.random.default_rng(rows + len(shape))
+        batch = np.stack([rng.integers(0, s, size=rows) for s in shape], axis=1)
+        batch = batch.astype(np.int64)
+        got = _unique_rows(batch)
+        assert got.dtype == np.int64 and got.shape[1] == len(shape)
+        np.testing.assert_array_equal(got, np.unique(batch, axis=0))
 
     def test_random_dense_matrix(self):
         m = random_dense_matrix(6, 4, seed=0)

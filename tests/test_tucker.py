@@ -3,7 +3,9 @@
 ``_leading_singular_vectors`` must span the thin SVD's leading subspace and
 return orthonormal columns on every shape HOOI produces, including the
 spectra where a Gram-matrix route is known to lose digits, within the
-error its squared spectrum allows.
+error its squared spectrum allows.  HOOI's core, formed from the last
+mode's TTMc, must equal the all-mode TTMc of the final factors, and a
+sweep must execute exactly one contraction per mode.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.apps.tucker_hooi import _leading_singular_vectors, tucker_hooi
+from repro.engine.executor import LoopNestExecutor
+from repro.kernels.ttmc import all_mode_ttmc
 from repro.sptensor import random_sparse_tensor
 
 
@@ -102,3 +106,40 @@ def test_hooi_on_a_tall_tensor_takes_no_svd(monkeypatch):
     result = tucker_hooi(tensor, ranks=(3, 3, 3), iterations=2, seed=0, tolerance=0.0)
     assert result.iterations == 2
     assert calls == {"svd": 0, "eigh": 2 * 3}  # one Gram eigensolve per mode per sweep
+
+
+@pytest.mark.parametrize(
+    "shape, nnz, ranks",
+    [
+        ((40, 30, 20), 600, (3, 4, 2)),
+        # mode 0's 1-column unfolding pads its factor with zero columns
+        ((40, 30, 20), 600, (4, 1, 1)),
+        ((12, 10, 9, 8), 400, (3, 2, 4, 2)),
+    ],
+)
+def test_core_from_the_last_ttmc_equals_the_all_mode_ttmc(shape, nnz, ranks):
+    tensor = random_sparse_tensor(shape, nnz=nnz, seed=7)
+    result = tucker_hooi(tensor, ranks=ranks, iterations=2, seed=0, tolerance=0.0)
+    expected = all_mode_ttmc(tensor, result.factors)
+    assert result.core.shape == tuple(ranks)
+    np.testing.assert_allclose(
+        result.core, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+@pytest.mark.parametrize("shape, iterations", [((40, 30, 20), 3), ((12, 10, 9, 8), 2)])
+def test_a_sweep_executes_one_contraction_per_mode(monkeypatch, shape, iterations):
+    tensor = random_sparse_tensor(shape, nnz=400, seed=3)
+    calls = []
+    original = LoopNestExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.kernel)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LoopNestExecutor, "execute", counting)
+    result = tucker_hooi(
+        tensor, ranks=(2,) * len(shape), iterations=iterations, seed=0, tolerance=0.0
+    )
+    assert result.iterations == iterations
+    assert len(calls) == len(shape) * iterations
