@@ -25,6 +25,9 @@ Three mechanisms carry the speedup:
   contract that sums stay on ``np.einsum``.  Outputs stay bit-identical:
   the multiply's only difference, a ``-0.0`` product where einsum's sum
   read ``+0.0``, vanishes because every output is accumulated onto zeros.
+  It runs in place, taking over the slot of an operand that dies at it and
+  *is* that slot's buffer (an axis-0 ``_take``, a ``_mul`` / ``_einsum``);
+  views, the values, callers' arrays and SpMM results are never written.
 * **Peephole fusion.**  A per-lane outer-product ``Contract`` feeding a
   ``SegmentReduce`` becomes a per-segment GEMM loop (one BLAS ``np.dot``
   per output fiber, never the full lane-expanded outer product), as does
@@ -966,6 +969,18 @@ def _needs_slot(unit: _Unit) -> bool:
     return True
 
 
+def _is_its_buffer(unit: _Unit) -> bool:
+    """Whether the unit's register *is* ``B[slot]``: axis-0 ``_take``, ``_mul``, ``_einsum``."""
+    op = unit.op
+    return unit.kind == "op" and (
+        isinstance(op, ir.LaneExpand)
+        or isinstance(op, ir.Contract) and len(op.srcs) == 2
+        or isinstance(op, ir.GatherAxis) and op.axis == 0 and not op.src_has_lane
+        or isinstance(op, ir.ReadArray)
+        and [kind for kind, _ in op.axes] == [ir.GATHER] + [ir.KEEP] * (len(op.axes) - 1)
+    )
+
+
 def _emit_counters(em: _Emitter, ops) -> None:
     flops: List[ir.Count] = []
     resets: List[ir.Count] = []
@@ -1040,18 +1055,19 @@ def _compile(program: ir.Program, fuse: bool) -> CompiledJit:
     em = _Emitter()
     free: Dict[tuple, List[int]] = defaultdict(list)
     slot_of: Dict[int, int] = {}
+    owners = {unit.dst for unit in units if _is_its_buffer(unit)}
     n_slots = 0
     for ui, unit in enumerate(units):
         slot: Optional[int] = None
-        if _needs_slot(unit):
-            pool_sig = sig[unit.dst]
-            bucket = free[pool_sig]
-            if bucket:
-                slot = bucket.pop()
-            else:
-                slot = n_slots
-                n_slots += 1
-            slot_of[unit.dst] = slot
+        # a `_mul` takes over the slot of a dying operand that is its slot's buffer
+        mul = unit.kind == "op" and isinstance(unit.op, ir.Contract) and _sums_nothing(unit.op.spec)
+        heirs = [s for s in unit.srcs if mul and s in owners and last_use[s] == ui]
+        if heirs:
+            slot = slot_of[unit.dst] = slot_of.pop(heirs[0])  # not freed below
+        elif _needs_slot(unit):
+            bucket = free[sig[unit.dst]]
+            slot = slot_of[unit.dst] = bucket.pop() if bucket else n_slots
+            n_slots = max(n_slots, slot + 1)
         _emit_unit(em, unit, slot, regroup)
         dying = set(unit.srcs)
         if unit.dst is not None:

@@ -7,11 +7,12 @@ actual arithmetic.  This module centralizes the fix: a *pool* is a plain
 ``dict`` owned by the plan (one per compiled callable), mapping stable
 slot keys to reusable ``ndarray`` buffers.  Each primitive computes into
 the pooled buffer via the NumPy ``out=`` parameter when the cached buffer
-still matches, and transparently
-re-allocates (updating the pool) when it does not — so results are
-bit-identical to the unpooled expressions while warm calls allocate
-nothing.  Gathers are direct only when every id is in range: NumPy
-buffers ``np.take``'s ``out=`` under its default ``mode="raise"``.
+still matches, and transparently re-allocates (updating the pool) when it
+does not — so results are bit-identical to the unpooled expressions while
+warm calls allocate nothing.  Gathers are direct only when every id is in
+range: NumPy buffers ``np.take``'s ``out=`` under its default ``mode="raise"``.
+A key can pass between registers: codegen gives a ``_mul`` the slot of an
+operand dying at it, so :func:`multiply_into` multiplies into its buffer.
 
 The pool is intentionally dumb: no locking (plans are not shared across
 threads), no size cap of its own (pool bytes are charged to the owning

@@ -32,12 +32,27 @@ def _resolve_nnz(shape: Tuple[int, ...], nnz: Optional[int], density: Optional[f
     return nnz
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """``np.unique(rows, axis=0)`` by a lexsort, without its void-dtype sort."""
+def _unique_rows(rows: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.unique(rows, axis=0)`` by a lexsort, without its void-dtype sort.
+
+    With *into* (sorted and unique), ``_unique_rows(np.vstack([into, rows]))``
+    sorting *rows* alone: each new row is inserted at its place in *into*,
+    found on big-endian bytes, which order non-negative ids as the numbers do.
+    """
     rows = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(rows.shape[0], dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    if into is None:
+        return rows[keep]
+    keys, new = (
+        np.ascontiguousarray(r, dtype=">i8").view(f"V{8 * r.shape[1]}").ravel()
+        for r in (into, rows)
+    )
+    pos = np.searchsorted(keys, new)
+    seen = pos < keys.size
+    seen[seen] = keys[pos[seen]] == new[seen]
+    keep &= ~seen
+    return np.insert(into, pos[keep], rows[keep], axis=0)
 
 
 def _dedupe_target(
@@ -45,13 +60,11 @@ def _dedupe_target(
 ) -> np.ndarray:
     """Draw index rows with *draw* until *nnz* distinct coordinates are found."""
     collected = np.zeros((0, len(shape)), dtype=np.int64)
-    need = nnz
     for _ in range(max_rounds):
-        batch = draw(int(need * 1.3) + 8)
-        collected = _unique_rows(np.vstack([collected, batch]))
+        need = nnz - collected.shape[0]
+        collected = _unique_rows(draw(int(need * 1.3) + 8), into=collected)
         if collected.shape[0] >= nnz:
             break
-        need = nnz - collected.shape[0]
     if collected.shape[0] < nnz:
         raise RuntimeError(
             f"could not generate {nnz} distinct coordinates for shape {shape}"

@@ -30,6 +30,7 @@ from repro.apps.tucker_hooi import tucker_hooi
 from repro.core.cost_model import OperationCountCost, evaluate_cost
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import compile_program
+from repro.engine.lowering.pool import pool_nbytes
 from repro.engine.plan_cache import cached_schedule, default_plan_cache
 from repro.kernels.mttkrp import mttkrp_kernel
 from repro.kernels.ttmc import all_mode_ttmc_kernel, ttmc_kernel
@@ -202,13 +203,18 @@ def test_no_cp_als_kernel_runs_an_elementwise_product_through_einsum(
 ):
     """The census of one ``cp_als`` operation: each of its three jit kernels
     multiplies its gathered factor rows with one pooled ``_mul``, and none
-    calls ``_einsum`` with an equal-subscript (``'ab,ab->ab'``) spec."""
+    calls ``_einsum`` with an equal-subscript (``'ab,ab->ab'``) spec.  Each
+    ``_mul`` writes into the gather buffer that dies at it, so the three
+    pools hold 4 buffers of ``nnz_IJ x R`` = 7 752 x 32 float64 (the
+    two-gather kernel keeps both gathers, the others one), not 7."""
     monkeypatch.setenv("REPRO_ENGINE", "jit")
     _benchmark_operation("cp_als", benchmark_tensor, harness_workloads)
-    sources = [plan.jit.source for plan in default_plan_cache().values() if plan.jit]
+    plans = [plan for plan in default_plan_cache().values() if plan.jit]
+    sources = [plan.jit.source for plan in plans]
     assert len(sources) == 3
     assert all(source.count(" = _mul(B, ") == 1 for source in sources)
     assert not any(elementwise_einsums(source) for source in sources)
+    assert sum(pool_nbytes(plan.jit.pool) for plan in plans) == 4 * 7_752 * 32 * 8 == 7_938_048
 
 
 @pytest.mark.parametrize("name, golden", [("cp_als", 19), ("hooi", 18)])

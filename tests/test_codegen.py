@@ -14,7 +14,9 @@ The contract under test: ``compile_program`` turns a lowered
   has one body (no ``else:`` in the generated source);
 * reuses its pooled intermediate buffers across runs (warm executions
   allocate nothing) while staying bit-identical when the bound tensor's
-  shapes change;
+  shapes change, and runs an elementwise product in the buffer of an
+  operand that dies at it, never in a live register's, a view's or a
+  caller's array;
 * compiles the same program without its peephole pass for the
   ``lowered`` tier, a callable of its own;
 * compiles every nest the scheduler picks, raises out of ``execute()``
@@ -829,8 +831,15 @@ class TestElementwiseMultiply:
         assert self.CASES[spec] in [
             op.spec for op in plan.lowered.ops if isinstance(op, ir.Contract)
         ]
-        (slot,) = re.findall(r"= _mul\(B, (\d+), r\d+, r\d+\)", compiled.source)
+        ((slot, a, b),) = re.findall(r"= _mul\(B, (\d+), r(\d+), r(\d+)\)", compiled.source)
         assert elementwise_einsums(compiled.source) == []
+        # the product is written into its gathered operand's pooled buffer;
+        # a `_multigather` (a fresh copy, pooled nowhere) leaves it its own
+        takes = dict(re.findall(r"r(\d+) = _take\(B, (\d+), ", compiled.source))
+        if spec == "ijk,ij->ijk":
+            assert f"r{b} = _multigather(" in compiled.source and not takes
+        else:
+            assert [takes[r] for r in (a, b) if r in takes] == [slot]
 
         _, ref, ref_counter = self._execute(kernel, tensors, nest, "interpret")
         assert out.tobytes() == ref.tobytes()
@@ -851,3 +860,94 @@ class TestElementwiseMultiply:
         assert small.shape == (1, 4) and pool["k"] is small
         got = codegen_mod._bufpool.multiply_into(pool, "k", a, b[:1])  # broadcast
         np.testing.assert_array_equal(got, np.einsum("ab,ab->ab", a, b[:1]))
+
+
+def _lane_pairs(coo):
+    """The level-1 lanes' ``(i, j)`` ids of *coo*'s identity-order CSF."""
+    return np.unique(coo.indices[:, :2], axis=0).T
+
+
+class TestInPlaceProduct:
+    """A ``_mul`` takes over the pool slot of an operand that dies at it, if
+    that operand's register *is* its pooled buffer (an axis-0 ``_take``,
+    a ``_mul`` / ``_einsum`` output): the product then overwrites it in
+    place.  The slot stays taken while the product lives, and neither a
+    ``moveaxis`` view's buffer nor a caller's array is ever written."""
+
+    PAIR = (("gather", 0), ("gather", 1), ("keep", -1))
+
+    @staticmethod
+    def _read(dst, name, axes):
+        return ir.ReadArray(dst=dst, slot=("dense", name), level=1, axes=axes)
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("again", ["regathered", "still_live"])
+    def test_a_live_register_is_never_overwritten(self, random_coo3, again, fuse):
+        # (A[i] * B[j]) * A[i], the second A[i] either gathered anew while
+        # the product lives (r0's shape signature) or r0 itself, live past r2
+        rows = (("gather", 0), ("keep", -1))
+        ops = [
+            self._read(0, "A", rows),
+            self._read(1, "B", (("gather", 1), ("keep", -1))),
+            ir.Contract(dst=2, spec="ab,ab->ab", srcs=(0, 1)),
+        ]
+        if again == "regathered":
+            ops.append(self._read(3, "A", rows))
+        ops += [
+            ir.Contract(dst=4, spec="ab,ab->ab", srcs=(2, 3 if again == "regathered" else 0)),
+            ir.ScatterAdd(src=4, level=1, axes=self.PAIR, direct=True),
+        ]
+        compiled = compile_program(ir.Program(tuple(ops), n_regs=5), fuse=fuse)
+        slot = dict(re.findall(r"r(\d+) = _(?:take|mul)\(B, (\d+), ", compiled.source))
+        if again == "regathered":
+            assert slot["2"] == slot["0"] == slot["4"] != slot["3"]
+        else:
+            assert slot["2"] == slot["1"] == slot["4"] != slot["0"]
+        rng = np.random.default_rng(3)
+        dense = {"A": rng.random((18, 4)), "B": rng.random((15, 4))}
+        i, j = _lane_pairs(random_coo3)
+        want = np.zeros((18, 15, 4))
+        want[i, j] = dense["A"][i] * dense["B"][j] * dense["A"][i]
+        for _ in range(3):  # cold, then two warm calls
+            got = np.zeros((18, 15, 4))
+            _run_compiled(compiled, random_coo3, dense, got)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("case", ["moveaxis_view", "id_less"])
+    def test_no_foreign_buffer_is_written(self, random_coo3, case, fuse):
+        i, j = _lane_pairs(random_coo3)
+        rng = np.random.default_rng(4)
+        if case == "moveaxis_view":  # r0 = A[:, i].T, a view of its buffer
+            axes, dense = (("keep", -1), ("gather", 0)), {"A": rng.random((4, 18))}
+            lanes = dense["A"][:, i].T
+        else:  # no ids: r0 is the caller's array itself, already in lanes
+            axes, dense = (("gather", 0), ("keep", -1)), {"A": rng.random((i.size, 4))}
+            lanes = dense["A"]
+        dense["B"] = rng.random((15, 4))
+        program = ir.Program(
+            (
+                self._read(0, "A", axes),
+                self._read(1, "B", (("gather", 1), ("keep", -1))),
+                ir.Contract(dst=2, spec="ab,ab->ab", srcs=(0, 1)),
+                ir.ScatterAdd(src=2, level=1, axes=self.PAIR, direct=True),
+            ),
+            n_regs=3,
+        )
+        compiled = compile_program(program, fuse=fuse)
+        if case == "id_less":
+            (k,) = re.findall(r"r0 = _take\(B, \d+, _d\d+, P\[(\d+)\]", compiled.source)
+            compiled._prep_builders[int(k)] = lambda ctx: None
+        callers = {name: arr.copy() for name, arr in dense.items()}
+        want = np.zeros((18, 15, 4))
+        want[i, j] = lanes * dense["B"][j]
+        for call in range(4):  # cold, then three warm calls
+            got = np.zeros((18, 15, 4))
+            _run_compiled(compiled, random_coo3, dense, got)
+            assert got.tobytes() == want.tobytes()
+            if not call:
+                buffers = dict(compiled.pool)
+            assert compiled.pool.keys() == buffers.keys()
+            assert all(compiled.pool[key] is buf for key, buf in buffers.items())
+        for name, arr in dense.items():
+            assert arr.tobytes() == callers[name].tobytes()

@@ -88,6 +88,19 @@ class TestGenerators:
         assert got.dtype == np.int64 and got.shape[1] == len(shape)
         np.testing.assert_array_equal(got, np.unique(batch, axis=0))
 
+    @pytest.mark.parametrize("shape", [(7,), (6, 5, 4), (2**40, 3, 300)])
+    def test_merging_into_sorted_rows_equals_unique_rows_of_the_stack(self, shape):
+        # rounds of drawn batches, 0- and 1-row ones among them, merged as
+        # the generators' dedupe merges them; 2**40 ids span several bytes
+        rng = np.random.default_rng(len(shape))
+        collected = np.zeros((0, len(shape)), dtype=np.int64)
+        for rows in (1, 0, 500, 1, 0, 2, 5000):
+            batch = np.stack([rng.integers(0, s, size=rows) for s in shape], axis=1)
+            want = _unique_rows(np.vstack([collected, batch.astype(np.int64)]))
+            collected = _unique_rows(batch.astype(np.int64), into=collected)
+            assert collected.dtype == np.int64
+            np.testing.assert_array_equal(collected, want)
+
     def test_random_dense_matrix(self):
         m = random_dense_matrix(6, 4, seed=0)
         assert type(m) is np.ndarray
