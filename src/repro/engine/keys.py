@@ -17,9 +17,9 @@ digests correlated across daemon snapshots) therefore needs one
   with NumPy scalars normalized to their Python equivalents.  Two keys
   that compare equal always serialize identically, in every process, on
   every supported NumPy version.
-* :func:`key_digest` — a short ``blake2s`` hex digest of that canonical
-  form, used as the store's filename stem and as the stable ``digest``
-  column of the per-plan timing snapshots.
+* :func:`key_digest` — a short (truncated ``sha256``) hex digest of that
+  canonical form, used as the store's filename stem and as the stable
+  ``digest`` column of the per-plan timing snapshots.
 
 This module sits below the cache layer on purpose: both
 :mod:`repro.engine.plan_cache` and :mod:`repro.engine.plan_store` import
@@ -33,7 +33,7 @@ from typing import Hashable, Tuple
 
 import numpy as np
 
-from repro.util.digest import blake2s_digest
+from repro.util.digest import content_digest
 
 PlanKey = Tuple[Hashable, ...]
 
@@ -72,7 +72,7 @@ def canonical_key(key: object) -> str:
 
 
 def key_digest(key: object, digest_size: int = 8) -> str:
-    """Short stable hex digest of :func:`canonical_key` (blake2s)."""
-    return blake2s_digest(
+    """Short stable hex digest of :func:`canonical_key` (truncated sha256)."""
+    return content_digest(
         canonical_key(key).encode("utf-8"), digest_size=digest_size
     ).hex()

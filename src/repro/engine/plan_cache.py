@@ -269,7 +269,7 @@ def caches_snapshot() -> Dict[str, Dict[str, int]]:
     compiled callables, their buffer pools and the per-tensor prep cache;
     the ``csf`` entry is the pattern-keyed CSF structure memo of
     :func:`~repro.sptensor.csf.csf_for_mode_order`, whose ``misses`` are
-    the COO sorts this process paid, plus its ``digests`` / ``digest_reuses``).
+    the COO sorts this process paid, plus ``digests``, the patterns hashed).
 
     Examples
     --------

@@ -392,12 +392,11 @@ class ServeDaemon:
                 self.stats.bytes_received += sum(message["frames"])
                 decode_t0 += time.perf_counter() - wait_t0
                 if client.backlog:
-                    # a burst repeats its sparse tensor with new factors: a
-                    # frame byte-identical to the held request's is that object
+                    # a burst repeats its sparse tensor with new factors: a frame
+                    # byte-identical to the held request's is that object, and
+                    # decode_request then shares the held request's tensor
                     held = client.backlog[-1].frames
-                    frames[: len(held)] = [
-                        h if h == f else f for f, h in zip(frames, held)
-                    ]
+                    frames[: len(held)] = [h if h == f else f for f, h in zip(frames, held)]
                 protocol.attach(message, [memoryview(f).toreadonly() for f in frames])
             op = message.get("op")
             if op == "submit":
@@ -451,7 +450,8 @@ class ServeDaemon:
         try:
             if self._draining:
                 raise _Draining("daemon is draining")
-            request = protocol.decode_request(message.get("request"))
+            held = client.backlog[-1].request if client.backlog else None
+            request = protocol.decode_request(message.get("request"), held)
             wire_decode = time.perf_counter() - decode_t0
             observe("serve.stage.wire_decode", wire_decode)
             expires_at = None

@@ -18,7 +18,8 @@ and decoding is an ``np.frombuffer`` view of the frame.  Control messages
 and errors have no frames and stay pure NDJSON; a base64 string as ``data``
 (protocol version 1) is still decoded but never produced.
 Sparse COO tensors ship their canonical (deduplicated, sorted)
-coordinate/value arrays and are rebuilt without a re-sort pass.
+coordinate/value arrays and are rebuilt without a re-sort pass, or share
+the previous request's tensor when they view its memory (:func:`decode_tensor`).
 
 The full message schemas, error codes and a copy-pasteable session are
 documented in ``docs/PROTOCOL.md``; this module is the single
@@ -38,12 +39,13 @@ import base64
 import json
 import math
 from itertools import accumulate
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
+from repro.util.validation import require
 
 #: Protocol revision carried in ``hello``/stats replies; bump on breaking
 #: wire-format changes.
@@ -147,12 +149,16 @@ def encode_tensor(value: Union[np.ndarray, COOTensor]) -> Dict[str, Any]:
     return encoded
 
 
-def decode_tensor(obj: Any) -> Union[np.ndarray, COOTensor]:
+def decode_tensor(obj: Any, held: Any = None) -> Union[np.ndarray, COOTensor]:
     """Rebuild one tensor from :func:`encode_tensor` output.
 
     Sparse tensors are rebuilt with ``sort=False``: the wire format carries
     the canonical (deduplicated, lexicographically sorted) arrays, so the
     constructor's sort pass is skipped and the round trip is bit-exact.
+
+    A sparse tensor of *held*'s shape whose indices view ``held.indices``'
+    memory (same address, dtype and shape) reuses *held*'s checked rows and
+    digest: it is *held* when its values view ``held.values`` too.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProtocolError("tensor must be an object with a 'kind' field")
@@ -166,11 +172,25 @@ def decode_tensor(obj: Any) -> Union[np.ndarray, COOTensor]:
             raise ProtocolError(f"malformed sparse shape: {exc}") from exc
         indices = decode_array(obj.get("indices"))
         values = decode_array(obj.get("values"))
+        shared = isinstance(held, COOTensor) and held.shape == shape
         try:
-            return COOTensor(shape, indices, values, sort=False)
+            if not (shared and _same_view(indices, held.indices)):
+                return COOTensor(shape, indices, values, sort=False)
+            if _same_view(values, held.values):
+                return held
+            values = np.asarray(values, dtype=np.float64).ravel()
+            n = values.shape[0]
+            require(n == held.nnz, f"indices has {held.nnz} rows but values has {n} entries")
+            held.pattern_digest()  # hashed once here, inherited by every sharer
+            return COOTensor.on_pattern(shape, held.indices, values, held)
         except Exception as exc:
             raise ProtocolError(f"malformed sparse tensor: {exc}") from exc
     raise ProtocolError(f"unknown tensor kind {kind!r}")
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether *a* and *b* view the same memory as the same dtype and shape."""
+    return a.__array_interface__ == b.__array_interface__
 
 
 # --------------------------------------------------------------------------- #
@@ -192,8 +212,8 @@ def encode_request(request: ContractionRequest) -> Dict[str, Any]:
     return encoded
 
 
-def decode_request(obj: Any) -> ContractionRequest:
-    """Rebuild a :class:`~repro.serve.ContractionRequest` from the wire."""
+def decode_request(obj: Any, held: Optional[ContractionRequest] = None) -> ContractionRequest:
+    """Rebuild a request from the wire; *held*'s operands may be shared (:func:`decode_tensor`)."""
     if not isinstance(obj, dict):
         raise ProtocolError("request must be an object")
     spec = obj.get("spec")
@@ -220,9 +240,10 @@ def decode_request(obj: Any) -> ContractionRequest:
         ):
             raise ProtocolError("request.deadline_ms must be a number")
         deadline_ms = float(deadline_ms)
+    priors = dict(enumerate(held.operands)) if held is not None else {}
     return ContractionRequest(
         spec=spec,
-        operands=tuple(decode_tensor(op) for op in operands),
+        operands=tuple(decode_tensor(op, priors.get(n)) for n, op in enumerate(operands)),
         names=tuple(names) if names is not None else None,
         engine=engine,
         kind=kind,

@@ -14,18 +14,14 @@ reductions here are the independent oracle the tests compare those against.
 from __future__ import annotations
 
 import threading
-import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.digest import blake2s_digest
+from repro.util.digest import content_digest
 from repro.util.validation import as_index_array, check_shape, require
 
-#: ``(id(frame), address, nbytes, header)`` -> the latest tensor whose indices
-#: view that range of a wire frame (see ``_frame_of``); weak, so it pins no frame.
-_FRAME_DIGESTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-_DIGEST_COUNTS = {"digests": 0, "digest_reuses": 0}
+_DIGEST_COUNTS = {"digests": 0}
 _DIGEST_LOCK = threading.Lock()
 
 
@@ -161,34 +157,23 @@ class COOTensor:
         return out
 
     def pattern_digest(self) -> bytes:
-        """16-byte blake2s digest of the sparsity pattern (shape + coordinates).
+        """16-byte digest of the sparsity pattern (shape + coordinates).
 
         Two tensors with equal digests have the same shape and the same
         ``indices`` array, whatever their values; the CSF structure memo of
         :func:`~repro.sptensor.csf.csf_for_mode_order` is keyed by it.
-        Computed on first use (one pass over the index buffer, no copy) and
-        inherited by :meth:`with_values` / :meth:`copy`; the tensor is
-        immutable by contract, so ``indices`` must not be written in place
-        afterwards.
-
-        A tensor viewing the same range of the same live wire frame as an
-        earlier one, under the same header, takes that one's digest.  The memo
-        recognises a ``bytes`` frame, and a ``bytearray`` frame seen through a
-        read-only memoryview (how the daemon exposes the frames it reads in
-        place); whoever holds such a bytearray must not write it afterwards.
+        Computed on first use (one :func:`~repro.util.digest.content_digest`
+        pass over the index buffer, no copy) and inherited by
+        :meth:`with_values` / :meth:`copy` and any :meth:`on_pattern` tensor
+        given this one as its source; the tensor is immutable by contract, so
+        ``indices`` must not be written in place afterwards.
         """
         if self._pattern is None:
             idx = np.ascontiguousarray(self.indices)
             header = f"{self.shape}{idx.dtype.str}".encode("ascii")
-            frame = _frame_of(idx)
-            key = frame is not None and (id(frame), idx.ctypes.data, idx.nbytes, header)
-            prior = _FRAME_DIGESTS.get(key)
-            reused = prior is not None and _frame_of(prior.indices) is frame
-            self._pattern = prior._pattern if reused else blake2s_digest(header, idx)
-            if key:
-                _FRAME_DIGESTS[key] = self
+            self._pattern = content_digest(header, idx)
             with _DIGEST_LOCK:
-                _DIGEST_COUNTS["digest_reuses" if reused else "digests"] += 1
+                _DIGEST_COUNTS["digests"] += 1
         return self._pattern
 
     # ------------------------------------------------------------------ #
@@ -310,20 +295,9 @@ class COOTensor:
 
 
 def digest_stats() -> Dict[str, int]:
-    """``digests`` (blake2s passes run), ``digest_reuses`` (frame memo hits)."""
+    """``digests``: pattern digests this process computed."""
     with _DIGEST_LOCK:
         return dict(_DIGEST_COUNTS)
-
-
-def _frame_of(arr: np.ndarray) -> Optional[Union[bytes, bytearray]]:
-    """The frame whose memory *arr* views, if views cannot write it: a ``bytes``
-    object, or a ``bytearray`` reached through a read-only memoryview."""
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    if isinstance(arr, memoryview) and arr.readonly and type(arr.obj) is bytearray:
-        return arr.obj
-    frame = arr.obj if isinstance(arr, memoryview) else arr
-    return frame if type(frame) is bytes else None
 
 
 def _dedupe(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,14 @@
 """Unit tests for the COO sparse tensor."""
 
-import gc
+import hashlib
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.sptensor import COOTensor
-from repro.sptensor import coo as coo_module
 from repro.sptensor.coo import digest_stats
-from repro.util.digest import blake2s_digest
 
 
 class TestConstruction:
@@ -183,28 +179,21 @@ def _frame_tensor(frame, shape, offset=0, rows=None):
 
 
 def _fresh_digest(tensor):
+    """The pattern digest recomputed here: sha256 of header and rows, 16 bytes."""
     idx = np.ascontiguousarray(tensor.indices)
-    return blake2s_digest(f"{tensor.shape}{idx.dtype.str}".encode("ascii"), idx)
+    header = f"{tensor.shape}{idx.dtype.str}".encode("ascii")
+    return hashlib.sha256(header + idx.tobytes()).digest()[:16]
 
 
 def _delta(before):
-    after = digest_stats()
-    return after["digests"] - before["digests"], after["digest_reuses"] - before["digest_reuses"]
+    return digest_stats()["digests"] - before["digests"]
 
 
-class TestFrameDigestMemo:
-    """One blake2s pass per live immutable frame, whatever views it."""
+class TestFrameDigests:
+    """Tensors viewing wire frames: each hashes its own pattern, once."""
 
     SHAPE = (6, 5, 4)
     ROWS = np.array([[0, 1, 2], [1, 0, 3], [2, 4, 0], [5, 4, 3]], dtype=np.int64)
-
-    def test_views_of_one_frame_hash_once(self):
-        frame = self.ROWS.tobytes()
-        before = digest_stats()
-        tensors = [_frame_tensor(frame, self.SHAPE) for _ in range(4)]
-        digests = {t.pattern_digest() for t in tensors}
-        assert _delta(before) == (1, 3)
-        assert digests == {_fresh_digest(tensors[0])}
 
     def test_a_frame_differing_in_one_byte_gets_its_own_digest_and_structure(self):
         from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
@@ -218,7 +207,7 @@ class TestFrameDigestMemo:
             view = csf_for_mode_order(tensor, (0, 1, 2))
             np.testing.assert_array_equal(view.to_coo().indices, tensor.indices)
         assert first.pattern_digest() != second.pattern_digest()
-        assert _delta(before) == (2, 0)
+        assert _delta(before) == 2
         assert default_structure_memo().stats()["misses"] == builds + 2
 
     def test_same_bytes_under_another_shape_get_another_digest(self):
@@ -227,7 +216,7 @@ class TestFrameDigestMemo:
         larger = _frame_tensor(frame, (7, 5, 4))
         before = digest_stats()
         assert first.pattern_digest() != larger.pattern_digest()
-        assert _delta(before) == (2, 0)
+        assert _delta(before) == 2
         assert larger.pattern_digest() == _fresh_digest(larger)
 
     def test_equal_length_ranges_of_one_frame_are_hashed_apart(self):
@@ -236,35 +225,8 @@ class TestFrameDigestMemo:
         tail = _frame_tensor(frame, self.SHAPE, offset=48, rows=2)
         before = digest_stats()
         assert head.pattern_digest() != tail.pattern_digest()
-        assert _delta(before) == (2, 0)
+        assert _delta(before) == 2
         assert tail.pattern_digest() == _fresh_digest(tail)
-
-    def test_mutable_and_numpy_owned_buffers_never_consult_the_memo(self):
-        entries = len(coo_module._FRAME_DIGESTS)
-        before = digest_stats()
-        mutable = bytearray(self.ROWS.tobytes())
-        for tensor in (
-            _frame_tensor(mutable, self.SHAPE),
-            _frame_tensor(mutable, self.SHAPE),
-            COOTensor(self.SHAPE, self.ROWS, np.ones(4), sort=False),
-            COOTensor(self.SHAPE, self.ROWS, np.ones(4), sort=False),
-        ):
-            assert tensor.pattern_digest() == _fresh_digest(tensor)
-        assert _delta(before) == (4, 0)
-        assert len(coo_module._FRAME_DIGESTS) == entries
-
-    def test_the_memo_pins_nothing(self):
-        frame = self.ROWS.tobytes()
-        gc.collect()
-        baseline = sys.getrefcount(frame)
-        tensors = [_frame_tensor(frame, self.SHAPE) for _ in range(3)]
-        for tensor in tensors:
-            tensor.pattern_digest()
-        assert any(key[0] == id(frame) for key in coo_module._FRAME_DIGESTS.keys())
-        del tensor, tensors
-        gc.collect()
-        assert not any(key[0] == id(frame) for key in coo_module._FRAME_DIGESTS.keys())
-        assert sys.getrefcount(frame) == baseline
 
     def test_threads_racing_on_one_frame_lose_no_count(self):
         frame = self.ROWS.tobytes()
@@ -294,27 +256,7 @@ class TestFrameDigestMemo:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
         assert {t.pattern_digest() for t in tensors} == {_fresh_digest(tensors[0])}
-        digests, reuses = _delta(before)
-        assert digests + reuses == 800 and digests >= 1
-
-    @given(
-        rows=st.lists(
-            st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=12, unique=True
-        ).map(sorted),
-        offsets=st.lists(st.integers(0, 3), min_size=1, max_size=6),
-        widen=st.booleans(),
-    )
-    def test_every_memoised_digest_is_the_fresh_digest(self, rows, offsets, widen):
-        frame = np.asarray(rows, dtype=np.int64).tobytes()
-        shapes = [(7, 7, 7), (8, 7, 7)] if widen else [(7, 7, 7)]
-        starts = [min(offset, len(rows) - 1) for offset in offsets]
-        before, tensors = digest_stats(), []
-        for start in starts:
-            for shape in shapes:
-                tensors.append(_frame_tensor(frame, shape, offset=24 * start))
-                assert tensors[-1].pattern_digest() == _fresh_digest(tensors[-1])
-        distinct = len(set(starts)) * len(shapes)
-        assert _delta(before) == (distinct, len(tensors) - distinct)
+        assert _delta(before) == 800
 
 
 class TestPatternDigest:
@@ -330,6 +272,13 @@ class TestPatternDigest:
         assert other.pattern_digest() != small_coo.pattern_digest()
         larger = COOTensor((9, 9, 9), small_coo.indices, small_coo.values)
         assert larger.pattern_digest() != small_coo.pattern_digest()
+
+    def test_digest_is_sha256_of_shape_dtype_header_and_rows_truncated(self):
+        rows = np.array([[0, 1, 2], [1, 0, 3], [5, 4, 3]], dtype=np.int64)
+        tensor = COOTensor((6, 5, 4), rows, [1.0, 2.0, 3.0])
+        want = hashlib.sha256(b"(6, 5, 4)<i8" + rows.tobytes()).digest()[:16]
+        assert tensor.pattern_digest() == want
+        assert want.hex() == "eeffc7b4b38546effe8d085a98a0711c"
 
     def test_with_values_and_copy_inherit_a_computed_digest(self, small_coo):
         digest = small_coo.pattern_digest()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import gc
 import itertools
 import json
 import os
@@ -43,7 +42,7 @@ from repro.serve import daemon as daemon_module
 from repro.serve import protocol
 from repro.serve.daemon import INLINE_MAX_BYTES
 from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
-from repro.sptensor import coo as coo_module
+from repro.sptensor.coo import digest_stats
 from repro.util.config import SETTINGS
 
 
@@ -92,6 +91,30 @@ class TestProtocolCodec:
         assert back.shape == tensor.shape
         np.testing.assert_array_equal(back.indices, tensor.indices)
         np.testing.assert_array_equal(back.values, tensor.values)
+
+    def test_decode_shares_a_held_tensor_whose_memory_it_views(self):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=31)
+        rescaled = COOTensor.on_pattern(tensor.shape, tensor.indices, np.arange(1.0, 21.0))
+        factors = [np.ones((5, 2)), np.ones((4, 2))]
+
+        def encoded(t):  # its arrays are t's own, so decoding views t's memory
+            return protocol.encode_request(mttkrp_request(t, factors, mode=0))
+
+        first = protocol.decode_request(encoded(tensor))
+        held = first.operands[0]
+        before = digest_stats()["digests"]
+        same = protocol.decode_request(encoded(tensor), first).operands[0]
+        later = protocol.decode_request(encoded(rescaled), first).operands[0]
+        assert same is held
+        assert later is not held and later.indices is held.indices
+        assert later.pattern_digest() is held.pattern_digest()
+        assert digest_stats()["digests"] - before == 1
+        np.testing.assert_array_equal(later.values, rescaled.values)
+        short = encoded(tensor)
+        short["operands"][0]["values"] = protocol.encode_array(np.ones(3))
+        for prior in (None, first):
+            with pytest.raises(protocol.ProtocolError, match="20 rows but values has 3"):
+                protocol.decode_request(short, prior)
 
     def test_request_round_trip_preserves_fields(self):
         tensor = random_sparse_tensor((8, 7, 6), nnz=40, seed=5)
@@ -695,7 +718,107 @@ def _bulk_batch(tensor, seed):
 
 
 class TestFrameDigestReuse:
-    """A burst over one sparse tensor hashes its shared index frame once."""
+    """A burst over one sparse tensor decodes, checks and hashes it once."""
+
+    def _held_pair(self, first, second):
+        """Queue two raw submits behind a paused dispatcher; their sparse
+        operands as decoded, and the replies (head, frames) by id."""
+        with start_daemon_thread(workers=0) as handle:
+            daemon = handle.daemon
+            _on_loop(handle, daemon.pause_dispatch)
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(first + second)
+                _wait_for(lambda: daemon.stats.admitted + daemon.stats.protocol_errors == 2)
+                operands = [i.request.operands[0] for i in daemon._clients[0].backlog]
+                _on_loop(handle, daemon.resume_dispatch)
+                replies = [_read_reply(rfile) for _ in range(2)]
+        return operands, {r["id"]: (r, f) for r, f in replies}
+
+    def _edited(self, wire, msg_id, edit):
+        head, payload = _split(wire)
+        head["id"] = msg_id
+        edit(head["request"]["operands"][0])
+        return _join(head, payload)
+
+    def test_a_burst_of_eight_queues_one_tensor_object(self):
+        tensor = random_sparse_tensor((60, 50, 40), nnz=3000, seed=25)
+        batch = _bulk_batch(tensor, seed=26)
+        expected = execute_sequential(batch)
+        with start_daemon_thread(workers=0) as handle:
+            daemon = handle.daemon
+            with ServeClient(*handle.address, timeout=60) as client:
+                for _ in range(2):
+                    before = client.stats()["caches"]["csf"]
+                    _on_loop(handle, daemon.pause_dispatch)
+                    pending = client.submit_many(batch)
+                    assert client.ping()  # barrier: the eight submits are queued
+                    sparse = [i.request.operands[0] for i in daemon._clients[0].backlog]
+                    _on_loop(handle, daemon.resume_dispatch)
+                    outputs = [p.result() for p in pending]
+                    after = client.stats()["caches"]["csf"]
+                    assert len(sparse) == 8 and all(t is sparse[0] for t in sparse)
+                    assert after["digests"] - before["digests"] == 1
+                    for out, want in zip(outputs, expected):
+                        _assert_outputs_equal(out, want)
+            assert daemon.dispatch_trace == [[0] * 8] * 2
+
+    def test_new_values_on_a_held_index_frame_share_its_rows_and_digest(self):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=27)
+        rescaled = tensor.with_values(np.arange(1.0, 21.0))
+        rng = np.random.default_rng(28)
+        factors = [rng.random((5, 3)), rng.random((4, 3))]
+        requests = [mttkrp_request(t, factors, mode=0) for t in (tensor, rescaled)]
+        wires = [TestBurstDispatch()._wire(r, f"v{n}") for n, r in enumerate(requests)]
+        before = digest_stats()["digests"]
+        (held, later), replies = self._held_pair(*wires)
+        assert digest_stats()["digests"] - before == 1
+        assert later is not held and later.indices is held.indices
+        assert later._pattern is held._pattern is not None
+        np.testing.assert_array_equal(later.values, rescaled.values)
+        assert not np.shares_memory(later.values, held.values)
+        for n, want in enumerate(execute_sequential(requests)):
+            np.testing.assert_array_equal(_dense_result(*replies[f"v{n}"]), want)
+
+    def test_held_index_bytes_under_a_smaller_shape_are_range_checked(self):
+        tensor = COOTensor((6, 5, 4), [[0, 1, 2], [5, 4, 3]], [1.0, 2.0])
+        request = mttkrp_request(tensor, [np.ones((5, 2)), np.ones((4, 2))], mode=0)
+        first = TestBurstDispatch()._wire(request, "big")
+        second = self._edited(first, "small", lambda op: op.update(shape=[5, 5, 4]))
+        (held,), replies = self._held_pair(first, second)
+        assert held.shape == (6, 5, 4) and replies["big"][0]["ok"] is True
+        error = replies["small"][0]["error"]
+        assert error["code"] == protocol.ERROR_PROTOCOL
+        assert "index 5 out of range for mode 0 of dimension 5" in error["message"]
+
+    @pytest.mark.parametrize("header, shares_rows", [
+        ({"indices": {"dtype": "uint64"}}, False),
+        ({"values": {"shape": [20, 1]}}, True),
+    ])
+    def test_another_array_header_shares_no_tensor(self, header, shares_rows):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=29)
+        request = mttkrp_request(tensor, [np.ones((5, 2)), np.ones((4, 2))], mode=0)
+        first = TestBurstDispatch()._wire(request, "h0")
+
+        def edit(op):
+            for array, fields in header.items():
+                op[array].update(fields)
+
+        (held, later), replies = self._held_pair(first, self._edited(first, "h1", edit))
+        assert later is not held
+        assert np.shares_memory(later.indices, held.indices) is shares_rows
+        want = execute_sequential([request])[0]
+        for msg_id in ("h0", "h1"):
+            np.testing.assert_array_equal(_dense_result(*replies[msg_id]), want)
+
+    def test_an_index_header_that_does_not_fit_is_refused_not_shared(self):
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=30)
+        request = mttkrp_request(tensor, [np.ones((5, 2)), np.ones((4, 2))], mode=0)
+        first = TestBurstDispatch()._wire(request, "h0")
+        second = self._edited(first, "h1", lambda op: op["indices"].update(shape=[60, 1]))
+        (held,), replies = self._held_pair(first, second)
+        assert replies["h0"][0]["ok"] is True
+        assert "indices must have shape (nnz, 3)" in replies["h1"][0]["error"]["message"]
 
     def test_a_burst_cut_at_message_boundaries_is_one_cycle(self):
         # frames are read in place, so a read ends exactly where a message
@@ -720,11 +843,10 @@ class TestFrameDigestReuse:
                 after = control.stats()["caches"]["csf"]
             assert handle.daemon.dispatch_trace == [[1] * 8]
         assert after["digests"] - before["digests"] == 1
-        assert after["digest_reuses"] - before["digest_reuses"] == 7
         for n, want in enumerate(expected):
             np.testing.assert_array_equal(replies[f"b{n}"], want)
 
-    def test_each_burst_pays_one_digest_and_seven_reuses(self):
+    def test_each_burst_pays_one_digest(self):
         tensor = random_sparse_tensor((60, 50, 40), nnz=3000, seed=21)
         batch = _bulk_batch(tensor, seed=22)
         expected = execute_sequential(batch)
@@ -735,14 +857,10 @@ class TestFrameDigestReuse:
                     outputs = [p.result() for p in client.submit_many(batch)]
                     after = client.stats()["caches"]["csf"]
                     assert after["digests"] - before["digests"] == 1
-                    assert after["digest_reuses"] - before["digest_reuses"] == 7
                     for out, want in zip(outputs, expected):
                         _assert_outputs_equal(out, want)
             assert handle.daemon.dispatch_trace == [[0] * 8] * 2
-        del outputs
-        gc.collect()
-        # the memo is weak: with the requests gone it holds no frame
-        assert len(coo_module._FRAME_DIGESTS) == 0
+
 
 # --------------------------------------------------------------------------- #
 # Which cycles flush on the event loop: serial, every schedule cached, small

@@ -319,7 +319,7 @@ def test_plan_timings_record_per_signature(ttmc_setup):
         counts = [count for _, count in row["buckets"]]
         assert counts == sorted(counts) and counts[-1] == 3
         assert "ijk,jr,ks->irs [" in row["plan"]
-        assert len(row["digest"]) == 16  # blake2s, 8 bytes hex
+        assert len(row["digest"]) == 16  # truncated sha256, 8 bytes hex
 
 
 def test_plan_timings_threads_share_one_row_per_phase(mttkrp_setup):

@@ -432,7 +432,7 @@ class TestCSFMemo:
         assert row["entries"] == 1 and row["bytes"] > 0
         assert set(row) == {
             "entries", "hits", "misses", "evictions", "rejections", "bytes",
-            "digests", "digest_reuses",
+            "digests",
         }
         clear_caches()
         assert caches_snapshot()["csf"]["entries"] == 0

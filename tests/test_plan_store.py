@@ -9,6 +9,7 @@ per-plan timing rows stay bounded by the plan cache.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
@@ -79,7 +80,9 @@ class TestCanonicalKeys:
 
     def test_digest_is_stable_hex(self):
         digest = key_digest(("schedule", "anything"))
+        canonical = canonical_key(("schedule", "anything")).encode("utf-8")
         assert len(digest) == 16
+        assert digest == hashlib.sha256(canonical).hexdigest()[:16]
         assert digest == key_digest(("schedule", "anything"))
         assert digest != key_digest(("schedule", "other"))
 
