@@ -186,20 +186,16 @@ class TreeSeparableCost(ABC):
     ) -> float:
         """Estimated trip count of a loop over *root_index*.
 
-        Dense loops iterate the full dimension.  A loop over a sparse index
-        iterates only the stored fibers when the CSF descent is available at
-        this point, i.e. when all preceding CSF levels have already been
-        iterated; the trip count is then the average fiber length derived
-        from the recorded prefix-nnz statistics.
+        A loop that descends the CSF (:meth:`SpTTNKernel.csf_descends`)
+        iterates only the stored fibers: the trip count is the average
+        fiber length derived from the recorded prefix-nnz statistics.  Any
+        other loop iterates the full dimension.
         """
         kernel = self.kernel
         dim = float(kernel.index_dims[root_index])
-        if root_index not in kernel.sparse_indices:
+        if not kernel.csf_descends(root_index, removed):
             return dim
         level = kernel.csf_mode_order.index(root_index)
-        for prior in kernel.csf_mode_order[:level]:
-            if prior not in removed:
-                return dim  # descent unavailable: the loop runs densely
         upper = kernel.prefix_nnz(level + 1)
         lower = kernel.prefix_nnz(level)
         if lower <= 0:
@@ -406,7 +402,7 @@ class ExecutionCost(TreeSeparableCost):
     def combine(self, a: float, b: float) -> float:
         return a + b
 
-    # -- offload decision (mirrors repro.engine.executor) ---------------------
+    # -- offload decision (approximates repro.engine.executor) ----------------
     def offloadable(
         self,
         path: ContractionPath,
@@ -418,8 +414,15 @@ class ExecutionCost(TreeSeparableCost):
 
         True when the loop body contains a single contraction term and every
         remaining index of that term is dense, except that the subtree may be
-        led by the sparse tensor's final CSF level (a stored fiber can be
-        gathered and handed to the vectorized kernel).
+        led by the sparse tensor's final CSF level, reached by descent (a
+        stored fiber can be gathered and handed to the vectorized kernel).
+
+        The executor's ``_offload_mode`` reads the same descent rule but
+        differs in three cases, which move only this model's time estimate,
+        never an operation count: a fiber term whose dense output or buffer
+        keeps the fiber index (a loop there); sparse remaining indices none
+        of which descends (one dense call there); and a root that is not the
+        term's first unbound index in term order (never offloadable here).
         """
         if len(inner_positions) != 1:
             return False
@@ -436,14 +439,9 @@ class ExecutionCost(TreeSeparableCost):
         idx = sparse_remaining[0]
         if idx != root_index:
             return False
-        # the single sparse index must be the deepest CSF level and the
-        # descent must already be positioned just above it
-        if kernel.csf_mode_order[-1] != idx:
-            return False
-        for prior in kernel.csf_mode_order[:-1]:
-            if prior not in removed:
-                return False
-        return True
+        # the single sparse index must be the deepest CSF level, reached
+        # by descent
+        return kernel.csf_mode_order[-1] == idx and kernel.csf_descends(idx, removed)
 
     def _offload_cost(
         self,

@@ -23,7 +23,7 @@ of SpTTN kernels the paper exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -196,6 +196,24 @@ class SpTTNKernel:
         if index in self.sparse_indices:
             return self.csf_mode_order.index(index)
         return None
+
+    def csf_descends(self, index: str, bound: Collection[str]) -> bool:
+        """Does a loop over *index*, inside loops over *bound*, walk the CSF?
+
+        True exactly when *index* is sparse and every earlier CSF level is
+        in *bound*: the loop then visits only the stored fibre below the
+        bound prefix (Sec. 4's sparse trip count).  Otherwise it iterates
+        the full dimension.  The cost model, the interpreter's plan and the
+        lowering all read this one rule.
+        """
+        if index not in self.sparse_indices:
+            return False
+        for prior in self.csf_mode_order:
+            if prior == index:
+                break
+            if prior not in bound:
+                return False
+        return True
 
     def sparse_order_key(self, index: str) -> int:
         """Sort key placing sparse indices in CSF order before dense indices."""

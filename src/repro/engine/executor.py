@@ -41,9 +41,12 @@ back to ``"jit"``):
   kernel call.  It is the reference the compiled engines are tested
   against.
 
-The compiled engines interpret only a nest whose lowering is declined (a
-coordinate lookup into the sparse pattern, see
-:class:`~repro.engine.lowering.lower.NotLowerable`) and an empty tensor; a
+A loop over a sparse index walks the CSF exactly when every earlier CSF
+level is already bound (:meth:`~repro.core.expr.SpTTNKernel.csf_descends`,
+the rule the cost model charges), so the sparse operand and a sparse output
+are always reached by descent.  The compiled engines interpret only a nest
+with more distinct indices than einsum has letters
+(:class:`~repro.engine.lowering.lower.NotLowerable`) and an empty tensor; a
 compile error raises.
 
 All engines report identical operation counts; results agree to the usual
@@ -71,10 +74,8 @@ from repro.engine.plan_cache import (
     SLOT_OUT as _SLOT_OUT,
     SPARSE_FIBER as _SPARSE_FIBER,
     SPARSE_LEAF as _SPARSE_LEAF,
-    SPARSE_LOOKUP as _SPARSE_LOOKUP,
     SPARSE_OUT_FIBER as _SPARSE_OUT_FIBER,
     SPARSE_OUT_LEAF as _SPARSE_OUT_LEAF,
-    SPARSE_OUT_LOOKUP as _SPARSE_OUT_LOOKUP,
     CompiledPlan,
     PlanCache,
     PlanKey,
@@ -383,10 +384,6 @@ class LoopNestExecutor:
     # ------------------------------------------------------------------ #
     # Plan construction (Algorithm 2, preprocessing stage)
     # ------------------------------------------------------------------ #
-    def _term_uses_sparse(self, pos: int) -> bool:
-        term = self.path[pos]
-        return term.lhs == self.sparse_name or term.rhs == self.sparse_name
-
     def _bound_names(self, positions: Sequence[int], depth: int) -> Tuple[str, ...]:
         """Loop indices already iterated at a recursion site (static)."""
         return self.orders[positions[0]][:depth]
@@ -416,35 +413,35 @@ class LoopNestExecutor:
                 resets.append(((_SLOT_BUFFER, term.out), template))
         return resets
 
-    def _offload_mode(
-        self, group: Sequence[int], depth: int, csf_level: int
-    ) -> Optional[str]:
-        """Decide whether this site is offloadable ('dense'/'fiber') or not."""
+    def _offload_mode(self, group: Sequence[int], depth: int) -> Optional[str]:
+        """Decide whether this site is offloadable ('dense'/'fiber') or not.
+
+        A single term offloads densely when none of its remaining loops
+        would descend the CSF, and as a fiber when its only descending loop
+        is its next one, over the last CSF level.
+        """
         if len(group) != 1:
             return None
         kernel = self.kernel
         pos = group[0]
         term = self.path[pos]
-        remaining = self.orders[pos][depth:]
+        order = self.orders[pos]
+        remaining = order[depth:]
         if not remaining:
             return "scalar"
-        sparse_remaining = [i for i in remaining if i in kernel.sparse_indices]
-        uses_sparse = self._term_uses_sparse(pos)
-        writes_sparse_output = (
-            term.out == self.output_name and kernel.output.is_sparse
-        )
-        if not sparse_remaining or not uses_sparse:
-            if writes_sparse_output and sparse_remaining:
-                return None  # would need scattered writes into the pattern
+        descending = [
+            idx
+            for at, idx in enumerate(remaining)
+            if kernel.csf_descends(idx, order[: depth + at])
+        ]
+        if not descending:
             return "dense"
-        if len(sparse_remaining) != 1 or remaining[0] != sparse_remaining[0]:
-            return None
         k = remaining[0]
-        if k != kernel.csf_mode_order[-1]:
+        if descending != [k] or k != kernel.csf_mode_order[-1]:
             return None
-        if csf_level != len(kernel.csf_mode_order) - 2:
-            return None
-        if k in term.out_indices and not writes_sparse_output:
+        if k in term.out_indices and not (
+            term.out == self.output_name and kernel.output.is_sparse
+        ):
             return None
         return "fiber"
 
@@ -454,7 +451,6 @@ class LoopNestExecutor:
         indices: Tuple[str, ...],
         bound_set: set,
         fiber_index: Optional[str],
-        at_leaf: bool,
     ):
         """Static (array-independent) access recipe for one input of a term."""
         kernel = self.kernel
@@ -466,8 +462,7 @@ class LoopNestExecutor:
                 not unbound,
                 "internal error: sparse operand offloaded with unbound indices",
             )
-            mode = _SPARSE_LEAF if at_leaf else _SPARSE_LOOKUP
-            return (mode,), ()
+            return (_SPARSE_LEAF,), ()
         if name in self._dense_names:
             slot = (_SLOT_DENSE, name)
             axes = indices
@@ -494,15 +489,13 @@ class LoopNestExecutor:
         indices: Tuple[str, ...],
         bound_set: set,
         fiber_index: Optional[str],
-        at_leaf: bool,
     ):
         """Static (array-independent) write recipe for a term's output."""
         kernel = self.kernel
         if name == self.output_name and kernel.output.is_sparse:
             if fiber_index is not None:
                 return (_SPARSE_OUT_FIBER,), (fiber_index,)
-            mode = _SPARSE_OUT_LEAF if at_leaf else _SPARSE_OUT_LOOKUP
-            return (mode,), ()
+            return (_SPARSE_OUT_LEAF,), ()
         if name == self.output_name:
             slot = (_SLOT_OUT, None)
             axes = indices
@@ -517,25 +510,22 @@ class LoopNestExecutor:
         self,
         pos: int,
         depth: int,
-        csf_level: int,
         resets: list,
         mode: str,
     ) -> tuple:
         """Bind one offload site to its recipes and specialized kernel."""
-        kernel = self.kernel
         term = self.path[pos]
         bound_set = set(self._bound_names((pos,), depth))
-        at_leaf = csf_level == len(kernel.csf_mode_order) - 1
         fiber_index = self.orders[pos][depth] if mode == "fiber" else None
 
         lhs_recipe, lhs_free = self._operand_recipe(
-            term.lhs, term.lhs_indices, bound_set, fiber_index, at_leaf
+            term.lhs, term.lhs_indices, bound_set, fiber_index
         )
         rhs_recipe, rhs_free = self._operand_recipe(
-            term.rhs, term.rhs_indices, bound_set, fiber_index, at_leaf
+            term.rhs, term.rhs_indices, bound_set, fiber_index
         )
         out_recipe, out_free = self._output_recipe(
-            term.out, term.out_indices, bound_set, fiber_index, at_leaf
+            term.out, term.out_indices, bound_set, fiber_index
         )
         fn, blas_name = specialize_contraction(lhs_free, rhs_free, out_free)
         return (
@@ -549,9 +539,7 @@ class LoopNestExecutor:
             mode == "fiber",
         )
 
-    def _build_plan(
-        self, positions: Tuple[int, ...], depth: int, csf_level: int
-    ) -> list:
+    def _build_plan(self, positions: Tuple[int, ...], depth: int) -> list:
         """Segment a recursion site into executable steps (cached)."""
         kernel = self.kernel
         steps: list = []
@@ -563,9 +551,7 @@ class LoopNestExecutor:
             order = self.orders[pos]
             if len(order) == depth:
                 resets = self._reset_list((pos,), positions[i + 1 :], bound_names)
-                steps.append(
-                    self._build_offload_step(pos, depth, csf_level, resets, "scalar")
-                )
+                steps.append(self._build_offload_step(pos, depth, resets, "scalar"))
                 i += 1
                 continue
             idx = order[depth]
@@ -580,25 +566,17 @@ class LoopNestExecutor:
                 else:
                     break
             resets = self._reset_list(group, positions[j:], bound_names)
-            mode = self._offload_mode(group, depth, csf_level)
+            mode = self._offload_mode(group, depth)
             if mode in ("dense", "fiber"):
-                steps.append(
-                    self._build_offload_step(group[0], depth, csf_level, resets, mode)
-                )
+                steps.append(self._build_offload_step(group[0], depth, resets, mode))
             else:
-                use_csf = (
-                    idx in kernel.sparse_indices
-                    and csf_level + 1 < len(kernel.csf_mode_order)
-                    and kernel.csf_mode_order[csf_level + 1] == idx
-                    and any(self._term_uses_sparse(p) for p in group)
-                )
                 steps.append(
                     (
                         "loop",
                         resets,
                         idx,
                         tuple(group),
-                        use_csf,
+                        kernel.csf_descends(idx, bound_names),
                         kernel.index_dims[idx],
                     )
                 )
@@ -608,14 +586,14 @@ class LoopNestExecutor:
     # ------------------------------------------------------------------ #
     # Symbolic site lookup (shared by the interpreter and the lowering pass)
     # ------------------------------------------------------------------ #
-    def _site_steps(self, positions: Tuple[int, ...], depth: int, csf_level: int):
+    def _site_steps(self, positions: Tuple[int, ...], depth: int):
         """Symbolic steps of one site, building (and caching) on first use."""
         assert self._plan is not None
         key = (positions, depth)
         steps = self._plan.site(key)
         if steps is None:
             steps = self._plan.add_site(
-                key, self._build_plan(positions, depth, csf_level)
+                key, self._build_plan(positions, depth)
             )
         return steps
 
@@ -676,7 +654,7 @@ class LoopNestExecutor:
         key = (positions, depth)
         plan = self._bound_sites.get(key)
         if plan is None:
-            plan = self._bind_steps(self._site_steps(positions, depth, csf_level))
+            plan = self._bind_steps(self._site_steps(positions, depth))
             self._bound_sites[key] = plan
 
         counter = self.counter
@@ -705,8 +683,6 @@ class LoopNestExecutor:
                 out_arr, out_key = self._resolve_output(
                     out_recipe, bound, csf_pos, lo, hi
                 )
-                if out_arr is None:
-                    continue  # entry outside the sparse pattern
                 flops = fn(lhs, rhs, out_arr, out_key)
                 counter.flops += flops
                 calls = counter.kernel_calls
@@ -743,16 +719,10 @@ class LoopNestExecutor:
             if gather_axis is not None:
                 view = np.take(view, ids, axis=gather_axis)
             return view
-        csf = self._csf
         if mode == _SPARSE_FIBER:
-            return csf.values[lo:hi]
-        if mode == _SPARSE_LEAF:
-            return csf.values[csf_pos]
-        # _SPARSE_LOOKUP: the sparse tensor is fully bound via dense loops
-        leaf = csf.find_leaf(
-            [bound[name] for name in self.kernel.csf_mode_order]
-        )
-        return csf.values[leaf] if leaf is not None else 0.0
+            return self._csf.values[lo:hi]
+        assert mode == _SPARSE_LEAF
+        return self._csf.values[csf_pos]
 
     def _resolve_output(self, recipe, bound, csf_pos, lo, hi):
         mode = recipe[0]
@@ -764,15 +734,8 @@ class LoopNestExecutor:
             return arr, key
         if mode == _SPARSE_OUT_FIBER:
             return self._out_values, slice(lo, hi)
-        if mode == _SPARSE_OUT_LEAF:
-            return self._out_values, csf_pos
-        # _SPARSE_OUT_LOOKUP
-        leaf = self._csf.find_leaf(
-            [bound[name] for name in self.kernel.csf_mode_order]
-        )
-        if leaf is None:
-            return None, None
-        return self._out_values, leaf
+        assert mode == _SPARSE_OUT_LEAF
+        return self._out_values, csf_pos
 
 
 # --------------------------------------------------------------------------- #

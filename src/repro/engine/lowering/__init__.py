@@ -7,9 +7,9 @@ layout, batched einsum contractions, ``np.add.reduceat`` segment reductions
 along the level pointers, scatter-accumulates into the output — and compiles
 that IR into one NumPy callable with no per-fiber Python dispatch.  It generalizes the hand-fused
 MTTKRP sweep into one compiler: MTTKRP, TTMc, TTTc, TTTP and arbitrary
-SpTTN expressions all take the vectorized path whenever their scheduled
-nest lowers, with op-counter accounting identical to the interpreter; only
-a sparse-pattern coordinate lookup is left to the interpreter.
+SpTTN expressions all take the vectorized path, with op-counter accounting
+identical to the interpreter; only a nest past the 52 einsum letters is
+left to the interpreter.
 
 * :mod:`repro.engine.lowering.ir` — the typed op set and symbolic counts;
 * :mod:`repro.engine.lowering.lower` — the lowering pass over plan sites;

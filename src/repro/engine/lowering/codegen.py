@@ -1095,6 +1095,7 @@ def jit_stats() -> Dict[str, int]:
     ``entries``/``bytes`` cover live compiled callables and their pooled
     buffers; ``hits``/``misses``/``evictions`` count the per-structure
     prep cache; ``rejections`` counts plans whose lowering was declined
+    for the 52-letter limit
     (:class:`~repro.engine.lowering.lower.NotLowerable`, once per plan;
     each one is interpreted).  Both the ``jit`` and the ``lowered``
     engine's callables count here.  Extra keys:

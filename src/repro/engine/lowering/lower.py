@@ -26,12 +26,9 @@ program is cached per :class:`~repro.engine.plan_cache.CompiledPlan` and
 reused by every execution of that structure.
 
 Every nest that passes :func:`~repro.core.loop_nest.validate_loop_order`
-lowers, with two exceptions that raise :class:`NotLowerable`: a coordinate
-lookup into the sparse pattern (``SPARSE_LOOKUP`` / ``SPARSE_OUT_LOOKUP``,
-one ``find_leaf`` per coordinate in the interpreter, with no vectorized
-form), and more distinct indices than einsum has letters.  The executor
-caches that decline on the plan and interprets it; any other failure is a
-bug and raises.
+lowers unless it has more distinct indices than einsum has letters, which
+raises :class:`NotLowerable`.  The executor caches that decline on the plan
+and interprets it; any other failure is a bug and raises.
 """
 
 from __future__ import annotations
@@ -45,16 +42,14 @@ from repro.engine.plan_cache import (
     SLOT_BUFFER,
     SLOT_DENSE,
     SLOT_OUT,
-    SPARSE_LOOKUP,
     SPARSE_OUT_FIBER,
     SPARSE_OUT_LEAF,
-    SPARSE_OUT_LOOKUP,
 )
 
 
 class NotLowerable(Exception):
-    """The nest needs a sparse-pattern coordinate lookup or more than 52
-    einsum letters; the executor interprets it instead."""
+    """The nest needs more than 52 einsum letters; the executor interprets
+    it instead."""
 
 
 #: Internal name reserved for the lane axis in the einsum letter table (a
@@ -145,7 +140,7 @@ class _Lowerer:
     # Site / step walk (mirrors LoopNestExecutor._run, but symbolic)
     # ------------------------------------------------------------------ #
     def _site(self, positions: Tuple[int, ...], depth: int, level: int) -> None:
-        steps = self.ex._site_steps(positions, depth, level)
+        steps = self.ex._site_steps(positions, depth)
         for step in steps:
             self._resets(step[1], level)
             if step[0] == "loop":
@@ -178,8 +173,6 @@ class _Lowerer:
     # ------------------------------------------------------------------ #
     def _offload(self, step: tuple, level: int) -> None:
         (_, _resets, lhs_recipe, rhs_recipe, out_recipe, _fn, blas_name, is_fiber) = step
-        if {lhs_recipe[0], rhs_recipe[0], out_recipe[0]} & {SPARSE_LOOKUP, SPARSE_OUT_LOOKUP}:
-            raise NotLowerable("coordinate lookup into the sparse pattern")
         fiber_index = self.kernel.csf_mode_order[-1] if is_fiber else None
         eval_level = self.leaf if is_fiber else level
         if is_fiber:
@@ -238,7 +231,8 @@ class _Lowerer:
         stay as named axes and are contracted away by the consumer's einsum —
         the accumulation the interpreter performs across those iterations.
         Buffer axes the consumer binds to a sparse loop are gathered per
-        lane (:class:`~repro.engine.lowering.ir.GatherAxis`).
+        lane (:class:`~repro.engine.lowering.ir.GatherAxis`), unless the
+        record's lane axis already carries them (see :meth:`_keeps_lanes`).
         """
         rec = self.buffers[name]
         axes_names = self.ex._buffer_axes[name]
@@ -246,7 +240,8 @@ class _Lowerer:
         gathers: List[Tuple[str, int]] = []
         for axis_name, bound_name in zip(axes_names, template):
             if axis_name in self.bound:  # a sparse loop's or the fiber index
-                gathers.append((axis_name, self.bound[axis_name]))
+                if axis_name in rec.axes:
+                    gathers.append((axis_name, self.bound[axis_name]))
             elif bound_name is None:
                 free_names.append(axis_name)
             # else: a batch axis, aligned by its shared einsum letter
@@ -281,6 +276,27 @@ class _Lowerer:
             remaining = tuple(a for a in value.axes if a != axis_name)
             value = _Value(reg, remaining, eval_level)
         return value, tuple(free_names)
+
+    def _keeps_lanes(self, name: str, scattered: Sequence[Tuple[str, int]]) -> bool:
+        """May buffer *name* stay in lane layout instead of scattering?
+
+        Yes when the consumer descends to each of its sparse-loop axes too,
+        and every CSF level down to the deepest of them is one of those axes
+        or a loop that producer and consumer share: a CSF level is fixed, so
+        a lane of that level names the same buffer slot at both ends.
+        """
+        if not scattered:
+            return False
+        path, orders = self.ex.path, self.ex.orders
+        producer = next(pos for pos, term in enumerate(path) if term.out == name)
+        top = max(level for _, level in scattered)
+        if not set(self.kernel.csf_mode_order[: top + 1]) <= set(path[producer].out_indices):
+            return False  # the buffer sums over a level its lanes would keep
+        order = orders[self.ex._consumers[producer]]
+        return all(
+            self.kernel.csf_descends(idx, order[: order.index(idx)])
+            for idx, _ in scattered
+        )
 
     # ------------------------------------------------------------------ #
     # Contraction + target
@@ -375,6 +391,15 @@ class _Lowerer:
             )
             reg = self._contract(lhs, rhs, out_sub, charge)
             level: Optional[int] = eval_level if has_lane else None
+            if self._keeps_lanes(name, scattered):
+                top = max(bind_level for _, bind_level in scattered)
+                assert level is not None and top <= level
+                if top < level:
+                    mid = self._reg()
+                    self.ops.append(ir.SegmentReduce(mid, reg, level, top))
+                    reg = mid
+                self.buffers[name] = _Value(reg, tuple(record_axes), top)
+                return
             for axis_name, bind_level in sorted(scattered, key=lambda t: -t[1]):
                 assert level is not None and bind_level <= level
                 if bind_level < level:

@@ -64,11 +64,9 @@ SiteKey = Tuple[Tuple[int, ...], int]
 # symbolic recipes; both the interpreter (repro.engine.executor) and the
 # vectorized lowering pass (repro.engine.lowering) decode them.
 SPARSE_LEAF = 0      # scalar: csf.values[csf_pos]
-SPARSE_LOOKUP = 1    # scalar: find_leaf over the bound csf-mode values
 SPARSE_FIBER = 2     # vector: csf.values[lo:hi] of the current node's children
 ARRAY = 3            # dense array / buffer / dense output slice
 SPARSE_OUT_LEAF = 4  # accumulate into out_values[csf_pos]
-SPARSE_OUT_LOOKUP = 5
 SPARSE_OUT_FIBER = 6  # accumulate into out_values[lo:hi]
 
 # Symbolic array slots used in cached (array-independent) recipes; bound to

@@ -283,30 +283,6 @@ class CSFTensor:
             coords[:, mode] = self.expanded_level_indices(level)
         return coords
 
-    def find_leaf(self, level_indices: Sequence[int]) -> Optional[int]:
-        """Leaf position of the entry with the given per-level index values.
-
-        *level_indices* is given in CSF level order (i.e. already permuted by
-        ``mode_order``).  Returns ``None`` when the entry is not stored.
-        Lookup is a binary search per level, ``O(order * log nnz)``.
-        """
-        if len(level_indices) != self.order:
-            raise ValueError(
-                f"expected {self.order} index values, got {len(level_indices)}"
-            )
-        lo, hi = 0, self.fids[0].shape[0]
-        for level, want in enumerate(level_indices):
-            ids = self.fids[level][lo:hi]
-            pos = int(np.searchsorted(ids, int(want)))
-            if pos >= ids.shape[0] or ids[pos] != int(want):
-                return None
-            node = lo + pos
-            if level == self.order - 1:
-                return node
-            lo = int(self.fptr[level][node])
-            hi = int(self.fptr[level][node + 1])
-        return None  # pragma: no cover - unreachable
-
     def leaf_parent_positions(self) -> np.ndarray:
         """Position of each leaf's parent node (length nnz).
 

@@ -20,8 +20,8 @@ The contract under test: ``compile_program`` turns a lowered
 * compiles the same program without its peephole pass for the
   ``lowered`` tier, a callable of its own;
 * compiles every nest the scheduler picks, raises out of ``execute()``
-  when compilation fails, and leaves only sparse-pattern lookups and empty
-  tensors to the interpreter.
+  when compilation fails, and leaves only nests past the 52 einsum letters
+  and empty tensors to the interpreter.
 """
 
 import re
@@ -31,12 +31,14 @@ import numpy as np
 import pytest
 
 from repro.core.contraction_path import enumerate_contraction_paths
+from repro.core.cost_model import OperationCountCost, evaluate_cost
 from repro.core.expr import parse_kernel
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import CompiledJit, compile_program, ir
 from repro.engine.lowering import codegen as codegen_mod
+from repro.engine.lowering import lower as lower_mod
 from repro.engine.lowering.codegen import jit_stats
 from repro.engine.plan_cache import (
     PlanCache,
@@ -614,11 +616,11 @@ class TestFallback:
                 executor.execute(tensors)
             assert executor._plan.jit is None and executor._plan.unfused is None
 
-    def test_lookup_declines_count_as_rejections(self, tttp_setup):
-        """``T*A -> X; B*C -> Y; X*Y -> O`` with the last term looping
-        ``i, j, k`` densely writes the sparse-pattern output one
-        ``find_leaf`` per coordinate: the nest interprets, and its decline
-        counts once per plan."""
+    def test_sparse_output_behind_a_buffer_descends(self, tttp_setup):
+        """``T*A -> X; B*C -> Y; X*Y -> O``: the last term reads only
+        buffers, yet its loops over ``i, j, k`` descend the CSF (each one's
+        earlier levels are bound), so the sparse output is written by
+        descent, the nest lowers, and it executes the modelled count."""
         kernel, tensors = tttp_setup
         path = next(
             p for p in enumerate_contraction_paths(kernel)
@@ -626,10 +628,31 @@ class TestFallback:
         )
         order = LoopOrder((("i", "j", "k", "r"), ("j", "r", "k"), ("i", "j", "k", "r")))
         nest = LoopNest(path, order)
+        model = evaluate_cost(kernel, path, order, OperationCountCost(kernel))
+        rejections = jit_stats()["rejections"]
+        expected = reference_output(kernel, tensors).values
+        for engine in ("jit", "interpret"):
+            executor = LoopNestExecutor(kernel, nest, engine=engine)
+            out = executor.execute(tensors)
+            assert executor.last_engine == engine
+            assert executor.counter.flops == pytest.approx(model, rel=1e-12)
+            np.testing.assert_allclose(out.values, expected, rtol=1e-12)
+        assert jit_stats()["rejections"] == rejections
+
+    def test_letter_limit_declines_count_as_rejections(self, mttkrp_setup, monkeypatch):
+        """A nest with more distinct indices than einsum letters is declined:
+        it interprets, and its decline counts once per plan."""
+        kernel, tensors = mttkrp_setup
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        # one letter, taken by the lane axis: the rank index finds none left
+        monkeypatch.setattr(lower_mod, "_LETTER_POOL", "a")
         rejections, cache = jit_stats()["rejections"], PlanCache()
         for _ in range(2):
-            assert _run(kernel, tensors, nest, plan_cache=cache)[0].last_engine == "interpret"
+            executor, out, _ = _run(kernel, tensors, nest, plan_cache=cache)
+            assert executor.last_engine == "interpret"
+        assert executor._plan.lowered is False
         assert jit_stats()["rejections"] == rejections + 1
+        np.testing.assert_allclose(out, reference_output(kernel, tensors), rtol=1e-12)
 
     def test_empty_tensor_interprets(self, mttkrp_setup):
         from repro.sptensor import COOTensor

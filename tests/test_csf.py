@@ -149,30 +149,6 @@ class TestNavigation:
         assert parents.shape[0] == csf.nnz
         assert parents.max() == csf.nnz_at_level(csf.order - 2) - 1
 
-    def test_find_leaf_hits(self, small_coo):
-        csf = CSFTensor.from_coo(small_coo)
-        for coords, value in small_coo:
-            leaf = csf.find_leaf(list(coords))
-            assert leaf is not None
-            assert csf.values[leaf] == pytest.approx(value)
-
-    def test_find_leaf_misses(self, small_coo):
-        csf = CSFTensor.from_coo(small_coo)
-        assert csf.find_leaf([0, 2, 2]) is None
-
-    def test_find_leaf_respects_mode_order(self, small_coo):
-        csf = CSFTensor.from_coo(small_coo, mode_order=(1, 2, 0))
-        for coords, value in small_coo:
-            level_coords = [coords[1], coords[2], coords[0]]
-            leaf = csf.find_leaf(level_coords)
-            assert leaf is not None
-            assert csf.values[leaf] == pytest.approx(value)
-
-    def test_find_leaf_wrong_arity(self, small_coo):
-        csf = CSFTensor.from_coo(small_coo)
-        with pytest.raises(ValueError):
-            csf.find_leaf([0, 0])
-
     def test_iter_nodes_count(self, random_coo3):
         csf = CSFTensor.from_coo(random_coo3)
         for level in range(csf.order):

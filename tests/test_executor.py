@@ -9,14 +9,22 @@ import numpy as np
 import pytest
 
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
-from repro.core.enumeration import enumerate_loop_orders, sample_loop_orders
+from repro.core.cost_model import OperationCountCost, evaluate_cost
+from repro.core.enumeration import (
+    enumerate_loop_orders,
+    enumerate_loop_orders_for_term,
+    sample_loop_orders,
+)
 from repro.core.expr import parse_kernel
-from repro.core.loop_nest import LoopNest
+from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor, execute_kernel
+from repro.engine.plan_cache import PlanCache, cached_schedule
 from repro.engine.reference import assert_same_result, reference_output
 from repro.sptensor import COOTensor, CSFTensor, random_dense_matrix, random_sparse_tensor
 from repro.util.counters import OpCounter
+
+from conftest import ALL_KERNEL_FIXTURES
 
 KERNELS = ["mttkrp_setup", "ttmc_setup", "tttp_setup", "allmode_setup"]
 
@@ -45,6 +53,62 @@ class TestAllLoopOrdersMatchReference:
             for order in sample_loop_orders(kernel, path, fraction=0.3, seed=0, max_samples=2):
                 result = run_nest(kernel, tensors, LoopNest(path, order))
                 assert_same_result(result, expected)
+
+
+def _drawn_nests(kernel, per_path: int, seed: int):
+    """*per_path* CSF-consistent nests of every ranked path, each term's
+    order drawn uniformly (with replacement) from its own enumeration."""
+    rng = np.random.default_rng(seed)
+    for path, _ in rank_contraction_paths(kernel):
+        per_term = [enumerate_loop_orders_for_term(kernel, term, True) for term in path]
+        for _ in range(per_path):
+            order = tuple(orders[int(rng.integers(len(orders)))] for orders in per_term)
+            yield LoopNest(path, LoopOrder(order))
+
+
+def _executed_and_modelled_flops(kernel, tensors, nest, engine, cache):
+    counter = OpCounter()
+    executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine, plan_cache=cache)
+    executor.execute(tensors)
+    assert executor.last_engine == engine
+    model = evaluate_cost(kernel, nest.path, nest.order, OperationCountCost(kernel))
+    return counter.flops, model
+
+
+class TestTheModelCountsWhatRuns:
+    """Claim 3(a): a nest executes exactly the scalar operations
+    ``OperationCountCost`` charges it, on the interpreter and on ``jit``,
+    because the model, the plan and the lowering share one descent rule
+    (``SpTTNKernel.csf_descends``)."""
+
+    @pytest.mark.parametrize("fixture_name", ALL_KERNEL_FIXTURES)
+    def test_drawn_nests_execute_the_modelled_count(self, fixture_name, request):
+        kernel, tensors = request.getfixturevalue(fixture_name)
+        cache = PlanCache()
+        for nest in _drawn_nests(kernel, per_path=3, seed=0):
+            for engine in ("interpret", "jit"):
+                flops, model = _executed_and_modelled_flops(
+                    kernel, tensors, nest, engine, cache
+                )
+                assert flops == pytest.approx(model, rel=1e-9), nest.order
+
+    @pytest.mark.parametrize(
+        "spec, modes", [("ijkl,ir,jr,lr->kr", (0, 1, 3)), ("ijkl,ir,kr,lr->jr", (0, 2, 3))]
+    )
+    @pytest.mark.parametrize("engine", ["interpret", "jit"])
+    def test_order4_mttkrp_executes_its_model(self, spec, modes, engine):
+        """The two rank-4 order-4 MTTKRPs of the serving mix (its order-4
+        tensor) execute their chosen nests' 4 368 modelled operations, not
+        12 584: the loop over a sparse index in a term that reads only a
+        buffer descends too."""
+        tensor = random_sparse_tensor((14, 12, 10, 8), nnz=220, seed=2)
+        operands = [tensor] + [random_dense_matrix(tensor.shape[m], 4, seed=m) for m in modes]
+        kernel = parse_kernel(spec, operands)
+        tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
+        nest = cached_schedule(kernel).loop_nest
+        flops, model = _executed_and_modelled_flops(kernel, tensors, nest, engine, PlanCache())
+        assert flops == 4_368
+        assert model == pytest.approx(flops, rel=1e-12)
 
 
 class TestOrder4:

@@ -3,8 +3,8 @@
 The contract under test: for every kernel whose scheduled loop nest lowers,
 the lowered engine produces the same output as the interpreter (to the
 floating-point reassociation of vectorized summation, ~1 ulp) with *exactly*
-equal operation counters; only a nest that needs a coordinate lookup into the
-sparse pattern is interpreted.  Every shipped kernel family (MTTKRP, TTMc,
+equal operation counters; only a nest past the 52 einsum letters is
+interpreted.  Every shipped kernel family (MTTKRP, TTMc,
 TTTc, TTTP, all-mode TTMc) must take the lowered path for its
 scheduler-chosen loop order.
 """

@@ -26,6 +26,7 @@ from repro.core.cost_model import (
     CacheMissCost,
     ExecutionCost,
     MaxBufferDimCost,
+    OperationCountCost,
     evaluate_cost,
 )
 from repro.core.enumeration import (
@@ -220,17 +221,6 @@ class TestSparseFormatsProperties:
                     csf.to_coo().to_dense(), coo.to_dense()
                 )
 
-    @SETTINGS
-    @given(coo_tensors())
-    def test_csf_find_leaf_total(self, coo):
-        csf = CSFTensor.from_coo(coo)
-        total = 0.0
-        for coords, value in coo:
-            leaf = csf.find_leaf(list(coords))
-            assert leaf is not None
-            total += csf.values[leaf]
-        assert total == pytest.approx(coo.values.sum())
-
 
 # --------------------------------------------------------------------------- #
 # Lowered-engine equivalence
@@ -291,11 +281,11 @@ class TestWireProperties:
 class TestLoweringProperties:
     """The jit and lowered engines must be observationally equivalent to
     the interpreter for every (kernel, loop order, operand dtype), and take
-    every nest of a dense-output kernel (only a sparse-pattern output can
-    need a coordinate lookup, which is interpreted).  Results
-    agree to the floating-point reassociation of vectorized summation
-    (~1 ulp, the same contract the fused MTTKRP sweep established);
-    operation counters agree exactly."""
+    every nest whose sparse operand has an entry (an empty one is
+    interpreted).  Results agree to the floating-point reassociation of
+    vectorized summation (~1 ulp, the same contract the fused MTTKRP sweep
+    established); operation counters agree exactly, and equal the count
+    ``OperationCountCost`` models."""
 
     @SETTINGS
     @given(
@@ -339,13 +329,16 @@ class TestLoweringProperties:
                 counters[engine] = counter
                 if engine != "interpret":
                     _ENGINE_COVERAGE[executor.last_engine] += 1
-                    if not kernel.output.is_sparse:  # no sparse-pattern lookup
-                        assert executor.last_engine == engine
+                    nnz = cast[kernel.sparse_operand.name].nnz
+                    assert executor.last_engine == (engine if nnz else "interpret")
             for engine in ("jit", "lowered"):
                 np.testing.assert_allclose(
                     outputs[engine], outputs["interpret"], rtol=1e-12, atol=1e-14
                 )
                 assert counters[engine].as_dict() == counters["interpret"].as_dict()
+            # claim 3(a): every nest executes the operations the model counts
+            model = evaluate_cost(kernel, nest.path, nest.order, OperationCountCost(kernel))
+            assert counters["interpret"].flops == pytest.approx(model, rel=1e-9)
 
     def test_fast_paths_were_exercised(self):
         """Guard against the randomized cases silently degrading into
