@@ -137,7 +137,9 @@ def cmd_run(args) -> int:
     print(f"\n{'system':>12s} {'time [ms]':>12s} {'flops':>14s}")
     for name in systems:
         if name == "spttn":
-            baseline = frameworks.SpTTNCyclopsBaseline(engine=args.engine)
+            baseline = frameworks.SpTTNCyclopsBaseline(
+                buffer_dim_bound=args.buffer_bound, engine=args.engine
+            )
         else:
             baseline = getattr(frameworks, _BASELINES[name])()
         if not baseline.supports(kernel):

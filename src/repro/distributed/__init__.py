@@ -7,7 +7,7 @@ tensor, runs the same fused loop nest locally on every process, and finally
 reduces the output.
 
 No MPI implementation is available in this environment, so this subpackage
-*simulates* that runtime (see the substitution table in DESIGN.md):
+*simulates* that runtime:
 
 * :mod:`repro.distributed.grid` — multidimensional processor grids;
 * :mod:`repro.distributed.distribution` — cyclic partitioning of the sparse

@@ -3,7 +3,7 @@
 The paper compares SpTTN-Cyclops against four external systems.  Those
 systems cannot be vendored here, so each is represented by a faithful
 re-implementation of its *strategy* on top of this repository's tensor
-substrate (see DESIGN.md, substitution table):
+substrate:
 
 * :class:`~repro.frameworks.taco_like.TacoLikeBaseline` — the default TACO /
   COMET schedule: a single *unfactorized* loop nest that multiplies all
@@ -20,6 +20,20 @@ substrate (see DESIGN.md, substitution table):
 * :class:`~repro.frameworks.spttn_cyclops.SpTTNCyclopsBaseline` — this
   library's own scheduler + executor, wrapped in the same interface so the
   benchmark harness can sweep all systems uniformly.
+
+SpTTN-Cyclops, SparseLNR and SPLATT are loop-nest builders: each runs its
+nest on the one :class:`~repro.engine.executor.LoopNestExecutor` and counts
+with its :class:`~repro.util.counters.OpCounter`.  CTF runs every term that
+reads the sparse tensor the same way.  Two things stay outside the nest
+space, because the executor cannot express them:
+
+* TACO's unfactorized product keeps its per-nonzero ``einsum``: the
+  executor's terms are binary and a chain of them hoists loop-invariant
+  products, so E10's TTMc would do 1 632 000 scalar operations instead of
+  the unfactorized 3 072 000;
+* CTF's dense × dense pairs stay one ``einsum`` over the full index space,
+  since a loop over a sparse index always descends the CSF: as one nest,
+  Fig. 8c's TTTP would do the fused 246 344 operations instead of 4 203 400.
 """
 
 from repro.frameworks.base import BaselineResult, FrameworkBaseline

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
-from repro.engine.executor import TensorLike
+from repro.core.loop_nest import LoopNest
+from repro.engine.executor import LoopNestExecutor, TensorLike
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.csf import CSFTensor
 from repro.util.counters import OpCounter
@@ -29,15 +29,20 @@ class BaselineResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
-class FrameworkBaseline(ABC):
+class FrameworkBaseline:
     """One execution strategy (TACO-like, CTF-like, ...).
 
-    Subclasses implement :meth:`_execute`; the public :meth:`run` wraps it
-    with timing and operation counting so the benchmark harness treats every
-    system identically.
+    A strategy is a :meth:`build_loop_nest`: :meth:`_execute` runs that nest
+    on the :class:`~repro.engine.executor.LoopNestExecutor`, which counts
+    into :attr:`counter`.  Only strategies that no loop nest expresses
+    override :meth:`_execute`.  The public :meth:`run` wraps it with timing
+    and operation counting so the benchmark harness treats every system
+    identically.
     """
 
     name: str = "baseline"
+    #: executor tier (``None``: ``REPRO_ENGINE``, else ``"jit"``)
+    engine: Optional[str] = None
 
     def __init__(self, counter: Optional[OpCounter] = None) -> None:
         self.counter = counter if counter is not None else OpCounter()
@@ -47,11 +52,19 @@ class FrameworkBaseline(ABC):
         """Whether this strategy can execute the given kernel."""
         return True
 
-    @abstractmethod
+    def build_loop_nest(self, kernel: SpTTNKernel) -> LoopNest:
+        """The loop nest this strategy executes for *kernel*."""
+        raise NotImplementedError(f"{self.name} builds no loop nest")
+
     def _execute(
         self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
     ) -> Output:
         """Execute the kernel and return its output."""
+        nest = self.build_loop_nest(kernel)
+        executor = LoopNestExecutor(
+            kernel, nest, counter=self.counter, engine=self.engine
+        )
+        return executor.execute(tensors)
 
     def run(
         self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]

@@ -9,9 +9,17 @@ all (the paper reports CTF running out of memory on enron/nell-2 TTMc).
 
 Each term of the minimum-flop contraction path is executed independently:
 
-* sparse × dense terms stream over the stored nonzeros and scatter into a
-  dense intermediate of the term's full output shape;
-* dense × dense terms are a single ``einsum``.
+* a term that reads the sparse tensor runs as a one-term kernel on the
+  loop-nest executor (its subscripts parsed with
+  :func:`~repro.core.expr.parse_kernel`, its loops in the default CSF-then-
+  dense order, so there is no search), scattering into a dense intermediate
+  of the term's full output shape;
+* dense × dense terms are a single ``einsum`` over the full index space of
+  the pair.  That materialization is CTF's defining cost, and no loop nest
+  expresses it: every loop over a sparse index descends the CSF.  Run as
+  one nest, the same path on Fig. 8c's TTTP (40³, 2 500 nnz, R = 32) does
+  the fused schedule's 246 344 scalar operations instead of 4 203 400, and
+  is no longer the CTF strategy.
 
 ``memory_limit_elements`` bounds the largest intermediate; exceeding it
 raises :class:`IntermediateMemoryError`, which the benchmark harness reports
@@ -20,18 +28,35 @@ as an out-of-memory row, mirroring the paper's tables.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.core.contraction_path import ContractionPath, rank_contraction_paths
-from repro.core.expr import SpTTNKernel
+from repro.core.contraction_path import (
+    ContractionTerm,
+    rank_contraction_paths,
+    single_term_path,
+)
+from repro.core.expr import SpTTNKernel, parse_kernel
+from repro.core.loop_nest import LoopNest, default_loop_order
+from repro.engine.executor import LoopNestExecutor
 from repro.frameworks.base import FrameworkBaseline, Output, TensorLike
-from repro.sptensor.coo import COOTensor
+
+_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class IntermediateMemoryError(MemoryError):
     """Raised when a pairwise intermediate exceeds the configured memory limit."""
+
+
+def _subscripts(term: ContractionTerm) -> str:
+    """*term* as an einsum spec, one letter per index."""
+    letter = {idx: _ALPHABET[n] for n, idx in enumerate(term.all_indices)}
+    lhs, rhs, out = (
+        "".join(map(letter.__getitem__, ix))
+        for ix in (term.lhs_indices, term.rhs_indices, term.out_indices)
+    )
+    return f"{lhs},{rhs}->{out}"
 
 
 class CTFLikeBaseline(FrameworkBaseline):
@@ -39,154 +64,64 @@ class CTFLikeBaseline(FrameworkBaseline):
 
     name = "ctf-pairwise"
 
-    def __init__(
-        self,
-        counter=None,
-        memory_limit_elements: int = 200_000_000,
-        path: Optional[ContractionPath] = None,
-    ) -> None:
+    def __init__(self, counter=None, memory_limit_elements: int = 200_000_000) -> None:
         super().__init__(counter)
         self.memory_limit_elements = int(memory_limit_elements)
-        self.path = path
+        self._max_intermediate = 0
 
     # ------------------------------------------------------------------ #
     def _execute(
         self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
     ) -> Output:
-        path = self.path
-        if path is None:
-            path = rank_contraction_paths(kernel)[0][0]
-        coo = self.as_coo(tensors[kernel.sparse_operand.name])
-        env: Dict[str, np.ndarray] = {
-            op.name: self.as_array(tensors[op.name]) for op in kernel.dense_operands
-        }
+        path = rank_contraction_paths(kernel)[0][0]
         sparse_name = kernel.sparse_operand.name
-        sparse_indices = kernel.sparse_operand.indices
-        mode_of = {name: pos for pos, name in enumerate(sparse_indices)}
+        env: Dict[str, TensorLike] = {sparse_name: tensors[sparse_name]}
+        for op in kernel.dense_operands:
+            env[op.name] = self.as_array(tensors[op.name])
         self._max_intermediate = 0
 
         for term in path:
-            out_shape = tuple(kernel.index_dims[i] for i in term.out_indices)
-            out_size = int(np.prod(out_shape)) if out_shape else 1
-            is_last = term.out == kernel.output.name
-            if not is_last or not kernel.output.is_sparse:
+            out_sparse = term.out == kernel.output.name and kernel.output.is_sparse
+            if not out_sparse:
+                out_size = int(np.prod([kernel.index_dims[i] for i in term.out_indices]))
                 if out_size > self.memory_limit_elements:
                     raise IntermediateMemoryError(
                         f"pairwise intermediate {term.out!r} needs {out_size} elements, "
                         f"limit is {self.memory_limit_elements}"
                     )
                 self._max_intermediate = max(self._max_intermediate, out_size)
-
-            if term.lhs == sparse_name or term.rhs == sparse_name:
-                other = term.rhs if term.lhs == sparse_name else term.lhs
-                other_indices = (
-                    term.rhs_indices if term.lhs == sparse_name else term.lhs_indices
-                )
-                result = self._sparse_times_dense(
-                    kernel, coo, mode_of, env.get(other), other, other_indices, term
-                )
+            if sparse_name in (term.lhs, term.rhs):
+                env[term.out] = self._sparse_pair(env, term, out_sparse)
             else:
-                result = self._dense_pair(kernel, env, term)
-            env[term.out] = result
-
-        final = env[kernel.output.name]
-        if kernel.output.is_sparse:
-            return final  # already restricted to the pattern (COO values)
-        return final
+                env[term.out] = self._dense_pair(kernel, env, term)
+        return env[kernel.output.name]
 
     # ------------------------------------------------------------------ #
-    def _sparse_times_dense(
-        self,
-        kernel: SpTTNKernel,
-        coo: COOTensor,
-        mode_of: Dict[str, int],
-        other_array: Optional[np.ndarray],
-        other_name: str,
-        other_indices,
-        term,
-    ):
-        """Contract the sparse tensor (or a sparse-patterned output) with a dense operand."""
-        dense_free = tuple(i for i in other_indices if i not in kernel.sparse_indices)
-        is_last = term.out == kernel.output.name
-        out_sparse = is_last and kernel.output.is_sparse
-
-        if out_sparse:
-            out_values = np.zeros(coo.nnz, dtype=np.float64)
-        else:
-            out_shape = tuple(kernel.index_dims[i] for i in term.out_indices)
-            out = np.zeros(out_shape if out_shape else (), dtype=np.float64)
-
-        for row in range(coo.nnz):
-            coords = coo.indices[row]
-            value = coo.values[row]
-            if other_array is None:
-                contrib = value
-            else:
-                key = tuple(
-                    int(coords[mode_of[i]]) if i in kernel.sparse_indices else slice(None)
-                    for i in other_indices
-                )
-                slice_view = other_array[key]
-                contrib = value * slice_view
-                self.counter.add_flops(2 * max(1, int(np.size(slice_view))))
-            if out_sparse:
-                out_values[row] += float(np.sum(contrib)) if np.ndim(contrib) else float(contrib)
-                continue
-            out_key = []
-            for i in term.out_indices:
-                if i in kernel.sparse_indices:
-                    out_key.append(int(coords[mode_of[i]]))
-                else:
-                    out_key.append(slice(None))
-            # sum over dense indices of `other` that are not kept in the output
-            if other_array is not None:
-                kept = [i for i in dense_free if i in term.out_indices]
-                dropped_axes = tuple(
-                    pos for pos, i in enumerate(dense_free) if i not in term.out_indices
-                )
-                if dropped_axes and np.ndim(contrib):
-                    contrib = contrib.sum(axis=dropped_axes)
-                # align contrib axes (kept order) with the output free axes order
-                out_free = [i for i in term.out_indices if i not in kernel.sparse_indices]
-                if kept and out_free and kept != out_free:
-                    perm = [kept.index(i) for i in out_free]
-                    contrib = np.transpose(contrib, perm)
-            target = out[tuple(out_key)]
-            if np.ndim(target) == 0:
-                out[tuple(out_key)] += contrib
-            else:
-                target += contrib
-        if out_sparse:
-            return coo.with_values(out_values)
-        return out
-
-    def _dense_pair(self, kernel: SpTTNKernel, env: Dict[str, np.ndarray], term):
-        """Contract two dense (input or intermediate) operands with einsum."""
-        letters: Dict[str, str] = {}
-        alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-        def letter(idx: str) -> str:
-            if idx not in letters:
-                letters[idx] = alphabet[len(letters)]
-            return letters[idx]
-
-        lhs = env[term.lhs]
-        rhs = env[term.rhs]
-        spec = (
-            "".join(letter(i) for i in term.lhs_indices)
-            + ","
-            + "".join(letter(i) for i in term.rhs_indices)
-            + "->"
-            + "".join(letter(i) for i in term.out_indices)
+    def _sparse_pair(self, env: Dict[str, TensorLike], term, out_sparse: bool):
+        """Contract the sparse tensor with a dense operand on the executor."""
+        names = [term.lhs, term.rhs]
+        pair = parse_kernel(
+            _subscripts(term),
+            [env[name] for name in names],
+            names=names,
+            output_name=term.out,
+            output_sparse=out_sparse,
         )
+        path = single_term_path(pair)
+        nest = LoopNest(path, default_loop_order(pair, path))
+        executor = LoopNestExecutor(pair, nest, counter=self.counter, engine=self.engine)
+        return executor.execute({name: env[name] for name in names})
+
+    def _dense_pair(self, kernel: SpTTNKernel, env: Dict[str, TensorLike], term):
+        """Contract two dense (input or intermediate) operands with einsum."""
         space = 1
-        for i in set(term.lhs_indices) | set(term.rhs_indices):
+        for i in term.all_indices:
             space *= kernel.index_dims[i]
         self.counter.add_flops(2 * space)
-        return np.einsum(spec, lhs, rhs)
+        return np.einsum(_subscripts(term), env[term.lhs], env[term.rhs])
 
     def metadata(self) -> Dict[str, object]:
         return {
             "strategy": "pairwise",
-            "max_intermediate_elements": getattr(self, "_max_intermediate", 0),
+            "max_intermediate_elements": self._max_intermediate,
         }

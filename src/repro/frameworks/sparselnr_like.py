@@ -17,19 +17,18 @@ optimum:
 This baseline reproduces that behaviour generically: it builds the
 left-to-right (expression-order) contraction chain and a loop order that
 shares only the first sparse index between consecutive terms, then runs it
-on the same loop-nest executor used by SpTTN-Cyclops.  For kernels whose
+on the loop-nest executor, the one SpTTN-Cyclops uses.  For kernels whose
 optimal loop depth equals the unfactorized depth (MTTKRP-like kernels) it
 falls back to the unfactorized strategy, mirroring the failed fusion.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.contraction_path import ContractionPath, single_term_path
+from repro.core.contraction_path import single_term_path
 from repro.core.expr import SpTTNKernel
 from repro.core.loop_nest import LoopNest, LoopOrder
-from repro.engine.executor import LoopNestExecutor
 from repro.frameworks.base import FrameworkBaseline, Output, TensorLike
 from repro.frameworks.taco_like import TacoLikeBaseline
 
@@ -41,12 +40,14 @@ class SparseLNRLikeBaseline(FrameworkBaseline):
 
     def __init__(self, counter=None) -> None:
         super().__init__(counter)
-        self._last_nest: LoopNest = None  # type: ignore[assignment]
+        self._last_nest: Optional[LoopNest] = None
 
     # ------------------------------------------------------------------ #
     def build_loop_nest(self, kernel: SpTTNKernel) -> LoopNest:
         """The limited-fusion loop nest this baseline executes."""
-        path = self._expression_order_path(kernel)
+        # the left-to-right chain: sparse tensor with the first dense
+        # operand, that result with the next, ...
+        path = single_term_path(kernel)
         orders: List[Tuple[str, ...]] = []
         lead = kernel.csf_mode_order[0]
         for term in path:
@@ -69,33 +70,19 @@ class SparseLNRLikeBaseline(FrameworkBaseline):
         # happens if the index sets force it.
         return LoopNest(path, LoopOrder(tuple(orders)))
 
-    def _expression_order_path(self, kernel: SpTTNKernel) -> ContractionPath:
-        """Left-to-right chain: sparse tensor with the first dense operand, etc."""
-        return single_term_path(kernel)
-
-    def _degenerates_to_unfactorized(self, kernel: SpTTNKernel) -> bool:
-        """SparseLNR fails to fuse kernels whose terms all need every index.
-
-        This is the MTTKRP situation described in the paper: distributing
-        the kernel does not reduce the loop depth, so the tool emits the
-        default TACO schedule.
-        """
-        nest = self.build_loop_nest(kernel)
-        unfused_depth = len(kernel.index_names)
-        return nest.max_loop_depth() >= unfused_depth
-
     # ------------------------------------------------------------------ #
     def _execute(
         self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
     ) -> Output:
-        if self._degenerates_to_unfactorized(kernel):
-            taco = TacoLikeBaseline(self.counter)
-            self._last_nest = None
-            return taco._execute(kernel, tensors)
         nest = self.build_loop_nest(kernel)
+        if nest.max_loop_depth() >= len(kernel.index_names):
+            # Distributing the kernel does not reduce the loop depth (the
+            # MTTKRP situation the paper describes), so the tool emits the
+            # default TACO schedule.
+            self._last_nest = None
+            return TacoLikeBaseline(self.counter)._execute(kernel, tensors)
         self._last_nest = nest
-        executor = LoopNestExecutor(kernel, nest, counter=self.counter)
-        return executor.execute(tensors)
+        return super()._execute(kernel, tensors)
 
     def metadata(self) -> Dict[str, object]:
         meta: Dict[str, object] = {"strategy": "factorize-and-fuse (lead index only)"}

@@ -10,23 +10,29 @@ mode-0 MTTKRP is::
             row[:] += B[j, :] * acc[:]              # Hadamard + accumulate
         A[i, :] += row[:]
 
-i.e. the factorize-and-fuse schedule with the deepest loops fully
-vectorized.  This baseline implements exactly that structure (generalized to
-any tensor order and any target mode) directly over the CSF level arrays —
-it is the "specialized library" reference point the paper compares against.
-Only MTTKRP kernels are supported; :meth:`supports` returns ``False`` for
-anything else.
+i.e. the factorize-and-fuse schedule with the rank loop innermost.  This
+baseline builds exactly that loop nest (generalized to any tensor order and
+any target mode) and runs it on the loop-nest executor: one term per CSF
+level, deepest level first, each contracting that level's factor under its
+CSF prefix, with the rank index last.  The CSF is stored rooted at the
+target mode, the layout SPLATT uses so the output row is accumulated once
+per root fiber.  It is the "specialized library" reference point the paper
+compares against.  Only MTTKRP kernels are supported; :meth:`supports`
+returns ``False`` for anything else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
+from repro.core.contraction_path import (
+    INTERMEDIATE_PREFIX,
+    ContractionPath,
+    ContractionTerm,
+)
 from repro.core.expr import SpTTNKernel
+from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.frameworks.base import FrameworkBaseline, Output, TensorLike
-from repro.sptensor.csf import CSFTensor
 
 
 def _match_mttkrp(kernel: SpTTNKernel) -> Optional[Dict[str, object]]:
@@ -57,10 +63,15 @@ def _match_mttkrp(kernel: SpTTNKernel) -> Optional[Dict[str, object]]:
     if set(factor_of) != set(other_modes):
         return None
     return {
-        "target_index": target_index,
         "rank_index": rank_index,
         "factor_of": factor_of,
     }
+
+
+def _rooted_order(kernel: SpTTNKernel) -> Tuple[str, ...]:
+    """The sparse modes with the output's (the target) mode first."""
+    target = kernel.output.indices[0]
+    return (target,) + tuple(i for i in kernel.sparse_operand.indices if i != target)
 
 
 class SplattLikeBaseline(FrameworkBaseline):
@@ -71,69 +82,42 @@ class SplattLikeBaseline(FrameworkBaseline):
     def supports(self, kernel: SpTTNKernel) -> bool:
         return _match_mttkrp(kernel) is not None
 
-    def _execute(
-        self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
-    ) -> Output:
+    def build_loop_nest(self, kernel: SpTTNKernel) -> LoopNest:
+        """The factor-per-CSF-level chain over the CSF rooted at the target.
+
+        The levels below the root are contracted deepest first, each term
+        looping over its CSF prefix and then the rank index.  The nest runs
+        over *kernel* stored in that order, as :meth:`_execute` arranges.
+        """
         info = _match_mttkrp(kernel)
         if info is None:
             raise NotImplementedError("SPLATT baseline only implements MTTKRP")
-        target_index: str = info["target_index"]  # type: ignore[assignment]
-        rank_index: str = info["rank_index"]  # type: ignore[assignment]
+        rank: str = info["rank_index"]  # type: ignore[assignment]
         factor_of: Dict[str, str] = info["factor_of"]  # type: ignore[assignment]
+        levels = _rooted_order(kernel)
+        terms: List[ContractionTerm] = []
+        orders = []
+        current = (kernel.sparse_operand.name, kernel.sparse_operand.indices)
+        for depth in range(len(levels) - 1, 0, -1):
+            level = levels[depth]
+            out = levels[:depth] + (rank,)  # (target, rank) at depth 1
+            name = kernel.output.name if depth == 1 else f"{INTERMEDIATE_PREFIX}{depth}"
+            terms.append(
+                ContractionTerm(
+                    current[0], factor_of[level], name, current[1], (level, rank), out
+                )
+            )
+            orders.append(levels[: depth + 1] + (rank,))
+            current = (name, out)
+        return LoopNest(ContractionPath(tuple(terms)), LoopOrder(tuple(orders)))
 
-        sparse = tensors[kernel.sparse_operand.name]
-        spec_indices = kernel.sparse_operand.indices
-        # Store the CSF with the target mode as the root level, the layout
-        # SPLATT uses so the output row is accumulated once per root fiber.
-        level_names = (target_index,) + tuple(
-            i for i in spec_indices if i != target_index
+    def _execute(
+        self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
+    ) -> Output:
+        rooted = SpTTNKernel(
+            kernel.operands, kernel.output, kernel.index_dims, _rooted_order(kernel)
         )
-        mode_order = tuple(spec_indices.index(name) for name in level_names)
-        if isinstance(sparse, CSFTensor):
-            csf = CSFTensor.from_coo(sparse.to_coo(), mode_order)
-        else:
-            csf = CSFTensor.from_coo(sparse, mode_order)
-
-        rank = kernel.index_dims[rank_index]
-        factors: List[np.ndarray] = [
-            self.as_array(tensors[factor_of[name]]) for name in level_names[1:]
-        ]
-        out = np.zeros((kernel.index_dims[target_index], rank), dtype=np.float64)
-
-        order = csf.order
-        counter = self.counter
-
-        def recurse(level: int, position: int) -> np.ndarray:
-            """Return the rank-vector contribution of the subtree at (level, position)."""
-            if level == order - 1:
-                # deepest level: one vectorized gather+GEMV over the fiber
-                value = csf.values[position]
-                row = factors[level - 1][csf.fids[level][position]]
-                counter.add_flops(2 * rank)
-                return value * row
-            lo, hi = csf.children_range(level, position)
-            if level == order - 2:
-                ids = csf.fids[level + 1][lo:hi]
-                vals = csf.values[lo:hi]
-                acc = vals @ factors[level][ids]
-                counter.add_flops(2 * rank * (hi - lo))
-                counter.add_call("gemv")
-            else:
-                acc = np.zeros(rank, dtype=np.float64)
-                for child in range(lo, hi):
-                    acc += recurse(level + 1, child)
-            if level == 0:
-                return acc
-            counter.add_flops(2 * rank)
-            counter.add_call("hadamard")
-            return acc * factors[level - 1][csf.fids[level][position]]
-
-        for root in range(csf.nnz_at_level(0)):
-            out[csf.fids[0][root]] += recurse(0, root)
-
-        # Reorder output axes to the kernel's output index order if needed
-        # (output is (target, rank) by construction, which matches).
-        return out
+        return super()._execute(rooted, tensors)
 
     def metadata(self) -> Dict[str, object]:
         return {"strategy": "specialized CSF MTTKRP"}

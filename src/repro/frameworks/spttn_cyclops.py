@@ -1,20 +1,21 @@
 """SpTTN-Cyclops (this library) wrapped in the baseline interface.
 
 The benchmark harness sweeps all systems through the same
-:class:`~repro.frameworks.base.FrameworkBaseline` interface; this adapter
-runs the scheduler once per kernel (caching the schedule, since the search
-is data-independent) and executes the selected loop nest.
+:class:`~repro.frameworks.base.FrameworkBaseline` interface; this adapter's
+loop nest is the scheduler's pick, looked up in the process-wide schedule
+cache (:func:`~repro.engine.plan_cache.cached_schedule`, bounded and keyed
+by kernel structure, since the search is data-independent).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
-from repro.core.cost_model import TreeSeparableCost
 from repro.core.expr import SpTTNKernel
-from repro.core.scheduler import Schedule, SpTTNScheduler
-from repro.engine.executor import LoopNestExecutor
-from repro.frameworks.base import FrameworkBaseline, Output, TensorLike
+from repro.core.loop_nest import LoopNest
+from repro.core.scheduler import Schedule
+from repro.engine.plan_cache import cached_schedule
+from repro.frameworks.base import FrameworkBaseline
 
 
 class SpTTNCyclopsBaseline(FrameworkBaseline):
@@ -26,38 +27,27 @@ class SpTTNCyclopsBaseline(FrameworkBaseline):
         self,
         counter=None,
         buffer_dim_bound: Optional[int] = 2,
-        cost: Optional[TreeSeparableCost] = None,
         engine: Optional[str] = None,
     ) -> None:
         super().__init__(counter)
         self.buffer_dim_bound = buffer_dim_bound
-        self.cost = cost
         self.engine = engine
-        self._schedules: Dict[int, Schedule] = {}
+        self._last_schedule: Optional[Schedule] = None
 
     def schedule_for(self, kernel: SpTTNKernel) -> Schedule:
-        """Schedule the kernel (cached per kernel object)."""
-        key = id(kernel)
-        if key not in self._schedules:
-            scheduler = SpTTNScheduler(
-                kernel, cost=self.cost, buffer_dim_bound=self.buffer_dim_bound
-            )
-            self._schedules[key] = scheduler.schedule()
-        return self._schedules[key]
-
-    def _execute(
-        self, kernel: SpTTNKernel, tensors: Mapping[str, TensorLike]
-    ) -> Output:
-        schedule = self.schedule_for(kernel)
-        executor = LoopNestExecutor(
-            kernel, schedule.loop_nest, counter=self.counter, engine=self.engine
+        """The scheduler's pick for *kernel* (searched once per structure)."""
+        self._last_schedule = cached_schedule(
+            kernel, buffer_dim_bound=self.buffer_dim_bound
         )
-        return executor.execute(tensors)
+        return self._last_schedule
+
+    def build_loop_nest(self, kernel: SpTTNKernel) -> LoopNest:
+        return self.schedule_for(kernel).loop_nest
 
     def metadata(self) -> Dict[str, object]:
         meta: Dict[str, object] = {"strategy": "spttn-cyclops"}
-        if self._schedules:
-            schedule = next(iter(self._schedules.values()))
+        schedule = self._last_schedule
+        if schedule is not None:
             meta["max_buffer_dimension"] = schedule.max_buffer_dimension()
             meta["path_rank"] = schedule.path_rank
         return meta

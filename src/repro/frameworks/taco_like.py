@@ -7,13 +7,18 @@ but no partial products are reused either, so the operation count carries the
 full product of all dense dimensions for every stored nonzero — e.g.
 ``3 nnz(T) * R`` for MTTKRP and ``3 nnz(T) * R * S`` for order-3 TTMc, versus
 the factorized ``2 nnz_{IJK} R + 2 nnz_{IJ} R`` and ``2 nnz_{IJK} S +
-2 nnz_{IJ} S R``.
+2 nnz_{IJ} S R``.  The counter charges a multiply-add for each operand
+product, so it records ``4 nnz(T) * R`` and ``4 nnz(T) * R * S``.
 
 The implementation streams over the stored nonzeros (the sparse loops) and
 evaluates the all-operand product over the dense indices with one vectorized
-``einsum`` per nonzero — the same interpreted-outer/vectorized-inner
-substrate every other strategy in this repository uses, so measured ratios
-reflect the algorithmic difference rather than implementation technology.
+``einsum`` per nonzero.  It is the one baseline that keeps a private
+interpreter: the loop-nest executor's terms are binary, so a chain of them
+hoists each loop-invariant partial product out of the inner loops and no
+longer pays the unfactorized count.  Run as such a chain (every term under
+all sparse loops), E10's order-3 TTMc does 1 632 000 scalar operations
+instead of 3 072 000, and the test suite's TTMc fixture 4 656, under 1.5x the
+fused schedule's 4 370.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ gigabytes and are not redistributable inside this repository, so each preset
 here records the *published* mode sizes and nonzero counts and generates a
 synthetic tensor with the same order, proportionally scaled dimensions and
 nnz, and a skewed (power-law) nonzero distribution.  The substitution is
-documented in DESIGN.md: the loop-nest search is data-independent (it only
+sound because the loop-nest search is data-independent (it only
 consumes mode sizes and CSF-level nonzero counts), and skewed synthetic
 patterns exercise the same execution paths and load-imbalance behaviour as
 the real data.

@@ -8,6 +8,8 @@ counters must reflect the algorithmic differences the paper describes
 import numpy as np
 import pytest
 
+from repro.__main__ import main as cli_main
+from repro.engine.plan_cache import cached_schedule, default_schedule_cache
 from repro.engine.reference import assert_same_result, reference_output
 from repro.frameworks import (
     ALL_BASELINES,
@@ -18,6 +20,8 @@ from repro.frameworks import (
     SpTTNCyclopsBaseline,
     TacoLikeBaseline,
 )
+from repro.kernels.mttkrp import mttkrp_kernel
+from repro.sptensor import CSFTensor, random_dense_matrix
 
 KERNELS = ["mttkrp_setup", "ttmc_setup", "tttp_setup", "allmode_setup", "ttmc4_setup"]
 
@@ -96,12 +100,33 @@ class TestOperationCountShapes:
             tiny_limit.run(kernel, tensors)
 
     def test_splatt_flops_match_fused(self, mttkrp_setup):
-        """SPLATT and SpTTN-Cyclops implement the same factorized algorithm."""
+        """SPLATT and SpTTN-Cyclops implement the same factorized algorithm:
+        ``2 nnz R + 2 nnz_IJ R`` = 2·97·5 + 2·85·5 on the fixture."""
         kernel, tensors = mttkrp_setup
+        csf = CSFTensor.from_coo(tensors["T"], (0, 1, 2))
+        assert (csf.nnz, csf.nnz_at_level(1)) == (97, 85)
         splatt = SplattLikeBaseline().run(kernel, tensors)
         ours = SpTTNCyclopsBaseline().run(kernel, tensors)
-        ratio = splatt.counter.flops / max(1, ours.counter.flops)
-        assert 0.4 < ratio < 2.5
+        assert splatt.counter.flops == ours.counter.flops == 1820
+
+    @pytest.mark.parametrize("coo_fixture", ["random_coo3", "random_coo4"])
+    def test_splatt_contracts_one_factor_per_level_of_the_rooted_csf(
+        self, coo_fixture, request
+    ):
+        """Every mode runs ``2R (nnz + sum_{d=1}^{N-2} nnz_at_level(d))`` over
+        the CSF rooted at the target mode: the deepest level's factor once
+        per nonzero, each other non-root level's once per node."""
+        coo = request.getfixturevalue(coo_fixture)
+        rank = 3
+        factors = [random_dense_matrix(d, rank, seed=d) for d in coo.shape]
+        for mode in range(coo.order):
+            kernel, tensors = mttkrp_kernel(coo, factors, mode=mode)
+            rooted = (mode,) + tuple(m for m in range(coo.order) if m != mode)
+            csf = CSFTensor.from_coo(coo, rooted)
+            inner = sum(csf.nnz_at_level(d) for d in range(1, coo.order - 1))
+            result = SplattLikeBaseline().run(kernel, tensors)
+            assert result.counter.flops == 2 * rank * (csf.nnz + inner)
+            assert_same_result(result.output, reference_output(kernel, tensors))
 
 
 class TestSparseLNRBehaviour:
@@ -146,9 +171,64 @@ class TestSpTTNCyclopsAdapter:
         meta = baseline.metadata()
         assert meta["max_buffer_dimension"] <= 2
 
+    def test_schedules_come_from_the_bounded_structural_cache(
+        self, mttkrp_setup, ttmc_setup
+    ):
+        """Alternating two kernel structures holds two schedules, however
+        many runs, and metadata describes the last run's."""
+        baseline = SpTTNCyclopsBaseline()
+        for _ in range(10):
+            for kernel, tensors in (ttmc_setup, mttkrp_setup):
+                baseline.run(kernel, tensors)
+        assert default_schedule_cache().stats()["entries"] == 2
+        last = cached_schedule(mttkrp_setup[0])
+        assert baseline.schedule_for(mttkrp_setup[0]) is last
+        assert baseline.metadata()["path_rank"] == last.path_rank
+        assert baseline.metadata()["max_buffer_dimension"] == last.max_buffer_dimension()
+
+    def test_buffer_bound_reaches_the_schedule(self, allmode_setup):
+        kernel, _ = allmode_setup
+        wide = SpTTNCyclopsBaseline(buffer_dim_bound=3).schedule_for(kernel)
+        assert wide is cached_schedule(kernel, buffer_dim_bound=3)
+
     def test_counter_reset_between_runs(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         baseline = SpTTNCyclopsBaseline()
         first = baseline.run(kernel, tensors).counter.flops
         second = baseline.run(kernel, tensors).counter.flops
         assert first == second
+
+
+class TestRunCLI:
+    RUN = ["run", "--repeats", "1", "--seed", "0"]
+
+    @staticmethod
+    def _flops(out):
+        """``{system: flops}`` from the table ``repro run`` prints."""
+        rows = [line.split() for line in out.splitlines()]
+        return {r[0]: int(r[2].replace(",", "")) for r in rows if len(r) == 3}
+
+    def test_buffer_bound_selects_the_executed_nest(self, capsys):
+        """``run --buffer-bound 3`` executes the nest ``schedule --buffer-bound
+        3`` picks (a dimension-3 buffer), not the bound-2 one (188 416)."""
+        rc = cli_main(
+            self.RUN
+            + ["--spec", "ijk,ir,js,kt->rst", "--shape", "20,16,12", "--buffer-bound", "3"]
+        )
+        assert rc == 0
+        assert self._flops(capsys.readouterr().out) == {"spttn": 161_792}
+
+    def test_compare_prints_every_baseline(self, capsys):
+        rc = cli_main(
+            self.RUN
+            + ["--spec", "ijk,jr,kr->ir", "--shape", "40,30,20"]
+            + ["--compare", "taco", "splatt", "sparselnr", "ctf"]
+        )
+        assert rc == 0
+        assert self._flops(capsys.readouterr().out) == {
+            "spttn": 4_064,
+            "taco": 4_096,
+            "splatt": 4_064,
+            "sparselnr": 4_096,
+            "ctf": 40_448,
+        }
