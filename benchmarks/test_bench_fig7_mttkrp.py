@@ -5,9 +5,12 @@ FROSTT tensors with rank R = 64 and reports: SpTTN-Cyclops 1.3-3.4x faster
 than TACO, roughly on par with SPLATT (0.7-1.7x), SparseLNR equal to TACO
 (fusion fails for MTTKRP), and CTF far behind.
 
-Expected shape here: ``spttn-cyclops`` and ``splatt`` are the two fastest
-and within a small factor of each other; ``taco-unfactorized`` and
-``sparselnr`` are slower; ``ctf-pairwise`` is slowest.
+Asserted here on executed flops, which hold on any host: ``spttn-cyclops``
+executes no more than ``splatt`` and fewer than ``taco-unfactorized``, whose
+count is 2 (N - 1) nnz R for an order-N tensor, and ``sparselnr`` equals
+``taco-unfactorized`` (its MTTKRP fallback).  Times stay in ``extra_info``,
+ungated.  ``ctf-pairwise`` is not ranked: on ``vast-3d`` it executes 395 776
+flops, fewer than ``spttn-cyclops``'s 548 352.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ FRAMEWORKS = {
     "taco-unfactorized": TacoLikeBaseline,
     "sparselnr": SparseLNRLikeBaseline,
     "ctf-pairwise": CTFLikeBaseline,
+}
+
+
+#: Executed flops of (spttn-cyclops, splatt, taco-unfactorized) at R = 64.
+FLOPS = {
+    "nell-2": (433_792, 433_792, 768_000),
+    "nips": (146_944, 198_400, 387_072),
+    "vast-3d": (548_352, 618_880, 768_000),
 }
 
 
@@ -60,6 +71,23 @@ def test_fig7_mttkrp_single_thread(benchmark, dataset, framework):
         lambda: baseline.run(kernel, tensors), rounds=3, iterations=1, warmup_rounds=1
     )
     benchmark.extra_info["flops"] = result.counter.flops
+
+
+@pytest.mark.parametrize("dataset", FIG7_DATASETS)
+def test_fig7_spttn_executes_no_more_flops_than_splatt_and_fewer_than_taco(dataset):
+    kernel, tensors = _setup(dataset)
+    flops = {
+        name: FRAMEWORKS[name]().run(kernel, tensors).counter.flops
+        for name in ("spttn-cyclops", "splatt", "taco-unfactorized", "sparselnr")
+    }
+    ours, splatt, taco = FLOPS[dataset]
+    tensor = tensors[kernel.sparse_operand.name]
+    assert taco == 2 * (tensor.order - 1) * tensor.nnz * FIG7_RANK
+    assert (flops["spttn-cyclops"], flops["splatt"], flops["taco-unfactorized"]) == (
+        ours, splatt, taco,
+    )
+    assert ours <= splatt and ours < taco
+    assert flops["sparselnr"] == taco
 
 
 @pytest.mark.smoke

@@ -28,10 +28,10 @@ This subpackage contains the paper's primary contribution:
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".expr": ("IndexInfo", "KernelOperand", "SpTTNKernel", "parse_kernel"),
+    ".expr": ("KernelOperand", "SpTTNKernel", "parse_kernel"),
     ".contraction_path": (
         "ContractionTerm", "ContractionPath", "enumerate_contraction_paths",
-        "count_contraction_paths", "path_flop_estimate", "rank_contraction_paths",
+        "path_flop_estimate", "rank_contraction_paths",
     ),
     ".loop_nest": (
         "LoopOrder", "LoopNest", "LoopVertex", "FusedForest", "build_fused_forest",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expr import SpTTNKernel
-from repro.util.validation import require
 
 INTERMEDIATE_PREFIX = "_I"
 
@@ -59,14 +58,6 @@ class ContractionTerm:
             if idx not in seen:
                 seen.append(idx)
         return tuple(seen)
-
-    @property
-    def contracted_indices(self) -> Tuple[str, ...]:
-        out = set(self.out_indices)
-        return tuple(i for i in self.all_indices if i not in out)
-
-    def involves(self, operand: str) -> bool:
-        return operand in (self.lhs, self.rhs)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -243,19 +234,6 @@ def enumerate_contraction_paths(
 
     recurse(initial, [])
     return results
-
-
-def count_contraction_paths(n_tensors: int) -> int:
-    """Number of contraction paths enumerated for *n_tensors* inputs.
-
-    Follows the recurrence ``T(n) = C(n, 2) * T(n-1)``, ``T(2) = 1``
-    (before structural de-duplication), i.e. ``prod_{k=3..n} C(k, 2)``.
-    """
-    require(n_tensors >= 2, "need at least two tensors")
-    total = 1
-    for k in range(3, n_tensors + 1):
-        total *= k * (k - 1) // 2
-    return total
 
 
 # --------------------------------------------------------------------------- #

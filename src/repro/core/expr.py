@@ -9,8 +9,8 @@ parses einsum-style expressions such as ``"ijk,ja,ka->ia"`` into a validated
 * one :class:`KernelOperand` per input tensor (sparse tensor first by
   convention, but any position is accepted);
 * the output operand;
-* per-index dimension information and sparsity classification
-  (:class:`IndexInfo`);
+* per-index dimensions (``index_dims``) and sparsity classification
+  (``sparse_indices`` / ``dense_indices``);
 * the CSF storage order of the sparse indices, which constrains loop orders
   (Section 5).
 
@@ -32,18 +32,6 @@ from repro.sptensor.csf import CSFTensor, csf_for_mode_order
 from repro.util.validation import require
 
 SparseInput = Union[COOTensor, CSFTensor]
-
-
-@dataclass(frozen=True)
-class IndexInfo:
-    """Static information about one index variable of a kernel."""
-
-    name: str
-    dimension: int
-    is_sparse: bool
-    #: position of this index among the sparse tensor's CSF levels
-    #: (``None`` for dense-only indices).
-    csf_level: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -168,30 +156,6 @@ class SpTTNKernel:
         self.sparse_stats: Dict[str, object] = dict(sparse_stats or {})
 
     # ------------------------------------------------------------------ #
-    @property
-    def n_inputs(self) -> int:
-        return len(self.operands)
-
-    @property
-    def n_dense(self) -> int:
-        return len(self.dense_operands)
-
-    def operand(self, name: str) -> KernelOperand:
-        for op in self.operands:
-            if op.name == name:
-                return op
-        if name == self.output.name:
-            return self.output
-        raise KeyError(f"no operand named {name!r}")
-
-    def dim(self, index: str) -> int:
-        return self.index_dims[index]
-
-    def index_info(self, index: str) -> IndexInfo:
-        is_sparse = index in self.sparse_indices
-        level = self.csf_mode_order.index(index) if is_sparse else None
-        return IndexInfo(index, self.index_dims[index], is_sparse, level)
-
     def csf_level(self, index: str) -> Optional[int]:
         if index in self.sparse_indices:
             return self.csf_mode_order.index(index)
@@ -273,16 +237,6 @@ class SpTTNKernel:
         )
         out = f"{self.output.name}({','.join(self.output.indices)})"
         return f"SpTTNKernel({ins} -> {out})"
-
-    def einsum_spec(self) -> str:
-        """The kernel as an einsum subscripts string (single-letter indices only)."""
-        for idx in self.index_names:
-            if len(idx) != 1:
-                raise ValueError(
-                    "einsum_spec requires single-character index names"
-                )
-        ins = ",".join("".join(op.indices) for op in self.operands)
-        return f"{ins}->{''.join(self.output.indices)}"
 
 
 def _operand_from_tensor(

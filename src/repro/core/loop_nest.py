@@ -52,14 +52,6 @@ class LoopOrder:
     def max_depth(self) -> int:
         return max((len(o) for o in self.orders), default=0)
 
-    def all_indices(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for order in self.orders:
-            for idx in order:
-                if idx not in seen:
-                    seen.append(idx)
-        return tuple(seen)
-
 
 def validate_loop_order(
     kernel: SpTTNKernel,
@@ -130,52 +122,12 @@ class LoopVertex:
     index: str
     children: List[Union["LoopVertex", TermLeaf]] = field(default_factory=list)
 
-    def term_positions(self) -> List[int]:
-        """All contraction-term positions contained in this loop's subtree."""
-        out: List[int] = []
-        for child in self.children:
-            if isinstance(child, TermLeaf):
-                out.append(child.term_position)
-            else:
-                out.extend(child.term_positions())
-        return out
-
-    def depth(self) -> int:
-        child_depths = [
-            c.depth() if isinstance(c, LoopVertex) else 0 for c in self.children
-        ]
-        return 1 + (max(child_depths) if child_depths else 0)
-
 
 @dataclass
 class FusedForest:
     """A fully-fused loop nest forest (ordered list of root loop vertices)."""
 
     roots: List[Union[LoopVertex, TermLeaf]]
-
-    def max_depth(self) -> int:
-        return max(
-            (r.depth() if isinstance(r, LoopVertex) else 0 for r in self.roots),
-            default=0,
-        )
-
-    def loop_count(self) -> int:
-        def count(node: Union[LoopVertex, TermLeaf]) -> int:
-            if isinstance(node, TermLeaf):
-                return 0
-            return 1 + sum(count(c) for c in node.children)
-
-        return sum(count(r) for r in self.roots)
-
-    def iter_vertices(self) -> Iterator[LoopVertex]:
-        def walk(node: Union[LoopVertex, TermLeaf]) -> Iterator[LoopVertex]:
-            if isinstance(node, LoopVertex):
-                yield node
-                for c in node.children:
-                    yield from walk(c)
-
-        for r in self.roots:
-            yield from walk(r)
 
     def is_fully_fused(self) -> bool:
         """No vertex (or the virtual forest root) has two consecutive children
@@ -320,13 +272,6 @@ def max_buffer_size(
     return max(
         (b.size(index_dims) for b in intermediate_buffers(path, order)), default=0
     )
-
-
-def total_buffer_size(
-    path: ContractionPath, order: LoopOrder, index_dims: Dict[str, int]
-) -> int:
-    """Sum of all intermediate buffer sizes of a loop nest."""
-    return sum(b.size(index_dims) for b in intermediate_buffers(path, order))
 
 
 # --------------------------------------------------------------------------- #

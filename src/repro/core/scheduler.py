@@ -3,7 +3,7 @@
 The runtime's scheduling policy is:
 
 1. enumerate contraction paths and rank them by leading-order operation
-   count (paths within a configurable factor of the best estimate are
+   count (paths within :data:`FLOP_TOLERANCE` of the best estimate are
    considered "asymptotically optimal");
 2. for each such path, run Algorithm 1 with the default BLAS-aware cost
    model (bounded intermediate-buffer dimension, maximal offloadable dense
@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.contraction_path import (
     ContractionPath,
     enumerate_contraction_paths,
-    path_flop_estimate,
     rank_contraction_paths,
 )
 from repro.core.cost_model import (
@@ -35,6 +34,10 @@ from repro.core.expr import SpTTNKernel
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.optimizer import OptimalLoopOrderSearch, SearchResult
 from repro.util.validation import require
+
+#: A contraction path is asymptotically optimal when its estimated operation
+#: count is within this factor of the best path's estimate (Section 5).
+FLOP_TOLERANCE = 1.5
 
 
 @dataclass
@@ -86,13 +89,12 @@ class SpTTNScheduler:
     buffer_dim_bound:
         Maximum allowed intermediate-buffer dimension (the paper's
         experiments use 2).  Ignored when an explicit *cost* is passed.
-    flop_tolerance:
-        A contraction path is considered asymptotically optimal when its
-        estimated operation count is within this multiplicative factor of
-        the best path's estimate.
     max_paths:
         Optional cap on the number of contraction paths enumerated (the
         enumeration is factorial in the number of dense operands).
+
+    Loop orders keep the sparse indices in CSF storage order, the only
+    orders :class:`~repro.engine.executor.LoopNestExecutor` runs.
     """
 
     def __init__(
@@ -100,19 +102,14 @@ class SpTTNScheduler:
         kernel: SpTTNKernel,
         cost: Optional[TreeSeparableCost] = None,
         buffer_dim_bound: Optional[int] = 2,
-        flop_tolerance: float = 1.5,
         max_paths: Optional[int] = 5000,
-        enforce_csf_order: bool = True,
     ) -> None:
-        require(flop_tolerance >= 1.0, "flop_tolerance must be >= 1")
         self.kernel = kernel
         self.buffer_dim_bound = buffer_dim_bound
         self.cost = cost if cost is not None else ExecutionCost(
             kernel, buffer_dim_bound=buffer_dim_bound
         )
-        self.flop_tolerance = float(flop_tolerance)
         self.max_paths = max_paths
-        self.enforce_csf_order = bool(enforce_csf_order)
 
     # ------------------------------------------------------------------ #
     def ranked_paths(self) -> List[Tuple[ContractionPath, float]]:
@@ -125,9 +122,7 @@ class SpTTNScheduler:
         ranked = self.ranked_paths()
         require(len(ranked) > 0, "no contraction paths found")
         best_flops = ranked[0][1]
-        searcher = OptimalLoopOrderSearch(
-            self.kernel, self.cost, enforce_csf_order=self.enforce_csf_order
-        )
+        searcher = OptimalLoopOrderSearch(self.kernel, self.cost)
 
         best: Optional[Schedule] = None
         feasible_found = False
@@ -164,7 +159,7 @@ class SpTTNScheduler:
         optimal_band = [
             (rank, path, flops)
             for rank, (path, flops) in enumerate(ranked)
-            if flops <= best_flops * self.flop_tolerance
+            if flops <= best_flops * FLOP_TOLERANCE
         ]
         for rank, path, flops in optimal_band:
             consider(path, flops, rank)
@@ -178,7 +173,7 @@ class SpTTNScheduler:
         # suboptimal asymptotic complexity until it finds a loop nest that
         # adheres to the constraints").
         for rank, (path, flops) in enumerate(ranked):
-            if flops <= best_flops * self.flop_tolerance:
+            if flops <= best_flops * FLOP_TOLERANCE:
                 continue  # already considered
             consider(path, flops, rank)
             if feasible_found:
@@ -187,20 +182,3 @@ class SpTTNScheduler:
         require(best is not None, "scheduler failed to produce any schedule")
         best.candidates_considered = considered
         return best
-
-    # ------------------------------------------------------------------ #
-    def schedule_for_path(self, path: ContractionPath) -> Schedule:
-        """Run the loop-order search for one externally chosen path."""
-        searcher = OptimalLoopOrderSearch(
-            self.kernel, self.cost, enforce_csf_order=self.enforce_csf_order
-        )
-        result = searcher.search(path)
-        return Schedule(
-            kernel=self.kernel,
-            loop_nest=LoopNest(path, result.order),
-            cost_value=result.cost,
-            flop_estimate=path_flop_estimate(self.kernel, path),
-            path_rank=0,
-            candidates_considered=1,
-            search_stats=result.stats.as_dict(),
-        )

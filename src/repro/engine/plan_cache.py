@@ -50,7 +50,7 @@ from repro.core.scheduler import Schedule, SpTTNScheduler
 from repro.sptensor.coo import COOTensor, digest_stats
 from repro.sptensor.csf import CSFTensor, default_structure_memo
 from repro.util.config import setting
-from repro.util.lru import LRUCache, approx_nbytes  # noqa: F401 - approx_nbytes re-exported
+from repro.util.lru import LRUCache
 
 PlanKey = Tuple[Hashable, ...]
 
@@ -139,10 +139,8 @@ def plan_key(
 
 def schedule_key(
     kernel: SpTTNKernel,
-    buffer_dim_bound: Optional[int],
-    flop_tolerance: float,
-    max_paths: Optional[int],
-    enforce_csf_order: bool,
+    buffer_dim_bound: Optional[int] = 2,
+    max_paths: Optional[int] = 5000,
 ) -> PlanKey:
     """Identity of one scheduling problem (kernel structure + sparsity stats)."""
     stats = kernel.sparse_stats
@@ -152,9 +150,7 @@ def schedule_key(
         stats.get("nnz"),
         tuple(sorted(prefix.items())),
         buffer_dim_bound,
-        float(flop_tolerance),
         max_paths,
-        bool(enforce_csf_order),
     )
 
 
@@ -351,9 +347,7 @@ def schedule_search_count() -> int:
 def cached_schedule(
     kernel: SpTTNKernel,
     buffer_dim_bound: Optional[int] = 2,
-    flop_tolerance: float = 1.5,
     max_paths: Optional[int] = 5000,
-    enforce_csf_order: bool = True,
     cache: Optional[PlanCache] = None,
     store: Union[PlanStore, bool, None] = True,
 ) -> Schedule:
@@ -383,9 +377,7 @@ def cached_schedule(
     True
     """
     cache = cache if cache is not None else _DEFAULT_SCHEDULE_CACHE
-    key = schedule_key(
-        kernel, buffer_dim_bound, flop_tolerance, max_paths, enforce_csf_order
-    )
+    key = schedule_key(kernel, buffer_dim_bound, max_paths)
 
     def build() -> Schedule:
         # resolved on a miss only: a hit never reads the environment
@@ -405,11 +397,7 @@ def cached_schedule(
                     inc_counter("store.schedule_loads")
                     return restored
         scheduler = SpTTNScheduler(
-            kernel,
-            buffer_dim_bound=buffer_dim_bound,
-            flop_tolerance=flop_tolerance,
-            max_paths=max_paths,
-            enforce_csf_order=enforce_csf_order,
+            kernel, buffer_dim_bound=buffer_dim_bound, max_paths=max_paths
         )
         with _span("schedule_search", "scheduler"):
             schedule = scheduler.schedule()

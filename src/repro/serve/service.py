@@ -79,14 +79,6 @@ from repro.util.validation import require
 
 Output = Union[np.ndarray, COOTensor]
 
-#: Scheduling knobs shared by every request the service plans.  They are
-#: part of the group signature implicitly (all groups use the same knobs),
-#: and they match the :func:`~repro.engine.plan_cache.cached_schedule`
-#: defaults so service traffic and library callers share cache entries.
-_SCHEDULE_KNOBS = dict(
-    buffer_dim_bound=2, flop_tolerance=1.5, max_paths=5000, enforce_csf_order=True
-)
-
 #: Per-request latency stages reported in :attr:`ServeFuture.timings` and
 #: aggregated into the ``serve.stage.*`` histograms; the daemon adds
 #: ``wire_decode`` when it parses the request and ``wire_encode`` when it
@@ -429,7 +421,7 @@ class ContractionService:
         """The request's plan identity, derived once at admission and read
         by grouping, the lookups of both group paths and the quarantine."""
         return (
-            schedule_key(kernel, **_SCHEDULE_KNOBS),
+            schedule_key(kernel),
             operand_signature(kernel, mapping),
             engine,
         )
@@ -688,7 +680,7 @@ class ContractionService:
         leader = group[0]
         schedule_t0 = time.perf_counter()
         try:
-            schedule = cached_schedule(leader.kernel, **_SCHEDULE_KNOBS)
+            schedule = cached_schedule(leader.kernel)
         except Exception as exc:
             # scheduling failure is structural: it fails the whole group
             error = _RequestError(f"{type(exc).__name__}: {exc}")
@@ -858,7 +850,7 @@ def execute_sequential(
     results: List[Output] = []
     for request in requests:
         kernel, mapping = request.build()
-        schedule = cached_schedule(kernel, **_SCHEDULE_KNOBS)
+        schedule = cached_schedule(kernel)
         executor = cached_executor(
             kernel,
             schedule.loop_nest,

@@ -17,10 +17,9 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".coo": ("COOTensor",),
-    ".csf": ("CSFTensor", "CSFNode"),
+    ".csf": ("CSFTensor",),
     ".generate": (
         "random_sparse_tensor", "random_dense_matrix", "power_law_sparse_tensor",
-        "block_sparse_tensor",
     ),
     ".io": ("read_tns", "write_tns"),
     ".datasets": ("DatasetSpec", "dataset_presets", "load_preset"),

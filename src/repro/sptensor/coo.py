@@ -3,9 +3,8 @@
 The COO tensor is the interchange format of the library: tensors are built
 or loaded as COO, deduplicated and sorted, and then converted to
 :class:`~repro.sptensor.csf.CSFTensor` for execution.  A small set of
-data-independent reductions (``nnz`` of index prefixes and subsets, mode
-marginals) is provided here because they are naturally expressed over
-coordinates.  Kernel construction does not call them: the cost model's
+data-independent reductions (``nnz`` of index prefixes, mode marginals) is
+provided here because they are naturally expressed over coordinates.  Kernel construction does not call them: the cost model's
 ``nnz_{I_1...I_k}`` are read from the CSF level sizes
 (:func:`~repro.sptensor.csf.csf_for_mode_order`), and the sorting
 reductions here are the independent oracle the tests compare those against.
@@ -14,7 +13,7 @@ reductions here are the independent oracle the tests compare those against.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,9 +124,6 @@ class COOTensor:
         shape = check_shape(shape)
         return cls(shape, np.zeros((0, len(shape)), dtype=np.int64), np.zeros(0))
 
-    def copy(self) -> "COOTensor":
-        return self.with_values(self.values)
-
     def with_values(self, values: np.ndarray) -> "COOTensor":
         """Return a tensor with the same pattern but new values."""
         values = np.asarray(values, dtype=np.float64).ravel()
@@ -164,7 +160,7 @@ class COOTensor:
         :func:`~repro.sptensor.csf.csf_for_mode_order` is keyed by it.
         Computed on first use (one :func:`~repro.util.digest.content_digest`
         pass over the index buffer, no copy) and inherited by
-        :meth:`with_values` / :meth:`copy` and any :meth:`on_pattern` tensor
+        :meth:`with_values` and any :meth:`on_pattern` tensor
         given this one as its source; the tensor is immutable by contract, so
         ``indices`` must not be written in place afterwards.
         """
@@ -177,7 +173,7 @@ class COOTensor:
         return self._pattern
 
     # ------------------------------------------------------------------ #
-    # Conversions and views
+    # Conversions
     # ------------------------------------------------------------------ #
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense ``numpy.ndarray`` (use only for small tensors)."""
@@ -187,17 +183,6 @@ class COOTensor:
             flat = np.ravel_multi_index(self.indices.T, self.shape)
             np.add.at(out, flat, self.values)
         return out.reshape(self.shape)
-
-    def transpose(self, perm: Sequence[int]) -> "COOTensor":
-        """Permute modes according to *perm* (a permutation of ``range(order)``)."""
-        perm = tuple(int(p) for p in perm)
-        require(
-            sorted(perm) == list(range(self.order)),
-            f"perm must be a permutation of 0..{self.order - 1}, got {perm}",
-        )
-        new_shape = tuple(self.shape[p] for p in perm)
-        new_idx = self.indices[:, list(perm)]
-        return COOTensor(new_shape, new_idx, self.values, sort=True)
 
     # ------------------------------------------------------------------ #
     # Reductions used by the cost models
@@ -220,19 +205,6 @@ class COOTensor:
         sub = self.indices[:, :depth]
         return int(np.unique(sub, axis=0).shape[0])
 
-    def nnz_modes(self, modes: Sequence[int]) -> int:
-        """Number of distinct index tuples over an arbitrary subset of modes."""
-        modes = [int(m) for m in modes]
-        for m in modes:
-            if m < 0 or m >= self.order:
-                raise ValueError(f"mode {m} out of range for order {self.order}")
-        if not modes:
-            return 1 if self.nnz else 0
-        if self.nnz == 0:
-            return 0
-        sub = self.indices[:, modes]
-        return int(np.unique(sub, axis=0).shape[0])
-
     def mode_marginal(self, mode: int) -> np.ndarray:
         """Count of stored entries per index of *mode* (length ``shape[mode]``)."""
         if mode < 0 or mode >= self.order:
@@ -246,9 +218,6 @@ class COOTensor:
         """Frobenius norm of the tensor."""
         return float(np.sqrt(np.sum(self.values * self.values)))
 
-    # ------------------------------------------------------------------ #
-    # Elementwise arithmetic on matching patterns
-    # ------------------------------------------------------------------ #
     def same_pattern(self, other: "COOTensor") -> bool:
         """True when *other* has identical shape and stored coordinates."""
         return (
@@ -257,41 +226,6 @@ class COOTensor:
             and self.indices.shape == other.indices.shape
             and bool(np.array_equal(self.indices, other.indices))
         )
-
-    def _check_same_pattern(self, other: "COOTensor") -> None:
-        if not self.same_pattern(other):
-            raise ValueError(
-                "operation requires two sparse tensors with the same pattern"
-            )
-
-    def __add__(self, other: "COOTensor") -> "COOTensor":
-        self._check_same_pattern(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "COOTensor") -> "COOTensor":
-        self._check_same_pattern(other)
-        return self.with_values(self.values - other.values)
-
-    def hadamard(self, other: "COOTensor") -> "COOTensor":
-        """Elementwise product of two same-pattern sparse tensors."""
-        self._check_same_pattern(other)
-        return self.with_values(self.values * other.values)
-
-    def scale(self, alpha: float) -> "COOTensor":
-        return self.with_values(self.values * float(alpha))
-
-    # ------------------------------------------------------------------ #
-    # Iteration & equality
-    # ------------------------------------------------------------------ #
-    def __iter__(self) -> Iterable[Tuple[Tuple[int, ...], float]]:
-        for row, val in zip(self.indices, self.values):
-            yield tuple(int(r) for r in row), float(val)
-
-    def allclose(self, other: "COOTensor", rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-        """Numerically compare two sparse tensors (patterns must match)."""
-        if not self.same_pattern(other):
-            return False
-        return bool(np.allclose(self.values, other.values, rtol=rtol, atol=atol))
 
 
 def digest_stats() -> Dict[str, int]:

@@ -37,23 +37,14 @@ new set of values to the shared structure.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sptensor.coo import COOTensor
 from repro.util.lru import LRUCache
 from repro.util.validation import require
-
-
-@dataclass(frozen=True)
-class CSFNode:
-    """A handle to one node of the CSF tree (level + position within level)."""
-
-    level: int
-    position: int
 
 
 class CSFTensor:
@@ -169,12 +160,6 @@ class CSFTensor:
             prev_group = group
         return cls(coo.shape, mode_order, fids, fptr, vals, leaf_perm=perm)
 
-    @classmethod
-    def from_dense(
-        cls, array: np.ndarray, mode_order: Optional[Sequence[int]] = None
-    ) -> "CSFTensor":
-        return cls.from_coo(COOTensor.from_dense(array), mode_order)
-
     # ------------------------------------------------------------------ #
     # Properties
     # ------------------------------------------------------------------ #
@@ -207,10 +192,6 @@ class CSFTensor:
     # ------------------------------------------------------------------ #
     # Navigation
     # ------------------------------------------------------------------ #
-    def roots(self) -> np.ndarray:
-        """Index values at level 0 (distinct first-mode indices)."""
-        return self.fids[0]
-
     def children_range(self, level: int, position: int) -> Tuple[int, int]:
         """Half-open range of child positions at ``level + 1`` for a node;
         ``(-1, 0)`` is the root, whose children are all level-0 nodes."""
@@ -224,24 +205,6 @@ class CSFTensor:
         if position < 0 or position >= ptr.shape[0] - 1:
             raise ValueError(f"position {position} out of range at level {level}")
         return int(ptr[position]), int(ptr[position + 1])
-
-    def child_indices(self, level: int, position: int) -> np.ndarray:
-        """Index values of the children of a node (view into ``fids[level+1]``)."""
-        lo, hi = self.children_range(level, position)
-        return self.fids[level + 1][lo:hi]
-
-    def iter_nodes(self, level: int) -> Iterator[CSFNode]:
-        """Iterate handles over all nodes of *level*."""
-        for pos in range(self.nnz_at_level(level)):
-            yield CSFNode(level, pos)
-
-    def subtree_leaf_range(self, level: int, position: int) -> Tuple[int, int]:
-        """Range of leaf positions (nonzeros) below a node."""
-        lo, hi = position, position + 1
-        for lvl in range(level, self.order - 1):
-            lo = int(self.fptr[lvl][lo])
-            hi = int(self.fptr[lvl][hi])
-        return lo, hi
 
     # ------------------------------------------------------------------ #
     # Conversions
@@ -282,17 +245,6 @@ class CSFTensor:
         for level, mode in enumerate(self.mode_order):
             coords[:, mode] = self.expanded_level_indices(level)
         return coords
-
-    def leaf_parent_positions(self) -> np.ndarray:
-        """Position of each leaf's parent node (length nnz).
-
-        Useful for segment-reduction based executors.
-        """
-        if self.order == 1:
-            return np.zeros(self.nnz, dtype=np.int64)
-        ptr = self.fptr[-1]
-        counts = np.diff(ptr)
-        return np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
 
 
 # --------------------------------------------------------------------------- #

@@ -156,44 +156,6 @@ def power_law_sparse_tensor(
     return COOTensor(shape, coords, values, sort=True)
 
 
-def block_sparse_tensor(
-    shape: Sequence[int],
-    block_shape: Sequence[int],
-    n_blocks: int,
-    seed: Optional[int] = None,
-    fill: float = 1.0,
-    value_distribution: str = "uniform",
-) -> COOTensor:
-    """A sparse tensor whose nonzeros cluster into dense blocks.
-
-    Useful for cache-model tests: blocked patterns have very different reuse
-    behaviour from uniform patterns at identical nnz.
-    """
-    shape = check_shape(shape)
-    block_shape = check_shape(block_shape)
-    require(len(block_shape) == len(shape), "block_shape must match tensor order")
-    for b, s in zip(block_shape, shape):
-        require(b <= s, f"block dimension {b} exceeds tensor dimension {s}")
-    n_blocks = check_positive_int(n_blocks, "n_blocks")
-    require(0.0 < fill <= 1.0, "fill must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-
-    all_coords = []
-    for _ in range(n_blocks):
-        origin = [int(rng.integers(0, s - b + 1)) for s, b in zip(shape, block_shape)]
-        grids = np.meshgrid(
-            *[np.arange(o, o + b) for o, b in zip(origin, block_shape)], indexing="ij"
-        )
-        block = np.stack([g.ravel() for g in grids], axis=1)
-        if fill < 1.0:
-            keep = rng.random(block.shape[0]) < fill
-            block = block[keep]
-        all_coords.append(block)
-    coords = np.unique(np.vstack(all_coords), axis=0).astype(np.int64)
-    values = _draw_values(rng, coords.shape[0], value_distribution)
-    return COOTensor(shape, coords, values, sort=True)
-
-
 def random_dense_matrix(rows: int, cols: int, seed: Optional[int] = None) -> np.ndarray:
     """A ``rows x cols`` float64 factor matrix with i.i.d. uniform [0, 1) entries."""
     rows = check_positive_int(rows, "rows")

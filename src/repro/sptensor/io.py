@@ -100,7 +100,7 @@ def write_tns(
     """Write a COO tensor in FROSTT ``.tns`` format (gzip if path ends in .gz)."""
     offset = 1 if one_based else 0
     with _open_text(path, "w") as fh:
-        for coords, value in tensor:
+        for coords, value in zip(tensor.indices.tolist(), tensor.values.tolist()):
             fields = [str(c + offset) for c in coords]
             fields.append(repr(float(value)))
             fh.write(" ".join(fields))

@@ -42,7 +42,6 @@ from repro.engine.lowering import lower as lower_mod
 from repro.engine.lowering.codegen import jit_stats
 from repro.engine.plan_cache import (
     PlanCache,
-    approx_nbytes,
     cached_executor,
     cached_schedule,
     caches_snapshot,
@@ -56,6 +55,7 @@ from repro.serve.scenarios import _RAW_SPECS
 from repro.sptensor import COOTensor, random_sparse_tensor
 from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
 from repro.util.counters import OpCounter
+from repro.util.lru import approx_nbytes
 from test_conformance import _KERNELS, _MODE_ORDERS, _build_case
 
 

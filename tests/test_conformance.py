@@ -149,7 +149,7 @@ def test_keys_do_not_depend_on_the_sparse_format(name):
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         keys.append(
             (
-                schedule_key(kernel, 2, 1.5, 5000, True),
+                schedule_key(kernel),
                 plan_key(kernel, nest, operands=operand_signature(kernel, tensors)),
             )
         )

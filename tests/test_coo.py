@@ -280,36 +280,26 @@ class TestPatternDigest:
         assert tensor.pattern_digest() == want
         assert want.hex() == "eeffc7b4b38546effe8d085a98a0711c"
 
-    def test_with_values_and_copy_inherit_a_computed_digest(self, small_coo):
+    def test_with_values_inherits_a_computed_digest(self, small_coo):
         digest = small_coo.pattern_digest()
         assert small_coo.with_values(np.zeros(small_coo.nnz))._pattern is digest
-        assert small_coo.copy()._pattern is digest
 
 
 class TestConversionsAndViews:
     def test_to_dense_shape(self, small_coo):
         assert small_coo.to_dense().shape == small_coo.shape
 
-    def test_transpose_permutes_modes(self, small_coo):
-        t = small_coo.transpose((2, 0, 1))
-        assert t.shape == (3, 4, 3)
-        np.testing.assert_allclose(
-            t.to_dense(), np.transpose(small_coo.to_dense(), (2, 0, 1))
-        )
-
-    def test_transpose_invalid_perm(self, small_coo):
-        with pytest.raises(ValueError):
-            small_coo.transpose((0, 0, 1))
-
-    def test_copy_is_independent(self, small_coo):
-        c = small_coo.copy()
+    def test_with_values_is_independent(self, small_coo):
+        c = small_coo.with_values(small_coo.values)
         c.values[:] = 0.0
+        c.indices[:] = 0
         assert small_coo.values.sum() != 0.0
+        assert small_coo.indices.any()
 
     def test_with_values_preserves_pattern(self, small_coo):
         new = small_coo.with_values(np.arange(small_coo.nnz, dtype=float))
         assert new.same_pattern(small_coo)
-        assert not new.allclose(small_coo)
+        assert not np.array_equal(new.values, small_coo.values)
 
     def test_with_values_wrong_length(self, small_coo):
         with pytest.raises(ValueError):
@@ -333,17 +323,6 @@ class TestReductions:
         expected = len({tuple(r[:2]) for r in small_coo.indices})
         assert small_coo.nnz_prefix(2) == expected
 
-    def test_nnz_modes_subset(self, small_coo):
-        expected = len({(r[0], r[2]) for r in small_coo.indices})
-        assert small_coo.nnz_modes([0, 2]) == expected
-
-    def test_nnz_modes_empty(self, small_coo):
-        assert small_coo.nnz_modes([]) == 1
-
-    def test_nnz_modes_invalid_mode(self, small_coo):
-        with pytest.raises(ValueError):
-            small_coo.nnz_modes([5])
-
     def test_mode_marginal_sums_to_nnz(self, random_coo3):
         for mode in range(random_coo3.order):
             assert random_coo3.mode_marginal(mode).sum() == random_coo3.nnz
@@ -352,33 +331,3 @@ class TestReductions:
         expected = np.linalg.norm(small_coo.to_dense())
         assert small_coo.frobenius_norm() == pytest.approx(expected)
 
-
-class TestArithmetic:
-    def test_add_same_pattern(self, small_coo):
-        s = small_coo + small_coo
-        np.testing.assert_allclose(s.values, 2 * small_coo.values)
-
-    def test_sub_same_pattern(self, small_coo):
-        d = small_coo - small_coo
-        assert np.all(d.values == 0.0)
-
-    def test_hadamard(self, small_coo):
-        h = small_coo.hadamard(small_coo)
-        np.testing.assert_allclose(h.values, small_coo.values**2)
-
-    def test_scale(self, small_coo):
-        np.testing.assert_allclose(small_coo.scale(-2.0).values, -2.0 * small_coo.values)
-
-    def test_mismatched_pattern_rejected(self, small_coo):
-        other = COOTensor(small_coo.shape, [(0, 0, 1)], [1.0])
-        with pytest.raises(ValueError, match="same pattern"):
-            _ = small_coo + other
-
-    def test_allclose_requires_same_pattern(self, small_coo):
-        other = COOTensor(small_coo.shape, [(0, 0, 1)], [1.0])
-        assert not small_coo.allclose(other)
-
-    def test_iteration_yields_coordinate_value_pairs(self, small_coo):
-        entries = dict(iter(small_coo))
-        assert len(entries) == small_coo.nnz
-        assert entries[(0, 0, 0)] == pytest.approx(1.0)

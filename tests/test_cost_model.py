@@ -164,7 +164,7 @@ class TestExecutionCost:
         cost = ExecutionCost(kernel)
         # with no preceding sparse loop iterated, a sparse index runs densely
         dense_trips = cost.iteration_count("j", (0,), frozenset(), path)
-        assert dense_trips == kernel.dim("j")
+        assert dense_trips == kernel.index_dims["j"]
         # after iterating i, the j loop only visits stored fibers
         sparse_trips = cost.iteration_count("j", (0,), frozenset({"i"}), path)
         assert sparse_trips <= dense_trips

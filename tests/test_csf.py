@@ -23,12 +23,6 @@ class TestConstruction:
         csf = CSFTensor.from_coo(random_coo3)
         np.testing.assert_allclose(csf.to_dense(), random_coo3.to_dense())
 
-    def test_from_dense(self, rng):
-        dense = rng.random((6, 5, 4))
-        dense[dense < 0.6] = 0.0
-        csf = CSFTensor.from_dense(dense)
-        np.testing.assert_allclose(csf.to_dense(), dense)
-
     def test_empty_tensor(self):
         csf = CSFTensor.from_coo(COOTensor.empty((4, 5, 6)))
         assert csf.nnz == 0
@@ -94,12 +88,12 @@ class TestLevelStructure:
         csf = CSFTensor.from_coo(random_coo3)
         for level in range(csf.order - 1):
             for pos in range(csf.nnz_at_level(level)):
-                children = csf.child_indices(level, pos)
-                assert np.all(np.diff(children) > 0)
+                lo, hi = csf.children_range(level, pos)
+                assert np.all(np.diff(csf.fids[level + 1][lo:hi]) > 0)
 
     def test_roots_sorted_unique(self, random_coo3):
         csf = CSFTensor.from_coo(random_coo3)
-        roots = csf.roots()
+        roots = csf.fids[0]
         assert np.all(np.diff(roots) > 0)
 
     def test_children_range_errors(self, random_coo3):
@@ -111,24 +105,6 @@ class TestLevelStructure:
 
 
 class TestNavigation:
-    def test_subtree_leaf_range_covers_all(self, random_coo3):
-        csf = CSFTensor.from_coo(random_coo3)
-        total = 0
-        for pos in range(csf.nnz_at_level(0)):
-            lo, hi = csf.subtree_leaf_range(0, pos)
-            total += hi - lo
-        assert total == csf.nnz
-
-    def test_subtree_leaf_values_match_marginal(self, small_coo):
-        csf = CSFTensor.from_coo(small_coo)
-        dense = small_coo.to_dense()
-        for pos in range(csf.nnz_at_level(0)):
-            root_index = int(csf.roots()[pos])
-            lo, hi = csf.subtree_leaf_range(0, pos)
-            assert np.isclose(
-                csf.values[lo:hi].sum(), dense[root_index].sum()
-            )
-
     def test_expanded_level_indices_lengths(self, random_coo3):
         csf = CSFTensor.from_coo(random_coo3)
         for level in range(csf.order):
@@ -142,14 +118,3 @@ class TestNavigation:
         # coords are in CSF level order == natural mode order here
         coo = COOTensor(csf.shape, coords, csf.values)
         assert coo.same_pattern(random_coo3)
-
-    def test_leaf_parent_positions(self, random_coo3):
-        csf = CSFTensor.from_coo(random_coo3)
-        parents = csf.leaf_parent_positions()
-        assert parents.shape[0] == csf.nnz
-        assert parents.max() == csf.nnz_at_level(csf.order - 2) - 1
-
-    def test_iter_nodes_count(self, random_coo3):
-        csf = CSFTensor.from_coo(random_coo3)
-        for level in range(csf.order):
-            assert len(list(csf.iter_nodes(level))) == csf.nnz_at_level(level)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.sptensor import (
-    block_sparse_tensor,
     dataset_presets,
     load_preset,
     power_law_sparse_tensor,
@@ -66,17 +65,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             power_law_sparse_tensor((10, 10), nnz=5, exponent=0.9)
 
-    def test_block_sparse(self):
-        t = block_sparse_tensor((30, 30), (4, 4), n_blocks=3, seed=0)
-        assert t.nnz <= 3 * 16
-        assert t.nnz > 0
-
-    def test_block_sparse_validation(self):
-        with pytest.raises(ValueError):
-            block_sparse_tensor((5, 5), (6, 6), n_blocks=1)
-        with pytest.raises(ValueError):
-            block_sparse_tensor((5, 5), (2, 2), n_blocks=1, fill=0.0)
-
     @pytest.mark.parametrize("rows", [0, 1, 2, 500, 5000])
     @pytest.mark.parametrize("shape", [(7,), (6, 5, 4), (30, 3, 900, 2)])
     def test_unique_rows_equals_numpy_unique_on_drawn_batches(self, rows, shape):
@@ -120,7 +108,8 @@ class TestTnsIO:
         path = tmp_path / "t.tns.gz"
         write_tns(small_coo, path)
         back = read_tns(path, shape=small_coo.shape)
-        assert back.allclose(small_coo)
+        assert back.same_pattern(small_coo)
+        np.testing.assert_allclose(back.values, small_coo.values)
 
     def test_shape_inferred(self, small_coo, tmp_path):
         path = tmp_path / "t.tns"
@@ -133,7 +122,8 @@ class TestTnsIO:
         path = tmp_path / "t0.tns"
         write_tns(small_coo, path, one_based=False)
         back = read_tns(path, shape=small_coo.shape, one_based=False)
-        assert back.allclose(small_coo)
+        assert back.same_pattern(small_coo)
+        np.testing.assert_allclose(back.values, small_coo.values)
 
     def test_comments_and_blank_lines(self):
         text = "# comment\n\n1 1 2.5\n2 3 -1.0\n"

@@ -90,7 +90,7 @@ class TestPartitioning:
         grid = ProcessorGrid.for_tensor(4, random_coo3.shape)
         locals_ = partition_sparse_tensor(random_coo3, grid)
         for rank, local in enumerate(locals_):
-            for coords, _ in local:
+            for coords in local.indices.tolist():
                 assert grid.owner_of(coords) == rank
 
     def test_partition_grid_mismatch(self, random_coo3):
@@ -388,17 +388,18 @@ class TestPartitionProperties:
         assert len(locals_) == grid.size
         assert sum(t.nnz for t in locals_) == tensor.nnz
         gathered = sorted(
-            (tuple(int(c) for c in coords), float(v))
+            (tuple(coords), v)
             for t in locals_
-            for coords, v in t
+            for coords, v in zip(t.indices.tolist(), t.values.tolist())
         )
         expected = sorted(
-            (tuple(int(c) for c in coords), float(v)) for coords, v in tensor
+            (tuple(coords), v)
+            for coords, v in zip(tensor.indices.tolist(), tensor.values.tolist())
         )
         assert gathered == expected
         # ...by the rank the cyclic formula names
         for rank, local in enumerate(locals_):
-            for coords, _ in local:
+            for coords in local.indices.tolist():
                 cyclic = tuple(
                     int(c) % d for c, d in zip(coords, grid.dims)
                 )

@@ -119,26 +119,12 @@ class TestScheduler:
         text = schedule.describe()
         assert "for" in text and "sparse" in text
 
-    def test_schedule_for_path(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        paths = enumerate_contraction_paths(kernel)
-        scheduler = SpTTNScheduler(kernel)
-        for path in paths:
-            schedule = scheduler.schedule_for_path(path)
-            assert schedule.path is path
-            validate_loop_order(kernel, path, schedule.order)
-
     def test_infeasible_bound_falls_back(self, ttmc4_setup):
         """With an impossible bound of 0, the scheduler still returns a schedule."""
         kernel, _ = ttmc4_setup
         schedule = SpTTNScheduler(kernel, buffer_dim_bound=0, max_paths=30).schedule()
         assert schedule is not None
         assert schedule.loop_nest.max_loop_depth() >= 1
-
-    def test_bad_tolerance_rejected(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        with pytest.raises(ValueError):
-            SpTTNScheduler(kernel, flop_tolerance=0.5)
 
     def test_custom_cost_used(self, ttmc_setup):
         kernel, _ = ttmc_setup

@@ -19,9 +19,9 @@ class TestParseKernel:
     def test_index_dimensions_from_tensors(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         T = tensors["T"]
-        assert kernel.dim("i") == T.shape[0]
-        assert kernel.dim("j") == T.shape[1]
-        assert kernel.dim("a") == 5
+        assert kernel.index_dims["i"] == T.shape[0]
+        assert kernel.index_dims["j"] == T.shape[1]
+        assert kernel.index_dims["a"] == 5
 
     def test_sparse_and_dense_index_classification(self, ttmc_setup):
         kernel, _ = ttmc_setup
@@ -140,30 +140,12 @@ class TestSparseStats:
 
 
 class TestKernelHelpers:
-    def test_einsum_spec_roundtrip(self, ttmc_setup):
+    def test_csf_level(self, ttmc_setup):
         kernel, _ = ttmc_setup
-        assert kernel.einsum_spec() == "ijk,jr,ks->irs"
-
-    def test_operand_lookup(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        assert kernel.operand("U").indices == ("j", "r")
-        assert kernel.operand("OUT").indices == ("i", "r", "s")
-        with pytest.raises(KeyError):
-            kernel.operand("nope")
-
-    def test_index_info(self, ttmc_setup):
-        kernel, _ = ttmc_setup
-        info = kernel.index_info("j")
-        assert info.is_sparse and info.csf_level == 1
-        info_r = kernel.index_info("r")
-        assert not info_r.is_sparse and info_r.csf_level is None
+        assert kernel.csf_level("j") == 1
+        assert kernel.csf_level("r") is None
 
     def test_sparse_order_key(self, ttmc_setup):
         kernel, _ = ttmc_setup
         keys = [kernel.sparse_order_key(i) for i in ("i", "j", "k", "r")]
         assert keys == [0, 1, 2, 3]
-
-    def test_n_inputs(self, ttmc4_setup):
-        kernel, _ = ttmc4_setup
-        assert kernel.n_inputs == 4
-        assert kernel.n_dense == 3

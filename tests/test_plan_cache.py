@@ -444,7 +444,7 @@ class TestMemoryBudget:
     """Size-accounted LRU eviction and admission control (max_bytes)."""
 
     def test_approx_nbytes_tracks_array_payload(self):
-        from repro.engine.plan_cache import approx_nbytes
+        from repro.util.lru import approx_nbytes
 
         small = approx_nbytes({"a": np.zeros(10)})
         large = approx_nbytes({"a": np.zeros(10_000)})

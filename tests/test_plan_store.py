@@ -110,7 +110,7 @@ class TestRoundTrip:
     def test_store_get_put(self, tmp_path):
         store = PlanStore(tmp_path / "store")
         kernel = _mttkrp_kernel()
-        key = schedule_key(kernel, 2, 1.5, 5000, True)
+        key = schedule_key(kernel)
         assert store.get(key) is None  # cold
         schedule = cached_schedule(kernel, cache=PlanCache(), store=False)
         assert store.put(key, schedule_payload(schedule))
@@ -236,7 +236,7 @@ class TestTolerance:
     def _populated(self, tmp_path):
         store = PlanStore(tmp_path / "store")
         kernel = _mttkrp_kernel()
-        key = schedule_key(kernel, 2, 1.5, 5000, True)
+        key = schedule_key(kernel)
         schedule = cached_schedule(kernel, cache=PlanCache(), store=False)
         store.put(key, schedule_payload(schedule))
         (entry,) = store.root.glob("*.json")
@@ -301,7 +301,7 @@ class TestConcurrentWriters:
     def test_racing_writers_never_produce_torn_files(self, tmp_path):
         store = PlanStore(tmp_path / "store")
         kernel = _mttkrp_kernel()
-        key = schedule_key(kernel, 2, 1.5, 5000, True)
+        key = schedule_key(kernel)
         payload = schedule_payload(
             cached_schedule(kernel, cache=PlanCache(), store=False)
         )

@@ -216,7 +216,8 @@ class TestSparseFormatsProperties:
             for tensor in (coo, coo.with_values(coo.values)):  # miss, then hit
                 csf = csf_for_mode_order(tensor, mode_order)
                 for k in range(coo.order):
-                    assert csf.nnz_at_level(k) == coo.nnz_modes(mode_order[: k + 1])
+                    prefix = coo.indices[:, list(mode_order[: k + 1])]
+                    assert csf.nnz_at_level(k) == len(np.unique(prefix, axis=0))
                 np.testing.assert_array_equal(
                     csf.to_coo().to_dense(), coo.to_dense()
                 )

@@ -33,7 +33,6 @@ from repro.serve import (
     ttmc_request,
     tttp_request,
 )
-from repro.serve.service import _SCHEDULE_KNOBS
 from repro.sptensor import (
     COOTensor,
     random_dense_matrix,
@@ -277,7 +276,7 @@ class TestBatchAmortization:
         # the serving claim as counts: one schedule search per distinct
         # scheduling problem, every other request of a batch rides along
         requests = scenario_mix(64, mix="mixed", seed=0)
-        keys = {schedule_key(r.build()[0], **_SCHEDULE_KNOBS) for r in requests}
+        keys = {schedule_key(r.build()[0]) for r in requests}
         searches = schedule_search_count()
         service = ContractionService(workers=0)
         service.run(requests)
