@@ -1,5 +1,6 @@
 """Unit tests for contraction paths and their enumeration."""
 
+import numpy as np
 import pytest
 
 from repro.core.contraction_path import (
@@ -10,6 +11,7 @@ from repro.core.contraction_path import (
     single_term_path,
     term_flop_estimate,
 )
+from repro.core.expr import parse_kernel
 
 
 def _operand_names(kernel):
@@ -78,6 +80,29 @@ class TestEnumeration:
         raw = enumerate_contraction_paths(kernel, dedupe=False)
         assert len(deduped) <= len(raw)
 
+    @pytest.mark.parametrize(
+        "spec, trees",
+        [
+            ("ijkl,jr->irkl", 1),
+            ("ijkl,jr,ks->irsl", 3),
+            ("ijkl,jr,ks,lt->irst", 18),
+            ("ijkl,ia,jr,ks,lt->arst", 180),
+        ],
+    )
+    def test_count_formula(self, random_coo4, spec, trees):
+        """Raw pairing enumerates T(n) = C(n, 2) T(n - 1) trees, T(2) = 1."""
+        dims = dict(zip("ijkl", random_coo4.shape))
+        dense = [
+            np.ones(tuple(dims.get(c, 2) for c in operand))
+            for operand in spec.split("->")[0].split(",")[1:]
+        ]
+        kernel = parse_kernel(spec, [random_coo4, *dense])
+        assert len(enumerate_contraction_paths(kernel, dedupe=False)) == trees
+
+    def test_count_requires_two(self, random_coo4):
+        with pytest.raises(ValueError, match="at least two operands"):
+            parse_kernel("ijkl->ij", [random_coo4])
+
 
 class TestTermProperties:
     def test_all_indices_union(self, ttmc_setup):
@@ -87,6 +112,21 @@ class TestTermProperties:
             assert set(term.all_indices) == (
                 set(term.lhs_indices) | set(term.rhs_indices) | set(term.out_indices)
             )
+
+    def test_contracted_indices(self, ttmc4_setup):
+        """Each index the output drops is summed away by exactly one term,
+        and no later term reads it again."""
+        kernel, _ = ttmc4_setup
+        for path in enumerate_contraction_paths(kernel):
+            summed = []
+            for pos, term in enumerate(path):
+                dropped = (
+                    set(term.lhs_indices) | set(term.rhs_indices)
+                ) - set(term.out_indices)
+                for later in path.terms[pos + 1:]:
+                    assert not dropped & set(later.all_indices)
+                summed.extend(dropped)
+            assert sorted(summed) == sorted(kernel.contracted_indices)
 
     def test_max_loop_depth(self, ttmc_setup):
         kernel, _ = ttmc_setup

@@ -331,3 +331,42 @@ class TestReductions:
         expected = np.linalg.norm(small_coo.to_dense())
         assert small_coo.frobenius_norm() == pytest.approx(expected)
 
+
+
+class TestArithmetic:
+    """Values-only arithmetic on one pattern goes through ``with_values``."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [np.add, np.subtract, np.multiply, lambda a, b: -2.0 * a],
+        ids=["add", "sub", "hadamard", "scale"],
+    )
+    def test_elementwise_on_a_shared_pattern_matches_dense(self, small_coo, op):
+        other = small_coo.with_values(np.arange(1.0, small_coo.nnz + 1.0))
+        out = small_coo.with_values(op(small_coo.values, other.values))
+        assert out.same_pattern(small_coo)
+        np.testing.assert_array_equal(
+            out.to_dense(), op(small_coo.to_dense(), other.to_dense())
+        )
+
+    def test_mismatched_pattern_detected(self, small_coo):
+        other = COOTensor(small_coo.shape, [(0, 0, 1)], [1.0])
+        assert not small_coo.same_pattern(other)
+        wider = COOTensor((5, 3, 3), small_coo.indices, small_coo.values)
+        assert not small_coo.same_pattern(wider)
+        assert not small_coo.same_pattern(small_coo.to_dense())
+        assert small_coo.same_pattern(small_coo.with_values(-small_coo.values))
+
+    def test_permuted_modes_resort_to_the_transpose(self, small_coo):
+        perm = (2, 0, 1)
+        t = COOTensor(
+            tuple(small_coo.shape[i] for i in perm),
+            small_coo.indices[:, perm],
+            small_coo.values,
+            sort=True,
+        )
+        assert t.shape == (3, 4, 3)
+        assert np.all(np.diff(t.indices[:, 0]) >= 0)
+        np.testing.assert_array_equal(
+            t.to_dense(), np.transpose(small_coo.to_dense(), perm)
+        )

@@ -23,6 +23,13 @@ class TestConstruction:
         csf = CSFTensor.from_coo(random_coo3)
         np.testing.assert_allclose(csf.to_dense(), random_coo3.to_dense())
 
+    def test_from_dense(self, rng):
+        dense = rng.random((6, 5, 4))
+        dense[dense < 0.6] = 0.0
+        csf = CSFTensor.from_coo(COOTensor.from_dense(dense), mode_order=(2, 0, 1))
+        assert csf.nnz == np.count_nonzero(dense)
+        np.testing.assert_array_equal(csf.to_dense(), dense)
+
     def test_empty_tensor(self):
         csf = CSFTensor.from_coo(COOTensor.empty((4, 5, 6)))
         assert csf.nnz == 0
@@ -104,7 +111,31 @@ class TestLevelStructure:
             csf.children_range(0, csf.nnz_at_level(0) + 5)
 
 
+def leaf_range(csf, level, position):
+    """Half-open leaf range under one node, by descending ``children_range``."""
+    lo, hi = position, position + 1
+    for lvl in range(level, csf.order - 1):
+        lo, hi = csf.children_range(lvl, lo)[0], csf.children_range(lvl, hi - 1)[1]
+    return lo, hi
+
+
 class TestNavigation:
+    def test_subtree_leaf_range_covers_all(self, random_coo4):
+        csf = CSFTensor.from_coo(random_coo4)
+        for level in range(csf.order):
+            ranges = [leaf_range(csf, level, p) for p in range(csf.nnz_at_level(level))]
+            starts = [lo for lo, _ in ranges]
+            ends = [hi for _, hi in ranges]
+            assert starts[0] == 0 and ends[-1] == csf.nnz
+            assert starts[1:] == ends[:-1]
+
+    def test_subtree_leaf_values_match_marginal(self, small_coo):
+        csf = CSFTensor.from_coo(small_coo)
+        dense = small_coo.to_dense()
+        for pos in range(csf.nnz_at_level(0)):
+            lo, hi = leaf_range(csf, 0, pos)
+            assert np.isclose(csf.values[lo:hi].sum(), dense[csf.fids[0][pos]].sum())
+
     def test_expanded_level_indices_lengths(self, random_coo3):
         csf = CSFTensor.from_coo(random_coo3)
         for level in range(csf.order):
@@ -118,3 +149,22 @@ class TestNavigation:
         # coords are in CSF level order == natural mode order here
         coo = COOTensor(csf.shape, coords, csf.values)
         assert coo.same_pattern(random_coo3)
+
+    def test_leaf_parent_positions(self, random_coo3):
+        csf = CSFTensor.from_coo(random_coo3, mode_order=(1, 2, 0))
+        parent = csf.order - 2
+        fanout = np.diff(csf.fptr[parent])
+        np.testing.assert_array_equal(
+            csf.expanded_level_indices(parent), np.repeat(csf.fids[parent], fanout)
+        )
+        np.testing.assert_array_equal(
+            csf.expanded_level_indices(parent), csf.coordinates()[:, 2]
+        )
+
+    def test_iter_nodes_count(self, random_coo4):
+        """Descending from the root's children reaches every node once per level."""
+        csf = CSFTensor.from_coo(random_coo4)
+        assert csf.children_range(-1, 0) == (0, csf.nnz_at_level(0))
+        for level in range(csf.order - 1):
+            spans = [csf.children_range(level, p) for p in range(csf.nnz_at_level(level))]
+            assert sum(hi - lo for lo, hi in spans) == csf.nnz_at_level(level + 1)

@@ -104,6 +104,16 @@ class TestTnsIO:
         assert back.same_pattern(small_coo)
         np.testing.assert_allclose(back.values, small_coo.values)
 
+    def test_written_lines_are_coordinates_then_value(self, small_coo, tmp_path):
+        path = tmp_path / "t.tns"
+        write_tns(small_coo, path)
+        rows = [line.split() for line in path.read_text().splitlines()]
+        assert len(rows) == small_coo.nnz
+        for row, coords, value in zip(rows, small_coo.indices, small_coo.values):
+            assert [int(c) - 1 for c in row[:-1]] == coords.tolist()
+            assert float(row[-1]) == value
+        assert rows[0] == ["1", "1", "1", "1.0"]
+
     def test_gzip_roundtrip(self, small_coo, tmp_path):
         path = tmp_path / "t.tns.gz"
         write_tns(small_coo, path)

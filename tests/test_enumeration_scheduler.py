@@ -14,7 +14,8 @@ from repro.core.enumeration import (
     sample_loop_orders,
 )
 from repro.core.loop_nest import LoopNest, validate_loop_order
-from repro.core.scheduler import SpTTNScheduler
+from repro.core.optimizer import find_optimal_loop_order
+from repro.core.scheduler import FLOP_TOLERANCE, SpTTNScheduler
 from repro.core.search import SweepResult, TimedRunner, measure_loop_nests
 from repro.engine.executor import LoopNestExecutor
 
@@ -118,6 +119,28 @@ class TestScheduler:
         schedule = SpTTNScheduler(kernel).schedule()
         text = schedule.describe()
         assert "for" in text and "sparse" in text
+
+    @pytest.mark.parametrize("setup", ["mttkrp_setup", "ttmc_setup", "ttmc4_setup"])
+    def test_schedule_for_path(self, request, setup):
+        """The chosen nest is Algorithm 1's CSF-ordered optimum on its path."""
+        kernel, _ = request.getfixturevalue(setup)
+        scheduler = SpTTNScheduler(kernel)
+        schedule = scheduler.schedule()
+        result = find_optimal_loop_order(kernel, schedule.path, scheduler.cost)
+        assert schedule.order == result.order
+        assert schedule.cost_value == result.cost
+        validate_loop_order(kernel, schedule.path, schedule.order, enforce_csf_order=True)
+
+    def test_band_is_the_flop_tolerance_of_the_best_path(self, ttmc4_setup):
+        kernel, _ = ttmc4_setup
+        scheduler = SpTTNScheduler(kernel)
+        schedule = scheduler.schedule()
+        flops = [f for _, f in scheduler.ranked_paths()]
+        assert FLOP_TOLERANCE == 1.5
+        assert schedule.candidates_considered == sum(
+            f <= flops[0] * FLOP_TOLERANCE for f in flops
+        )
+        assert schedule.flop_estimate <= flops[0] * FLOP_TOLERANCE
 
     def test_infeasible_bound_falls_back(self, ttmc4_setup):
         """With an impossible bound of 0, the scheduler still returns a schedule."""

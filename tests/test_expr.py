@@ -145,6 +145,26 @@ class TestKernelHelpers:
         assert kernel.csf_level("j") == 1
         assert kernel.csf_level("r") is None
 
+    def test_operands_keep_the_spec_order(self, ttmc_setup):
+        kernel, _ = ttmc_setup
+        inputs = ",".join("".join(op.indices) for op in kernel.operands)
+        assert f"{inputs}->{''.join(kernel.output.indices)}" == "ijk,jr,ks->irs"
+        assert [op.name for op in kernel.operands] == ["T", "U", "V"]
+        assert [op.is_sparse for op in kernel.operands] == [True, False, False]
+
+    def test_csf_descends(self, ttmc_setup, random_coo3):
+        kernel, _ = ttmc_setup
+        assert kernel.csf_descends("i", ())
+        assert kernel.csf_descends("j", {"i"})
+        assert not kernel.csf_descends("j", ())
+        assert not kernel.csf_descends("k", {"i", "r"})
+        assert kernel.csf_descends("k", {"i", "j"})
+        assert not kernel.csf_descends("r", {"i", "j", "k"})
+        csf = CSFTensor.from_coo(random_coo3, mode_order=(1, 0, 2))
+        swapped = parse_kernel("ijk,jr,ks->irs", [csf, np.ones((15, 4)), np.ones((12, 5))])
+        assert swapped.csf_descends("j", ())
+        assert not swapped.csf_descends("i", ())
+
     def test_sparse_order_key(self, ttmc_setup):
         kernel, _ = ttmc_setup
         keys = [kernel.sparse_order_key(i) for i in ("i", "j", "k", "r")]

@@ -223,6 +223,23 @@ class TestBufferSizes:
         assert "for i (sparse)" in text
         assert "for s (dense)" in text
 
+    def test_describe_lists_every_loop_vertex(self, ttmc4_setup):
+        kernel, _ = ttmc4_setup
+        for path, _ in rank_contraction_paths(kernel)[:4]:
+            nest = LoopNest(path, default_loop_order(kernel, path))
+            vertices = [
+                (depth, n.index)
+                for depth, n in walk(nest.forest().roots)
+                if isinstance(n, LoopVertex)
+            ]
+            loops = [
+                line for line in nest.describe(kernel).splitlines()
+                if line.lstrip().startswith("for ")
+            ]
+            indents = [(len(line) - len(line.lstrip())) // 2 for line in loops]
+            assert indents == [d for d, _ in vertices]
+            assert [line.split()[1] for line in loops] == [i for _, i in vertices]
+
     def test_loop_nest_length_mismatch(self, ttmc_setup):
         kernel, _ = ttmc_setup
         path = ttmc_path(kernel)
