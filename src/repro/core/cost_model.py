@@ -417,12 +417,14 @@ class ExecutionCost(TreeSeparableCost):
         led by the sparse tensor's final CSF level, reached by descent (a
         stored fiber can be gathered and handed to the vectorized kernel).
 
-        The executor's ``_offload_mode`` reads the same descent rule but
-        differs in three cases, which move only this model's time estimate,
-        never an operation count: a fiber term whose dense output or buffer
-        keeps the fiber index (a loop there); sparse remaining indices none
-        of which descends (one dense call there); and a root that is not the
-        term's first unbound index in term order (never offloadable here).
+        The executor's rule, :meth:`SpTTNKernel.offload_mode`, reads the
+        same descent rule but differs in three cases, which move only this
+        model's time estimate, never an operation count: a fiber term whose
+        dense output or buffer keeps the fiber index (a loop there); sparse
+        remaining indices none of which descends (one dense call there); and
+        a root that is not the term's first unbound index in term order
+        (never offloadable here).  ``tests/test_cost_model.py`` pins how many
+        sites of each case the fixture kernels have.
         """
         if len(inner_positions) != 1:
             return False

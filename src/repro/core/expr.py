@@ -179,6 +179,29 @@ class SpTTNKernel:
                 return False
         return True
 
+    def offload_mode(self, term, bound: Collection[str], root: str) -> Optional[str]:
+        """How the executor runs a loop over *root*, inside loops over
+        *bound*, whose body is the single contraction *term*.
+
+        ``"dense"`` when the term's shallowest unbound sparse index does not
+        descend, or it has none: no remaining loop walks the CSF, so one
+        vectorized call covers them all.  ``"fiber"`` when *root* is the
+        term's only unbound sparse index, is the last CSF level, descends,
+        and is not kept by the term's dense output: one call over the stored
+        fiber.  ``None`` otherwise: a loop.
+        """
+        indices = term.all_indices
+        unbound = [i for i in self.csf_mode_order if i in indices and i not in bound]
+        if not unbound or not self.csf_descends(unbound[0], bound):
+            return "dense"
+        if unbound != [root] or root != self.csf_mode_order[-1]:
+            return None
+        if root in term.out_indices and not (
+            term.out == self.output.name and self.output.is_sparse
+        ):
+            return None
+        return "fiber"
+
     def sparse_order_key(self, index: str) -> int:
         """Sort key placing sparse indices in CSF order before dense indices."""
         lvl = self.csf_level(index)

@@ -4,9 +4,8 @@
   nest over a CSF sparse tensor, offloading maximal dense (and fiber-led)
   regions to vectorized NumPy kernels (the BLAS substitution of this
   reproduction).
-* :mod:`repro.engine.blas` — the vectorized kernel layer plus call
-  classification (axpy / dot / ger / gemv / gemm-like), feeding the
-  operation counters.
+* :mod:`repro.engine.blas` — the vectorized kernel layer: one specialized
+  NumPy call per offload site, each returning its scalar operation count.
 * :mod:`repro.engine.plan_cache` — compiled (array-independent) execution
   plans, the process-wide plan cache, and schedule caching, so repeated
   executions of one structure pay for planning and search once.
@@ -21,7 +20,6 @@
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".blas": ("classify_call",),
     ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
     ".lowering": ("NotLowerable", "Program", "lower_plan"),
     ".plan_cache": (

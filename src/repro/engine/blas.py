@@ -2,46 +2,18 @@
 
 The paper offloads the innermost independent dense loops of a fused loop
 nest to BLAS routines (xAXPY, xGER, xGEMV, ...).  In this pure-Python
-reproduction the same role is played by a single vectorized
-``numpy.einsum`` call over the free (not-yet-iterated) indices of one
-contraction term; NumPy dispatches the heavy cases to its own compiled BLAS.
-This module builds those calls and classifies them with BLAS-style names
-for the operation counters.
+reproduction the same role is played by a single vectorized NumPy call over
+the free (not-yet-iterated) indices of one contraction term; NumPy
+dispatches the heavy cases to its own compiled BLAS.  This module builds
+those calls, each returning the scalar operations it performed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
-
-
-def classify_call(
-    lhs_free: Sequence[str], rhs_free: Sequence[str], out_free: Sequence[str]
-) -> str:
-    """BLAS-style name for a vectorized contraction over free indices.
-
-    The classification follows the shapes of the operands after all bound
-    indices have been fixed: scalar*vector accumulations are ``axpy``,
-    vector·vector reductions are ``dot``, outer products are ``ger``,
-    matrix-vector contractions are ``gemv``, matrix-matrix ``gemm`` and
-    anything of higher order is ``tensor``.
-    """
-    nl, nr, no = len(lhs_free), len(rhs_free), len(out_free)
-    ranks = sorted((nl, nr))
-    if no == 0 and ranks == [1, 1]:
-        return "dot"
-    if ranks == [0, 1] and no == 1:
-        return "axpy"
-    if ranks == [1, 1] and no == 2:
-        return "ger"
-    if ranks == [1, 2] and no == 1:
-        return "gemv"
-    if ranks == [2, 2] and no == 2:
-        return "gemm"
-    if max(nl, nr, no) == 0:
-        return "scalar"
-    return "tensor"
 
 
 def _subscripts(
@@ -71,7 +43,7 @@ def specialize_contraction(
     offloadable contraction to a BLAS call (Algorithm 2, stage 1).  This is
     the analogous step here: given the static free-index lists of the two
     operands and the output at an offload site, return
-    ``(kernel, name)`` where ``kernel(lhs, rhs, out_array, out_key) -> flops``
+    ``kernel(lhs, rhs, out_array, out_key) -> flops``, which
     accumulates ``out_array[out_key] += contract(lhs, rhs)`` using a direct
     NumPy expression for the common BLAS-1/2/3 shapes and a cached einsum
     for everything else.  Specialization removes all per-call string
@@ -80,7 +52,6 @@ def specialize_contraction(
     lhs_free = tuple(lhs_free)
     rhs_free = tuple(rhs_free)
     out_free = tuple(out_free)
-    name = classify_call(lhs_free, rhs_free, out_free)
 
     # scalar * scalar -> scalar
     if not lhs_free and not rhs_free and not out_free:
@@ -88,7 +59,7 @@ def specialize_contraction(
             out[key] += float(lhs) * float(rhs)
             return 2
 
-        return k_scalar, name
+        return k_scalar
 
     # scalar * vector -> vector (axpy), either operand order
     if not lhs_free and rhs_free == out_free and len(out_free) >= 1:
@@ -96,13 +67,13 @@ def specialize_contraction(
             out[key] += float(lhs) * rhs
             return 2 * rhs.size
 
-        return k_axpy_l, name
+        return k_axpy_l
     if not rhs_free and lhs_free == out_free and len(out_free) >= 1:
         def k_axpy_r(lhs, rhs, out, key):
             out[key] += float(rhs) * lhs
             return 2 * lhs.size
 
-        return k_axpy_r, name
+        return k_axpy_r
 
     # vector . vector -> scalar (dot)
     if lhs_free == rhs_free and len(lhs_free) == 1 and not out_free:
@@ -110,7 +81,7 @@ def specialize_contraction(
             out[key] += lhs @ rhs
             return 2 * lhs.size
 
-        return k_dot, name
+        return k_dot
 
     # elementwise multiply (same free indices kept in the output)
     if lhs_free == rhs_free == out_free and len(out_free) >= 1:
@@ -118,7 +89,7 @@ def specialize_contraction(
             out[key] += lhs * rhs
             return 2 * lhs.size
 
-        return k_hadamard, name
+        return k_hadamard
 
     # vector x vector -> matrix (ger)
     if (
@@ -130,7 +101,7 @@ def specialize_contraction(
             out[key] += np.multiply.outer(lhs, rhs)
             return 2 * lhs.size * rhs.size
 
-        return k_ger, name
+        return k_ger
     if (
         len(lhs_free) == 1
         and len(rhs_free) == 1
@@ -140,7 +111,7 @@ def specialize_contraction(
             out[key] += np.multiply.outer(rhs, lhs)
             return 2 * lhs.size * rhs.size
 
-        return k_ger_t, name
+        return k_ger_t
 
     # matrix-vector products: the vector's index is contracted away and the
     # matrix's other index is the output
@@ -161,7 +132,7 @@ def specialize_contraction(
                 out[key] += rhs @ lhs
             return 2 * rhs.size
 
-        return k_gemv_r, name
+        return k_gemv_r
     if (
         len(rhs_free) == 1
         and len(lhs_free) == 2
@@ -179,21 +150,16 @@ def specialize_contraction(
                 out[key] += lhs @ rhs
             return 2 * lhs.size
 
-        return k_gemv_l, name
+        return k_gemv_l
 
     # general fallback: einsum with a precomputed subscripts string
+    # (the count is built per call: one plan's kernels run on many threads)
     spec = _subscripts(lhs_free, rhs_free, out_free)
-    dims_union = {}
 
     def k_einsum(lhs, rhs, out, key):
         out[key] += np.einsum(spec, lhs, rhs)
-        for axes, view in ((lhs_free, lhs), (rhs_free, rhs)):
-            for axis, nm in enumerate(axes):
-                dims_union[nm] = view.shape[axis]
-        space = 1
-        for size in dims_union.values():
-            space *= size
-        dims_union.clear()
-        return 2 * space
+        dims = dict(zip(lhs_free, np.shape(lhs)))
+        dims.update(zip(rhs_free, np.shape(rhs)))
+        return 2 * math.prod(dims.values())
 
-    return k_einsum, name
+    return k_einsum

@@ -49,7 +49,8 @@ with more distinct indices than einsum has letters
 (:class:`~repro.engine.lowering.lower.NotLowerable`) and an empty tensor; a
 compile error raises.
 
-All engines report identical operation counts; results agree to the usual
+All engines report identical scalar operation counts (the only thing
+:class:`~repro.util.counters.OpCounter` counts); results agree to the usual
 floating-point reassociation of vectorized summation (last-ulp).  Dense
 outputs and sparse-pattern outputs (TTTP/SDDMM-style) are both supported.
 """
@@ -128,8 +129,8 @@ class LoopNestExecutor:
         respect the CSF storage-order restriction (validated on
         construction).
     counter:
-        Optional :class:`~repro.util.counters.OpCounter` accumulating scalar
-        operation counts, buffer resets and BLAS-call classifications.
+        Optional :class:`~repro.util.counters.OpCounter` accumulating the
+        scalar operations executed.
     plan_cache:
         Where compiled plans live.  ``None`` (default) uses the process-wide
         cache from :func:`~repro.engine.plan_cache.default_plan_cache`; a
@@ -413,38 +414,6 @@ class LoopNestExecutor:
                 resets.append(((_SLOT_BUFFER, term.out), template))
         return resets
 
-    def _offload_mode(self, group: Sequence[int], depth: int) -> Optional[str]:
-        """Decide whether this site is offloadable ('dense'/'fiber') or not.
-
-        A single term offloads densely when none of its remaining loops
-        would descend the CSF, and as a fiber when its only descending loop
-        is its next one, over the last CSF level.
-        """
-        if len(group) != 1:
-            return None
-        kernel = self.kernel
-        pos = group[0]
-        term = self.path[pos]
-        order = self.orders[pos]
-        remaining = order[depth:]
-        if not remaining:
-            return "scalar"
-        descending = [
-            idx
-            for at, idx in enumerate(remaining)
-            if kernel.csf_descends(idx, order[: depth + at])
-        ]
-        if not descending:
-            return "dense"
-        k = remaining[0]
-        if descending != [k] or k != kernel.csf_mode_order[-1]:
-            return None
-        if k in term.out_indices and not (
-            term.out == self.output_name and kernel.output.is_sparse
-        ):
-            return None
-        return "fiber"
-
     def _operand_recipe(
         self,
         name: str,
@@ -527,7 +496,7 @@ class LoopNestExecutor:
         out_recipe, out_free = self._output_recipe(
             term.out, term.out_indices, bound_set, fiber_index
         )
-        fn, blas_name = specialize_contraction(lhs_free, rhs_free, out_free)
+        fn = specialize_contraction(lhs_free, rhs_free, out_free)
         return (
             "offload",
             resets,
@@ -535,7 +504,6 @@ class LoopNestExecutor:
             rhs_recipe,
             out_recipe,
             fn,
-            blas_name,
             mode == "fiber",
         )
 
@@ -566,9 +534,11 @@ class LoopNestExecutor:
                 else:
                     break
             resets = self._reset_list(group, positions[j:], bound_names)
-            mode = self._offload_mode(group, depth)
-            if mode in ("dense", "fiber"):
-                steps.append(self._build_offload_step(group[0], depth, resets, mode))
+            mode = None
+            if len(group) == 1:  # a fused group always loops
+                mode = kernel.offload_mode(self.path[pos], bound_names, idx)
+            if mode is not None:
+                steps.append(self._build_offload_step(pos, depth, resets, mode))
             else:
                 steps.append(
                     (
@@ -623,7 +593,7 @@ class LoopNestExecutor:
                 (self._slot_array(slot), template) for slot, template in step[1]
             ]
             if step[0] == "offload":
-                (_, _, lhs, rhs, out, fn, blas_name, is_fiber) = step
+                (_, _, lhs, rhs, out, fn, is_fiber) = step
                 bound_steps.append(
                     (
                         "offload",
@@ -632,7 +602,6 @@ class LoopNestExecutor:
                         self._bind_recipe(rhs),
                         self._bind_recipe(out),
                         fn,
-                        blas_name,
                         is_fiber,
                     )
                 )
@@ -669,9 +638,8 @@ class LoopNestExecutor:
                         for name in template
                     )
                 ] = 0.0
-                counter.buffer_resets += 1
             if kind == "offload":
-                (_, _, lhs_recipe, rhs_recipe, out_recipe, fn, blas_name, is_fiber) = step
+                (_, _, lhs_recipe, rhs_recipe, out_recipe, fn, is_fiber) = step
                 if is_fiber:
                     lo, hi = csf.children_range(csf_level, csf_pos)
                     ids = csf.fids[csf.order - 1][lo:hi]
@@ -683,10 +651,7 @@ class LoopNestExecutor:
                 out_arr, out_key = self._resolve_output(
                     out_recipe, bound, csf_pos, lo, hi
                 )
-                flops = fn(lhs, rhs, out_arr, out_key)
-                counter.flops += flops
-                calls = counter.kernel_calls
-                calls[blas_name] = calls.get(blas_name, 0) + 1
+                counter.flops += fn(lhs, rhs, out_arr, out_key)
             else:  # "loop"
                 (_, _, idx, group, use_csf, dim) = step
                 if use_csf:

@@ -7,8 +7,8 @@ layout, batched einsum contractions, ``np.add.reduceat`` segment reductions
 along the level pointers, scatter-accumulates into the output — and compiles
 that IR into one NumPy callable with no per-fiber Python dispatch.  It generalizes the hand-fused
 MTTKRP sweep into one compiler: MTTKRP, TTMc, TTTc, TTTP and arbitrary
-SpTTN expressions all take the vectorized path, with op-counter accounting
-identical to the interpreter; only a nest past the 52 einsum letters is
+SpTTN expressions all take the vectorized path, with flop counts identical
+to the interpreter's; only a nest past the 52 einsum letters is
 left to the interpreter.
 
 * :mod:`repro.engine.lowering.ir` — the typed op set and symbolic counts;
@@ -23,6 +23,6 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".codegen": ("CompiledJit", "compile_program", "jit_stats"),
-    ".ir": ("Charge", "Program"),
+    ".ir": ("Program",),
     ".lower": ("NotLowerable", "lower_plan"),
 })

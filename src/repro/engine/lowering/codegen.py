@@ -46,15 +46,15 @@ Three mechanisms carry the speedup:
 * **Bind-time preparation.**  Everything that depends only on the CSF
   *structure* — lane ancestor id maps, composed reduction boundaries,
   scatter index vectors, CSR ``indices``/``indptr``, and the program's
-  aggregate symbolic op counts — is evaluated once per (callable,
-  structure) binding and cached under the identity of the level arrays,
-  which every tensor of one sparsity pattern shares
+  total flop count — is evaluated once per (callable, structure) binding
+  and cached under the identity of the level arrays, which every tensor
+  of one sparsity pattern shares
   (:func:`~repro.sptensor.csf.csf_for_mode_order`); a new tensor of a
   bound structure only re-points the CSR data at its values.  Warm calls
-  do no index arithmetic and apply counter accounting in O(1).  The
-  aggregate counts are plain integer sums of the same
-  :class:`~repro.engine.lowering.ir.Charge` terms the interpreter adds
-  one step at a time, so counters stay bit-equal.
+  do no index arithmetic and count with one ``C.flops +=``.  The total is
+  a plain integer sum of the :class:`~repro.engine.lowering.ir.Contract`
+  flop terms the interpreter adds one kernel call at a time, so the count
+  stays bit-equal.
 
 Every lowered program compiles; a failure while compiling is a bug and
 raises out of ``execute()``.
@@ -73,7 +73,6 @@ from repro.engine.lowering import ir
 from repro.engine.lowering import pool as _bufpool
 from repro.engine.lowering.pool import pool_nbytes
 from repro.engine.plan_cache import SLOT_DENSE
-from repro.util.validation import require
 
 _STATS = {
     "compiles": 0,
@@ -274,11 +273,6 @@ def _seg_outer(B, key, spec, lhs, rhs, red):
     return _reduce(B, (key, "r"), tmp, red)
 
 
-def _apply_calls(counter, items):
-    for name, count in items:
-        counter.add_call(name, count)
-
-
 _NAMESPACE = {
     "np": np,
     "_take": _bufpool.take_into,
@@ -294,7 +288,6 @@ _NAMESPACE = {
     "_seg_outer": _seg_outer,
     "_spmm": _spmm,
     "_lane_dot": _lane_dot,
-    "_apply_calls": _apply_calls,
 }
 
 
@@ -952,7 +945,7 @@ def _emit_unit(em: _Emitter, unit: _Unit, slot: Optional[int], regroup: dict) ->
     elif isinstance(op, ir.AccumulateLeaf):
         em.line(f"OV += r{op.src}")
     else:
-        require(isinstance(op, ir.Note), f"internal error: unknown lowered op {op!r}")
+        raise ValueError(f"internal error: unknown lowered op {op!r}")
 
 
 #: Unit kinds / op types whose results are views or aliases (no pool slot).
@@ -981,33 +974,11 @@ def _is_its_buffer(unit: _Unit) -> bool:
     )
 
 
-def _emit_counters(em: _Emitter, ops) -> None:
-    flops: List[ir.Count] = []
-    resets: List[ir.Count] = []
-    calls: List[Tuple[str, ir.Count]] = []
-    for op in ops:
-        charge = getattr(op, "charge", None)
-        if charge is None:
-            continue
-        flops.extend(charge.flops)
-        resets.extend(charge.resets)
-        calls.extend(charge.calls)
-
-    def total(terms):
-        return lambda ctx: sum(f * ctx.lanes(lv) for f, lv in terms)
-
-    def call_totals(ctx, terms=tuple(calls)):
-        agg: Dict[str, int] = {}
-        for name, (factor, level) in terms:
-            agg[name] = agg.get(name, 0) + factor * ctx.lanes(level)
-        return tuple(agg.items())
-
+def _emit_flops(em: _Emitter, ops) -> None:
+    flops = tuple(t for op in ops if isinstance(op, ir.Contract) for t in op.flops)
     if flops:
-        em.line(f"C.flops += {em.prep(total(tuple(flops)))}")
-    if resets:
-        em.line(f"C.buffer_resets += {em.prep(total(tuple(resets)))}")
-    if calls:
-        em.line(f"_apply_calls(C, {em.prep(call_totals)})")
+        total = em.prep(lambda ctx: sum(f * ctx.lanes(lv) for f, lv in flops))
+        em.line(f"C.flops += {total}")
 
 
 def compile_program(program: ir.Program, fuse: bool = True) -> CompiledJit:
@@ -1075,7 +1046,7 @@ def _compile(program: ir.Program, fuse: bool) -> CompiledJit:
         for reg in dying:
             if last_use.get(reg) == ui and reg in slot_of:
                 free[sig[reg]].append(slot_of[reg])
-    _emit_counters(em, ops)
+    _emit_flops(em, ops)
 
     header = ["def _fused(V, D, O, OV, P, B, C):"]
     for name, var in em.dense_vars.items():

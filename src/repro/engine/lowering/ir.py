@@ -21,15 +21,16 @@ vectorized as batch axes and the free axes of an offload site.
 
 Counts
 ------
-Operation accounting must match the interpreter exactly, so every op carries
-symbolic :data:`Count` terms ``(factor, level)`` evaluating to
-``factor * n_lanes(level)`` once a concrete tensor is bound; ``factor``
-folds in the static dense dimensions (batch sizes, free-index spaces).
+The flop count must match the interpreter exactly, so every
+:class:`Contract` carries symbolic :data:`Count` terms ``(factor, level)``
+evaluating to ``factor * n_lanes(level)`` once a concrete tensor is bound;
+``factor`` folds in the static dense dimensions (batch sizes, free-index
+spaces).  No other op counts anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 #: Symbolic operation count: ``factor * n_lanes(level)``; level ``-1`` means
@@ -43,20 +44,6 @@ AxisSpec = Tuple[str, int]
 
 GATHER = "gather"
 KEEP = "keep"
-
-
-@dataclass(frozen=True)
-class Charge:
-    """Counter bookkeeping equivalent to the interpreted execution.
-
-    ``flops`` and ``resets`` are tuples of :data:`Count`; ``calls`` pairs a
-    BLAS-style kernel name with the :data:`Count` of interpreted calls it
-    replaces.
-    """
-
-    flops: Tuple[Count, ...] = ()
-    calls: Tuple[Tuple[str, Count], ...] = ()
-    resets: Tuple[Count, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -84,19 +71,19 @@ class ReadArray:
 
 @dataclass(frozen=True)
 class Contract:
-    """``reg[dst] = einsum(spec, *reg[srcs])`` plus interpreter-equivalent
-    accounting.
+    """``reg[dst] = einsum(spec, *reg[srcs])``, counting ``flops``.
 
     The subscripts are prebuilt by the lowering pass: the lane letter is
     shared by lane-carrying operands, dense loop (batch) axes align by
     letter, and contracted free axes are exactly those the interpreted
-    offload site would contract.
+    offload site would contract.  ``flops`` are the :data:`Count` terms of
+    the scalar operations the interpreted site reports.
     """
 
     dst: int
     spec: str
     srcs: Tuple[int, ...]
-    charge: Charge = field(default_factory=Charge)
+    flops: Tuple[Count, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -193,14 +180,6 @@ class AccumulateLeaf:
     src: int
 
 
-@dataclass(frozen=True)
-class Note:
-    """Accounting-only op (loop-step buffer resets the vectorized execution
-    makes implicit by allocating fresh contributions)."""
-
-    charge: Charge
-
-
 Op = Union[
     LoadValues,
     ReadArray,
@@ -212,7 +191,6 @@ Op = Union[
     GatherAxis,
     ScatterAdd,
     AccumulateLeaf,
-    Note,
 ]
 
 

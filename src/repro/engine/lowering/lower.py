@@ -142,7 +142,7 @@ class _Lowerer:
     def _site(self, positions: Tuple[int, ...], depth: int, level: int) -> None:
         steps = self.ex._site_steps(positions, depth)
         for step in steps:
-            self._resets(step[1], level)
+            self._resets(step[1])
             if step[0] == "loop":
                 (_, _, idx, group, use_csf, _dim) = step
                 if use_csf:
@@ -156,33 +156,24 @@ class _Lowerer:
             else:
                 self._offload(step, level)
 
-    def _resets(self, resets: Sequence, level: int) -> None:
-        """Charge the interpreted buffer zero-fills; the vectorized execution
-        starts each reset region from fresh per-lane contributions instead."""
-        if not resets:
-            return
-        factor = self._batch_factor()
+    def _resets(self, resets: Sequence) -> None:
+        """Forget the buffers the interpreter zero-fills here: the vectorized
+        execution starts each reset region from fresh per-lane contributions."""
         for slot, _template in resets:
             self.buffers.pop(slot[1], None)
-        self.ops.append(
-            ir.Note(ir.Charge(resets=tuple((factor, level) for _ in resets)))
-        )
 
     # ------------------------------------------------------------------ #
     # Offload sites
     # ------------------------------------------------------------------ #
     def _offload(self, step: tuple, level: int) -> None:
-        (_, _resets, lhs_recipe, rhs_recipe, out_recipe, _fn, blas_name, is_fiber) = step
+        (_, _resets, lhs_recipe, rhs_recipe, out_recipe, _fn, is_fiber) = step
         fiber_index = self.kernel.csf_mode_order[-1] if is_fiber else None
         eval_level = self.leaf if is_fiber else level
         if is_fiber:
             self.bound[fiber_index] = self.leaf
         lhs, lhs_free = self._operand(lhs_recipe, eval_level)
         rhs, rhs_free = self._operand(rhs_recipe, eval_level)
-        self._store(
-            lhs, lhs_free, rhs, rhs_free, out_recipe,
-            level, eval_level, blas_name, fiber_index,
-        )
+        self._store(lhs, lhs_free, rhs, rhs_free, out_recipe, eval_level)
         if is_fiber:
             del self.bound[fiber_index]
 
@@ -306,16 +297,14 @@ class _Lowerer:
             self._letter(a) for a in value.axes
         )
 
-    def _charge(
+    def _flops(
         self,
         lhs_free: Tuple[str, ...],
         rhs_free: Tuple[str, ...],
-        blas_name: str,
-        site_level: int,
         eval_level: int,
         has_lane: bool,
-    ) -> ir.Charge:
-        """Interpreter-equivalent accounting for one vectorized offload.
+    ) -> Tuple[ir.Count, ...]:
+        """Interpreter-equivalent flop count of one vectorized offload.
 
         The interpreted site performs one kernel call per (lane x dense
         batch) iteration; each call spans ``2 * |union of free dims|``
@@ -330,17 +319,14 @@ class _Lowerer:
                     space *= int(self.dims[nm])
         factor = self._batch_factor()
         flop_level = eval_level if has_lane else -1
-        return ir.Charge(
-            flops=((2 * factor * space, flop_level),),
-            calls=((blas_name, (factor, site_level)),),
-        )
+        return ((2 * factor * space, flop_level),)
 
     def _contract(
-        self, lhs: _Value, rhs: _Value, out_sub: str, charge: ir.Charge
+        self, lhs: _Value, rhs: _Value, out_sub: str, flops: Tuple[ir.Count, ...]
     ) -> int:
         spec = f"{self._subscript(lhs)},{self._subscript(rhs)}->{out_sub}"
         reg = self._reg()
-        self.ops.append(ir.Contract(reg, spec, (lhs.reg, rhs.reg), charge))
+        self.ops.append(ir.Contract(reg, spec, (lhs.reg, rhs.reg), flops))
         return reg
 
     def _store(
@@ -350,22 +336,17 @@ class _Lowerer:
         rhs: _Value,
         rhs_free: Tuple[str, ...],
         out_recipe: tuple,
-        site_level: int,
         eval_level: int,
-        blas_name: str,
-        fiber_index: Optional[str],
     ) -> None:
         has_lane = lhs.has_lane or rhs.has_lane
-        charge = self._charge(
-            lhs_free, rhs_free, blas_name, site_level, eval_level, has_lane
-        )
+        flops = self._flops(lhs_free, rhs_free, eval_level, has_lane)
         kind = out_recipe[0]
 
         if kind in (SPARSE_OUT_LEAF, SPARSE_OUT_FIBER):
             # Accumulate into the sparse-pattern output, aligned with the
             # leaves; dense batch axes are summed (the interpreted loop
             # accumulates one term per iteration).
-            reg = self._contract(lhs, rhs, self.lane, charge)
+            reg = self._contract(lhs, rhs, self.lane, flops)
             self.ops.append(ir.AccumulateLeaf(reg))
             return
 
@@ -389,7 +370,7 @@ class _Lowerer:
             out_sub = (self.lane if has_lane else "") + "".join(
                 self._letter(a) for a in record_axes
             )
-            reg = self._contract(lhs, rhs, out_sub, charge)
+            reg = self._contract(lhs, rhs, out_sub, flops)
             level: Optional[int] = eval_level if has_lane else None
             if self._keeps_lanes(name, scattered):
                 top = max(bind_level for _, bind_level in scattered)
@@ -436,7 +417,7 @@ class _Lowerer:
         out_sub = (self.lane if has_lane else "") + "".join(
             self._letter(a) for a in kept
         )
-        reg = self._contract(lhs, rhs, out_sub, charge)
+        reg = self._contract(lhs, rhs, out_sub, flops)
 
         lmax = max(gather_levels, default=-1)
         src_level: Optional[int] = eval_level if has_lane else None

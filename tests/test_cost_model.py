@@ -7,9 +7,11 @@ cache-miss and execution models behave monotonically in the ways the paper
 relies on.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.core.contraction_path import rank_contraction_paths
+from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.cost_model import (
     CONSTRAINT_PENALTY,
     CacheMissCost,
@@ -19,8 +21,10 @@ from repro.core.cost_model import (
     OperationCountCost,
     evaluate_cost,
 )
-from repro.core.enumeration import enumerate_loop_orders
+from repro.core.enumeration import enumerate_loop_orders, enumerate_loop_orders_for_term
 from repro.core.loop_nest import LoopOrder, max_buffer_dimension, max_buffer_size
+
+from conftest import ALL_KERNEL_FIXTURES
 
 
 def best_path(kernel):
@@ -168,3 +172,87 @@ class TestExecutionCost:
         # after iterating i, the j loop only visits stored fibers
         sparse_trips = cost.iteration_count("j", (0,), frozenset({"i"}), path)
         assert sparse_trips <= dense_trips
+
+
+def _scanned_offload_mode(kernel, term, order, depth):
+    """The executor's offload rule as it read before
+    ``SpTTNKernel.offload_mode``: scan the term's remaining loops for the
+    ones that descend the CSF (the oracle the predicate must equal)."""
+    remaining = order[depth:]
+    descending = [
+        idx
+        for at, idx in enumerate(remaining)
+        if kernel.csf_descends(idx, order[: depth + at])
+    ]
+    if not descending:
+        return "dense"
+    k = remaining[0]
+    if descending != [k] or k != kernel.csf_mode_order[-1]:
+        return None
+    if k in term.out_indices and not (
+        term.out == kernel.output.name and kernel.output.is_sparse
+    ):
+        return None
+    return "fiber"
+
+
+def _offload_sites(kernel):
+    """Every single-term site ``(term, bound order, root)`` of every path's
+    CSF-consistent term orders."""
+    for path in enumerate_contraction_paths(kernel):
+        for term in path:
+            for order in enumerate_loop_orders_for_term(kernel, term, True):
+                for depth in range(len(order)):
+                    yield term, order, depth
+
+
+class TestOffloadRule:
+    @pytest.mark.parametrize("fixture_name", ALL_KERNEL_FIXTURES)
+    def test_predicate_equals_the_order_scan(self, fixture_name, request):
+        kernel, _ = request.getfixturevalue(fixture_name)
+        for term, order, depth in _offload_sites(kernel):
+            want = _scanned_offload_mode(kernel, term, order, depth)
+            assert kernel.offload_mode(term, order[:depth], order[depth]) == want
+
+    @pytest.mark.parametrize(
+        "fixture_name, departures",
+        [
+            ("mttkrp_setup", (2, 6, 3)),
+            ("ttmc_setup", (2, 12, 16)),
+            ("ttmc4_setup", (12, 212, 472)),
+            ("tttp_setup", (30, 12, 15)),
+            ("allmode_setup", (24, 140, 316)),
+        ],
+    )
+    def test_model_departs_from_the_executor_in_three_counted_cases(
+        self, fixture_name, departures, request
+    ):
+        """``ExecutionCost.offloadable`` and the executor's predicate differ
+        on exactly these many distinct (term, bound set, root) sites, each
+        in one of the three cases its docstring names: (kept fiber,
+        sparse indices none of which descends, root not first)."""
+        kernel, _ = request.getfixturevalue(fixture_name)
+        cost = ExecutionCost(kernel)
+        sites = {
+            (term, frozenset(order[:depth]), order[depth])
+            for term, order, depth in _offload_sites(kernel)
+        }
+        cases = Counter()
+        for term, bound, root in sites:
+            mode = kernel.offload_mode(term, bound, root)
+            model = cost.offloadable((term,), (0,), root, bound)
+            if model == (mode is not None):
+                continue
+            remaining = cost.remaining_indices(term.all_indices, bound)
+            if not model and remaining[0] != root:
+                cases["root not first"] += 1
+            elif model and root in term.out_indices:
+                cases["kept fiber"] += 1
+            elif not model and mode == "dense":
+                cases["none descends"] += 1
+            else:
+                cases["other"] += 1
+        assert (
+            cases["kept fiber"], cases["none descends"], cases["root not first"]
+        ) == departures
+        assert cases["other"] == 0

@@ -3,20 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine.blas import classify_call, specialize_contraction
+from repro.engine.blas import specialize_contraction
 from repro.engine.reference import assert_same_result, dense_reference, reference_output
-
-
-class TestClassifyCall:
-    def test_classifications(self):
-        assert classify_call(["k"], ["k"], []) == "dot"
-        assert classify_call([], ["s"], ["s"]) == "axpy"
-        assert classify_call(["s"], [], ["s"]) == "axpy"
-        assert classify_call(["s"], ["r"], ["s", "r"]) == "ger"
-        assert classify_call(["k"], ["k", "s"], ["s"]) == "gemv"
-        assert classify_call(["i", "k"], ["k", "j"], ["i", "j"]) == "gemm"
-        assert classify_call([], [], []) == "scalar"
-        assert classify_call(["a", "b", "c"], ["c"], ["a", "b"]) == "tensor"
 
 
 class TestVectorizedContract:
@@ -27,41 +15,47 @@ class TestVectorizedContract:
         a = np.arange(12.0).reshape(3, 4)
         x = np.arange(4.0)
         out = np.zeros(3)
-        kernel, name = specialize_contraction(["i", "k"], ["k"], ["i"])
+        kernel = specialize_contraction(["i", "k"], ["k"], ["i"])
         flops = kernel(a, x, out, slice(None))
         np.testing.assert_allclose(out, a @ x)
         assert flops == 2 * 12
-        assert name == "gemv"
 
     def test_outer_product_accumulates(self):
         x = np.array([1.0, 2.0])
         y = np.array([3.0, 4.0, 5.0])
         out = np.ones((2, 3))
-        kernel, name = specialize_contraction(["i"], ["j"], ["i", "j"])
+        kernel = specialize_contraction(["i"], ["j"], ["i", "j"])
         flops = kernel(x, y, out, (slice(None), slice(None)))
         np.testing.assert_allclose(out, 1.0 + np.outer(x, y))
         assert flops == 2 * 6
-        assert name == "ger"
 
     def test_scalar_target(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([1.0, 1.0, 1.0])
         out = np.zeros(4)
-        kernel, name = specialize_contraction(["k"], ["k"], [])
+        kernel = specialize_contraction(["k"], ["k"], [])
         flops = kernel(x, y, out, 2)
         assert out[2] == pytest.approx(6.0)
         assert flops == 2 * 3
-        assert name == "dot"
 
     def test_contraction_with_scalar_operand(self):
         scalar = np.float64(2.0)
         vec = np.array([1.0, 2.0])
         out = np.zeros(2)
-        kernel, name = specialize_contraction([], ["s"], ["s"])
+        kernel = specialize_contraction([], ["s"], ["s"])
         flops = kernel(scalar, vec, out, slice(None))
         np.testing.assert_allclose(out, 2.0 * vec)
         assert flops == 2 * 2
-        assert name == "axpy"
+
+    def test_einsum_fallback_counts_the_union_of_free_dims(self):
+        lhs = np.arange(24.0).reshape(2, 3, 4)
+        rhs = np.arange(20.0).reshape(4, 5)
+        out = np.zeros((2, 5))
+        kernel = specialize_contraction(["a", "b", "c"], ["c", "d"], ["a", "d"])
+        assert kernel.__name__ == "k_einsum"
+        flops = kernel(lhs, rhs, out, (slice(None), slice(None)))
+        np.testing.assert_allclose(out, np.einsum("abc,cd->ad", lhs, rhs))
+        assert flops == 2 * 2 * 3 * 4 * 5
 
 
 class TestReference:

@@ -5,6 +5,9 @@ of the best contraction path (and a sample over other paths) must produce
 the same result as the dense einsum reference.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,68 @@ class TestTheModelCountsWhatRuns:
         flops, model = _executed_and_modelled_flops(kernel, tensors, nest, engine, PlanCache())
         assert flops == 4_368
         assert model == pytest.approx(flops, rel=1e-12)
+
+
+class TestSharedPlanThreads:
+    def test_threads_count_the_einsum_fallback_apart(self):
+        """Interpreters on more threads than cores run one shared plan at
+        once; its ``k_einsum`` site counts from its own operands, so no
+        thread's count or output sees another's."""
+        tensor = random_sparse_tensor((9, 8, 7), nnz=60, seed=0)
+        operands = [tensor] + [
+            random_dense_matrix(dim, rank, seed=m + 1)
+            for m, (dim, rank) in enumerate(zip(tensor.shape, (3, 4, 2)))
+        ]
+        kernel = parse_kernel("ijk,ir,js,kt->rst", operands)
+        tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
+        nest = cached_schedule(kernel).loop_nest
+        expected = reference_output(kernel, tensors)
+        single = OpCounter()
+        LoopNestExecutor(
+            kernel, nest, counter=single, engine="interpret", plan_cache=PlanCache()
+        ).execute(tensors)
+
+        cache, calls = PlanCache(), 300
+        executors = [
+            LoopNestExecutor(kernel, nest, engine="interpret", plan_cache=cache)
+            for _ in range(3)
+        ]
+        outputs = [[] for _ in executors]
+        barrier = threading.Barrier(len(executors))
+        errors = []
+
+        def run(executor, out) -> None:
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(calls):
+                    out.append(executor.execute(tensors))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=pair) for pair in zip(executors, outputs)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        plan = executors[0]._plan
+        assert all(executor._plan is plan for executor in executors)
+        kernels = [step[5].__name__ for site in plan.sites.values() for step in site
+                   if step[0] == "offload"]
+        assert "k_einsum" in kernels
+        for executor, out in zip(executors, outputs):
+            assert len(out) == calls
+            assert executor.counter.flops == calls * single.flops
+            for result in out:
+                assert_same_result(result, expected)
 
 
 class TestOrder4:
@@ -294,9 +359,11 @@ class TestEdgeCases:
         kernel, tensors = mttkrp_setup
         counter = OpCounter()
         schedule = SpTTNScheduler(kernel).schedule()
-        run_nest(kernel, tensors, schedule.loop_nest, counter=counter)
+        executor = LoopNestExecutor(kernel, schedule.loop_nest, counter=counter)
+        executor.execute(tensors)
         assert counter.flops > 0
-        assert sum(counter.kernel_calls.values()) > 0
+        steps = [step for site in executor._plan.sites.values() for step in site]
+        assert any(step[0] == "offload" for step in steps)
 
     def test_execute_kernel_convenience(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup

