@@ -103,20 +103,6 @@ def default_engine() -> str:
     return setting("REPRO_ENGINE")
 
 
-def _plan_state(plan: CompiledPlan) -> tuple:
-    """Growth fingerprint of a plan: when it changes after an execution the
-    cache entry is re-measured against its byte budget (sites discovered,
-    lowering compiled, a callable compiled or bound to a new tensor)."""
-    return (
-        plan.n_sites,
-        plan.lowered is not None,
-        plan.jit is not None,
-        getattr(plan.jit, "version", 0),
-        plan.unfused is not None,
-        getattr(plan.unfused, "version", 0),
-    )
-
-
 class LoopNestExecutor:
     """Executes one fully-fused loop nest for one SpTTN kernel.
 
@@ -241,7 +227,6 @@ class LoopNestExecutor:
             prepare_s = time.perf_counter() - start
             plan = self._plan
             assert plan is not None and self._csf is not None
-            plan_state = _plan_state(plan)
             self.last_engine = "interpret"
             if self.engine in ("jit", "lowered") and self._csf.nnz > 0:
                 if plan.lowered is None:
@@ -280,15 +265,9 @@ class LoopNestExecutor:
         plan.record_timing(self.last_engine, "prepare", prepare_s)
         plan.record_timing(self.last_engine, "execute", max(0.0, total_s - prepare_s))
         if self.kernel.output.is_sparse:
-            result: Union[np.ndarray, COOTensor] = self._sparse_output()
-        else:
-            assert self._out_dense is not None
-            result = self._out_dense
-        if plan_state != _plan_state(plan):
-            # the plan grew (sites discovered / lowering compiled): let the
-            # cache's memory budget see the real size
-            self._cache.reaccount(plan.key)
-        return result
+            return self._sparse_output()
+        assert self._out_dense is not None
+        return self._out_dense
 
     # ------------------------------------------------------------------ #
     # Preparation
@@ -560,11 +539,9 @@ class LoopNestExecutor:
         """Symbolic steps of one site, building (and caching) on first use."""
         assert self._plan is not None
         key = (positions, depth)
-        steps = self._plan.site(key)
+        steps = self._plan.sites.get(key)
         if steps is None:
-            steps = self._plan.add_site(
-                key, self._build_plan(positions, depth)
-            )
+            steps = self._plan.sites.setdefault(key, self._build_plan(positions, depth))
         return steps
 
     # ------------------------------------------------------------------ #

@@ -396,10 +396,9 @@ class CompiledJit:
     """One lowered program compiled to a fused callable with pooled buffers.
 
     Owned by a :class:`~repro.engine.plan_cache.CompiledPlan` (stored on
-    its ``jit`` or ``unfused`` slot) and therefore byte-accounted by the plan cache: the
-    pool's buffers and the cached per-structure preps are reachable through
-    this object's slots.  Not safe for concurrent use — same contract as
-    the owning executor.
+    its ``jit`` or ``unfused`` slot), so the pool's buffers and the cached
+    per-structure preps live exactly as long as the plan's cache entry.
+    Not safe for concurrent use — same contract as the owning executor.
     """
 
     __slots__ = (
@@ -409,7 +408,6 @@ class CompiledJit:
         "n_slots",
         "_prep_builders",
         "_binds",
-        "version",
         "__weakref__",
     )
 
@@ -423,9 +421,6 @@ class CompiledJit:
         self.n_slots = n_slots
         self._prep_builders: List[Callable] = prep_builders
         self._binds: List[_Bind] = []
-        #: Bumped whenever bind state changes, so the executor can
-        #: re-account the owning cache entry's byte size.
-        self.version = 0
 
     def bind(self, csf) -> tuple:
         """The prep tuple for *csf*, built once per CSF *structure*.
@@ -456,7 +451,6 @@ class CompiledJit:
             del binds[self.MAX_BINDS:]
             _STATS["bind_evictions"] += 1
         _STATS["bind_misses"] += 1
-        self.version += 1
         return prep
 
     def run(self, csf, dense, out_dense, out_values, counter) -> None:

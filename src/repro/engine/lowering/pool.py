@@ -15,9 +15,8 @@ A key can pass between registers: codegen gives a ``_mul`` the slot of an
 operand dying at it, so :func:`multiply_into` multiplies into its buffer.
 
 The pool is intentionally dumb: no locking (plans are not shared across
-threads), no size cap of its own (pool bytes are charged to the owning
-plan-cache entry through :func:`pool_nbytes` /
-:func:`~repro.util.lru.approx_nbytes`).
+threads) and no size cap of its own (it lives and dies with the owning
+plan-cache entry; :func:`pool_nbytes` reports what it holds).
 """
 
 from __future__ import annotations

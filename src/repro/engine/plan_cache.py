@@ -15,8 +15,8 @@ This module provides that amortization layer:
   substitution pass, so repeated ``execute()`` calls on the same structure
   perform zero per-call symbolic analysis.
 * :class:`PlanCache` — the process's one LRU class,
-  :class:`~repro.util.lru.LRUCache` (hit/miss/eviction counters and an
-  optional *memory budget*), here keyed by the full structural identity of
+  :class:`~repro.util.lru.LRUCache` (hit/miss/eviction counters, bounded
+  by entry count), here keyed by the full structural identity of
   a loop nest (:func:`plan_key`: kernel signature, loop orders, contraction
   path, CSF mode order, operand shapes/dtypes).
 * :func:`cached_schedule` — the same amortization for the scheduler's
@@ -174,9 +174,8 @@ class CompiledPlan:
     program's fused callable (``None`` until compiled, then a
     :class:`~repro.engine.lowering.codegen.CompiledJit`), and ``unfused``
     the one the ``lowered`` engine runs (compiled without the
-    peephole pass) — both live on the plan so the cache's byte budget
-    accounts for compiled callables and their pooled buffers alongside
-    the plan itself.
+    peephole pass) — both live on the plan, so evicting the plan drops
+    its compiled callables and their pooled buffers with it.
 
     ``timings`` holds the plan's measured wall-clock seconds: one
     :class:`~repro.obs.metrics.Histogram` per ``(engine actually run,
@@ -195,17 +194,6 @@ class CompiledPlan:
         self.unfused: object = None
         self.timings: Dict[Tuple[str, str], Histogram] = {}
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    def site(self, site_key: SiteKey) -> Optional[list]:
-        return self.sites.get(site_key)
-
-    def add_site(self, site_key: SiteKey, steps: list) -> list:
-        self.sites[site_key] = steps
-        return steps
-
     def record_timing(self, engine: str, phase: str, seconds: float) -> None:
         """Account one *phase* of one execution on *engine* (``setdefault``:
         threads racing on a row's first observation share one histogram)."""
@@ -221,9 +209,7 @@ class CompiledPlan:
 #: The engine's name for :class:`~repro.util.lru.LRUCache`, the one LRU class.
 PlanCache = LRUCache
 
-#: ``REPRO_PLAN_CACHE_BYTES`` bounds the default plan cache's memory use
-#: (unset = entry-count bound only).
-_DEFAULT_PLAN_CACHE = PlanCache(max_bytes=setting("REPRO_PLAN_CACHE_BYTES"), name="plan")
+_DEFAULT_PLAN_CACHE = PlanCache(name="plan")
 _DEFAULT_SCHEDULE_CACHE = PlanCache(max_entries=256, name="schedule")
 _DEFAULT_EXECUTOR_CACHE = PlanCache(max_entries=128, name="executor")
 

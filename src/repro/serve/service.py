@@ -35,9 +35,9 @@ across requests instead of across iterations:
   own future; the rest of the batch is unaffected.
 
 The memory side of admission lives in the plan cache itself: the process
-caches are LRU with an optional byte budget (``REPRO_PLAN_CACHE_BYTES``),
-so a long-running service cannot grow its compiled-plan footprint without
-bound.  :func:`~repro.engine.plan_cache.caches_snapshot` surfaces the
+caches are LRU-bounded by entry count (512 compiled plans), so a
+long-running service cannot grow its compiled-plan count without bound.
+:func:`~repro.engine.plan_cache.caches_snapshot` surfaces the
 hit/miss/eviction/bytes counters per cache.
 """
 

@@ -37,7 +37,6 @@ new set of values to the shared structure.
 from __future__ import annotations
 
 import weakref
-from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,7 +276,6 @@ class _Structure(NamedTuple):
 _STRUCTURE_MEMO = LRUCache(
     max_entries=None,
     max_bytes=STRUCTURE_MEMO_BYTES,
-    size_of=attrgetter("nbytes"),
     name="csf",
 )
 

@@ -27,7 +27,6 @@ def _positive(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 #: ``name → (parse, default)`` of every environment variable the package reads.
 SETTINGS: Dict[str, Tuple[Callable[[str], Any], Any]] = {
     "REPRO_ENGINE": (str.lower, "jit"),
-    "REPRO_PLAN_CACHE_BYTES": (_positive(int), None),
     "REPRO_PLAN_STORE": (str, None),
     "REPRO_WORKERS": (int, None),
     "REPRO_TASK_TIMEOUT": (_positive(float), None),

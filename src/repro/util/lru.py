@@ -1,4 +1,4 @@
-"""The one bounded, byte-budgeted LRU of the process.
+"""The one bounded LRU of the process.
 
 Every amortisation table of the library is an instance of
 :class:`LRUCache`: the engine's plan, schedule and executor caches
@@ -6,68 +6,17 @@ Every amortisation table of the library is an instance of
 CSF structure memo of :func:`repro.sptensor.csf.csf_for_mode_order` and the
 serving workers' table of attached broadcast tensors.  It lives here, below
 the engine, so the sparse-tensor layer can use it without importing it.
+Only the CSF structure memo sets a byte budget; the engine's caches are
+bounded by entry count.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional
 
-import numpy as np
-
 from repro.obs.trace import span as _span
-
-#: Flat size charged for callables (specialized offload closures bound into
-#: plan steps) and other opaque leaves the size walker does not descend into.
-_OPAQUE_BYTES = 256
-
-
-def approx_nbytes(value: object, _seen: Optional[set] = None) -> int:
-    """Approximate in-memory footprint of one cache entry, in bytes.
-
-    A structural walk rather than serialization: plan steps embed
-    specialized NumPy closures that cannot be pickled, and pickling would
-    copy every lowered-program array just to count it.  Arrays report their
-    buffer size; containers and objects (``__dict__``/``__slots__``) are
-    recursed with cycle protection; callables and unknown leaves are
-    charged a flat :data:`_OPAQUE_BYTES`.  Shared substructure is counted
-    once per entry, so totals are an upper-ish bound good enough for a
-    budget, not an exact accounting.
-    """
-    if value is None or isinstance(value, (bool, int, float, complex, np.generic)):
-        return 32
-    # the cycle/dedup guard must precede the array and string leaves: an
-    # array referenced from several steps of one plan is charged once
-    if _seen is None:
-        _seen = set()
-    oid = id(value)
-    if oid in _seen:
-        return 0
-    _seen.add(oid)
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes) + 128
-    if isinstance(value, (str, bytes)):
-        return sys.getsizeof(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sys.getsizeof(value) + sum(
-            approx_nbytes(item, _seen) for item in value
-        )
-    if isinstance(value, dict):
-        return sys.getsizeof(value) + sum(
-            approx_nbytes(k, _seen) + approx_nbytes(v, _seen)
-            for k, v in list(value.items())  # a copy: plans grow while in use
-        )
-    if callable(value):
-        return _OPAQUE_BYTES
-    total = _OPAQUE_BYTES
-    attrs = getattr(value, "__dict__", None)
-    if attrs:
-        total += approx_nbytes(attrs, _seen)
-    for slot in getattr(type(value), "__slots__", ()):
-        total += approx_nbytes(getattr(value, slot, None), _seen)
-    return total
 
 
 class LRUCache:
@@ -76,25 +25,23 @@ class LRUCache:
     Two independent bounds apply, each optional:
 
     * ``max_entries`` — entry-count LRU;
-    * ``max_bytes`` — a memory budget.  Entries are size-accounted (with
-      ``size_of``, defaulting to :func:`approx_nbytes`) on insertion and on
-      :meth:`reaccount`, and least-recently-used entries are evicted until
-      the total fits.  A single value larger than the whole budget is
-      *not admitted*: it is returned to the caller but never stored (and
-      counted in ``rejections``), so one oversized entry cannot flush the
-      entire working set.
+    * ``max_bytes`` — a memory budget.  A budgeted cache's values report
+      their (fixed) size as ``value.nbytes``; least-recently-used entries
+      are evicted until the total fits.  A single value larger than the
+      whole budget is *not admitted*: it is returned to the caller but
+      never stored (and counted in ``rejections``), so one oversized entry
+      cannot flush the entire working set.
 
-    Locked: one lock guards the bookkeeping, while factories and size
-    probes run outside it.  Threads racing on one cold key each build (each
-    build is a miss), the first insert wins and the later builders get the
-    stored value back, so a key is stored and byte-accounted once.
+    Locked: one lock guards the bookkeeping, while factories run outside
+    it.  Threads racing on one cold key each build (each build is a miss),
+    the first insert wins and the later builders get the stored value back,
+    so a key is stored and byte-accounted once.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = 512,
         max_bytes: Optional[int] = None,
-        size_of: Optional[Callable[[object], int]] = None,
         name: str = "cache",
     ) -> None:
         if max_entries is not None and max_entries < 1:
@@ -104,14 +51,12 @@ class LRUCache:
         self.name = name
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.size_of = size_of if size_of is not None else approx_nbytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.rejections = 0
         self.bytes = 0
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._sizes: Dict[Hashable, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -130,14 +75,12 @@ class LRUCache:
             return list(self._entries.values())
 
     def _measure(self, value: object) -> int:
-        if self.max_bytes is None:
-            # no budget: skip the size probe entirely
-            return 0
-        return max(1, int(self.size_of(value)))
+        # no budget, no accounting: the engine's values have no ``nbytes``
+        return 0 if self.max_bytes is None else int(value.nbytes)
 
     def _evict_lru(self) -> None:
-        key, _ = self._entries.popitem(last=False)
-        self.bytes -= self._sizes.pop(key, 0)
+        _, value = self._entries.popitem(last=False)
+        self.bytes -= self._measure(value)
         self.evictions += 1
 
     def _shrink_to_budget(self) -> None:
@@ -171,43 +114,14 @@ class LRUCache:
                 self.rejections += 1
                 return value
             self._entries[key] = value
-            self._sizes[key] = size
             self.bytes += size
             self._shrink_to_budget()
         return value
-
-    def reaccount(self, key: Hashable) -> None:
-        """Re-measure one entry whose value grew after insertion.
-
-        Compiled plans are populated *lazily* (recursion sites during the
-        first interpreted execution, the lowered program on the first
-        lowered one), so their insertion-time size is near zero; the
-        executor calls this after any execution that changed its plan.  The
-        entry is treated as most-recently used; if it now exceeds the whole
-        budget it is dropped and counted as a rejection.
-        """
-        value = self._entries.get(key)
-        if value is None:
-            return
-        size = self._measure(value)
-        with self._lock:
-            if self._entries.get(key) is not value:  # evicted meanwhile
-                return
-            if self.max_bytes is not None and size > self.max_bytes:
-                del self._entries[key]
-                self.bytes -= self._sizes.pop(key, 0)
-                self.rejections += 1
-                return
-            self.bytes += size - self._sizes.get(key, 0)
-            self._sizes[key] = size
-            self._entries.move_to_end(key)
-            self._shrink_to_budget()
 
     def clear(self) -> None:
         """Drop every entry (the counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._sizes.clear()
             self.bytes = 0
 
     def stats(self) -> Dict[str, int]:

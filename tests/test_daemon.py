@@ -333,7 +333,7 @@ class TestDaemonEndToEnd:
         assert {"evictions", "bytes"} <= set(stats["caches"]["csf"])
         assert "pools" in stats["pool"] and "default_workers" in stats["pool"]
         # every REPRO_* setting as the daemon resolves it at request time
-        assert set(stats["config"]) == set(SETTINGS) and len(SETTINGS) == 12
+        assert set(stats["config"]) == set(SETTINGS) and len(SETTINGS) == 11
         assert stats["config"]["REPRO_WORKERS"] == 1
 
     def test_a_cold_cli_daemon_lists_every_metrics_source(self):

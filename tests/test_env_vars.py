@@ -20,9 +20,8 @@ from repro.util.config import SETTINGS, setting
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 
-#: The settings whose parse is numeric (the other four are strings or a flag).
+#: The settings whose parse is numeric (the other five are strings or a flag).
 NUMERIC = (
-    "REPRO_PLAN_CACHE_BYTES",
     "REPRO_WORKERS",
     "REPRO_TASK_TIMEOUT",
     "REPRO_TASK_RETRIES",
@@ -85,3 +84,25 @@ def test_a_malformed_numeric_value_warns_and_means_the_default(name, monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert setting(name) == default
+
+
+#: Documents that describe the current variables (``CHANGES.md`` and
+#: ``ROADMAP.md`` are history and may name removed ones).
+DOCUMENTS = (
+    "README.md",
+    "docs/*.md",
+    ".claude/skills/**/*.md",
+    ".github/workflows/*.yml",
+    "examples/*.py",
+)
+
+
+def test_documents_name_only_variables_that_exist():
+    named = {}
+    for pattern in DOCUMENTS:
+        for path in sorted(ROOT.glob(pattern)):
+            text = path.read_text(encoding="utf-8")
+            for name in re.findall(r"REPRO_[A-Z_]*[A-Z]", text):
+                named.setdefault(name, str(path.relative_to(ROOT)))
+    assert named, "no document names a REPRO_* variable"
+    assert {name: where for name, where in named.items() if name not in SETTINGS} == {}

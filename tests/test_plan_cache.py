@@ -9,6 +9,7 @@ from repro.core.enumeration import enumerate_loop_orders
 from repro.core.loop_nest import LoopNest
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
+from repro.engine.reference import assert_same_result, reference_output
 from repro.engine.plan_cache import (
     PlanCache,
     cached_executor,
@@ -364,11 +365,7 @@ class TestCSFMemo:
         def unbuilt():
             raise AssertionError("a cached key was rebuilt")
 
-        memo = LRUCache(
-            max_entries=None,
-            max_bytes=8 * 100,
-            size_of=default_structure_memo().size_of,
-        )
+        memo = LRUCache(max_entries=None, max_bytes=8 * 100)
         for name in (b"a", b"b"):
             memo.get_or_create((name, (0,)), lambda: structure(40))
         memo.get_or_create((b"a", (0,)), unbuilt)  # a is now most recent
@@ -441,26 +438,12 @@ class TestCSFMemo:
 
 
 class TestMemoryBudget:
-    """Size-accounted LRU eviction and admission control (max_bytes)."""
-
-    def test_approx_nbytes_tracks_array_payload(self):
-        from repro.util.lru import approx_nbytes
-
-        small = approx_nbytes({"a": np.zeros(10)})
-        large = approx_nbytes({"a": np.zeros(10_000)})
-        assert large - small >= 9_000 * 8
-        # cycles terminate
-        lst = [1, 2]
-        lst.append(lst)
-        assert approx_nbytes(lst) > 0
-        # shared substructure is charged once per entry, not per reference
-        arr = np.zeros(10_000)
-        assert approx_nbytes([arr, arr]) < 2 * arr.nbytes
+    """LRU eviction by entry count and by size (max_bytes), and admission control."""
 
     def test_byte_budget_evicts_lru(self):
         cache = PlanCache(max_entries=None, max_bytes=3_000)
         for i in range(6):
-            cache.get_or_create(("k", i), lambda: np.zeros(100))  # ~928 B each
+            cache.get_or_create(("k", i), lambda: np.zeros(100))  # 800 B each
         stats = cache.stats()
         assert stats["bytes"] <= 3_000
         assert stats["evictions"] >= 1
@@ -479,34 +462,24 @@ class TestMemoryBudget:
         cache.get_or_create(("k",), lambda: np.zeros(1_000))
         assert cache.stats()["bytes"] == 0  # no budget, no accounting
 
-    def test_executor_reaccounts_lazily_populated_plans(self, mttkrp_setup):
+    def test_real_plans_are_bounded_by_entries(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         nest = _schedule_nest(kernel)
-        cache = PlanCache(max_entries=None, max_bytes=50_000_000)
-        executor = LoopNestExecutor(kernel, nest, plan_cache=cache)
-        executor.execute(tensors)
-        populated = cache.stats()["bytes"]
-        # the empty plan inserted before execution is tiny; the reaccount
-        # after the first execution must see the real (site/lowering) size
-        assert populated > 1_000
-
-    def test_budget_evicts_real_plans(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
-        nest = _schedule_nest(kernel)
-        probe_cache = PlanCache(max_entries=None, max_bytes=50_000_000)
-        LoopNestExecutor(kernel, nest, plan_cache=probe_cache).execute(tensors)
-        one_plan = probe_cache.stats()["bytes"]
-
+        expected = reference_output(kernel, tensors)
         orders = list(enumerate_loop_orders(kernel, nest.path))[:4]
-        cache = PlanCache(max_entries=None, max_bytes=int(one_plan * 2.5))
+        assert len(orders) == 4
+        cache = PlanCache(max_entries=2)
+        keys = []
         for order in orders:
-            LoopNestExecutor(
+            executor = LoopNestExecutor(
                 kernel, LoopNest(nest.path, order), plan_cache=cache
-            ).execute(tensors)
+            )
+            assert_same_result(executor.execute(tensors), expected)
+            keys.append(executor._plan.key)
+        assert len(set(keys)) == 4
         stats = cache.stats()
-        assert stats["evictions"] >= 1
-        assert len(cache) < len(orders)
-        assert stats["bytes"] <= int(one_plan * 2.5)
+        assert (len(cache), stats["evictions"], stats["bytes"]) == (2, 2, 0)
+        assert [key in cache for key in keys] == [False, False, True, True]
 
     def test_racing_builders_of_one_cold_key_store_it_once(self):
         import threading
@@ -532,7 +505,7 @@ class TestMemoryBudget:
         assert not any(t.is_alive() for t in threads)
         stats = cache.stats()
         assert stats["entries"] == 1
-        assert stats["bytes"] == cache.size_of(cache.get(("cold",)))
+        assert stats["bytes"] == cache.get(("cold",)).nbytes
         assert stats["misses"] == 4  # every build is paid and counted
         assert all(value is got[0] for value in got)
 
