@@ -481,6 +481,55 @@ class TestMemoryBudget:
         assert (len(cache), stats["evictions"], stats["bytes"]) == (2, 2, 0)
         assert [key in cache for key in keys] == [False, False, True, True]
 
+    def test_the_default_plan_cache_is_bounded_by_entries_alone(self, mttkrp_setup):
+        from repro.engine.plan_cache import caches_snapshot
+
+        cache = default_plan_cache()
+        assert (cache.max_entries, cache.max_bytes) == (512, None)
+        kernel, tensors = mttkrp_setup
+        LoopNestExecutor(kernel, _schedule_nest(kernel)).execute(tensors)
+        row = caches_snapshot()["plan"]
+        assert set(row) == {
+            "entries", "hits", "misses", "evictions", "rejections", "bytes",
+        }
+        assert row["entries"] >= 1 and (row["rejections"], row["bytes"]) == (0, 0)
+
+    def test_the_removed_byte_variable_is_ignored(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "from repro.engine.plan_cache import default_plan_cache\n"
+            "c = default_plan_cache(); print(c.max_entries, c.max_bytes)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(sys.path),
+                REPRO_PLAN_CACHE_BYTES="1000",
+            ),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["512", "None"]
+        assert "REPRO_PLAN_CACHE_BYTES" not in done.stderr
+
+    def test_bytes_equal_the_held_values_nbytes_through_evictions(self):
+        cache = PlanCache(max_entries=3, max_bytes=4_000)
+        for i, n in enumerate((100, 300, 50, 200, 10, 400, 25)):
+            cache.get_or_create(("k", i), lambda n=n: np.zeros(n))
+            held = cache.values()
+            assert cache.stats()["bytes"] == sum(v.nbytes for v in held) <= 4_000
+            assert len(held) <= 3
+        stats = cache.stats()
+        # 1 600 B and 3 200 B each evict one entry for the count, one for bytes
+        assert (stats["entries"], stats["evictions"], stats["rejections"]) == (3, 4, 0)
+        assert [v.nbytes for v in cache.values()] == [80, 3_200, 200]
+
     def test_racing_builders_of_one_cold_key_store_it_once(self):
         import threading
         import time
