@@ -6,7 +6,7 @@ worker pool (dense operands broadcast once through shared memory, one
 compiled plan bound per rank).  This module checks that the two tiers
 agree bit-exactly on an MTTKRP workload.  The engine is pinned to
 ``lowered`` (the claim is about rank parallelism, not engine choice), so
-the CI interpreter-tier pass skips this module.
+the CI smoke pass under ``REPRO_ENGINE=lowered`` skips this module.
 """
 
 from __future__ import annotations

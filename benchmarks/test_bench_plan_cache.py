@@ -53,9 +53,8 @@ def _run_cold(tensor, factors):
     the process-wide structure memo, i.e. measure a cached path.
 
     The engine is pinned to the lowered tier (as in the warm path): this
-    benchmark isolates *planning* amortization, so execution must stay cheap
-    relative to the per-call search — which no longer holds when the slower
-    interpreter tier is forced process-wide via REPRO_ENGINE.
+    benchmark isolates *planning* amortization, so what it executes must
+    not follow the ``REPRO_ENGINE`` process default.
     """
     kernel, tensors = mttkrp_kernel(CSFTensor.from_coo(tensor), factors, mode=0)
     # empty private caches and no store: always a real (counted) search and

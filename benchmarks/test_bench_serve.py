@@ -4,8 +4,8 @@ The serving layer groups requests by plan-cache signature so one schedule
 search and one compiled plan serve a whole batch; with ``workers > 0`` the
 batches fan out over the worker pool.  This module checks the pool tier
 returns the same bits as serial serving on the seeded mixed workload.  The
-engine is pinned to the lowered tier, so the CI interpreter-tier pass skips
-this module.
+engine is pinned to the lowered tier, so the CI smoke pass under
+``REPRO_ENGINE=lowered`` skips this module.
 """
 
 from __future__ import annotations

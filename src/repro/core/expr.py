@@ -22,6 +22,7 @@ of SpTTN kernels the paper exploits.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -32,6 +33,14 @@ from repro.sptensor.csf import CSFTensor, csf_for_mode_order
 from repro.util.validation import require
 
 SparseInput = Union[COOTensor, CSFTensor]
+
+#: The letters of an einsum subscript.  The lowering gives each distinct
+#: index of a kernel one of them, for the whole program, and its lane axis
+#: one more.
+EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
+
+#: Most distinct indices a kernel may have: every einsum letter but the lane's.
+MAX_INDICES = len(EINSUM_LETTERS) - 1
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ class SpTTNKernel:
         True exactly when *index* is sparse and every earlier CSF level is
         in *bound*: the loop then visits only the stored fibre below the
         bound prefix (Sec. 4's sparse trip count).  Otherwise it iterates
-        the full dimension.  The cost model, the interpreter's plan and the
+        the full dimension.  The cost model, the executor's plan and the
         lowering all read this one rule.
         """
         if index not in self.sparse_indices:
@@ -356,6 +365,12 @@ def parse_kernel(
         operands.append(operand)
     if sparse_count != 1:
         raise ValueError(f"expected exactly one sparse operand, got {sparse_count}")
+    if len(index_dims) > MAX_INDICES:
+        raise ValueError(
+            f"kernel has {len(index_dims)} distinct indices; at most {MAX_INDICES} "
+            f"are supported ({len(EINSUM_LETTERS)} einsum letters, one of them "
+            f"for the lane axis)"
+        )
 
     output_indices = tuple(output_spec)
     sparse_op = next(op for op in operands if op.is_sparse)

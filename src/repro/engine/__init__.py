@@ -1,16 +1,14 @@
 """Execution engine for SpTTN loop nests.
 
-* :mod:`repro.engine.executor` — Algorithm 2: execute a fully-fused loop
+* :mod:`repro.engine.executor` — Algorithm 2: plan a fully-fused loop
   nest over a CSF sparse tensor, offloading maximal dense (and fiber-led)
-  regions to vectorized NumPy kernels (the BLAS substitution of this
-  reproduction).
-* :mod:`repro.engine.blas` — the vectorized kernel layer: one specialized
-  NumPy call per offload site, each returning its scalar operation count.
+  regions to vectorized contractions (the BLAS substitution of this
+  reproduction), and run its compiled program.
 * :mod:`repro.engine.plan_cache` — compiled (array-independent) execution
   plans, the process-wide plan cache, and schedule caching, so repeated
   executions of one structure pay for planning and search once.
 * :mod:`repro.engine.lowering` — the vectorized lowering subsystem: compile
-  any lowerable plan into a flat program of segment-reduction ops, then
+  every plan into a flat program of segment-reduction ops, then
   into one fused NumPy/CSR-SpMM callable (the default ``"jit"`` engine) or
   one that runs it op by op, without the fusions (``"lowered"``).
 * :mod:`repro.engine.reference` — dense ``numpy.einsum`` reference used to
@@ -21,7 +19,7 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".executor": ("ENGINES", "LoopNestExecutor", "default_engine", "execute_kernel"),
-    ".lowering": ("NotLowerable", "Program", "lower_plan"),
+    ".lowering": ("Program", "lower_plan"),
     ".plan_cache": (
         "CompiledPlan", "PlanCache", "cached_executor", "cached_schedule", "clear_caches",
         "default_executor_cache", "default_plan_cache", "default_schedule_cache", "plan_key",

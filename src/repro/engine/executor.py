@@ -10,46 +10,39 @@ current loop index are grouped under one loop (fusion), buffer-reset points
 are placed where a producer separates from its consumer (the ``X = 0`` lines
 of Listings 3/4), and every maximal single-term region whose remaining
 indices are dense — or are led by the final CSF level (a stored fiber) — is
-bound to a specialized vectorized NumPy kernel (the reproduction's BLAS
-offload, Figure 6).  The result is an array-independent
-:class:`~repro.engine.plan_cache.CompiledPlan` of symbolic steps per
-loop-nest site, cached in the process-wide
-:class:`~repro.engine.plan_cache.PlanCache` keyed by the full structural
-identity of the execution (kernel signature, contraction path, loop orders,
-CSF mode order, operand shapes/dtypes).  Each ``execute()`` call only
-*binds* the plan to its freshly allocated output/buffer arrays — a cheap
-substitution pass — so repeated executions of the same structure (ALS/HOOI
-sweeps, autotuning repeats) perform zero per-call symbolic analysis, and the
-execution hot loop performs no per-iteration analysis.
+an offload site, one vectorized contraction (the reproduction's BLAS
+offload, Figure 6).  Those symbolic steps are lowered and compiled into the
+array-independent :class:`~repro.engine.plan_cache.CompiledPlan`, cached in
+the process-wide :class:`~repro.engine.plan_cache.PlanCache` keyed by the
+full structural identity of the execution (kernel signature, contraction
+path, loop orders, CSF mode order, operand shapes/dtypes), so repeated
+executions of the same structure (ALS/HOOI sweeps, autotuning repeats)
+perform zero per-call symbolic analysis.
 
-*Execution* happens in one of three engines, selected by the ``engine``
-parameter (default from the ``REPRO_ENGINE`` environment variable, falling
-back to ``"jit"``):
+*Execution* lowers the plan once (:mod:`repro.engine.lowering`: a flat
+program of vectorized array ops — gathers into CSF lane layout, batched
+einsums, segment reductions along the level pointers), compiles it once per
+engine and runs it.  The ``engine`` parameter (default from the
+``REPRO_ENGINE`` environment variable, falling back to ``"jit"``) picks the
+compilation:
 
-* ``"jit"`` (the default) — the plan is lowered by
-  :mod:`repro.engine.lowering` into a flat program of vectorized array ops
-  (gathers into CSF lane layout, batched einsums, segment reductions along
-  the level pointers), which :mod:`repro.engine.lowering.codegen` compiles
-  (once, cached on the plan) into a single fused NumPy callable with
-  pooled intermediate buffers and index maps / CSR operators prepared once
-  per CSF structure.
+* ``"jit"`` (the default) — :mod:`repro.engine.lowering.codegen` compiles
+  the program into a single fused NumPy callable with pooled intermediate
+  buffers and index maps / CSR operators prepared once per CSF structure.
 * ``"lowered"`` — the same lowered program compiled op by op, without the
   codegen's peephole fusions.
-* ``"interpret"`` — the plan is interpreted; sparse loops walk the CSF tree
-  level by level so only stored fibers are visited, dense loops iterate
-  full index ranges, and offloaded regions execute one pre-specialized
-  kernel call.  It is the reference the compiled engines are tested
-  against.
 
 A loop over a sparse index walks the CSF exactly when every earlier CSF
 level is already bound (:meth:`~repro.core.expr.SpTTNKernel.csf_descends`,
 the rule the cost model charges), so the sparse operand and a sparse output
-are always reached by descent.  The compiled engines interpret only a nest
-with more distinct indices than einsum has letters
-(:class:`~repro.engine.lowering.lower.NotLowerable`) and an empty tensor; a
-compile error raises.
+are always reached by descent.  Every nest lowers (a kernel has at most
+:data:`~repro.core.expr.MAX_INDICES` distinct indices, checked when it is
+parsed), an empty tensor included; a compile error raises.  Algorithm 2 as
+written — sparse loops walking the CSF level by level, one specialized
+kernel call per offload site visit — is the reference the engines are
+tested against (``tests/interpreter.py``).
 
-All engines report identical scalar operation counts (the only thing
+Both engines report identical scalar operation counts (the only thing
 :class:`~repro.util.counters.OpCounter` counts); results agree to the usual
 floating-point reassociation of vectorized summation (last-ulp).  Dense
 outputs and sparse-pattern outputs (TTTP/SDDMM-style) are both supported.
@@ -66,7 +59,6 @@ from repro.core.contraction_path import ContractionPath
 from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.loop_nest import LoopNest, validate_loop_order
 from repro.core.scheduler import Schedule
-from repro.engine.blas import specialize_contraction
 from repro.engine.lowering import compile_program, lower_plan
 from repro.engine.plan_cache import (
     ARRAY as _ARRAY,
@@ -95,7 +87,7 @@ from repro.util.validation import require
 TensorLike = Union[COOTensor, CSFTensor, np.ndarray]
 
 #: Execution engines accepted by :class:`LoopNestExecutor`, fastest first.
-ENGINES = ("jit", "lowered", "interpret")
+ENGINES = ("jit", "lowered")
 
 
 def default_engine() -> str:
@@ -125,13 +117,9 @@ class LoopNestExecutor:
     engine:
         ``"jit"`` executes the lowered program as one fused codegen
         callable; ``"lowered"`` executes it compiled op by op, without
-        the peephole fusions; both interpret a nest whose lowering is
-        declined and an empty tensor.  ``"interpret"`` always
-        interprets.  ``None``
-        (default) resolves through :func:`default_engine` (the
-        ``REPRO_ENGINE`` environment variable, else ``"jit"``).  After
-        each ``execute()`` call, :attr:`last_engine` records which
-        engine actually ran.
+        the peephole fusions.  ``None`` (default) resolves through
+        :func:`default_engine` (the ``REPRO_ENGINE`` environment
+        variable, else ``"jit"``).
     """
 
     def __init__(
@@ -150,7 +138,6 @@ class LoopNestExecutor:
             f"engine must be one of {ENGINES}, got {resolved!r}",
         )
         self.engine = resolved
-        self.last_engine: Optional[str] = None
         self.path: ContractionPath = loop_nest.path
         validate_loop_order(kernel, loop_nest.path, loop_nest.order)
         self.orders: Tuple[Tuple[str, ...], ...] = tuple(
@@ -179,11 +166,9 @@ class LoopNestExecutor:
         self._source: Optional[Union[COOTensor, CSFTensor]] = None
         self._csf: Optional[CSFTensor] = None
         self._dense: Dict[str, np.ndarray] = {}
-        self._buffers: Dict[str, np.ndarray] = {}
         self._out_dense: Optional[np.ndarray] = None
         self._out_values: Optional[np.ndarray] = None
         self._plan: Optional[CompiledPlan] = None
-        self._bound_sites: Dict[Tuple[Tuple[int, ...], int], list] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -227,43 +212,32 @@ class LoopNestExecutor:
             prepare_s = time.perf_counter() - start
             plan = self._plan
             assert plan is not None and self._csf is not None
-            self.last_engine = "interpret"
-            if self.engine in ("jit", "lowered") and self._csf.nnz > 0:
-                if plan.lowered is None:
-                    mark = time.perf_counter()
-                    plan.lowered = lower_plan(self) or False
-                    prepare_s += time.perf_counter() - mark
-                if plan.lowered is not False:
-                    fuse = self.engine == "jit"
-                    compiled = plan.jit if fuse else plan.unfused
-                    if compiled is None:
-                        mark = time.perf_counter()
-                        with _span("compile", self.engine, ops=plan.lowered.n_ops):
-                            compiled = compile_program(plan.lowered, fuse=fuse)
-                        if fuse:
-                            plan.jit = compiled
-                        else:
-                            plan.unfused = compiled
-                        prepare_s += time.perf_counter() - mark
-                    with _span("run", self.engine, nnz=self._csf.nnz):
-                        compiled.run(
-                            self._csf,
-                            self._dense,
-                            self._out_dense,
-                            self._out_values,
-                            self.counter,
-                        )
-                    self.last_engine = self.engine
-            if self.last_engine == "interpret":
-                dims = self.kernel.index_dims
-                self._buffers = {
-                    spec.name: np.zeros(tuple(dims[idx] for idx in spec.indices))
-                    for spec in self._buffer_specs
-                }
-                self._run(tuple(range(len(self.path))), 0, {}, -1, 0)
+            if plan.lowered is None:
+                mark = time.perf_counter()
+                plan.lowered = lower_plan(self)
+                prepare_s += time.perf_counter() - mark
+            fuse = self.engine == "jit"
+            compiled = plan.jit if fuse else plan.unfused
+            if compiled is None:
+                mark = time.perf_counter()
+                with _span("compile", self.engine, ops=plan.lowered.n_ops):
+                    compiled = compile_program(plan.lowered, fuse=fuse)
+                if fuse:
+                    plan.jit = compiled
+                else:
+                    plan.unfused = compiled
+                prepare_s += time.perf_counter() - mark
+            with _span("run", self.engine, nnz=self._csf.nnz):
+                compiled.run(
+                    self._csf,
+                    self._dense,
+                    self._out_dense,
+                    self._out_values,
+                    self.counter,
+                )
         total_s = time.perf_counter() - start
-        plan.record_timing(self.last_engine, "prepare", prepare_s)
-        plan.record_timing(self.last_engine, "execute", max(0.0, total_s - prepare_s))
+        plan.record_timing(self.engine, "prepare", prepare_s)
+        plan.record_timing(self.engine, "execute", max(0.0, total_s - prepare_s))
         if self.kernel.output.is_sparse:
             return self._sparse_output()
         assert self._out_dense is not None
@@ -311,21 +285,19 @@ class LoopNestExecutor:
             self._out_values = None
 
         # Fetch (or create) the compiled plan for this structure.  Plans are
-        # array-independent; only the per-execution bindings are reset here.
+        # array-independent: the arrays above are only passed to its run.
         if operands is None:
             operands = operand_signature(kernel, tensors)
         key = self._key + (operands,)
         plan = self._cache.get_or_create(key, lambda: CompiledPlan(key))
         assert isinstance(plan, CompiledPlan)
         self._plan = plan
-        self._bound_sites = {}
 
     def _release_bindings(self) -> None:
         """Drop the per-execution array bindings after ``execute()``.
 
         Everything here is rebuilt (cheaply — the CSF conversion is
-        memoized per tensor object, plan binding is a substitution pass) by
-        the next ``_prepare``; releasing it matters for executors that
+        memoized per tensor object) by the next ``_prepare``; releasing it matters for executors that
         outlive their operands, notably the process-wide instances of
         :func:`~repro.engine.plan_cache.cached_executor`, which would
         otherwise pin their last operands and output for the life of the
@@ -334,10 +306,8 @@ class LoopNestExecutor:
         self._source = None
         self._csf = None
         self._dense = {}
-        self._buffers = {}
         self._out_dense = None
         self._out_values = None
-        self._bound_sites = {}
 
     def _sparse_output(self) -> COOTensor:
         """The output on the input's pattern, rows in lexicographic order:
@@ -376,8 +346,8 @@ class LoopNestExecutor:
     ) -> List[Tuple[Tuple[str, Optional[str]], tuple]]:
         """Buffers to zero before entering *group* (producer/consumer split).
 
-        Returns symbolic ``(slot, template)`` pairs; the slot is bound to
-        the per-execution buffer array by :meth:`_bind_steps`.
+        Returns symbolic ``(slot, template)`` pairs: the buffer, and the
+        loop indices that select the part of it to zero.
         """
         after = set(after_positions)
         resets: List[Tuple[Tuple[str, Optional[str]], tuple]] = []
@@ -461,7 +431,8 @@ class LoopNestExecutor:
         resets: list,
         mode: str,
     ) -> tuple:
-        """Bind one offload site to its recipes and specialized kernel."""
+        """One offload site: its recipes and the free indices of its operands
+        and output, ``(lhs_free, rhs_free, out_free)``."""
         term = self.path[pos]
         bound_set = set(self._bound_names((pos,), depth))
         fiber_index = self.orders[pos][depth] if mode == "fiber" else None
@@ -475,19 +446,18 @@ class LoopNestExecutor:
         out_recipe, out_free = self._output_recipe(
             term.out, term.out_indices, bound_set, fiber_index
         )
-        fn = specialize_contraction(lhs_free, rhs_free, out_free)
         return (
             "offload",
             resets,
             lhs_recipe,
             rhs_recipe,
             out_recipe,
-            fn,
+            (lhs_free, rhs_free, out_free),
             mode == "fiber",
         )
 
     def _build_plan(self, positions: Tuple[int, ...], depth: int) -> list:
-        """Segment a recursion site into executable steps (cached)."""
+        """Segment a recursion site into its symbolic steps."""
         kernel = self.kernel
         steps: list = []
         bound_names = self._bound_names(positions, depth)
@@ -531,153 +501,6 @@ class LoopNestExecutor:
                 )
             i = j
         return steps
-
-    # ------------------------------------------------------------------ #
-    # Symbolic site lookup (shared by the interpreter and the lowering pass)
-    # ------------------------------------------------------------------ #
-    def _site_steps(self, positions: Tuple[int, ...], depth: int):
-        """Symbolic steps of one site, building (and caching) on first use."""
-        assert self._plan is not None
-        key = (positions, depth)
-        steps = self._plan.sites.get(key)
-        if steps is None:
-            steps = self._plan.sites.setdefault(key, self._build_plan(positions, depth))
-        return steps
-
-    # ------------------------------------------------------------------ #
-    # Plan binding (per execution: substitute concrete arrays for slots)
-    # ------------------------------------------------------------------ #
-    def _slot_array(self, slot: Tuple[str, Optional[str]]) -> np.ndarray:
-        kind, name = slot
-        if kind == _SLOT_DENSE:
-            return self._dense[name]
-        if kind == _SLOT_BUFFER:
-            return self._buffers[name]
-        assert self._out_dense is not None
-        return self._out_dense
-
-    def _bind_recipe(self, recipe: tuple) -> tuple:
-        if recipe[0] != _ARRAY:
-            return recipe
-        _, slot, template, gather_axis = recipe
-        return (_ARRAY, self._slot_array(slot), template, gather_axis)
-
-    def _bind_steps(self, steps: list) -> list:
-        """Bind one site's symbolic steps to this execution's arrays."""
-        bound_steps: list = []
-        for step in steps:
-            resets = [
-                (self._slot_array(slot), template) for slot, template in step[1]
-            ]
-            if step[0] == "offload":
-                (_, _, lhs, rhs, out, fn, is_fiber) = step
-                bound_steps.append(
-                    (
-                        "offload",
-                        resets,
-                        self._bind_recipe(lhs),
-                        self._bind_recipe(rhs),
-                        self._bind_recipe(out),
-                        fn,
-                        is_fiber,
-                    )
-                )
-            else:
-                bound_steps.append(("loop", resets) + step[2:])
-        return bound_steps
-
-    # ------------------------------------------------------------------ #
-    # Plan execution
-    # ------------------------------------------------------------------ #
-    def _run(
-        self,
-        positions: Tuple[int, ...],
-        depth: int,
-        bound: Dict[str, int],
-        csf_level: int,
-        csf_pos: int,
-    ) -> None:
-        key = (positions, depth)
-        plan = self._bound_sites.get(key)
-        if plan is None:
-            plan = self._bind_steps(self._site_steps(positions, depth))
-            self._bound_sites[key] = plan
-
-        counter = self.counter
-        csf = self._csf
-        for step in plan:
-            kind = step[0]
-            resets = step[1]
-            for arr, template in resets:
-                arr[
-                    tuple(
-                        bound[name] if name is not None else slice(None)
-                        for name in template
-                    )
-                ] = 0.0
-            if kind == "offload":
-                (_, _, lhs_recipe, rhs_recipe, out_recipe, fn, is_fiber) = step
-                if is_fiber:
-                    lo, hi = csf.children_range(csf_level, csf_pos)
-                    ids = csf.fids[csf.order - 1][lo:hi]
-                else:
-                    lo = hi = 0
-                    ids = None
-                lhs = self._resolve_operand(lhs_recipe, bound, csf_pos, lo, hi, ids)
-                rhs = self._resolve_operand(rhs_recipe, bound, csf_pos, lo, hi, ids)
-                out_arr, out_key = self._resolve_output(
-                    out_recipe, bound, csf_pos, lo, hi
-                )
-                counter.flops += fn(lhs, rhs, out_arr, out_key)
-            else:  # "loop"
-                (_, _, idx, group, use_csf, dim) = step
-                if use_csf:
-                    level = csf_level + 1
-                    lo, hi = csf.children_range(csf_level, csf_pos)
-                    ids = csf.fids[level]
-                    for child in range(lo, hi):
-                        bound[idx] = int(ids[child])
-                        self._run(group, depth + 1, bound, level, child)
-                    bound.pop(idx, None)
-                else:
-                    for value in range(dim):
-                        bound[idx] = value
-                        self._run(group, depth + 1, bound, csf_level, csf_pos)
-                    bound.pop(idx, None)
-
-    # ------------------------------------------------------------------ #
-    # Recipe resolution (runtime)
-    # ------------------------------------------------------------------ #
-    def _resolve_operand(self, recipe, bound, csf_pos, lo, hi, ids):
-        mode = recipe[0]
-        if mode == _ARRAY:
-            _, arr, template, gather_axis = recipe
-            view = arr[
-                tuple(
-                    bound[name] if name is not None else slice(None)
-                    for name in template
-                )
-            ]
-            if gather_axis is not None:
-                view = np.take(view, ids, axis=gather_axis)
-            return view
-        if mode == _SPARSE_FIBER:
-            return self._csf.values[lo:hi]
-        assert mode == _SPARSE_LEAF
-        return self._csf.values[csf_pos]
-
-    def _resolve_output(self, recipe, bound, csf_pos, lo, hi):
-        mode = recipe[0]
-        if mode == _ARRAY:
-            _, arr, template, _ = recipe
-            key = tuple(
-                bound[name] if name is not None else slice(None) for name in template
-            )
-            return arr, key
-        if mode == _SPARSE_OUT_FIBER:
-            return self._out_values, slice(lo, hi)
-        assert mode == _SPARSE_OUT_LEAF
-        return self._out_values, csf_pos
 
 
 # --------------------------------------------------------------------------- #

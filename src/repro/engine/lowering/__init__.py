@@ -1,15 +1,14 @@
 """General vectorized lowering: scheduled loop nests as flat segment-reduction kernels.
 
-This subsystem compiles any lowerable scheduled loop nest (a
-:class:`~repro.engine.plan_cache.CompiledPlan`'s symbolic site steps) into a
+This subsystem compiles every scheduled loop nest (the executor's symbolic
+site steps) into a
 small typed IR of array-level ops — dense-operand gathers into CSF lane
 layout, batched einsum contractions, ``np.add.reduceat`` segment reductions
 along the level pointers, scatter-accumulates into the output — and compiles
 that IR into one NumPy callable with no per-fiber Python dispatch.  It generalizes the hand-fused
 MTTKRP sweep into one compiler: MTTKRP, TTMc, TTTc, TTTP and arbitrary
 SpTTN expressions all take the vectorized path, with flop counts identical
-to the interpreter's; only a nest past the 52 einsum letters is
-left to the interpreter.
+to Algorithm 2's one kernel call at a time.
 
 * :mod:`repro.engine.lowering.ir` — the typed op set and symbolic counts;
 * :mod:`repro.engine.lowering.lower` — the lowering pass over plan sites;
@@ -24,5 +23,5 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".codegen": ("CompiledJit", "compile_program", "jit_stats"),
     ".ir": ("Program",),
-    ".lower": ("NotLowerable", "lower_plan"),
+    ".lower": ("lower_plan",),
 })

@@ -53,7 +53,7 @@ Three mechanisms carry the speedup:
   bound structure only re-points the CSR data at its values.  Warm calls
   do no index arithmetic and count with one ``C.flops +=``.  The total is
   a plain integer sum of the :class:`~repro.engine.lowering.ir.Contract`
-  flop terms the interpreter adds one kernel call at a time, so the count
+  flop terms Algorithm 2 adds one kernel call at a time, so the count
   stays bit-equal.
 
 Every lowered program compiles; a failure while compiling is a bug and
@@ -62,6 +62,7 @@ raises out of ``execute()``.
 
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from collections import defaultdict
@@ -76,7 +77,6 @@ from repro.engine.plan_cache import SLOT_DENSE
 
 _STATS = {
     "compiles": 0,
-    "rejections": 0,
     "runs": 0,
     "bind_hits": 0,
     "bind_misses": 0,
@@ -130,7 +130,7 @@ def _reduce(B, key, value, red):
     """
     bounds, selector = red
     if value.dtype == np.float64 and value.flags.c_contiguous:
-        flat = selector @ value.reshape(value.shape[0], -1)
+        flat = selector @ value.reshape(value.shape[0], math.prod(value.shape[1:]))
         return flat.reshape((selector.shape[0],) + value.shape[1:])
     return _bufpool.reduceat_into(B, key, value, bounds[:-1])
 
@@ -230,7 +230,7 @@ class _Spmm:
 def _spmm(op, src):
     """``op.matrix @ src`` along the lane axis, unflattened to ``op.head``."""
     n = op.matrix.shape[1]
-    flat = op.matrix @ src[:n].reshape(n, -1)
+    flat = op.matrix @ src[:n].reshape(n, math.prod(src.shape[1:]))
     return flat.reshape(op.head + src.shape[1:])
 
 
@@ -238,7 +238,9 @@ def _lane_dot(lhs, rhs, perm):
     """``sum0(einsum('a..,a..->a....', lhs, rhs))`` as one GEMM: the
     lane-expanded outer product is never materialized."""
     n = lhs.shape[0]
-    out = np.dot(lhs.reshape(n, -1).T, rhs.reshape(n, -1))
+    out = np.dot(
+        lhs.reshape(n, math.prod(lhs.shape[1:])).T, rhs.reshape(n, math.prod(rhs.shape[1:]))
+    )
     return out.reshape(lhs.shape[1:] + rhs.shape[1:]).transpose(perm)
 
 
@@ -1059,11 +1061,8 @@ def jit_stats() -> Dict[str, int]:
 
     ``entries``/``bytes`` cover live compiled callables and their pooled
     buffers; ``hits``/``misses``/``evictions`` count the per-structure
-    prep cache; ``rejections`` counts plans whose lowering was declined
-    for the 52-letter limit
-    (:class:`~repro.engine.lowering.lower.NotLowerable`, once per plan;
-    each one is interpreted).  Both the ``jit`` and the ``lowered``
-    engine's callables count here.  Extra keys:
+    prep cache; ``rejections`` reads 0, as every plan lowers and compiles.
+    Both the ``jit`` and the ``lowered`` engine's callables count here.  Extra keys:
     ``compiles``, ``runs`` and ``rebinds`` (hits that re-pointed the SpMM
     data at a new tensor's values).
     """
@@ -1073,7 +1072,7 @@ def jit_stats() -> Dict[str, int]:
         "hits": _STATS["bind_hits"],
         "misses": _STATS["bind_misses"],
         "evictions": _STATS["bind_evictions"],
-        "rejections": _STATS["rejections"],
+        "rejections": 0,
         "bytes": sum(pool_nbytes(c.pool) for c in live),
         "compiles": _STATS["compiles"],
         "runs": _STATS["runs"],

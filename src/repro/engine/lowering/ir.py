@@ -21,7 +21,7 @@ vectorized as batch axes and the free axes of an offload site.
 
 Counts
 ------
-The flop count must match the interpreter exactly, so every
+The flop count must match Algorithm 2's exactly, so every
 :class:`Contract` carries symbolic :data:`Count` terms ``(factor, level)``
 evaluating to ``factor * n_lanes(level)`` once a concrete tensor is bound;
 ``factor`` folds in the static dense dimensions (batch sizes, free-index
@@ -129,7 +129,7 @@ class ScatterLanes:
     lane axis remains when ``level`` is 0).  Children of one parent have
     distinct ids, so this is a conflict-free assignment.  Used when an
     intermediate buffer keeps a sparse index that is a bound loop at its
-    producer: the interpreter writes one buffer slot per iteration of that
+    producer: Algorithm 2 writes one buffer slot per iteration of that
     loop, the lowered program writes all slots of a parent at once.
     """
 

@@ -1,10 +1,12 @@
 """Lowering pass: compile a plan's site steps into a flat vectorized program.
 
-The interpreter (:mod:`repro.engine.executor`) walks the fused loop nest
-fiber by fiber, executing one specialized kernel call per offload site
-visit.  This pass compiles the *same* symbolic site steps into the IR of
-:mod:`repro.engine.lowering.ir`, replacing the per-node Python recursion
-with whole-level array operations:
+Algorithm 2 as written walks the fused loop nest fiber by fiber, executing
+one specialized kernel call per offload site visit (``tests/interpreter.py``
+does exactly that, and is the reference this pass is tested against).  This
+pass compiles the *same* symbolic site steps of
+:class:`~repro.engine.executor.LoopNestExecutor` into the IR of
+:mod:`repro.engine.lowering.ir`, replacing the per-node recursion with
+whole-level array operations:
 
 * a CSF loop descends one level — the vectorized execution widens its lane
   axis from the nodes of one level to the nodes of the next, and results
@@ -26,17 +28,18 @@ program is cached per :class:`~repro.engine.plan_cache.CompiledPlan` and
 reused by every execution of that structure.
 
 Every nest that passes :func:`~repro.core.loop_nest.validate_loop_order`
-lowers unless it has more distinct indices than einsum has letters, which
-raises :class:`NotLowerable`.  The executor caches that decline on the plan
-and interprets it; any other failure is a bug and raises.
+lowers: the program gives each distinct index one einsum letter and the
+lane axis one more, and :func:`~repro.core.expr.parse_kernel` refuses a
+kernel with more indices than the letters left
+(:data:`~repro.core.expr.MAX_INDICES`).  A failure here is a bug and raises.
 """
 
 from __future__ import annotations
 
-import string
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.lowering import codegen, ir
+from repro.core.expr import EINSUM_LETTERS as _LETTER_POOL
+from repro.engine.lowering import ir
 from repro.engine.plan_cache import (
     ARRAY,
     SLOT_BUFFER,
@@ -47,16 +50,9 @@ from repro.engine.plan_cache import (
 )
 
 
-class NotLowerable(Exception):
-    """The nest needs more than 52 einsum letters; the executor interprets
-    it instead."""
-
-
 #: Internal name reserved for the lane axis in the einsum letter table (a
 #: NUL prefix keeps it from colliding with any kernel index name).
 _LANE_NAME = "\0lane"
-
-_LETTER_POOL = string.ascii_lowercase + string.ascii_uppercase
 
 
 class _Value:
@@ -105,8 +101,6 @@ class _Lowerer:
     def _letter(self, name: str) -> str:
         letter = self.letters.get(name)
         if letter is None:
-            if len(self.letters) >= len(_LETTER_POOL):
-                raise NotLowerable("too many distinct indices for einsum lowering")
             letter = _LETTER_POOL[len(self.letters)]
             self.letters[name] = letter
         return letter
@@ -137,11 +131,11 @@ class _Lowerer:
         return ir.Program(tuple(self.ops), self.n_regs)
 
     # ------------------------------------------------------------------ #
-    # Site / step walk (mirrors LoopNestExecutor._run, but symbolic)
+    # Site / step walk (Algorithm 2's recursion, but symbolic)
     # ------------------------------------------------------------------ #
     def _site(self, positions: Tuple[int, ...], depth: int, level: int) -> None:
-        steps = self.ex._site_steps(positions, depth)
-        for step in steps:
+        # the walk reaches each site once: loop steps split their positions
+        for step in self.ex._build_plan(positions, depth):
             self._resets(step[1])
             if step[0] == "loop":
                 (_, _, idx, group, use_csf, _dim) = step
@@ -157,7 +151,7 @@ class _Lowerer:
                 self._offload(step, level)
 
     def _resets(self, resets: Sequence) -> None:
-        """Forget the buffers the interpreter zero-fills here: the vectorized
+        """Forget the buffers Algorithm 2 zero-fills here: the vectorized
         execution starts each reset region from fresh per-lane contributions."""
         for slot, _template in resets:
             self.buffers.pop(slot[1], None)
@@ -220,7 +214,7 @@ class _Lowerer:
         (the interpreted accumulation over those loops); a shallower producer
         is replicated to the consumer's lanes.  Producer-only dense loop axes
         stay as named axes and are contracted away by the consumer's einsum —
-        the accumulation the interpreter performs across those iterations.
+        the accumulation Algorithm 2 performs across those iterations.
         Buffer axes the consumer binds to a sparse loop are gathered per
         lane (:class:`~repro.engine.lowering.ir.GatherAxis`), unless the
         record's lane axis already carries them (see :meth:`_keeps_lanes`).
@@ -453,18 +447,11 @@ class _Lowerer:
         )
 
 
-def lower_plan(executor) -> Optional[ir.Program]:
+def lower_plan(executor) -> ir.Program:
     """Compile *executor*'s plan into a lowered :class:`~repro.engine.lowering.ir.Program`.
 
-    Returns ``None`` on a :class:`NotLowerable` decline, counted in
-    ``jit_stats()["rejections"]``; the caller then interprets the plan.
-    Any other exception is a bug and propagates.  The pass reads only
-    structural state (kernel, loop orders, symbolic site steps) and builds
-    any missing plan sites as a side effect, exactly as the interpreter's
-    lazy site discovery would.
+    The pass reads only structural state (kernel, loop orders, and the
+    symbolic steps of each site, built as the walk reaches it); an
+    exception is a bug and propagates.
     """
-    try:
-        return _Lowerer(executor).lower()
-    except NotLowerable:
-        codegen._STATS["rejections"] += 1
-        return None
+    return _Lowerer(executor).lower()

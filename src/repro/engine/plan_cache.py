@@ -7,13 +7,9 @@ same MTTKRP/TTMc kernel once per mode per sweep, dozens of times total).
 This module provides that amortization layer:
 
 * :class:`CompiledPlan` — the array-independent result of the executor's
-  preprocessing stage (Algorithm 2, stage 1).  A plan maps each recursion
-  site of the fused loop nest to a list of *symbolic* steps: loops, buffer
-  resets and offload sites whose operand recipes name slots (``dense``
-  operand, intermediate ``buffer``, kernel ``out``) instead of embedding
-  concrete arrays.  Binding a plan to freshly allocated arrays is a cheap
-  substitution pass, so repeated ``execute()`` calls on the same structure
-  perform zero per-call symbolic analysis.
+  preprocessing stage (Algorithm 2, stage 1): the loop nest's lowered
+  program and its compiled callables, so repeated ``execute()`` calls on
+  the same structure perform zero per-call symbolic analysis.
 * :class:`PlanCache` — the process's one LRU class,
   :class:`~repro.util.lru.LRUCache` (hit/miss/eviction counters, bounded
   by entry count), here keyed by the full structural identity of
@@ -54,23 +50,20 @@ from repro.util.lru import LRUCache
 
 PlanKey = Tuple[Hashable, ...]
 
-#: A recursion site of the fused loop nest: (term positions, loop depth).
-SiteKey = Tuple[Tuple[int, ...], int]
-
 # --------------------------------------------------------------------------- #
 # Recipe encoding shared by plan producers and consumers
 # --------------------------------------------------------------------------- #
-# Operand-recipe modes (first element of a recipe tuple).  Plans store these
-# symbolic recipes; both the interpreter (repro.engine.executor) and the
-# vectorized lowering pass (repro.engine.lowering) decode them.
+# Operand-recipe modes (first element of a recipe tuple).  The executor's
+# site steps carry these symbolic recipes (repro.engine.executor) and the
+# vectorized lowering pass (repro.engine.lowering) decodes them.
 SPARSE_LEAF = 0      # scalar: csf.values[csf_pos]
 SPARSE_FIBER = 2     # vector: csf.values[lo:hi] of the current node's children
 ARRAY = 3            # dense array / buffer / dense output slice
 SPARSE_OUT_LEAF = 4  # accumulate into out_values[csf_pos]
 SPARSE_OUT_FIBER = 6  # accumulate into out_values[lo:hi]
 
-# Symbolic array slots used in cached (array-independent) recipes; bound to
-# concrete arrays (or registers) per execution.
+# Symbolic array slots used in (array-independent) recipes; the lowering
+# reads them as registers and the compiled callable as concrete arrays.
 SLOT_DENSE = "dense"    # a dense input operand, by name
 SLOT_BUFFER = "buffer"  # an intermediate buffer, by name
 SLOT_OUT = "out"        # the dense output array
@@ -158,37 +151,28 @@ def schedule_key(
 # Compiled plans
 # --------------------------------------------------------------------------- #
 class CompiledPlan:
-    """Symbolic execution plan for one loop-nest structure.
+    """Compiled execution plan for one loop-nest structure.
 
-    The plan is a mapping from recursion sites (term positions, depth) to
-    step lists produced by the executor's preprocessing stage.  Steps are
-    array-independent: operand recipes reference slots by name and are bound
-    to concrete arrays per execution.  Sites are discovered lazily during
-    the first execution and reused verbatim afterwards.
-
-    ``lowered`` records the whole-nest vectorization decision (the general
-    lowering of :mod:`repro.engine.lowering`): ``None`` until the first
-    execution attempts the lowering pass, then either ``False`` (declined
-    — the interpreter is used) or the compiled
-    :class:`~repro.engine.lowering.ir.Program`.  ``jit`` holds that
-    program's fused callable (``None`` until compiled, then a
-    :class:`~repro.engine.lowering.codegen.CompiledJit`), and ``unfused``
-    the one the ``lowered`` engine runs (compiled without the
+    ``lowered`` holds the nest's lowered program (the general lowering of
+    :mod:`repro.engine.lowering`): ``None`` until the first execution
+    lowers it, then the :class:`~repro.engine.lowering.ir.Program`.
+    ``jit`` holds that program's fused callable (``None`` until compiled,
+    then a :class:`~repro.engine.lowering.codegen.CompiledJit`), and
+    ``unfused`` the one the ``lowered`` engine runs (compiled without the
     peephole pass) — both live on the plan, so evicting the plan drops
     its compiled callables and their pooled buffers with it.
 
     ``timings`` holds the plan's measured wall-clock seconds: one
-    :class:`~repro.obs.metrics.Histogram` per ``(engine actually run,
-    phase)``, where ``"prepare"`` covers COO→CSF conversion, plan fetch,
-    lowering and compilation and ``"execute"`` the steady-state run
+    :class:`~repro.obs.metrics.Histogram` per ``(engine, phase)``, where
+    ``"prepare"`` covers COO→CSF conversion, plan fetch, lowering and
+    compilation and ``"execute"`` the steady-state run
     (:func:`plan_timings_snapshot` reports them).
     """
 
-    __slots__ = ("key", "sites", "lowered", "jit", "unfused", "timings")
+    __slots__ = ("key", "lowered", "jit", "unfused", "timings")
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
-        self.sites: Dict[SiteKey, list] = {}
         self.lowered: object = None
         self.jit: object = None
         self.unfused: object = None
@@ -201,9 +185,6 @@ class CompiledPlan:
         if hist is None:
             hist = self.timings.setdefault((engine, phase), Histogram(phase))
         hist.observe(seconds)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompiledPlan(sites={len(self.sites)})"
 
 
 #: The engine's name for :class:`~repro.util.lru.LRUCache`, the one LRU class.

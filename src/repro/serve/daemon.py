@@ -12,7 +12,8 @@ connections, admission and dispatch:
   parsed against its operands) and counted against the service's
   ``max_pending`` bound *at receipt*; a full queue or an invalid request is
   answered with a structured ``admission`` error, exactly as in-process
-  :meth:`~repro.serve.ContractionService.submit` refuses it;
+  :meth:`~repro.serve.ContractionService.submit` refuses it, and so is a
+  request whose reply would exceed the wire's message bound;
 * **per-client fairness** — admitted requests queue per connection and one
   dispatch task drains them round-robin (rotating the starting client every
   cycle) with a per-client in-flight quota;
@@ -50,6 +51,7 @@ Tests and benchmarks embed the daemon in a background thread::
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -479,8 +481,10 @@ class ServeDaemon:
         Raises :class:`~repro.serve.AdmissionError` — the same exception
         and semantics as in-process ``submit`` — when the daemon-wide
         pending count (queued + in-flight) has reached the service's
-        ``max_pending``, or when the request's spec fails to parse against
-        its operands.
+        ``max_pending``, when the request's spec fails to parse against
+        its operands, or when its reply's frames, sized from the declared
+        shapes before anything is allocated, would exceed
+        ``protocol.MAX_MESSAGE_BYTES``, which no client can read.
         """
         if self._pending_total() >= self.service.max_pending:
             raise AdmissionError(
@@ -488,9 +492,19 @@ class ServeDaemon:
                 f"after results drain"
             )
         try:
-            request.build()
+            kernel, tensors = request.build()
         except Exception as exc:
             raise AdmissionError(f"invalid request: {exc}") from exc
+        if kernel.output.is_sparse:  # the input's pattern, float64 values
+            sparse = tensors[kernel.sparse_operand.name]
+            reply = sparse.indices.nbytes + 8 * sparse.nnz
+        else:  # float64
+            reply = 8 * math.prod(kernel.index_dims[i] for i in kernel.output.indices)
+        if reply > protocol.MAX_MESSAGE_BYTES:
+            raise AdmissionError(
+                f"the reply would be {reply} bytes of frames, over the "
+                f"{protocol.MAX_MESSAGE_BYTES}-byte bound on one message"
+            )
 
     def _pending_total(self) -> int:
         backlog = sum(len(c.backlog) for c in self._clients.values())

@@ -90,7 +90,8 @@ STAGES = (
 
 
 class AdmissionError(RuntimeError):
-    """A request was refused at submission (full queue or invalid spec)."""
+    """A request was refused at submission (full queue or invalid spec; the
+    daemon also refuses a reply too large to frame)."""
 
 
 class DeadlineError(RuntimeError):

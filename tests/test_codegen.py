@@ -19,9 +19,9 @@ The contract under test: ``compile_program`` turns a lowered
   caller's array;
 * compiles the same program without its peephole pass for the
   ``lowered`` tier, a callable of its own;
-* compiles every nest the scheduler picks, raises out of ``execute()``
-  when compilation fails, and leaves only nests past the 52 einsum letters
-  and empty tensors to the interpreter.
+* compiles every nest the scheduler picks, an empty tensor's included,
+  and raises out of ``execute()`` when compilation fails; a kernel past
+  the einsum letters is refused when it is parsed.
 """
 
 import re
@@ -30,15 +30,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from interpreter import execute, make_executor
 from repro.core.contraction_path import enumerate_contraction_paths
 from repro.core.cost_model import OperationCountCost, evaluate_cost
-from repro.core.expr import parse_kernel
+from repro.core.expr import MAX_INDICES, parse_kernel
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import CompiledJit, compile_program, ir
 from repro.engine.lowering import codegen as codegen_mod
-from repro.engine.lowering import lower as lower_mod
 from repro.engine.lowering.codegen import jit_stats
 from repro.engine.plan_cache import (
     PlanCache,
@@ -59,9 +59,11 @@ from test_conformance import _KERNELS, _MODE_ORDERS, _build_case
 
 
 def _run(kernel, tensors, nest, engine="jit", **kwargs):
+    """Execute on *engine* (``"interpret"``: the tests' interpreter),
+    asserting that a runtime engine ran compiled code."""
     counter = OpCounter()
-    executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine, **kwargs)
-    output = executor.execute(tensors)
+    executor = make_executor(kernel, nest, engine, counter=counter, **kwargs)
+    output = execute(executor, tensors)
     return executor, np.asarray(output), counter
 
 
@@ -99,7 +101,6 @@ class TestPlanCaching:
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         executor, _, _ = _run(kernel, tensors, nest)
-        assert executor.last_engine == "jit"
         plan = executor._plan
         assert isinstance(plan.jit, CompiledJit)
         compiled = plan.jit
@@ -227,8 +228,7 @@ class TestStructureKeyedBinds:
             kernel, tensors = request.build()
             nest = cached_schedule(kernel).loop_nest
             executor = cached_executor(kernel, nest, engine="jit", cache=cache)
-            outputs.append(np.asarray(executor.execute(tensors)))
-            assert executor.last_engine == "jit"
+            outputs.append(np.asarray(execute(executor, tensors)))
         return outputs, executor
 
     @pytest.mark.parametrize("mode", [0, 2])
@@ -335,7 +335,6 @@ class TestScatterPeepholes:
     def test_fused_call_matches_lowered(self, spec, random_coo3, count_add_at):
         kernel, tensors, nest = _spec_case(spec, random_coo3)
         executor, out, ctr = _run(kernel, tensors, nest)
-        assert executor.last_engine == "jit"
         compiled = executor._plan.jit
         assert _PEEPHOLES[spec] in compiled.source
         assert "_sum0(" not in compiled.source
@@ -383,7 +382,6 @@ class TestScatterPeepholes:
         kernel, tensors, nest = _spec_case("ijk,ir,kr->rj", random_coo3)
         del count_add_at[:]
         executor, out, ctr = _run(kernel, tensors, nest)
-        assert executor.last_engine == "jit"
         assert "O += _spmm(" not in executor._plan.jit.source
         assert len(count_add_at) == 1
         _, ref, ref_ctr = _run(kernel, tensors, nest, engine="lowered")
@@ -551,7 +549,6 @@ class TestNoAddAtOnTheJitPath:
         trap_add_at()
         for kernel, tensors, nest in cases:
             executor, out, _ = _run(kernel, tensors, nest)
-            assert executor.last_engine == "jit"
             assert "else:" not in executor._plan.jit.source
             assert np.isfinite(out).all() and out.any()
 
@@ -562,8 +559,7 @@ class TestNoAddAtOnTheJitPath:
 
         def run(engine):
             executor = LoopNestExecutor(kernel, nest, engine=engine)
-            out = executor.execute(tensors)
-            assert executor.last_engine == engine
+            out = execute(executor, tensors)
             if engine == "jit":
                 assert "else:" not in executor._plan.jit.source
             return out.values if isinstance(out, COOTensor) else out
@@ -581,7 +577,6 @@ class TestTiers:
         kernel, tensors = request.getfixturevalue(fixture)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         lowered, _, _ = _run(kernel, tensors, nest, engine="lowered")
-        assert lowered.last_engine == "lowered"
         plan = _run(kernel, tensors, nest)[0]._plan
         assert plan is lowered._plan
         assert isinstance(plan.unfused, CompiledJit) and plan.unfused is not plan.jit
@@ -590,14 +585,12 @@ class TestTiers:
         assert not re.search(r"^ +r\d+ = _spmm\(", source, re.MULTILINE)
 
     def test_benchmark_kernels_compile_on_both_tiers(self, benchmark_requests):
-        rejections, cache = jit_stats()["rejections"], PlanCache()  # compile afresh
+        cache = PlanCache()  # compile afresh
         for request in benchmark_requests:
             kernel, tensors = request.build()
             nest = cached_schedule(kernel).loop_nest
             for engine in ("jit", "lowered"):
-                executor = _run(kernel, tensors, nest, engine=engine, plan_cache=cache)[0]
-                assert executor.last_engine == engine
-        assert jit_stats()["rejections"] == rejections
+                _run(kernel, tensors, nest, engine=engine, plan_cache=cache)
 
     @pytest.mark.parametrize("spec, mode_order", _CHOSEN.values(), ids=list(_CHOSEN))
     def test_chosen_nests_compile_on_both_tiers(self, spec, mode_order):
@@ -609,13 +602,11 @@ class TestTiers:
             kernel, tensors = _spec_operands(spec, tensor, rank=3)
         else:
             kernel, tensors = _build_case(spec, "float64", mode_order)
-        rejections, cache = jit_stats()["rejections"], PlanCache()
+        cache = PlanCache()
         for bound in (None, 1, 2):
             nest = cached_schedule(kernel, buffer_dim_bound=bound).loop_nest
             for engine in ("jit", "lowered"):
-                executor = _run(kernel, tensors, nest, engine=engine, plan_cache=cache)[0]
-                assert executor.last_engine == engine
-        assert jit_stats()["rejections"] == rejections
+                _run(kernel, tensors, nest, engine=engine, plan_cache=cache)
 
 
 class TestFallback:
@@ -648,54 +639,50 @@ class TestFallback:
         order = LoopOrder((("i", "j", "k", "r"), ("j", "r", "k"), ("i", "j", "k", "r")))
         nest = LoopNest(path, order)
         model = evaluate_cost(kernel, path, order, OperationCountCost(kernel))
-        rejections = jit_stats()["rejections"]
         expected = reference_output(kernel, tensors).values
         for engine in ("jit", "interpret"):
-            executor = LoopNestExecutor(kernel, nest, engine=engine)
-            out = executor.execute(tensors)
-            assert executor.last_engine == engine
+            executor = make_executor(kernel, nest, engine)
+            out = execute(executor, tensors)
             assert executor.counter.flops == pytest.approx(model, rel=1e-12)
             np.testing.assert_allclose(out.values, expected, rtol=1e-12)
-        assert jit_stats()["rejections"] == rejections
 
-    def test_letter_limit_declines_count_as_rejections(self, mttkrp_setup, monkeypatch):
-        """A nest with more distinct indices than einsum letters is declined:
-        it interprets, and its decline counts once per plan."""
-        kernel, tensors = mttkrp_setup
-        nest = SpTTNScheduler(kernel).schedule().loop_nest
-        # one letter, taken by the lane axis: the rank index finds none left
-        monkeypatch.setattr(lower_mod, "_LETTER_POOL", "a")
-        rejections, cache = jit_stats()["rejections"], PlanCache()
-        for _ in range(2):
-            executor, out, _ = _run(kernel, tensors, nest, plan_cache=cache)
-            assert executor.last_engine == "interpret"
-        assert executor._plan.lowered is False
-        assert jit_stats()["rejections"] == rejections + 1
-        np.testing.assert_allclose(out, reference_output(kernel, tensors), rtol=1e-12)
+    def test_letter_limit_is_refused_at_parse(self):
+        """A kernel with more distinct indices than the einsum letters left
+        beside the lane axis is refused when it is parsed, by a message
+        naming the limit; one at the limit parses.  Index names need not
+        be einsum letters: the lowering assigns its own."""
+        assert MAX_INDICES == 51
+        names = "ab" + "αβγδ" + "cdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        for n, ok in ((MAX_INDICES, True), (MAX_INDICES + 1, False)):
+            spec = "ab," + ",".join(names[2:n]) + "->a"
+            operands = [COOTensor.empty((2, 2))] + [np.ones(1)] * (n - 2)
+            if ok:
+                assert len(parse_kernel(spec, operands).index_dims) == n
+            else:
+                with pytest.raises(ValueError, match=f"at most {MAX_INDICES} are supported"):
+                    parse_kernel(spec, operands)
 
-    def test_empty_tensor_interprets(self, mttkrp_setup):
-        from repro.sptensor import COOTensor
-
+    def test_empty_tensor_runs_compiled(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         empty = dict(tensors)
         empty["T"] = COOTensor.empty(tensors["T"].shape)
-        executor, out, _ = _run(kernel, empty, nest)
-        assert executor.last_engine == "interpret"
-        assert np.all(out == 0.0)
+        for engine in ("jit", "lowered"):
+            _, out, counter = _run(kernel, empty, nest, engine=engine)
+            assert np.all(out == 0.0) and counter.flops == 0
 
     @pytest.mark.parametrize("engine", ["jit", "interpret"])
     @pytest.mark.parametrize("nnz", [0, 5])
     def test_order_one_tensor(self, nnz, engine):
         """An order-1 sparse operand: the root is the leaf's parent, so the
-        interpreter's fiber offload starts at the virtual root."""
+        interpreter's fiber offload starts at the virtual root; an empty
+        one runs compiled too."""
         tensor = random_sparse_tensor((9,), nnz=nnz, seed=4) if nnz else COOTensor.empty((9,))
         operands = (tensor, np.random.default_rng(4).random((9, 3)))
         kernel = parse_kernel("i,ir->r", operands)
         tensors = {op.name: t for op, t in zip(kernel.operands, operands)}
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        executor, out, _ = _run(kernel, tensors, nest, engine=engine)
-        assert executor.last_engine == (engine if nnz else "interpret")
+        _, out, _ = _run(kernel, tensors, nest, engine=engine)
         np.testing.assert_allclose(out, reference_output(kernel, tensors), rtol=1e-12)
 
     def test_env_variable_selects_jit(self, mttkrp_setup, monkeypatch):
@@ -704,8 +691,7 @@ class TestFallback:
         monkeypatch.setenv("REPRO_ENGINE", "jit")
         executor = LoopNestExecutor(kernel, nest)
         assert executor.engine == "jit"
-        executor.execute(tensors)
-        assert executor.last_engine == "jit"
+        execute(executor, tensors)
 
 
 class TestStats:
@@ -719,6 +705,7 @@ class TestStats:
         # the shared six-column cache-stat shape plus codegen extras
         for key in ("entries", "hits", "misses", "evictions", "rejections", "bytes"):
             assert key in stats
+        assert stats["rejections"] == 0  # every plan lowers and compiles
         assert stats["entries"] >= 1
         assert stats["compiles"] >= 1
         assert stats["runs"] >= 1
@@ -839,7 +826,7 @@ def elementwise_einsums(source):
 class TestElementwiseMultiply:
     """A two-operand ``Contract`` whose inputs both carry its output
     subscripts sums nothing: both tiers compile it to one pooled
-    ``np.multiply`` (``_mul``), bit-identical to the interpreter."""
+    ``np.multiply`` (``_mul``), bit-identical to the tests' interpreter."""
 
     #: kernel -> the equal-subscript contract its chosen nest lowers to
     CASES = {
@@ -851,9 +838,8 @@ class TestElementwiseMultiply:
     @staticmethod
     def _execute(kernel, tensors, nest, engine):
         counter = OpCounter()
-        executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
-        out = executor.execute(tensors)
-        assert executor.last_engine == engine
+        executor = make_executor(kernel, nest, engine, counter=counter)
+        out = execute(executor, tensors)
         return executor, (out.values if isinstance(out, COOTensor) else out), counter
 
     @pytest.mark.parametrize("engine", ["jit", "lowered"])

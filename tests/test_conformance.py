@@ -1,19 +1,20 @@
 """Cross-tier conformance matrix: kernel × engine × dtype × CSF mode order.
 
-Every named kernel family is executed through all three engine tiers
-(``jit``, ``lowered`` and ``interpret``) for every combination of operand
-dtype (float64/float32) and CSF mode order (identity, reversed, mixed),
-and each cell asserts the full executor contract:
+Every named kernel family is executed through both runtime engines (``jit``
+and ``lowered``) and the tests' interpreter (``tests/interpreter.py``,
+Algorithm 2 as written) for every combination of operand dtype
+(float64/float32) and CSF mode order (identity, reversed, mixed), and each
+cell asserts the full executor contract:
 
 * results match the dense :mod:`repro.engine.reference` within tolerance
   (dense operands are coerced to float64 by all tiers, so the tolerance
   does not degrade for float32 inputs);
 * the tiers agree with each other to vectorized-summation reassociation
   (~1 ulp);
-* operation counters — flops, bytes moved, buffer resets and per-BLAS-call
-  classification — are *bit-equal* between tiers;
-* the jit and lowered tiers are asserted *taken* (no silent fallback) in
-  every cell;
+* the flop counts are *bit-equal* between tiers: the interpreter's,
+  summed one kernel call at a time, checks the compiled engines' totals;
+* the jit and lowered tiers are asserted to run compiled code in every
+  cell;
 * no tier writes into an operand: read-only operands — what the daemon
   hands the service, ``np.frombuffer`` views of received bytes — give the
   same bytes and the same counters as writable ones.
@@ -31,7 +32,8 @@ import pytest
 
 from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.scheduler import SpTTNScheduler
-from repro.engine.executor import ENGINES, LoopNestExecutor
+from interpreter import TIERS, execute, make_executor
+from repro.engine.executor import ENGINES
 from repro.engine.plan_cache import (
     PlanCache,
     cached_schedule,
@@ -106,19 +108,10 @@ def test_conformance_matrix(name, dtype, mode_order):
 
     outputs = {}
     counters = {}
-    for engine in ENGINES:
+    for engine in TIERS:
         counter = OpCounter()
-        executor = LoopNestExecutor(
-            kernel, schedule.loop_nest, counter=counter, engine=engine
-        )
-        output = executor.execute(mapping)
-        # the jit/lowered tiers must actually be taken in every matrix
-        # cell (all named kernels vectorize — and their programs compile —
-        # on their scheduler-chosen orders, under every CSF mode order);
-        # otherwise the cross-tier assertions silently compare the
-        # interpreter against itself
-        if engine in ("jit", "lowered"):
-            assert executor.last_engine == engine
+        executor = make_executor(kernel, schedule.loop_nest, engine, counter=counter)
+        output = execute(executor, mapping)
         # every tier must match the dense reference...
         assert_same_result(output, expected, rtol=1e-7, atol=1e-9)
         outputs[engine] = (
@@ -181,9 +174,8 @@ def _assert_read_only_operands_change_nothing(kernel, nest, mapping):
         results = []
         for operands in (mapping, frozen):
             counter = OpCounter()
-            executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
-            output = executor.execute(operands)
-            assert executor.last_engine == engine
+            executor = make_executor(kernel, nest, engine, counter=counter)
+            output = execute(executor, operands)
             values = output.values if isinstance(output, COOTensor) else output
             results.append((np.asarray(values), counter.flops))
         (writable, counts), (read_only, frozen_counts) = results
@@ -208,15 +200,14 @@ def test_read_only_operands_conformance_kernels(name):
     rng = np.random.default_rng(1)
     second = {name: _frozen(_revalued(t, rng)) for name, t in mapping.items()}
     results = {}
-    for engine in ENGINES:
+    for engine in TIERS:
         counter = OpCounter()
-        executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
+        executor = make_executor(kernel, nest, engine, counter=counter)
         executor.execute({name: _frozen(t) for name, t in mapping.items()})
-        output = executor.execute(second)
-        assert executor.last_engine == engine
+        output = execute(executor, second)
         values = output.values if isinstance(output, COOTensor) else output
         # a cold plan of the same tier gives the warm call's very bytes
-        cold = LoopNestExecutor(kernel, nest, engine=engine, plan_cache=PlanCache())
+        cold = make_executor(kernel, nest, engine, plan_cache=PlanCache())
         output = cold.execute(second)
         cold_values = output.values if isinstance(output, COOTensor) else output
         assert np.asarray(values).tobytes() == np.asarray(cold_values).tobytes(), engine
@@ -236,7 +227,7 @@ def test_read_only_operands_benchmark_kernels(benchmark_requests):
 
 
 def test_matrix_covers_every_tier():
-    """The matrix is only meaningful if all three engine tiers are
-    distinct entries of ENGINES (guards against tier renames silently
-    shrinking the matrix)."""
-    assert set(ENGINES) == {"interpret", "lowered", "jit"}
+    """The matrix is only meaningful if both runtime engines are distinct
+    entries of ENGINES (guards against tier renames silently shrinking the
+    matrix); the interpreter is the tests' own column."""
+    assert set(ENGINES) == {"lowered", "jit"}

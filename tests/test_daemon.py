@@ -21,6 +21,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,12 +31,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.engine.plan_cache import clear_caches, default_schedule_cache
 from repro.serve import (
+    AdmissionError,
     ServeClient,
+    ServeDaemon,
     ServeError,
     execute_sequential,
     mttkrp_request,
     scenario_mix,
     start_daemon_thread,
+    tttp_request,
     ttmc_request,
 )
 from repro.serve import daemon as daemon_module
@@ -1141,6 +1145,50 @@ class TestDaemonFailurePaths:
                 assert reply["error"]["code"] == "admission"
                 sock.sendall(b'{"op":"ping","id":"p"}\n')
                 assert json.loads(rfile.readline())["pong"] is True
+
+    def test_a_reply_that_cannot_be_framed_is_refused_at_admission(self):
+        """A 656-byte MTTKRP over a (2 000 000, 2, 2) tensor at rank 8 asks
+        for a 128 MB reply, over the 64 MiB a client reads: it is refused
+        at admission before any output is allocated, and the daemon
+        answers the next request."""
+        tensor = COOTensor((2_000_000, 2, 2), [(0, 0, 0), (1_999_999, 1, 1)], [1.0, 2.0])
+        request = mttkrp_request(tensor, [np.ones((2, 8)), np.ones((2, 8))], mode=0)
+        assert len(protocol.dumps(protocol.encode_request(request))) < 1024
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address) as client:
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ServeError) as excinfo:
+                        client.submit(request).result()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert excinfo.value.code == "admission"
+                assert f"{protocol.MAX_MESSAGE_BYTES}-byte bound" in str(excinfo.value)
+                assert peak < 16 * 2**20  # the reply alone would be 128 000 000
+                assert client.ping()
+            assert handle.daemon.stats.rejected == 1
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_admission_sizes_the_reply_frames_exactly(self, kind, monkeypatch):
+        """A bound equal to the reply's frame bytes admits the request; one
+        byte less refuses it."""
+        tensor = random_sparse_tensor((40, 6, 5), nnz=30, seed=3)
+        factors = [random_dense_matrix(dim, 4, seed=dim) for dim in tensor.shape]
+        if kind == "dense":
+            request = mttkrp_request(tensor, factors[1:], mode=0)
+        else:
+            request = tttp_request(tensor, factors)
+        (output,) = execute_sequential([request])
+        assert isinstance(output, COOTensor) == (kind == "sparse")
+        wire = protocol.dumps(protocol.result_reply("r", output))
+        frames = len(wire) - (wire.index(b"\n") + 1)
+        daemon = ServeDaemon(workers=0)
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", frames)
+        daemon._admit(request)
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", frames - 1)
+        with pytest.raises(AdmissionError, match=f"{frames} bytes of frames"):
+            daemon._admit(request)
 
     def test_backpressure_rejects_above_max_pending(self):
         requests = _small_requests(3, seed=6)

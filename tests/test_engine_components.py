@@ -1,9 +1,10 @@
-"""Unit tests for the engine building blocks: BLAS layer and reference."""
+"""Unit tests for the engine building blocks: the interpreter's BLAS layer
+(``tests/interpreter.py``) and the dense reference."""
 
 import numpy as np
 import pytest
 
-from repro.engine.blas import specialize_contraction
+from interpreter import specialize_contraction
 from repro.engine.reference import assert_same_result, dense_reference, reference_output
 
 

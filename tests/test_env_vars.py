@@ -2,8 +2,9 @@
 
 The rows of ``repro.util.config.SETTINGS`` are exactly the rows of the
 "Environment variables" table in ``docs/ARCHITECTURE.md``; nothing else in
-``src/repro`` reads the environment; and a malformed numeric value warns and
-means the default.
+``src/repro`` reads the environment; a malformed numeric value warns and
+means the default; and the documents name only variables and engines that
+exist.
 """
 
 from __future__ import annotations
@@ -106,3 +107,26 @@ def test_documents_name_only_variables_that_exist():
                 named.setdefault(name, str(path.relative_to(ROOT)))
     assert named, "no document names a REPRO_* variable"
     assert {name: where for name, where in named.items() if name not in SETTINGS} == {}
+
+
+#: How the documents pass an engine name: a keyword argument, a CLI flag,
+#: the environment variable (shell or workflow form, alternatives split on
+#: ``|``) or the wire field.
+ENGINE_NAMES = re.compile(
+    r"""engine=["'](\w+)["']|--engine[ =](\w+)|REPRO_ENGINE[=:] ?(\w+(?:\|\w+)*)"""
+    r"""|"engine": ?"(\w+)\""""
+)
+
+
+def test_documents_name_only_engines_that_exist():
+    from repro.engine.executor import ENGINES
+
+    named = {}
+    for pattern in DOCUMENTS:
+        for path in sorted(ROOT.glob(pattern)):
+            for groups in ENGINE_NAMES.findall(path.read_text(encoding="utf-8")):
+                for name in "|".join(groups).split("|"):
+                    if name:
+                        named.setdefault(name, str(path.relative_to(ROOT)))
+    assert named, "no document names an engine"
+    assert {name: where for name, where in named.items() if name not in ENGINES} == {}

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from interpreter import TIERS, Interpreter, execute, make_executor
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.cost_model import OperationCountCost, evaluate_cost
 from repro.core.enumeration import (
@@ -22,6 +23,7 @@ from repro.core.expr import parse_kernel
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor, execute_kernel
+from repro.engine.lowering import ir
 from repro.engine.plan_cache import PlanCache, cached_schedule
 from repro.engine.reference import assert_same_result, reference_output
 from repro.sptensor import COOTensor, CSFTensor, random_dense_matrix, random_sparse_tensor
@@ -71,18 +73,16 @@ def _drawn_nests(kernel, per_path: int, seed: int):
 
 def _executed_and_modelled_flops(kernel, tensors, nest, engine, cache):
     counter = OpCounter()
-    executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine, plan_cache=cache)
-    executor.execute(tensors)
-    assert executor.last_engine == engine
+    execute(make_executor(kernel, nest, engine, counter=counter, plan_cache=cache), tensors)
     model = evaluate_cost(kernel, nest.path, nest.order, OperationCountCost(kernel))
     return counter.flops, model
 
 
 class TestTheModelCountsWhatRuns:
     """Claim 3(a): a nest executes exactly the scalar operations
-    ``OperationCountCost`` charges it, on the interpreter and on ``jit``,
-    because the model, the plan and the lowering share one descent rule
-    (``SpTTNKernel.csf_descends``)."""
+    ``OperationCountCost`` charges it, on the tests' interpreter and on
+    ``jit``, because the model, the plan and the lowering share one descent
+    rule (``SpTTNKernel.csf_descends``)."""
 
     @pytest.mark.parametrize("fixture_name", ALL_KERNEL_FIXTURES)
     def test_drawn_nests_execute_the_modelled_count(self, fixture_name, request):
@@ -94,6 +94,25 @@ class TestTheModelCountsWhatRuns:
                     kernel, tensors, nest, engine, cache
                 )
                 assert flops == pytest.approx(model, rel=1e-9), nest.order
+
+    @pytest.mark.parametrize("fixture_name", ALL_KERNEL_FIXTURES)
+    def test_drawn_nests_on_an_empty_tensor_run_compiled(self, fixture_name, request):
+        """With no stored entry, every drawn nest runs compiled on both
+        engines: zero outputs, and the interpreter's count (the model
+        charges some of these nests operations that never run)."""
+        kernel, tensors = request.getfixturevalue(fixture_name)
+        empty = dict(tensors, T=COOTensor.empty(tensors["T"].shape))
+        cache = PlanCache()
+        for nest in _drawn_nests(kernel, per_path=2, seed=1):
+            runs = {}
+            for engine in TIERS:
+                counter = OpCounter()
+                executor = make_executor(kernel, nest, engine, counter=counter, plan_cache=cache)
+                output = execute(executor, empty)
+                values = output.values if isinstance(output, COOTensor) else output
+                assert not np.asarray(values).any(), (engine, nest.order)
+                runs[engine] = counter.flops
+            assert runs["jit"] == runs["lowered"] == runs["interpret"], nest.order
 
     @pytest.mark.parametrize(
         "spec, modes", [("ijkl,ir,jr,lr->kr", (0, 1, 3)), ("ijkl,ir,kr,lr->jr", (0, 2, 3))]
@@ -116,9 +135,9 @@ class TestTheModelCountsWhatRuns:
 
 class TestSharedPlanThreads:
     def test_threads_count_the_einsum_fallback_apart(self):
-        """Interpreters on more threads than cores run one shared plan at
-        once; its ``k_einsum`` site counts from its own operands, so no
-        thread's count or output sees another's."""
+        """Interpreters on more threads than cores share one memo of
+        specialized site steps; its ``k_einsum`` site counts from its own
+        operands, so no thread's count or output sees another's."""
         tensor = random_sparse_tensor((9, 8, 7), nnz=60, seed=0)
         operands = [tensor] + [
             random_dense_matrix(dim, rank, seed=m + 1)
@@ -129,15 +148,10 @@ class TestSharedPlanThreads:
         nest = cached_schedule(kernel).loop_nest
         expected = reference_output(kernel, tensors)
         single = OpCounter()
-        LoopNestExecutor(
-            kernel, nest, counter=single, engine="interpret", plan_cache=PlanCache()
-        ).execute(tensors)
+        Interpreter(kernel, nest, counter=single).execute(tensors)
 
-        cache, calls = PlanCache(), 300
-        executors = [
-            LoopNestExecutor(kernel, nest, engine="interpret", plan_cache=cache)
-            for _ in range(3)
-        ]
+        sites, calls = {}, 300
+        executors = [Interpreter(kernel, nest, sites=sites) for _ in range(3)]
         outputs = [[] for _ in executors]
         barrier = threading.Barrier(len(executors))
         errors = []
@@ -164,9 +178,8 @@ class TestSharedPlanThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        plan = executors[0]._plan
-        assert all(executor._plan is plan for executor in executors)
-        kernels = [step[5].__name__ for site in plan.sites.values() for step in site
+        assert all(executor.sites is sites for executor in executors)
+        kernels = [step[5].__name__ for site in sites.values() for step in site
                    if step[0] == "offload"]
         assert "k_einsum" in kernels
         for executor, out in zip(executors, outputs):
@@ -292,7 +305,7 @@ class TestSparseOutput:
 
         monkeypatch.setattr(LoopNestExecutor, "_sparse_output", capture)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        out = LoopNestExecutor(kernel, nest, engine=engine).execute(tensors)
+        out = execute(make_executor(kernel, nest, engine), tensors)
 
         csf = leaves["csf"]
         coords = np.empty((csf.nnz, csf.order), dtype=np.int64)
@@ -362,8 +375,7 @@ class TestEdgeCases:
         executor = LoopNestExecutor(kernel, schedule.loop_nest, counter=counter)
         executor.execute(tensors)
         assert counter.flops > 0
-        steps = [step for site in executor._plan.sites.values() for step in site]
-        assert any(step[0] == "offload" for step in steps)
+        assert any(isinstance(op, ir.Contract) for op in executor._plan.lowered.ops)
 
     def test_execute_kernel_convenience(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup

@@ -1,26 +1,29 @@
 """Tests for the vectorized lowering subsystem (repro.engine.lowering).
 
-The contract under test: for every kernel whose scheduled loop nest lowers,
-the lowered engine produces the same output as the interpreter (to the
-floating-point reassociation of vectorized summation, ~1 ulp) with *exactly*
-equal operation counters; only a nest past the 52 einsum letters is
-interpreted.  Every shipped kernel family (MTTKRP, TTMc,
-TTTc, TTTP, all-mode TTMc) must take the lowered path for its
-scheduler-chosen loop order.
+The contract under test: every scheduled loop nest lowers, and the lowered
+engine produces the same output as the tests' interpreter
+(``tests/interpreter.py``, to the floating-point reassociation of
+vectorized summation, ~1 ulp) with *exactly* equal operation counters.
+Every shipped kernel family (MTTKRP, TTMc, TTTc, TTTP, all-mode TTMc)
+runs compiled code for its scheduler-chosen loop order, and a lowered
+program depends on the nest's structure, not on the tensor's nnz.
 """
 
 import numpy as np
 import pytest
 
+from interpreter import TIERS, Interpreter, execute, make_executor
 from repro.core.contraction_path import enumerate_contraction_paths, rank_contraction_paths
 from repro.core.enumeration import enumerate_loop_orders
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor
 from repro.engine.lowering import Program, lower_plan
+from repro.core.expr import parse_kernel
 from repro.engine.plan_cache import PlanCache, default_plan_cache
 from repro.kernels.tttc import tt_core_shapes, tttc_kernel
-from repro.sptensor import COOTensor, random_sparse_tensor
+from repro.sptensor import COOTensor, random_dense_matrix, random_sparse_tensor
+from repro.sptensor.csf import csf_for_mode_order
 from repro.util.counters import OpCounter
 
 KERNELS = ["mttkrp_setup", "ttmc_setup", "ttmc4_setup", "tttp_setup", "allmode_setup"]
@@ -31,20 +34,18 @@ def _values(output):
 
 
 def run_both(kernel, tensors, nest):
-    """Execute one nest under both engines; return (lowered, interpreted)."""
+    """Execute one nest on the lowered engine, asserting that it ran
+    compiled code, and on the interpreter; return (lowered, interpreted)."""
     results = {}
     for engine in ("lowered", "interpret"):
         counter = OpCounter()
-        executor = LoopNestExecutor(
-            kernel, nest, counter=counter, plan_cache=PlanCache(), engine=engine,
-        )
-        output = executor.execute(tensors)
-        results[engine] = (output, counter, executor.last_engine)
+        executor = make_executor(kernel, nest, engine, counter=counter, plan_cache=PlanCache())
+        results[engine] = (execute(executor, tensors), counter)
     return results["lowered"], results["interpret"]
 
 
 def assert_equivalent(lowered, interpreted):
-    (out_low, ctr_low, _), (out_int, ctr_int, _) = lowered, interpreted
+    (out_low, ctr_low), (out_int, ctr_int) = lowered, interpreted
     np.testing.assert_allclose(
         _values(out_low), _values(out_int), rtol=1e-12, atol=1e-14
     )
@@ -56,10 +57,7 @@ class TestScheduledKernelsLower:
     def test_scheduler_pick_takes_lowered_path(self, fixture_name, request):
         kernel, tensors = request.getfixturevalue(fixture_name)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        lowered, interpreted = run_both(kernel, tensors, nest)
-        assert lowered[2] == "lowered"
-        assert interpreted[2] == "interpret"
-        assert_equivalent(lowered, interpreted)
+        assert_equivalent(*run_both(kernel, tensors, nest))
 
 
 class TestTTTcLowers:
@@ -69,24 +67,17 @@ class TestTTTcLowers:
         cores = [rng.random(shape) for shape in tt_core_shapes(tensor.shape, 4)]
         kernel, tensors = tttc_kernel(tensor, cores, removed_core=5)
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        lowered, interpreted = run_both(kernel, tensors, nest)
-        assert lowered[2] == "lowered"
-        assert_equivalent(lowered, interpreted)
+        assert_equivalent(*run_both(kernel, tensors, nest))
 
 
 @pytest.mark.parametrize("fixture_name", ["mttkrp_setup", "ttmc_setup", "tttp_setup"])
 def test_all_best_path_loop_orders_agree(fixture_name, request):
-    """Every enumerated loop order of the best path: lowered == interpreted
-    (whether the order lowers or falls back)."""
+    """Every enumerated loop order of the best path lowers, and lowered ==
+    interpreted."""
     kernel, tensors = request.getfixturevalue(fixture_name)
     path = rank_contraction_paths(kernel)[0][0]
-    lowered_count = 0
     for order in enumerate_loop_orders(kernel, path):
-        nest = LoopNest(path, order)
-        lowered, interpreted = run_both(kernel, tensors, nest)
-        assert_equivalent(lowered, interpreted)
-        lowered_count += lowered[2] == "lowered"
-    assert lowered_count > 0
+        assert_equivalent(*run_both(kernel, tensors, LoopNest(path, order)))
 
 
 def test_dense_only_group_over_sparse_indices_compiles(tttp_setup):
@@ -101,11 +92,10 @@ def test_dense_only_group_over_sparse_indices_compiles(tttp_setup):
     )
     nest = LoopNest(path, LoopOrder((("r", "i", "j"), ("r", "i", "j", "k"), ("i", "j", "k"))))
     runs = {}
-    for engine in ("jit", "lowered", "interpret"):
+    for engine in TIERS:
         counter = OpCounter()
-        executor = LoopNestExecutor(kernel, nest, counter=counter, engine=engine)
-        runs[engine] = (executor.execute(tensors), counter, executor.last_engine)
-        assert executor.last_engine == engine
+        executor = make_executor(kernel, nest, engine, counter=counter)
+        runs[engine] = (execute(executor, tensors), counter)
     for engine in ("jit", "lowered"):
         assert_equivalent(runs[engine], runs["interpret"])
 
@@ -117,23 +107,24 @@ class TestEngineSwitch:
         with pytest.raises(ValueError, match="engine"):
             LoopNestExecutor(kernel, nest, engine="vectorized")
 
-    def test_interpret_engine_never_lowers(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
+    def test_interpret_is_not_an_engine(self, mttkrp_setup):
+        """The interpreter is the tests' oracle, not a runtime engine."""
+        kernel, _ = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        executor = LoopNestExecutor(kernel, nest, engine="interpret")
-        executor.execute(tensors)
-        assert executor.last_engine == "interpret"
+        with pytest.raises(ValueError, match="engine must be one of"):
+            LoopNestExecutor(kernel, nest, engine="interpret")
 
     def test_env_variable_selects_engine(self, mttkrp_setup, monkeypatch):
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         monkeypatch.setenv("REPRO_ENGINE", "interpret")
-        executor = LoopNestExecutor(kernel, nest)
-        assert executor.engine == "interpret"
+        with pytest.raises(ValueError, match="engine must be one of"):
+            LoopNestExecutor(kernel, nest)
         monkeypatch.setenv("REPRO_ENGINE", "lowered")
-        executor = LoopNestExecutor(kernel, nest)
-        executor.execute(tensors)
-        assert executor.last_engine == "lowered"
+        executor = LoopNestExecutor(kernel, nest, plan_cache=PlanCache())
+        assert executor.engine == "lowered"
+        execute(executor, tensors)
+        assert executor._plan.unfused is not None and executor._plan.jit is None
 
     @pytest.mark.parametrize("value", ["", "  "])
     def test_empty_env_variable_is_unset(self, mttkrp_setup, monkeypatch, value):
@@ -142,15 +133,16 @@ class TestEngineSwitch:
         monkeypatch.setenv("REPRO_ENGINE", value)
         assert LoopNestExecutor(kernel, nest).engine == "jit"
 
-    def test_empty_tensor_interprets(self, mttkrp_setup):
+    def test_empty_tensor_runs_compiled(self, mttkrp_setup):
         kernel, tensors = mttkrp_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
         empty = dict(tensors)
         empty["T"] = COOTensor.empty(tensors["T"].shape)
-        executor = LoopNestExecutor(kernel, nest, engine="lowered")
-        output = executor.execute(empty)
-        assert executor.last_engine == "interpret"
+        counter = OpCounter()
+        executor = LoopNestExecutor(kernel, nest, counter=counter, engine="lowered")
+        output = execute(executor, empty)
         assert np.all(np.asarray(output) == 0.0)
+        assert counter.flops == 0
 
 
 class TestPlanIntegration:
@@ -169,25 +161,58 @@ class TestPlanIntegration:
         assert other._plan.lowered is program
         assert plan.key in default_plan_cache()
 
-    def test_interpreter_shares_the_same_plan(self, mttkrp_setup):
-        kernel, tensors = mttkrp_setup
-        nest = SpTTNScheduler(kernel).schedule().loop_nest
-        fast = LoopNestExecutor(kernel, nest, engine="lowered")
-        slow = LoopNestExecutor(kernel, nest, engine="interpret")
-        out_fast = fast.execute(tensors)
-        out_slow = slow.execute(tensors)
-        assert fast._plan is slow._plan
-        np.testing.assert_allclose(out_fast, out_slow, rtol=1e-12, atol=1e-14)
-
     def test_lower_plan_is_structural(self, ttmc_setup):
         kernel, tensors = ttmc_setup
         nest = SpTTNScheduler(kernel).schedule().loop_nest
-        executor = LoopNestExecutor(kernel, nest, engine="interpret")
+        executor = LoopNestExecutor(kernel, nest, plan_cache=PlanCache())
         executor._prepare(tensors)
         program = lower_plan(executor)
         assert isinstance(program, Program)
         assert program.n_ops > 0
         assert "lowered program" in program.describe()
+
+
+def _ttmc_case(nnz):
+    tensor = random_sparse_tensor((120, 100, 80), nnz=nnz, seed=1)
+    u, v = random_dense_matrix(100, 16, seed=2), random_dense_matrix(80, 16, seed=3)
+    kernel = parse_kernel("ijk,jr,ks->irs", [tensor, u, v], names=["T", "U", "V"])
+    return kernel, {"T": tensor, "U": u, "V": v}
+
+
+def _tttc_case(nnz):
+    tensor = random_sparse_tensor((12,) * 6, nnz=nnz, seed=3)
+    rng = np.random.default_rng(4)
+    cores = [rng.random(shape) for shape in tt_core_shapes(tensor.shape, 8)]
+    return tttc_kernel(tensor, cores, removed_core=5)
+
+
+@pytest.mark.parametrize("build", [_ttmc_case, _tttc_case], ids=["ttmc", "tttc"])
+def test_lowered_program_is_independent_of_nnz(build, monkeypatch):
+    """TTMc and TTTc at two nnz each: the lowered program and its generated
+    source do not change, while the interpreter takes one ``_run`` step per
+    stored non-leaf CSF node, and so more steps at the larger nnz."""
+    runs = []
+    real_run = Interpreter._run
+    monkeypatch.setattr(
+        Interpreter, "_run", lambda self, *args: runs.append(1) or real_run(self, *args)
+    )
+    programs, steps = [], []
+    for nnz in (400, 1600):
+        kernel, tensors = build(nnz)
+        nest = SpTTNScheduler(kernel).schedule().loop_nest
+        lowered = LoopNestExecutor(kernel, nest, engine="lowered", plan_cache=PlanCache())
+        execute(lowered, tensors)
+        programs.append((lowered._plan.lowered.n_ops, lowered._plan.unfused.source))
+        runs.clear()
+        Interpreter(kernel, nest).execute(tensors)
+        sparse = kernel.sparse_operand
+        csf = csf_for_mode_order(
+            tensors[sparse.name], [sparse.indices.index(i) for i in kernel.csf_mode_order]
+        )
+        assert len(runs) > sum(csf.nnz_at_level(level) for level in range(csf.order - 1))
+        steps.append(len(runs))
+    assert programs[0] == programs[1]
+    assert steps[0] < steps[1]
 
 
 class TestCacheCLI:

@@ -18,6 +18,7 @@ The contracts under test:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -328,31 +329,41 @@ def test_plan_timings_threads_share_one_row_per_phase(mttkrp_setup):
 
     kernel, tensors = mttkrp_setup
     nest = cached_schedule(kernel).loop_nest
+    executor = LoopNestExecutor(kernel, nest)
+    executor.execute(tensors)
+    plan = executor._plan
+    plan.timings.clear()  # the threads race on each row's first observation
     calls = 20
     barrier = threading.Barrier(2)
     errors = []
 
     def run() -> None:
-        # one executor per thread; the interpreter keeps all per-call state
-        # on it, while the jit tiers share the plan's pooled buffers
-        executor = LoopNestExecutor(kernel, nest, engine="interpret")
+        # a compiled plan is run by one thread at a time (its pooled
+        # buffers are shared), so the threads record what runs would
         try:
             barrier.wait(timeout=30)
             for _ in range(calls):
-                executor.execute(tensors)
+                plan.record_timing("jit", "prepare", 1e-4)
+                plan.record_timing("jit", "execute", 1e-3)
         except Exception as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
     threads = [threading.Thread(target=run) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
     rows = plan_timings_snapshot()
     # both threads recorded into the one shared plan's histograms
     assert sorted(row["phase"] for row in rows) == ["execute", "prepare"]
-    assert {row["engine"] for row in rows} == {"interpret"}
+    assert {row["engine"] for row in rows} == {"jit"}
     assert all(row["count"] == 2 * calls for row in rows)
 
 

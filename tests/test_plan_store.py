@@ -211,7 +211,7 @@ class TestWarmStart:
         nests = [e.nest for e in sweep_loop_orders(kernel, path, workers=0, limit=16).entries]
         assert len(nests) == 16
         for nest in nests:
-            for engine in ("interpret", "jit"):
+            for engine in ("lowered", "jit"):
                 executor = LoopNestExecutor(
                     kernel, nest, plan_cache=PlanCache(), engine=engine
                 )

@@ -122,7 +122,7 @@ class TestBatching:
     def test_engine_override_splits_batches(self, serve_tensor, serve_factors):
         requests = [
             mttkrp_request(serve_tensor, serve_factors[1:], engine="lowered"),
-            mttkrp_request(serve_tensor, serve_factors[1:], engine="interpret"),
+            mttkrp_request(serve_tensor, serve_factors[1:], engine="jit"),
         ]
         service = ContractionService(workers=0)
         results = service.run(requests)
