@@ -188,13 +188,15 @@ class TreeSeparableCost(ABC):
 
         A loop that descends the CSF (:meth:`SpTTNKernel.csf_descends`)
         iterates only the stored fibers: the trip count is the average
-        fiber length derived from the recorded prefix-nnz statistics.  Any
-        other loop iterates the full dimension.
+        fiber length derived from the recorded prefix-nnz statistics (none if
+        they record no nonzero).  Any other loop iterates the full dimension.
         """
         kernel = self.kernel
         dim = float(kernel.index_dims[root_index])
         if not kernel.csf_descends(root_index, removed):
             return dim
+        if kernel.sparse_stats.get("nnz") == 0:
+            return 0.0
         level = kernel.csf_mode_order.index(root_index)
         upper = kernel.prefix_nnz(level + 1)
         lower = kernel.prefix_nnz(level)

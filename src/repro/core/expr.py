@@ -271,18 +271,6 @@ class SpTTNKernel:
         return f"SpTTNKernel({ins} -> {out})"
 
 
-def _operand_from_tensor(
-    name: str,
-    indices: Tuple[str, ...],
-    tensor: Union[SparseInput, np.ndarray],
-) -> Tuple[KernelOperand, Tuple[int, ...]]:
-    """Classify a concrete tensor object and return (operand, shape)."""
-    if isinstance(tensor, (COOTensor, CSFTensor)):
-        return KernelOperand(name, indices, True), tensor.shape
-    arr = np.asarray(tensor)
-    return KernelOperand(name, indices, False), tuple(arr.shape)
-
-
 def parse_kernel(
     spec: str,
     tensors: Sequence[Union[SparseInput, np.ndarray]],
@@ -337,15 +325,16 @@ def parse_kernel(
     dense_counter = 0
     for pos, (sub, tensor) in enumerate(zip(input_specs, tensors)):
         indices = tuple(sub)
+        sparse = isinstance(tensor, (COOTensor, CSFTensor))
         if names is not None:
             name = names[pos]
+        elif sparse:
+            name = "T"
         else:
-            if isinstance(tensor, (COOTensor, CSFTensor)):
-                name = "T"
-            else:
-                name = f"A{dense_counter}"
-                dense_counter += 1
-        operand, shape = _operand_from_tensor(name, indices, tensor)
+            name = f"A{dense_counter}"
+            dense_counter += 1
+        operand = KernelOperand(name, indices, sparse)
+        shape = tensor.shape if sparse else np.shape(tensor)
         if len(shape) != len(indices):
             raise ValueError(
                 f"operand {name!r}: spec has {len(indices)} indices but tensor has "
@@ -387,30 +376,12 @@ def parse_kernel(
     mode_order = tuple(range(sparse_op.order))
     if isinstance(sparse_tensor, CSFTensor):
         mode_order = sparse_tensor.mode_order
-    kernel = SpTTNKernel(
-        operands,
-        output,
-        index_dims,
-        csf_mode_order=tuple(sparse_op.indices[m] for m in mode_order),
-    )
+    csf_mode_order = tuple(sparse_op.indices[m] for m in mode_order)
+    kernel = SpTTNKernel(operands, output, index_dims, csf_mode_order=csf_mode_order)
     # statistics come after the structural validation above: a malformed
-    # spec is rejected before any tensor data is looked at
-    kernel.sparse_stats = _collect_sparse_stats(sparse_tensor, mode_order)
+    # spec is rejected before any tensor data is looked at.  The cost model's
+    # nnz_{I_1...I_k} are the level sizes of the (memoised) CSF the executor
+    # then iterates, so a kernel build sorts nothing for a converted pattern
+    csf = csf_for_mode_order(sparse_tensor, mode_order)
+    kernel.sparse_stats = {"nnz": csf.nnz, "prefix_nnz": dict(enumerate(map(len, csf.fids), 1))}
     return kernel
-
-
-def _collect_sparse_stats(
-    tensor: SparseInput, mode_order: Tuple[int, ...]
-) -> Dict[str, object]:
-    """The cost model's ``nnz_{I_1...I_k}``: level sizes of the CSF tree.
-
-    Reads them from the (memoized) CSF the executor is about to iterate, so
-    a kernel build sorts nothing once the pattern has been converted.
-    """
-    csf = csf_for_mode_order(tensor, mode_order)
-    return {
-        "nnz": csf.nnz,
-        "prefix_nnz": {
-            depth: csf.nnz_at_level(depth - 1) for depth in range(1, csf.order + 1)
-        },
-    }

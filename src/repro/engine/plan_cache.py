@@ -118,16 +118,16 @@ def plan_key(
     mode order (part of the kernel signature) and same operand
     shapes/dtypes.
     """
-    path = loop_nest.path
-    return (
-        _signature_of(kernel),
-        tuple(
-            (t.lhs, t.rhs, t.out, t.lhs_indices, t.rhs_indices, t.out_indices)
-            for t in path
-        ),
-        tuple(tuple(order) for order in loop_nest.order),
-        tuple(operands),
-    )
+    nest = loop_nest.__dict__.get("_key")
+    if nest is None:  # the nest's part, like the kernel's, is derived once per object
+        nest = loop_nest.__dict__["_key"] = (
+            tuple(
+                (t.lhs, t.rhs, t.out, t.lhs_indices, t.rhs_indices, t.out_indices)
+                for t in loop_nest.path
+            ),
+            tuple(tuple(order) for order in loop_nest.order),
+        )
+    return (_signature_of(kernel), *nest, tuple(operands))
 
 
 def schedule_key(
@@ -317,6 +317,7 @@ def cached_schedule(
     max_paths: Optional[int] = 5000,
     cache: Optional[PlanCache] = None,
     store: Union[PlanStore, bool, None] = True,
+    key: Optional[PlanKey] = None,
 ) -> Schedule:
     """Run the scheduler's search once per kernel structure per process.
 
@@ -334,7 +335,8 @@ def cached_schedule(
     instance uses that store (isolation for tests), ``False``/``None``
     disables persistence.  A store hit deserializes the previously
     selected schedule — zero search — and any fresh search result is
-    written back, so the *next* process warm-starts.
+    written back, so the *next* process warm-starts.  *key*: the kernel's
+    :func:`schedule_key` for these bounds, if the caller derived it already.
 
     Examples
     --------
@@ -344,7 +346,7 @@ def cached_schedule(
     True
     """
     cache = cache if cache is not None else _DEFAULT_SCHEDULE_CACHE
-    key = schedule_key(kernel, buffer_dim_bound, max_paths)
+    key = schedule_key(kernel, buffer_dim_bound, max_paths) if key is None else key
 
     def build() -> Schedule:
         # resolved on a miss only: a hit never reads the environment

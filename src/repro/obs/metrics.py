@@ -180,12 +180,12 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 
 def inc_counter(name: str, amount: int = 1) -> None:
     """Increment a default-registry counter by *amount*."""
-    _DEFAULT_REGISTRY.counter(name).inc(amount)
+    (_DEFAULT_REGISTRY._counters.get(name) or _DEFAULT_REGISTRY.counter(name)).inc(amount)
 
 
 def observe(name: str, seconds: float) -> None:
     """Record one latency observation into a default-registry histogram."""
-    _DEFAULT_REGISTRY.histogram(name).observe(seconds)
+    (_DEFAULT_REGISTRY._histograms.get(name) or _DEFAULT_REGISTRY.histogram(name)).observe(seconds)
 
 
 def register_source(name: str, fn: Callable[[], object]) -> None:

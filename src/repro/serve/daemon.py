@@ -94,6 +94,9 @@ SHUTDOWN_READ_SECONDS = 1.0
 #: loop when every schedule is cached; a bigger or colder one flushes off-loop.
 INLINE_MAX_BYTES = 64 * 1024
 
+#: Newest dispatch cycles :attr:`ServeDaemon.dispatch_trace` keeps (``stats`` counts all).
+TRACE_CYCLES = 1024
+
 
 class _Draining(RuntimeError):
     """A submit that arrived after the drain began."""
@@ -134,6 +137,7 @@ class _Client:
 
     conn_id: int
     conn: Connection
+    stats: "DaemonStats"
     outbox: "asyncio.Queue[Optional[bytes]]" = field(default_factory=asyncio.Queue)
     backlog: Deque[_QueuedItem] = field(default_factory=deque)
     inflight: int = 0
@@ -144,9 +148,16 @@ class _Client:
     receiving: bool = False
 
     def send(self, message: Dict[str, Any]) -> None:
-        """Enqueue one reply for the writer task (no-op once closed)."""
-        if not self.closed:
-            self.outbox.put_nowait(protocol.dumps(message))
+        """Send one reply (no-op once closed): to the socket if nothing waits
+        ahead of it, in the outbox or the transport, else through the writer task."""
+        if self.closed:
+            return
+        payload, sink = protocol.dumps(message), self.conn.transport
+        if self.outbox.empty() and not (sink.get_write_buffer_size() or sink.is_closing()):
+            sink.write(payload)
+            self.stats.bytes_sent += len(payload)
+        else:
+            self.outbox.put_nowait(payload)
 
 
 @dataclass
@@ -174,10 +185,6 @@ class DaemonStats:
     #: bytes read from / written to client sockets (head lines and frames).
     bytes_received: int = 0
     bytes_sent: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for the ``stats`` reply."""
-        return asdict(self)
 
 
 class ServeDaemon:
@@ -246,8 +253,8 @@ class ServeDaemon:
         self.stats = DaemonStats()
         #: Dispatch-cycle trace: one list of connection ids per cycle, in
         #: drain order — the observable artifact of round-robin fairness
-        #: (tests assert on it; ``stats`` reports its length as ``cycles``).
-        self.dispatch_trace: List[List[int]] = []
+        #: (tests assert on it); the newest :data:`TRACE_CYCLES` cycles.
+        self.dispatch_trace: Deque[List[int]] = deque(maxlen=TRACE_CYCLES)
         self.address: Optional[Tuple[str, int]] = None
         self._clients: "OrderedDict[int, _Client]" = OrderedDict()
         self._next_conn_id = 0
@@ -258,7 +265,7 @@ class ServeDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._work: Optional[asyncio.Event] = None
         self._gate: Optional[asyncio.Event] = None
-        self._writer_tasks: List[asyncio.Task] = []
+        self._writer_tasks: "set[asyncio.Task]" = set()  # of open connections
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -334,12 +341,13 @@ class ServeDaemon:
     async def _handle_connection(self, conn: Connection) -> None:
         conn_id = self._next_conn_id
         self._next_conn_id += 1
-        client = _Client(conn_id, conn)
+        client = _Client(conn_id, conn, self.stats)
         self._clients[conn_id] = client
         self.stats.connections += 1
         self.stats.active_connections += 1
         writer_task = asyncio.ensure_future(self._writer_loop(client))
-        self._writer_tasks.append(writer_task)
+        self._writer_tasks.add(writer_task)
+        writer_task.add_done_callback(self._writer_tasks.discard)
         try:
             while True:
                 try:
@@ -481,9 +489,9 @@ class ServeDaemon:
         Raises :class:`~repro.serve.AdmissionError` — the same exception
         and semantics as in-process ``submit`` — when the daemon-wide
         pending count (queued + in-flight) has reached the service's
-        ``max_pending``, when the request's spec fails to parse against
-        its operands, or when its reply's frames, sized from the declared
-        shapes before anything is allocated, would exceed
+        ``max_pending``, when the request fails to build (its spec against
+        its operands, or its engine), or when its reply's frames, sized from
+        the declared shapes before anything is allocated, would exceed
         ``protocol.MAX_MESSAGE_BYTES``, which no client can read.
         """
         if self._pending_total() >= self.service.max_pending:
@@ -662,8 +670,6 @@ class ServeDaemon:
                 # structured error (the service's BaseException handler);
                 # the daemon must outlive it — record and keep serving
                 self.stats.flush_errors += 1
-        if inline:
-            await asyncio.sleep(0)  # the writers send this cycle's replies first
 
     def _make_streamer(self, item: _QueuedItem, inline: bool):
         """Done-callback delivering one resolved future to its connection
@@ -687,10 +693,9 @@ class ServeDaemon:
             wire_encode = time.perf_counter() - encode_t0
             observe("serve.stage.wire_encode", wire_encode)
             if future.timings:
-                timings = dict(future.timings)
-                timings["wire_decode"] = item.wire_decode
-                timings["wire_encode"] = wire_encode
-                reply["timings"] = timings
+                reply["timings"] = {
+                    **future.timings, "wire_decode": item.wire_decode, "wire_encode": wire_encode
+                }
             if inline:
                 self._finish_item(item, reply)
             else:
@@ -768,8 +773,8 @@ class ServeDaemon:
             "version": protocol.PROTOCOL_VERSION,
             "draining": self._draining,
             "pending": self._pending_total(),
-            "daemon": self.stats.as_dict(),
-            "service": self.service.stats.as_dict(),
+            "daemon": asdict(self.stats),
+            "service": asdict(self.service.stats),
             "caches": caches_snapshot(),
             "pool": pool_stats(),
             "metrics": metrics_snapshot(include_sources=False),
@@ -877,6 +882,7 @@ __all__ = [
     "DEFAULT_PORT",
     "INLINE_MAX_BYTES",
     "MAX_LINE_BYTES",
+    "TRACE_CYCLES",
     "DaemonHandle",
     "DaemonStats",
     "ServeDaemon",

@@ -39,13 +39,13 @@ import base64
 import json
 import math
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.serve.request import ContractionRequest
 from repro.sptensor.coo import COOTensor
-from repro.util.validation import require
+from repro.sptensor.csf import default_structure_memo
 
 #: Protocol revision carried in ``hello``/stats replies; bump on breaking
 #: wire-format changes.
@@ -57,6 +57,9 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: ``dtype.kind`` of what may cross the wire: bool, int, uint, float, complex.
 WIRE_KINDS = "biufc"
+
+#: ``str(dtype)`` of each native wire dtype, read instead of formatted per array.
+_WIRE_NAMES = {t: str(t) for t in map(np.dtype, np.typecodes["All"]) if t.kind in WIRE_KINDS}
 
 #: Client operations the daemon understands.
 OPS = ("submit", "stats", "metrics", "health", "ping", "shutdown")
@@ -103,9 +106,10 @@ def encode_array(arr: np.ndarray) -> Dict[str, Any]:
     writes its buffer as a frame and the frame's index in its place.
     """
     arr = np.asarray(arr, order="C")
-    if arr.dtype.kind not in WIRE_KINDS:
+    name = _WIRE_NAMES.get(arr.dtype)  # None: a non-native byte order, or no wire kind
+    if name is None and arr.dtype.kind not in WIRE_KINDS:
         raise ProtocolError(f"dtype {arr.dtype} cannot travel on the wire")
-    return {"dtype": str(arr.dtype), "shape": list(arr.shape), "data": arr}
+    return {"dtype": name or str(arr.dtype), "shape": list(arr.shape), "data": arr}
 
 
 def decode_array(obj: Any) -> np.ndarray:
@@ -114,9 +118,7 @@ def decode_array(obj: Any) -> np.ndarray:
     ``data`` is the frame :func:`attach` put there (or :func:`encode_array`'s
     array, or a version-1 base64 string); the result is writable if it is.
     """
-    if not isinstance(obj, dict) or not {"dtype", "shape", "data"} <= set(obj):
-        raise ProtocolError("array must be an object with dtype/shape/data")
-    try:
+    try:  # an object without dtype/shape/data fails here too, as a malformed array
         dtype, shape, data = np.dtype(str(obj["dtype"])), obj["shape"], obj["data"]
         if dtype.kind not in WIRE_KINDS:
             raise ProtocolError(f"dtype {dtype} is not bool, int, float or complex")
@@ -149,7 +151,7 @@ def encode_tensor(value: Union[np.ndarray, COOTensor]) -> Dict[str, Any]:
     return encoded
 
 
-def decode_tensor(obj: Any, held: Any = None) -> Union[np.ndarray, COOTensor]:
+def decode_tensor(obj: Any, held: Any = None, memo: Any = None) -> Union[np.ndarray, COOTensor]:
     """Rebuild one tensor from :func:`encode_tensor` output.
 
     Sparse tensors are rebuilt with ``sort=False``: the wire format carries
@@ -158,7 +160,8 @@ def decode_tensor(obj: Any, held: Any = None) -> Union[np.ndarray, COOTensor]:
 
     A sparse tensor of *held*'s shape whose indices view ``held.indices``'
     memory (same address, dtype and shape) reuses *held*'s checked rows and
-    digest: it is *held* when its values view ``held.values`` too.
+    digest: it is *held* when its values view ``held.values`` too.  Rows whose
+    pattern *memo* (the CSF structure memo) holds were checked when stored.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProtocolError("tensor must be an object with a 'kind' field")
@@ -175,17 +178,36 @@ def decode_tensor(obj: Any, held: Any = None) -> Union[np.ndarray, COOTensor]:
         shared = isinstance(held, COOTensor) and held.shape == shape
         try:
             if not (shared and _same_view(indices, held.indices)):
-                return COOTensor(shape, indices, values, sort=False)
+                return _coo(shape, indices, values, memo)
             if _same_view(values, held.values):
                 return held
-            values = np.asarray(values, dtype=np.float64).ravel()
-            n = values.shape[0]
-            require(n == held.nnz, f"indices has {held.nnz} rows but values has {n} entries")
             held.pattern_digest()  # hashed once here, inherited by every sharer
-            return COOTensor.on_pattern(shape, held.indices, values, held)
+            return _on_rows(shape, held, values)
         except Exception as exc:
             raise ProtocolError(f"malformed sparse tensor: {exc}") from exc
     raise ProtocolError(f"unknown tensor kind {kind!r}")
+
+
+def _coo(shape: Tuple[int, ...], indices: np.ndarray, values: np.ndarray, memo) -> COOTensor:
+    """A decoded COO tensor whose rows are checked once per sparsity pattern:
+    *memo* holds only checked patterns, so rows whose digest it knows (natural
+    mode order, same shape and row count) only have their values converted."""
+    probe = COOTensor.on_pattern(shape, indices, values)
+    if memo and indices.ndim == 2 and indices.dtype == np.int64:
+        if (probe.pattern_digest(), tuple(range(len(shape))), shape, len(indices)) in memo:
+            return _on_rows(shape, probe, values)
+    tensor = COOTensor(shape, indices, values, sort=False)
+    if tensor.indices is indices:  # the rows kept: the digest hashed above holds
+        tensor._pattern = probe._pattern
+    return tensor
+
+
+def _on_rows(shape: Tuple[int, ...], checked: COOTensor, values: np.ndarray) -> COOTensor:
+    """*values* (float64, one per row) on *checked*'s rows and digest."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if len(values) != checked.nnz:
+        raise ValueError(f"indices has {checked.nnz} rows but values has {len(values)} entries")
+    return COOTensor.on_pattern(shape, checked.indices, values, checked)
 
 
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
@@ -241,9 +263,10 @@ def decode_request(obj: Any, held: Optional[ContractionRequest] = None) -> Contr
             raise ProtocolError("request.deadline_ms must be a number")
         deadline_ms = float(deadline_ms)
     priors = dict(enumerate(held.operands)) if held is not None else {}
+    memo = default_structure_memo()
     return ContractionRequest(
         spec=spec,
-        operands=tuple(decode_tensor(op, priors.get(n)) for n, op in enumerate(operands)),
+        operands=tuple(decode_tensor(op, priors.get(n), memo) for n, op in enumerate(operands)),
         names=tuple(names) if names is not None else None,
         engine=engine,
         kind=kind,
@@ -314,24 +337,35 @@ def attach(message: Dict[str, Any], frames: List[Any]) -> None:
     """Put each frame's buffer where an array's ``data`` names its index.
 
     In place.  A frame serves at most one array, so no two decoded arrays
-    share memory and none keeps more than its own bytes alive.
+    share memory and none keeps more than its own bytes alive.  A submit's
+    operands and a reply's result are found along the paths a tensor has; only
+    frames left over send the search through the whole message.
     """
     frames = list(frames)
     del message["frames"]
 
-    def walk(node: Any) -> None:
+    def place(node: Any) -> None:
         if isinstance(node, dict):
             index = node.get("data")
             if type(index) is int and "dtype" in node:
                 if not 0 <= index < len(frames) or frames[index] is None:
                     raise ProtocolError(f"frame {index} is not announced or reused")
                 node["data"], frames[index] = frames[index], None
-            node = list(node.values())
-        if isinstance(node, list):
-            for child in node:
+
+    def walk(node: Any) -> None:
+        place(node)
+        for child in node.values() if isinstance(node, dict) else node:
+            if isinstance(child, (dict, list)):
                 walk(child)
 
-    walk(message)
+    request = message.get("request")
+    tensors = request.get("operands") if isinstance(request, dict) else [message.get("result")]
+    for tensor in tensors if isinstance(tensors, list) else ():
+        if isinstance(tensor, dict):
+            for node in (tensor, tensor.get("indices"), tensor.get("values")):
+                place(node)
+    if any(frame is not None for frame in frames):
+        walk(message)
 
 
 def result_reply(msg_id: Any, output: Union[np.ndarray, COOTensor]) -> Dict[str, Any]:

@@ -10,8 +10,8 @@ call: anything expressible as a spec string can be served.
 
 Requests are validated eagerly by :meth:`ContractionRequest.build` (the
 service calls it at admission time): the spec must parse against the
-operands, which catches malformed specs, shape mismatches and missing
-dimensions *before* the request enters the queue.
+operands and the engine be one of ``ENGINES``, which catches malformed specs,
+shape mismatches, missing dimensions and unknown engines *before* the queue.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.expr import SpTTNKernel
+from repro.engine.executor import ENGINES
 from repro.kernels.mttkrp import mttkrp_spec
 from repro.kernels.spttn import build_kernel, sparse_order_of
 from repro.kernels.ttmc import all_mode_ttmc_spec, ttmc_spec
@@ -78,6 +79,8 @@ class ContractionRequest:
     def build(self) -> Tuple[SpTTNKernel, Dict[str, TensorLike]]:
         """Parse (once) into a kernel and its operand mapping; may raise."""
         if self._built is None:
+            if self.engine is not None and self.engine not in ENGINES:
+                raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
             self._built = build_kernel(self.spec, self.operands, names=self.names)
         return self._built
 

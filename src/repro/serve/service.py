@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -87,6 +86,7 @@ STAGES = (
     "wire_decode", "queue_wait", "schedule", "build", "execute", "reduce",
     "wire_encode",
 )
+_STAGE_METRICS = {stage: f"serve.stage.{stage}" for stage in STAGES}
 
 
 class AdmissionError(RuntimeError):
@@ -273,10 +273,6 @@ class ServiceStats:
     quarantines: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view of the counters (stats replies, CLI printing)."""
-        return asdict(self)
-
 
 @dataclass(slots=True)
 class _Pending:
@@ -291,16 +287,6 @@ class _Pending:
     future: ServeFuture
     expires_at: Optional[float]
     submitted_at: float = field(default_factory=time.perf_counter)
-
-
-@dataclass
-class _GroupTiming:
-    """Stage timings of one signature group, attached per request on resolve."""
-
-    flush_start: float
-    schedule_s: float
-    build_s: float
-    execute_s: List[float]
 
 
 class _BatchTask:
@@ -389,8 +375,7 @@ class ContractionService:
         self.workers = workers
         self.engine = default_engine() if engine is None else engine
         # the service-wide default reaches every request: fail at
-        # construction, not per future at flush time (per-request engine
-        # overrides stay late-failing, isolated to their own future)
+        # construction (a request's own engine is checked at admission)
         require(
             self.engine in ENGINES,
             f"engine must be one of {ENGINES}, got {self.engine!r}",
@@ -421,11 +406,7 @@ class ContractionService:
     ) -> Tuple:
         """The request's plan identity, derived once at admission and read
         by grouping, the lookups of both group paths and the quarantine."""
-        return (
-            schedule_key(kernel),
-            operand_signature(kernel, mapping),
-            engine,
-        )
+        return (schedule_key(kernel), operand_signature(kernel, mapping), engine)
 
     def submit(
         self,
@@ -577,7 +558,7 @@ class ContractionService:
         flush_start = time.perf_counter()
         self.stats.flushes += 1
         inc_counter("serve.flushes")
-        groups: "OrderedDict[Tuple, List[_Pending]]" = OrderedDict()
+        groups: Dict[Tuple, List[_Pending]] = {}
         for p in pending:
             groups.setdefault(p.signature, []).append(p)
         workers = resolve_workers(self.workers)
@@ -615,7 +596,7 @@ class ContractionService:
         self,
         group: List[_Pending],
         results: Sequence[object],
-        timing: Optional[_GroupTiming] = None,
+        timing: Optional[Tuple[float, float, float, List[float]]] = None,
     ) -> None:
         ready = time.perf_counter()
         for i, (p, value) in enumerate(zip(group, results)):
@@ -641,17 +622,18 @@ class ContractionService:
             else:
                 self.stats.served += 1
                 inc_counter("serve.served")
-            if timing is not None:
+            if timing is not None:  # the group's flush start and stage seconds
+                flush_start, schedule_s, build_s, execute_s = timing
                 stages = {
-                    "queue_wait": max(0.0, timing.flush_start - p.submitted_at),
-                    "schedule": timing.schedule_s,
-                    "build": timing.build_s,
-                    "execute": timing.execute_s[i],
+                    "queue_wait": max(0.0, flush_start - p.submitted_at),
+                    "schedule": schedule_s,
+                    "build": build_s,
+                    "execute": execute_s[i],
                     "reduce": max(0.0, time.perf_counter() - ready),
                 }
                 p.future.timings.update(stages)
                 for stage, seconds in stages.items():
-                    observe(f"serve.stage.{stage}", seconds)
+                    observe(_STAGE_METRICS[stage], seconds)
             p.future._resolve(value)
 
     def _run_group(
@@ -681,7 +663,7 @@ class ContractionService:
         leader = group[0]
         schedule_t0 = time.perf_counter()
         try:
-            schedule = cached_schedule(leader.kernel)
+            schedule = cached_schedule(leader.kernel, key=leader.signature[0])
         except Exception as exc:
             # scheduling failure is structural: it fails the whole group
             error = _RequestError(f"{type(exc).__name__}: {exc}")
@@ -715,11 +697,7 @@ class ContractionService:
                     self._note_crash_strike(leader)
             else:
                 results, build_s, execute_s = self._run_group_serial(group, nest)
-        self._resolve(
-            group,
-            results,
-            _GroupTiming(flush_start, schedule_s, build_s, execute_s),
-        )
+        self._resolve(group, results, (flush_start, schedule_s, build_s, execute_s))
 
     def _run_group_serial(
         self, group: List[_Pending], nest: LoopNest
@@ -729,8 +707,8 @@ class ContractionService:
         try:
             executor = cached_executor(leader.kernel, nest, engine=leader.engine)
         except Exception as exc:
-            # executor construction is structural (e.g. an unknown engine
-            # name): it fails the whole signature group, nobody else
+            # executor construction is structural: it fails the whole
+            # signature group, nobody else
             error = _RequestError(f"{type(exc).__name__}: {exc}")
             return [error] * len(group), 0.0, [0.0] * len(group)
         build_s = time.perf_counter() - build_t0

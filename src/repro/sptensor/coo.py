@@ -12,6 +12,7 @@ reductions here are the independent oracle the tests compare those against.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -60,17 +61,13 @@ class COOTensor:
         order = len(self.shape)
         idx = as_index_array(indices, order)
         vals = np.asarray(values, dtype=np.float64).ravel()
-        require(
-            idx.shape[0] == vals.shape[0],
-            f"indices has {idx.shape[0]} rows but values has {vals.shape[0]} entries",
-        )
-        for mode, dim in enumerate(self.shape):
-            if idx.shape[0] and idx[:, mode].max() >= dim:
-                raise ValueError(
-                    f"index {idx[:, mode].max()} out of range for mode {mode} "
-                    f"of dimension {dim}"
-                )
-        idx, vals = _dedupe(idx, vals)
+        if len(idx) != len(vals):
+            raise ValueError(f"indices has {len(idx)} rows but values has {len(vals)} entries")
+        tops = idx.max(axis=0).tolist() if len(idx) else ()  # one reduction for every mode
+        for mode, (top, dim) in enumerate(zip(tops, self.shape)):
+            if top >= dim:
+                raise ValueError(f"index {top} out of range for mode {mode} of dimension {dim}")
+        idx, vals = _dedupe(idx, vals, self.shape)
         if sort and idx.shape[0] > 1:
             perm = np.lexsort(idx.T[::-1])
             idx = idx[perm]
@@ -234,22 +231,27 @@ def digest_stats() -> Dict[str, int]:
         return dict(_DIGEST_COUNTS)
 
 
-def _dedupe(indices: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _dedupe(
+    indices: np.ndarray, values: np.ndarray, shape: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
     """Sum values at duplicate coordinates, merged rows in lexicographic order.
 
-    Rows are compared column by column, never through a linear index, which
-    would overflow int64 once the dense size passes ``2**63``.
+    Canonical input (rows strictly rising: wire, shared-memory and CSF round
+    trips) is returned as is after one pass over the row-major linear index of
+    the in-range *indices*, or column by column past a dense size of ``2**63``.
     """
     if indices.shape[0] <= 1:
         return indices, values
-    rising = np.zeros(indices.shape[0] - 1, dtype=bool)
-    tied = ~rising
-    for col in indices.T:
-        rising |= tied & (col[1:] > col[:-1])
-        tied &= col[1:] == col[:-1]
+    if math.prod(shape) < 2**63:
+        linear = indices @ np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))])
+        rising = linear[1:] > linear[:-1]
+    else:
+        rising = np.zeros(indices.shape[0] - 1, dtype=bool)
+        tied = ~rising
+        for col in indices.T:
+            rising |= tied & (col[1:] > col[:-1])
+            tied &= col[1:] == col[:-1]
     if bool(np.all(rising)):
-        # strictly increasing coordinates are unique: canonical input
-        # (wire-decoded, shared-memory and CSF round trips) skips the sort
         return indices, values
     uniq, inverse = np.unique(indices, axis=0, return_inverse=True)
     if uniq.shape[0] == indices.shape[0]:

@@ -311,7 +311,7 @@ def csf_for_mode_order(
     leaves the memoized CSF (and pattern digest) stale — build a new tensor
     instead, as all library code does.
     """
-    mode_order = tuple(int(m) for m in mode_order)
+    mode_order = tuple(map(int, mode_order))
     if isinstance(tensor, CSFTensor) and tensor.mode_order == mode_order:
         return tensor
     per_source = _CONVERSION_MEMO.get(tensor)
@@ -335,11 +335,12 @@ def _convert(coo: COOTensor, mode_order: Tuple[int, ...]) -> CSFTensor:
     # a digest match alone never binds: shape and nnz are part of the key
     key = (coo.pattern_digest(), mode_order, coo.shape, coo.nnz)
     known = _STRUCTURE_MEMO.get_or_create(key, build)
-    perm = known.leaf_perm
-    values = coo.values if perm is None else coo.values[perm]
-    return CSFTensor(
-        known.shape, mode_order, known.fids, known.fptr, values, leaf_perm=perm
-    )
+    # the structure was checked when it was built: bind the values unchecked
+    csf = CSFTensor.__new__(CSFTensor)
+    csf.shape, csf.mode_order, csf.fids, csf.fptr = known.shape, mode_order, known.fids, known.fptr
+    csf.leaf_perm = perm = known.leaf_perm
+    csf.values = coo.values if perm is None else coo.values[perm]
+    return csf
 
 
 def default_structure_memo() -> LRUCache:

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sptensor import COOTensor
 from repro.sptensor.coo import digest_stats
@@ -370,3 +372,89 @@ class TestArithmetic:
         np.testing.assert_array_equal(
             t.to_dense(), np.transpose(small_coo.to_dense(), perm)
         )
+
+
+# --------------------------------------------------------------------------- #
+# The wire path's canonical check against the checks it replaced
+# --------------------------------------------------------------------------- #
+def _checked_as_before(shape, indices, values):
+    """``COOTensor``'s checks as they were: a range check per mode, then rows
+    compared column by column, ``np.unique`` only when they do not rise."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1, len(shape))
+    if idx.size and idx.min() < 0:
+        raise ValueError("indices must be non-negative")
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    if idx.shape[0] != vals.shape[0]:
+        raise ValueError("row and value counts differ")
+    for mode, dim in enumerate(shape):
+        if idx.shape[0] and idx[:, mode].max() >= dim:
+            raise ValueError("out of range")
+    if idx.shape[0] <= 1:
+        return idx, vals
+    rising = np.zeros(idx.shape[0] - 1, dtype=bool)
+    tied = ~rising
+    for col in idx.T:
+        rising |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    if rising.all():
+        return idx, vals
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    if uniq.shape[0] == idx.shape[0]:
+        return idx, vals
+    summed = np.zeros(uniq.shape[0])
+    np.add.at(summed, inverse.ravel(), vals)
+    return uniq, summed
+
+
+@st.composite
+def _coordinates(draw):
+    """A shape (small, or with a dense size near ``2**63``) and rows drawn from
+    its edges: sorted, unsorted, duplicated, negative or out of range."""
+    if draw(st.booleans()):
+        shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    else:
+        low = draw(st.integers(-3, 3))
+        shape = (2**31 + low, 2**32 - draw(st.integers(-3, 3)))
+        shape = shape if draw(st.booleans()) else (1,) + shape
+    edge = [st.sampled_from((-1, 0, 1, dim - 2, dim - 1, dim)) for dim in shape]
+    rows = draw(st.lists(st.tuples(*edge), max_size=7))
+    arrange = draw(st.sampled_from((list, sorted, lambda drawn: sorted(set(drawn)))))
+    rows = arrange(rows)
+    values = draw(st.lists(st.floats(-4, 4), min_size=len(rows), max_size=len(rows)))
+    return shape, rows, values
+
+
+class TestWireCanonicalCheck:
+    """A decoded wire tensor is accepted or refused exactly as the per-mode
+    range check and the column-loop dedupe did, and keeps the same rows and
+    values; a second decode of an accepted pattern, which the CSF structure
+    memo now knows, too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coordinates())
+    def test_decoding_matches_the_column_loop(self, drawn):
+        from repro.serve import protocol
+        from repro.sptensor.csf import csf_for_mode_order, default_structure_memo
+
+        memo = default_structure_memo()
+        shape, rows, values = drawn
+        indices = np.asarray(rows, dtype=np.int64).reshape(-1, len(shape))
+        encoded = {
+            "kind": "sparse",
+            "shape": list(shape),
+            "indices": protocol.encode_array(indices),
+            "values": protocol.encode_array(np.asarray(values, dtype=np.float64)),
+        }
+        wire = protocol.dumps({"tensor": encoded})
+        try:
+            want = _checked_as_before(shape, indices, values)
+        except ValueError:
+            with pytest.raises(protocol.ProtocolError) as refused:
+                protocol.decode_tensor(protocol.loads(wire)["tensor"], memo=memo)
+            assert isinstance(refused.value.__cause__, ValueError)
+            return
+        for _ in range(2):
+            tensor = protocol.decode_tensor(protocol.loads(wire)["tensor"], memo=memo)
+            assert tensor.indices.tobytes() == want[0].tobytes()
+            assert tensor.values.tobytes() == want[1].tobytes()
+            csf_for_mode_order(tensor, tuple(range(len(shape))))  # the memo knows it now

@@ -600,14 +600,14 @@ class TestBurstDispatch:
                     _assert_outputs_equal(
                         other.run([requests[2]])[0], execute_sequential([requests[2]])[0]
                     )
-                    assert daemon.dispatch_trace == [[1]]
+                    assert list(daemon.dispatch_trace) == [[1]]
                     assert other.health()["pending"] == 1
                 sock.sendall(second[cut:])
                 replies = dict(
                     (reply["id"], _dense_result(reply, frames))
                     for reply, frames in (_read_reply(rfile), _read_reply(rfile))
                 )
-            assert daemon.dispatch_trace == [[1], [0, 0]]  # s0 and s1: one cycle
+            assert list(daemon.dispatch_trace) == [[1], [0, 0]]  # s0 and s1: one cycle
         for msg_id, want in zip(("s0", "s1"), execute_sequential(requests[:2])):
             np.testing.assert_array_equal(replies[msg_id], want)
 
@@ -620,10 +620,10 @@ class TestBurstDispatch:
                 sock.sendall(wires[0] + wires[1] + wires[2][:-16])
                 # two held requests are all a cycle takes: no waiting for s2
                 replies = [_read_reply(rfile) for _ in range(2)]
-                assert handle.daemon.dispatch_trace == [[0, 0]]
+                assert list(handle.daemon.dispatch_trace) == [[0, 0]]
                 sock.sendall(wires[2][-16:])
                 replies.append(_read_reply(rfile))
-            assert handle.daemon.dispatch_trace == [[0, 0], [0]]
+            assert list(handle.daemon.dispatch_trace) == [[0, 0], [0]]
         got = {reply["id"]: _dense_result(reply, frames) for reply, frames in replies}
         for n, want in enumerate(execute_sequential(requests)):
             np.testing.assert_array_equal(got[f"s{n}"], want)
@@ -669,7 +669,7 @@ class TestBurstDispatch:
 
                 client._sock = Recording(client._sock)
                 outputs = [p.result() for p in client.submit_many(requests)]
-            assert handle.daemon.dispatch_trace == [[0] * len(requests)]
+            assert list(handle.daemon.dispatch_trace) == [[0] * len(requests)]
         # one vectored send whose buffers are each request's own encoding,
         # never a joined copy of the burst; on the wire, the same bytes
         wires = [self._wire(r, f"c{n + 1}") for n, r in enumerate(requests)]
@@ -721,6 +721,42 @@ def _bulk_batch(tensor, seed):
     return batch + batch
 
 
+class TestWarmRequestDerivesOnce:
+    """A warm request derives each fact once: one kernel parse, one pattern
+    digest for its one sparse operand, and one hit on each of the schedule,
+    executor and plan caches (the lookups a flush makes per request)."""
+
+    def test_counts_per_warm_request(self, monkeypatch):
+        from repro.kernels import spttn
+
+        requests = scenario_mix(16, mix="mixed", seed=61)
+        expected = execute_sequential(requests)
+        parses = []
+        real_parse = spttn.parse_kernel
+        monkeypatch.setattr(
+            spttn, "parse_kernel", lambda *a, **k: parses.append(1) or real_parse(*a, **k)
+        )
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=60) as client:
+                client.run(requests)  # warm: every schedule, plan and pattern is known
+                before, parsed = client.stats()["caches"], len(parses)
+                outputs = [client.submit(r).result() for r in requests]
+                after = client.stats()["caches"]
+        assert len(parses) - parsed == len(requests)
+        moved = {
+            (row, count): after[row][count] - before[row][count]
+            for row in ("schedule", "executor", "plan", "csf")
+            for count in ("hits", "misses")
+        }
+        assert moved == {
+            **{(row, "hits"): len(requests) for row in ("schedule", "executor", "plan", "csf")},
+            **{(row, "misses"): 0 for row in ("schedule", "executor", "plan", "csf")},
+        }
+        assert after["csf"]["digests"] - before["csf"]["digests"] == len(requests)
+        for out, want in zip(outputs, expected):
+            _assert_outputs_equal(out, want)
+
+
 class TestFrameDigestReuse:
     """A burst over one sparse tensor decodes, checks and hashes it once."""
 
@@ -765,7 +801,7 @@ class TestFrameDigestReuse:
                     assert after["digests"] - before["digests"] == 1
                     for out, want in zip(outputs, expected):
                         _assert_outputs_equal(out, want)
-            assert daemon.dispatch_trace == [[0] * 8] * 2
+            assert list(daemon.dispatch_trace) == [[0] * 8] * 2
 
     def test_new_values_on_a_held_index_frame_share_its_rows_and_digest(self):
         tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=27)
@@ -845,7 +881,7 @@ class TestFrameDigestReuse:
                         for reply, frames in (_read_reply(rfile) for _ in wires)
                     )
                 after = control.stats()["caches"]["csf"]
-            assert handle.daemon.dispatch_trace == [[1] * 8]
+            assert list(handle.daemon.dispatch_trace) == [[1] * 8]
         assert after["digests"] - before["digests"] == 1
         for n, want in enumerate(expected):
             np.testing.assert_array_equal(replies[f"b{n}"], want)
@@ -863,7 +899,7 @@ class TestFrameDigestReuse:
                     assert after["digests"] - before["digests"] == 1
                     for out, want in zip(outputs, expected):
                         _assert_outputs_equal(out, want)
-            assert handle.daemon.dispatch_trace == [[0] * 8] * 2
+            assert list(handle.daemon.dispatch_trace) == [[0] * 8] * 2
 
 
 # --------------------------------------------------------------------------- #
@@ -1093,6 +1129,34 @@ TestDaemonMachine.settings = settings(max_examples=20, stateful_step_count=10)
 # Failure paths
 # --------------------------------------------------------------------------- #
 class TestDaemonFailurePaths:
+    @pytest.mark.parametrize("engine", ["interpret", "no-such-engine"])
+    def test_an_unknown_engine_is_refused_at_admission(self, engine):
+        request = mttkrp_request(*_wide_mttkrp(seed=62), mode=0, engine=engine)
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=30) as client:
+                with pytest.raises(ServeError) as refused:
+                    client.submit(request).result()
+                assert refused.value.code == "admission"
+                assert f"engine must be one of ('jit', 'lowered'), got {engine!r}" in str(
+                    refused.value
+                )
+                assert client.ping()
+            stats = handle.daemon.stats
+        assert (stats.admitted, stats.rejected, stats.cycles) == (0, 1, 0)
+
+    def test_the_dispatch_trace_keeps_the_newest_cycles(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "TRACE_CYCLES", 3)
+        requests = _small_requests(5, seed=63)
+        with start_daemon_thread(workers=0) as handle:
+            with ServeClient(*handle.address, timeout=30) as a:
+                for request in requests[:2]:
+                    a.submit(request).result()
+                with ServeClient(*handle.address, timeout=30) as b:
+                    for request in requests[2:]:
+                        b.submit(request).result()
+            daemon = handle.daemon
+        assert daemon.stats.cycles == 5
+        assert list(daemon.dispatch_trace) == [[1], [1], [1]]
     def test_malformed_line_gets_structured_error_and_connection_survives(self):
         with start_daemon_thread(workers=0) as handle:
             with socket.create_connection(handle.address, timeout=30) as sock:

@@ -19,7 +19,7 @@ from repro.core.enumeration import (
     enumerate_loop_orders_for_term,
     sample_loop_orders,
 )
-from repro.core.expr import parse_kernel
+from repro.core.expr import SpTTNKernel, parse_kernel
 from repro.core.loop_nest import LoopNest, LoopOrder
 from repro.core.scheduler import SpTTNScheduler
 from repro.engine.executor import LoopNestExecutor, execute_kernel
@@ -98,10 +98,15 @@ class TestTheModelCountsWhatRuns:
     @pytest.mark.parametrize("fixture_name", ALL_KERNEL_FIXTURES)
     def test_drawn_nests_on_an_empty_tensor_run_compiled(self, fixture_name, request):
         """With no stored entry, every drawn nest runs compiled on both
-        engines: zero outputs, and the interpreter's count (the model
-        charges some of these nests operations that never run)."""
+        engines: zero outputs, and the interpreter's count, which is the
+        count the model charges a kernel whose statistics record no entry."""
         kernel, tensors = request.getfixturevalue(fixture_name)
         empty = dict(tensors, T=COOTensor.empty(tensors["T"].shape))
+        order = len(kernel.csf_mode_order)
+        recorded = SpTTNKernel(
+            kernel.operands, kernel.output, kernel.index_dims, kernel.csf_mode_order,
+            sparse_stats={"nnz": 0, "prefix_nnz": dict.fromkeys(range(1, order + 1), 0)},
+        )
         cache = PlanCache()
         for nest in _drawn_nests(kernel, per_path=2, seed=1):
             runs = {}
@@ -113,6 +118,8 @@ class TestTheModelCountsWhatRuns:
                 assert not np.asarray(values).any(), (engine, nest.order)
                 runs[engine] = counter.flops
             assert runs["jit"] == runs["lowered"] == runs["interpret"], nest.order
+            model = evaluate_cost(recorded, nest.path, nest.order, OperationCountCost(recorded))
+            assert runs["jit"] == model, nest.order
 
     @pytest.mark.parametrize(
         "spec, modes", [("ijkl,ir,jr,lr->kr", (0, 1, 3)), ("ijkl,ir,kr,lr->jr", (0, 2, 3))]

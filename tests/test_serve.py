@@ -190,17 +190,27 @@ class TestAdmission:
         self, serve_tensor, serve_factors
     ):
         good = mttkrp_request(serve_tensor, serve_factors[1:], mode=0)
-        bad = mttkrp_request(
-            serve_tensor, serve_factors[1:], mode=0, engine="no-such-engine"
-        )
+        # parses (the shapes fit), fails when the executor reads it as float64
+        words = np.full(serve_factors[2].shape, "x", dtype=object)
+        bad = mttkrp_request(serve_tensor, [serve_factors[1], words], mode=0)
         service = ContractionService(workers=0)
         f_good, f_bad, f_good2 = service.submit_many([good, bad, good])
         service.flush()
         _assert_outputs_equal(f_good.result(), f_good2.result())
-        with pytest.raises(RuntimeError, match="no-such-engine"):
+        with pytest.raises(RuntimeError, match="could not convert"):
             f_bad.result()
         assert service.stats.served == 2
         assert service.stats.failed == 1
+
+    @pytest.mark.parametrize("engine", ["no-such-engine", "interpret"])
+    def test_unknown_engine_is_refused_before_it_is_queued(
+        self, serve_tensor, serve_factors, engine
+    ):
+        service = ContractionService(workers=0)
+        bad = mttkrp_request(serve_tensor, serve_factors[1:], mode=0, engine=engine)
+        with pytest.raises(AdmissionError, match=f"engine must be one of .*{engine}"):
+            service.submit(bad)
+        assert (service.stats.rejected, service.stats.submitted, service.pending) == (1, 0, 0)
 
 
 class TestParallelServing:
